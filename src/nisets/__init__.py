@@ -17,6 +17,7 @@ from .engine import (
     nis_summary,
     s1_vertex_recursion,
     summarize,
+    tree_scalars,
     union_combine,
 )
 from .families import FamilySpec, build, closed_form_summary, ratio_table
@@ -61,7 +62,7 @@ __all__ = [
     "CountPolynomial", "EdgeTerm", "Engine", "NisSummary",
     "av1_edge", "edge_terms", "format_rational",
     "i0_polynomial", "i1_edge_decomposition", "i1_vertex_recursion",
-    "nis_summary", "s1_vertex_recursion", "summarize", "union_combine",
+    "nis_summary", "s1_vertex_recursion", "summarize", "tree_scalars", "union_combine",
     "FamilySpec", "build", "closed_form_summary", "ratio_table",
     "FormatError", "from_graph6", "parse_edge_list", "to_graph6", "write_edge_list",
     "Graph", "StructuralSummary", "build_graph", "canonical_code",

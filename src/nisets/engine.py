@@ -11,6 +11,10 @@ decompositions whose agreement is cross-checked by the test suite:
 * summing, over all edges, the independent-set polynomial of the graph left
   after deleting both endpoints' neighbourhoods.
 
+Trees also have a linear dynamic program over their level sequences
+(``tree_scalars``); the tree sweeps use it, and ``Engine`` remains the
+reference it is checked against.
+
 All arithmetic is exact: Python integers for counts, fractions for
 averages.  The average of an empty family is 0 by convention, with the
 zero count kept visible so callers can distinguish the two situations.
@@ -358,6 +362,62 @@ class Engine:
                 )
             )
         return terms
+
+
+def tree_scalars(levels) -> tuple[int, int, int, int]:
+    """(sigma0, S0, sigma1, S1) of the rooted tree with this level sequence.
+
+    ``levels`` is any depth sequence of a rooted tree in preorder (root at
+    depth 0, each later depth between 1 and one more than the previous);
+    the parent of a vertex is the latest earlier vertex one level up.  A
+    linear dynamic program replaces the mask recursion of ``Engine``: each
+    vertex v carries four (count, size-sum) pairs over the vertex subsets
+    of its subtree,
+
+    * a: v out, no edge;
+    * b: v in, no edge;
+    * c: v out, one edge;
+    * f: v in, one edge (below a child, or joining v to its one chosen
+      child; the two cases combine identically, so they share a state);
+
+    and vertices are folded child-into-parent in reverse preorder, so every
+    subtree is complete before it meets its parent.  Pairs combine as
+    (x, X) * (y, Y) = (xy, Xy + xY).
+    """
+    n = len(levels)
+    parent = [0] * n
+    last = [0] * (n + 1)
+    for i in range(1, n):
+        depth = levels[i]
+        parent[i] = last[depth - 1]
+        last[depth] = i
+    a0 = [1] * n
+    a1 = [0] * n
+    b0 = [1] * n
+    b1 = [1] * n
+    c0 = [0] * n
+    c1 = [0] * n
+    f0 = [0] * n
+    f1 = [0] * n
+    for i in range(n - 1, 0, -1):
+        p = parent[i]
+        # under an absent parent the child may take any state; under a
+        # present one it is absent, or present with no edge of its own
+        # below (the edge is then p-i), or absent with the edge below
+        free0, free1 = a0[i] + b0[i], a1[i] + b1[i]
+        one0, one1 = c0[i] + f0[i], c1[i] + f1[i]
+        out0, out1 = a0[i], a1[i]
+        edge0, edge1 = b0[i] + c0[i], b1[i] + c1[i]
+        pa0, pa1, pb0, pb1 = a0[p], a1[p], b0[p], b1[p]
+        c1[p] = c1[p] * free0 + c0[p] * free1 + pa1 * one0 + pa0 * one1
+        c0[p] = c0[p] * free0 + pa0 * one0
+        a1[p] = pa1 * free0 + pa0 * free1
+        a0[p] = pa0 * free0
+        f1[p] = f1[p] * out0 + f0[p] * out1 + pb1 * edge0 + pb0 * edge1
+        f0[p] = f0[p] * out0 + pb0 * edge0
+        b1[p] = pb1 * out0 + pb0 * out1
+        b0[p] = pb0 * out0
+    return a0[0] + b0[0], a1[0] + b1[0], c0[0] + f0[0], c1[0] + f1[0]
 
 
 def _binomial_poly(k: int) -> Poly:

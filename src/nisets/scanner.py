@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import permutations
 from multiprocessing import Pool
 
-from .engine import Engine, format_rational
+from .engine import Engine, format_rational, tree_scalars
 from .families import FamilySpec, build
 from .formats import from_graph6, to_graph6
 from .graphs import (
@@ -37,7 +37,6 @@ from .trees import (
     TREE_ORDER_LIMIT,
     LevelSequence,
     count_free_trees,
-    free_trees,
     level_sequences,
     tree_canonical_key,
 )
@@ -295,47 +294,98 @@ def _tree_stat(graph: Graph, objective: str) -> Fraction:
     return Fraction(sig1, sig0)
 
 
-def _spot_check(graph: Graph) -> None:
+def _tree_value(levels, objective: str) -> tuple[int, int]:
+    """The objective of one tree as an unreduced (numerator, denominator)
+    pair, from the linear tree DP.  Sweeps start at order 2, where every
+    tree has an edge, so both denominators are positive."""
+    sig0, _, sig1, tot1 = tree_scalars(levels)
+    return (tot1, sig1) if objective == "av1" else (sig1, sig0)
+
+
+def _levels_to_graph(levels) -> Graph:
+    return LevelSequence(levels).to_graph()
+
+
+def _spot_check(levels) -> None:
+    """Compare the tree DP, the engine and the subset oracle on one tree."""
+    graph = _levels_to_graph(levels)
+    dp = tree_scalars(levels)
     eng = Engine(graph)
-    for level, scalars in ((0, eng.scalars0()), (1, eng.scalars1())):
+    routes = (("tree DP", dp[:2], dp[2:]), ("engine", eng.scalars0(), eng.scalars1()))
+    for level in (0, 1):
         want = oracle_summary(graph, level)
-        if scalars != (want.sigma, want.total):
-            raise RouteDisagreement(
-                f"engine {scalars} vs subset oracle ({want.sigma}, {want.total}) "
-                f"at level {level} on {to_graph6(graph)}"
-            )
+        want = (want.sigma, want.total)
+        for name, *by_level in routes:
+            if by_level[level] != want:
+                raise RouteDisagreement(
+                    f"{name} {by_level[level]} vs subset oracle {want} "
+                    f"at level {level} on {to_graph6(graph)}"
+                )
+
+
+def _spot_sample(n: int, rate: float, seed: int) -> frozenset[int]:
+    """Deterministic sample of stream indices of the order-n trees."""
+    if not 0 <= rate <= 1:
+        raise ValueError("spot-check rate must lie in [0, 1]")
+    if rate == 0:
+        return frozenset()
+    total = count_free_trees(n)
+    want = min(total, max(1, int(rate * total)))
+    rng = random.Random(seed * 1000003 + n)
+    return frozenset(rng.sample(range(total), want))
+
+
+def _enter(side, num, den, g6):
+    """Side after a tree whose value ties or beats the side's value."""
+    if side is not None and num * side[1] == side[0] * den:
+        side[2].append(g6)
+        return side
+    return [num, den, [g6]]
 
 
 def _sweep_chunk(payload):
+    """Min side, max side and top-k list of one chunk of the tree stream.
+
+    Values stay unreduced integer pairs compared by cross-multiplication;
+    the graph6 code and the Fraction are built only for a tree that enters
+    a side or the top list (ties included), so witness lists and tie order
+    are those of an eager fold."""
     objective, top_k, chunk, spots = payload
-    best = {"min": None, "max": None}
+    lo = hi = None  # [numerator, denominator, witnesses]
     top: list[tuple[Fraction, str]] = []
+    floor = None  # (numerator, denominator) of the top list's last value once full
     for index, levels in chunk:
-        graph = _levels_to_graph(levels)
         if index in spots:
-            _spot_check(graph)
-        value = _tree_stat(graph, objective)
-        g6 = to_graph6(graph)
-        for side, keep in (("min", value.__le__), ("max", value.__ge__)):
-            slot = best[side]
-            if slot is None or keep(slot[0]):
-                if slot is None or slot[0] != value:
-                    best[side] = (value, [g6], 1)
-                else:
-                    slot[1].append(g6)
-                    best[side] = (value, slot[1], slot[2] + 1)
-        if top_k:
-            entry = (-value, g6)
+            _spot_check(levels)
+        num, den = _tree_value(levels, objective)
+        g6 = None
+        if lo is None or num * lo[1] <= lo[0] * den:
+            g6 = to_graph6(_levels_to_graph(levels))
+            lo = _enter(lo, num, den, g6)
+        if hi is None or num * hi[1] >= hi[0] * den:
+            if g6 is None:
+                g6 = to_graph6(_levels_to_graph(levels))
+            hi = _enter(hi, num, den, g6)
+        if top_k and (floor is None or num * floor[1] >= floor[0] * den):
+            if g6 is None:
+                g6 = to_graph6(_levels_to_graph(levels))
+            entry = (-Fraction(num, den), g6)
             if len(top) < top_k:
                 insort(top, entry)
             elif entry < top[-1]:
                 insort(top, entry)
                 top.pop()
-    return best["min"], best["max"], top
+            if len(top) == top_k:
+                last = -top[-1][0]
+                floor = (last.numerator, last.denominator)
+    return _finished(lo), _finished(hi), top
 
 
-def _levels_to_graph(levels) -> Graph:
-    return LevelSequence(levels).to_graph()
+def _finished(side):
+    """(value, witnesses, count) of a side, the shape ``_merge_side`` takes."""
+    if side is None:
+        return None
+    return Fraction(side[0], side[1]), side[2], len(side[2])
 
 
 def _merge_side(a, b, smaller):
@@ -354,14 +404,7 @@ def _tree_sweep(n, objective, workers, spot_check_rate, seed, top_k):
         raise ValueError(f"unsupported order for tree scan (2..{TREE_ORDER_LIMIT})")
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    if not 0 <= spot_check_rate <= 1:
-        raise ValueError("spot-check rate must lie in [0, 1]")
-    total = count_free_trees(n)
-    spots: frozenset[int] = frozenset()
-    if spot_check_rate > 0:
-        want = min(total, max(1, int(spot_check_rate * total)))
-        rng = random.Random(seed * 1000003 + n)
-        spots = frozenset(rng.sample(range(total), want))
+    spots = _spot_sample(n, spot_check_rate, seed)
     entries = [(i, seq.levels) for i, seq in enumerate(level_sequences(n))]
     if workers <= 1 or len(entries) < 64:
         parts = [_sweep_chunk((objective, top_k, entries, spots))]
@@ -386,22 +429,16 @@ def _tree_sweep(n, objective, workers, spot_check_rate, seed, top_k):
 
 
 def spot_check_trees(n: int, rate: float, seed: int = 2024) -> int:
-    """Check a deterministic sample of order-n trees against the subset
-    oracle; returns how many trees were checked.  Raises RouteDisagreement
-    on any mismatch."""
-    if not 0 <= rate <= 1:
-        raise ValueError("spot-check rate must lie in [0, 1]")
-    if rate == 0:
-        return 0
-    total = count_free_trees(n)
-    want = min(total, max(1, int(rate * total)))
-    rng = random.Random(seed * 1000003 + n)
-    spots = frozenset(rng.sample(range(total), want))
+    """Check a deterministic sample of order-n trees: the tree DP, the
+    engine and the subset oracle must agree at both levels.  Returns how
+    many trees were checked; raises RouteDisagreement on any mismatch."""
+    spots = _spot_sample(n, rate, seed)
     checked = 0
-    for index, tree in enumerate(free_trees(n)):
-        if index in spots:
-            _spot_check(tree)
-            checked += 1
+    if spots:
+        for index, seq in enumerate(level_sequences(n)):
+            if index in spots:
+                _spot_check(seq.levels)
+                checked += 1
     return checked
 
 
@@ -576,12 +613,11 @@ def _claim_graph_average_upper(orders, witness_cap):
 
 def _tree_records(n: int):
     records = []
-    for tree in free_trees(n):
-        eng = Engine(tree)
-        sig1, tot1 = eng.scalars1()
+    for seq in level_sequences(n):
+        _, _, sig1, tot1 = tree_scalars(seq.levels)
         value = Fraction(tot1, sig1) if sig1 else Fraction(0)
-        structure = structural_predicates(tree)
-        records.append((to_graph6(tree), value, structure))
+        tree = seq.to_graph()
+        records.append((to_graph6(tree), value, structural_predicates(tree)))
     return records
 
 

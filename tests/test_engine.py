@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nisets.engine import (
     CountPolynomial,
@@ -17,6 +19,7 @@ from nisets.engine import (
     nis_summary,
     s1_vertex_recursion,
     summarize,
+    tree_scalars,
     union_combine,
 )
 from nisets.families import FamilySpec, build, closed_form_summary
@@ -29,7 +32,8 @@ from nisets.graphs import (
     induced,
     is_good_graph,
 )
-from nisets.oracle import oracle_profile
+from nisets.oracle import oracle_profile, oracle_summary
+from nisets.trees import LevelSequence, level_sequences, sequence_to_adjacency
 
 
 def path(n):
@@ -309,3 +313,44 @@ def test_summary_matches_closed_forms():
                 got = nis_summary(g, level)
                 assert (got.sigma, got.total, got.average) == (
                     want.sigma, want.total, want.average), (family, n, level)
+
+
+class TestTreeScalars:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_engine_on_every_free_tree(self, n):
+        for seq in level_sequences(n):
+            eng = Engine(seq.to_graph())
+            assert tree_scalars(seq.levels) == eng.scalars0() + eng.scalars1(), seq.levels
+
+    def test_small_examples(self):
+        assert tree_scalars((0,)) == (2, 1, 0, 0)
+        assert tree_scalars((0, 1)) == (3, 2, 1, 2)
+        # the path on 4 vertices, rooted at an end and at an inner vertex
+        assert tree_scalars((0, 1, 2, 3)) == (8, 10, 5, 12)
+        assert tree_scalars((0, 1, 2, 1)) == (8, 10, 5, 12)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_labelled_trees_rooted_anywhere(self, data):
+        # decode a random Pruefer sequence, root the tree at a random vertex
+        # and read the depths in DFS preorder: a valid level sequence that
+        # is in general not the canonical one
+        n = data.draw(st.integers(2, 16), label="n")
+        code = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+        root = data.draw(st.integers(0, n - 1), label="root")
+        adj = sequence_to_adjacency(tuple(code), n)
+        depths = []
+        stack = [(root, -1, 0)]
+        while stack:
+            v, parent, depth = stack.pop()
+            depths.append(depth)
+            stack.extend((u, v, depth + 1) for u in adj[v] if u != parent)
+        levels = LevelSequence(tuple(depths)).levels
+        g = build_graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+        got = tree_scalars(levels)
+        eng = Engine(g)
+        assert got == eng.scalars0() + eng.scalars1()
+        if n <= 12:
+            for level in (0, 1):
+                want = oracle_summary(g, level)
+                assert got[2 * level : 2 * level + 2] == (want.sigma, want.total)

@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from nisets.engine import Engine
-from nisets.families import FamilySpec, build
+from nisets.families import FamilySpec, build, closed_form_summary
 from nisets.formats import from_graph6, to_graph6
 from nisets.graphs import canonical_code, is_good_graph
 from nisets.scanner import (
+    WITNESS_CAP,
     RouteDisagreement,
+    _sweep_chunk,
     conjecture_scan,
     has_inequality_violations,
     labeled_graph_classes,
@@ -19,6 +21,7 @@ from nisets.scanner import (
     spot_check_trees,
     verify_claims,
 )
+from nisets.trees import LevelSequence, free_trees, level_sequences, tree_canonical_key
 
 GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -111,6 +114,90 @@ class TestTreeScans:
     def test_spot_checks_run(self):
         assert spot_check_trees(8, 1.0) == 23
         assert spot_check_trees(8, 0.0) == 0
+
+
+def eager_fold(graphs, objective, top_k=5):
+    """Reference for the lazy tree fold: every tree's exact Fraction from
+    the engine, its graph6, then plain min/max/sort over the whole stream."""
+    entries = []
+    for tree in graphs:
+        eng = Engine(tree)
+        sig1, s1 = eng.scalars1()
+        if objective == "av1":
+            value = Fraction(s1, sig1)
+        else:
+            value = Fraction(sig1, eng.scalars0()[0])
+        entries.append((value, to_graph6(tree)))
+    lo = min(v for v, _ in entries)
+    hi = max(v for v, _ in entries)
+    return {
+        "min": (lo, sorted(g6 for v, g6 in entries if v == lo)),
+        "max": (hi, sorted(g6 for v, g6 in entries if v == hi)),
+        "top": [(g6, -negv) for negv, g6 in sorted((-v, g6) for v, g6 in entries)[:top_k]],
+    }
+
+
+def preorder_depths(graph, root):
+    depths = []
+    stack = [(root, -1, 0)]
+    while stack:
+        v, parent, depth = stack.pop()
+        depths.append(depth)
+        stack.extend((u, v, depth + 1) for u in range(graph.n)
+                     if graph.adj[v] >> u & 1 and u != parent)
+    return tuple(depths)
+
+
+class TestLazyTreeFold:
+    @pytest.mark.parametrize("objective", ["av1", "sigma-ratio"])
+    def test_scan_trees_matches_eager_fold(self, objective):
+        for n in range(2, 12):
+            want = eager_fold(free_trees(n), objective)
+            got = scan_trees(n, objective, witness_cap=None)
+            assert (got.min_value, list(got.min_witnesses)) == want["min"], n
+            assert (got.max_value, list(got.max_witnesses)) == want["max"], n
+            assert (got.min_count, got.max_count) == (len(want["min"][1]), len(want["max"][1]))
+
+    def test_conjecture_scan_matches_eager_fold(self):
+        records = conjecture_scan(range(4, 12), top_k=5)
+        assert [rec.order for rec in records] == list(range(4, 12))
+        for rec in records:
+            n = rec.order
+            want = eager_fold(free_trees(n), "av1")
+            max_value, max_wits = want["max"]
+            star = build(FamilySpec("R", n))
+            star_value = closed_form_summary(FamilySpec("R", n), 1).average
+            unique = (len(max_wits) == 1 and max_value == star_value and
+                      tree_canonical_key(from_graph6(max_wits[0])) == tree_canonical_key(star))
+            assert rec.max_value == max_value, n
+            assert rec.max_witnesses == tuple(max_wits[:WITNESS_CAP]), n
+            assert rec.subdivided_star_value == star_value, n
+            assert rec.subdivided_star_is_unique_max == unique, n
+            assert list(rec.top) == want["top"], n
+        # order 6 has two tied maximisers, so ties reach the witness list
+        assert len(records[2].max_witnesses) == 2
+
+    @pytest.mark.parametrize("objective", ["av1", "sigma-ratio"])
+    def test_chunk_fold_keeps_every_tie(self, objective):
+        # every order-8 tree twice, canonically rooted and rooted at its last
+        # vertex: each value is tied on both sides and at every top-k boundary
+        levels = []
+        for seq in level_sequences(8):
+            levels += [seq.levels, preorder_depths(seq.to_graph(), 7)]
+        chunk = list(enumerate(levels))
+        for top_k in (0, 1, 2, 3, 5, 8):
+            want = eager_fold((LevelSequence(lv).to_graph() for lv in levels), objective, top_k)
+            lo, hi, top = _sweep_chunk((objective, top_k, chunk, frozenset()))
+            for side, key in ((lo, "min"), (hi, "max")):
+                value, witnesses, count = side
+                assert (value, sorted(witnesses)) == want[key]
+                assert count == len(witnesses) >= 2
+            assert [(g6, -negv) for negv, g6 in top] == want["top"]
+
+    def test_conjecture_scan_deterministic_across_workers(self):
+        one = conjecture_scan(range(9, 13), workers=1, spot_check_rate=0.05, seed=3)
+        two = conjecture_scan(range(9, 13), workers=2, spot_check_rate=0.05, seed=3)
+        assert one == two
 
 
 class TestPathCycleUnions:
@@ -231,4 +318,15 @@ def test_spot_check_catches_disagreement(monkeypatch):
 
     monkeypatch.setattr(scanner_module, "Engine", Liar)
     with pytest.raises(RouteDisagreement):
+        spot_check_trees(5, 1.0)
+
+
+def test_spot_check_catches_tree_dp_disagreement(monkeypatch):
+    import nisets.scanner as scanner_module
+
+    def lying_tree_scalars(levels):
+        return (1, 1, 1, 1)
+
+    monkeypatch.setattr(scanner_module, "tree_scalars", lying_tree_scalars)
+    with pytest.raises(RouteDisagreement, match="tree DP"):
         spot_check_trees(5, 1.0)
