@@ -213,9 +213,10 @@ def structural_predicates(g: Graph) -> StructuralSummary:
     internal."""
     degrees = [nb.bit_count() for nb in g.adj]
     internal = [d for d in degrees if d > 1]
+    connected = is_connected(g)
     return StructuralSummary(
-        is_connected=is_connected(g),
-        is_tree=is_tree(g),
+        is_connected=connected,
+        is_tree=g.n >= 1 and connected and g.edge_count == g.n - 1,
         max_degree=max(degrees, default=0),
         has_isolated_vertex=any(d == 0 for d in degrees),
         min_internal_degree=min(internal) if internal else None,

@@ -18,7 +18,10 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 from multiprocessing import Pool
+
+import numpy as np
 
 from .engine import Engine, format_rational, tree_scalars
 from .families import FamilySpec, build
@@ -35,9 +38,9 @@ from .graphs import (
 from .oracle import oracle_summary
 from .trees import (
     TREE_ORDER_LIMIT,
-    LevelSequence,
+    _level_tuples,
     count_free_trees,
-    level_sequences,
+    levels_to_graph,
     tree_canonical_key,
 )
 
@@ -145,28 +148,27 @@ def labeled_graph_classes(n: int) -> list[tuple[Graph, int]]:
     if not 1 <= n <= GRAPH_SCAN_LIMIT:
         raise ValueError(f"order above exhaustive limit ({GRAPH_SCAN_LIMIT})")
     pairs = all_pairs(n)
-    nslots = len(pairs)
-    slot_of = {pair: s for s, pair in enumerate(pairs)}
-    tables = []
-    for perm in permutations(range(n)):
-        row = []
-        for (i, j) in pairs:
-            a, b = perm[i], perm[j]
-            row.append(1 << slot_of[(a, b) if a < b else (b, a)])
-        tables.append(row)
-    seen = bytearray(1 << nslots)
+    slot = np.zeros((n, n), dtype=np.int32)
+    for s, (i, j) in enumerate(pairs):
+        slot[i, j] = slot[j, i] = s
+    nperms = factorial(n)
+    perms = np.fromiter(permutations(range(n)), dtype=np.dtype((np.int8, n)), count=nperms)
+    first = [i for i, _ in pairs]
+    second = [j for _, j in pairs]
+    # table[s, p] is the single-bit image of pair slot s under permutation p,
+    # so an orbit is one gather and sum; int32 holds the C(7,2) = 21 bits.
+    table = np.ascontiguousarray((1 << slot[perms[:, first], perms[:, second]]).T)
+    seen = bytearray(1 << len(pairs))
+    marks = np.frombuffer(seen, dtype=np.uint8)
     classes = []
-    for mask in range(1 << nslots):
-        if seen[mask]:
-            continue
-        bits = [s for s in range(nslots) if mask >> s & 1]
-        orbit = 0
-        for row in tables:
-            image = sum(map(row.__getitem__, bits))
-            if not seen[image]:
-                seen[image] = 1
-                orbit += 1
-        classes.append((graph_from_pair_mask(n, mask, pairs), orbit))
+    mask = 0
+    while mask >= 0:
+        images = table[[s for s in range(len(pairs)) if mask >> s & 1]].sum(axis=0)
+        marks[images] = 1
+        # orbit-stabiliser: the labelled count is n! over the stabiliser size
+        count = nperms // int(np.count_nonzero(images == mask))
+        classes.append((graph_from_pair_mask(n, mask, pairs), count))
+        mask = seen.find(0, mask + 1)
     return classes
 
 
@@ -174,13 +176,12 @@ class ClassRecord:
     """Per-isomorphism-class statistics shared by the claim suites."""
 
     __slots__ = (
-        "graph", "labeled_count", "graph6", "engine",
+        "graph", "graph6", "engine",
         "sigma0", "s0", "sigma1", "s1", "good", "delta", "structure",
     )
 
-    def __init__(self, graph: Graph, labeled_count: int):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.labeled_count = labeled_count
         self.graph6 = to_graph6(graph)
         self.engine = Engine(graph)
         self.sigma0, self.s0 = self.engine.scalars0()
@@ -210,7 +211,7 @@ class ClassRecord:
 def _graph_class_records(n: int) -> list[ClassRecord]:
     cached = _CLASS_CACHE.get(n)
     if cached is None:
-        cached = [ClassRecord(g, cnt) for g, cnt in labeled_graph_classes(n)]
+        cached = [ClassRecord(g) for g, _ in labeled_graph_classes(n)]
         _CLASS_CACHE[n] = cached
     return cached
 
@@ -302,13 +303,9 @@ def _tree_value(levels, objective: str) -> tuple[int, int]:
     return (tot1, sig1) if objective == "av1" else (sig1, sig0)
 
 
-def _levels_to_graph(levels) -> Graph:
-    return LevelSequence(levels).to_graph()
-
-
 def _spot_check(levels) -> None:
     """Compare the tree DP, the engine and the subset oracle on one tree."""
-    graph = _levels_to_graph(levels)
+    graph = levels_to_graph(levels)
     dp = tree_scalars(levels)
     eng = Engine(graph)
     routes = (("tree DP", dp[:2], dp[2:]), ("engine", eng.scalars0(), eng.scalars1()))
@@ -360,15 +357,15 @@ def _sweep_chunk(payload):
         num, den = _tree_value(levels, objective)
         g6 = None
         if lo is None or num * lo[1] <= lo[0] * den:
-            g6 = to_graph6(_levels_to_graph(levels))
+            g6 = to_graph6(levels_to_graph(levels))
             lo = _enter(lo, num, den, g6)
         if hi is None or num * hi[1] >= hi[0] * den:
             if g6 is None:
-                g6 = to_graph6(_levels_to_graph(levels))
+                g6 = to_graph6(levels_to_graph(levels))
             hi = _enter(hi, num, den, g6)
         if top_k and (floor is None or num * floor[1] >= floor[0] * den):
             if g6 is None:
-                g6 = to_graph6(_levels_to_graph(levels))
+                g6 = to_graph6(levels_to_graph(levels))
             entry = (-Fraction(num, den), g6)
             if len(top) < top_k:
                 insort(top, entry)
@@ -405,7 +402,7 @@ def _tree_sweep(n, objective, workers, spot_check_rate, seed, top_k):
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     spots = _spot_sample(n, spot_check_rate, seed)
-    entries = [(i, seq.levels) for i, seq in enumerate(level_sequences(n))]
+    entries = list(enumerate(_level_tuples(n)))
     if workers <= 1 or len(entries) < 64:
         parts = [_sweep_chunk((objective, top_k, entries, spots))]
     else:
@@ -435,9 +432,9 @@ def spot_check_trees(n: int, rate: float, seed: int = 2024) -> int:
     spots = _spot_sample(n, rate, seed)
     checked = 0
     if spots:
-        for index, seq in enumerate(level_sequences(n)):
+        for index, levels in enumerate(_level_tuples(n)):
             if index in spots:
-                _spot_check(seq.levels)
+                _spot_check(levels)
                 checked += 1
     return checked
 
@@ -613,10 +610,10 @@ def _claim_graph_average_upper(orders, witness_cap):
 
 def _tree_records(n: int):
     records = []
-    for seq in level_sequences(n):
-        _, _, sig1, tot1 = tree_scalars(seq.levels)
+    for levels in _level_tuples(n):
+        _, _, sig1, tot1 = tree_scalars(levels)
         value = Fraction(tot1, sig1) if sig1 else Fraction(0)
-        tree = seq.to_graph()
+        tree = levels_to_graph(levels)
         records.append((to_graph6(tree), value, structural_predicates(tree)))
     return records
 

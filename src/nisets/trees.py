@@ -34,16 +34,20 @@ class LevelSequence:
                 raise ValueError(f"invalid depth jump at position {i}")
 
     def to_graph(self) -> Graph:
-        levels = self.levels
-        edges = []
-        stack: list[int] = []
-        for i, depth in enumerate(levels):
-            while stack and levels[stack[-1]] >= depth:
-                stack.pop()
-            if stack:
-                edges.append((stack[-1], i))
-            stack.append(i)
-        return build_graph(len(levels), edges)
+        return levels_to_graph(self.levels)
+
+
+def levels_to_graph(levels) -> Graph:
+    """The tree of a valid level sequence, vertices numbered in preorder."""
+    edges = []
+    stack: list[int] = []
+    for i, depth in enumerate(levels):
+        while stack and levels[stack[-1]] >= depth:
+            stack.pop()
+        if stack:
+            edges.append((stack[-1], i))
+        stack.append(i)
+    return build_graph(len(levels), edges)
 
 
 def _check_order(n: int) -> None:
@@ -106,28 +110,36 @@ def _advance_to_free(levels: list[int]) -> list[int] | None:
     return skipped
 
 
-def level_sequences(n: int):
-    """Canonical level sequences of all free trees of order n, in stream order."""
+def _level_tuples(n: int):
+    """Canonical level sequences of all free trees of order n as plain
+    tuples, in stream order.  The successor only produces valid sequences,
+    so these skip ``LevelSequence`` validation."""
     _check_order(n)
     if n == 1:
-        yield LevelSequence((0,))
+        yield (0,)
         return
     if n == 2:
-        yield LevelSequence((0, 1))
+        yield (0, 1)
         return
     layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while layout is not None:
         layout = _advance_to_free(layout)
         if layout is None:
             break
-        yield LevelSequence(tuple(layout))
+        yield tuple(layout)
         layout = _successor_rooted(layout)
+
+
+def level_sequences(n: int):
+    """Canonical level sequences of all free trees of order n, in stream order."""
+    for levels in _level_tuples(n):
+        yield LevelSequence(levels)
 
 
 def free_trees(n: int):
     """All free trees of order n, exactly once up to isomorphism."""
-    for seq in level_sequences(n):
-        yield seq.to_graph()
+    for levels in _level_tuples(n):
+        yield levels_to_graph(levels)
 
 
 @lru_cache(maxsize=None)

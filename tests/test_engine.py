@@ -53,6 +53,12 @@ def random_graph(rng, n, p=0.4):
     return build_graph(n, edges)
 
 
+@st.composite
+def graphs(draw, max_order):
+    n = draw(st.integers(0, max_order))
+    return graph_from_pair_mask(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+
+
 class TestPolynomials:
     def test_zero_edge_examples(self):
         assert i0_polynomial(build_graph(3, [])).coeffs == (1, 3, 3, 1)
@@ -146,6 +152,17 @@ class TestUnionCombine:
                     z_total, o_total, i0_polynomial(sub), i1_vertex_recursion(sub))
             assert z_total.coeffs == i0_polynomial(g).coeffs
             assert o_total.coeffs == i1_vertex_recursion(g).coeffs
+
+    @given(graphs(8), graphs(8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_engine_on_disjoint_union(self, g1, g2):
+        z, o = union_combine(
+            i0_polynomial(g1), i1_vertex_recursion(g1),
+            i0_polynomial(g2), i1_vertex_recursion(g2),
+        )
+        eng = Engine(disjoint_union(g1, g2))
+        assert z.coeffs == CountPolynomial.from_coeffs(eng.i0()).coeffs
+        assert o.coeffs == CountPolynomial.from_coeffs(eng.i1()).coeffs
 
 
 class TestEdgeStatistics:

@@ -3,15 +3,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nisets.formats import (
+    GRAPH6_ORDER_LIMIT,
     FormatError,
     from_graph6,
     parse_edge_list,
     to_graph6,
     write_edge_list,
 )
-from nisets.graphs import build_graph
+from nisets.graphs import build_graph, graph_from_pair_mask
+
+
+@st.composite
+def graphs(draw, max_order):
+    n = draw(st.integers(0, max_order))
+    return graph_from_pair_mask(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
 
 
 # single-byte anchors from the standard encoding
@@ -41,6 +50,12 @@ def test_graph6_round_trip_random():
         assert from_graph6(to_graph6(g)) == g
 
 
+@given(graphs(GRAPH6_ORDER_LIMIT))
+@settings(max_examples=200, deadline=None)
+def test_graph6_round_trip_property(g):
+    assert from_graph6(to_graph6(g)) == g
+
+
 def test_graph6_order_limit():
     with pytest.raises(ValueError, match="62"):
         to_graph6(build_graph(63, []))
@@ -58,6 +73,12 @@ def test_graph6_header_stripped():
 
 def test_edge_list_round_trip():
     g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    assert parse_edge_list(write_edge_list(g)) == g
+
+
+@given(graphs(GRAPH6_ORDER_LIMIT))
+@settings(max_examples=200, deadline=None)
+def test_edge_list_round_trip_property(g):
     assert parse_edge_list(write_edge_list(g)) == g
 
 

@@ -15,6 +15,7 @@ from nisets.graphs import (
     disjoint_union,
     graph_from_pair_mask,
     induced,
+    is_connected,
     is_good_graph,
     is_tree,
     iter_bits,
@@ -184,6 +185,14 @@ class TestStructuralPredicates:
 
     def test_isolated_vertex(self):
         assert structural_predicates(build_graph(3, [(0, 1)])).has_isolated_vertex
+
+    def test_agrees_with_predicates_on_every_class(self):
+        from nisets.scanner import labeled_graph_classes
+
+        for n in range(1, 8):
+            for g, _ in labeled_graph_classes(n):
+                s = structural_predicates(g)
+                assert (s.is_connected, s.is_tree) == (is_connected(g), is_tree(g))
 
 
 class TestCanonicalCode:

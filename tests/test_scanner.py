@@ -1,13 +1,14 @@
 """Scanner: exhaustive class enumeration, scans, claims, determinism."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from nisets.engine import Engine
 from nisets.families import FamilySpec, build, closed_form_summary
 from nisets.formats import from_graph6, to_graph6
-from nisets.graphs import canonical_code, is_good_graph
+from nisets.graphs import all_pairs, canonical_code, graph_from_pair_mask, is_good_graph, relabel
 from nisets.scanner import (
     WITNESS_CAP,
     RouteDisagreement,
@@ -26,12 +27,60 @@ from nisets.trees import LevelSequence, free_trees, level_sequences, tree_canoni
 GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 
+def reference_graph_classes(n):
+    """The pure-Python orbit walk: every permutation's image of each new
+    class's mask is summed in a loop, and the labelled count is the number
+    of images marked."""
+    pairs = all_pairs(n)
+    nslots = len(pairs)
+    slot_of = {pair: s for s, pair in enumerate(pairs)}
+    tables = []
+    for perm in permutations(range(n)):
+        row = []
+        for (i, j) in pairs:
+            a, b = perm[i], perm[j]
+            row.append(1 << slot_of[(a, b) if a < b else (b, a)])
+        tables.append(row)
+    seen = bytearray(1 << nslots)
+    classes = []
+    for mask in range(1 << nslots):
+        if seen[mask]:
+            continue
+        bits = [s for s in range(nslots) if mask >> s & 1]
+        orbit = 0
+        for row in tables:
+            image = sum(map(row.__getitem__, bits))
+            if not seen[image]:
+                seen[image] = 1
+                orbit += 1
+        classes.append((graph_from_pair_mask(n, mask, pairs), orbit))
+    return classes
+
+
+def pair_mask(g):
+    return sum(1 << s for s, (i, j) in enumerate(all_pairs(g.n)) if g.adj[i] >> j & 1)
+
+
 class TestClassEnumeration:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_class_counts_and_orbit_sizes(self, n):
         classes = labeled_graph_classes(n)
         assert len(classes) == GRAPH_CLASS_COUNTS[n]
         assert sum(count for _, count in classes) == 1 << (n * (n - 1) // 2)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_reference_orbit_walk(self, n):
+        got = [(g.adj, count) for g, count in labeled_graph_classes(n)]
+        want = [(g.adj, count) for g, count in reference_graph_classes(n)]
+        assert got == want
+        assert all(type(count) is int for _, count in got)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_representatives_are_minimal_masks(self, n):
+        for g, count in labeled_graph_classes(n):
+            images = {pair_mask(relabel(g, perm)) for perm in permutations(range(n))}
+            assert pair_mask(g) == min(images)
+            assert count == len(images)
 
     def test_representatives_are_pairwise_non_isomorphic(self):
         for n in range(2, 6):
@@ -42,9 +91,10 @@ class TestClassEnumeration:
         from nisets.graphs import is_tree
         from nisets.trees import count_free_trees
 
-        for n in range(1, 7):
+        for n in range(1, 8):
             trees = [g for g, _ in labeled_graph_classes(n) if is_tree(g)]
             assert len(trees) == count_free_trees(n)
+        assert len(trees) == 11
 
     def test_order_limit(self):
         with pytest.raises(ValueError, match="exhaustive limit"):
