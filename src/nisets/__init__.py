@@ -8,6 +8,7 @@ from .engine import (
     EdgeTerm,
     Engine,
     NisSummary,
+    WorkLimitExceeded,
     av1_edge,
     edge_terms,
     format_rational,
@@ -63,6 +64,7 @@ __all__ = [
     "av1_edge", "edge_terms", "format_rational",
     "i0_polynomial", "i1_edge_decomposition", "i1_vertex_recursion",
     "nis_summary", "s1_vertex_recursion", "summarize", "tree_scalars", "union_combine",
+    "WorkLimitExceeded",
     "FamilySpec", "build", "closed_form_summary", "ratio_table",
     "FormatError", "from_graph6", "parse_edge_list", "to_graph6", "write_edge_list",
     "Graph", "StructuralSummary", "build_graph", "canonical_code",

@@ -179,8 +179,7 @@ def _cmd_compute(config: RunConfig) -> int:
     opts = config.options
     if opts.get("batch"):
         with open(opts["batch"]) as handle:
-            graphs = [from_graph6(line) for line in handle if line.strip()]
-        records = [_compute_record(g) for g in graphs]
+            records = [_compute_record(from_graph6(line)) for line in handle if line.strip()]
         payload: object = records
     else:
         records = [_compute_record(_read_graph(config))]
@@ -390,40 +389,43 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
     parser.add_argument("--config", help="JSON file with defaults for any long option")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="nisets",
         description="Exact statistics of vertex subsets inducing exactly one edge.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    p = sub.add_parser("compute", help="statistics of one graph (or a graph6 batch)")
+    p = commands["compute"] = sub.add_parser(
+        "compute", help="statistics of one graph (or a graph6 batch)")
     p.add_argument("--input", help="edge-list file, or - for stdin")
     p.add_argument("--graph6", help="inline graph6 string")
     p.add_argument("--edges", help="inline edge list, lines separated by '/'")
     p.add_argument("--batch", help="file of newline-delimited graph6 strings")
     _add_common(p, "json")
 
-    p = sub.add_parser("oracle", help="brute-force subset counts (debugging)")
+    p = commands["oracle"] = sub.add_parser("oracle", help="brute-force subset counts (debugging)")
     p.add_argument("--input", help="edge-list file, or - for stdin")
     p.add_argument("--graph6", help="inline graph6 string")
     p.add_argument("--edges", help="inline edge list, lines separated by '/'")
     p.add_argument("--l", dest="level", type=int, default=1, help="induced-edge count")
     _add_common(p, "json")
 
-    p = sub.add_parser("families", help="closed-form regression table")
+    p = commands["families"] = sub.add_parser("families", help="closed-form regression table")
     p.add_argument("--family", default="all",
                    choices=sorted(set(FAMILY_MIN_ORDER) - {"cycle"} | {"all"}))
     p.add_argument("--n", type=int, help="single order")
     p.add_argument("--orders", help="order range LO:HI")
     _add_common(p, "csv")
 
-    p = sub.add_parser("trees", help="free-tree stream")
+    p = commands["trees"] = sub.add_parser("trees", help="free-tree stream")
     p.add_argument("--order", type=int)
     p.add_argument("--emit", default="graph6", choices=["graph6"])
     _add_common(p, "json")
 
-    p = sub.add_parser("scan", help="extremal sweep over one population")
+    p = commands["scan"] = sub.add_parser("scan", help="extremal sweep over one population")
     p.add_argument("--population", choices=["trees", "graphs"], default="trees")
     p.add_argument("--order", type=int)
     p.add_argument("--objective", choices=["av1", "sigma-ratio"], default="av1")
@@ -435,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spot-check-rate", type=float, default=0.0)
     _add_common(p, "json")
 
-    p = sub.add_parser("verify", help="run the claim suites")
+    p = commands["verify"] = sub.add_parser("verify", help="run the claim suites")
     p.add_argument("--claims", default="all", help="'all' or comma-separated claim ids")
     p.add_argument("--max-tree-order", type=int, default=16)
     p.add_argument("--max-graph-order", type=int, default=7)
@@ -446,14 +448,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spot-check-rate", type=float, default=0.01)
     _add_common(p, "json")
 
-    p = sub.add_parser("conjecture", help="tree-maximum evidence scan")
+    p = commands["conjecture"] = sub.add_parser("conjecture", help="tree-maximum evidence scan")
     p.add_argument("--orders", default="4:12", help="order range LO:HI")
     p.add_argument("--top", type=int, default=5)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--spot-check-rate", type=float, default=0.0)
     _add_common(p, "json")
 
-    return parser
+    return parser, commands
 
 
 def _reparse_with_config(argv, command: str, config_path: str) -> argparse.Namespace:
@@ -461,9 +463,11 @@ def _reparse_with_config(argv, command: str, config_path: str) -> argparse.Names
     so explicit flags still win."""
     with open(config_path) as handle:
         defaults = json.load(handle)
-    parser = _build_parser()
-    subparser = parser._subparsers._group_actions[0].choices[command]
-    valid = {action.dest for action in subparser._actions}
+    parser, commands = _build_parser()
+    subparser = commands[command]
+    # every option of a subcommand is optional, so parsing no arguments
+    # lists each destination with its default
+    valid = set(vars(subparser.parse_args([])))
     mapped = {}
     for key, value in defaults.items():
         dest = key.replace("-", "_")
@@ -501,7 +505,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
+    parser, _ = _build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, iter_bits
+from .graphs import Graph, components_of
 
 Poly = tuple  # coefficient tuple, no trailing zeros; () is the zero polynomial
 
@@ -143,59 +143,83 @@ class EdgeTerm:
         return Fraction(self.s0, self.sigma0)
 
 
+class WorkLimitExceeded(ValueError):
+    """An ``Engine`` was asked to decompose more than ``MAX_ENGINE_MASKS``
+    vertex subsets."""
+
+
+# Most vertex subsets one Engine decomposes before it refuses to go on.  At
+# about 520 bytes per subset across all memos this keeps an engine near
+# 270 MB; the compute-batch benchmark's largest graph needs about 10^4.
+MAX_ENGINE_MASKS = 1 << 19
+
+
 class Engine:
     """Memoized evaluator bound to one root graph.
 
-    All recursion state lives in per-mask caches shared between the
-    zero-edge and one-edge computations; entries are deterministic, so the
-    caches can be rebuilt or merged freely.
+    Every route asks ``_split`` for the structure of a vertex mask
+    (isolated vertices, components of the rest, pivot), and that
+    decomposition is memoized once per engine and shared.  Each route keeps
+    its own value memo; entries are deterministic, so the caches can be
+    rebuilt or merged freely.  An engine decomposes at most
+    ``MAX_ENGINE_MASKS`` masks and raises ``WorkLimitExceeded`` past that.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self._adj = graph.adj
         self._full = graph.universe
+        self._dec: dict[int, tuple[int, list[int], int]] = {}
         self._p0: dict[int, Poly] = {0: _ONE}
         self._p1: dict[int, Poly] = {0: _ZERO}
         self._sc0: dict[int, tuple[int, int]] = {0: (1, 0)}
         self._sc1: dict[int, tuple[int, int]] = {0: (0, 0)}
+        # rows of Pascal's triangle: (1 + x)^k, the independent-set
+        # polynomial of k isolated vertices
+        row = (1,)
+        self._binomial = [row]
+        for _ in range(graph.n):
+            row = (1, *(row[i] + row[i + 1] for i in range(len(row) - 1)), 1)
+            self._binomial.append(row)
 
-    # -- mask utilities ----------------------------------------------------
+    # -- mask decomposition --------------------------------------------------
 
-    def _split(self, mask: int) -> tuple[int, list[int]]:
-        """(count of isolated vertices, component masks of the rest)."""
+    def _split(self, mask: int) -> tuple[int, list[int], int]:
+        """(count of isolated vertices, component masks of the rest, pivot).
+
+        The pivot is the vertex of maximum degree inside ``mask``, lowest
+        index on ties (-1 for the empty mask).  One pass over the bits
+        finds the degrees; a walk over the non-isolated rest finds the
+        components.
+        """
+        got = self._dec.get(mask)
+        if got is not None:
+            return got
+        if len(self._dec) >= MAX_ENGINE_MASKS:
+            raise WorkLimitExceeded(
+                f"graph of order {self.graph.n} needs more than {MAX_ENGINE_MASKS} "
+                f"vertex-subset decompositions; refusing to continue"
+            )
         adj = self._adj
         iso = 0
         rest = mask
-        for v in iter_bits(mask):
-            if not adj[v] & mask:
-                iso += 1
-                rest &= ~(1 << v)
-        comps = []
-        while rest:
-            comp = rest & -rest
-            frontier = comp
-            while frontier:
-                grow = 0
-                for v in iter_bits(frontier):
-                    grow |= adj[v]
-                frontier = grow & rest & ~comp
-                comp |= frontier
-            comps.append(comp)
-            rest &= ~comp
-        return iso, comps
-
-    def _pivot(self, mask: int) -> int:
-        """Vertex of maximum degree inside ``mask``, lowest index on ties."""
-        adj = self._adj
-        best_v = -1
-        best_d = -1
-        for v in iter_bits(mask):
+        pivot = -1
+        best = -1
+        bits = mask
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            v = low.bit_length() - 1
             d = (adj[v] & mask).bit_count()
-            if d > best_d:
-                best_d = d
-                best_v = v
-        return best_v
+            if d > best:
+                best = d
+                pivot = v
+            if not d:
+                iso += 1
+                rest ^= low
+        out = (iso, components_of(adj, rest), pivot)
+        self._dec[mask] = out
+        return out
 
     # -- zero-edge (independent set) polynomials ----------------------------
 
@@ -206,13 +230,12 @@ class Engine:
         got = memo.get(mask)
         if got is not None:
             return got
-        iso, comps = self._split(mask)
+        iso, comps, v = self._split(mask)
         if iso or len(comps) != 1:
-            out = _binomial_poly(iso)
+            out = self._binomial[iso]
             for c in comps:
                 out = poly_mul(out, self.i0(c))
         else:
-            v = self._pivot(mask)
             closed = self._adj[v] | (1 << v)
             out = poly_add(
                 self.i0(mask & ~(1 << v)),
@@ -231,9 +254,9 @@ class Engine:
         if got is not None:
             return got
         adj = self._adj
-        iso, comps = self._split(mask)
+        iso, comps, v = self._split(mask)
         if iso or len(comps) != 1:
-            acc0 = _binomial_poly(iso)
+            acc0 = self._binomial[iso]
             acc1 = _ZERO
             for c in comps:
                 c0 = self.i0(c)
@@ -242,14 +265,16 @@ class Engine:
                 acc0 = poly_mul(acc0, c0)
             out = acc1
         else:
-            v = self._pivot(mask)
             closed = adj[v] | (1 << v)
             out = poly_add(
                 self.i1(mask & ~(1 << v)),
                 poly_shift(self.i1(mask & ~closed), 1),
             )
-            for u in iter_bits(adj[v] & mask):
-                residual = mask & ~(adj[v] | adj[u])
+            nbrs = adj[v] & mask
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                residual = mask & ~(adj[v] | adj[low.bit_length() - 1])
                 out = poly_add(out, poly_shift(self.i0(residual), 2))
         memo[mask] = out
         return out
@@ -261,11 +286,16 @@ class Engine:
             mask = self._full
         adj = self._adj
         out = _ZERO
-        for u in iter_bits(mask):
-            above_u = mask & ~((1 << (u + 1)) - 1)
-            for v in iter_bits(adj[u] & above_u):
-                residual = mask & ~(adj[u] | adj[v])
-                out = poly_add(out, self.i0(residual))
+        bits = mask
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            nu = adj[low.bit_length() - 1]
+            above = nu & bits
+            while above:
+                high = above & -above
+                above ^= high
+                out = poly_add(out, self.i0(mask & ~(nu | adj[high.bit_length() - 1])))
         return poly_shift(out, 2)
 
     # -- scalar route (independent of the polynomial arithmetic) -------------
@@ -278,7 +308,7 @@ class Engine:
         got = memo.get(mask)
         if got is not None:
             return got
-        iso, comps = self._split(mask)
+        iso, comps, v = self._split(mask)
         if iso or len(comps) != 1:
             sig, tot = _edgeless_scalars(iso)
             for c in comps:
@@ -287,7 +317,6 @@ class Engine:
                 sig = sig * cs
             out = (sig, tot)
         else:
-            v = self._pivot(mask)
             closed = self._adj[v] | (1 << v)
             s_a, t_a = self.scalars0(mask & ~(1 << v))
             s_b, t_b = self.scalars0(mask & ~closed)
@@ -304,7 +333,7 @@ class Engine:
         if got is not None:
             return got
         adj = self._adj
-        iso, comps = self._split(mask)
+        iso, comps, v = self._split(mask)
         if iso or len(comps) != 1:
             sig0, tot0 = _edgeless_scalars(iso)
             sig1, tot1 = 0, 0
@@ -317,14 +346,16 @@ class Engine:
                 sig0 = sig0 * cs0
             out = (sig1, tot1)
         else:
-            v = self._pivot(mask)
             closed = adj[v] | (1 << v)
             s_a, t_a = self.scalars1(mask & ~(1 << v))
             s_b, t_b = self.scalars1(mask & ~closed)
             sig = s_a + s_b
             tot = t_a + s_b + t_b
-            for u in iter_bits(adj[v] & mask):
-                residual = mask & ~(adj[v] | adj[u])
+            nbrs = adj[v] & mask
+            while nbrs:
+                low = nbrs & -nbrs
+                nbrs ^= low
+                residual = mask & ~(adj[v] | adj[low.bit_length() - 1])
                 rs, rt = self.scalars0(residual)
                 sig += rs
                 tot += 2 * rs + rt
@@ -418,14 +449,6 @@ def tree_scalars(levels) -> tuple[int, int, int, int]:
         b1[p] = pb1 * out0 + pb0 * out1
         b0[p] = pb0 * out0
     return a0[0] + b0[0], a1[0] + b1[0], c0[0] + f0[0], c1[0] + f1[0]
-
-
-def _binomial_poly(k: int) -> Poly:
-    """Independent-set polynomial of k isolated vertices: (1 + x)^k."""
-    row = [1]
-    for _ in range(k):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return tuple(row)
 
 
 def _edgeless_scalars(k: int) -> tuple[int, int]:

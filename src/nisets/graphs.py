@@ -148,23 +148,30 @@ def induced(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(old), tuple(adj)), tuple(old)
 
 
-def component_masks(g: Graph, mask: int | None = None) -> list[int]:
-    """Masks of the connected components of the subgraph induced by ``mask``."""
-    rest = g.universe if mask is None else mask
-    adj = g.adj
+def components_of(adj, mask: int) -> list[int]:
+    """Masks of the connected components induced by ``mask`` under the
+    adjacency masks ``adj``, in order of their lowest vertex."""
     comps = []
+    rest = mask
     while rest:
-        comp = rest & -rest
-        frontier = comp
+        comp = frontier = rest & -rest
+        rest ^= comp
         while frontier:
             grow = 0
-            for v in iter_bits(frontier):
-                grow |= adj[v]
-            frontier = grow & rest & ~comp
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & rest
+            rest ^= frontier
             comp |= frontier
         comps.append(comp)
-        rest &= ~comp
     return comps
+
+
+def component_masks(g: Graph, mask: int | None = None) -> list[int]:
+    """Masks of the connected components of the subgraph induced by ``mask``."""
+    return components_of(g.adj, g.universe if mask is None else mask)
 
 
 def is_connected(g: Graph) -> bool:

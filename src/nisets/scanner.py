@@ -176,16 +176,16 @@ class ClassRecord:
     """Per-isomorphism-class statistics shared by the claim suites."""
 
     __slots__ = (
-        "graph", "graph6", "engine",
+        "graph", "graph6",
         "sigma0", "s0", "sigma1", "s1", "good", "delta", "structure",
     )
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.graph6 = to_graph6(graph)
-        self.engine = Engine(graph)
-        self.sigma0, self.s0 = self.engine.scalars0()
-        self.sigma1, self.s1 = self.engine.scalars1()
+        eng = Engine(graph)
+        self.sigma0, self.s0 = eng.scalars0()
+        self.sigma1, self.s1 = eng.scalars1()
         self.good = is_good_graph(graph)
         edges = graph.edges()
         if edges:
@@ -699,7 +699,7 @@ def _claim_edge_average_bracket(orders, witness_cap):
             if rec.edge_count == 0:
                 continue
             value = rec.av1
-            per_edge = [2 + term.av0 for term in rec.engine.edge_terms()]
+            per_edge = [2 + term.av0 for term in Engine(rec.graph).edge_terms()]
             entries.append((value, rec.graph6))
             if not min(per_edge) <= value <= max(per_edge):
                 violations.append(Violation(
@@ -721,7 +721,7 @@ def _claim_residual_count_sandwich(orders, witness_cap):
             if rec.edge_count == 0:
                 continue
             graph = rec.graph
-            eng = rec.engine
+            eng = Engine(graph)
             sigma_g = rec.sigma0
             entries.append((rec.ratio, rec.graph6))
             for term in eng.edge_terms():

@@ -1,11 +1,15 @@
 """Command-line interface: outputs, round trips, exit codes, config."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from nisets import cli
+from nisets import engine as engine_module
 from nisets.cli import RunConfig, main
 from nisets.engine import s1_vertex_recursion
 from nisets.formats import from_graph6, to_graph6
@@ -67,6 +71,41 @@ def test_compute_batch(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert [rec["av1"] for rec in payload] == ["12/5", "2"]
+
+
+MIXED_BATCH = Path(__file__).parent / "data" / "compute_batch_mixed.g6"
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("json", "81bf062ec3529c941ed1329e12ef83b2ae98205e78cb872dad78268baf579b2d"),
+    ("csv", "a26e7a7237600148a7b3bab37f53208dad6d50de163d9a877414f8a5fd353409"),
+])
+def test_compute_batch_golden(capsys, fmt, digest):
+    # edgeless, single-vertex, family, disconnected and random graphs of
+    # orders 1..16; digests taken from the per-route engine
+    code, out, _ = run_cli(capsys, "compute", "--batch", str(MIXED_BATCH),
+                           "--output-format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_compute_batch_reads_line_by_line(capsys, monkeypatch, tmp_path):
+    events = []
+    parse, record = cli.from_graph6, cli._compute_record
+    monkeypatch.setattr(cli, "from_graph6", lambda line: events.append("read") or parse(line))
+    monkeypatch.setattr(cli, "_compute_record", lambda g: events.append("compute") or record(g))
+    batch = tmp_path / "batch.g6"
+    batch.write_text("Ch\n\nC~\nD??\n")
+    code, out, _ = run_cli(capsys, "compute", "--batch", str(batch))
+    assert code == 0 and len(json.loads(out)) == 3
+    assert events == ["read", "compute"] * 3
+
+
+def test_compute_work_guard_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(engine_module, "MAX_ENGINE_MASKS", 4)
+    code, out, err = run_cli(capsys, "compute", "--graph6", "IheA@GUAo")
+    assert code == 2 and out == ""
+    assert err.startswith("error: graph of order 10 needs more than 4 ")
 
 
 def test_oracle_subcommand(capsys):
@@ -219,6 +258,14 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "trees", "--config", str(config))
     assert code == 2
     assert "unknown for command" in err
+
+
+def test_config_accepts_every_option_of_the_command(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"graph6": "Ch", "output-format": "csv"}))
+    code, out, _ = run_cli(capsys, "compute", "--config", str(config))
+    assert code == 0
+    assert out.startswith("n,edges,sigma0") and "12/5" in out
 
 
 def test_run_config_validation():

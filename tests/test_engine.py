@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nisets import engine as engine_module
 from nisets.engine import (
     CountPolynomial,
     Engine,
+    WorkLimitExceeded,
     av1_edge,
     edge_terms,
     format_rational,
@@ -242,6 +244,84 @@ class TestRouteAgreement:
             assert eng.scalars1() == (sum(p1), sum(k * c for k, c in enumerate(p1)))
             p0 = eng.i0()
             assert eng.scalars0() == (sum(p0), sum(k * c for k, c in enumerate(p0)))
+
+
+def reference_split(g, mask):
+    """(isolated count, components of the rest, pivot) from first principles."""
+    comps = component_masks(g, mask)
+    iso = sum(1 for c in comps if not c & (c - 1))
+    inside = [v for v in range(g.n) if mask >> v & 1]
+    pivot = max(inside, key=lambda v: ((g.adj[v] & mask).bit_count(), -v), default=-1)
+    return iso, [c for c in comps if c & (c - 1)], pivot
+
+
+def run_all_routes(eng):
+    eng.i0()
+    eng.i1()
+    eng.i1_by_edges()
+    eng.scalars0()
+    eng.scalars1()
+    if eng.graph.edge_count:
+        eng.edge_terms()
+
+
+class TestDecomposition:
+    def test_matches_reference_on_every_class_through_order_6(self):
+        from nisets.scanner import labeled_graph_classes
+
+        for n in range(1, 7):
+            for g, _ in labeled_graph_classes(n):
+                eng = Engine(g)
+                for mask in range(1 << n):
+                    assert eng._split(mask) == reference_split(g, mask)
+
+    @given(graphs(14), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_random_graphs(self, g, data):
+        masks = data.draw(st.lists(st.integers(0, g.universe), max_size=100))
+        eng = Engine(g)
+        for mask in [g.universe, *masks]:
+            assert eng._split(mask) == reference_split(g, mask)
+
+    def test_each_mask_decomposed_once_across_routes(self, monkeypatch):
+        walked = []
+        requested = []
+        original_walk = engine_module.components_of
+        original_split = Engine._split
+
+        def counting_components(adj, mask):
+            walked.append(mask)
+            return original_walk(adj, mask)
+
+        def logging_split(self, mask):
+            requested.append(mask)
+            return original_split(self, mask)
+
+        monkeypatch.setattr(engine_module, "components_of", counting_components)
+        monkeypatch.setattr(Engine, "_split", logging_split)
+        rng = random.Random(5)
+        for g in [complete(6), path(9), disjoint_union(star(5), build_graph(3, [])),
+                  random_graph(rng, 12, 0.3), random_graph(rng, 13, 0.5)]:
+            walked.clear()
+            requested.clear()
+            eng = Engine(g)
+            run_all_routes(eng)
+            assert len(walked) == len(set(requested)) == len(eng._dec)
+            assert len(requested) > len(walked)
+
+    def test_work_guard_caps_decomposed_masks(self, monkeypatch):
+        g = random_graph(random.Random(3), 12, 0.35)
+        eng = Engine(g)
+        run_all_routes(eng)
+        needed = len(eng._dec)
+        monkeypatch.setattr(engine_module, "MAX_ENGINE_MASKS", needed)
+        run_all_routes(Engine(g))
+        monkeypatch.setattr(engine_module, "MAX_ENGINE_MASKS", needed - 1)
+        capped = Engine(g)
+        with pytest.raises(WorkLimitExceeded, match="more than") as info:
+            run_all_routes(capped)
+        assert isinstance(info.value, ValueError)
+        assert len(capped._dec) == needed - 1
 
 
 class TestKnownInequalities:

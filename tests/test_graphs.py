@@ -11,6 +11,7 @@ from nisets.graphs import (
     canonical_code,
     closed_neighborhood_union,
     component_masks,
+    components_of,
     delta_bounds,
     disjoint_union,
     graph_from_pair_mask,
@@ -193,6 +194,37 @@ class TestStructuralPredicates:
             for g, _ in labeled_graph_classes(n):
                 s = structural_predicates(g)
                 assert (s.is_connected, s.is_tree) == (is_connected(g), is_tree(g))
+
+
+def closure_components(g, mask):
+    """Components by repeated neighbourhood closure over vertex sets."""
+    left = {v for v in range(g.n) if mask >> v & 1}
+    comps = []
+    while left:
+        comp = {min(left)}
+        while True:
+            grown = comp | {u for v in comp for u in iter_bits(g.adj[v]) if u in left}
+            if grown == comp:
+                break
+            comp = grown
+        comps.append(sum(1 << v for v in comp))
+        left -= comp
+    return comps
+
+
+class TestComponents:
+    def test_every_mask_of_small_graphs(self):
+        graphs = [path(6), cycle(6), complete(5), star(6),
+                  disjoint_union(cycle(4), build_graph(3, [(0, 2)]))]
+        for g in graphs:
+            for mask in range(1 << g.n):
+                want = closure_components(g, mask)
+                assert components_of(g.adj, mask) == want
+                assert component_masks(g, mask) == want
+            assert component_masks(g) == closure_components(g, g.universe)
+
+    def test_empty_mask(self):
+        assert components_of(path(3).adj, 0) == []
 
 
 class TestCanonicalCode:
