@@ -13,6 +13,7 @@ routes disagree.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -71,16 +72,23 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
+def _output(path: str | None):
+    """Context manager for the output file, or stdout (left open) when
+    ``path`` is None."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
+
+
 def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as handle:
-            handle.write(text)
+    with _output(path) as handle:
+        handle.write(text)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _emit_json(payload, path: str | None) -> None:
+    """Write ``payload`` as indented JSON chunk by chunk, so the whole text
+    is never held in memory."""
+    with _output(path) as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
 
 
 def _csv_text(header, rows) -> str:
@@ -185,7 +193,7 @@ def _cmd_compute(config: RunConfig) -> int:
         records = [_compute_record(_read_graph(config))]
         payload = records[0]
     if config.output_format == "json":
-        _emit(_json_text(payload), config.output_path)
+        _emit_json(payload, config.output_path)
     else:
         _emit(_compute_csv(records), config.output_path)
     return 0
@@ -205,7 +213,7 @@ def _cmd_oracle(config: RunConfig) -> int:
         "average": format_rational(avg),
     }
     if config.output_format == "json":
-        _emit(_json_text(payload), config.output_path)
+        _emit_json(payload, config.output_path)
     else:
         _emit(_csv_text(payload.keys(),
                         [[v if k != "by_size" else ";".join(map(str, v))
@@ -243,7 +251,7 @@ def _cmd_families(config: RunConfig) -> int:
     if config.output_format == "csv":
         _emit(_csv_text(header, rows), config.output_path)
     else:
-        _emit(_json_text([dict(zip(header, row)) for row in rows]), config.output_path)
+        _emit_json([dict(zip(header, row)) for row in rows], config.output_path)
     return 0
 
 
@@ -263,10 +271,6 @@ def _witness_cap(opts) -> int | None:
     # a negative flag requests the full, uncapped witness lists
     cap = opts.get("witness_cap", 100)
     return None if cap is not None and cap < 0 else cap
-
-
-def _scan_payload(report) -> dict:
-    return report.to_json_dict()
 
 
 def _cmd_scan(config: RunConfig) -> int:
@@ -289,9 +293,9 @@ def _cmd_scan(config: RunConfig) -> int:
     else:
         raise ValueError(f"unknown population {population!r}")
     if config.output_format == "json":
-        _emit(_json_text(_scan_payload(report)), config.output_path)
+        _emit_json(report.to_json_dict(), config.output_path)
     else:
-        d = _scan_payload(report)
+        d = report.to_json_dict()
         header = ["population", "order", "objective", "min", "max",
                   "min_count", "max_count", "min_witnesses", "max_witnesses"]
         row = [d["population"], d["order"], d["objective"],
@@ -327,7 +331,7 @@ def _cmd_verify(config: RunConfig) -> int:
             1 for r in reports for v in r.violations if v.equality_claim),
     }
     if config.output_format == "json":
-        _emit(_json_text(payload), config.output_path)
+        _emit_json(payload, config.output_path)
     else:
         header = ["claim_id", "population", "order", "status", "min", "max", "violations"]
         rows = [[r.claim_id, r.population, r.order, r.status,
@@ -347,7 +351,7 @@ def _cmd_conjecture(config: RunConfig) -> int:
         spot_check_rate=config.oracle_spot_check_rate,
     )
     if config.output_format == "json":
-        _emit(_json_text([rec.to_json_dict() for rec in records]), config.output_path)
+        _emit_json([rec.to_json_dict() for rec in records], config.output_path)
     else:
         header = ["order", "max", "subdivided_star", "unique_max", "max_witnesses"]
         rows = [[rec.order, format_rational(rec.max_value),

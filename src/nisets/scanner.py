@@ -135,8 +135,6 @@ def has_inequality_violations(reports) -> bool:
 
 # -- exhaustive labelled-graph enumeration -------------------------------------
 
-_CLASS_CACHE: dict[int, list] = {}
-
 
 def labeled_graph_classes(n: int) -> list[tuple[Graph, int]]:
     """One representative per isomorphism class plus its labelled count.
@@ -209,11 +207,7 @@ class ClassRecord:
 
 
 def _graph_class_records(n: int) -> list[ClassRecord]:
-    cached = _CLASS_CACHE.get(n)
-    if cached is None:
-        cached = [ClassRecord(g) for g, _ in labeled_graph_classes(n)]
-        _CLASS_CACHE[n] = cached
-    return cached
+    return [ClassRecord(g) for g, _ in labeled_graph_classes(n)]
 
 
 def _matches_filter(record: ClassRecord, graph_filter: str) -> bool:
@@ -243,41 +237,50 @@ def scan_graphs(
         raise ValueError(f"unknown objective {objective!r}")
     if graph_filter not in GRAPH_FILTERS:
         raise ValueError(f"unknown graph filter {graph_filter!r}")
-    records = _graph_class_records(n)
+    sides = _scan_sides(_graph_class_records(n), graph_filter, objective)
+    return _report(f"scan-{objective}", f"graphs/{graph_filter}", n, objective,
+                   sides, witness_cap)
+
+
+def _scan_sides(records, graph_filter, objective):
+    """Min and max sides of the objective over the records the filter
+    keeps; the av1 objective skips the edgeless class."""
     entries = []
     for rec in records:
         if not _matches_filter(rec, graph_filter):
             continue
         if objective == "av1":
-            if rec.edge_count == 0:
-                continue
-            entries.append((rec.av1, rec.graph6))
+            if rec.edge_count:
+                entries.append((rec.av1, rec.graph6))
         else:
             entries.append((rec.ratio, rec.graph6))
-    return _report_from_entries(
-        claim_id=f"scan-{objective}",
-        population=f"graphs/{graph_filter}",
-        order=n,
-        objective=objective,
-        entries=entries,
-        witness_cap=witness_cap,
-    )
+    return _extremes(entries)
 
 
-def _report_from_entries(claim_id, population, order, objective, entries, witness_cap,
-                         violations=()):
-    if not entries:
+def _extremes(entries):
+    """Min and max sides of (value, graph6) entries, by the tree sweep's
+    fold; both are None when there are no entries."""
+    lo = hi = None
+    for value, g6 in entries:
+        num, den = value.numerator, value.denominator
+        if lo is None or num * lo[1] <= lo[0] * den:
+            lo = _enter(lo, num, den, g6)
+        if hi is None or num * hi[1] >= hi[0] * den:
+            hi = _enter(hi, num, den, g6)
+    return _finished(lo), _finished(hi)
+
+
+def _report(claim_id, population, order, objective, sides, witness_cap, violations=()):
+    """ScanReport of a population's finished min and max sides."""
+    low, high = sides
+    if low is None:
         return ScanReport(claim_id, population, order, objective,
                           None, None, (), (), 0, 0, tuple(violations))
-    min_value = min(v for v, _ in entries)
-    max_value = max(v for v, _ in entries)
-    min_wits = sorted(g6 for v, g6 in entries if v == min_value)
-    max_wits = sorted(g6 for v, g6 in entries if v == max_value)
     return ScanReport(
         claim_id, population, order, objective,
-        min_value, max_value,
-        tuple(min_wits[:witness_cap]), tuple(max_wits[:witness_cap]),
-        len(min_wits), len(max_wits),
+        low[0], high[0],
+        tuple(sorted(low[1])[:witness_cap]), tuple(sorted(high[1])[:witness_cap]),
+        low[2], high[2],
         tuple(violations),
     )
 
@@ -285,14 +288,9 @@ def _report_from_entries(claim_id, population, order, objective, entries, witnes
 # -- tree sweeps ---------------------------------------------------------------
 
 
-def _tree_stat(graph: Graph, objective: str) -> Fraction:
-    eng = Engine(graph)
-    if objective == "av1":
-        sig, tot = eng.scalars1()
-        return Fraction(tot, sig) if sig else Fraction(0)
-    sig1, _ = eng.scalars1()
-    sig0, _ = eng.scalars0()
-    return Fraction(sig1, sig0)
+def _tree_stat(graph: Graph) -> Fraction:
+    sig, tot = Engine(graph).scalars1()
+    return Fraction(tot, sig) if sig else Fraction(0)
 
 
 def _tree_value(levels, objective: str) -> tuple[int, int]:
@@ -340,6 +338,19 @@ def _enter(side, num, den, g6):
     return [num, den, [g6]]
 
 
+def _fold_tree(lo, hi, levels, num, den):
+    """Min and max sides after one tree, and the tree's graph6 code if it
+    entered either side (else None)."""
+    g6 = None
+    if lo is None or num * lo[1] <= lo[0] * den:
+        g6 = to_graph6(levels_to_graph(levels))
+        lo = _enter(lo, num, den, g6)
+    if hi is None or num * hi[1] >= hi[0] * den:
+        g6 = g6 or to_graph6(levels_to_graph(levels))
+        hi = _enter(hi, num, den, g6)
+    return lo, hi, g6
+
+
 def _sweep_chunk(payload):
     """Min side, max side and top-k list of one chunk of the tree stream.
 
@@ -355,17 +366,9 @@ def _sweep_chunk(payload):
         if index in spots:
             _spot_check(levels)
         num, den = _tree_value(levels, objective)
-        g6 = None
-        if lo is None or num * lo[1] <= lo[0] * den:
-            g6 = to_graph6(levels_to_graph(levels))
-            lo = _enter(lo, num, den, g6)
-        if hi is None or num * hi[1] >= hi[0] * den:
-            if g6 is None:
-                g6 = to_graph6(levels_to_graph(levels))
-            hi = _enter(hi, num, den, g6)
+        lo, hi, g6 = _fold_tree(lo, hi, levels, num, den)
         if top_k and (floor is None or num * floor[1] >= floor[0] * den):
-            if g6 is None:
-                g6 = to_graph6(levels_to_graph(levels))
+            g6 = g6 or to_graph6(levels_to_graph(levels))
             entry = (-Fraction(num, den), g6)
             if len(top) < top_k:
                 insort(top, entry)
@@ -450,19 +453,7 @@ def scan_trees(
 ) -> ScanReport:
     """Exact extremal values of the objective over all free trees of order n."""
     mins, maxs, _ = _tree_sweep(n, objective, workers, spot_check_rate, seed, top_k=0)
-    return ScanReport(
-        claim_id=f"scan-{objective}",
-        population="free-trees",
-        order=n,
-        objective=objective,
-        min_value=mins[0],
-        max_value=maxs[0],
-        min_witnesses=tuple(sorted(mins[1])[:witness_cap]),
-        max_witnesses=tuple(sorted(maxs[1])[:witness_cap]),
-        min_count=mins[2],
-        max_count=maxs[2],
-        violations=(),
-    )
+    return _report(f"scan-{objective}", "free-trees", n, objective, (mins, maxs), witness_cap)
 
 
 @dataclass(frozen=True)
@@ -504,7 +495,7 @@ def conjecture_scan(
         mins, maxs, top = _tree_sweep(n, "av1", workers, spot_check_rate, seed, top_k)
         del mins
         r_tree = build(FamilySpec("R", n))
-        r_value = _tree_stat(r_tree, "av1")
+        r_value = _tree_stat(r_tree)
         unique = maxs[2] == 1 and maxs[0] == r_value
         if unique:
             unique = tree_canonical_key(from_graph6(maxs[1][0])) == tree_canonical_key(r_tree)
@@ -550,13 +541,13 @@ def path_cycle_unions(n: int):
 # -- claim suites ----------------------------------------------------------------
 
 
-def _claim_graph_average_lower(orders, witness_cap):
-    for n in orders:
+def _claim_graph_average_lower(records_by_order, witness_cap):
+    for n, records in records_by_order.items():
         violations = []
         entries = []
         good_set = set()
         equal_set = set()
-        for rec in _graph_class_records(n):
+        for rec in records:
             if rec.edge_count == 0:
                 continue
             value = rec.av1
@@ -576,102 +567,127 @@ def _claim_graph_average_lower(orders, witness_cap):
                 observed="mismatch between equality class and covering-edge predicate",
                 expected="equal sets",
             ))
-        yield _report_from_entries(
-            "graph-average-lower", "graphs/non-edgeless", n, "av1",
-            entries, witness_cap, violations)
+        yield _report("graph-average-lower", "graphs/non-edgeless", n, "av1",
+                      _extremes(entries), witness_cap, violations)
 
 
-def _claim_graph_average_upper(orders, witness_cap):
-    for n in orders:
+def _claim_graph_average_upper(records_by_order, witness_cap):
+    for n, records in records_by_order.items():
         if n < 6:
             continue
-        report = scan_graphs(n, "non-edgeless", "av1", witness_cap=witness_cap)
+        sides = _scan_sides(records, "non-edgeless", "av1")
+        max_value, max_witnesses, max_count = sides[1]
         violations = []
         bound = Fraction(n, 2) + 1
         single_edge = build(FamilySpec("G_special", n))
         attained = (
-            report.max_value == bound
-            and report.max_count == 1
-            and canonical_code(from_graph6(report.max_witnesses[0])) == canonical_code(single_edge)
+            max_value == bound
+            and max_count == 1
+            and canonical_code(from_graph6(max_witnesses[0])) == canonical_code(single_edge)
         )
         if not attained:
             violations.append(Violation(
                 to_graph6(single_edge),
                 "the single edge plus isolated vertices uniquely maximizes the average",
-                observed=f"max {format_rational(report.max_value)} on {report.max_count} classes",
+                observed=f"max {format_rational(max_value)} on {max_count} classes",
                 expected=f"max {format_rational(bound)} on exactly this class",
             ))
-        yield ScanReport(
-            "graph-average-upper", report.population, n, "av1",
-            report.min_value, report.max_value,
-            report.min_witnesses, report.max_witnesses,
-            report.min_count, report.max_count, tuple(violations))
+        yield _report("graph-average-upper", "graphs/non-edgeless", n, "av1",
+                      sides, witness_cap, violations)
 
 
-def _tree_records(n: int):
-    records = []
+def _tree_degrees(levels) -> tuple[int, int | None]:
+    """Max degree and minimum internal degree (degree > 1; None when no
+    vertex is internal) of the tree of a level sequence."""
+    degree = [1] * len(levels)
+    degree[0] = 0
+    last = [0] * len(levels)  # last vertex seen at each depth
+    for i in range(1, len(levels)):
+        depth = levels[i]
+        degree[last[depth - 1]] += 1
+        last[depth] = i
+    internal = [d for d in degree if d > 1]
+    return max(degree), min(internal) if internal else None
+
+
+def _tree_claim_reports(n: int, witness_cap) -> dict[str, ScanReport]:
+    """The tree claims' reports at order n >= 2 from one walk of its trees,
+    keyed by claim id; a claim stated only above n has no report.
+
+    The min and max sides come from the sweep's lazy fold.  Each cap is
+    compared per tree in integers, and degrees are read off the level
+    sequence; graph6 codes are built only for side entries, the star and
+    violators, and a Fraction only for violators and the extremes."""
+    cap = 4 + max(n - 3, 0)  # twice the tree cap 2 + max(n-3, 0)/2
+    cap_text = format_rational(Fraction(cap, 2))
+    claimed_equality = n in (2, 3, 4)  # stated for the paths of these orders
+    lo = hi = star = None
+    cap_violations, internal_violations = [], []
     for levels in _level_tuples(n):
-        _, _, sig1, tot1 = tree_scalars(levels)
-        value = Fraction(tot1, sig1) if sig1 else Fraction(0)
-        tree = levels_to_graph(levels)
-        records.append((to_graph6(tree), value, structural_predicates(tree)))
-    return records
+        num, den = _tree_value(levels, "av1")
+        lo, hi, g6 = _fold_tree(lo, hi, levels, num, den)
+        max_degree, internal = _tree_degrees(levels)
+        if max_degree == n - 1:
+            star = g6 or to_graph6(levels_to_graph(levels))
+        over_cap = 2 * num > cap * den
+        off_equality = claimed_equality and max_degree <= 2 and 2 * num != cap * den
+        over_internal = internal is not None and 2 * num > (n - internal + 3) * den
+        if over_cap or off_equality or over_internal:
+            g6 = g6 or to_graph6(levels_to_graph(levels))
+            observed = format_rational(Fraction(num, den))
+            if over_cap:
+                cap_violations.append(Violation(
+                    g6, "tree average capped by 2 + max(n-3,0)/2",
+                    observed=observed, expected=f"<= {cap_text}",
+                ))
+            if off_equality:
+                cap_violations.append(Violation(
+                    g6, "claimed equality of the tree cap at the short paths",
+                    observed=observed, expected=cap_text, equality_claim=True,
+                ))
+            if over_internal:
+                internal_violations.append(Violation(
+                    g6, "tree average capped via the minimum internal degree",
+                    observed=observed,
+                    expected=f"<= {format_rational(Fraction(n - internal + 3, 2))}",
+                ))
+    sides = low, high = _finished(lo), _finished(hi)
 
+    def report(claim_id, violations, population_sides=sides):
+        return _report(claim_id, "free-trees", n, "av1", population_sides, witness_cap, violations)
 
-_TREE_RECORD_CACHE: dict[int, list] = {}
-
-
-def _tree_records_cached(n: int):
-    if n > 18:
-        return _tree_records(n)
-    cached = _TREE_RECORD_CACHE.get(n)
-    if cached is None:
-        cached = _tree_records(n)
-        _TREE_RECORD_CACHE[n] = cached
-    return cached
-
-
-def _claim_tree_average_lower(orders, witness_cap):
-    for n in orders:
-        if n < 3:
-            continue
-        violations = []
-        entries = [(value, g6) for g6, value, _ in _tree_records_cached(n)]
-        stars = [(g6, s) for g6, value, s in _tree_records_cached(n) if s.max_degree == n - 1]
-        min_value = min(v for v, _ in entries)
-        min_wits = [g6 for v, g6 in entries if v == min_value]
-        if min_value != 2 or len(min_wits) != 1 or min_wits[0] != stars[0][0]:
-            violations.append(Violation(
-                stars[0][0], "the star uniquely minimizes the tree average",
-                observed=f"min {format_rational(min_value)} on {len(min_wits)} trees",
+    # the order-2 tree has no internal vertex; every larger tree has one
+    reports = {
+        "tree-average-cap": report("tree-average-cap", cap_violations),
+        "internal-degree-cap": report("internal-degree-cap", internal_violations,
+                                      sides if n >= 3 else (None, None)),
+    }
+    if n >= 3:
+        lower = []
+        if low[0] != 2 or low[2] != 1 or low[1][0] != star:
+            lower.append(Violation(
+                star, "the star uniquely minimizes the tree average",
+                observed=f"min {format_rational(low[0])} on {low[2]} trees",
                 expected="min 2, only at the star",
             ))
-        yield _report_from_entries(
-            "tree-average-lower", "free-trees", n, "av1", entries, witness_cap, violations)
-
-
-def _claim_tree_average_band(orders, witness_cap):
-    for n in orders:
-        if n < 9:
-            continue
-        entries = [(value, g6) for g6, value, _ in _tree_records_cached(n)]
-        max_value = max(v for v, _ in entries)
-        violations = []
-        if not Fraction(n, 2) < max_value < Fraction(n + 1, 2):
-            violations.append(Violation(
+        reports["tree-average-lower"] = report("tree-average-lower", lower)
+    if n >= 9:
+        band = []
+        if not Fraction(n, 2) < high[0] < Fraction(n + 1, 2):
+            band.append(Violation(
                 "", "tree maximum lies strictly between n/2 and (n+1)/2",
-                observed=format_rational(max_value),
+                observed=format_rational(high[0]),
                 expected=f"in ({format_rational(Fraction(n, 2))}, {format_rational(Fraction(n + 1, 2))})",
             ))
-        yield _report_from_entries(
-            "tree-average-band", "free-trees", n, "av1", entries, witness_cap, violations)
+        reports["tree-average-band"] = report("tree-average-band", band)
+    return reports
 
 
-def _claim_union_size_sandwich(orders, witness_cap):
-    for n in orders:
+def _claim_union_size_sandwich(records_by_order, witness_cap):
+    for n, records in records_by_order.items():
         violations = []
         entries = []
-        for rec in _graph_class_records(n):
+        for rec in records:
             if rec.edge_count == 0:
                 continue
             d1, d2 = rec.delta
@@ -686,16 +702,15 @@ def _claim_union_size_sandwich(orders, witness_cap):
                              f"upper {format_rational(upper)}",
                     expected="2 <= lower <= av <= upper <= (n+2)/2",
                 ))
-        yield _report_from_entries(
-            "union-size-sandwich", "graphs/non-edgeless", n, "av1",
-            entries, witness_cap, violations)
+        yield _report("union-size-sandwich", "graphs/non-edgeless", n, "av1",
+                      _extremes(entries), witness_cap, violations)
 
 
-def _claim_edge_average_bracket(orders, witness_cap):
-    for n in orders:
+def _claim_edge_average_bracket(records_by_order, witness_cap):
+    for n, records in records_by_order.items():
         violations = []
         entries = []
-        for rec in _graph_class_records(n):
+        for rec in records:
             if rec.edge_count == 0:
                 continue
             value = rec.av1
@@ -708,16 +723,15 @@ def _claim_edge_average_bracket(orders, witness_cap):
                              f"[{format_rational(min(per_edge))}, {format_rational(max(per_edge))}]",
                     expected="min edge average <= av <= max edge average",
                 ))
-        yield _report_from_entries(
-            "edge-average-bracket", "graphs/non-edgeless", n, "av1",
-            entries, witness_cap, violations)
+        yield _report("edge-average-bracket", "graphs/non-edgeless", n, "av1",
+                      _extremes(entries), witness_cap, violations)
 
 
-def _claim_residual_count_sandwich(orders, witness_cap):
-    for n in orders:
+def _claim_residual_count_sandwich(records_by_order, witness_cap):
+    for n, records in records_by_order.items():
         violations = []
         entries = []
-        for rec in _graph_class_records(n):
+        for rec in records:
             if rec.edge_count == 0:
                 continue
             graph = rec.graph
@@ -741,9 +755,8 @@ def _claim_residual_count_sandwich(orders, witness_cap):
                         observed=f"edge ({u},{v}) ratio {format_rational(ratio)}",
                         expected="within the closed-neighbourhood bounds",
                     ))
-        yield _report_from_entries(
-            "residual-count-sandwich", "graphs/non-edgeless", n, "sigma-ratio",
-            entries, witness_cap, violations)
+        yield _report("residual-count-sandwich", "graphs/non-edgeless", n, "sigma-ratio",
+                      _extremes(entries), witness_cap, violations)
 
 
 def _claim_degree_two_ratio(orders, witness_cap):
@@ -780,54 +793,8 @@ def _claim_degree_two_ratio(orders, witness_cap):
                     observed="unexpected equality case",
                     expected="equality only at the two-vertex path",
                 ))
-        yield _report_from_entries(
-            "degree-two-ratio", "path-cycle-unions", n, "sigma-ratio",
-            entries, witness_cap, violations)
-
-
-def _claim_tree_average_cap(orders, witness_cap):
-    claimed_equality = {2, 3, 4}  # stated for the paths of these orders
-    for n in orders:
-        violations = []
-        entries = []
-        bound = 2 + Fraction(max(n - 3, 0), 2)
-        for g6, value, structure in _tree_records_cached(n):
-            entries.append((value, g6))
-            if value > bound:
-                violations.append(Violation(
-                    g6, "tree average capped by 2 + max(n-3,0)/2",
-                    observed=format_rational(value),
-                    expected=f"<= {format_rational(bound)}",
-                ))
-            if n in claimed_equality and structure.max_degree <= 2 and value != bound:
-                violations.append(Violation(
-                    g6, "claimed equality of the tree cap at the short paths",
-                    observed=format_rational(value),
-                    expected=format_rational(bound),
-                    equality_claim=True,
-                ))
-        yield _report_from_entries(
-            "tree-average-cap", "free-trees", n, "av1", entries, witness_cap, violations)
-
-
-def _claim_internal_degree_cap(orders, witness_cap):
-    for n in orders:
-        violations = []
-        entries = []
-        for g6, value, structure in _tree_records_cached(n):
-            internal = structure.min_internal_degree
-            if internal is None:
-                continue
-            entries.append((value, g6))
-            bound = 2 + Fraction(n - internal - 1, 2)
-            if value > bound:
-                violations.append(Violation(
-                    g6, "tree average capped via the minimum internal degree",
-                    observed=format_rational(value),
-                    expected=f"<= {format_rational(bound)}",
-                ))
-        yield _report_from_entries(
-            "internal-degree-cap", "free-trees", n, "av1", entries, witness_cap, violations)
+        yield _report("degree-two-ratio", "path-cycle-unions", n, "sigma-ratio",
+                      _extremes(entries), witness_cap, violations)
 
 
 def _claim_subdivided_star_band(orders, witness_cap):
@@ -836,7 +803,7 @@ def _claim_subdivided_star_band(orders, witness_cap):
         if n < 4:
             continue
         tree = build(FamilySpec("R", n))
-        value = _tree_stat(tree, "av1")
+        value = _tree_stat(tree)
         g6 = to_graph6(tree)
         violations = []
         if not value < Fraction(n + 1, 2):
@@ -870,22 +837,22 @@ def _claim_subdivided_star_band(orders, witness_cap):
                 g6, "subdivided-star average above n/2",
                 observed=format_rational(value), expected=f"> {format_rational(half)}",
             ))
-        yield _report_from_entries(
-            "subdivided-star-band", "subdivided-star-family", n, "av1",
-            [(value, g6)], witness_cap, violations)
+        yield _report("subdivided-star-band", "subdivided-star-family", n, "av1",
+                      _extremes([(value, g6)]), witness_cap, violations)
 
 
+# the tree claims have no runner of their own: _tree_claim_reports serves all four
 _CLAIM_RUNNERS = {
     "graph-average-lower": ("graph", _claim_graph_average_lower),
     "graph-average-upper": ("graph", _claim_graph_average_upper),
-    "tree-average-lower": ("tree", _claim_tree_average_lower),
-    "tree-average-band": ("tree", _claim_tree_average_band),
+    "tree-average-lower": ("tree", None),
+    "tree-average-band": ("tree", None),
     "union-size-sandwich": ("graph", _claim_union_size_sandwich),
     "edge-average-bracket": ("graph", _claim_edge_average_bracket),
     "residual-count-sandwich": ("graph", _claim_residual_count_sandwich),
     "degree-two-ratio": ("ratio", _claim_degree_two_ratio),
-    "tree-average-cap": ("tree", _claim_tree_average_cap),
-    "internal-degree-cap": ("tree", _claim_internal_degree_cap),
+    "tree-average-cap": ("tree", None),
+    "internal-degree-cap": ("tree", None),
     "subdivided-star-band": ("family", _claim_subdivided_star_band),
 }
 
@@ -912,14 +879,25 @@ def verify_claims(
         raise ValueError(f"order above exhaustive limit ({GRAPH_SCAN_LIMIT})")
     if max_tree_order > TREE_ORDER_LIMIT:
         raise ValueError(f"order outside supported range (1..{TREE_ORDER_LIMIT})")
-    ranges = {
-        "graph": range(2, max_graph_order + 1),
-        "tree": range(2, max_tree_order + 1),
+    kinds = {_CLAIM_RUNNERS[c][0] for c in selected}
+    # one tree walk per order serves every tree claim, and each order's
+    # class records are built once for every graph claim
+    tree_reports = []
+    if "tree" in kinds:
+        tree_reports = [_tree_claim_reports(n, witness_cap) for n in range(2, max_tree_order + 1)]
+    class_records = {}
+    if "graph" in kinds:
+        class_records = {n: _graph_class_records(n) for n in range(2, max_graph_order + 1)}
+    populations = {
+        "graph": class_records,
         "ratio": range(2, max_ratio_order + 1),
         "family": range(4, max_family_order + 1),
     }
     reports = []
     for claim_id in selected:
         kind, runner = _CLAIM_RUNNERS[claim_id]
-        reports.extend(runner(ranges[kind], witness_cap))
+        if kind == "tree":
+            reports.extend(by_claim[claim_id] for by_claim in tree_reports if claim_id in by_claim)
+        else:
+            reports.extend(runner(populations[kind], witness_cap))
     return reports

@@ -1,18 +1,30 @@
 """Scanner: exhaustive class enumeration, scans, claims, determinism."""
 
+import hashlib
+import json
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from nisets.engine import Engine
+import nisets.scanner as scanner_module
+from nisets.engine import Engine, format_rational, tree_scalars
 from nisets.families import FamilySpec, build, closed_form_summary
 from nisets.formats import from_graph6, to_graph6
-from nisets.graphs import all_pairs, canonical_code, graph_from_pair_mask, is_good_graph, relabel
+from nisets.graphs import (
+    all_pairs,
+    canonical_code,
+    graph_from_pair_mask,
+    is_good_graph,
+    relabel,
+    structural_predicates,
+)
 from nisets.scanner import (
     WITNESS_CAP,
     RouteDisagreement,
     _sweep_chunk,
+    _tree_degrees,
     conjecture_scan,
     has_inequality_violations,
     labeled_graph_classes,
@@ -22,7 +34,14 @@ from nisets.scanner import (
     spot_check_trees,
     verify_claims,
 )
-from nisets.trees import LevelSequence, free_trees, level_sequences, tree_canonical_key
+from nisets.trees import (
+    LevelSequence,
+    _level_tuples,
+    free_trees,
+    level_sequences,
+    levels_to_graph,
+    tree_canonical_key,
+)
 
 GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -326,6 +345,89 @@ class TestClaims:
                     "witnesses", "violations"):
             assert key in d
         assert set(d["extremal"]) == {"min", "max"}
+
+
+TREE_CLAIMS = ["tree-average-lower", "tree-average-band", "tree-average-cap", "internal-degree-cap"]
+
+
+class TestTreeClaimPass:
+    def test_verify_claims_golden(self):
+        # SHA-256 of this report list as produced before the tree claims
+        # shared one walk per order
+        reports = verify_claims(max_tree_order=12, max_graph_order=6, witness_cap=None)
+        text = json.dumps([r.to_json_dict() for r in reports], indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2058f979cbccc6d4177a18ace8889c62b0e4d4a9a976a989209601d9fd747120")
+
+    def test_inflated_trees_are_listed_by_both_caps(self, monkeypatch):
+        # the first tree in stream order (the path) becomes the maximum; a
+        # mid-stream tree breaks both caps without entering either side
+        stream = list(_level_tuples(8))
+        factors = {stream[0]: 4, stream[len(stream) // 2]: 3}
+        inflated = {}
+        for levels, factor in factors.items():
+            _, _, sig1, s1 = tree_scalars(levels)
+            inflated[levels] = Fraction(factor * s1, sig1)
+        first, second = inflated
+        assert Fraction(9, 2) < inflated[second] < inflated[first]
+
+        def inflating_tree_scalars(levels):
+            sig0, s0, sig1, s1 = tree_scalars(levels)
+            return sig0, s0, sig1, factors.get(tuple(levels), 1) * s1
+
+        monkeypatch.setattr(scanner_module, "tree_scalars", inflating_tree_scalars)
+        reports = verify_claims(claims=["tree-average-cap", "internal-degree-cap"],
+                                max_tree_order=9, witness_cap=None)
+        g6 = {levels: to_graph6(levels_to_graph(levels)) for levels in factors}
+        for claim_id in ("tree-average-cap", "internal-degree-cap"):
+            (report,) = [r for r in reports if (r.claim_id, r.order) == (claim_id, 8)]
+            assert [(v.graph6, v.observed) for v in report.violations] == [
+                (g6[levels], format_rational(value)) for levels, value in inflated.items()]
+            assert (report.max_value, report.max_witnesses) == (inflated[first], (g6[first],))
+        others = [r for r in reports if r.order not in (4, 8)]
+        assert others and not any(r.violations for r in others)
+
+    def test_star_above_the_minimum_is_reported(self, monkeypatch):
+        # the star's average 2 becomes 13/4, strictly between the other
+        # order-7 trees' extremes 3 and 86/25, so the star enters neither side
+        star = (0,) + (1,) * 6
+
+        def inflating_tree_scalars(levels):
+            sig0, s0, sig1, s1 = tree_scalars(levels)
+            if tuple(levels) == star:
+                return sig0, s0, 8 * sig1, 13 * s1
+            return sig0, s0, sig1, s1
+
+        monkeypatch.setattr(scanner_module, "tree_scalars", inflating_tree_scalars)
+        (report,) = verify_claims(claims=["tree-average-lower"], max_tree_order=7)[-1:]
+        assert report.order == 7 and report.min_value < Fraction(13, 4) < report.max_value
+        assert [v.graph6 for v in report.violations] == [to_graph6(levels_to_graph(star))]
+
+    def test_one_walk_per_order(self, monkeypatch):
+        walks = Counter()
+
+        def counting_level_tuples(n):
+            walks[n] += 1
+            return _level_tuples(n)
+
+        monkeypatch.setattr(scanner_module, "_level_tuples", counting_level_tuples)
+        for runs in (1, 2):
+            reports = verify_claims(claims=TREE_CLAIMS, max_tree_order=10)
+            assert {r.claim_id for r in reports} == set(TREE_CLAIMS)
+            # nothing is cached between calls: each call walks each order once
+            assert walks == {n: runs for n in range(2, 11)}
+
+    def test_degrees_match_structural_predicates(self):
+        for n in range(1, 15):
+            for levels in _level_tuples(n):
+                s = structural_predicates(levels_to_graph(levels))
+                assert _tree_degrees(levels) == (s.max_degree, s.min_internal_degree), levels
+
+    def test_graph_average_upper_without_witnesses(self):
+        (report,) = verify_claims(claims=["graph-average-upper"], max_graph_order=6,
+                                  witness_cap=0)
+        assert report.status == "pass"
+        assert report.max_count == 1 and report.max_witnesses == ()
 
 
 class TestConjecture:
