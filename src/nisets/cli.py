@@ -310,7 +310,9 @@ def _cmd_verify(config: RunConfig) -> int:
     opts = config.options
     claims = opts.get("claims", "all")
     if claims != "all":
-        claims = [c.strip() for c in claims.split(",")]
+        claims = [c for c in (c.strip() for c in claims.split(",")) if c]
+        if not claims:
+            raise ValueError("--claims names no claim: give 'all' or comma-separated claim ids")
     reports = verify_claims(
         claims=claims,
         max_tree_order=opts.get("max_tree_order", 16),

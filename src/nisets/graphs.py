@@ -23,14 +23,6 @@ def iter_bits(mask: int):
         mask ^= low
 
 
-def mask_of(vertices) -> int:
-    """Bitmask with the given vertex indices set."""
-    out = 0
-    for v in vertices:
-        out |= 1 << v
-    return out
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with bitmask adjacency.

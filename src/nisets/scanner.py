@@ -197,14 +197,6 @@ class ClassRecord:
     def edge_count(self) -> int:
         return self.graph.edge_count
 
-    @property
-    def av1(self) -> Fraction:
-        return Fraction(self.s1, self.sigma1) if self.sigma1 else Fraction(0)
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.sigma1, self.sigma0)
-
 
 def _graph_class_records(n: int) -> list[ClassRecord]:
     return [ClassRecord(g) for g, _ in labeled_graph_classes(n)]
@@ -251,18 +243,18 @@ def _scan_sides(records, graph_filter, objective):
             continue
         if objective == "av1":
             if rec.edge_count:
-                entries.append((rec.av1, rec.graph6))
+                entries.append((rec.s1, rec.sigma1, rec.graph6))
         else:
-            entries.append((rec.ratio, rec.graph6))
+            entries.append((rec.sigma1, rec.sigma0, rec.graph6))
     return _extremes(entries)
 
 
 def _extremes(entries):
-    """Min and max sides of (value, graph6) entries, by the tree sweep's
-    fold; both are None when there are no entries."""
+    """Min and max sides of (numerator, denominator, graph6) entries with
+    positive denominators, by the tree sweep's fold; both are None when
+    there are no entries."""
     lo = hi = None
-    for value, g6 in entries:
-        num, den = value.numerator, value.denominator
+    for num, den, g6 in entries:
         if lo is None or num * lo[1] <= lo[0] * den:
             lo = _enter(lo, num, den, g6)
         if hi is None or num * hi[1] >= hi[0] * den:
@@ -541,61 +533,6 @@ def path_cycle_unions(n: int):
 # -- claim suites ----------------------------------------------------------------
 
 
-def _claim_graph_average_lower(records_by_order, witness_cap):
-    for n, records in records_by_order.items():
-        violations = []
-        entries = []
-        good_set = set()
-        equal_set = set()
-        for rec in records:
-            if rec.edge_count == 0:
-                continue
-            value = rec.av1
-            entries.append((value, rec.graph6))
-            if rec.good:
-                good_set.add(rec.graph6)
-            if value == 2:
-                equal_set.add(rec.graph6)
-            if value < 2:
-                violations.append(Violation(
-                    rec.graph6, "average size of one-edge subsets is at least 2",
-                    observed=format_rational(value), expected=">= 2",
-                ))
-        for g6 in sorted(good_set ^ equal_set):
-            violations.append(Violation(
-                g6, "average equals 2 exactly for graphs whose every edge covers all vertices",
-                observed="mismatch between equality class and covering-edge predicate",
-                expected="equal sets",
-            ))
-        yield _report("graph-average-lower", "graphs/non-edgeless", n, "av1",
-                      _extremes(entries), witness_cap, violations)
-
-
-def _claim_graph_average_upper(records_by_order, witness_cap):
-    for n, records in records_by_order.items():
-        if n < 6:
-            continue
-        sides = _scan_sides(records, "non-edgeless", "av1")
-        max_value, max_witnesses, max_count = sides[1]
-        violations = []
-        bound = Fraction(n, 2) + 1
-        single_edge = build(FamilySpec("G_special", n))
-        attained = (
-            max_value == bound
-            and max_count == 1
-            and canonical_code(from_graph6(max_witnesses[0])) == canonical_code(single_edge)
-        )
-        if not attained:
-            violations.append(Violation(
-                to_graph6(single_edge),
-                "the single edge plus isolated vertices uniquely maximizes the average",
-                observed=f"max {format_rational(max_value)} on {max_count} classes",
-                expected=f"max {format_rational(bound)} on exactly this class",
-            ))
-        yield _report("graph-average-upper", "graphs/non-edgeless", n, "av1",
-                      sides, witness_cap, violations)
-
-
 def _tree_degrees(levels) -> tuple[int, int | None]:
     """Max degree and minimum internal degree (degree > 1; None when no
     vertex is internal) of the tree of a level sequence."""
@@ -683,177 +620,201 @@ def _tree_claim_reports(n: int, witness_cap) -> dict[str, ScanReport]:
     return reports
 
 
-def _claim_union_size_sandwich(records_by_order, witness_cap):
-    for n, records in records_by_order.items():
-        violations = []
-        entries = []
-        for rec in records:
-            if rec.edge_count == 0:
-                continue
-            d1, d2 = rec.delta
-            value = rec.av1
-            lower = Fraction(3 * n + 2 - 3 * d2, n + 1 - d2)
-            upper = Fraction(n + 4 - d1, 2)
-            entries.append((value, rec.graph6))
-            if not (2 <= lower <= value <= upper <= Fraction(n + 2, 2)):
-                violations.append(Violation(
-                    rec.graph6, "neighbourhood-union size sandwich around the average",
-                    observed=f"lower {format_rational(lower)}, av {format_rational(value)}, "
-                             f"upper {format_rational(upper)}",
-                    expected="2 <= lower <= av <= upper <= (n+2)/2",
-                ))
-        yield _report("union-size-sandwich", "graphs/non-edgeless", n, "av1",
-                      _extremes(entries), witness_cap, violations)
+def _graph_claim_reports(n: int, records, witness_cap) -> dict[str, ScanReport]:
+    """The graph claims' reports at order n >= 2 from one pass over its
+    class records, keyed by claim id; graph-average-upper is stated only
+    from order 6.
 
-
-def _claim_edge_average_bracket(records_by_order, witness_cap):
-    for n, records in records_by_order.items():
-        violations = []
-        entries = []
-        for rec in records:
-            if rec.edge_count == 0:
-                continue
-            value = rec.av1
-            per_edge = [2 + term.av0 for term in Engine(rec.graph).edge_terms()]
-            entries.append((value, rec.graph6))
-            if not min(per_edge) <= value <= max(per_edge):
-                violations.append(Violation(
-                    rec.graph6, "per-edge conditional averages bracket the average",
-                    observed=f"av {format_rational(value)} outside "
-                             f"[{format_rational(min(per_edge))}, {format_rational(max(per_edge))}]",
-                    expected="min edge average <= av <= max edge average",
-                ))
-        yield _report("edge-average-bracket", "graphs/non-edgeless", n, "av1",
-                      _extremes(entries), witness_cap, violations)
-
-
-def _claim_residual_count_sandwich(records_by_order, witness_cap):
-    for n, records in records_by_order.items():
-        violations = []
-        entries = []
-        for rec in records:
-            if rec.edge_count == 0:
-                continue
-            graph = rec.graph
-            eng = Engine(graph)
-            sigma_g = rec.sigma0
-            entries.append((rec.ratio, rec.graph6))
-            for term in eng.edge_terms():
-                u, v = term.edge
-                ratio = Fraction(term.sigma0, sigma_g)
-                l_uv = term.union_size
-                lower = 1 / (Fraction(2) ** (l_uv - 2)
-                             + Fraction(2) ** (l_uv - term.closed_size_u)
-                             + Fraction(2) ** (l_uv - term.closed_size_v) + 1)
-                ok = lower <= ratio
-                for w in (u, v):
-                    s_minus, _ = eng.scalars0(graph.universe & ~(1 << w))
-                    ok = ok and ratio <= 1 - Fraction(s_minus, sigma_g)
-                if not ok:
-                    violations.append(Violation(
-                        rec.graph6, "per-edge residual independent-set count sandwich",
-                        observed=f"edge ({u},{v}) ratio {format_rational(ratio)}",
-                        expected="within the closed-neighbourhood bounds",
-                    ))
-        yield _report("residual-count-sandwich", "graphs/non-edgeless", n, "sigma-ratio",
-                      _extremes(entries), witness_cap, violations)
-
-
-def _claim_degree_two_ratio(orders, witness_cap):
-    for n in orders:
-        violations = []
-        entries = []
-        for combo, graph in path_cycle_unions(n):
-            eng = Engine(graph)
-            sig1, _ = eng.scalars1()
-            sig0, _ = eng.scalars0()
-            value = Fraction(sig1, sig0)
-            g6 = to_graph6(graph)
-            entries.append((value, g6))
-            parts = Fraction(0)
-            for kind, k in combo:
-                part_eng = Engine(build(FamilySpec(kind, k)))
-                p1, _ = part_eng.scalars1()
-                p0, _ = part_eng.scalars0()
-                parts += Fraction(p1, p0)
-            if parts != value:
-                violations.append(Violation(
-                    g6, "count ratio adds over disjoint-union components",
-                    observed=format_rational(value),
-                    expected=format_rational(parts),
-                ))
-            if value < Fraction(1, 3):
-                violations.append(Violation(
-                    g6, "count ratio is at least one third at max degree 2",
-                    observed=format_rational(value), expected=">= 1/3",
-                ))
-            if value == Fraction(1, 3) and combo != [("path", 2)]:
-                violations.append(Violation(
-                    g6, "ratio one third is attained only by the single edge",
-                    observed="unexpected equality case",
-                    expected="equality only at the two-vertex path",
-                ))
-        yield _report("degree-two-ratio", "path-cycle-unions", n, "sigma-ratio",
-                      _extremes(entries), witness_cap, violations)
-
-
-def _claim_subdivided_star_band(orders, witness_cap):
-    strict_below_half = {7, 8}
-    for n in orders:
-        if n < 4:
+    Each non-edgeless class gets one Engine, which serves both per-edge
+    claims.  Every comparison is made in integers; a Fraction is built only
+    for violation text and the extremes."""
+    av1_entries, ratio_entries = [], []
+    good_set, equal_set = set(), set()
+    lower, union, bracket, residual = [], [], [], []
+    for rec in records:
+        if rec.edge_count == 0:
             continue
-        tree = build(FamilySpec("R", n))
-        value = _tree_stat(tree)
-        g6 = to_graph6(tree)
-        violations = []
-        if not value < Fraction(n + 1, 2):
+        g6, s1, sigma1, sigma_g = rec.graph6, rec.s1, rec.sigma1, rec.sigma0
+        av1_entries.append((s1, sigma1, g6))
+        ratio_entries.append((sigma1, sigma_g, g6))
+        if rec.good:
+            good_set.add(g6)
+        if s1 == 2 * sigma1:
+            equal_set.add(g6)
+        if s1 < 2 * sigma1:
+            lower.append(Violation(
+                g6, "average size of one-edge subsets is at least 2",
+                observed=format_rational(Fraction(s1, sigma1)), expected=">= 2",
+            ))
+        # union-size sandwich: lower bound low_num/low_den (low_den >= 1), upper bound up2/2
+        d1, d2 = rec.delta
+        low_num, low_den, up2 = 3 * n + 2 - 3 * d2, n + 1 - d2, n + 4 - d1
+        if not (2 * low_den <= low_num and low_num * sigma1 <= s1 * low_den
+                and 2 * s1 <= up2 * sigma1 and up2 <= n + 2):
+            union.append(Violation(
+                g6, "neighbourhood-union size sandwich around the average",
+                observed=f"lower {format_rational(Fraction(low_num, low_den))}, "
+                         f"av {format_rational(Fraction(s1, sigma1))}, "
+                         f"upper {format_rational(Fraction(up2, 2))}",
+                expected="2 <= lower <= av <= upper <= (n+2)/2",
+            ))
+        eng = Engine(rec.graph)
+        terms = eng.edge_terms()
+        # av1 - 2 = excess/sigma1 against each edge's residual average s0/sigma0
+        excess = s1 - 2 * sigma1
+        if not (any(t.s0 * sigma1 <= excess * t.sigma0 for t in terms)
+                and any(t.s0 * sigma1 >= excess * t.sigma0 for t in terms)):
+            per_edge = [2 + t.av0 for t in terms]
+            bracket.append(Violation(
+                g6, "per-edge conditional averages bracket the average",
+                observed=f"av {format_rational(Fraction(s1, sigma1))} outside "
+                         f"[{format_rational(min(per_edge))}, {format_rational(max(per_edge))}]",
+                expected="min edge average <= av <= max edge average",
+            ))
+        universe = rec.graph.universe
+        for t in terms:
+            # the residual ratio t.sigma0/sigma_g lies between 1/lower_den, where
+            # lower_den = 2^(l-2) + 2^(l-|N[u]|) + 2^(l-|N[v]|) + 1, and 1 - s0(G - w)/sigma_g
+            # for each endpoint w; l >= |N[u]|, |N[v]| >= 2 keeps every exponent >= 0
+            sizes = (2, t.closed_size_u, t.closed_size_v)
+            lower_den = sum(1 << (t.union_size - c) for c in sizes) + 1
+            ok = sigma_g <= t.sigma0 * lower_den and all(
+                t.sigma0 + eng.scalars0(universe & ~(1 << w))[0] <= sigma_g for w in t.edge)
+            if not ok:
+                u, v = t.edge
+                residual.append(Violation(
+                    g6, "per-edge residual independent-set count sandwich",
+                    observed=f"edge ({u},{v}) ratio {format_rational(Fraction(t.sigma0, sigma_g))}",
+                    expected="within the closed-neighbourhood bounds",
+                ))
+    for g6 in sorted(good_set ^ equal_set):
+        lower.append(Violation(
+            g6, "average equals 2 exactly for graphs whose every edge covers all vertices",
+            observed="mismatch between equality class and covering-edge predicate",
+            expected="equal sets",
+        ))
+    sides = _extremes(av1_entries)
+
+    def report(claim_id, violations, objective="av1", population_sides=sides):
+        return _report(claim_id, "graphs/non-edgeless", n, objective, population_sides,
+                       witness_cap, violations)
+
+    reports = {
+        "graph-average-lower": report("graph-average-lower", lower),
+        "union-size-sandwich": report("union-size-sandwich", union),
+        "edge-average-bracket": report("edge-average-bracket", bracket),
+        "residual-count-sandwich": report("residual-count-sandwich", residual,
+                                          "sigma-ratio", _extremes(ratio_entries)),
+    }
+    if n >= 6:
+        max_value, max_witnesses, max_count = sides[1]
+        bound = Fraction(n, 2) + 1
+        single_edge = build(FamilySpec("G_special", n))
+        upper = []
+        if not (max_value == bound and max_count == 1
+                and canonical_code(from_graph6(max_witnesses[0])) == canonical_code(single_edge)):
+            upper.append(Violation(
+                to_graph6(single_edge),
+                "the single edge plus isolated vertices uniquely maximizes the average",
+                observed=f"max {format_rational(max_value)} on {max_count} classes",
+                expected=f"max {format_rational(bound)} on exactly this class",
+            ))
+        reports["graph-average-upper"] = report("graph-average-upper", upper)
+    return reports
+
+
+def _degree_two_ratio_reports(n: int, witness_cap) -> dict[str, ScanReport]:
+    violations = []
+    entries = []
+    for combo, graph in path_cycle_unions(n):
+        eng = Engine(graph)
+        sig1, _ = eng.scalars1()
+        sig0, _ = eng.scalars0()
+        value = Fraction(sig1, sig0)
+        g6 = to_graph6(graph)
+        entries.append((sig1, sig0, g6))
+        parts = Fraction(0)
+        for kind, k in combo:
+            part_eng = Engine(build(FamilySpec(kind, k)))
+            p1, _ = part_eng.scalars1()
+            p0, _ = part_eng.scalars0()
+            parts += Fraction(p1, p0)
+        if parts != value:
             violations.append(Violation(
-                g6, "subdivided-star average below (n+1)/2",
+                g6, "count ratio adds over disjoint-union components",
                 observed=format_rational(value),
-                expected=f"< {format_rational(Fraction(n + 1, 2))}",
+                expected=format_rational(parts),
             ))
-        half = Fraction(n, 2)
-        if n == 6:
-            if value != half:
-                violations.append(Violation(
-                    g6, "subdivided-star average versus n/2 at order 6",
-                    observed=format_rational(value), expected=format_rational(half),
-                ))
-            else:
-                violations.append(Violation(
-                    g6, "strictness above n/2 fails at order 6: the average equals n/2 exactly",
-                    observed=format_rational(value),
-                    expected="> 3 claimed, observed exact equality",
-                    equality_claim=True,
-                ))
-        elif n in strict_below_half:
-            if not value < half:
-                violations.append(Violation(
-                    g6, "subdivided-star average below n/2 at the documented exceptions",
-                    observed=format_rational(value), expected=f"< {format_rational(half)}",
-                ))
-        elif not value > half:
+        if value < Fraction(1, 3):
             violations.append(Violation(
-                g6, "subdivided-star average above n/2",
-                observed=format_rational(value), expected=f"> {format_rational(half)}",
+                g6, "count ratio is at least one third at max degree 2",
+                observed=format_rational(value), expected=">= 1/3",
             ))
-        yield _report("subdivided-star-band", "subdivided-star-family", n, "av1",
-                      _extremes([(value, g6)]), witness_cap, violations)
+        if value == Fraction(1, 3) and combo != [("path", 2)]:
+            violations.append(Violation(
+                g6, "ratio one third is attained only by the single edge",
+                observed="unexpected equality case",
+                expected="equality only at the two-vertex path",
+            ))
+    return {"degree-two-ratio": _report("degree-two-ratio", "path-cycle-unions", n, "sigma-ratio",
+                                        _extremes(entries), witness_cap, violations)}
 
 
-# the tree claims have no runner of their own: _tree_claim_reports serves all four
-_CLAIM_RUNNERS = {
-    "graph-average-lower": ("graph", _claim_graph_average_lower),
-    "graph-average-upper": ("graph", _claim_graph_average_upper),
-    "tree-average-lower": ("tree", None),
-    "tree-average-band": ("tree", None),
-    "union-size-sandwich": ("graph", _claim_union_size_sandwich),
-    "edge-average-bracket": ("graph", _claim_edge_average_bracket),
-    "residual-count-sandwich": ("graph", _claim_residual_count_sandwich),
-    "degree-two-ratio": ("ratio", _claim_degree_two_ratio),
-    "tree-average-cap": ("tree", None),
-    "internal-degree-cap": ("tree", None),
-    "subdivided-star-band": ("family", _claim_subdivided_star_band),
+def _subdivided_star_reports(n: int, witness_cap) -> dict[str, ScanReport]:
+    strict_below_half = {7, 8}
+    tree = build(FamilySpec("R", n))
+    value = _tree_stat(tree)
+    g6 = to_graph6(tree)
+    violations = []
+    if not value < Fraction(n + 1, 2):
+        violations.append(Violation(
+            g6, "subdivided-star average below (n+1)/2",
+            observed=format_rational(value),
+            expected=f"< {format_rational(Fraction(n + 1, 2))}",
+        ))
+    half = Fraction(n, 2)
+    if n == 6:
+        if value != half:
+            violations.append(Violation(
+                g6, "subdivided-star average versus n/2 at order 6",
+                observed=format_rational(value), expected=format_rational(half),
+            ))
+        else:
+            violations.append(Violation(
+                g6, "strictness above n/2 fails at order 6: the average equals n/2 exactly",
+                observed=format_rational(value),
+                expected="> 3 claimed, observed exact equality",
+                equality_claim=True,
+            ))
+    elif n in strict_below_half:
+        if not value < half:
+            violations.append(Violation(
+                g6, "subdivided-star average below n/2 at the documented exceptions",
+                observed=format_rational(value), expected=f"< {format_rational(half)}",
+            ))
+    elif not value > half:
+        violations.append(Violation(
+            g6, "subdivided-star average above n/2",
+            observed=format_rational(value), expected=f"> {format_rational(half)}",
+        ))
+    sides = _extremes([(value.numerator, value.denominator, g6)])
+    return {"subdivided-star-band": _report("subdivided-star-band", "subdivided-star-family", n,
+                                            "av1", sides, witness_cap, violations)}
+
+
+# the suite whose one run per order reports each claim
+_CLAIM_SUITES = {
+    "graph-average-lower": "graph",
+    "graph-average-upper": "graph",
+    "tree-average-lower": "tree",
+    "tree-average-band": "tree",
+    "union-size-sandwich": "graph",
+    "edge-average-bracket": "graph",
+    "residual-count-sandwich": "graph",
+    "degree-two-ratio": "ratio",
+    "tree-average-cap": "tree",
+    "internal-degree-cap": "tree",
+    "subdivided-star-band": "family",
 }
 
 
@@ -867,37 +828,33 @@ def verify_claims(
     witness_cap: int | None = WITNESS_CAP,
 ) -> list[ScanReport]:
     """Run the claim suites exhaustively and return one report per claim
-    and order.  Equality discrepancies are recorded, not raised."""
+    and order, claim by claim in the order selected (a repeated claim id
+    counts once).  Equality discrepancies are recorded, not raised."""
     if claims == "all":
-        selected = list(ALL_CLAIMS)
+        selected = ALL_CLAIMS
     else:
-        selected = list(claims)
-        unknown = [c for c in selected if c not in _CLAIM_RUNNERS]
+        selected = list(dict.fromkeys(claims))
+        unknown = [c for c in selected if c not in _CLAIM_SUITES]
         if unknown:
             raise ValueError(f"unknown claims: {', '.join(unknown)}")
     if max_graph_order > GRAPH_SCAN_LIMIT:
         raise ValueError(f"order above exhaustive limit ({GRAPH_SCAN_LIMIT})")
     if max_tree_order > TREE_ORDER_LIMIT:
         raise ValueError(f"order outside supported range (1..{TREE_ORDER_LIMIT})")
-    kinds = {_CLAIM_RUNNERS[c][0] for c in selected}
-    # one tree walk per order serves every tree claim, and each order's
-    # class records are built once for every graph claim
-    tree_reports = []
-    if "tree" in kinds:
-        tree_reports = [_tree_claim_reports(n, witness_cap) for n in range(2, max_tree_order + 1)]
-    class_records = {}
-    if "graph" in kinds:
-        class_records = {n: _graph_class_records(n) for n in range(2, max_graph_order + 1)}
-    populations = {
-        "graph": class_records,
-        "ratio": range(2, max_ratio_order + 1),
-        "family": range(4, max_family_order + 1),
+    # each suite maps one order to its claims' reports; an order's
+    # population (trees or class records) is built, used and dropped
+    suites = {
+        "tree": (range(2, max_tree_order + 1), _tree_claim_reports),
+        "graph": (range(2, max_graph_order + 1),
+                  lambda n, cap: _graph_claim_reports(n, _graph_class_records(n), cap)),
+        "ratio": (range(2, max_ratio_order + 1), _degree_two_ratio_reports),
+        "family": (range(4, max_family_order + 1), _subdivided_star_reports),
     }
-    reports = []
+    reports, by_suite = [], {}
     for claim_id in selected:
-        kind, runner = _CLAIM_RUNNERS[claim_id]
-        if kind == "tree":
-            reports.extend(by_claim[claim_id] for by_claim in tree_reports if claim_id in by_claim)
-        else:
-            reports.extend(runner(populations[kind], witness_cap))
+        suite = _CLAIM_SUITES[claim_id]
+        if suite not in by_suite:
+            orders, reports_at = suites[suite]
+            by_suite[suite] = [reports_at(n, witness_cap) for n in orders]
+        reports.extend(by_order[claim_id] for by_order in by_suite[suite] if claim_id in by_order)
     return reports

@@ -218,6 +218,20 @@ def test_verify_byte_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_claims_list_drops_empty_items(capsys, tmp_path):
+    out_path = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", "--claims", "tree-average-lower,",
+                         "--max-tree-order", "6", "--out", str(out_path))
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    assert [(r["claim_id"], r["order"]) for r in payload["reports"]] == [
+        ("tree-average-lower", n) for n in range(3, 7)]
+    for empty in (",", " , "):
+        code, out, err = run_cli(capsys, "verify", "--claims", empty)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --claims names no claim")
+
+
 def test_conjecture_csv(capsys):
     code, out, _ = run_cli(capsys, "conjecture", "--orders", "4:6",
                            "--output-format", "csv")

@@ -22,7 +22,10 @@ from nisets.graphs import (
 )
 from nisets.scanner import (
     WITNESS_CAP,
+    ClassRecord,
     RouteDisagreement,
+    _graph_class_records,
+    _graph_claim_reports,
     _sweep_chunk,
     _tree_degrees,
     conjecture_scan,
@@ -318,6 +321,12 @@ class TestClaims:
     def test_one_report_per_claim_and_order(self, reports):
         seen = {(r.claim_id, r.order) for r in reports}
         assert len(seen) == len(reports)
+        # a repeated claim id counts once, at its first position
+        repeated = verify_claims(claims=["tree-average-cap", "degree-two-ratio", "tree-average-cap"],
+                                 max_tree_order=6, max_ratio_order=5)
+        assert [(r.claim_id, r.order) for r in repeated] == (
+            [("tree-average-cap", n) for n in range(2, 7)]
+            + [("degree-two-ratio", n) for n in range(2, 6)])
 
     def test_selected_claims_only(self):
         reports = verify_claims(claims=["tree-average-lower"], max_tree_order=8)
@@ -428,6 +437,62 @@ class TestTreeClaimPass:
                                   witness_cap=0)
         assert report.status == "pass"
         assert report.max_count == 1 and report.max_witnesses == ()
+
+
+GRAPH_CLAIMS = ["graph-average-lower", "graph-average-upper", "union-size-sandwich",
+                "edge-average-bracket", "residual-count-sandwich"]
+
+
+class TestGraphClaimPass:
+    def test_verify_claims_golden_to_order_seven(self):
+        # SHA-256 of this report list as produced before the graph claims
+        # shared one pass per order
+        reports = verify_claims(claims=GRAPH_CLAIMS, max_graph_order=7, witness_cap=None)
+        text = json.dumps([r.to_json_dict() for r in reports], indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f663322a021a451c722e7fcb51287cd7d319e7f515aed421c15d246a050d1728")
+
+    @pytest.mark.parametrize("g6, low, high", [("A_", 3, 4), ("Bg", 5, 6)])
+    def test_residual_count_bounds_are_inclusive(self, g6, low, high):
+        # K2: the edge's residual count is 1 and deleting an endpoint leaves
+        # 2 independent sets, so the sandwich holds for 3 <= sigma0 <= 4.
+        # P3: the binding upper bound of each edge deletes the middle vertex,
+        # the second endpoint of (0,1) and the first of (1,2).
+        rec = ClassRecord(from_graph6(g6))
+        assert low <= rec.sigma0 <= high
+        for sigma0 in (low - 1, low, high, high + 1):
+            rec.sigma0 = sigma0
+            report = _graph_claim_reports(rec.graph.n, [rec], None)["residual-count-sandwich"]
+            expected = [] if low <= sigma0 <= high else [
+                f"edge ({u},{v}) ratio 1/{sigma0}" for u, v in rec.graph.edges()]
+            assert [v.observed for v in report.violations] == expected
+
+    def test_tampered_averages_are_named(self):
+        records = _graph_class_records(5)
+        low, high = [rec for rec in records if rec.edge_count and not rec.good][:2]
+        low.s1 = low.sigma1  # average 1, below 2 and below every edge's bracket
+        high.s1 = 50 * high.sigma1  # above every edge's bracket and the union bound
+        reports = _graph_claim_reports(5, records, None)
+        assert [v.graph6 for v in reports["graph-average-lower"].violations] == [low.graph6]
+        for claim_id in ("edge-average-bracket", "union-size-sandwich"):
+            assert [v.graph6 for v in reports[claim_id].violations] == [low.graph6, high.graph6]
+        assert not reports["residual-count-sandwich"].violations
+        report = reports["graph-average-lower"]
+        assert (report.min_value, report.min_witnesses) == (1, (low.graph6,))
+        assert (report.max_value, report.max_witnesses) == (50, (high.graph6,))
+
+    def test_one_engine_per_non_edgeless_class(self, monkeypatch):
+        records = _graph_class_records(6)
+        built = []
+
+        def counting_engine(graph):
+            built.append(graph)
+            return Engine(graph)
+
+        monkeypatch.setattr(scanner_module, "Engine", counting_engine)
+        reports = _graph_claim_reports(6, records, WITNESS_CAP)
+        assert set(reports) == set(GRAPH_CLAIMS)
+        assert built == [rec.graph for rec in records if rec.edge_count]
 
 
 class TestConjecture:
