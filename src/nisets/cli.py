@@ -503,7 +503,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         orders=orders,
         output_format=args.output_format,
         output_path=_resolve_out(args.out),
-        worker_count=getattr(args, "workers", 1) or 1,
+        worker_count=getattr(args, "workers", 1),
         oracle_spot_check_rate=getattr(args, "spot_check_rate", 0.0) or 0.0,
         options=options,
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .engine import Engine, format_rational, tree_scalars
 from .families import FamilySpec, build
-from .formats import from_graph6, to_graph6
+from .formats import GRAPH6_ORDER_LIMIT, from_graph6, to_graph6
 from .graphs import (
     Graph,
     all_pairs,
@@ -35,7 +35,7 @@ from .graphs import (
     is_good_graph,
     structural_predicates,
 )
-from .oracle import oracle_summary
+from .oracle import oracle_profiles
 from .trees import (
     TREE_ORDER_LIMIT,
     _level_tuples,
@@ -299,13 +299,13 @@ def _spot_check(levels) -> None:
     dp = tree_scalars(levels)
     eng = Engine(graph)
     routes = (("tree DP", dp[:2], dp[2:]), ("engine", eng.scalars0(), eng.scalars1()))
+    # one table serves both levels; the padding is level 1 of a one-vertex tree
+    wants = [(p.sigma, p.total) for p in oracle_profiles(graph)] + [(0, 0)]
     for level in (0, 1):
-        want = oracle_summary(graph, level)
-        want = (want.sigma, want.total)
         for name, *by_level in routes:
-            if by_level[level] != want:
+            if by_level[level] != wants[level]:
                 raise RouteDisagreement(
-                    f"{name} {by_level[level]} vs subset oracle {want} "
+                    f"{name} {by_level[level]} vs subset oracle {wants[level]} "
                     f"at level {level} on {to_graph6(graph)}"
                 )
 
@@ -841,6 +841,8 @@ def verify_claims(
         raise ValueError(f"order above exhaustive limit ({GRAPH_SCAN_LIMIT})")
     if max_tree_order > TREE_ORDER_LIMIT:
         raise ValueError(f"order outside supported range (1..{TREE_ORDER_LIMIT})")
+    if max_family_order > GRAPH6_ORDER_LIMIT:
+        raise ValueError(f"max family order above graph6 limit ({GRAPH6_ORDER_LIMIT})")
     # each suite maps one order to its claims' reports; an order's
     # population (trees or class records) is built, used and dropped
     suites = {

@@ -193,6 +193,28 @@ def test_scan_over_limit(capsys):
     assert "exhaustive limit (7)" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", "--population", "trees", "--order", "6"),
+    ("conjecture", "--orders", "4:5"),
+])
+def test_zero_workers_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--workers", "0")
+    assert code == 2 and out == ""
+    assert err == "error: worker count must be at least 1\n"
+
+
+def test_verify_refuses_family_order_past_graph6_limit(capsys, monkeypatch):
+    from nisets import scanner
+
+    def no_suite(n, cap):
+        raise AssertionError("a suite ran before the family order was checked")
+
+    monkeypatch.setattr(scanner, "_tree_claim_reports", no_suite)
+    code, out, err = run_cli(capsys, "verify", "--max-family-order", "63")
+    assert code == 2 and out == ""
+    assert err == "error: max family order above graph6 limit (62)\n"
+
+
 def test_verify_report_and_exit_code(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "verify", "--max-tree-order", "8",

@@ -1,12 +1,22 @@
 """Brute-force subset oracle: profiles, summaries, limits."""
 
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nisets.families import FamilySpec, build
-from nisets.graphs import build_graph
-from nisets.oracle import edge_level_counts, oracle_profile, oracle_summary
+from nisets.graphs import build_graph, graph_from_pair_mask
+from nisets.oracle import (
+    _profile_loop,
+    edge_level_counts,
+    oracle_profile,
+    oracle_profiles,
+    oracle_summary,
+)
+from nisets.scanner import labeled_graph_classes
 
 
 def test_star_profile():
@@ -78,15 +88,48 @@ def test_path_counts_follow_fibonacci():
 
 
 def test_vectorized_and_loop_paths_agree():
-    # n = 13 takes the vectorized branch, n = 12 the plain loop
     rng = random.Random(7)
     for n in (12, 13, 14):
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25]
         g = build_graph(n, edges)
-        from nisets.oracle import _profile_loop, _profile_vectorized
-
         for level in (0, 1, 2):
-            assert _profile_loop(g, level) == _profile_vectorized(g, level)
+            assert list(oracle_profile(g, level).by_size) == _profile_loop(g, level)
+
+
+def test_table_matches_loop_on_every_class_through_order_6():
+    for n in range(1, 7):
+        for g, _ in labeled_graph_classes(n):
+            profiles = oracle_profiles(g)
+            assert len(profiles) == g.edge_count + 1
+            for level in range(g.edge_count + 2):
+                assert list(oracle_profile(g, level).by_size) == _profile_loop(g, level)
+
+
+@st.composite
+def graphs(draw, max_order):
+    n = draw(st.integers(0, max_order))
+    return graph_from_pair_mask(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+
+
+@given(graphs(14))
+@settings(max_examples=30, deadline=None)
+def test_table_matches_loop_on_random_graphs(g):
+    profiles = oracle_profiles(g)
+    for level in range(min(3, len(profiles))):
+        assert list(profiles[level].by_size) == _profile_loop(g, level)
+    assert all(p.induced_edges == level for level, p in enumerate(profiles))
+    assert sum(p.sigma for p in profiles) == 1 << g.n
+
+
+@pytest.mark.parametrize("n", [23, 24])
+def test_table_keys_fit_at_the_widest_orders(n):
+    # K_n's subsets of size k all induce C(k,2) edges: the largest keys
+    profiles = oracle_profiles(build(FamilySpec("complete", n)))
+    assert len(profiles) == comb(n, 2) + 1
+    for level, profile in enumerate(profiles):
+        want = tuple(comb(n, k) if comb(k, 2) == level else 0 for k in range(n + 1))
+        assert profile.by_size == want, level
+    assert sum(p.sigma for p in profiles) == 1 << n
 
 
 def test_order_limit():

@@ -20,6 +20,7 @@ from nisets.graphs import (
     relabel,
     structural_predicates,
 )
+from nisets.oracle import OracleProfile, oracle_profiles
 from nisets.scanner import (
     WITNESS_CAP,
     ClassRecord,
@@ -546,4 +547,27 @@ def test_spot_check_catches_tree_dp_disagreement(monkeypatch):
 
     monkeypatch.setattr(scanner_module, "tree_scalars", lying_tree_scalars)
     with pytest.raises(RouteDisagreement, match="tree DP"):
+        spot_check_trees(5, 1.0)
+
+
+def test_spot_check_builds_one_oracle_table_per_tree(monkeypatch):
+    tables = []
+
+    def counting_oracle_profiles(graph):
+        tables.append(graph)
+        return oracle_profiles(graph)
+
+    monkeypatch.setattr(scanner_module, "oracle_profiles", counting_oracle_profiles)
+    checked = spot_check_trees(12, 0.1)
+    assert checked == 55 and len(tables) == checked
+
+
+def test_spot_check_catches_oracle_disagreement(monkeypatch):
+    def lying_oracle_profiles(graph):
+        profiles = oracle_profiles(graph)
+        shifted = OracleProfile(1, (0,) + profiles[1].by_size[:-1])
+        return (profiles[0], shifted) + profiles[2:]
+
+    monkeypatch.setattr(scanner_module, "oracle_profiles", lying_oracle_profiles)
+    with pytest.raises(RouteDisagreement, match=r"vs subset oracle \(\d+, \d+\) at level 1"):
         spot_check_trees(5, 1.0)
