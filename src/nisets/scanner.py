@@ -15,21 +15,23 @@ from __future__ import annotations
 
 import random
 from bisect import insort
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial
 from multiprocessing import Pool
 
 import numpy as np
 
-from .engine import Engine, format_rational, tree_scalars
+from .engine import Engine, format_rational, nis_summary, tree_scalars
 from .families import FamilySpec, build
 from .formats import GRAPH6_ORDER_LIMIT, from_graph6, to_graph6
 from .graphs import (
     Graph,
     all_pairs,
     canonical_code,
+    delta_bounds,
     disjoint_union,
     graph_from_pair_mask,
     is_good_graph,
@@ -185,12 +187,7 @@ class ClassRecord:
         self.sigma0, self.s0 = eng.scalars0()
         self.sigma1, self.s1 = eng.scalars1()
         self.good = is_good_graph(graph)
-        edges = graph.edges()
-        if edges:
-            sizes = [(graph.adj[u] | graph.adj[v]).bit_count() for u, v in edges]
-            self.delta = (min(sizes), max(sizes))
-        else:
-            self.delta = None
+        self.delta = delta_bounds(graph) if graph.edge_count else None
         self.structure = structural_predicates(graph)
 
     @property
@@ -278,11 +275,6 @@ def _report(claim_id, population, order, objective, sides, witness_cap, violatio
 
 
 # -- tree sweeps ---------------------------------------------------------------
-
-
-def _tree_stat(graph: Graph) -> Fraction:
-    sig, tot = Engine(graph).scalars1()
-    return Fraction(tot, sig) if sig else Fraction(0)
 
 
 def _tree_value(levels, objective: str) -> tuple[int, int]:
@@ -391,24 +383,30 @@ def _merge_side(a, b, smaller):
     return a if keep_a else b
 
 
-def _tree_sweep(n, objective, workers, spot_check_rate, seed, top_k):
+def _sweep_stride(payload):
+    """``_sweep_chunk`` over the order-n trees whose stream index is shard
+    modulo shards; each worker runs the generator itself, so no tree
+    crosses a process."""
+    n, objective, top_k, spots, shard, shards = payload
+    trees = islice(enumerate(_level_tuples(n)), shard, None, shards)
+    return _sweep_chunk((objective, top_k, trees, spots))
+
+
+def _pool(workers: int):
+    """The process pool serving one whole scan; none at one worker."""
+    if workers < 1:
+        raise ValueError("worker count must be at least 1")
+    return Pool(workers) if workers > 1 else nullcontext()
+
+
+def _tree_sweep(n, objective, pool, workers, spot_check_rate, seed, top_k):
     if not 2 <= n <= TREE_ORDER_LIMIT:
         raise ValueError(f"unsupported order for tree scan (2..{TREE_ORDER_LIMIT})")
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     spots = _spot_sample(n, spot_check_rate, seed)
-    entries = list(enumerate(_level_tuples(n)))
-    if workers <= 1 or len(entries) < 64:
-        parts = [_sweep_chunk((objective, top_k, entries, spots))]
-    else:
-        step = (len(entries) + workers * 4 - 1) // (workers * 4)
-        payloads = []
-        for lo in range(0, len(entries), step):
-            chunk = entries[lo : lo + step]
-            local = frozenset(i for i, _ in chunk) & spots
-            payloads.append((objective, top_k, chunk, local))
-        with Pool(workers) as pool:
-            parts = pool.map(_sweep_chunk, payloads)
+    payloads = [(n, objective, top_k, spots, shard, workers) for shard in range(workers)]
+    parts = (pool.map if pool else map)(_sweep_stride, payloads)
     mins, maxs, top = None, None, []
     for pmin, pmax, ptop in parts:
         mins = _merge_side(mins, pmin, smaller=True)
@@ -444,7 +442,8 @@ def scan_trees(
     seed: int = 2024,
 ) -> ScanReport:
     """Exact extremal values of the objective over all free trees of order n."""
-    mins, maxs, _ = _tree_sweep(n, objective, workers, spot_check_rate, seed, top_k=0)
+    with _pool(workers) as pool:
+        mins, maxs, _ = _tree_sweep(n, objective, pool, workers, spot_check_rate, seed, top_k=0)
     return _report(f"scan-{objective}", "free-trees", n, objective, (mins, maxs), witness_cap)
 
 
@@ -480,27 +479,30 @@ def conjecture_scan(
 ) -> list[ConjectureRecord]:
     """For each order, the av1-maximal trees and whether the subdivided star
     is the unique maximizer; evidence only, nothing is asserted."""
+    orders = list(orders)
+    if not all(4 <= n <= TREE_ORDER_LIMIT for n in orders):
+        raise ValueError(f"conjecture scan needs orders >= 4 and <= {TREE_ORDER_LIMIT}")
+    if top_k < 0:
+        raise ValueError("top list length must be non-negative")
     out = []
-    for n in orders:
-        if n < 4:
-            raise ValueError("conjecture scan needs order >= 4")
-        mins, maxs, top = _tree_sweep(n, "av1", workers, spot_check_rate, seed, top_k)
-        del mins
-        r_tree = build(FamilySpec("R", n))
-        r_value = _tree_stat(r_tree)
-        unique = maxs[2] == 1 and maxs[0] == r_value
-        if unique:
-            unique = tree_canonical_key(from_graph6(maxs[1][0])) == tree_canonical_key(r_tree)
-        out.append(
-            ConjectureRecord(
-                order=n,
-                max_value=maxs[0],
-                max_witnesses=tuple(sorted(maxs[1])[:WITNESS_CAP]),
-                subdivided_star_value=r_value,
-                subdivided_star_is_unique_max=unique,
-                top=tuple((g6, v) for v, g6 in top),
+    with _pool(workers) as pool:
+        for n in orders:
+            _, maxs, top = _tree_sweep(n, "av1", pool, workers, spot_check_rate, seed, top_k)
+            r_tree = build(FamilySpec("R", n))
+            r_value = nis_summary(r_tree, 1).average
+            unique = maxs[2] == 1 and maxs[0] == r_value
+            if unique:
+                unique = tree_canonical_key(from_graph6(maxs[1][0])) == tree_canonical_key(r_tree)
+            out.append(
+                ConjectureRecord(
+                    order=n,
+                    max_value=maxs[0],
+                    max_witnesses=tuple(sorted(maxs[1])[:WITNESS_CAP]),
+                    subdivided_star_value=r_value,
+                    subdivided_star_is_unique_max=unique,
+                    top=tuple((g6, v) for v, g6 in top),
+                )
             )
-        )
     return out
 
 
@@ -763,7 +765,7 @@ def _degree_two_ratio_reports(n: int, witness_cap) -> dict[str, ScanReport]:
 def _subdivided_star_reports(n: int, witness_cap) -> dict[str, ScanReport]:
     strict_below_half = {7, 8}
     tree = build(FamilySpec("R", n))
-    value = _tree_stat(tree)
+    value = nis_summary(tree, 1).average
     g6 = to_graph6(tree)
     violations = []
     if not value < Fraction(n + 1, 2):

@@ -215,6 +215,24 @@ def test_verify_refuses_family_order_past_graph6_limit(capsys, monkeypatch):
     assert err == "error: max family order above graph6 limit (62)\n"
 
 
+def test_conjecture_refuses_order_past_limit_before_sweeping(capsys, monkeypatch):
+    from nisets import scanner
+
+    def no_sweep(*args):
+        raise AssertionError("an order was swept before every order was checked")
+
+    monkeypatch.setattr(scanner, "_tree_sweep", no_sweep)
+    code, out, err = run_cli(capsys, "conjecture", "--orders", "18:25")
+    assert code == 2 and out == ""
+    assert err == "error: conjecture scan needs orders >= 4 and <= 24\n"
+
+
+def test_conjecture_refuses_negative_top(capsys):
+    code, out, err = run_cli(capsys, "conjecture", "--orders", "4:5", "--top", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: top list length must be non-negative\n"
+
+
 def test_verify_report_and_exit_code(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _, _ = run_cli(capsys, "verify", "--max-tree-order", "8",

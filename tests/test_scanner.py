@@ -177,6 +177,11 @@ class TestTreeScans:
         again = scan_trees(11, "av1", workers=1, spot_check_rate=0.05, seed=9)
         two = scan_trees(11, "av1", workers=2, spot_check_rate=0.05, seed=9)
         assert one == again == two
+        # order 11 has 235 trees, so neither stride divides the stream
+        for objective in ("av1", "sigma-ratio"):
+            reports = [scan_trees(11, objective, workers=w, witness_cap=None,
+                                  spot_check_rate=0.05, seed=9) for w in (1, 2, 3)]
+            assert reports[0] == reports[1] == reports[2], objective
 
     def test_order_limits(self):
         with pytest.raises(ValueError, match="2..24"):
@@ -270,7 +275,64 @@ class TestLazyTreeFold:
     def test_conjecture_scan_deterministic_across_workers(self):
         one = conjecture_scan(range(9, 13), workers=1, spot_check_rate=0.05, seed=3)
         two = conjecture_scan(range(9, 13), workers=2, spot_check_rate=0.05, seed=3)
-        assert one == two
+        three = conjecture_scan(range(9, 13), workers=3, spot_check_rate=0.05, seed=3)
+        assert one == two == three
+
+
+class TestStrideSweep:
+    def test_one_worker_scores_each_tree_as_it_is_generated(self, monkeypatch):
+        generated, seen_at_score = [0], []
+
+        def counting_level_tuples(n):
+            for levels in _level_tuples(n):
+                generated[0] += 1
+                yield levels
+
+        def counting_tree_scalars(levels):
+            seen_at_score.append(generated[0])
+            return tree_scalars(levels)
+
+        monkeypatch.setattr(scanner_module, "_level_tuples", counting_level_tuples)
+        monkeypatch.setattr(scanner_module, "tree_scalars", counting_tree_scalars)
+        scan_trees(10, workers=1)
+        assert len(seen_at_score) == 106
+        assert all(seen <= i + 1 for i, seen in enumerate(seen_at_score))
+
+    def test_one_pool_per_call(self, monkeypatch):
+        pools, real_pool = [], scanner_module.Pool
+
+        def counting_pool(workers):
+            pools.append(workers)
+            return real_pool(workers)
+
+        monkeypatch.setattr(scanner_module, "Pool", counting_pool)
+        conjecture_scan(range(9, 13), workers=2)
+        assert pools == [2]
+        scan_trees(11, workers=2)
+        assert pools == [2, 2]
+        conjecture_scan(range(9, 13), workers=1)
+        assert pools == [2, 2]
+
+    def test_every_spot_is_checked_once_across_shards(self, monkeypatch, tmp_path):
+        log = tmp_path / "spots.txt"
+
+        def logging_spot_check(levels):
+            with log.open("a") as handle:
+                handle.write(" ".join(map(str, levels)) + "\n")
+
+        # pool workers fork from this process, so they inherit the patch
+        monkeypatch.setattr(scanner_module, "_spot_check", logging_spot_check)
+        scan_trees(10, workers=3, spot_check_rate=1.0)
+        lines = log.read_text().splitlines()
+        assert len(lines) == 106
+        assert sorted(lines) == sorted(" ".join(map(str, lv)) for lv in _level_tuples(10))
+
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_worker_count_below_one_refused(self, workers):
+        with pytest.raises(ValueError, match="worker count must be at least 1"):
+            scan_trees(6, workers=workers)
+        with pytest.raises(ValueError, match="worker count must be at least 1"):
+            conjecture_scan([6], workers=workers)
 
 
 class TestPathCycleUnions:
@@ -519,6 +581,18 @@ class TestConjecture:
     def test_order_floor(self):
         with pytest.raises(ValueError, match=">= 4"):
             conjecture_scan([3])
+
+    def test_orders_checked_before_any_sweep(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("an order was swept before every order was checked")
+
+        monkeypatch.setattr(scanner_module, "_tree_sweep", no_sweep)
+        with pytest.raises(ValueError, match="<= 24"):
+            conjecture_scan(range(18, 26))
+
+    def test_negative_top_refused(self):
+        with pytest.raises(ValueError, match="top list length"):
+            conjecture_scan([6], top_k=-1)
 
 
 def test_spot_check_catches_disagreement(monkeypatch):
