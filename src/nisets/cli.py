@@ -7,7 +7,8 @@ verify (the full claim suites, JSON report) and conjecture (tree-maximum
 evidence).  All output is byte-deterministic for a fixed configuration;
 rationals are printed in lowest terms as ``p/q``.  The exit status is
 nonzero exactly when an inequality claim fails or two internal computation
-routes disagree.
+routes disagree.  Each command reads the parsed ``argparse.Namespace``;
+every default lives in ``_build_parser``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import Engine, format_rational
@@ -28,6 +28,7 @@ from .formats import FormatError, from_graph6, parse_edge_list, to_graph6
 from .graphs import Graph, iter_bits
 from .oracle import oracle_profile
 from .scanner import (
+    WITNESS_CAP,
     RouteDisagreement,
     conjecture_scan,
     has_inequality_violations,
@@ -39,37 +40,6 @@ from .scanner import (
 from .trees import free_trees
 
 ENV_OUTPUT_DIR = "NISETS_OUTPUT_DIR"
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: one command plus its options."""
-
-    command: str
-    input: str | None = None
-    orders: tuple[int, int] | None = None
-    output_format: str = "json"
-    output_path: str | None = None
-    worker_count: int = 1
-    oracle_spot_check_rate: float = 0.01
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.output_format not in ("json", "csv"):
-            raise ValueError("output format must be json or csv")
-        if not 0 <= self.oracle_spot_check_rate <= 1:
-            raise ValueError("spot-check rate must lie in [0, 1]")
-        if self.worker_count < 1:
-            raise ValueError("worker count must be at least 1")
-
-
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(ENV_OUTPUT_DIR)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
 
 
 def _output(path: str | None):
@@ -91,6 +61,19 @@ def _emit_json(payload, path: str | None) -> None:
         handle.write("\n")
 
 
+def _emit_json_array(items, path: str | None) -> None:
+    """Write the items of an iterable as one indented JSON array, each as
+    soon as it is produced; the bytes are those of ``_emit_json(list(items))``."""
+    with _output(path) as handle:
+        opening = "[\n  "
+        for item in items:
+            # json.dumps escapes newlines inside strings, so every newline
+            # here is layout and takes the array's indent
+            handle.write(opening + json.dumps(item, indent=2).replace("\n", "\n  "))
+            opening = ",\n  "
+        handle.write("[]\n" if opening == "[\n  " else "\n]\n")
+
+
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -99,17 +82,25 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _read_graph(config: RunConfig) -> Graph:
-    opts = config.options
-    if opts.get("graph6"):
-        return from_graph6(opts["graph6"])
-    if opts.get("edges"):
-        return parse_edge_list(opts["edges"].replace(" / ", "\n").replace("/", "\n"))
-    if config.input is None:
+def _write(args: argparse.Namespace, payload, header, rows) -> None:
+    """The report as JSON ``payload`` or as a CSV table, per --output-format;
+    ``rows`` may be a generator, consumed only for CSV."""
+    if args.output_format == "json":
+        _emit_json(payload, args.out)
+    else:
+        _emit(_csv_text(header, rows), args.out)
+
+
+def _read_graph(args: argparse.Namespace) -> Graph:
+    if args.graph6:
+        return from_graph6(args.graph6)
+    if args.edges:
+        return parse_edge_list(args.edges.replace(" / ", "\n").replace("/", "\n"))
+    if args.input is None:
         raise ValueError("no graph given: use --graph6, --edges or --input")
-    if config.input == "-":
+    if args.input == "-":
         return parse_edge_list(sys.stdin.read())
-    with open(config.input) as handle:
+    with open(args.input) as handle:
         return parse_edge_list(handle.read())
 
 
@@ -183,41 +174,37 @@ def _compute_csv(records) -> str:
     return text
 
 
-def _cmd_compute(config: RunConfig) -> int:
-    opts = config.options
-    if opts.get("batch"):
-        with open(opts["batch"]) as handle:
-            records = [_compute_record(from_graph6(line)) for line in handle if line.strip()]
-        payload: object = records
-    else:
-        records = [_compute_record(_read_graph(config))]
-        payload = records[0]
-    if config.output_format == "json":
-        _emit_json(payload, config.output_path)
-    else:
-        _emit(_compute_csv(records), config.output_path)
+def _cmd_compute(args: argparse.Namespace) -> int:
+    if not args.batch:
+        record = _compute_record(_read_graph(args))
+        if args.output_format == "json":
+            _emit_json(record, args.out)
+        else:
+            _emit(_compute_csv([record]), args.out)
+        return 0
+    with open(args.batch) as handle:
+        records = (_compute_record(from_graph6(line)) for line in handle if line.strip())
+        if args.output_format == "json":
+            _emit_json_array(records, args.out)
+        else:
+            _emit(_compute_csv(list(records)), args.out)
     return 0
 
 
-def _cmd_oracle(config: RunConfig) -> int:
-    graph = _read_graph(config)
-    level = config.options.get("level", 1)
-    profile = oracle_profile(graph, level)
+def _cmd_oracle(args: argparse.Namespace) -> int:
+    graph = _read_graph(args)
+    profile = oracle_profile(graph, args.level)
     avg = Fraction(profile.total, profile.sigma) if profile.sigma else Fraction(0)
     payload = {
         "n": graph.n,
-        "level": level,
+        "level": args.level,
         "by_size": list(profile.by_size),
         "sigma": profile.sigma,
         "total": profile.total,
         "average": format_rational(avg),
     }
-    if config.output_format == "json":
-        _emit_json(payload, config.output_path)
-    else:
-        _emit(_csv_text(payload.keys(),
-                        [[v if k != "by_size" else ";".join(map(str, v))
-                          for k, v in payload.items()]]), config.output_path)
+    row = [v if k != "by_size" else ";".join(map(str, v)) for k, v in payload.items()]
+    _write(args, payload, payload.keys(), [row])
     return 0
 
 
@@ -234,97 +221,73 @@ def _family_rows(family: str, orders) -> list[list]:
     return rows
 
 
-def _cmd_families(config: RunConfig) -> int:
-    family = config.options.get("family", "all")
-    lo, hi = config.orders if config.orders else (2, 12)
-    orders = range(lo, hi + 1)
-    names = [f for f in FAMILY_MIN_ORDER if f != "cycle"] if family == "all" else [family]
-    for name in names:
-        if name not in FAMILY_MIN_ORDER:
-            raise ValueError(f"unknown family {name!r}")
-        if name == "cycle":
-            raise ValueError("no closed form for cycle; use the engine via 'compute'")
+def _cmd_families(args: argparse.Namespace) -> int:
+    lo, hi = args.orders
+    # the parser's choices leave out cycle, which has no closed form
+    names = [f for f in FAMILY_MIN_ORDER if f != "cycle"] if args.family == "all" else [args.family]
     header = ["family", "n", "sigma1", "s1", "av1_num", "av1_den"]
     rows = []
     for name in names:
-        rows.extend(_family_rows(name, orders))
-    if config.output_format == "csv":
-        _emit(_csv_text(header, rows), config.output_path)
-    else:
-        _emit_json([dict(zip(header, row)) for row in rows], config.output_path)
+        rows.extend(_family_rows(name, range(lo, hi + 1)))
+    _write(args, [dict(zip(header, row)) for row in rows], header, rows)
     return 0
 
 
-def _cmd_trees(config: RunConfig) -> int:
-    order = config.options.get("order")
-    if order is None:
+def _cmd_trees(args: argparse.Namespace) -> int:
+    if args.order is None:
         raise ValueError("trees requires --order")
-    emit = config.options.get("emit", "graph6")
-    if emit != "graph6":
-        raise ValueError(f"unknown emission format {emit!r}")
-    lines = [to_graph6(tree) for tree in free_trees(order)]
-    _emit("\n".join(lines) + "\n", config.output_path)
+    lines = [to_graph6(tree) for tree in free_trees(args.order)]
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _witness_cap(opts) -> int | None:
+def _witness_cap(args: argparse.Namespace) -> int | None:
     # a negative flag requests the full, uncapped witness lists
-    cap = opts.get("witness_cap", 100)
-    return None if cap is not None and cap < 0 else cap
+    return None if args.witness_cap < 0 else args.witness_cap
 
 
-def _cmd_scan(config: RunConfig) -> int:
-    opts = config.options
-    population = opts.get("population", "trees")
-    objective = opts.get("objective", "av1")
-    order = opts.get("order")
-    if order is None:
+def _cmd_scan(args: argparse.Namespace) -> int:
+    if args.order is None:
         raise ValueError("scan requires --order")
-    cap = _witness_cap(opts)
-    if population == "trees":
+    if args.population == "trees":
         report = scan_trees(
-            order, objective,
-            workers=config.worker_count,
-            witness_cap=cap,
-            spot_check_rate=config.oracle_spot_check_rate,
+            args.order, args.objective,
+            workers=args.workers,
+            witness_cap=_witness_cap(args),
+            spot_check_rate=args.spot_check_rate,
         )
-    elif population == "graphs":
-        report = scan_graphs(order, opts.get("filter", "all"), objective, witness_cap=cap)
     else:
-        raise ValueError(f"unknown population {population!r}")
-    if config.output_format == "json":
-        _emit_json(report.to_json_dict(), config.output_path)
-    else:
-        d = report.to_json_dict()
-        header = ["population", "order", "objective", "min", "max",
-                  "min_count", "max_count", "min_witnesses", "max_witnesses"]
-        row = [d["population"], d["order"], d["objective"],
-               d["extremal"]["min"], d["extremal"]["max"],
-               d["min_count"], d["max_count"],
-               ";".join(d["min_witnesses"]), ";".join(d["max_witnesses"])]
-        _emit(_csv_text(header, [row]), config.output_path)
+        report = scan_graphs(args.order, args.filter, args.objective,
+                             witness_cap=_witness_cap(args))
+    d = report.to_json_dict()
+    header = ["population", "order", "objective", "min", "max",
+              "min_count", "max_count", "min_witnesses", "max_witnesses"]
+    row = [d["population"], d["order"], d["objective"],
+           d["extremal"]["min"], d["extremal"]["max"],
+           d["min_count"], d["max_count"],
+           ";".join(d["min_witnesses"]), ";".join(d["max_witnesses"])]
+    _write(args, d, header, [row])
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    opts = config.options
-    claims = opts.get("claims", "all")
+def _cmd_verify(args: argparse.Namespace) -> int:
+    claims = args.claims
     if claims != "all":
         claims = [c for c in (c.strip() for c in claims.split(",")) if c]
         if not claims:
             raise ValueError("--claims names no claim: give 'all' or comma-separated claim ids")
     reports = verify_claims(
         claims=claims,
-        max_tree_order=opts.get("max_tree_order", 16),
-        max_graph_order=opts.get("max_graph_order", 7),
-        max_ratio_order=opts.get("max_ratio_order", 10),
-        max_family_order=opts.get("max_family_order", 40),
-        witness_cap=_witness_cap(opts),
+        max_tree_order=args.max_tree_order,
+        max_graph_order=args.max_graph_order,
+        max_ratio_order=args.max_ratio_order,
+        max_family_order=args.max_family_order,
+        witness_cap=_witness_cap(args),
     )
     spot_checked = {}
-    if config.oracle_spot_check_rate > 0:
-        for n in range(2, opts.get("max_tree_order", 16) + 1):
-            spot_checked[n] = spot_check_trees(n, config.oracle_spot_check_rate)
+    if args.spot_check_rate > 0:
+        for n in range(2, args.max_tree_order + 1):
+            spot_checked[n] = spot_check_trees(n, args.spot_check_rate)
     payload = {
         "reports": [r.to_json_dict() for r in reports],
         "spot_checked_trees": spot_checked,
@@ -332,192 +295,180 @@ def _cmd_verify(config: RunConfig) -> int:
         "recorded_discrepancies": sum(
             1 for r in reports for v in r.violations if v.equality_claim),
     }
-    if config.output_format == "json":
-        _emit_json(payload, config.output_path)
-    else:
-        header = ["claim_id", "population", "order", "status", "min", "max", "violations"]
-        rows = [[r.claim_id, r.population, r.order, r.status,
-                 None if r.min_value is None else format_rational(r.min_value),
-                 None if r.max_value is None else format_rational(r.max_value),
-                 len(r.violations)] for r in reports]
-        _emit(_csv_text(header, rows), config.output_path)
+    header = ["claim_id", "population", "order", "status", "min", "max", "violations"]
+    rows = ([r.claim_id, r.population, r.order, r.status,
+             None if r.min_value is None else format_rational(r.min_value),
+             None if r.max_value is None else format_rational(r.max_value),
+             len(r.violations)] for r in reports)
+    _write(args, payload, header, rows)
     return 1 if has_inequality_violations(reports) else 0
 
 
-def _cmd_conjecture(config: RunConfig) -> int:
-    lo, hi = config.orders if config.orders else (4, 12)
+def _cmd_conjecture(args: argparse.Namespace) -> int:
+    lo, hi = args.orders
     records = conjecture_scan(
         range(lo, hi + 1),
-        workers=config.worker_count,
-        top_k=config.options.get("top", 5),
-        spot_check_rate=config.oracle_spot_check_rate,
+        workers=args.workers,
+        top_k=args.top,
+        spot_check_rate=args.spot_check_rate,
     )
-    if config.output_format == "json":
-        _emit_json([rec.to_json_dict() for rec in records], config.output_path)
-    else:
-        header = ["order", "max", "subdivided_star", "unique_max", "max_witnesses"]
-        rows = [[rec.order, format_rational(rec.max_value),
-                 format_rational(rec.subdivided_star_value),
-                 rec.subdivided_star_is_unique_max,
-                 ";".join(rec.max_witnesses)] for rec in records]
-        _emit(_csv_text(header, rows), config.output_path)
+    header = ["order", "max", "subdivided_star", "unique_max", "max_witnesses"]
+    rows = ([rec.order, format_rational(rec.max_value),
+             format_rational(rec.subdivided_star_value),
+             rec.subdivided_star_is_unique_max,
+             ";".join(rec.max_witnesses)] for rec in records)
+    _write(args, [rec.to_json_dict() for rec in records], header, rows)
     return 0
 
 
-_COMMANDS = {
-    "compute": _cmd_compute,
-    "oracle": _cmd_oracle,
-    "families": _cmd_families,
-    "trees": _cmd_trees,
-    "scan": _cmd_scan,
-    "verify": _cmd_verify,
-    "conjecture": _cmd_conjecture,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute one resolved configuration; returns the process exit code."""
-    return _COMMANDS[config.command](config)
-
-
 def _parse_orders(text: str) -> tuple[int, int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    lo, colon, hi = text.partition(":")
+    return int(lo), int(hi if colon else lo)
 
 
-def _add_common(parser: argparse.ArgumentParser, default_format: str) -> None:
-    parser.add_argument("--out", help="output path (stdout when omitted); "
-                        f"relative paths resolve under ${ENV_OUTPUT_DIR} when set")
-    parser.add_argument("--output-format", choices=["json", "csv"], default=default_format)
-    parser.add_argument("--config", help="JSON file with defaults for any long option")
+def _single_order(text: str) -> tuple[int, int]:
+    return (int(text),) * 2
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _rate(text: str) -> float:
+    rate = float(text)
+    if not 0 <= rate <= 1:
+        raise argparse.ArgumentTypeError("spot-check rate must lie in [0, 1]")
+    return rate
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that records, for config files, the flag behind
+    each config key: the option's destination, or ``key`` where two flags
+    share one."""
+
+    def __init__(self, **kwargs):
+        self.flags: dict[str, str] = {}
+        super().__init__(**kwargs)
+        del self.flags["help"]  # -h takes no value, so no config key names it
+
+    def add_argument(self, *names, key=None, **kwargs):
+        action = super().add_argument(*names, **kwargs)
+        self.flags[key or action.dest] = names[0]
+        return action
+
+
+def _add_graph_input(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", help="edge-list file, or - for stdin")
+    parser.add_argument("--graph6", help="inline graph6 string")
+    parser.add_argument("--edges", help="inline edge list, lines separated by '/'")
+
+
+def _add_witness_cap(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--witness-cap", type=int, default=WITNESS_CAP,
+                        help="max stored witnesses per extreme; negative for full lists")
+
+
+def _add_sweep(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--spot-check-rate", type=_rate, default=0.0)
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     """The top-level parser and each subcommand's parser by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nisets",
         description="Exact statistics of vertex subsets inducing exactly one edge.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
 
-    p = commands["compute"] = sub.add_parser(
-        "compute", help="statistics of one graph (or a graph6 batch)")
-    p.add_argument("--input", help="edge-list file, or - for stdin")
-    p.add_argument("--graph6", help="inline graph6 string")
-    p.add_argument("--edges", help="inline edge list, lines separated by '/'")
+    def command(name: str, func, summary: str, output_format: str | None = "json") -> _Parser:
+        p = commands[name] = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--out", help="output path (stdout when omitted); "
+                       f"relative paths resolve under ${ENV_OUTPUT_DIR} when set")
+        if output_format:
+            p.add_argument("--output-format", choices=["json", "csv"], default=output_format)
+        p.add_argument("--config", help="JSON object of option values, keyed by "
+                       "destination (max_tree_order, level, n); explicit flags win")
+        return p
+
+    p = command("compute", _cmd_compute, "statistics of one graph (or a graph6 batch)")
+    _add_graph_input(p)
     p.add_argument("--batch", help="file of newline-delimited graph6 strings")
-    _add_common(p, "json")
 
-    p = commands["oracle"] = sub.add_parser("oracle", help="brute-force subset counts (debugging)")
-    p.add_argument("--input", help="edge-list file, or - for stdin")
-    p.add_argument("--graph6", help="inline graph6 string")
-    p.add_argument("--edges", help="inline edge list, lines separated by '/'")
+    p = command("oracle", _cmd_oracle, "brute-force subset counts (debugging)")
+    _add_graph_input(p)
     p.add_argument("--l", dest="level", type=int, default=1, help="induced-edge count")
-    _add_common(p, "json")
 
-    p = commands["families"] = sub.add_parser("families", help="closed-form regression table")
+    p = command("families", _cmd_families, "closed-form regression table", output_format="csv")
     p.add_argument("--family", default="all",
                    choices=sorted(set(FAMILY_MIN_ORDER) - {"cycle"} | {"all"}))
-    p.add_argument("--n", type=int, help="single order")
-    p.add_argument("--orders", help="order range LO:HI")
-    _add_common(p, "csv")
+    # --n and --orders set one destination, so the later of the two wins
+    p.add_argument("--orders", type=_parse_orders, default="2:12", help="order range LO:HI")
+    p.add_argument("--n", dest="orders", key="n", type=_single_order, metavar="N",
+                   help="single order")
 
-    p = commands["trees"] = sub.add_parser("trees", help="free-tree stream")
+    p = command("trees", _cmd_trees, "free-tree stream", output_format=None)
     p.add_argument("--order", type=int)
     p.add_argument("--emit", default="graph6", choices=["graph6"])
-    _add_common(p, "json")
 
-    p = commands["scan"] = sub.add_parser("scan", help="extremal sweep over one population")
+    p = command("scan", _cmd_scan, "extremal sweep over one population")
     p.add_argument("--population", choices=["trees", "graphs"], default="trees")
     p.add_argument("--order", type=int)
     p.add_argument("--objective", choices=["av1", "sigma-ratio"], default="av1")
     p.add_argument("--filter", default="all",
                    choices=["all", "connected", "no-isolated-max-deg-2", "non-edgeless"])
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--witness-cap", type=int, default=100,
-                   help="max stored witnesses per extreme; negative for full lists")
-    p.add_argument("--spot-check-rate", type=float, default=0.0)
-    _add_common(p, "json")
+    _add_sweep(p)
+    _add_witness_cap(p)
 
-    p = commands["verify"] = sub.add_parser("verify", help="run the claim suites")
+    p = command("verify", _cmd_verify, "run the claim suites")
     p.add_argument("--claims", default="all", help="'all' or comma-separated claim ids")
     p.add_argument("--max-tree-order", type=int, default=16)
     p.add_argument("--max-graph-order", type=int, default=7)
     p.add_argument("--max-ratio-order", type=int, default=10)
     p.add_argument("--max-family-order", type=int, default=40)
-    p.add_argument("--witness-cap", type=int, default=100,
-                   help="max stored witnesses per extreme; negative for full lists")
-    p.add_argument("--spot-check-rate", type=float, default=0.01)
-    _add_common(p, "json")
+    p.add_argument("--spot-check-rate", type=_rate, default=0.01)
+    _add_witness_cap(p)
 
-    p = commands["conjecture"] = sub.add_parser("conjecture", help="tree-maximum evidence scan")
-    p.add_argument("--orders", default="4:12", help="order range LO:HI")
+    p = command("conjecture", _cmd_conjecture, "tree-maximum evidence scan")
+    p.add_argument("--orders", type=_parse_orders, default="4:12", help="order range LO:HI")
     p.add_argument("--top", type=int, default=5)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--spot-check-rate", type=float, default=0.0)
-    _add_common(p, "json")
+    _add_sweep(p)
 
     return parser, commands
 
 
-def _reparse_with_config(argv, command: str, config_path: str) -> argparse.Namespace:
-    """Re-parse after installing config-file values as subcommand defaults,
-    so explicit flags still win."""
-    with open(config_path) as handle:
-        defaults = json.load(handle)
-    parser, commands = _build_parser()
-    subparser = commands[command]
-    # every option of a subcommand is optional, so parsing no arguments
-    # lists each destination with its default
-    valid = set(vars(subparser.parse_args([])))
-    mapped = {}
-    for key, value in defaults.items():
-        dest = key.replace("-", "_")
-        if dest not in valid:
+def _config_argv(path: str, command: str, flags: dict[str, str]) -> list[str]:
+    """A config file's entries as ``--flag=value`` tokens.  Keys are option
+    destinations, with either ``-`` or ``_``; values are JSON strings or
+    numbers."""
+    with open(path) as handle:
+        entries = json.load(handle)
+    if not isinstance(entries, dict):
+        raise ValueError("config file must hold a JSON object")
+    tokens = []
+    for key, value in entries.items():
+        flag = flags.get(key.replace("-", "_"))
+        if flag is None:
             raise ValueError(f"config key {key!r} unknown for command {command!r}")
-        mapped[dest] = value
-    subparser.set_defaults(**mapped)
-    return parser.parse_args(argv)
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    orders = None
-    if getattr(args, "orders", None):
-        orders = _parse_orders(args.orders)
-    elif getattr(args, "n", None) is not None:
-        orders = (args.n, args.n)
-    options = {}
-    for key in ("graph6", "edges", "batch", "level", "family", "order", "emit",
-                "population", "objective", "filter", "witness_cap", "claims",
-                "max_tree_order", "max_graph_order", "max_ratio_order",
-                "max_family_order", "top"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            options[key] = getattr(args, key)
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        orders=orders,
-        output_format=args.output_format,
-        output_path=_resolve_out(args.out),
-        worker_count=getattr(args, "workers", 1),
-        oracle_spot_check_rate=getattr(args, "spot_check_rate", 0.0) or 0.0,
-        options=options,
-    )
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config value of {key!r} must be a string or a number")
+        tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, _ = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            args = _reparse_with_config(argv, args.command, args.config)
-        config = _config_from_args(args)
-        return run(config)
+        if args.config:
+            # config tokens go straight after the command, so explicit flags,
+            # parsed later, overwrite them
+            at = argv.index(args.command) + 1
+            config = _config_argv(args.config, args.command, commands[args.command].flags)
+            args = parser.parse_args(argv[:at] + config + argv[at:])
+        base = os.environ.get(ENV_OUTPUT_DIR)
+        if args.out and base and not os.path.isabs(args.out):
+            args.out = os.path.join(base, args.out)
+        return args.func(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,6 @@ tooling exit nonzero.
 
 from __future__ import annotations
 
-import random
 from bisect import insort
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -302,16 +301,33 @@ def _spot_check(levels) -> None:
                 )
 
 
-def _spot_sample(n: int, rate: float, seed: int) -> frozenset[int]:
+@dataclass(frozen=True)
+class _SpotSample:
+    """The stream indices i of the order-n trees with
+    (i + seed)·want mod total < want.  As i runs over the total indices,
+    (i + seed)·want mod total meets each multiple of gcd(want, total)
+    gcd(want, total) times, so exactly ``want`` indices pass, spread evenly
+    over the stream; the rule is three integers, whatever the order."""
+
+    total: int
+    want: int
+    seed: int
+
+    def __contains__(self, index: int) -> bool:
+        return (index + self.seed) * self.want % self.total < self.want
+
+    def __bool__(self) -> bool:
+        return self.want > 0
+
+
+def _spot_sample(n: int, rate: float, seed: int) -> _SpotSample:
     """Deterministic sample of stream indices of the order-n trees."""
     if not 0 <= rate <= 1:
         raise ValueError("spot-check rate must lie in [0, 1]")
     if rate == 0:
-        return frozenset()
+        return _SpotSample(1, 0, seed)
     total = count_free_trees(n)
-    want = min(total, max(1, int(rate * total)))
-    rng = random.Random(seed * 1000003 + n)
-    return frozenset(rng.sample(range(total), want))
+    return _SpotSample(total, min(total, max(1, int(rate * total))), seed)
 
 
 def _enter(side, num, den, g6):

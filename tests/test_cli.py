@@ -10,7 +10,7 @@ import pytest
 
 from nisets import cli
 from nisets import engine as engine_module
-from nisets.cli import RunConfig, main
+from nisets.cli import main
 from nisets.engine import s1_vertex_recursion
 from nisets.formats import from_graph6, to_graph6
 from nisets.trees import free_trees
@@ -322,13 +322,141 @@ def test_config_accepts_every_option_of_the_command(capsys, tmp_path):
     assert out.startswith("n,edges,sigma0") and "12/5" in out
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError, match="json or csv"):
-        RunConfig(command="compute", output_format="xml")
-    with pytest.raises(ValueError, match="spot-check"):
-        RunConfig(command="scan", oracle_spot_check_rate=1.5)
-    with pytest.raises(ValueError, match="worker"):
-        RunConfig(command="scan", worker_count=0)
+def exit_code(capsys, *argv):
+    """Exit status of one CLI run, whether main returns it or the parser
+    raises SystemExit; stdout must stay empty."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+def write_config(tmp_path, entries) -> str:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(entries))
+    return str(config)
+
+
+@pytest.mark.parametrize("argv,entries,message", [
+    (("compute", "--graph6", "Ch"), {"output-format": "xml"}, "invalid choice: 'xml'"),
+    (("scan", "--order", "6"), {"spot_check_rate": 1.5}, "spot-check rate must lie in [0, 1]"),
+    (("conjecture", "--orders", "4:5"), {"workers": 0}, "worker count must be at least 1"),
+    # a fractional order once reached the tree generator and crashed
+    (("trees",), {"order": 7.5}, "invalid int value: '7.5'"),
+    (("trees",), {"order": None}, "must be a string or a number"),
+    (("verify",), ["max_tree_order", 6], "must hold a JSON object"),
+])
+def test_bad_config_value_exits_2(capsys, tmp_path, argv, entries, message):
+    code, err = exit_code(capsys, *argv, "--config", write_config(tmp_path, entries))
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("argv,entries,orders", [
+    (("--n", "3"), {"orders": "5:5"}, [3]),
+    (("--orders", "3:4"), {"n": 6}, [3, 4]),
+    (("--n", "4"), {"n": 6}, [4]),
+    ((), {"orders": "5:6"}, [5, 6]),
+    ((), {}, list(range(2, 13))),
+])
+def test_explicit_order_flag_beats_config(capsys, tmp_path, argv, entries, orders):
+    code, out, _ = run_cli(capsys, "families", "--family", "star", *argv,
+                           "--config", write_config(tmp_path, entries))
+    assert code == 0
+    assert [int(line.split(",")[1]) for line in out.splitlines()[1:]] == orders
+
+
+def test_explicit_flags_beat_config_on_oracle(capsys, tmp_path):
+    config = write_config(tmp_path, {"output-format": "csv", "level": 0, "graph6": "D??"})
+    code, out, _ = run_cli(capsys, "oracle", "--config", config, "--output-format", "json",
+                           "--l", "1", "--graph6", "Ch")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["n"], payload["level"], payload["average"]) == (4, 1, "12/5")
+
+
+CONFIG_KEYS = {
+    "compute": {"batch", "config", "edges", "graph6", "input", "out", "output_format"},
+    "oracle": {"config", "edges", "graph6", "input", "level", "out", "output_format"},
+    "families": {"config", "family", "n", "orders", "out", "output_format"},
+    "trees": {"config", "emit", "order", "out"},
+    "scan": {"config", "filter", "objective", "order", "out", "output_format",
+             "population", "spot_check_rate", "witness_cap", "workers"},
+    "verify": {"claims", "config", "max_family_order", "max_graph_order",
+               "max_ratio_order", "max_tree_order", "out", "output_format",
+               "spot_check_rate", "witness_cap"},
+    "conjecture": {"config", "orders", "out", "output_format", "spot_check_rate",
+                   "top", "workers"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+def test_config_keys_in_both_spellings(tmp_path, command):
+    _, commands = cli._build_parser()
+    flags = commands[command].flags
+    assert set(flags) == CONFIG_KEYS[command]
+    for key in flags:
+        for spelling in {key, key.replace("_", "-")}:
+            tokens = cli._config_argv(write_config(tmp_path, {spelling: 1}), command, flags)
+            assert tokens == [f"{flags[key]}=1"]
+
+
+def test_config_sets_verify_options(capsys, tmp_path):
+    config = write_config(tmp_path, {"max_tree_order": 6, "max-graph-order": 2,
+                                     "claims": "tree-average-lower", "spot-check-rate": 0})
+    code, out, _ = run_cli(capsys, "verify", "--config", config)
+    assert code == 0
+    payload = json.loads(out)
+    assert [r["order"] for r in payload["reports"]] == [3, 4, 5, 6]
+    assert payload["spot_checked_trees"] == {}
+
+
+def test_verify_refuses_spot_check_rate_above_one(capsys, monkeypatch):
+    from nisets import scanner
+
+    def no_suite(n, cap):
+        raise AssertionError("a suite ran before the spot-check rate was checked")
+
+    monkeypatch.setattr(scanner, "_tree_claim_reports", no_suite)
+    code, err = exit_code(capsys, "verify", "--spot-check-rate", "1.5")
+    assert code == 2
+    assert "spot-check rate must lie in [0, 1]" in err
+
+
+def test_trees_has_no_output_format(capsys):
+    code, err = exit_code(capsys, "trees", "--order", "4", "--output-format", "csv")
+    assert code == 2
+    assert "unrecognized arguments: --output-format" in err
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"])
+def test_compute_empty_batch_is_an_empty_array(capsys, tmp_path, text):
+    batch = tmp_path / "batch.g6"
+    batch.write_text(text)
+    code, out, _ = run_cli(capsys, "compute", "--batch", str(batch))
+    assert code == 0 and out == "[]\n"
+
+
+def test_compute_batch_writes_each_record_as_computed(capsys, monkeypatch, tmp_path):
+    writes = []
+    record = cli._compute_record
+
+    def logging_record(graph):
+        writes.append(capsys.readouterr().out)
+        return record(graph)
+
+    monkeypatch.setattr(cli, "_compute_record", logging_record)
+    batch = tmp_path / "batch.g6"
+    batch.write_text("Ch\nC~\n")
+    code, out, _ = run_cli(capsys, "compute", "--batch", str(batch))
+    assert code == 0
+    # the first record is on stdout before the second is computed
+    assert writes[0] == "" and json.loads(writes[1] + "]")[0]["av1"] == "12/5"
+    assert json.loads(writes[1] + out) == json.loads(json.dumps(
+        [record(from_graph6("Ch")), record(from_graph6("C~"))]))
 
 
 def test_console_entry_point():

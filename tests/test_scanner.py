@@ -327,6 +327,24 @@ class TestStrideSweep:
         assert len(lines) == 106
         assert sorted(lines) == sorted(" ".join(map(str, lv)) for lv in _level_tuples(10))
 
+    def test_shard_payload_stays_small_at_order_24(self):
+        import pickle
+
+        spots = scanner_module._spot_sample(24, 1.0, 2024)
+        payload = (24, "av1", 5, spots, 1, 2)
+        assert len(pickle.dumps(payload)) < 1024
+        assert spots.want == spots.total == 39_299_897
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_spot_sample_picks_exactly_the_wanted_count(self, seed):
+        for n in range(2, 13):
+            total = scanner_module.count_free_trees(n)
+            for rate in (0.0, 0.01, 0.05, 0.2, 0.5, 1.0):
+                spots = scanner_module._spot_sample(n, rate, seed)
+                want = min(total, max(1, int(rate * total))) if rate else 0
+                assert sum(i in spots for i in range(total)) == want, (n, rate)
+                assert bool(spots) == (want > 0)
+
     @pytest.mark.parametrize("workers", [0, -4])
     def test_worker_count_below_one_refused(self, workers):
         with pytest.raises(ValueError, match="worker count must be at least 1"):
