@@ -249,6 +249,11 @@ def _witness_cap(args: argparse.Namespace) -> int | None:
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.order is None:
         raise ValueError("scan requires --order")
+    # refuse, rather than ignore, the options of the other population
+    if args.population == "graphs" and (args.workers != 1 or args.spot_check_rate != 0):
+        raise ValueError("--workers and --spot-check-rate apply only to --population trees")
+    if args.population == "trees" and args.filter != "all":
+        raise ValueError("--filter applies only to --population graphs")
     if args.population == "trees":
         report = scan_trees(
             args.order, args.objective,

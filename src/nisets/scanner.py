@@ -30,10 +30,8 @@ from .graphs import (
     Graph,
     all_pairs,
     canonical_code,
-    delta_bounds,
     disjoint_union,
     graph_from_pair_mask,
-    is_good_graph,
     structural_predicates,
 )
 from .oracle import oracle_profiles
@@ -145,7 +143,8 @@ def labeled_graph_classes(n: int) -> list[tuple[Graph, int]]:
     representative is the minimal mask of its orbit.
     """
     if not 1 <= n <= GRAPH_SCAN_LIMIT:
-        raise ValueError(f"order above exhaustive limit ({GRAPH_SCAN_LIMIT})")
+        raise ValueError(f"order {n} outside 1..{GRAPH_SCAN_LIMIT}; graphs are enumerated "
+                         f"up to the exhaustive limit ({GRAPH_SCAN_LIMIT})")
     pairs = all_pairs(n)
     slot = np.zeros((n, n), dtype=np.int32)
     for s, (i, j) in enumerate(pairs):
@@ -171,45 +170,6 @@ def labeled_graph_classes(n: int) -> list[tuple[Graph, int]]:
     return classes
 
 
-class ClassRecord:
-    """Per-isomorphism-class statistics shared by the claim suites."""
-
-    __slots__ = (
-        "graph", "graph6",
-        "sigma0", "s0", "sigma1", "s1", "good", "delta", "structure",
-    )
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self.graph6 = to_graph6(graph)
-        eng = Engine(graph)
-        self.sigma0, self.s0 = eng.scalars0()
-        self.sigma1, self.s1 = eng.scalars1()
-        self.good = is_good_graph(graph)
-        self.delta = delta_bounds(graph) if graph.edge_count else None
-        self.structure = structural_predicates(graph)
-
-    @property
-    def edge_count(self) -> int:
-        return self.graph.edge_count
-
-
-def _graph_class_records(n: int) -> list[ClassRecord]:
-    return [ClassRecord(g) for g, _ in labeled_graph_classes(n)]
-
-
-def _matches_filter(record: ClassRecord, graph_filter: str) -> bool:
-    if graph_filter == "all":
-        return True
-    if graph_filter == "connected":
-        return record.structure.is_connected
-    if graph_filter == "non-edgeless":
-        return record.edge_count > 0
-    if graph_filter == "no-isolated-max-deg-2":
-        return not record.structure.has_isolated_vertex and record.structure.max_degree <= 2
-    raise ValueError(f"unknown graph filter {graph_filter!r}")
-
-
 def scan_graphs(
     n: int,
     graph_filter: str = "all",
@@ -225,24 +185,22 @@ def scan_graphs(
         raise ValueError(f"unknown objective {objective!r}")
     if graph_filter not in GRAPH_FILTERS:
         raise ValueError(f"unknown graph filter {graph_filter!r}")
-    sides = _scan_sides(_graph_class_records(n), graph_filter, objective)
-    return _report(f"scan-{objective}", f"graphs/{graph_filter}", n, objective,
-                   sides, witness_cap)
-
-
-def _scan_sides(records, graph_filter, objective):
-    """Min and max sides of the objective over the records the filter
-    keeps; the av1 objective skips the edgeless class."""
     entries = []
-    for rec in records:
-        if not _matches_filter(rec, graph_filter):
+    for graph, _ in labeled_graph_classes(n):
+        if not graph.edge_count and (objective == "av1" or graph_filter == "non-edgeless"):
             continue
-        if objective == "av1":
-            if rec.edge_count:
-                entries.append((rec.s1, rec.sigma1, rec.graph6))
-        else:
-            entries.append((rec.sigma1, rec.sigma0, rec.graph6))
-    return _extremes(entries)
+        if graph_filter == "connected" and not structural_predicates(graph).is_connected:
+            continue
+        if graph_filter == "no-isolated-max-deg-2":
+            s = structural_predicates(graph)
+            if s.has_isolated_vertex or s.max_degree > 2:
+                continue
+        eng = Engine(graph)
+        sigma1, s1 = eng.scalars1()
+        num, den = (s1, sigma1) if objective == "av1" else (sigma1, eng.scalars0()[0])
+        entries.append((num, den, to_graph6(graph)))
+    return _report(f"scan-{objective}", f"graphs/{graph_filter}", n, objective,
+                   _extremes(entries), witness_cap)
 
 
 def _extremes(entries):
@@ -638,24 +596,31 @@ def _tree_claim_reports(n: int, witness_cap) -> dict[str, ScanReport]:
     return reports
 
 
-def _graph_claim_reports(n: int, records, witness_cap) -> dict[str, ScanReport]:
+def _graph_claim_reports(n: int, graphs, witness_cap) -> dict[str, ScanReport]:
     """The graph claims' reports at order n >= 2 from one pass over its
-    class records, keyed by claim id; graph-average-upper is stated only
-    from order 6.
+    class representatives, keyed by claim id; graph-average-upper is stated
+    only from order 6.
 
-    Each non-edgeless class gets one Engine, which serves both per-edge
-    claims.  Every comparison is made in integers; a Fraction is built only
-    for violation text and the extremes."""
+    Each non-edgeless class gets one Engine, which serves every claim.
+    Whether the class is good (every edge's N(u) | N(v) covers all n
+    vertices) and its union-size bounds (d1, d2) are read off that
+    engine's edge terms.  Every comparison is made in integers; a Fraction
+    is built only for violation text and the extremes."""
     av1_entries, ratio_entries = [], []
     good_set, equal_set = set(), set()
     lower, union, bracket, residual = [], [], [], []
-    for rec in records:
-        if rec.edge_count == 0:
+    for graph in graphs:
+        if graph.edge_count == 0:
             continue
-        g6, s1, sigma1, sigma_g = rec.graph6, rec.s1, rec.sigma1, rec.sigma0
+        g6 = to_graph6(graph)
+        eng = Engine(graph)
+        sigma_g, _ = eng.scalars0()
+        sigma1, s1 = eng.scalars1()
+        terms = eng.edge_terms()
         av1_entries.append((s1, sigma1, g6))
         ratio_entries.append((sigma1, sigma_g, g6))
-        if rec.good:
+        sizes = [t.union_size for t in terms]  # |N(u) | N(v)| per edge uv
+        if all(size == n for size in sizes):
             good_set.add(g6)
         if s1 == 2 * sigma1:
             equal_set.add(g6)
@@ -665,7 +630,7 @@ def _graph_claim_reports(n: int, records, witness_cap) -> dict[str, ScanReport]:
                 observed=format_rational(Fraction(s1, sigma1)), expected=">= 2",
             ))
         # union-size sandwich: lower bound low_num/low_den (low_den >= 1), upper bound up2/2
-        d1, d2 = rec.delta
+        d1, d2 = min(sizes), max(sizes)
         low_num, low_den, up2 = 3 * n + 2 - 3 * d2, n + 1 - d2, n + 4 - d1
         if not (2 * low_den <= low_num and low_num * sigma1 <= s1 * low_den
                 and 2 * s1 <= up2 * sigma1 and up2 <= n + 2):
@@ -676,8 +641,6 @@ def _graph_claim_reports(n: int, records, witness_cap) -> dict[str, ScanReport]:
                          f"upper {format_rational(Fraction(up2, 2))}",
                 expected="2 <= lower <= av <= upper <= (n+2)/2",
             ))
-        eng = Engine(rec.graph)
-        terms = eng.edge_terms()
         # av1 - 2 = excess/sigma1 against each edge's residual average s0/sigma0
         excess = s1 - 2 * sigma1
         if not (any(t.s0 * sigma1 <= excess * t.sigma0 for t in terms)
@@ -689,7 +652,7 @@ def _graph_claim_reports(n: int, records, witness_cap) -> dict[str, ScanReport]:
                          f"[{format_rational(min(per_edge))}, {format_rational(max(per_edge))}]",
                 expected="min edge average <= av <= max edge average",
             ))
-        universe = rec.graph.universe
+        universe = graph.universe
         for t in terms:
             # the residual ratio t.sigma0/sigma_g lies between 1/lower_den, where
             # lower_den = 2^(l-2) + 2^(l-|N[u]|) + 2^(l-|N[v]|) + 1, and 1 - s0(G - w)/sigma_g
@@ -862,11 +825,12 @@ def verify_claims(
     if max_family_order > GRAPH6_ORDER_LIMIT:
         raise ValueError(f"max family order above graph6 limit ({GRAPH6_ORDER_LIMIT})")
     # each suite maps one order to its claims' reports; an order's
-    # population (trees or class records) is built, used and dropped
+    # population (trees or graph classes) is walked once and dropped
     suites = {
         "tree": (range(2, max_tree_order + 1), _tree_claim_reports),
         "graph": (range(2, max_graph_order + 1),
-                  lambda n, cap: _graph_claim_reports(n, _graph_class_records(n), cap)),
+                  lambda n, cap: _graph_claim_reports(
+                      n, (g for g, _ in labeled_graph_classes(n)), cap)),
         "ratio": (range(2, max_ratio_order + 1), _degree_two_ratio_reports),
         "family": (range(4, max_family_order + 1), _subdivided_star_reports),
     }

@@ -18,6 +18,7 @@ from nisets.oracle import OracleProfile, oracle_profiles
 from nisets.scanner import (
     conjecture_scan,
     has_inequality_violations,
+    labeled_graph_classes,
     scan_graphs,
     scan_trees,
     spot_check_trees,
@@ -97,10 +98,8 @@ def test_criterion_4_minimum_average():
         assert rep.min_value == 2, n
         equality = {from_graph6(g6) for g6 in rep.min_witnesses}
         assert all(is_good_graph(g) for g in equality), n
-        from nisets.scanner import _graph_class_records
-
-        good_count = sum(1 for rec in _graph_class_records(n)
-                         if rec.edge_count and rec.good)
+        good_count = sum(1 for g, _ in labeled_graph_classes(n)
+                         if g.edge_count and is_good_graph(g))
         assert rep.min_count == good_count, n
     for n in range(3, 17):
         rep = scan_trees(n, "av1")

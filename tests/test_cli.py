@@ -203,6 +203,37 @@ def test_zero_workers_refused(capsys, argv):
     assert err == "error: worker count must be at least 1\n"
 
 
+def test_scan_graphs_order_zero_refused(capsys):
+    code, out, err = run_cli(capsys, "scan", "--population", "graphs", "--order", "0")
+    assert code == 2 and out == ""
+    assert err == ("error: order 0 outside 1..7; graphs are enumerated up to the "
+                   "exhaustive limit (7)\n")
+
+
+OTHER_POPULATION_ERRORS = {
+    "graphs": "error: --workers and --spot-check-rate apply only to --population trees\n",
+    "trees": "error: --filter applies only to --population graphs\n",
+}
+
+
+@pytest.mark.parametrize("population,option,value", [
+    ("graphs", "--workers", "0"),
+    ("graphs", "--spot-check-rate", "0.5"),
+    ("trees", "--filter", "connected"),
+])
+def test_scan_refuses_options_of_the_other_population(capsys, monkeypatch,
+                                                      population, option, value):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a population was scanned before its options were checked")
+
+    monkeypatch.setattr(cli, "scan_graphs", no_scan)
+    monkeypatch.setattr(cli, "scan_trees", no_scan)
+    code, out, err = run_cli(capsys, "scan", "--population", population, "--order", "3",
+                             option, value)
+    assert code == 2 and out == ""
+    assert err == OTHER_POPULATION_ERRORS[population]
+
+
 def test_verify_refuses_family_order_past_graph6_limit(capsys, monkeypatch):
     from nisets import scanner
 

@@ -22,10 +22,10 @@ from nisets.graphs import (
 )
 from nisets.oracle import OracleProfile, oracle_profiles
 from nisets.scanner import (
+    GRAPH_FILTERS,
+    OBJECTIVES,
     WITNESS_CAP,
-    ClassRecord,
     RouteDisagreement,
-    _graph_class_records,
     _graph_claim_reports,
     _sweep_chunk,
     _tree_degrees,
@@ -123,6 +123,10 @@ class TestClassEnumeration:
         with pytest.raises(ValueError, match="exhaustive limit"):
             labeled_graph_classes(8)
 
+    def test_order_zero_refused(self):
+        with pytest.raises(ValueError, match=r"order 0 outside 1\.\.7; .*exhaustive limit \(7\)"):
+            labeled_graph_classes(0)
+
 
 class TestGraphScans:
     def test_max_at_six_is_single_edge_class(self):
@@ -155,6 +159,16 @@ class TestGraphScans:
             scan_graphs(4, "planar", "av1")
         with pytest.raises(ValueError, match="objective"):
             scan_graphs(4, "all", "entropy")
+
+    def test_every_filter_and_objective_golden(self):
+        # SHA-256 of these reports as produced while each class's statistics
+        # still came from a per-class record shared with the claim suites
+        reports = [scan_graphs(n, graph_filter, objective, witness_cap=None).to_json_dict()
+                   for n in range(1, 8) for graph_filter in GRAPH_FILTERS
+                   for objective in OBJECTIVES]
+        text = json.dumps(reports, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "99f851badbe851c6d76b15ec1f7ed25cfbe52ee273b16704b01554621dad4380")
 
 
 class TestTreeScans:
@@ -373,12 +387,10 @@ class TestPathCycleUnions:
 
     def test_matches_exhaustive_classes(self):
         # the structured generator agrees with the brute-force class scan
-        from nisets.scanner import _graph_class_records, _matches_filter
-
         for n in range(2, 8):
             structured = len(list(path_cycle_unions(n)))
-            brute = sum(1 for rec in _graph_class_records(n)
-                        if _matches_filter(rec, "no-isolated-max-deg-2"))
+            summaries = [structural_predicates(g) for g, _ in labeled_graph_classes(n)]
+            brute = sum(1 for s in summaries if not s.has_isolated_vertex and s.max_degree <= 2)
             assert structured == brute
 
 
@@ -524,6 +536,43 @@ GRAPH_CLAIMS = ["graph-average-lower", "graph-average-upper", "union-size-sandwi
                 "edge-average-bracket", "residual-count-sandwich"]
 
 
+class TamperedEngine(Engine):
+    """An Engine whose whole-graph scalars are replaced for chosen graphs:
+    ``replaced[(level, graph6)]`` is the (count, size-sum) its
+    ``scalars0()`` (level 0) or ``scalars1()`` (level 1) returns.  Every
+    proper vertex subset keeps its true values."""
+
+    replaced: dict = {}
+
+    def scalars0(self, mask=None):
+        return self._replaced(0, mask) or super().scalars0(mask)
+
+    def scalars1(self, mask=None):
+        return self._replaced(1, mask) or super().scalars1(mask)
+
+    def _replaced(self, level, mask):
+        return None if mask is not None else self.replaced.get((level, to_graph6(self.graph)))
+
+
+def tamper(monkeypatch, replaced):
+    """Let the scanner build TamperedEngines with these replacements."""
+    monkeypatch.setattr(TamperedEngine, "replaced", replaced)
+    monkeypatch.setattr(scanner_module, "Engine", TamperedEngine)
+
+
+@pytest.fixture
+def built_engines(monkeypatch):
+    """The graph of every Engine the scanner builds during the test."""
+    built = []
+
+    def counting_engine(graph):
+        built.append(graph)
+        return Engine(graph)
+
+    monkeypatch.setattr(scanner_module, "Engine", counting_engine)
+    return built
+
+
 class TestGraphClaimPass:
     def test_verify_claims_golden_to_order_seven(self):
         # SHA-256 of this report list as produced before the graph claims
@@ -534,46 +583,50 @@ class TestGraphClaimPass:
             "f663322a021a451c722e7fcb51287cd7d319e7f515aed421c15d246a050d1728")
 
     @pytest.mark.parametrize("g6, low, high", [("A_", 3, 4), ("Bg", 5, 6)])
-    def test_residual_count_bounds_are_inclusive(self, g6, low, high):
+    def test_residual_count_bounds_are_inclusive(self, monkeypatch, g6, low, high):
         # K2: the edge's residual count is 1 and deleting an endpoint leaves
         # 2 independent sets, so the sandwich holds for 3 <= sigma0 <= 4.
         # P3: the binding upper bound of each edge deletes the middle vertex,
         # the second endpoint of (0,1) and the first of (1,2).
-        rec = ClassRecord(from_graph6(g6))
-        assert low <= rec.sigma0 <= high
+        graph = from_graph6(g6)
+        sigma_g, s_g = Engine(graph).scalars0()
+        assert low <= sigma_g <= high
         for sigma0 in (low - 1, low, high, high + 1):
-            rec.sigma0 = sigma0
-            report = _graph_claim_reports(rec.graph.n, [rec], None)["residual-count-sandwich"]
+            tamper(monkeypatch, {(0, g6): (sigma0, s_g)})
+            report = _graph_claim_reports(graph.n, [graph], None)["residual-count-sandwich"]
             expected = [] if low <= sigma0 <= high else [
-                f"edge ({u},{v}) ratio 1/{sigma0}" for u, v in rec.graph.edges()]
+                f"edge ({u},{v}) ratio 1/{sigma0}" for u, v in graph.edges()]
             assert [v.observed for v in report.violations] == expected
 
-    def test_tampered_averages_are_named(self):
-        records = _graph_class_records(5)
-        low, high = [rec for rec in records if rec.edge_count and not rec.good][:2]
-        low.s1 = low.sigma1  # average 1, below 2 and below every edge's bracket
-        high.s1 = 50 * high.sigma1  # above every edge's bracket and the union bound
-        reports = _graph_claim_reports(5, records, None)
-        assert [v.graph6 for v in reports["graph-average-lower"].violations] == [low.graph6]
+    def test_tampered_averages_are_named(self, monkeypatch):
+        graphs = [g for g, _ in labeled_graph_classes(5)]
+        low, high = [g for g in graphs if g.edge_count and not is_good_graph(g)][:2]
+        low_g6, high_g6 = to_graph6(low), to_graph6(high)
+        low_sigma1, _ = Engine(low).scalars1()
+        high_sigma1, _ = Engine(high).scalars1()
+        # low averages 1, below 2 and below every edge's bracket; high averages
+        # 50, above every edge's bracket and the union bound
+        tamper(monkeypatch, {(1, low_g6): (low_sigma1, low_sigma1),
+                             (1, high_g6): (high_sigma1, 50 * high_sigma1)})
+        reports = _graph_claim_reports(5, graphs, None)
+        assert [v.graph6 for v in reports["graph-average-lower"].violations] == [low_g6]
         for claim_id in ("edge-average-bracket", "union-size-sandwich"):
-            assert [v.graph6 for v in reports[claim_id].violations] == [low.graph6, high.graph6]
+            assert [v.graph6 for v in reports[claim_id].violations] == [low_g6, high_g6]
         assert not reports["residual-count-sandwich"].violations
         report = reports["graph-average-lower"]
-        assert (report.min_value, report.min_witnesses) == (1, (low.graph6,))
-        assert (report.max_value, report.max_witnesses) == (50, (high.graph6,))
+        assert (report.min_value, report.min_witnesses) == (1, (low_g6,))
+        assert (report.max_value, report.max_witnesses) == (50, (high_g6,))
 
-    def test_one_engine_per_non_edgeless_class(self, monkeypatch):
-        records = _graph_class_records(6)
-        built = []
-
-        def counting_engine(graph):
-            built.append(graph)
-            return Engine(graph)
-
-        monkeypatch.setattr(scanner_module, "Engine", counting_engine)
-        reports = _graph_claim_reports(6, records, WITNESS_CAP)
+    def test_one_engine_per_non_edgeless_class(self, built_engines):
+        graphs = [g for g, _ in labeled_graph_classes(6)]
+        reports = _graph_claim_reports(6, graphs, WITNESS_CAP)
         assert set(reports) == set(GRAPH_CLAIMS)
-        assert built == [rec.graph for rec in records if rec.edge_count]
+        assert built_engines == [g for g in graphs if g.edge_count]
+
+    def test_graph_suite_builds_one_engine_per_non_edgeless_class(self, built_engines):
+        verify_claims(claims=GRAPH_CLAIMS, max_graph_order=6)
+        classes = sum(1 for n in range(2, 7) for g, _ in labeled_graph_classes(n) if g.edge_count)
+        assert len(built_engines) == classes == 202
 
 
 class TestConjecture:
