@@ -34,7 +34,6 @@ from .scanner import (
     has_inequality_violations,
     scan_graphs,
     scan_trees,
-    spot_check_trees,
     verify_claims,
 )
 from .trees import free_trees
@@ -281,6 +280,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         claims = [c for c in (c.strip() for c in claims.split(",")) if c]
         if not claims:
             raise ValueError("--claims names no claim: give 'all' or comma-separated claim ids")
+    spot_checked = {}
     reports = verify_claims(
         claims=claims,
         max_tree_order=args.max_tree_order,
@@ -288,11 +288,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         max_ratio_order=args.max_ratio_order,
         max_family_order=args.max_family_order,
         witness_cap=_witness_cap(args),
+        spot_check_rate=args.spot_check_rate,
+        spot_checked=spot_checked,
     )
-    spot_checked = {}
-    if args.spot_check_rate > 0:
-        for n in range(2, args.max_tree_order + 1):
-            spot_checked[n] = spot_check_trees(n, args.spot_check_rate)
     payload = {
         "reports": [r.to_json_dict() for r in reports],
         "spot_checked_trees": spot_checked,

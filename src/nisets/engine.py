@@ -11,11 +11,15 @@ decompositions whose agreement is cross-checked by the test suite:
 * summing, over all edges, the independent-set polynomial of the graph left
   after deleting both endpoints' neighbourhoods.
 
-Trees also have a linear dynamic program over their level sequences
-(``tree_scalars``); the tree sweeps use it, and ``Engine`` remains the
-reference it is checked against.
+Trees also have a linear dynamic program over their level sequences.
+``tree_scalars`` runs it on one tree in Python integers and is the
+reference.  ``tree_scalars_batch`` runs it on a block of B trees at once in
+int64 numpy arrays, exact up to order 24; every tree sweep and the tree
+claim suite use it, and their spot checks compare its rows with ``Engine``
+and the subset oracle.
 
-All arithmetic is exact: Python integers for counts, fractions for
+All arithmetic is exact: Python integers for counts (int64 in the batched
+tree DP, where the order bound rules out overflow), fractions for
 averages.  The average of an empty family is 0 by convention, with the
 zero count kept visible so callers can distinguish the two situations.
 """
@@ -25,7 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .graphs import Graph, components_of
+from .trees import level_parents
 
 Poly = tuple  # coefficient tuple, no trailing zeros; () is the zero polynomial
 
@@ -449,6 +456,48 @@ def tree_scalars(levels) -> tuple[int, int, int, int]:
         b1[p] = pb1 * out0 + pb0 * out1
         b0[p] = pb0 * out0
     return a0[0] + b0[0], a1[0] + b1[0], c0[0] + f0[0], c1[0] + f1[0]
+
+
+# Largest order the batched tree DP accepts: every state counts subsets of
+# at most n vertices, so it stays below n·2^n < 2^29, and a product of two
+# states, or a cross-multiplied comparison of two values, below 2^58.
+TREE_BATCH_ORDER_LIMIT = 24
+
+
+def tree_scalars_batch(levels: np.ndarray):
+    """``tree_scalars`` of every row of a (B, n) block of level sequences,
+    as four int64 arrays (sigma0, S0, sigma1, S1) of length B.
+
+    The eight states a0, a1, b0, b1, c0, c1, f0, f1 of all B trees sit in
+    one (8, n·B) array, vertex-major: vertex v of tree t is column v·B + t.
+    Position i is folded into its parents for every tree at once, with one
+    gather and one scatter of the parents' columns; the children's columns
+    are the contiguous slice of position i.  Refuses n above
+    ``TREE_BATCH_ORDER_LIMIT``, where int64 could overflow."""
+    b, n = levels.shape
+    if n > TREE_BATCH_ORDER_LIMIT:
+        raise ValueError(f"batched tree DP needs order <= {TREE_BATCH_ORDER_LIMIT}, got {n}")
+    parent = level_parents(levels)
+    states = np.zeros((8, n * b), dtype=np.int64)
+    states[[0, 2, 3]] = 1  # a leaf: a = (1, 0), b = (1, 1), c = f = (0, 0)
+    trees = np.arange(b)
+    for i in range(n - 1, 0, -1):
+        a0, a1, b0, b1, c0, c1, f0, f1 = states[:, i * b:(i + 1) * b]
+        at = parent[:, i] * b + trees
+        pa0, pa1, pb0, pb1, pc0, pc1, pf0, pf1 = states[:, at]
+        # the transitions of tree_scalars: free = a + b, one = c + f,
+        # out = a, edge = b + c
+        free0, free1 = a0 + b0, a1 + b1
+        one0, one1 = c0 + f0, c1 + f1
+        edge0, edge1 = b0 + c0, b1 + c1
+        states[:, at] = (
+            pa0 * free0, pa1 * free0 + pa0 * free1,
+            pb0 * a0, pb1 * a0 + pb0 * a1,
+            pc0 * free0 + pa0 * one0, pc1 * free0 + pc0 * free1 + pa1 * one0 + pa0 * one1,
+            pf0 * a0 + pb0 * edge0, pf1 * a0 + pf0 * a1 + pb1 * edge0 + pb0 * edge1,
+        )
+    a0, a1, b0, b1, c0, c1, f0, f1 = states[:, :b]
+    return a0 + b0, a1 + b1, c0 + f0, c1 + f1
 
 
 def _edgeless_scalars(k: int) -> tuple[int, int]:

@@ -23,7 +23,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .engine import Engine, format_rational, nis_summary, tree_scalars
+from .engine import Engine, format_rational, nis_summary, tree_scalars_batch
 from .families import FamilySpec, build
 from .formats import GRAPH6_ORDER_LIMIT, from_graph6, to_graph6
 from .graphs import (
@@ -39,6 +39,7 @@ from .trees import (
     TREE_ORDER_LIMIT,
     _level_tuples,
     count_free_trees,
+    level_parents,
     levels_to_graph,
     tree_canonical_key,
 )
@@ -205,14 +206,14 @@ def scan_graphs(
 
 def _extremes(entries):
     """Min and max sides of (numerator, denominator, graph6) entries with
-    positive denominators, by the tree sweep's fold; both are None when
-    there are no entries."""
+    positive denominators, compared by cross-multiplication; both are None
+    when there are no entries."""
     lo = hi = None
     for num, den, g6 in entries:
         if lo is None or num * lo[1] <= lo[0] * den:
-            lo = _enter(lo, num, den, g6)
+            lo = _enter(lo, num, den, [g6])
         if hi is None or num * hi[1] >= hi[0] * den:
-            hi = _enter(hi, num, den, g6)
+            hi = _enter(hi, num, den, [g6])
     return _finished(lo), _finished(hi)
 
 
@@ -233,21 +234,61 @@ def _report(claim_id, population, order, objective, sides, witness_cap, violatio
 
 # -- tree sweeps ---------------------------------------------------------------
 
-
-def _tree_value(levels, objective: str) -> tuple[int, int]:
-    """The objective of one tree as an unreduced (numerator, denominator)
-    pair, from the linear tree DP.  Sweeps start at order 2, where every
-    tree has an edge, so both denominators are positive."""
-    sig0, _, sig1, tot1 = tree_scalars(levels)
-    return (tot1, sig1) if objective == "av1" else (sig1, sig0)
+# Trees scored per call of the batched tree DP.  Its states take 64·n bytes
+# per tree, 1.1 MB a block at order 17; blocks of 2048 and more raised a
+# one-worker sweep's peak RSS by a further 2.5 MB and more.
+TREE_BLOCK = 1024
 
 
-def _spot_check(levels) -> None:
-    """Compare the tree DP, the engine and the subset oracle on one tree."""
+def _runs(trees):
+    """The (stream index, levels) pairs of ``trees`` in runs of up to
+    TREE_BLOCK, each as (index array, level tuples); the stream is read one
+    run at a time."""
+    trees = iter(trees)
+    while run := list(islice(trees, TREE_BLOCK)):
+        indices, rows = zip(*run)
+        yield np.array(indices), rows
+
+
+class _Block:
+    """One run of trees scored by the batched tree DP: the level tuples,
+    their (b, n) int8 block, the DP's four value arrays, and graph6 codes
+    built on demand and kept, so no tree is encoded twice."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.levels = np.array(rows, dtype=np.int8)
+        self.values = tree_scalars_batch(self.levels)
+        self._codes = {}
+
+    def code(self, i) -> str:
+        g6 = self._codes.get(i)
+        if g6 is None:
+            g6 = self._codes[i] = to_graph6(levels_to_graph(self.rows[i]))
+        return g6
+
+    def pair(self, objective: str):
+        """The objective of every tree as unreduced (numerator, denominator)
+        int64 arrays.  Sweeps start at order 2, where every tree has an
+        edge, so both denominators are positive."""
+        sig0, _, sig1, tot1 = self.values
+        return (tot1, sig1) if objective == "av1" else (sig1, sig0)
+
+    def spot_check(self, positions) -> int:
+        """Check the DP rows of the trees at these block positions, the
+        values the sweep uses, against Engine and the subset oracle;
+        returns how many trees were checked."""
+        for i in positions:
+            _spot_check(self.rows[i], tuple(int(v[i]) for v in self.values))
+        return len(positions)
+
+
+def _spot_check(levels, row) -> None:
+    """Compare one tree's batched DP row (sigma0, S0, sigma1, S1), the
+    engine and the subset oracle."""
     graph = levels_to_graph(levels)
-    dp = tree_scalars(levels)
     eng = Engine(graph)
-    routes = (("tree DP", dp[:2], dp[2:]), ("engine", eng.scalars0(), eng.scalars1()))
+    routes = (("tree DP", row[:2], row[2:]), ("engine", eng.scalars0(), eng.scalars1()))
     # one table serves both levels; the padding is level 1 of a one-vertex tree
     wants = [(p.sigma, p.total) for p in oracle_profiles(graph)] + [(0, 0)]
     for level in (0, 1):
@@ -271,8 +312,12 @@ class _SpotSample:
     want: int
     seed: int
 
-    def __contains__(self, index: int) -> bool:
-        return (index + self.seed) * self.want % self.total < self.want
+    def picks(self, indices: np.ndarray) -> np.ndarray:
+        """Positions of the sampled indices in an int array of stream
+        indices.  Reducing the seed first keeps every product below
+        2·total·want < 2^63."""
+        shifted = indices + self.seed % self.total
+        return np.flatnonzero(shifted * self.want % self.total < self.want)
 
     def __bool__(self) -> bool:
         return self.want > 0
@@ -288,54 +333,90 @@ def _spot_sample(n: int, rate: float, seed: int) -> _SpotSample:
     return _SpotSample(total, min(total, max(1, int(rate * total))), seed)
 
 
-def _enter(side, num, den, g6):
-    """Side after a tree whose value ties or beats the side's value."""
+def _enter(side, num, den, codes):
+    """Side after entries of value num/den, which ties or beats the side's
+    value, with these graph6 codes."""
     if side is not None and num * side[1] == side[0] * den:
-        side[2].append(g6)
+        side[2].extend(codes)
         return side
-    return [num, den, [g6]]
+    return [num, den, list(codes)]
 
 
-def _fold_tree(lo, hi, levels, num, den):
-    """Min and max sides after one tree, and the tree's graph6 code if it
-    entered either side (else None)."""
-    g6 = None
-    if lo is None or num * lo[1] <= lo[0] * den:
-        g6 = to_graph6(levels_to_graph(levels))
-        lo = _enter(lo, num, den, g6)
-    if hi is None or num * hi[1] >= hi[0] * den:
-        g6 = g6 or to_graph6(levels_to_graph(levels))
-        hi = _enter(hi, num, den, g6)
-    return lo, hi, g6
+def _fold_side(side, num, den, code, smaller):
+    """Min (``smaller``) or max side [numerator, denominator, witnesses]
+    after one block of int64 values num/den.
+
+    The block's entries that tie or beat the side meet in an exact
+    tournament of cross-multiplications; every entry tied with its winner
+    then joins or replaces the side, so only those are encoded."""
+    if side is None:
+        contenders = np.arange(len(num))
+    else:
+        lhs, rhs = num * side[1], side[0] * den
+        contenders = np.flatnonzero(lhs <= rhs if smaller else lhs >= rhs)
+        if not contenders.size:
+            return side
+    alive = contenders
+    while alive.size > 1:
+        half = alive.size // 2
+        a, b = alive[:half], alive[half:2 * half]
+        lhs, rhs = num[a] * den[b], num[b] * den[a]
+        winners = np.where(lhs <= rhs if smaller else lhs >= rhs, a, b)
+        alive = np.concatenate((winners, alive[2 * half:]))
+    best_num, best_den = int(num[alive[0]]), int(den[alive[0]])
+    tied = contenders[num[contenders] * best_den == best_num * den[contenders]]
+    return _enter(side, best_num, best_den, [code(i) for i in tied])
+
+
+def _top_floor(top, top_k):
+    """(numerator, denominator) of the top list's last value once it holds
+    top_k entries, else None."""
+    if len(top) < top_k:
+        return None
+    last = -top[-1][0]
+    return last.numerator, last.denominator
+
+
+def _fold_top(top, top_k, num, den, code) -> None:
+    """Offer one block's entries, in stream order, to the top-k list of
+    (-value, graph6) pairs.
+
+    While the list is full, an entry can enter only if its value ties or
+    beats the list's last one: a vectorized prefilter against the last
+    value at the block's start drops the rest, and each survivor is checked
+    again against the list as it stands.  Ties pass both checks, so the
+    list does not depend on where blocks start."""
+    floor = _top_floor(top, top_k)
+    offered = range(len(num)) if floor is None else np.flatnonzero(
+        num * floor[1] >= floor[0] * den)
+    for i in offered:
+        n_i, d_i = int(num[i]), int(den[i])
+        if floor is None or n_i * floor[1] >= floor[0] * d_i:
+            insort(top, (-Fraction(n_i, d_i), code(i)))
+            del top[top_k:]
+            floor = _top_floor(top, top_k)
 
 
 def _sweep_chunk(payload):
-    """Min side, max side and top-k list of one chunk of the tree stream.
+    """Min side, max side and top-k list of one chunk of the tree stream,
+    an iterable of (stream index, levels) pairs.
 
-    Values stay unreduced integer pairs compared by cross-multiplication;
-    the graph6 code and the Fraction are built only for a tree that enters
-    a side or the top list (ties included), so witness lists and tie order
-    are those of an eager fold."""
+    The chunk is read and scored one run of TREE_BLOCK trees at a time.
+    Values stay unreduced int64 pairs compared by cross-multiplication;
+    the graph6 code and the Fraction are built only for a tree that ties
+    or beats a side or passes the top list's prefilter, so witness lists
+    and tie order are those of an eager fold."""
     objective, top_k, chunk, spots = payload
     lo = hi = None  # [numerator, denominator, witnesses]
     top: list[tuple[Fraction, str]] = []
-    floor = None  # (numerator, denominator) of the top list's last value once full
-    for index, levels in chunk:
-        if index in spots:
-            _spot_check(levels)
-        num, den = _tree_value(levels, objective)
-        lo, hi, g6 = _fold_tree(lo, hi, levels, num, den)
-        if top_k and (floor is None or num * floor[1] >= floor[0] * den):
-            g6 = g6 or to_graph6(levels_to_graph(levels))
-            entry = (-Fraction(num, den), g6)
-            if len(top) < top_k:
-                insort(top, entry)
-            elif entry < top[-1]:
-                insort(top, entry)
-                top.pop()
-            if len(top) == top_k:
-                last = -top[-1][0]
-                floor = (last.numerator, last.denominator)
+    for indices, rows in _runs(chunk):
+        block = _Block(rows)
+        block.spot_check(spots.picks(indices))
+        num, den = block.pair(objective)
+        lo = _fold_side(lo, num, den, block.code, smaller=True)
+        hi = _fold_side(hi, num, den, block.code, smaller=False)
+        if top_k:
+            _fold_top(top, top_k, num, den, block.code)
     return _finished(lo), _finished(hi), top
 
 
@@ -393,16 +474,17 @@ def _tree_sweep(n, objective, pool, workers, spot_check_rate, seed, top_k):
 
 
 def spot_check_trees(n: int, rate: float, seed: int = 2024) -> int:
-    """Check a deterministic sample of order-n trees: the tree DP, the
-    engine and the subset oracle must agree at both levels.  Returns how
-    many trees were checked; raises RouteDisagreement on any mismatch."""
+    """Check a deterministic sample of order-n trees: the batched tree DP,
+    the engine and the subset oracle must agree at both levels.  Only the
+    sampled trees are scored.  Returns how many trees were checked; raises
+    RouteDisagreement on any mismatch."""
     spots = _spot_sample(n, rate, seed)
     checked = 0
     if spots:
-        for index, levels in enumerate(_level_tuples(n)):
-            if index in spots:
-                _spot_check(levels)
-                checked += 1
+        for indices, rows in _runs(enumerate(_level_tuples(n))):
+            picked = spots.picks(indices)
+            if picked.size:
+                checked += _Block([rows[i] for i in picked]).spot_check(range(picked.size))
     return checked
 
 
@@ -509,60 +591,67 @@ def path_cycle_unions(n: int):
 # -- claim suites ----------------------------------------------------------------
 
 
-def _tree_degrees(levels) -> tuple[int, int | None]:
-    """Max degree and minimum internal degree (degree > 1; None when no
-    vertex is internal) of the tree of a level sequence."""
-    degree = [1] * len(levels)
-    degree[0] = 0
-    last = [0] * len(levels)  # last vertex seen at each depth
-    for i in range(1, len(levels)):
-        depth = levels[i]
-        degree[last[depth - 1]] += 1
-        last[depth] = i
-    internal = [d for d in degree if d > 1]
-    return max(degree), min(internal) if internal else None
+def _block_degrees(parent):
+    """Max degree and minimum internal degree (degree > 1; 0 when no
+    vertex is internal) of every tree of a (B, n) parent array from
+    ``level_parents``, as two int arrays: a bincount of the parents gives
+    the child counts, and every vertex but the root has one more edge."""
+    b, n = parent.shape
+    slots = parent[:, 1:] + n * np.arange(b)[:, None]
+    degree = np.bincount(slots.ravel(), minlength=b * n).reshape(b, n)
+    degree[:, 1:] += 1
+    # no degree reaches n, so n marks a tree without internal vertices
+    internal = np.where(degree > 1, degree, n).min(axis=1)
+    internal[internal == n] = 0
+    return degree.max(axis=1), internal
 
 
-def _tree_claim_reports(n: int, witness_cap) -> dict[str, ScanReport]:
+def _tree_claim_reports(n: int, witness_cap, spots=_SpotSample(1, 0, 0)):
     """The tree claims' reports at order n >= 2 from one walk of its trees,
-    keyed by claim id; a claim stated only above n has no report.
+    keyed by claim id (a claim stated only above n has no report), and how
+    many sampled trees were spot-checked on the way.
 
-    The min and max sides come from the sweep's lazy fold.  Each cap is
-    compared per tree in integers, and degrees are read off the level
-    sequence; graph6 codes are built only for side entries, the star and
-    violators, and a Fraction only for violators and the extremes."""
+    The walk is scored in blocks by the batched tree DP, which feeds the
+    sweep's side folds.  Both caps are compared per block in integers, and
+    degrees come from a bincount of the block's parent array; graph6 codes
+    are built only for side entries, the star and violators, and a
+    Fraction only for violators and the extremes."""
     cap = 4 + max(n - 3, 0)  # twice the tree cap 2 + max(n-3, 0)/2
     cap_text = format_rational(Fraction(cap, 2))
     claimed_equality = n in (2, 3, 4)  # stated for the paths of these orders
     lo = hi = star = None
     cap_violations, internal_violations = [], []
-    for levels in _level_tuples(n):
-        num, den = _tree_value(levels, "av1")
-        lo, hi, g6 = _fold_tree(lo, hi, levels, num, den)
-        max_degree, internal = _tree_degrees(levels)
-        if max_degree == n - 1:
-            star = g6 or to_graph6(levels_to_graph(levels))
+    checked = 0
+    for indices, rows in _runs(enumerate(_level_tuples(n))):
+        block = _Block(rows)
+        checked += block.spot_check(spots.picks(indices))
+        num, den = block.pair("av1")
+        lo = _fold_side(lo, num, den, block.code, smaller=True)
+        hi = _fold_side(hi, num, den, block.code, smaller=False)
+        max_degree, internal = _block_degrees(level_parents(block.levels))
+        for i in np.flatnonzero(max_degree == n - 1):
+            star = block.code(i)
         over_cap = 2 * num > cap * den
-        off_equality = claimed_equality and max_degree <= 2 and 2 * num != cap * den
-        over_internal = internal is not None and 2 * num > (n - internal + 3) * den
-        if over_cap or off_equality or over_internal:
-            g6 = g6 or to_graph6(levels_to_graph(levels))
-            observed = format_rational(Fraction(num, den))
-            if over_cap:
+        off_equality = claimed_equality & (max_degree <= 2) & (2 * num != cap * den)
+        over_internal = (internal > 0) & (2 * num > (n - internal + 3) * den)
+        for i in np.flatnonzero(over_cap | off_equality | over_internal):
+            g6 = block.code(i)
+            observed = format_rational(Fraction(int(num[i]), int(den[i])))
+            if over_cap[i]:
                 cap_violations.append(Violation(
                     g6, "tree average capped by 2 + max(n-3,0)/2",
                     observed=observed, expected=f"<= {cap_text}",
                 ))
-            if off_equality:
+            if off_equality[i]:
                 cap_violations.append(Violation(
                     g6, "claimed equality of the tree cap at the short paths",
                     observed=observed, expected=cap_text, equality_claim=True,
                 ))
-            if over_internal:
+            if over_internal[i]:
                 internal_violations.append(Violation(
                     g6, "tree average capped via the minimum internal degree",
                     observed=observed,
-                    expected=f"<= {format_rational(Fraction(n - internal + 3, 2))}",
+                    expected=f"<= {format_rational(Fraction(n - int(internal[i]) + 3, 2))}",
                 ))
     sides = low, high = _finished(lo), _finished(hi)
 
@@ -593,7 +682,7 @@ def _tree_claim_reports(n: int, witness_cap) -> dict[str, ScanReport]:
                 expected=f"in ({format_rational(Fraction(n, 2))}, {format_rational(Fraction(n + 1, 2))})",
             ))
         reports["tree-average-band"] = report("tree-average-band", band)
-    return reports
+    return reports, checked
 
 
 def _graph_claim_reports(n: int, graphs, witness_cap) -> dict[str, ScanReport]:
@@ -797,6 +886,7 @@ _CLAIM_SUITES = {
     "internal-degree-cap": "tree",
     "subdivided-star-band": "family",
 }
+_SUITE_FIRST_ORDER = {"tree": 2, "graph": 2, "ratio": 2, "family": 4}
 
 
 def verify_claims(
@@ -807,10 +897,20 @@ def verify_claims(
     max_ratio_order: int = 10,
     max_family_order: int = 40,
     witness_cap: int | None = WITNESS_CAP,
+    spot_check_rate: float = 0.0,
+    spot_checked: dict[int, int] | None = None,
 ) -> list[ScanReport]:
     """Run the claim suites exhaustively and return one report per claim
     and order, claim by claim in the order selected (a repeated claim id
-    counts once).  Equality discrepancies are recorded, not raised."""
+    counts once).  Equality discrepancies are recorded, not raised.
+
+    A selected suite whose maximum order lies below its first order (4 for
+    the family suite, 2 for the others) is refused.  At a positive
+    ``spot_check_rate`` a sample of the trees of every order up to
+    ``max_tree_order`` is spot-checked: on the tree claims' own walk, with
+    the DP rows their reports came from, when a tree claim is selected, and
+    by ``spot_check_trees`` otherwise.  ``spot_checked``, when given,
+    receives the number of trees checked at each order."""
     if claims == "all":
         selected = ALL_CLAIMS
     else:
@@ -824,21 +924,39 @@ def verify_claims(
         raise ValueError(f"order outside supported range (1..{TREE_ORDER_LIMIT})")
     if max_family_order > GRAPH6_ORDER_LIMIT:
         raise ValueError(f"max family order above graph6 limit ({GRAPH6_ORDER_LIMIT})")
+    maxima = {"tree": max_tree_order, "graph": max_graph_order,
+              "ratio": max_ratio_order, "family": max_family_order}
+    for suite in dict.fromkeys(_CLAIM_SUITES[c] for c in selected):
+        first = _SUITE_FIRST_ORDER[suite]
+        if maxima[suite] < first:
+            raise ValueError(f"max {suite} order {maxima[suite]} lies below the first order "
+                             f"of the {suite} claims ({first}), so they would check nothing")
+    # the sample spot_check_trees draws at its default seed
+    spots = {n: _spot_sample(n, spot_check_rate, 2024) for n in range(2, max_tree_order + 1)}
+    checked = {} if spot_checked is None else spot_checked
+
+    def tree_reports(n, cap):
+        reports_at_n, checked_at_n = _tree_claim_reports(n, cap, spots[n])
+        if spots[n]:
+            checked[n] = checked_at_n
+        return reports_at_n
+
     # each suite maps one order to its claims' reports; an order's
     # population (trees or graph classes) is walked once and dropped
     suites = {
-        "tree": (range(2, max_tree_order + 1), _tree_claim_reports),
-        "graph": (range(2, max_graph_order + 1),
-                  lambda n, cap: _graph_claim_reports(
-                      n, (g for g, _ in labeled_graph_classes(n)), cap)),
-        "ratio": (range(2, max_ratio_order + 1), _degree_two_ratio_reports),
-        "family": (range(4, max_family_order + 1), _subdivided_star_reports),
+        "tree": tree_reports,
+        "graph": lambda n, cap: _graph_claim_reports(
+            n, (g for g, _ in labeled_graph_classes(n)), cap),
+        "ratio": _degree_two_ratio_reports,
+        "family": _subdivided_star_reports,
     }
     reports, by_suite = [], {}
     for claim_id in selected:
         suite = _CLAIM_SUITES[claim_id]
         if suite not in by_suite:
-            orders, reports_at = suites[suite]
-            by_suite[suite] = [reports_at(n, witness_cap) for n in orders]
+            orders = range(_SUITE_FIRST_ORDER[suite], maxima[suite] + 1)
+            by_suite[suite] = [suites[suite](n, witness_cap) for n in orders]
         reports.extend(by_order[claim_id] for by_order in by_suite[suite] if claim_id in by_order)
+    if "tree" not in by_suite:
+        checked.update((n, spot_check_trees(n, spot_check_rate)) for n in spots if spots[n])
     return reports

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 from .graphs import Graph, build_graph
 
 TREE_ORDER_LIMIT = 24
@@ -48,6 +50,21 @@ def levels_to_graph(levels) -> Graph:
             edges.append((stack[-1], i))
         stack.append(i)
     return build_graph(len(levels), edges)
+
+
+def level_parents(levels: np.ndarray) -> np.ndarray:
+    """Parent of every vertex of a (B, n) block of level sequences, as a
+    (B, n) index array; the parent of vertex i is the latest earlier vertex
+    one level up, and the root's entry is 0."""
+    b, n = levels.shape
+    trees = np.arange(b)
+    last = np.zeros((b, n + 1), dtype=np.intp)  # last vertex seen at each depth
+    parent = np.zeros((b, n), dtype=np.intp)
+    for i in range(1, n):
+        depth = levels[:, i]
+        parent[:, i] = last[trees, depth - 1]
+        last[trees, depth] = i
+    return parent
 
 
 def _check_order(n: int) -> None:

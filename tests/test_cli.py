@@ -246,6 +246,20 @@ def test_verify_refuses_family_order_past_graph6_limit(capsys, monkeypatch):
     assert err == "error: max family order above graph6 limit (62)\n"
 
 
+def test_verify_refuses_order_below_a_suite_before_running_any(capsys, monkeypatch):
+    from nisets import scanner
+
+    def no_suite(*args):
+        raise AssertionError("a suite ran before every order was checked")
+
+    monkeypatch.setattr(scanner, "_tree_claim_reports", no_suite)
+    code, out, err = run_cli(capsys, "verify", "--max-graph-order", "-3", "--max-tree-order", "2",
+                             "--max-ratio-order", "2", "--max-family-order", "4")
+    assert code == 2 and out == ""
+    assert err == ("error: max graph order -3 lies below the first order of the graph claims "
+                   "(2), so they would check nothing\n")
+
+
 def test_conjecture_refuses_order_past_limit_before_sweeping(capsys, monkeypatch):
     from nisets import scanner
 

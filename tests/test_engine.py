@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from nisets.engine import (
     s1_vertex_recursion,
     summarize,
     tree_scalars,
+    tree_scalars_batch,
     union_combine,
 )
 from nisets.families import FamilySpec, build, closed_form_summary
@@ -35,7 +38,13 @@ from nisets.graphs import (
     is_good_graph,
 )
 from nisets.oracle import OracleProfile, oracle_profiles, oracle_summary
-from nisets.trees import LevelSequence, level_sequences, sequence_to_adjacency
+from nisets.trees import (
+    LevelSequence,
+    _level_tuples,
+    level_sequences,
+    levels_to_graph,
+    sequence_to_adjacency,
+)
 
 
 def path(n):
@@ -412,6 +421,18 @@ def test_summary_matches_closed_forms():
                     want.sigma, want.total, want.average), (family, n, level)
 
 
+def preorder_depths(adj, root):
+    """Depths of a tree given by adjacency lists, rooted at ``root``, in DFS
+    preorder: a valid level sequence, in general not the canonical one."""
+    depths = []
+    stack = [(root, -1, 0)]
+    while stack:
+        v, parent, depth = stack.pop()
+        depths.append(depth)
+        stack.extend((u, v, depth + 1) for u in adj[v] if u != parent)
+    return tuple(depths)
+
+
 class TestTreeScalars:
     @pytest.mark.parametrize("n", range(1, 15))
     def test_matches_engine_on_every_free_tree(self, n):
@@ -436,13 +457,7 @@ class TestTreeScalars:
         code = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
         root = data.draw(st.integers(0, n - 1), label="root")
         adj = sequence_to_adjacency(tuple(code), n)
-        depths = []
-        stack = [(root, -1, 0)]
-        while stack:
-            v, parent, depth = stack.pop()
-            depths.append(depth)
-            stack.extend((u, v, depth + 1) for u in adj[v] if u != parent)
-        levels = LevelSequence(tuple(depths)).levels
+        levels = LevelSequence(preorder_depths(adj, root)).levels
         g = build_graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
         got = tree_scalars(levels)
         eng = Engine(g)
@@ -451,3 +466,48 @@ class TestTreeScalars:
             for level in (0, 1):
                 want = oracle_summary(g, level)
                 assert got[2 * level : 2 * level + 2] == (want.sigma, want.total)
+
+
+def batch_rows(rows):
+    """tree_scalars_batch of a list of level tuples, as one tuple per row."""
+    values = tree_scalars_batch(np.array(rows, dtype=np.int8))
+    assert all(v.dtype == np.int64 for v in values)
+    return [tuple(int(x) for x in row) for row in zip(*values)]
+
+
+class TestTreeScalarsBatch:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_reference_on_every_free_tree(self, n):
+        rows = list(_level_tuples(n))
+        assert batch_rows(rows) == [tree_scalars(levels) for levels in rows]
+
+    def test_matches_reference_on_a_stride_sample_at_order_18(self):
+        rows = list(islice(_level_tuples(18), 0, None, 7))
+        assert len(rows) == 17_696
+        assert batch_rows(rows) == [tree_scalars(levels) for levels in rows]
+
+    def test_star_and_path_at_the_order_limit(self):
+        # the star has the most independent sets of any tree; its size sum
+        # 23·2^22 + 1 lies within a factor 5 of the int64 argument's bound
+        # n·2^n at n = 24
+        star, path = (0,) + (1,) * 23, tuple(range(24))
+        got = batch_rows([star, path])
+        assert got == [tree_scalars(star), tree_scalars(path)]
+        assert got[0][:2] == ((1 << 23) + 1, 23 * (1 << 22) + 1)
+
+    def test_refuses_order_past_the_limit(self):
+        with pytest.raises(ValueError, match="order <= 24, got 25"):
+            tree_scalars_batch(np.zeros((1, 25), dtype=np.int8))
+
+    def test_block_of_mixed_rootings(self):
+        # every order-9 tree rooted at each of its vertices, all in one block:
+        # each row must carry its tree's canonical values
+        rows, want = [], []
+        for levels in _level_tuples(9):
+            graph = levels_to_graph(levels)
+            adj = [[u for u in range(9) if graph.adj[v] >> u & 1] for v in range(9)]
+            for root in range(9):
+                rows.append(preorder_depths(adj, root))
+                want.append(tree_scalars(levels))
+        assert len(set(rows)) > len(set(want))
+        assert batch_rows(rows) == want

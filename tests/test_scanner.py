@@ -6,10 +6,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 import nisets.scanner as scanner_module
-from nisets.engine import Engine, format_rational, tree_scalars
+from nisets.engine import Engine, format_rational, tree_scalars, tree_scalars_batch
 from nisets.families import FamilySpec, build, closed_form_summary
 from nisets.formats import from_graph6, to_graph6
 from nisets.graphs import (
@@ -26,9 +27,9 @@ from nisets.scanner import (
     OBJECTIVES,
     WITNESS_CAP,
     RouteDisagreement,
+    _block_degrees,
     _graph_claim_reports,
     _sweep_chunk,
-    _tree_degrees,
     conjecture_scan,
     has_inequality_violations,
     labeled_graph_classes,
@@ -42,6 +43,7 @@ from nisets.trees import (
     LevelSequence,
     _level_tuples,
     free_trees,
+    level_parents,
     level_sequences,
     levels_to_graph,
     tree_canonical_key,
@@ -270,21 +272,26 @@ class TestLazyTreeFold:
         assert len(records[2].max_witnesses) == 2
 
     @pytest.mark.parametrize("objective", ["av1", "sigma-ratio"])
-    def test_chunk_fold_keeps_every_tie(self, objective):
+    def test_chunk_fold_keeps_every_tie(self, monkeypatch, objective):
         # every order-8 tree twice, canonically rooted and rooted at its last
-        # vertex: each value is tied on both sides and at every top-k boundary
+        # vertex: each value is tied on both sides and at every top-k
+        # boundary, and at odd block sizes the two copies of a tree straddle
+        # block boundaries
         levels = []
         for seq in level_sequences(8):
             levels += [seq.levels, preorder_depths(seq.to_graph(), 7)]
         chunk = list(enumerate(levels))
+        no_spots = scanner_module._spot_sample(8, 0.0, 0)
         for top_k in (0, 1, 2, 3, 5, 8):
             want = eager_fold((LevelSequence(lv).to_graph() for lv in levels), objective, top_k)
-            lo, hi, top = _sweep_chunk((objective, top_k, chunk, frozenset()))
-            for side, key in ((lo, "min"), (hi, "max")):
-                value, witnesses, count = side
-                assert (value, sorted(witnesses)) == want[key]
-                assert count == len(witnesses) >= 2
-            assert [(g6, -negv) for negv, g6 in top] == want["top"]
+            for block in (1, 3, 7, scanner_module.TREE_BLOCK):
+                monkeypatch.setattr(scanner_module, "TREE_BLOCK", block)
+                lo, hi, top = _sweep_chunk((objective, top_k, chunk, no_spots))
+                for side, key in ((lo, "min"), (hi, "max")):
+                    value, witnesses, count = side
+                    assert (value, sorted(witnesses)) == want[key], block
+                    assert count == len(witnesses) >= 2
+                assert [(g6, -negv) for negv, g6 in top] == want["top"], block
 
     def test_conjecture_scan_deterministic_across_workers(self):
         one = conjecture_scan(range(9, 13), workers=1, spot_check_rate=0.05, seed=3)
@@ -294,23 +301,27 @@ class TestLazyTreeFold:
 
 
 class TestStrideSweep:
-    def test_one_worker_scores_each_tree_as_it_is_generated(self, monkeypatch):
-        generated, seen_at_score = [0], []
+    def test_generator_is_never_more_than_one_block_ahead_of_scoring(self, monkeypatch):
+        generated, scored, calls = [0], [0], []
 
         def counting_level_tuples(n):
             for levels in _level_tuples(n):
                 generated[0] += 1
                 yield levels
 
-        def counting_tree_scalars(levels):
-            seen_at_score.append(generated[0])
-            return tree_scalars(levels)
+        def counting_batch(levels):
+            calls.append(generated[0] - scored[0])
+            scored[0] += len(levels)
+            return tree_scalars_batch(levels)
 
+        monkeypatch.setattr(scanner_module, "TREE_BLOCK", 16)
         monkeypatch.setattr(scanner_module, "_level_tuples", counting_level_tuples)
-        monkeypatch.setattr(scanner_module, "tree_scalars", counting_tree_scalars)
+        monkeypatch.setattr(scanner_module, "tree_scalars_batch", counting_batch)
         scan_trees(10, workers=1)
-        assert len(seen_at_score) == 106
-        assert all(seen <= i + 1 for i, seen in enumerate(seen_at_score))
+        # 106 trees in six full blocks and one of ten; each block is scored
+        # as soon as it is generated
+        assert scored[0] == generated[0] == 106
+        assert calls == [16] * 6 + [10]
 
     def test_one_pool_per_call(self, monkeypatch):
         pools, real_pool = [], scanner_module.Pool
@@ -330,7 +341,7 @@ class TestStrideSweep:
     def test_every_spot_is_checked_once_across_shards(self, monkeypatch, tmp_path):
         log = tmp_path / "spots.txt"
 
-        def logging_spot_check(levels):
+        def logging_spot_check(levels, row):
             with log.open("a") as handle:
                 handle.write(" ".join(map(str, levels)) + "\n")
 
@@ -356,7 +367,9 @@ class TestStrideSweep:
             for rate in (0.0, 0.01, 0.05, 0.2, 0.5, 1.0):
                 spots = scanner_module._spot_sample(n, rate, seed)
                 want = min(total, max(1, int(rate * total))) if rate else 0
-                assert sum(i in spots for i in range(total)) == want, (n, rate)
+                rule = [i for i in range(total) if (i + seed) * want % total < want]
+                assert spots.picks(np.arange(total)).tolist() == rule, (n, rate)
+                assert len(rule) == want
                 assert bool(spots) == (want > 0)
 
     @pytest.mark.parametrize("workers", [0, -4])
@@ -473,11 +486,12 @@ class TestTreeClaimPass:
         first, second = inflated
         assert Fraction(9, 2) < inflated[second] < inflated[first]
 
-        def inflating_tree_scalars(levels):
-            sig0, s0, sig1, s1 = tree_scalars(levels)
-            return sig0, s0, sig1, factors.get(tuple(levels), 1) * s1
+        def inflating_batch(levels):
+            sig0, s0, sig1, s1 = tree_scalars_batch(levels)
+            factor = [factors.get(tuple(row.tolist()), 1) for row in levels]
+            return sig0, s0, sig1, np.array(factor) * s1
 
-        monkeypatch.setattr(scanner_module, "tree_scalars", inflating_tree_scalars)
+        monkeypatch.setattr(scanner_module, "tree_scalars_batch", inflating_batch)
         reports = verify_claims(claims=["tree-average-cap", "internal-degree-cap"],
                                 max_tree_order=9, witness_cap=None)
         g6 = {levels: to_graph6(levels_to_graph(levels)) for levels in factors}
@@ -494,18 +508,18 @@ class TestTreeClaimPass:
         # order-7 trees' extremes 3 and 86/25, so the star enters neither side
         star = (0,) + (1,) * 6
 
-        def inflating_tree_scalars(levels):
-            sig0, s0, sig1, s1 = tree_scalars(levels)
-            if tuple(levels) == star:
-                return sig0, s0, 8 * sig1, 13 * s1
-            return sig0, s0, sig1, s1
+        def inflating_batch(levels):
+            sig0, s0, sig1, s1 = tree_scalars_batch(levels)
+            is_star = np.array([tuple(row.tolist()) == star for row in levels])
+            return sig0, s0, np.where(is_star, 8, 1) * sig1, np.where(is_star, 13, 1) * s1
 
-        monkeypatch.setattr(scanner_module, "tree_scalars", inflating_tree_scalars)
+        monkeypatch.setattr(scanner_module, "tree_scalars_batch", inflating_batch)
         (report,) = verify_claims(claims=["tree-average-lower"], max_tree_order=7)[-1:]
         assert report.order == 7 and report.min_value < Fraction(13, 4) < report.max_value
         assert [v.graph6 for v in report.violations] == [to_graph6(levels_to_graph(star))]
 
     def test_one_walk_per_order(self, monkeypatch):
+        sampled = {n: spot_check_trees(n, 0.05) for n in range(2, 11)}
         walks = Counter()
 
         def counting_level_tuples(n):
@@ -513,17 +527,52 @@ class TestTreeClaimPass:
             return _level_tuples(n)
 
         monkeypatch.setattr(scanner_module, "_level_tuples", counting_level_tuples)
-        for runs in (1, 2):
-            reports = verify_claims(claims=TREE_CLAIMS, max_tree_order=10)
+        for runs, rate in ((1, 0.0), (2, 0.05)):
+            checked = {}
+            reports = verify_claims(claims=TREE_CLAIMS, max_tree_order=10,
+                                    spot_check_rate=rate, spot_checked=checked)
             assert {r.claim_id for r in reports} == set(TREE_CLAIMS)
-            # nothing is cached between calls: each call walks each order once
+            # nothing is cached between calls: each call walks each order
+            # once, and the spot checks ride that walk
             assert walks == {n: runs for n in range(2, 11)}
+            assert checked == (sampled if rate else {})
+
+    def test_spot_checks_without_tree_claims_walk_the_stream(self):
+        checked = {}
+        reports = verify_claims(claims=["degree-two-ratio"], max_tree_order=9,
+                                max_ratio_order=4, spot_check_rate=0.05, spot_checked=checked)
+        assert {r.claim_id for r in reports} == {"degree-two-ratio"}
+        assert checked == {n: spot_check_trees(n, 0.05) for n in range(2, 10)}
+
+    def test_claim_walk_checks_the_rows_it_scored(self, monkeypatch):
+        # a DP row off by one at a sampled tree is caught on the claim walk
+        def lying_batch(levels):
+            sig0, s0, sig1, s1 = tree_scalars_batch(levels)
+            return sig0, s0, sig1, s1 + 1
+
+        monkeypatch.setattr(scanner_module, "tree_scalars_batch", lying_batch)
+        with pytest.raises(RouteDisagreement, match="tree DP"):
+            verify_claims(claims=["tree-average-cap"], max_tree_order=6, spot_check_rate=0.01)
+
+    @pytest.mark.parametrize("suite, option, first", [
+        ("tree", "max_tree_order", 2), ("graph", "max_graph_order", 2),
+        ("ratio", "max_ratio_order", 2), ("family", "max_family_order", 4)])
+    def test_order_below_a_selected_suite_refused(self, suite, option, first):
+        with pytest.raises(ValueError, match=f"max {suite} order {first - 1} lies below"):
+            verify_claims(**{option: first - 1})
+        # an unselected suite's order is not checked
+        claim = next(c for c, s in scanner_module._CLAIM_SUITES.items() if s != suite)
+        orders = {"max_tree_order": 3, "max_graph_order": 3, "max_ratio_order": 3,
+                  "max_family_order": 5, option: first - 1}
+        assert verify_claims(claims=[claim], **orders)
 
     def test_degrees_match_structural_predicates(self):
         for n in range(1, 15):
-            for levels in _level_tuples(n):
+            stream = list(_level_tuples(n))
+            max_degree, internal = _block_degrees(level_parents(np.array(stream, dtype=np.int8)))
+            for levels, got_max, got_internal in zip(stream, max_degree, internal):
                 s = structural_predicates(levels_to_graph(levels))
-                assert _tree_degrees(levels) == (s.max_degree, s.min_internal_degree), levels
+                assert (got_max, got_internal or None) == (s.max_degree, s.min_internal_degree)
 
     def test_graph_average_upper_without_witnesses(self):
         (report,) = verify_claims(claims=["graph-average-upper"], max_graph_order=6,
@@ -687,10 +736,10 @@ def test_spot_check_catches_disagreement(monkeypatch):
 def test_spot_check_catches_tree_dp_disagreement(monkeypatch):
     import nisets.scanner as scanner_module
 
-    def lying_tree_scalars(levels):
-        return (1, 1, 1, 1)
+    def lying_batch(levels):
+        return (np.ones(len(levels), dtype=np.int64),) * 4
 
-    monkeypatch.setattr(scanner_module, "tree_scalars", lying_tree_scalars)
+    monkeypatch.setattr(scanner_module, "tree_scalars_batch", lying_batch)
     with pytest.raises(RouteDisagreement, match="tree DP"):
         spot_check_trees(5, 1.0)
 
