@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .engine import Engine, format_rational
 from .families import FAMILY_MIN_ORDER, FamilySpec, closed_form_summary
@@ -235,8 +236,10 @@ def _cmd_families(args: argparse.Namespace) -> int:
 def _cmd_trees(args: argparse.Namespace) -> int:
     if args.order is None:
         raise ValueError("trees requires --order")
-    lines = [to_graph6(tree) for tree in free_trees(args.order)]
-    _emit("\n".join(lines) + "\n", args.out)
+    trees = free_trees(args.order)
+    first = next(trees)  # checks the order before the output is opened
+    with _output(args.out) as handle:
+        handle.writelines(to_graph6(tree) + "\n" for tree in chain([first], trees))
     return 0
 
 

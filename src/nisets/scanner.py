@@ -133,6 +133,85 @@ def has_inequality_violations(reports) -> bool:
     return any(r.inequality_violations for r in reports)
 
 
+class _Side:
+    """The min (``smaller``) or max side of a stream of values num/den with
+    positive denominators: the extreme, kept as an unreduced pair and
+    compared by cross-multiplication, and the graph6 codes of the entries
+    that reach it, in stream order.  An empty side has value None and no
+    codes."""
+
+    __slots__ = ("smaller", "num", "den", "codes")
+
+    def __init__(self, smaller: bool):
+        self.smaller = smaller
+        self.num = self.den = None
+        self.codes: list[str] = []
+
+    @property
+    def value(self) -> Fraction | None:
+        return None if self.den is None else Fraction(self.num, self.den)
+
+    def _keeps(self, lhs, rhs):
+        """Whether lhs ties or beats rhs on this side, elementwise on arrays."""
+        return lhs <= rhs if self.smaller else lhs >= rhs
+
+    def offer(self, num, den, codes) -> None:
+        """Take entries of value num/den with these codes: they join a side
+        they tie and replace a side they beat."""
+        if self.den is not None and num * self.den == self.num * den:
+            self.codes.extend(codes)
+        elif self.den is None or self._keeps(num * self.den, self.num * den):
+            self.num, self.den, self.codes = num, den, list(codes)
+
+    def fold(self, num, den, code) -> None:
+        """Take one block of int64 values num/den, where ``code(i)`` is the
+        graph6 of entry i.
+
+        The block's entries that tie or beat the side meet in an exact
+        tournament of cross-multiplications; every entry tied with its
+        winner then joins or replaces the side, so only those are encoded."""
+        contenders = (np.arange(len(num)) if self.den is None else
+                      np.flatnonzero(self._keeps(num * self.den, self.num * den)))
+        if not contenders.size:
+            return
+        alive = contenders
+        while alive.size > 1:
+            half = alive.size // 2
+            a, b = alive[:half], alive[half:2 * half]
+            winners = np.where(self._keeps(num[a] * den[b], num[b] * den[a]), a, b)
+            alive = np.concatenate((winners, alive[2 * half:]))
+        best_num, best_den = int(num[alive[0]]), int(den[alive[0]])
+        tied = contenders[num[contenders] * best_den == best_num * den[contenders]]
+        self.offer(best_num, best_den, [code(i) for i in tied])
+
+    def merge(self, other: _Side) -> None:
+        """Join the side of a later stretch of the same stream."""
+        if other.den is not None:
+            self.offer(other.num, other.den, other.codes)
+
+
+def _extremes(entries=()):
+    """Min and max sides of (numerator, denominator, graph6) entries with
+    positive denominators; both are empty when there are no entries."""
+    lo, hi = _Side(smaller=True), _Side(smaller=False)
+    for num, den, g6 in entries:
+        lo.offer(num, den, [g6])
+        hi.offer(num, den, [g6])
+    return lo, hi
+
+
+def _report(claim_id, population, order, objective, sides, witness_cap, violations=()):
+    """ScanReport of a population's min and max sides."""
+    low, high = sides
+    return ScanReport(
+        claim_id, population, order, objective,
+        low.value, high.value,
+        tuple(sorted(low.codes)[:witness_cap]), tuple(sorted(high.codes)[:witness_cap]),
+        len(low.codes), len(high.codes),
+        tuple(violations),
+    )
+
+
 # -- exhaustive labelled-graph enumeration -------------------------------------
 
 
@@ -204,34 +283,6 @@ def scan_graphs(
                    _extremes(entries), witness_cap)
 
 
-def _extremes(entries):
-    """Min and max sides of (numerator, denominator, graph6) entries with
-    positive denominators, compared by cross-multiplication; both are None
-    when there are no entries."""
-    lo = hi = None
-    for num, den, g6 in entries:
-        if lo is None or num * lo[1] <= lo[0] * den:
-            lo = _enter(lo, num, den, [g6])
-        if hi is None or num * hi[1] >= hi[0] * den:
-            hi = _enter(hi, num, den, [g6])
-    return _finished(lo), _finished(hi)
-
-
-def _report(claim_id, population, order, objective, sides, witness_cap, violations=()):
-    """ScanReport of a population's finished min and max sides."""
-    low, high = sides
-    if low is None:
-        return ScanReport(claim_id, population, order, objective,
-                          None, None, (), (), 0, 0, tuple(violations))
-    return ScanReport(
-        claim_id, population, order, objective,
-        low[0], high[0],
-        tuple(sorted(low[1])[:witness_cap]), tuple(sorted(high[1])[:witness_cap]),
-        low[2], high[2],
-        tuple(violations),
-    )
-
-
 # -- tree sweeps ---------------------------------------------------------------
 
 # Trees scored per call of the batched tree DP.  Its states take 64·n bytes
@@ -240,11 +291,11 @@ def _report(claim_id, population, order, objective, sides, witness_cap, violatio
 TREE_BLOCK = 1024
 
 
-def _runs(trees):
-    """The (stream index, levels) pairs of ``trees`` in runs of up to
-    TREE_BLOCK, each as (index array, level tuples); the stream is read one
-    run at a time."""
-    trees = iter(trees)
+def _runs(n, shard=0, shards=1):
+    """The order-n trees whose stream index is shard modulo shards, in runs
+    of up to TREE_BLOCK, each as (stream index array, level tuples); the
+    generator is read one run at a time."""
+    trees = islice(enumerate(_level_tuples(n)), shard, None, shards)
     while run := list(islice(trees, TREE_BLOCK)):
         indices, rows = zip(*run)
         yield np.array(indices), rows
@@ -333,41 +384,6 @@ def _spot_sample(n: int, rate: float, seed: int) -> _SpotSample:
     return _SpotSample(total, min(total, max(1, int(rate * total))), seed)
 
 
-def _enter(side, num, den, codes):
-    """Side after entries of value num/den, which ties or beats the side's
-    value, with these graph6 codes."""
-    if side is not None and num * side[1] == side[0] * den:
-        side[2].extend(codes)
-        return side
-    return [num, den, list(codes)]
-
-
-def _fold_side(side, num, den, code, smaller):
-    """Min (``smaller``) or max side [numerator, denominator, witnesses]
-    after one block of int64 values num/den.
-
-    The block's entries that tie or beat the side meet in an exact
-    tournament of cross-multiplications; every entry tied with its winner
-    then joins or replaces the side, so only those are encoded."""
-    if side is None:
-        contenders = np.arange(len(num))
-    else:
-        lhs, rhs = num * side[1], side[0] * den
-        contenders = np.flatnonzero(lhs <= rhs if smaller else lhs >= rhs)
-        if not contenders.size:
-            return side
-    alive = contenders
-    while alive.size > 1:
-        half = alive.size // 2
-        a, b = alive[:half], alive[half:2 * half]
-        lhs, rhs = num[a] * den[b], num[b] * den[a]
-        winners = np.where(lhs <= rhs if smaller else lhs >= rhs, a, b)
-        alive = np.concatenate((winners, alive[2 * half:]))
-    best_num, best_den = int(num[alive[0]]), int(den[alive[0]])
-    tied = contenders[num[contenders] * best_den == best_num * den[contenders]]
-    return _enter(side, best_num, best_den, [code(i) for i in tied])
-
-
 def _top_floor(top, top_k):
     """(numerator, denominator) of the top list's last value once it holds
     top_k entries, else None."""
@@ -397,54 +413,28 @@ def _fold_top(top, top_k, num, den, code) -> None:
             floor = _top_floor(top, top_k)
 
 
-def _sweep_chunk(payload):
-    """Min side, max side and top-k list of one chunk of the tree stream,
-    an iterable of (stream index, levels) pairs.
+def _sweep_shard(payload):
+    """Min side, max side and top-k list of the order-n trees whose stream
+    index is shard modulo shards.  Each worker runs the generator itself,
+    so no tree crosses a process.
 
-    The chunk is read and scored one run of TREE_BLOCK trees at a time.
+    The shard is read and scored one run of TREE_BLOCK trees at a time.
     Values stay unreduced int64 pairs compared by cross-multiplication;
     the graph6 code and the Fraction are built only for a tree that ties
     or beats a side or passes the top list's prefilter, so witness lists
     and tie order are those of an eager fold."""
-    objective, top_k, chunk, spots = payload
-    lo = hi = None  # [numerator, denominator, witnesses]
+    n, objective, top_k, spots, shard, shards = payload
+    lo, hi = _extremes()
     top: list[tuple[Fraction, str]] = []
-    for indices, rows in _runs(chunk):
+    for indices, rows in _runs(n, shard, shards):
         block = _Block(rows)
         block.spot_check(spots.picks(indices))
         num, den = block.pair(objective)
-        lo = _fold_side(lo, num, den, block.code, smaller=True)
-        hi = _fold_side(hi, num, den, block.code, smaller=False)
+        lo.fold(num, den, block.code)
+        hi.fold(num, den, block.code)
         if top_k:
             _fold_top(top, top_k, num, den, block.code)
-    return _finished(lo), _finished(hi), top
-
-
-def _finished(side):
-    """(value, witnesses, count) of a side, the shape ``_merge_side`` takes."""
-    if side is None:
-        return None
-    return Fraction(side[0], side[1]), side[2], len(side[2])
-
-
-def _merge_side(a, b, smaller):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a[0] == b[0]:
-        return (a[0], a[1] + b[1], a[2] + b[2])
-    keep_a = a[0] < b[0] if smaller else a[0] > b[0]
-    return a if keep_a else b
-
-
-def _sweep_stride(payload):
-    """``_sweep_chunk`` over the order-n trees whose stream index is shard
-    modulo shards; each worker runs the generator itself, so no tree
-    crosses a process."""
-    n, objective, top_k, spots, shard, shards = payload
-    trees = islice(enumerate(_level_tuples(n)), shard, None, shards)
-    return _sweep_chunk((objective, top_k, trees, spots))
+    return lo, hi, top
 
 
 def _pool(workers: int):
@@ -454,23 +444,17 @@ def _pool(workers: int):
     return Pool(workers) if workers > 1 else nullcontext()
 
 
-def _tree_sweep(n, objective, pool, workers, spot_check_rate, seed, top_k):
-    if not 2 <= n <= TREE_ORDER_LIMIT:
-        raise ValueError(f"unsupported order for tree scan (2..{TREE_ORDER_LIMIT})")
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    spots = _spot_sample(n, spot_check_rate, seed)
+def _tree_sweep(n, objective, pool, workers, spots, top_k):
+    """Min side, max side and top-k (value, graph6) list of the order-n
+    trees, from one stride shard per worker; shards merge in shard order."""
     payloads = [(n, objective, top_k, spots, shard, workers) for shard in range(workers)]
-    parts = (pool.map if pool else map)(_sweep_stride, payloads)
-    mins, maxs, top = None, None, []
-    for pmin, pmax, ptop in parts:
-        mins = _merge_side(mins, pmin, smaller=True)
-        maxs = _merge_side(maxs, pmax, smaller=False)
-        for entry in ptop:
-            insort(top, entry)
-        if top_k:
-            del top[top_k:]
-    return mins, maxs, [(-negv, g6) for negv, g6 in top]
+    lo, hi = _extremes()
+    top = []
+    for part_lo, part_hi, part_top in (pool.map if pool else map)(_sweep_shard, payloads):
+        lo.merge(part_lo)
+        hi.merge(part_hi)
+        top += part_top
+    return lo, hi, [(-negv, g6) for negv, g6 in sorted(top)[:top_k]]
 
 
 def spot_check_trees(n: int, rate: float, seed: int = 2024) -> int:
@@ -481,7 +465,7 @@ def spot_check_trees(n: int, rate: float, seed: int = 2024) -> int:
     spots = _spot_sample(n, rate, seed)
     checked = 0
     if spots:
-        for indices, rows in _runs(enumerate(_level_tuples(n))):
+        for indices, rows in _runs(n):
             picked = spots.picks(indices)
             if picked.size:
                 checked += _Block([rows[i] for i in picked]).spot_check(range(picked.size))
@@ -498,9 +482,14 @@ def scan_trees(
     seed: int = 2024,
 ) -> ScanReport:
     """Exact extremal values of the objective over all free trees of order n."""
+    if not 2 <= n <= TREE_ORDER_LIMIT:
+        raise ValueError(f"unsupported order for tree scan (2..{TREE_ORDER_LIMIT})")
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+    spots = _spot_sample(n, spot_check_rate, seed)
     with _pool(workers) as pool:
-        mins, maxs, _ = _tree_sweep(n, objective, pool, workers, spot_check_rate, seed, top_k=0)
-    return _report(f"scan-{objective}", "free-trees", n, objective, (mins, maxs), witness_cap)
+        lo, hi, _ = _tree_sweep(n, objective, pool, workers, spots, top_k=0)
+    return _report(f"scan-{objective}", "free-trees", n, objective, (lo, hi), witness_cap)
 
 
 @dataclass(frozen=True)
@@ -540,20 +529,21 @@ def conjecture_scan(
         raise ValueError(f"conjecture scan needs orders >= 4 and <= {TREE_ORDER_LIMIT}")
     if top_k < 0:
         raise ValueError("top list length must be non-negative")
+    samples = [_spot_sample(n, spot_check_rate, seed) for n in orders]
     out = []
     with _pool(workers) as pool:
-        for n in orders:
-            _, maxs, top = _tree_sweep(n, "av1", pool, workers, spot_check_rate, seed, top_k)
+        for n, spots in zip(orders, samples):
+            _, hi, top = _tree_sweep(n, "av1", pool, workers, spots, top_k)
             r_tree = build(FamilySpec("R", n))
             r_value = nis_summary(r_tree, 1).average
-            unique = maxs[2] == 1 and maxs[0] == r_value
+            unique = len(hi.codes) == 1 and hi.value == r_value
             if unique:
-                unique = tree_canonical_key(from_graph6(maxs[1][0])) == tree_canonical_key(r_tree)
+                unique = tree_canonical_key(from_graph6(hi.codes[0])) == tree_canonical_key(r_tree)
             out.append(
                 ConjectureRecord(
                     order=n,
-                    max_value=maxs[0],
-                    max_witnesses=tuple(sorted(maxs[1])[:WITNESS_CAP]),
+                    max_value=hi.value,
+                    max_witnesses=tuple(sorted(hi.codes)[:WITNESS_CAP]),
                     subdivided_star_value=r_value,
                     subdivided_star_is_unique_max=unique,
                     top=tuple((g6, v) for v, g6 in top),
@@ -619,15 +609,16 @@ def _tree_claim_reports(n: int, witness_cap, spots=_SpotSample(1, 0, 0)):
     cap = 4 + max(n - 3, 0)  # twice the tree cap 2 + max(n-3, 0)/2
     cap_text = format_rational(Fraction(cap, 2))
     claimed_equality = n in (2, 3, 4)  # stated for the paths of these orders
-    lo = hi = star = None
+    lo, hi = sides = _extremes()
+    star = None
     cap_violations, internal_violations = [], []
     checked = 0
-    for indices, rows in _runs(enumerate(_level_tuples(n))):
+    for indices, rows in _runs(n):
         block = _Block(rows)
         checked += block.spot_check(spots.picks(indices))
         num, den = block.pair("av1")
-        lo = _fold_side(lo, num, den, block.code, smaller=True)
-        hi = _fold_side(hi, num, den, block.code, smaller=False)
+        lo.fold(num, den, block.code)
+        hi.fold(num, den, block.code)
         max_degree, internal = _block_degrees(level_parents(block.levels))
         for i in np.flatnonzero(max_degree == n - 1):
             star = block.code(i)
@@ -653,7 +644,6 @@ def _tree_claim_reports(n: int, witness_cap, spots=_SpotSample(1, 0, 0)):
                     observed=observed,
                     expected=f"<= {format_rational(Fraction(n - int(internal[i]) + 3, 2))}",
                 ))
-    sides = low, high = _finished(lo), _finished(hi)
 
     def report(claim_id, violations, population_sides=sides):
         return _report(claim_id, "free-trees", n, "av1", population_sides, witness_cap, violations)
@@ -662,23 +652,23 @@ def _tree_claim_reports(n: int, witness_cap, spots=_SpotSample(1, 0, 0)):
     reports = {
         "tree-average-cap": report("tree-average-cap", cap_violations),
         "internal-degree-cap": report("internal-degree-cap", internal_violations,
-                                      sides if n >= 3 else (None, None)),
+                                      sides if n >= 3 else _extremes()),
     }
     if n >= 3:
         lower = []
-        if low[0] != 2 or low[2] != 1 or low[1][0] != star:
+        if lo.value != 2 or lo.codes != [star]:
             lower.append(Violation(
                 star, "the star uniquely minimizes the tree average",
-                observed=f"min {format_rational(low[0])} on {low[2]} trees",
+                observed=f"min {format_rational(lo.value)} on {len(lo.codes)} trees",
                 expected="min 2, only at the star",
             ))
         reports["tree-average-lower"] = report("tree-average-lower", lower)
     if n >= 9:
         band = []
-        if not Fraction(n, 2) < high[0] < Fraction(n + 1, 2):
+        if not Fraction(n, 2) < hi.value < Fraction(n + 1, 2):
             band.append(Violation(
                 "", "tree maximum lies strictly between n/2 and (n+1)/2",
-                observed=format_rational(high[0]),
+                observed=format_rational(hi.value),
                 expected=f"in ({format_rational(Fraction(n, 2))}, {format_rational(Fraction(n + 1, 2))})",
             ))
         reports["tree-average-band"] = report("tree-average-band", band)
@@ -777,16 +767,16 @@ def _graph_claim_reports(n: int, graphs, witness_cap) -> dict[str, ScanReport]:
                                           "sigma-ratio", _extremes(ratio_entries)),
     }
     if n >= 6:
-        max_value, max_witnesses, max_count = sides[1]
+        high = sides[1]
         bound = Fraction(n, 2) + 1
         single_edge = build(FamilySpec("G_special", n))
         upper = []
-        if not (max_value == bound and max_count == 1
-                and canonical_code(from_graph6(max_witnesses[0])) == canonical_code(single_edge)):
+        if not (high.value == bound and len(high.codes) == 1
+                and canonical_code(from_graph6(high.codes[0])) == canonical_code(single_edge)):
             upper.append(Violation(
                 to_graph6(single_edge),
                 "the single edge plus isolated vertices uniquely maximizes the average",
-                observed=f"max {format_rational(max_value)} on {max_count} classes",
+                observed=f"max {format_rational(high.value)} on {len(high.codes)} classes",
                 expected=f"max {format_rational(bound)} on exactly this class",
             ))
         reports["graph-average-upper"] = report("graph-average-upper", upper)
@@ -922,6 +912,8 @@ def verify_claims(
         raise ValueError(f"order above exhaustive limit ({GRAPH_SCAN_LIMIT})")
     if max_tree_order > TREE_ORDER_LIMIT:
         raise ValueError(f"order outside supported range (1..{TREE_ORDER_LIMIT})")
+    if max_ratio_order > GRAPH6_ORDER_LIMIT:
+        raise ValueError(f"max ratio order above graph6 limit ({GRAPH6_ORDER_LIMIT})")
     if max_family_order > GRAPH6_ORDER_LIMIT:
         raise ValueError(f"max family order above graph6 limit ({GRAPH6_ORDER_LIMIT})")
     maxima = {"tree": max_tree_order, "graph": max_graph_order,

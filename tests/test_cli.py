@@ -238,12 +238,15 @@ def test_verify_refuses_family_order_past_graph6_limit(capsys, monkeypatch):
     from nisets import scanner
 
     def no_suite(n, cap):
-        raise AssertionError("a suite ran before the family order was checked")
+        raise AssertionError("a suite ran before the family and ratio orders were checked")
 
     monkeypatch.setattr(scanner, "_tree_claim_reports", no_suite)
     code, out, err = run_cli(capsys, "verify", "--max-family-order", "63")
     assert code == 2 and out == ""
     assert err == "error: max family order above graph6 limit (62)\n"
+    code, out, err = run_cli(capsys, "verify", "--max-ratio-order", "63")
+    assert code == 2 and out == ""
+    assert err == "error: max ratio order above graph6 limit (62)\n"
 
 
 def test_verify_refuses_order_below_a_suite_before_running_any(capsys, monkeypatch):

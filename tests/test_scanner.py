@@ -28,8 +28,9 @@ from nisets.scanner import (
     WITNESS_CAP,
     RouteDisagreement,
     _block_degrees,
+    _extremes,
     _graph_claim_reports,
-    _sweep_chunk,
+    _sweep_shard,
     conjecture_scan,
     has_inequality_violations,
     labeled_graph_classes,
@@ -280,17 +281,16 @@ class TestLazyTreeFold:
         levels = []
         for seq in level_sequences(8):
             levels += [seq.levels, preorder_depths(seq.to_graph(), 7)]
-        chunk = list(enumerate(levels))
+        monkeypatch.setattr(scanner_module, "_level_tuples", lambda n: iter(levels))
         no_spots = scanner_module._spot_sample(8, 0.0, 0)
         for top_k in (0, 1, 2, 3, 5, 8):
             want = eager_fold((LevelSequence(lv).to_graph() for lv in levels), objective, top_k)
             for block in (1, 3, 7, scanner_module.TREE_BLOCK):
                 monkeypatch.setattr(scanner_module, "TREE_BLOCK", block)
-                lo, hi, top = _sweep_chunk((objective, top_k, chunk, no_spots))
+                lo, hi, top = _sweep_shard((8, objective, top_k, no_spots, 0, 1))
                 for side, key in ((lo, "min"), (hi, "max")):
-                    value, witnesses, count = side
-                    assert (value, sorted(witnesses)) == want[key], block
-                    assert count == len(witnesses) >= 2
+                    assert (side.value, sorted(side.codes)) == want[key], block
+                    assert len(side.codes) >= 2
                 assert [(g6, -negv) for negv, g6 in top] == want["top"], block
 
     def test_conjecture_scan_deterministic_across_workers(self):
@@ -298,6 +298,63 @@ class TestLazyTreeFold:
         two = conjecture_scan(range(9, 13), workers=2, spot_check_rate=0.05, seed=3)
         three = conjecture_scan(range(9, 13), workers=3, spot_check_rate=0.05, seed=3)
         assert one == two == three
+
+
+def tied_stream(length=60):
+    """Unreduced values from a few fractions, each scaled by a varying
+    factor, so every extreme is tied in several unreduced forms (1/2, 2/4,
+    3/6, ...), with codes naming their stream positions."""
+    bases = [(1, 2), (2, 3), (5, 7), (1, 3), (2, 3), (1, 2)]
+    num, den = [], []
+    for i in range(length):
+        a, b = bases[i * 7 % len(bases)]
+        scale = 1 + i % 4
+        num.append(a * scale)
+        den.append(b * scale)
+    codes = [f"t{i:02d}" for i in range(length)]
+    return np.array(num, dtype=np.int64), np.array(den, dtype=np.int64), codes
+
+
+def folded(num, den, codes, block):
+    lo, hi = _extremes()
+    for start in range(0, len(num), block):
+        stop = start + block
+        for side in (lo, hi):
+            side.fold(num[start:stop], den[start:stop], lambda i, start=start: codes[start + i])
+    return lo, hi
+
+
+class TestSide:
+    def test_empty_side(self):
+        lo, hi = _extremes()
+        lo.merge(hi)
+        assert (lo.value, lo.codes, hi.value, hi.codes) == (None, [], None, [])
+        report = scanner_module._report("c", "p", 3, "av1", (lo, hi), WITNESS_CAP)
+        assert (report.min_value, report.min_witnesses, report.min_count) == (None, (), 0)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 16, 60])
+    def test_block_fold_equals_offer_and_eager_fractions(self, block):
+        num, den, codes = tied_stream()
+        values = [Fraction(int(a), int(b)) for a, b in zip(num, den)]
+        offered = _extremes((int(a), int(b), c) for a, b, c in zip(num, den, codes))
+        for side, by_offer, extreme in zip(folded(num, den, codes, block), offered, (min, max)):
+            want = extreme(values)
+            stream_order = [c for v, c in zip(values, codes) if v == want]
+            assert len(stream_order) >= 10
+            assert (side.value, side.codes) == (want, stream_order)
+            assert (by_offer.value, by_offer.codes) == (want, stream_order)
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_stride_shards_merge_to_one_fold(self, shards):
+        num, den, codes = tied_stream()
+        whole = folded(num, den, codes, 7)
+        merged = _extremes()
+        for shard in range(shards):
+            part = folded(num[shard::shards], den[shard::shards], codes[shard::shards], 7)
+            for side, part_side in zip(merged, part):
+                side.merge(part_side)
+        for side, one in zip(merged, whole):
+            assert (side.value, sorted(side.codes)) == (one.value, one.codes)
 
 
 class TestStrideSweep:
@@ -337,6 +394,20 @@ class TestStrideSweep:
         assert pools == [2, 2]
         conjecture_scan(range(9, 13), workers=1)
         assert pools == [2, 2]
+
+    def test_refused_scan_opens_no_pool(self, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError("a pool opened before the inputs were checked")
+
+        monkeypatch.setattr(scanner_module, "Pool", no_pool)
+        with pytest.raises(ValueError, match="2..24"):
+            scan_trees(25, workers=2)
+        with pytest.raises(ValueError, match="unknown objective"):
+            scan_trees(8, "nope", workers=2)
+        with pytest.raises(ValueError, match="spot-check rate"):
+            scan_trees(8, workers=2, spot_check_rate=2)
+        with pytest.raises(ValueError, match="spot-check rate"):
+            conjecture_scan([8, 9], workers=2, spot_check_rate=-1)
 
     def test_every_spot_is_checked_once_across_shards(self, monkeypatch, tmp_path):
         log = tmp_path / "spots.txt"
@@ -448,6 +519,10 @@ class TestClaims:
             verify_claims(max_graph_order=8)
         with pytest.raises(ValueError, match="1..24"):
             verify_claims(max_tree_order=25)
+        with pytest.raises(ValueError, match=r"max ratio order above graph6 limit \(62\)"):
+            verify_claims(max_ratio_order=63)
+        with pytest.raises(ValueError, match=r"max family order above graph6 limit \(62\)"):
+            verify_claims(max_family_order=63)
 
     def test_reports_are_deterministic(self, reports):
         again = verify_claims(max_tree_order=10, max_graph_order=5,
