@@ -329,7 +329,10 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
 
 def _parse_orders(text: str) -> tuple[int, int]:
     lo, colon, hi = text.partition(":")
-    return int(lo), int(hi if colon else lo)
+    lo, hi = int(lo), int(hi if colon else lo)
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"order range {text} is reversed: LO exceeds HI")
+    return lo, hi
 
 
 def _single_order(text: str) -> tuple[int, int]:

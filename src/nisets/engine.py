@@ -13,10 +13,10 @@ decompositions whose agreement is cross-checked by the test suite:
 
 Trees also have a linear dynamic program over their level sequences.
 ``tree_scalars`` runs it on one tree in Python integers and is the
-reference.  ``tree_scalars_batch`` runs it on a block of B trees at once in
-int64 numpy arrays, exact up to order 24; every tree sweep and the tree
-claim suite use it, and their spot checks compare its rows with ``Engine``
-and the subset oracle.
+reference.  ``tree_scalars_batch`` runs it on a block of B trees at once,
+given as their parent array, in int64 numpy arrays, exact up to order 24;
+every tree sweep and the tree claim suite use it, and their spot checks
+compare its rows with ``Engine`` and the subset oracle.
 
 All arithmetic is exact: Python integers for counts (int64 in the batched
 tree DP, where the order bound rules out overflow), fractions for
@@ -32,7 +32,6 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, components_of
-from .trees import level_parents
 
 Poly = tuple  # coefficient tuple, no trailing zeros; () is the zero polynomial
 
@@ -464,9 +463,10 @@ def tree_scalars(levels) -> tuple[int, int, int, int]:
 TREE_BATCH_ORDER_LIMIT = 24
 
 
-def tree_scalars_batch(levels: np.ndarray):
-    """``tree_scalars`` of every row of a (B, n) block of level sequences,
-    as four int64 arrays (sigma0, S0, sigma1, S1) of length B.
+def tree_scalars_batch(parent: np.ndarray):
+    """``tree_scalars`` of a block of B trees, given as the (B, n) parent
+    array of their level sequences (``trees.level_parents``), as four int64
+    arrays (sigma0, S0, sigma1, S1) of length B.
 
     The eight states a0, a1, b0, b1, c0, c1, f0, f1 of all B trees sit in
     one (8, n·B) array, vertex-major: vertex v of tree t is column v·B + t.
@@ -474,10 +474,9 @@ def tree_scalars_batch(levels: np.ndarray):
     gather and one scatter of the parents' columns; the children's columns
     are the contiguous slice of position i.  Refuses n above
     ``TREE_BATCH_ORDER_LIMIT``, where int64 could overflow."""
-    b, n = levels.shape
+    b, n = parent.shape
     if n > TREE_BATCH_ORDER_LIMIT:
         raise ValueError(f"batched tree DP needs order <= {TREE_BATCH_ORDER_LIMIT}, got {n}")
-    parent = level_parents(levels)
     states = np.zeros((8, n * b), dtype=np.int64)
     states[[0, 2, 3]] = 1  # a leaf: a = (1, 0), b = (1, 1), c = f = (0, 0)
     trees = np.arange(b)

@@ -4,7 +4,8 @@ Graph populations are enumerated as full labelled-graph orbits (every
 2^C(n,2) edge set, deduplicated into isomorphism classes by expanding the
 permutation orbit of each previously unseen mask), so the exhaustiveness of
 every claim check is auditable.  Tree populations come from the free-tree
-generator.  All claim checks are exact rational comparisons.
+block stream, scored a block at a time.  All claim checks are exact rational
+comparisons.
 
 Failed equality statements are recorded as violations and never dropped;
 a failed inequality would indicate an engine bug and makes the surrounding
@@ -17,7 +18,7 @@ from bisect import insort
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import permutations
 from math import factorial
 from multiprocessing import Pool
 
@@ -37,10 +38,10 @@ from .graphs import (
 from .oracle import oracle_profiles
 from .trees import (
     TREE_ORDER_LIMIT,
-    _level_tuples,
     count_free_trees,
     level_parents,
     levels_to_graph,
+    tree_blocks,
     tree_canonical_key,
 )
 
@@ -285,37 +286,31 @@ def scan_graphs(
 
 # -- tree sweeps ---------------------------------------------------------------
 
-# Trees scored per call of the batched tree DP.  Its states take 64·n bytes
-# per tree, 1.1 MB a block at order 17; blocks of 2048 and more raised a
-# one-worker sweep's peak RSS by a further 2.5 MB and more.
-TREE_BLOCK = 1024
-
-
 def _runs(n, shard=0, shards=1):
-    """The order-n trees whose stream index is shard modulo shards, in runs
-    of up to TREE_BLOCK, each as (stream index array, level tuples); the
-    generator is read one run at a time."""
-    trees = islice(enumerate(_level_tuples(n)), shard, None, shards)
-    while run := list(islice(trees, TREE_BLOCK)):
-        indices, rows = zip(*run)
-        yield np.array(indices), rows
+    """The blocks k of the order-n tree stream with k = shard modulo shards,
+    each as (stream index array, (b, n) int8 levels)."""
+    start = 0
+    for k, levels in enumerate(tree_blocks(n)):
+        if k % shards == shard:
+            yield np.arange(start, start + len(levels)), levels
+        start += len(levels)
 
 
 class _Block:
-    """One run of trees scored by the batched tree DP: the level tuples,
-    their (b, n) int8 block, the DP's four value arrays, and graph6 codes
-    built on demand and kept, so no tree is encoded twice."""
+    """One block of trees scored by the batched tree DP: the (b, n) int8
+    levels, their parent array, the DP's four value arrays, and graph6
+    codes built on demand and kept, so no tree is encoded twice."""
 
-    def __init__(self, rows):
-        self.rows = rows
-        self.levels = np.array(rows, dtype=np.int8)
-        self.values = tree_scalars_batch(self.levels)
+    def __init__(self, levels):
+        self.levels = levels
+        self.parent = level_parents(levels)
+        self.values = tree_scalars_batch(self.parent)
         self._codes = {}
 
     def code(self, i) -> str:
         g6 = self._codes.get(i)
         if g6 is None:
-            g6 = self._codes[i] = to_graph6(levels_to_graph(self.rows[i]))
+            g6 = self._codes[i] = to_graph6(levels_to_graph(self.levels[i].tolist()))
         return g6
 
     def pair(self, objective: str):
@@ -330,7 +325,7 @@ class _Block:
         values the sweep uses, against Engine and the subset oracle;
         returns how many trees were checked."""
         for i in positions:
-            _spot_check(self.rows[i], tuple(int(v[i]) for v in self.values))
+            _spot_check(self.levels[i].tolist(), tuple(int(v[i]) for v in self.values))
         return len(positions)
 
 
@@ -414,11 +409,11 @@ def _fold_top(top, top_k, num, den, code) -> None:
 
 
 def _sweep_shard(payload):
-    """Min side, max side and top-k list of the order-n trees whose stream
-    index is shard modulo shards.  Each worker runs the generator itself,
-    so no tree crosses a process.
+    """Min side, max side and top-k list of the order-n trees in the stream
+    blocks whose index is shard modulo shards.  Each worker runs the
+    generator itself, so no tree crosses a process.
 
-    The shard is read and scored one run of TREE_BLOCK trees at a time.
+    The shard is read and scored one block at a time.
     Values stay unreduced int64 pairs compared by cross-multiplication;
     the graph6 code and the Fraction are built only for a tree that ties
     or beats a side or passes the top list's prefilter, so witness lists
@@ -426,8 +421,8 @@ def _sweep_shard(payload):
     n, objective, top_k, spots, shard, shards = payload
     lo, hi = _extremes()
     top: list[tuple[Fraction, str]] = []
-    for indices, rows in _runs(n, shard, shards):
-        block = _Block(rows)
+    for indices, levels in _runs(n, shard, shards):
+        block = _Block(levels)
         block.spot_check(spots.picks(indices))
         num, den = block.pair(objective)
         lo.fold(num, den, block.code)
@@ -446,7 +441,7 @@ def _pool(workers: int):
 
 def _tree_sweep(n, objective, pool, workers, spots, top_k):
     """Min side, max side and top-k (value, graph6) list of the order-n
-    trees, from one stride shard per worker; shards merge in shard order."""
+    trees, from one stride shard of blocks per worker, merged in shard order."""
     payloads = [(n, objective, top_k, spots, shard, workers) for shard in range(workers)]
     lo, hi = _extremes()
     top = []
@@ -465,10 +460,10 @@ def spot_check_trees(n: int, rate: float, seed: int = 2024) -> int:
     spots = _spot_sample(n, rate, seed)
     checked = 0
     if spots:
-        for indices, rows in _runs(n):
+        for indices, levels in _runs(n):
             picked = spots.picks(indices)
             if picked.size:
-                checked += _Block([rows[i] for i in picked]).spot_check(range(picked.size))
+                checked += _Block(levels[picked]).spot_check(range(picked.size))
     return checked
 
 
@@ -613,13 +608,13 @@ def _tree_claim_reports(n: int, witness_cap, spots=_SpotSample(1, 0, 0)):
     star = None
     cap_violations, internal_violations = [], []
     checked = 0
-    for indices, rows in _runs(n):
-        block = _Block(rows)
+    for indices, levels in _runs(n):
+        block = _Block(levels)
         checked += block.spot_check(spots.picks(indices))
         num, den = block.pair("av1")
         lo.fold(num, den, block.code)
         hi.fold(num, den, block.code)
-        max_degree, internal = _block_degrees(level_parents(block.levels))
+        max_degree, internal = _block_degrees(block.parent)
         for i in np.flatnonzero(max_degree == n - 1):
             star = block.code(i)
         over_cap = 2 * num > cap * den
@@ -877,6 +872,8 @@ _CLAIM_SUITES = {
     "subdivided-star-band": "family",
 }
 _SUITE_FIRST_ORDER = {"tree": 2, "graph": 2, "ratio": 2, "family": 4}
+# the claims first stated above their suite's first order
+_CLAIM_FIRST_ORDER = {"graph-average-upper": 6, "tree-average-lower": 3, "tree-average-band": 9}
 
 
 def verify_claims(
@@ -894,8 +891,9 @@ def verify_claims(
     and order, claim by claim in the order selected (a repeated claim id
     counts once).  Equality discrepancies are recorded, not raised.
 
-    A selected suite whose maximum order lies below its first order (4 for
-    the family suite, 2 for the others) is refused.  At a positive
+    A maximum order below the first order of a suite under "all" (4 for the
+    family suite, 2 for the others), or of a named claim, is refused, since
+    it would check nothing.  At a positive
     ``spot_check_rate`` a sample of the trees of every order up to
     ``max_tree_order`` is spot-checked: on the tree claims' own walk, with
     the DP rows their reports came from, when a tree claim is selected, and
@@ -918,11 +916,16 @@ def verify_claims(
         raise ValueError(f"max family order above graph6 limit ({GRAPH6_ORDER_LIMIT})")
     maxima = {"tree": max_tree_order, "graph": max_graph_order,
               "ratio": max_ratio_order, "family": max_family_order}
-    for suite in dict.fromkeys(_CLAIM_SUITES[c] for c in selected):
+    for claim_id in selected:
+        suite = _CLAIM_SUITES[claim_id]
         first = _SUITE_FIRST_ORDER[suite]
+        what = f"the {suite} claims ({first}), so they"
+        if claims != "all":
+            first = _CLAIM_FIRST_ORDER.get(claim_id, first)
+            what = f"{claim_id} ({first}), so it"
         if maxima[suite] < first:
             raise ValueError(f"max {suite} order {maxima[suite]} lies below the first order "
-                             f"of the {suite} claims ({first}), so they would check nothing")
+                             f"of {what} would check nothing")
     # the sample spot_check_trees draws at its default seed
     spots = {n: _spot_sample(n, spot_check_rate, 2024) for n in range(2, max_tree_order + 1)}
     checked = {} if spot_checked is None else spot_checked

@@ -2,8 +2,9 @@
 
 Trees are produced by the classic successor algorithm on canonical level
 sequences of centre-rooted trees (constant amortized work per tree), so the
-stream order is deterministic.  Two independent cross-checks live here as
-well: a counting recurrence for the number of free trees, and a slow
+stream order is deterministic; ``tree_blocks`` cuts the stream into int8
+blocks, which every consumer reads.  Two independent cross-checks live here
+as well: a counting recurrence for the number of free trees, and a slow
 labelled-tree oracle that decodes every length-(n-2) vertex sequence and
 deduplicates the results by a canonical key.
 """
@@ -19,6 +20,10 @@ import numpy as np
 from .graphs import Graph, build_graph
 
 TREE_ORDER_LIMIT = 24
+# Trees per block of the stream.  The batched tree DP's states take 64·n
+# bytes per tree, 1.1 MB a block at order 17; blocks of 2048 and more raised
+# a one-worker sweep's peak RSS by a further 2.5 MB and more.
+TREE_BLOCK = 1024
 SEQUENCE_ORACLE_LIMIT = 10  # n^(n-2) labelled trees; keep well clear of that wall
 
 
@@ -72,91 +77,78 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order outside supported range (1..{TREE_ORDER_LIMIT})")
 
 
-def _successor_rooted(levels: list[int], p: int | None = None) -> list[int] | None:
-    """Next canonical rooted-tree level sequence, or None after the last."""
-    if p is None:
-        p = len(levels) - 1
-        while levels[p] == 1:
-            p -= 1
+def _first_subtree_end(levels: list[int]) -> int:
+    """Position of the root's second child, or len(levels) when it has only one."""
+    try:
+        return levels.index(1, 2)
+    except ValueError:
+        return len(levels)
+
+
+def _successor(levels: list[int], p: int) -> bool:
+    """Advance ``levels`` in place to the next canonical rooted-tree level
+    sequence that differs from it at position p first; False after the last.
+    The positions from p on repeat the stretch from the latest earlier
+    vertex one level above p up to p."""
     if p == 0:
-        return None
+        return False
     q = p - 1
     while levels[q] != levels[p] - 1:
         q -= 1
-    out = list(levels)
-    for i in range(p, len(out)):
-        out[i] = out[i - p + q]
-    return out
+    period, tail = levels[q:p], len(levels) - p
+    levels[p:] = (period * (tail // len(period) + 1))[:tail]
+    return True
 
 
-def _split_first_subtree(levels: list[int]) -> tuple[list[int], list[int]]:
-    """(first root subtree re-rooted at depth 0, remainder incl. root)."""
-    cut = len(levels)
-    seen_one = False
-    for i, depth in enumerate(levels):
-        if depth == 1:
-            if seen_one:
-                cut = i
-                break
-            seen_one = True
-    left = [levels[i] - 1 for i in range(1, cut)]
-    rest = [0] + levels[cut:]
-    return left, rest
-
-
-def _advance_to_free(levels: list[int]) -> list[int] | None:
-    """Accept ``levels`` when it encodes a centre-rooted free tree, else jump
-    to the next sequence that does."""
-    left, rest = _split_first_subtree(levels)
-    left_height = max(left)
-    rest_height = max(rest)
-    valid = rest_height >= left_height
-    if valid and rest_height == left_height:
-        if len(left) > len(rest):
-            valid = False
-        elif len(left) == len(rest) and left > rest:
-            valid = False
-    if valid:
-        return levels
-    p = len(left)
-    skipped = _successor_rooted(levels, p)
-    if skipped is not None and levels[p] > 2:
-        new_left, _ = _split_first_subtree(skipped)
-        suffix = list(range(1, max(new_left) + 2))
-        skipped[-len(suffix):] = suffix
-    return skipped
-
-
-def _level_tuples(n: int):
-    """Canonical level sequences of all free trees of order n as plain
-    tuples, in stream order.  The successor only produces valid sequences,
-    so these skip ``LevelSequence`` validation."""
+def tree_blocks(n: int):
+    """Canonical level sequences of all free trees of order n, in stream
+    order, as (B, n) int8 blocks of ``TREE_BLOCK`` rows (the last may be
+    shorter).  One level list walks the rooted sequences in place (Wright,
+    Richmond, Odlyzko and McKay, SIAM J. Comput. 15, 1986); a sequence is
+    centre-rooted unless its first root subtree is taller than the rest, or
+    as tall and larger, and the walk then jumps past every sequence sharing
+    that first subtree."""
     _check_order(n)
-    if n == 1:
-        yield (0,)
+    if n <= 2:
+        yield np.arange(n, dtype=np.int8).reshape(1, n)
         return
-    if n == 2:
-        yield (0, 1)
-        return
-    layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while layout is not None:
-        layout = _advance_to_free(layout)
-        if layout is None:
+    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    rows, full = bytearray(), TREE_BLOCK * n
+    while True:
+        cut = _first_subtree_end(levels)
+        left, rest = [d - 1 for d in levels[1:cut]], [0] + levels[cut:]
+        if (max(left), len(left), left) > (max(rest), len(rest), rest):
+            top = levels[cut - 1]
+            if not _successor(levels, cut - 1):
+                break
+            if top > 2:
+                height = max(levels[1:_first_subtree_end(levels)])
+                levels[n - height:] = range(1, height + 1)
+        rows.extend(levels)
+        if len(rows) == full:
+            yield np.frombuffer(rows, dtype=np.int8).reshape(-1, n)
+            rows = bytearray()
+        p = n - 1
+        while levels[p] == 1:
+            p -= 1
+        if not _successor(levels, p):
             break
-        yield tuple(layout)
-        layout = _successor_rooted(layout)
+    if rows:
+        yield np.frombuffer(rows, dtype=np.int8).reshape(-1, n)
 
 
 def level_sequences(n: int):
     """Canonical level sequences of all free trees of order n, in stream order."""
-    for levels in _level_tuples(n):
-        yield LevelSequence(levels)
+    for block in tree_blocks(n):
+        for levels in block.tolist():
+            yield LevelSequence(tuple(levels))
 
 
 def free_trees(n: int):
     """All free trees of order n, exactly once up to isomorphism."""
-    for levels in _level_tuples(n):
-        yield levels_to_graph(levels)
+    for block in tree_blocks(n):
+        for levels in block.tolist():
+            yield levels_to_graph(levels)
 
 
 @lru_cache(maxsize=None)

@@ -255,12 +255,25 @@ def test_verify_refuses_order_below_a_suite_before_running_any(capsys, monkeypat
     def no_suite(*args):
         raise AssertionError("a suite ran before every order was checked")
 
-    monkeypatch.setattr(scanner, "_tree_claim_reports", no_suite)
+    for suite in ("_tree_claim_reports", "_graph_claim_reports", "_degree_two_ratio_reports",
+                  "_subdivided_star_reports"):
+        monkeypatch.setattr(scanner, suite, no_suite)
     code, out, err = run_cli(capsys, "verify", "--max-graph-order", "-3", "--max-tree-order", "2",
                              "--max-ratio-order", "2", "--max-family-order", "4")
     assert code == 2 and out == ""
     assert err == ("error: max graph order -3 lies below the first order of the graph claims "
                    "(2), so they would check nothing\n")
+    # a named claim is refused below its own first order, not its suite's
+    for claims, option, order, first in (
+            ("graph-average-upper", "--max-graph-order", 5, 6),
+            ("graph-average-lower,graph-average-upper", "--max-graph-order", 5, 6),
+            ("tree-average-lower", "--max-tree-order", 2, 3),
+            ("tree-average-band", "--max-tree-order", 8, 9)):
+        code, out, err = run_cli(capsys, "verify", "--claims", claims, option, str(order))
+        assert code == 2 and out == ""
+        suite = option.split("-")[-2]
+        assert err == (f"error: max {suite} order {order} lies below the first order of "
+                       f"{claims.split(',')[-1]} ({first}), so it would check nothing\n")
 
 
 def test_conjecture_refuses_order_past_limit_before_sweeping(capsys, monkeypatch):
@@ -396,11 +409,20 @@ def write_config(tmp_path, entries) -> str:
     (("trees",), {"order": 7.5}, "invalid int value: '7.5'"),
     (("trees",), {"order": None}, "must be a string or a number"),
     (("verify",), ["max_tree_order", 6], "must hold a JSON object"),
+    (("conjecture",), {"orders": "17:4"}, "order range 17:4 is reversed"),
+    (("families",), {"orders": "12:2"}, "order range 12:2 is reversed"),
 ])
 def test_bad_config_value_exits_2(capsys, tmp_path, argv, entries, message):
     code, err = exit_code(capsys, *argv, "--config", write_config(tmp_path, entries))
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("command,orders", [("conjecture", "17:4"), ("families", "12:2")])
+def test_reversed_order_range_exits_2(capsys, command, orders):
+    code, err = exit_code(capsys, command, "--orders", orders)
+    assert code == 2
+    assert f"argument --orders: order range {orders} is reversed: LO exceeds HI" in err
 
 
 @pytest.mark.parametrize("argv,entries,orders", [

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -40,10 +39,11 @@ from nisets.graphs import (
 from nisets.oracle import OracleProfile, oracle_profiles, oracle_summary
 from nisets.trees import (
     LevelSequence,
-    _level_tuples,
+    level_parents,
     level_sequences,
     levels_to_graph,
     sequence_to_adjacency,
+    tree_blocks,
 )
 
 
@@ -470,7 +470,7 @@ class TestTreeScalars:
 
 def batch_rows(rows):
     """tree_scalars_batch of a list of level tuples, as one tuple per row."""
-    values = tree_scalars_batch(np.array(rows, dtype=np.int8))
+    values = tree_scalars_batch(level_parents(np.array(rows, dtype=np.int8)))
     assert all(v.dtype == np.int64 for v in values)
     return [tuple(int(x) for x in row) for row in zip(*values)]
 
@@ -478,11 +478,11 @@ def batch_rows(rows):
 class TestTreeScalarsBatch:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_matches_reference_on_every_free_tree(self, n):
-        rows = list(_level_tuples(n))
+        rows = [seq.levels for seq in level_sequences(n)]
         assert batch_rows(rows) == [tree_scalars(levels) for levels in rows]
 
     def test_matches_reference_on_a_stride_sample_at_order_18(self):
-        rows = list(islice(_level_tuples(18), 0, None, 7))
+        rows = [tuple(levels) for levels in np.concatenate(list(tree_blocks(18)))[::7].tolist()]
         assert len(rows) == 17_696
         assert batch_rows(rows) == [tree_scalars(levels) for levels in rows]
 
@@ -497,13 +497,13 @@ class TestTreeScalarsBatch:
 
     def test_refuses_order_past_the_limit(self):
         with pytest.raises(ValueError, match="order <= 24, got 25"):
-            tree_scalars_batch(np.zeros((1, 25), dtype=np.int8))
+            tree_scalars_batch(np.zeros((1, 25), dtype=np.intp))
 
     def test_block_of_mixed_rootings(self):
         # every order-9 tree rooted at each of its vertices, all in one block:
         # each row must carry its tree's canonical values
         rows, want = [], []
-        for levels in _level_tuples(9):
+        for levels in (seq.levels for seq in level_sequences(9)):
             graph = levels_to_graph(levels)
             adj = [[u for u in range(9) if graph.adj[v] >> u & 1] for v in range(9)]
             for root in range(9):

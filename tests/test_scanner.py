@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import nisets.scanner as scanner_module
+import nisets.trees as trees_module
 from nisets.engine import Engine, format_rational, tree_scalars, tree_scalars_batch
 from nisets.families import FamilySpec, build, closed_form_summary
 from nisets.formats import from_graph6, to_graph6
@@ -42,11 +43,11 @@ from nisets.scanner import (
 )
 from nisets.trees import (
     LevelSequence,
-    _level_tuples,
     free_trees,
     level_parents,
     level_sequences,
     levels_to_graph,
+    tree_blocks,
     tree_canonical_key,
 )
 
@@ -281,12 +282,13 @@ class TestLazyTreeFold:
         levels = []
         for seq in level_sequences(8):
             levels += [seq.levels, preorder_depths(seq.to_graph(), 7)]
-        monkeypatch.setattr(scanner_module, "_level_tuples", lambda n: iter(levels))
+        rows = np.array(levels, dtype=np.int8)
         no_spots = scanner_module._spot_sample(8, 0.0, 0)
         for top_k in (0, 1, 2, 3, 5, 8):
             want = eager_fold((LevelSequence(lv).to_graph() for lv in levels), objective, top_k)
-            for block in (1, 3, 7, scanner_module.TREE_BLOCK):
-                monkeypatch.setattr(scanner_module, "TREE_BLOCK", block)
+            for block in (1, 3, 7, trees_module.TREE_BLOCK):
+                monkeypatch.setattr(scanner_module, "tree_blocks", lambda n, block=block: (
+                    rows[start:start + block] for start in range(0, len(rows), block)))
                 lo, hi, top = _sweep_shard((8, objective, top_k, no_spots, 0, 1))
                 for side, key in ((lo, "min"), (hi, "max")):
                     assert (side.value, sorted(side.codes)) == want[key], block
@@ -361,24 +363,36 @@ class TestStrideSweep:
     def test_generator_is_never_more_than_one_block_ahead_of_scoring(self, monkeypatch):
         generated, scored, calls = [0], [0], []
 
-        def counting_level_tuples(n):
-            for levels in _level_tuples(n):
-                generated[0] += 1
+        def counting_blocks(n):
+            for levels in tree_blocks(n):
+                generated[0] += len(levels)
                 yield levels
 
-        def counting_batch(levels):
+        def counting_batch(parent):
             calls.append(generated[0] - scored[0])
-            scored[0] += len(levels)
-            return tree_scalars_batch(levels)
+            scored[0] += len(parent)
+            return tree_scalars_batch(parent)
 
-        monkeypatch.setattr(scanner_module, "TREE_BLOCK", 16)
-        monkeypatch.setattr(scanner_module, "_level_tuples", counting_level_tuples)
+        monkeypatch.setattr(trees_module, "TREE_BLOCK", 16)
+        monkeypatch.setattr(scanner_module, "tree_blocks", counting_blocks)
         monkeypatch.setattr(scanner_module, "tree_scalars_batch", counting_batch)
         scan_trees(10, workers=1)
         # 106 trees in six full blocks and one of ten; each block is scored
         # as soon as it is generated
         assert scored[0] == generated[0] == 106
         assert calls == [16] * 6 + [10]
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_shards_stride_whole_blocks_with_stream_indices(self, monkeypatch, shards):
+        monkeypatch.setattr(trees_module, "TREE_BLOCK", 100)
+        stream = np.concatenate(list(tree_blocks(13)))  # 1301 trees in 14 blocks
+        seen = []
+        for shard in range(shards):
+            for indices, levels in scanner_module._runs(13, shard, shards):
+                assert indices[0] % 100 == 0 and indices[0] // 100 % shards == shard
+                assert (levels == stream[indices]).all()
+                seen += indices.tolist()
+        assert sorted(seen) == list(range(len(stream)))
 
     def test_one_pool_per_call(self, monkeypatch):
         pools, real_pool = [], scanner_module.Pool
@@ -421,7 +435,7 @@ class TestStrideSweep:
         scan_trees(10, workers=3, spot_check_rate=1.0)
         lines = log.read_text().splitlines()
         assert len(lines) == 106
-        assert sorted(lines) == sorted(" ".join(map(str, lv)) for lv in _level_tuples(10))
+        assert sorted(lines) == sorted(" ".join(map(str, seq.levels)) for seq in level_sequences(10))
 
     def test_shard_payload_stays_small_at_order_24(self):
         import pickle
@@ -552,7 +566,7 @@ class TestTreeClaimPass:
     def test_inflated_trees_are_listed_by_both_caps(self, monkeypatch):
         # the first tree in stream order (the path) becomes the maximum; a
         # mid-stream tree breaks both caps without entering either side
-        stream = list(_level_tuples(8))
+        stream = [seq.levels for seq in level_sequences(8)]
         factors = {stream[0]: 4, stream[len(stream) // 2]: 3}
         inflated = {}
         for levels, factor in factors.items():
@@ -561,9 +575,13 @@ class TestTreeClaimPass:
         first, second = inflated
         assert Fraction(9, 2) < inflated[second] < inflated[first]
 
-        def inflating_batch(levels):
-            sig0, s0, sig1, s1 = tree_scalars_batch(levels)
-            factor = [factors.get(tuple(row.tolist()), 1) for row in levels]
+        # the batch sees parent arrays, which name their trees as well
+        by_parent = {tuple(level_parents(np.array([levels], dtype=np.int8))[0].tolist()): factor
+                     for levels, factor in factors.items()}
+
+        def inflating_batch(parent):
+            sig0, s0, sig1, s1 = tree_scalars_batch(parent)
+            factor = [by_parent.get(tuple(row.tolist()), 1) for row in parent]
             return sig0, s0, sig1, np.array(factor) * s1
 
         monkeypatch.setattr(scanner_module, "tree_scalars_batch", inflating_batch)
@@ -583,9 +601,10 @@ class TestTreeClaimPass:
         # order-7 trees' extremes 3 and 86/25, so the star enters neither side
         star = (0,) + (1,) * 6
 
-        def inflating_batch(levels):
-            sig0, s0, sig1, s1 = tree_scalars_batch(levels)
-            is_star = np.array([tuple(row.tolist()) == star for row in levels])
+        def inflating_batch(parent):
+            sig0, s0, sig1, s1 = tree_scalars_batch(parent)
+            # the star's vertices all hang off the root
+            is_star = np.array([row.tolist() == [0] * len(star) for row in parent])
             return sig0, s0, np.where(is_star, 8, 1) * sig1, np.where(is_star, 13, 1) * s1
 
         monkeypatch.setattr(scanner_module, "tree_scalars_batch", inflating_batch)
@@ -597,11 +616,11 @@ class TestTreeClaimPass:
         sampled = {n: spot_check_trees(n, 0.05) for n in range(2, 11)}
         walks = Counter()
 
-        def counting_level_tuples(n):
+        def counting_blocks(n):
             walks[n] += 1
-            return _level_tuples(n)
+            return tree_blocks(n)
 
-        monkeypatch.setattr(scanner_module, "_level_tuples", counting_level_tuples)
+        monkeypatch.setattr(scanner_module, "tree_blocks", counting_blocks)
         for runs, rate in ((1, 0.0), (2, 0.05)):
             checked = {}
             reports = verify_claims(claims=TREE_CLAIMS, max_tree_order=10,
@@ -621,8 +640,8 @@ class TestTreeClaimPass:
 
     def test_claim_walk_checks_the_rows_it_scored(self, monkeypatch):
         # a DP row off by one at a sampled tree is caught on the claim walk
-        def lying_batch(levels):
-            sig0, s0, sig1, s1 = tree_scalars_batch(levels)
+        def lying_batch(parent):
+            sig0, s0, sig1, s1 = tree_scalars_batch(parent)
             return sig0, s0, sig1, s1 + 1
 
         monkeypatch.setattr(scanner_module, "tree_scalars_batch", lying_batch)
@@ -643,9 +662,9 @@ class TestTreeClaimPass:
 
     def test_degrees_match_structural_predicates(self):
         for n in range(1, 15):
-            stream = list(_level_tuples(n))
-            max_degree, internal = _block_degrees(level_parents(np.array(stream, dtype=np.int8)))
-            for levels, got_max, got_internal in zip(stream, max_degree, internal):
+            stream = np.concatenate(list(tree_blocks(n)))
+            max_degree, internal = _block_degrees(level_parents(stream))
+            for levels, got_max, got_internal in zip(stream.tolist(), max_degree, internal):
                 s = structural_predicates(levels_to_graph(levels))
                 assert (got_max, got_internal or None) == (s.max_degree, s.min_internal_degree)
 
@@ -811,8 +830,8 @@ def test_spot_check_catches_disagreement(monkeypatch):
 def test_spot_check_catches_tree_dp_disagreement(monkeypatch):
     import nisets.scanner as scanner_module
 
-    def lying_batch(levels):
-        return (np.ones(len(levels), dtype=np.int64),) * 4
+    def lying_batch(parent):
+        return (np.ones(len(parent), dtype=np.int64),) * 4
 
     monkeypatch.setattr(scanner_module, "tree_scalars_batch", lying_batch)
     with pytest.raises(RouteDisagreement, match="tree DP"):

@@ -1,7 +1,11 @@
 """Free-tree generation, counting recurrence and the labelled-tree oracle."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
+import nisets.trees as trees_module
 from nisets.graphs import canonical_code, is_tree
 from nisets.trees import (
     LevelSequence,
@@ -9,6 +13,7 @@ from nisets.trees import (
     free_trees,
     labelled_tree_classes,
     level_sequences,
+    tree_blocks,
     tree_canonical_key,
 )
 
@@ -32,6 +37,36 @@ def test_every_emission_is_a_tree(n):
 def test_no_two_emissions_share_a_canonical_code(n):
     codes = [canonical_code(tree) for tree in free_trees(n)]
     assert len(set(codes)) == len(codes)
+
+
+# (tree count, SHA-256 of every tree's level bytes in stream order), as the
+# tuple-per-tree generator produced them before the block stream
+STREAM_DIGESTS = {
+    10: (106, "affcca541476d16f9474d3ece3376d47d52255242c4bfbdb12851f41e51c93b5"),
+    14: (3159, "86b198329454b54ff105dd773d4696e4a1be3ae9f1c67e7b0248094635df7091"),
+    16: (19320, "b7af4ae64e9411115cfb0fcc27a5503dc220dd261ef546d9aa9272476361a608"),
+}
+
+
+def stream_digest(n):
+    blocks = list(tree_blocks(n))
+    assert all(b.dtype == np.int8 and b.shape[1] == n for b in blocks)
+    return sum(map(len, blocks)), hashlib.sha256(b"".join(b.tobytes() for b in blocks)).hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(STREAM_DIGESTS))
+def test_stream_order_is_pinned(n):
+    assert stream_digest(n) == STREAM_DIGESTS[n]
+
+
+@pytest.mark.parametrize("block", [1, 7, 1024])
+def test_block_size_does_not_change_the_stream(monkeypatch, block):
+    monkeypatch.setattr(trees_module, "TREE_BLOCK", block)
+    for n in (10, 14):
+        blocks = list(tree_blocks(n))
+        assert all(len(b) == block for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= block
+        assert stream_digest(n) == STREAM_DIGESTS[n]
+    assert [b.tolist() for n in (1, 2) for b in tree_blocks(n)] == [[[0]], [[0, 1]]]
 
 
 def test_stream_is_deterministic():
