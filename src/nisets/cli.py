@@ -21,7 +21,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import chain
 
 from .engine import Engine, format_rational
 from .families import FAMILY_MIN_ORDER, FamilySpec, closed_form_summary
@@ -42,10 +41,26 @@ from .trees import free_trees
 ENV_OUTPUT_DIR = "NISETS_OUTPUT_DIR"
 
 
+@contextlib.contextmanager
 def _output(path: str | None):
-    """Context manager for the output file, or stdout (left open) when
-    ``path`` is None."""
-    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w")
+    """Handle for the output file, or stdout (left open) when ``path`` is
+    None.  The file is written beside ``path`` under a temporary name and
+    renamed to it only on success, so a failed run leaves no report."""
+    if path is None:
+        yield sys.stdout
+        return
+    partial = f"{path}.{os.getpid()}.partial"
+    try:
+        handle = open(partial, "x")
+    except OSError as exc:  # name the path asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with handle:
+            yield handle
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -158,20 +173,20 @@ def _compute_record(graph: Graph) -> dict:
 def _compute_csv(records) -> str:
     head = ["n", "edges", "sigma0", "s0", "av0", "av0_decimal",
             "sigma1", "s1", "av1", "av1_decimal", "i0_coefficients", "i1_coefficients", "note"]
-    rows = []
-    for rec in records:
-        rows.append([rec[k] if k != "i0_coefficients" and k != "i1_coefficients"
-                     else ";".join(map(str, rec[k]))
-                     for k in head[:-1]] + [rec.get("note", "")])
-    text = _csv_text(head, rows)
-    edge_rows = []
-    for i, rec in enumerate(records):
-        for term in rec["edge_terms"]:
-            edge_rows.append([i, term["u"], term["v"], term["sigma0"], term["s0"],
-                              term["weight"], term["av0"], term["union_size"]])
-    text += "\n" + _csv_text(
-        ["graph_index", "u", "v", "sigma0", "s0", "weight", "av0", "union_size"], edge_rows)
-    return text
+    rows = [[";".join(map(str, rec[k])) if k.endswith("_coefficients") else rec.get(k, "")
+             for k in head] for rec in records]
+    edge_head = ["u", "v", "sigma0", "s0", "weight", "av0", "union_size"]
+    edge_rows = [[i] + [term[k] for k in edge_head]
+                 for i, rec in enumerate(records) for term in rec["edge_terms"]]
+    return _csv_text(head, rows) + "\n" + _csv_text(["graph_index"] + edge_head, edge_rows)
+
+
+def _batch_record(number: int, line: str) -> dict:
+    """The record of one batch line; an error names the line, counted from 1."""
+    try:
+        return _compute_record(from_graph6(line))
+    except ValueError as exc:
+        raise ValueError(f"line {number}: {exc}") from exc
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -183,7 +198,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             _emit(_compute_csv([record]), args.out)
         return 0
     with open(args.batch) as handle:
-        records = (_compute_record(from_graph6(line)) for line in handle if line.strip())
+        records = (_batch_record(number, line)
+                   for number, line in enumerate(handle, 1) if line.strip())
         if args.output_format == "json":
             _emit_json_array(records, args.out)
         else:
@@ -236,10 +252,8 @@ def _cmd_families(args: argparse.Namespace) -> int:
 def _cmd_trees(args: argparse.Namespace) -> int:
     if args.order is None:
         raise ValueError("trees requires --order")
-    trees = free_trees(args.order)
-    first = next(trees)  # checks the order before the output is opened
-    with _output(args.out) as handle:
-        handle.writelines(to_graph6(tree) + "\n" for tree in chain([first], trees))
+    with _output(args.out) as handle:  # a refused order leaves no file
+        handle.writelines(to_graph6(tree) + "\n" for tree in free_trees(args.order))
     return 0
 
 

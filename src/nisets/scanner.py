@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import insort
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -78,13 +78,7 @@ class Violation:
     equality_claim: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "claim": self.claim,
-            "observed": self.observed,
-            "expected": self.expected,
-            "equality_claim": self.equality_claim,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -439,17 +433,23 @@ def _pool(workers: int):
     return Pool(workers) if workers > 1 else nullcontext()
 
 
-def _tree_sweep(n, objective, pool, workers, spots, top_k):
-    """Min side, max side and top-k (value, graph6) list of the order-n
-    trees, from one stride shard of blocks per worker, merged in shard order."""
-    payloads = [(n, objective, top_k, spots, shard, workers) for shard in range(workers)]
-    lo, hi = _extremes()
-    top = []
-    for part_lo, part_hi, part_top in (pool.map if pool else map)(_sweep_shard, payloads):
-        lo.merge(part_lo)
-        hi.merge(part_hi)
-        top += part_top
-    return lo, hi, [(-negv, g6) for negv, g6 in sorted(top)[:top_k]]
+def _tree_sweeps(orders, objective, pool, workers, samples, top_k):
+    """Min side, max side and top-k (value, graph6) list of the trees of
+    each order, yielded order by order.  Every (order, stride shard) task
+    is queued in one pass over the pool, so no worker waits at an order's
+    end; each order's shards are merged in shard order as they arrive."""
+    payloads = [(n, objective, top_k, spots, shard, workers)
+                for n, spots in zip(orders, samples) for shard in range(workers)]
+    parts = (pool.imap if pool else map)(_sweep_shard, payloads)
+    for _ in orders:
+        lo, hi = _extremes()
+        top = []
+        for _ in range(workers):
+            part_lo, part_hi, part_top = next(parts)
+            lo.merge(part_lo)
+            hi.merge(part_hi)
+            top += part_top
+        yield lo, hi, [(-negv, g6) for negv, g6 in sorted(top)[:top_k]]
 
 
 def spot_check_trees(n: int, rate: float, seed: int = 2024) -> int:
@@ -483,7 +483,7 @@ def scan_trees(
         raise ValueError(f"unknown objective {objective!r}")
     spots = _spot_sample(n, spot_check_rate, seed)
     with _pool(workers) as pool:
-        lo, hi, _ = _tree_sweep(n, objective, pool, workers, spots, top_k=0)
+        lo, hi, _ = next(_tree_sweeps([n], objective, pool, workers, [spots], top_k=0))
     return _report(f"scan-{objective}", "free-trees", n, objective, (lo, hi), witness_cap)
 
 
@@ -527,23 +527,16 @@ def conjecture_scan(
     samples = [_spot_sample(n, spot_check_rate, seed) for n in orders]
     out = []
     with _pool(workers) as pool:
-        for n, spots in zip(orders, samples):
-            _, hi, top = _tree_sweep(n, "av1", pool, workers, spots, top_k)
+        sweeps = _tree_sweeps(orders, "av1", pool, workers, samples, top_k)
+        for n, (_, hi, top) in zip(orders, sweeps):
             r_tree = build(FamilySpec("R", n))
             r_value = nis_summary(r_tree, 1).average
-            unique = len(hi.codes) == 1 and hi.value == r_value
-            if unique:
-                unique = tree_canonical_key(from_graph6(hi.codes[0])) == tree_canonical_key(r_tree)
-            out.append(
-                ConjectureRecord(
-                    order=n,
-                    max_value=hi.value,
-                    max_witnesses=tuple(sorted(hi.codes)[:WITNESS_CAP]),
-                    subdivided_star_value=r_value,
-                    subdivided_star_is_unique_max=unique,
-                    top=tuple((g6, v) for v, g6 in top),
-                )
-            )
+            unique = len(hi.codes) == 1 and hi.value == r_value and (
+                tree_canonical_key(from_graph6(hi.codes[0])) == tree_canonical_key(r_tree))
+            out.append(ConjectureRecord(
+                order=n, max_value=hi.value, max_witnesses=tuple(sorted(hi.codes)[:WITNESS_CAP]),
+                subdivided_star_value=r_value, subdivided_star_is_unique_max=unique,
+                top=tuple((g6, v) for v, g6 in top)))
     return out
 
 
@@ -872,8 +865,10 @@ _CLAIM_SUITES = {
     "subdivided-star-band": "family",
 }
 _SUITE_FIRST_ORDER = {"tree": 2, "graph": 2, "ratio": 2, "family": 4}
-# the claims first stated above their suite's first order
-_CLAIM_FIRST_ORDER = {"graph-average-upper": 6, "tree-average-lower": 3, "tree-average-band": 9}
+# the claims that check nothing below an order above their suite's first
+# (internal-degree-cap: the order-2 tree has no internal vertex)
+_CLAIM_FIRST_ORDER = {"graph-average-upper": 6, "tree-average-lower": 3, "tree-average-band": 9,
+                      "internal-degree-cap": 3}
 
 
 def verify_claims(

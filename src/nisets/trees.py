@@ -2,8 +2,9 @@
 
 Trees are produced by the classic successor algorithm on canonical level
 sequences of centre-rooted trees (constant amortized work per tree), so the
-stream order is deterministic; ``tree_blocks`` cuts the stream into int8
-blocks, which every consumer reads.  Two independent cross-checks live here
+stream order is deterministic.  ``tree_blocks`` walks one bytearray in
+place, each step a few C-level scans and slice assignments, and cuts the
+stream into int8 blocks, which every consumer reads.  Two independent cross-checks live here
 as well: a counting recurrence for the number of free trees, and a slow
 labelled-tree oracle that decodes every length-(n-2) vertex sequence and
 deduplicates the results by a canonical key.
@@ -77,62 +78,50 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order outside supported range (1..{TREE_ORDER_LIMIT})")
 
 
-def _first_subtree_end(levels: list[int]) -> int:
-    """Position of the root's second child, or len(levels) when it has only one."""
-    try:
-        return levels.index(1, 2)
-    except ValueError:
-        return len(levels)
-
-
-def _successor(levels: list[int], p: int) -> bool:
-    """Advance ``levels`` in place to the next canonical rooted-tree level
-    sequence that differs from it at position p first; False after the last.
-    The positions from p on repeat the stretch from the latest earlier
-    vertex one level above p up to p."""
-    if p == 0:
-        return False
-    q = p - 1
-    while levels[q] != levels[p] - 1:
-        q -= 1
-    period, tail = levels[q:p], len(levels) - p
-    levels[p:] = (period * (tail // len(period) + 1))[:tail]
-    return True
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"  # translate table: every level one deeper
 
 
 def tree_blocks(n: int):
     """Canonical level sequences of all free trees of order n, in stream
     order, as (B, n) int8 blocks of ``TREE_BLOCK`` rows (the last may be
-    shorter).  One level list walks the rooted sequences in place (Wright,
-    Richmond, Odlyzko and McKay, SIAM J. Comput. 15, 1986); a sequence is
-    centre-rooted unless its first root subtree is taller than the rest, or
-    as tall and larger, and the walk then jumps past every sequence sharing
+    shorter).  One bytearray walks the rooted sequences in place (Wright,
+    Richmond, Odlyzko and McKay, SIAM J. Comput. 15, 1986), each step a few
+    C-level scans; the successor at position p repeats, from p on, the
+    stretch from the latest earlier vertex one level above p up to p.  A
+    sequence is centre-rooted unless its first root subtree is taller than
+    the rest, or as tall and larger, or as tall, as large and later read
+    from its own root; the walk then jumps past every sequence sharing
     that first subtree."""
     _check_order(n)
     if n <= 2:
         yield np.arange(n, dtype=np.int8).reshape(1, n)
         return
-    levels = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    levels = bytearray(range(n // 2 + 1)) + bytearray(range(1, (n + 1) // 2))
     rows, full = bytearray(), TREE_BLOCK * n
     while True:
-        cut = _first_subtree_end(levels)
-        left, rest = [d - 1 for d in levels[1:cut]], [0] + levels[cut:]
-        if (max(left), len(left), left) > (max(rest), len(rest), rest):
-            top = levels[cut - 1]
-            if not _successor(levels, cut - 1):
-                break
+        cut = levels.find(1, 2) % (n + 1)  # the root's second child, n if none
+        # the first subtree against the rest: heights, sizes (cut - 1 against
+        # n - cut + 1), then the sequences, both read from their own roots
+        left, right = max(levels[1:cut]) - 1, max(levels[cut:], default=0)
+        if left > right or left == right and (
+                2 * cut > n + 2 or 2 * cut == n + 2
+                and levels[2:cut] > levels[cut:].translate(_PLUS_ONE)):
+            p = cut - 1
+            top = levels[p]
+            q = levels.rfind(top - 1, 0, p)
+            levels[p:] = (levels[q:p] * ((n - p) // (p - q) + 1))[:n - p]
             if top > 2:
-                height = max(levels[1:_first_subtree_end(levels)])
+                height = max(levels[1:levels.find(1, 2) % (n + 1)])
                 levels[n - height:] = range(1, height + 1)
-        rows.extend(levels)
+        rows += levels
         if len(rows) == full:
             yield np.frombuffer(rows, dtype=np.int8).reshape(-1, n)
             rows = bytearray()
-        p = n - 1
-        while levels[p] == 1:
-            p -= 1
-        if not _successor(levels, p):
+        p = len(levels.rstrip(b"\1")) - 1  # the last vertex off level 1
+        if not p:
             break
+        q = levels.rfind(levels[p] - 1, 0, p)
+        levels[p:] = (levels[q:p] * ((n - p) // (p - q) + 1))[:n - p]
     if rows:
         yield np.frombuffer(rows, dtype=np.int8).reshape(-1, n)
 

@@ -163,10 +163,13 @@ def test_trees_round_trip_through_compute(capsys):
         assert payload["sigma1"] == summary.sigma and payload["s1"] == summary.total
 
 
-def test_trees_order_limit(capsys):
+def test_trees_order_limit(capsys, tmp_path):
     code, _, err = run_cli(capsys, "trees", "--order", "30")
     assert code == 2
     assert "1..24" in err
+    code, _, err = run_cli(capsys, "trees", "--order", "30", "--out", str(tmp_path / "t.g6"))
+    assert code == 2 and "1..24" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_scan_graphs_csv(capsys):
@@ -268,7 +271,8 @@ def test_verify_refuses_order_below_a_suite_before_running_any(capsys, monkeypat
             ("graph-average-upper", "--max-graph-order", 5, 6),
             ("graph-average-lower,graph-average-upper", "--max-graph-order", 5, 6),
             ("tree-average-lower", "--max-tree-order", 2, 3),
-            ("tree-average-band", "--max-tree-order", 8, 9)):
+            ("tree-average-band", "--max-tree-order", 8, 9),
+            ("internal-degree-cap", "--max-tree-order", 2, 3)):
         code, out, err = run_cli(capsys, "verify", "--claims", claims, option, str(order))
         assert code == 2 and out == ""
         suite = option.split("-")[-2]
@@ -282,7 +286,7 @@ def test_conjecture_refuses_order_past_limit_before_sweeping(capsys, monkeypatch
     def no_sweep(*args):
         raise AssertionError("an order was swept before every order was checked")
 
-    monkeypatch.setattr(scanner, "_tree_sweep", no_sweep)
+    monkeypatch.setattr(scanner, "_sweep_shard", no_sweep)
     code, out, err = run_cli(capsys, "conjecture", "--orders", "18:25")
     assert code == 2 and out == ""
     assert err == "error: conjecture scan needs orders >= 4 and <= 24\n"
@@ -527,6 +531,34 @@ def test_compute_batch_writes_each_record_as_computed(capsys, monkeypatch, tmp_p
     assert writes[0] == "" and json.loads(writes[1] + "]")[0]["av1"] == "12/5"
     assert json.loads(writes[1] + out) == json.loads(json.dumps(
         [record(from_graph6("Ch")), record(from_graph6("C~"))]))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failed_batch_leaves_no_report(capsys, tmp_path, fmt):
+    batch = tmp_path / "batch.g6"
+    batch.write_text("Dhc\n\nnot graph6\n")
+    out_path = tmp_path / "out" / "report.json"
+    out_path.parent.mkdir()
+    code, out, err = run_cli(capsys, "compute", "--batch", str(batch), "--out", str(out_path),
+                             "--output-format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 3: ")
+    assert list(out_path.parent.iterdir()) == []
+    # a report already at the path is kept, and a good run replaces it
+    out_path.write_text("kept")
+    assert run_cli(capsys, "compute", "--batch", str(batch), "--out", str(out_path))[0] == 2
+    assert out_path.read_text() == "kept"
+    batch.write_text("Dhc\n")
+    assert run_cli(capsys, "compute", "--batch", str(batch), "--out", str(out_path))[0] == 0
+    assert json.loads(out_path.read_text())[0]["n"] == 5
+    assert list(out_path.parent.iterdir()) == [out_path]
+
+
+def test_unwritable_output_names_the_path(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "stars.txt"
+    code, out, err = run_cli(capsys, "trees", "--order", "5", "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{out_path}'\n"
 
 
 def test_console_entry_point():

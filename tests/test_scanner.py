@@ -409,6 +409,45 @@ class TestStrideSweep:
         conjecture_scan(range(9, 13), workers=1)
         assert pools == [2, 2]
 
+    def test_one_pool_pass_over_every_order(self, monkeypatch):
+        passes, parts = [], {}
+
+        class RecordingPool:
+            """Runs the shards in this process and records each pass."""
+
+            def __init__(self, workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, payloads):
+                payloads = list(payloads)
+                passes.append([(n, shard, shards) for n, _, _, _, shard, shards in payloads])
+                for payload in payloads:
+                    parts[payload[0], payload[4]] = part = func(payload)
+                    yield part
+
+            def map(self, func, payloads):
+                raise AssertionError("an order was swept outside the one pass")
+
+        def report_bytes(records):
+            return json.dumps([r.to_json_dict() for r in records]).encode()
+
+        with monkeypatch.context() as m:
+            m.setattr(scanner_module, "Pool", RecordingPool)
+            two = conjecture_scan(range(4, 14), workers=2)
+        assert passes == [[(n, shard, 2) for n in range(4, 14) for shard in (0, 1)]]
+        # an order of at most 1024 trees is one block, which shard 0 scores
+        for n in range(4, 13):
+            assert parts[n, 1][1].value is None and parts[n, 1][2] == []
+        assert parts[13, 1][1].value is not None
+        assert report_bytes(two) == report_bytes(conjecture_scan(range(4, 14), workers=1))
+        assert report_bytes(two) == report_bytes(conjecture_scan(range(4, 14), workers=3))
+
     def test_refused_scan_opens_no_pool(self, monkeypatch):
         def no_pool(workers):
             raise AssertionError("a pool opened before the inputs were checked")
@@ -800,7 +839,7 @@ class TestConjecture:
         def no_sweep(*args):
             raise AssertionError("an order was swept before every order was checked")
 
-        monkeypatch.setattr(scanner_module, "_tree_sweep", no_sweep)
+        monkeypatch.setattr(scanner_module, "_sweep_shard", no_sweep)
         with pytest.raises(ValueError, match="<= 24"):
             conjecture_scan(range(18, 26))
 

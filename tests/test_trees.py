@@ -45,6 +45,7 @@ STREAM_DIGESTS = {
     10: (106, "affcca541476d16f9474d3ece3376d47d52255242c4bfbdb12851f41e51c93b5"),
     14: (3159, "86b198329454b54ff105dd773d4696e4a1be3ae9f1c67e7b0248094635df7091"),
     16: (19320, "b7af4ae64e9411115cfb0fcc27a5503dc220dd261ef546d9aa9272476361a608"),
+    18: (123867, "197cd0965db5676a891f02d3921ee0fdaaca6d5198e9ccadd1be18a06c644f54"),
 }
 
 
@@ -57,6 +58,11 @@ def stream_digest(n):
 @pytest.mark.parametrize("n", sorted(STREAM_DIGESTS))
 def test_stream_order_is_pinned(n):
     assert stream_digest(n) == STREAM_DIGESTS[n]
+
+
+def test_stream_length_matches_the_counting_recurrence():
+    for n in range(1, 19):
+        assert sum(map(len, tree_blocks(n))) == count_free_trees(n), n
 
 
 @pytest.mark.parametrize("block", [1, 7, 1024])
