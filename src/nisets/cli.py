@@ -19,8 +19,10 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .engine import Engine, format_rational
 from .families import FAMILY_MIN_ORDER, FamilySpec, closed_form_summary
@@ -44,20 +46,36 @@ ENV_OUTPUT_DIR = "NISETS_OUTPUT_DIR"
 @contextlib.contextmanager
 def _output(path: str | None):
     """Handle for the output file, or stdout (left open) when ``path`` is
-    None.  The file is written beside ``path`` under a temporary name and
-    renamed to it only on success, so a failed run leaves no report."""
+    None.  A new or regular file, with any symlink to it followed, is
+    written beside it under a temporary name that takes its mode and is
+    renamed onto it only on success, so a failed run leaves no report.
+    Any other target (a device, a FIFO, /dev/fd/N), or a file in a
+    directory that takes no new file, is written in place."""
     if path is None:
         yield sys.stdout
         return
-    partial = f"{path}.{os.getpid()}.partial"
     try:
-        handle = open(partial, "x")
-    except OSError as exc:  # name the path asked for, not the temporary one
-        raise OSError(exc.errno, exc.strerror, path) from None
+        info = os.stat(path)
+    except FileNotFoundError:
+        info = None
+    target = os.path.realpath(path)
+    partial = f"{target}.{os.getpid()}.partial"
+    handle = None
+    if info is None or stat.S_ISREG(info.st_mode):
+        with contextlib.suppress(OSError):
+            handle = open(partial, "w")
+    if handle is None:
+        with open(path, "w") as handle:
+            yield handle
+        return
     try:
         with handle:
+            if info is not None:
+                os.chmod(handle.fileno(), stat.S_IMODE(info.st_mode))
+                with contextlib.suppress(OSError):  # only root may give a file away
+                    os.chown(handle.fileno(), info.st_uid, info.st_gid)
             yield handle
-        os.replace(partial, path)
+        os.replace(partial, target)
     except BaseException:
         os.unlink(partial)
         raise
@@ -173,12 +191,20 @@ def _compute_record(graph: Graph) -> dict:
 def _compute_csv(records) -> str:
     head = ["n", "edges", "sigma0", "s0", "av0", "av0_decimal",
             "sigma1", "s1", "av1", "av1_decimal", "i0_coefficients", "i1_coefficients", "note"]
-    rows = [[";".join(map(str, rec[k])) if k.endswith("_coefficients") else rec.get(k, "")
-             for k in head] for rec in records]
-    edge_head = ["u", "v", "sigma0", "s0", "weight", "av0", "union_size"]
-    edge_rows = [[i] + [term[k] for k in edge_head]
-                 for i, rec in enumerate(records) for term in rec["edge_terms"]]
-    return _csv_text(head, rows) + "\n" + _csv_text(["graph_index"] + edge_head, edge_rows)
+    rows = []
+    for rec in records:
+        rows.append([rec[k] if k != "i0_coefficients" and k != "i1_coefficients"
+                     else ";".join(map(str, rec[k]))
+                     for k in head[:-1]] + [rec.get("note", "")])
+    text = _csv_text(head, rows)
+    edge_rows = []
+    for i, rec in enumerate(records):
+        for term in rec["edge_terms"]:
+            edge_rows.append([i, term["u"], term["v"], term["sigma0"], term["s0"],
+                              term["weight"], term["av0"], term["union_size"]])
+    text += "\n" + _csv_text(
+        ["graph_index", "u", "v", "sigma0", "s0", "weight", "av0", "union_size"], edge_rows)
+    return text
 
 
 def _batch_record(number: int, line: str) -> dict:
@@ -252,8 +278,10 @@ def _cmd_families(args: argparse.Namespace) -> int:
 def _cmd_trees(args: argparse.Namespace) -> int:
     if args.order is None:
         raise ValueError("trees requires --order")
-    with _output(args.out) as handle:  # a refused order leaves no file
-        handle.writelines(to_graph6(tree) + "\n" for tree in free_trees(args.order))
+    trees = free_trees(args.order)
+    first = next(trees)  # checks the order before the output is opened
+    with _output(args.out) as handle:
+        handle.writelines(to_graph6(tree) + "\n" for tree in chain([first], trees))
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import insort
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -78,7 +78,13 @@ class Violation:
     equality_claim: bool = False
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "graph6": self.graph6,
+            "claim": self.claim,
+            "observed": self.observed,
+            "expected": self.expected,
+            "equality_claim": self.equality_claim,
+        }
 
 
 @dataclass(frozen=True)
@@ -531,12 +537,19 @@ def conjecture_scan(
         for n, (_, hi, top) in zip(orders, sweeps):
             r_tree = build(FamilySpec("R", n))
             r_value = nis_summary(r_tree, 1).average
-            unique = len(hi.codes) == 1 and hi.value == r_value and (
-                tree_canonical_key(from_graph6(hi.codes[0])) == tree_canonical_key(r_tree))
-            out.append(ConjectureRecord(
-                order=n, max_value=hi.value, max_witnesses=tuple(sorted(hi.codes)[:WITNESS_CAP]),
-                subdivided_star_value=r_value, subdivided_star_is_unique_max=unique,
-                top=tuple((g6, v) for v, g6 in top)))
+            unique = len(hi.codes) == 1 and hi.value == r_value
+            if unique:
+                unique = tree_canonical_key(from_graph6(hi.codes[0])) == tree_canonical_key(r_tree)
+            out.append(
+                ConjectureRecord(
+                    order=n,
+                    max_value=hi.value,
+                    max_witnesses=tuple(sorted(hi.codes)[:WITNESS_CAP]),
+                    subdivided_star_value=r_value,
+                    subdivided_star_is_unique_max=unique,
+                    top=tuple((g6, v) for v, g6 in top),
+                )
+            )
     return out
 
 

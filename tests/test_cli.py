@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -559,6 +562,37 @@ def test_unwritable_output_names_the_path(capsys, tmp_path):
     code, out, err = run_cli(capsys, "trees", "--order", "5", "--out", str(out_path))
     assert code == 2 and out == ""
     assert err == f"error: [Errno 2] No such file or directory: '{out_path}'\n"
+
+
+def test_output_follows_a_symlink_and_keeps_the_mode(capsys, tmp_path):
+    real = tmp_path / "real" / "stars.txt"
+    real.parent.mkdir()
+    real.write_text("old")
+    real.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    # a partial file left by a killed run under this pid is overwritten
+    Path(f"{real}.{os.getpid()}.partial").write_text("stale")
+    stars = run_cli(capsys, "trees", "--order", "5")[1]
+    assert run_cli(capsys, "trees", "--order", "5", "--out", str(link))[0] == 0
+    assert link.is_symlink() and link.resolve() == real
+    assert real.read_text() == stars
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(tmp_path.rglob("*")) == [link, real.parent, real]
+
+
+def test_output_to_a_fifo_is_written_in_place(capsys, tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code, _, _ = run_cli(capsys, "trees", "--order", "5", "--out", str(fifo))
+    reader.join(timeout=10)
+    assert code == 0
+    assert received == [run_cli(capsys, "trees", "--order", "5")[1]]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert list(tmp_path.iterdir()) == [fifo]
 
 
 def test_console_entry_point():
