@@ -30,6 +30,8 @@ from .formats import FormatError, from_graph6, parse_edge_list, to_graph6
 from .graphs import Graph, iter_bits
 from .oracle import oracle_profile
 from .scanner import (
+    GRAPH_FILTERS,
+    OBJECTIVES,
     WITNESS_CAP,
     RouteDisagreement,
     conjecture_scan,
@@ -124,12 +126,22 @@ def _write(args: argparse.Namespace, payload, header, rows) -> None:
         _emit(_csv_text(header, rows), args.out)
 
 
+def _one_input(args: argparse.Namespace, names) -> str | None:
+    """The one option of ``names`` that is given, or None; two are refused."""
+    given = [name for name in names if getattr(args, name) is not None]
+    if len(given) > 1:
+        flags = " and ".join(f"--{name}" for name in given)
+        raise ValueError(f"{flags} conflict: give only one graph input")
+    return given[0] if given else None
+
+
 def _read_graph(args: argparse.Namespace) -> Graph:
-    if args.graph6:
+    source = _one_input(args, ("graph6", "edges", "input"))
+    if source == "graph6":
         return from_graph6(args.graph6)
-    if args.edges:
+    if source == "edges":
         return parse_edge_list(args.edges.replace(" / ", "\n").replace("/", "\n"))
-    if args.input is None:
+    if source is None:
         raise ValueError("no graph given: use --graph6, --edges or --input")
     if args.input == "-":
         return parse_edge_list(sys.stdin.read())
@@ -216,7 +228,7 @@ def _batch_record(number: int, line: str) -> dict:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    if not args.batch:
+    if _one_input(args, ("batch", "graph6", "edges", "input")) != "batch":
         record = _compute_record(_read_graph(args))
         if args.output_format == "json":
             _emit_json(record, args.out)
@@ -271,6 +283,11 @@ def _cmd_families(args: argparse.Namespace) -> int:
     rows = []
     for name in names:
         rows.extend(_family_rows(name, range(lo, hi + 1)))
+    if not rows:
+        first = min(max(FAMILY_MIN_ORDER[name], 2) for name in names)
+        what = "any family" if args.family == "all" else args.family
+        raise ValueError(f"orders {lo}:{hi} lie below the first order of {what} ({first}), "
+                         "so the table would be empty")
     _write(args, [dict(zip(header, row)) for row in rows], header, rows)
     return 0
 
@@ -458,14 +475,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
 
     p = command("trees", _cmd_trees, "free-tree stream", output_format=None)
     p.add_argument("--order", type=int)
-    p.add_argument("--emit", default="graph6", choices=["graph6"])
 
     p = command("scan", _cmd_scan, "extremal sweep over one population")
     p.add_argument("--population", choices=["trees", "graphs"], default="trees")
     p.add_argument("--order", type=int)
-    p.add_argument("--objective", choices=["av1", "sigma-ratio"], default="av1")
-    p.add_argument("--filter", default="all",
-                   choices=["all", "connected", "no-isolated-max-deg-2", "non-edgeless"])
+    p.add_argument("--objective", choices=OBJECTIVES, default="av1")
+    p.add_argument("--filter", choices=GRAPH_FILTERS, default="all")
     _add_sweep(p)
     _add_witness_cap(p)
 

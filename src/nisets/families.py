@@ -62,35 +62,18 @@ def build(spec: FamilySpec) -> Graph:
 
 
 def _path_scalar_tables(n: int):
-    """(sigma0, s0, sigma1, s1) of paths of order 0..n via linear recurrences."""
-    sigma0 = [1, 2]
-    s0 = [0, 1]
-    for k in range(2, n + 1):
-        sigma0.append(sigma0[k - 1] + sigma0[k - 2])
-        s0.append(s0[k - 1] + s0[k - 2] + sigma0[k - 2])
-    sigma0 = sigma0[: n + 1]
-    s0 = s0[: n + 1]
-
-    def p0(k):  # order -1 is the empty graph
-        return 1 if k < 0 else sigma0[k]
-
-    def t0(k):
-        return 0 if k < 0 else s0[k]
-
-    sigma1 = [0] * (n + 1)
-    s1 = [0] * (n + 1)
-    for k in range(2, n + 1):
-        sig = 0
-        tot = 0
-        for j in range(1, k):
-            a, b = j - 2, k - 2 - j
-            us = p0(a) * p0(b)
-            ut = t0(a) * p0(b) + p0(a) * t0(b)
-            sig += us
-            tot += 2 * us + ut
-        sigma1[k] = sig
-        s1[k] = tot
-    return sigma0, s0, sigma1, s1
+    """(sigma0, s0, sigma1, s1) of paths of order 0..n via linear recurrences
+    on the last vertex: a subset leaves it out, or takes it without its
+    neighbour, or (at level 1) takes the edge to its neighbour, whose other
+    neighbour is then left out.  Order -1 counts like order 0."""
+    # index k + 1 holds order k, from order -1
+    sigma0, s0, sigma1, s1 = [1, 1, 2], [0, 0, 1], [0, 0, 0], [0, 0, 0]
+    for i in range(3, n + 2):
+        sigma0.append(sigma0[i - 1] + sigma0[i - 2])
+        s0.append(s0[i - 1] + s0[i - 2] + sigma0[i - 2])
+        sigma1.append(sigma1[i - 1] + sigma1[i - 2] + sigma0[i - 3])
+        s1.append(s1[i - 1] + s1[i - 2] + sigma1[i - 2] + s0[i - 3] + 2 * sigma0[i - 3])
+    return tuple(table[1:n + 2] for table in (sigma0, s0, sigma1, s1))
 
 
 def closed_form_summary(spec: FamilySpec, level: int) -> NisSummary:

@@ -30,7 +30,6 @@ from .formats import GRAPH6_ORDER_LIMIT, from_graph6, to_graph6
 from .graphs import (
     Graph,
     all_pairs,
-    canonical_code,
     disjoint_union,
     graph_from_pair_mask,
     structural_predicates,
@@ -50,19 +49,23 @@ WITNESS_CAP = 100
 GRAPH_FILTERS = ("all", "connected", "no-isolated-max-deg-2", "non-edgeless")
 OBJECTIVES = ("av1", "sigma-ratio")
 
-ALL_CLAIMS = (
-    "graph-average-lower",
-    "graph-average-upper",
-    "tree-average-lower",
-    "tree-average-band",
-    "union-size-sandwich",
-    "edge-average-bracket",
-    "residual-count-sandwich",
-    "degree-two-ratio",
-    "tree-average-cap",
-    "internal-degree-cap",
-    "subdivided-star-band",
-)
+# each claim's suite, whose one run per order reports it, and the first
+# order at which it checks anything (internal-degree-cap: the order-2 tree
+# has no internal vertex); a suite starts at the least first order of its claims
+_CLAIMS = {
+    "graph-average-lower": ("graph", 2),
+    "graph-average-upper": ("graph", 6),
+    "tree-average-lower": ("tree", 3),
+    "tree-average-band": ("tree", 9),
+    "union-size-sandwich": ("graph", 2),
+    "edge-average-bracket": ("graph", 2),
+    "residual-count-sandwich": ("graph", 2),
+    "degree-two-ratio": ("ratio", 2),
+    "tree-average-cap": ("tree", 2),
+    "internal-degree-cap": ("tree", 3),
+    "subdivided-star-band": ("family", 4),
+}
+ALL_CLAIMS = tuple(_CLAIMS)
 
 
 class RouteDisagreement(RuntimeError):
@@ -286,32 +289,17 @@ def scan_graphs(
 
 # -- tree sweeps ---------------------------------------------------------------
 
-def _runs(n, shard=0, shards=1):
-    """The blocks k of the order-n tree stream with k = shard modulo shards,
-    each as (stream index array, (b, n) int8 levels)."""
-    start = 0
-    for k, levels in enumerate(tree_blocks(n)):
-        if k % shards == shard:
-            yield np.arange(start, start + len(levels)), levels
-        start += len(levels)
-
-
 class _Block:
     """One block of trees scored by the batched tree DP: the (b, n) int8
-    levels, their parent array, the DP's four value arrays, and graph6
-    codes built on demand and kept, so no tree is encoded twice."""
+    levels, their parent array and the DP's four value arrays."""
 
     def __init__(self, levels):
         self.levels = levels
         self.parent = level_parents(levels)
         self.values = tree_scalars_batch(self.parent)
-        self._codes = {}
 
     def code(self, i) -> str:
-        g6 = self._codes.get(i)
-        if g6 is None:
-            g6 = self._codes[i] = to_graph6(levels_to_graph(self.levels[i].tolist()))
-        return g6
+        return to_graph6(levels_to_graph(self.levels[i].tolist()))
 
     def pair(self, objective: str):
         """The objective of every tree as unreduced (numerator, denominator)
@@ -379,6 +367,18 @@ def _spot_sample(n: int, rate: float, seed: int) -> _SpotSample:
     return _SpotSample(total, min(total, max(1, int(rate * total))), seed)
 
 
+def _blocks(n, spots, shard=0, shards=1):
+    """The blocks k of the order-n tree stream with k = shard modulo shards,
+    each scored as a _Block, spot-checked at the trees whose stream indices
+    ``spots`` samples, and yielded with how many trees it checked."""
+    start = 0
+    for k, levels in enumerate(tree_blocks(n)):
+        if k % shards == shard:
+            block = _Block(levels)
+            yield block, block.spot_check(spots.picks(np.arange(start, start + len(levels))))
+        start += len(levels)
+
+
 def _top_floor(top, top_k):
     """(numerator, denominator) of the top list's last value once it holds
     top_k entries, else None."""
@@ -421,9 +421,7 @@ def _sweep_shard(payload):
     n, objective, top_k, spots, shard, shards = payload
     lo, hi = _extremes()
     top: list[tuple[Fraction, str]] = []
-    for indices, levels in _runs(n, shard, shards):
-        block = _Block(levels)
-        block.spot_check(spots.picks(indices))
+    for block, _ in _blocks(n, spots, shard, shards):
         num, den = block.pair(objective)
         lo.fold(num, den, block.code)
         hi.fold(num, den, block.code)
@@ -460,17 +458,11 @@ def _tree_sweeps(orders, objective, pool, workers, samples, top_k):
 
 def spot_check_trees(n: int, rate: float, seed: int = 2024) -> int:
     """Check a deterministic sample of order-n trees: the batched tree DP,
-    the engine and the subset oracle must agree at both levels.  Only the
-    sampled trees are scored.  Returns how many trees were checked; raises
-    RouteDisagreement on any mismatch."""
+    the engine and the subset oracle must agree at both levels.  Every tree
+    of the order is scored, as on a sweep.  Returns how many trees were
+    checked; raises RouteDisagreement on any mismatch."""
     spots = _spot_sample(n, rate, seed)
-    checked = 0
-    if spots:
-        for indices, levels in _runs(n):
-            picked = spots.picks(indices)
-            if picked.size:
-                checked += _Block(levels[picked]).spot_check(range(picked.size))
-    return checked
+    return sum(checked for _, checked in _blocks(n, spots)) if spots else 0
 
 
 def scan_trees(
@@ -597,7 +589,16 @@ def _block_degrees(parent):
     return degree.max(axis=1), internal
 
 
-def _tree_claim_reports(n: int, witness_cap, spots=_SpotSample(1, 0, 0)):
+def _stated(claim_id: str, n: int) -> bool:
+    """Whether the claim checks anything at order n."""
+    return n >= _CLAIMS[claim_id][1]
+
+
+def _suite_first_order(suite: str) -> int:
+    return min(first for claim_suite, first in _CLAIMS.values() if claim_suite == suite)
+
+
+def _tree_claim_reports(n: int, witness_cap, spots):
     """The tree claims' reports at order n >= 2 from one walk of its trees,
     keyed by claim id (a claim stated only above n has no report), and how
     many sampled trees were spot-checked on the way.
@@ -614,9 +615,8 @@ def _tree_claim_reports(n: int, witness_cap, spots=_SpotSample(1, 0, 0)):
     star = None
     cap_violations, internal_violations = [], []
     checked = 0
-    for indices, levels in _runs(n):
-        block = _Block(levels)
-        checked += block.spot_check(spots.picks(indices))
+    for block, checked_here in _blocks(n, spots):
+        checked += checked_here
         num, den = block.pair("av1")
         lo.fold(num, den, block.code)
         hi.fold(num, den, block.code)
@@ -649,13 +649,13 @@ def _tree_claim_reports(n: int, witness_cap, spots=_SpotSample(1, 0, 0)):
     def report(claim_id, violations, population_sides=sides):
         return _report(claim_id, "free-trees", n, "av1", population_sides, witness_cap, violations)
 
-    # the order-2 tree has no internal vertex; every larger tree has one
+    # below its first order internal-degree-cap is still reported, with empty sides
     reports = {
         "tree-average-cap": report("tree-average-cap", cap_violations),
         "internal-degree-cap": report("internal-degree-cap", internal_violations,
-                                      sides if n >= 3 else _extremes()),
+                                      sides if _stated("internal-degree-cap", n) else _extremes()),
     }
-    if n >= 3:
+    if _stated("tree-average-lower", n):
         lower = []
         if lo.value != 2 or lo.codes != [star]:
             lower.append(Violation(
@@ -664,7 +664,7 @@ def _tree_claim_reports(n: int, witness_cap, spots=_SpotSample(1, 0, 0)):
                 expected="min 2, only at the star",
             ))
         reports["tree-average-lower"] = report("tree-average-lower", lower)
-    if n >= 9:
+    if _stated("tree-average-band", n):
         band = []
         if not Fraction(n, 2) < hi.value < Fraction(n + 1, 2):
             band.append(Violation(
@@ -678,8 +678,8 @@ def _tree_claim_reports(n: int, witness_cap, spots=_SpotSample(1, 0, 0)):
 
 def _graph_claim_reports(n: int, graphs, witness_cap) -> dict[str, ScanReport]:
     """The graph claims' reports at order n >= 2 from one pass over its
-    class representatives, keyed by claim id; graph-average-upper is stated
-    only from order 6.
+    class representatives, keyed by claim id (graph-average-upper has none
+    below its first order).
 
     Each non-edgeless class gets one Engine, which serves every claim.
     Whether the class is good (every edge's N(u) | N(v) covers all n
@@ -767,13 +767,14 @@ def _graph_claim_reports(n: int, graphs, witness_cap) -> dict[str, ScanReport]:
         "residual-count-sandwich": report("residual-count-sandwich", residual,
                                           "sigma-ratio", _extremes(ratio_entries)),
     }
-    if n >= 6:
+    if _stated("graph-average-upper", n):
         high = sides[1]
         bound = Fraction(n, 2) + 1
         single_edge = build(FamilySpec("G_special", n))
         upper = []
+        # every one-edge class of order n is the single edge plus isolated vertices
         if not (high.value == bound and len(high.codes) == 1
-                and canonical_code(from_graph6(high.codes[0])) == canonical_code(single_edge)):
+                and from_graph6(high.codes[0]).edge_count == 1):
             upper.append(Violation(
                 to_graph6(single_edge),
                 "the single edge plus isolated vertices uniquely maximizes the average",
@@ -863,27 +864,6 @@ def _subdivided_star_reports(n: int, witness_cap) -> dict[str, ScanReport]:
                                             "av1", sides, witness_cap, violations)}
 
 
-# the suite whose one run per order reports each claim
-_CLAIM_SUITES = {
-    "graph-average-lower": "graph",
-    "graph-average-upper": "graph",
-    "tree-average-lower": "tree",
-    "tree-average-band": "tree",
-    "union-size-sandwich": "graph",
-    "edge-average-bracket": "graph",
-    "residual-count-sandwich": "graph",
-    "degree-two-ratio": "ratio",
-    "tree-average-cap": "tree",
-    "internal-degree-cap": "tree",
-    "subdivided-star-band": "family",
-}
-_SUITE_FIRST_ORDER = {"tree": 2, "graph": 2, "ratio": 2, "family": 4}
-# the claims that check nothing below an order above their suite's first
-# (internal-degree-cap: the order-2 tree has no internal vertex)
-_CLAIM_FIRST_ORDER = {"graph-average-upper": 6, "tree-average-lower": 3, "tree-average-band": 9,
-                      "internal-degree-cap": 3}
-
-
 def verify_claims(
     *,
     claims="all",
@@ -911,7 +891,7 @@ def verify_claims(
         selected = ALL_CLAIMS
     else:
         selected = list(dict.fromkeys(claims))
-        unknown = [c for c in selected if c not in _CLAIM_SUITES]
+        unknown = [c for c in selected if c not in _CLAIMS]
         if unknown:
             raise ValueError(f"unknown claims: {', '.join(unknown)}")
     if max_graph_order > GRAPH_SCAN_LIMIT:
@@ -925,12 +905,11 @@ def verify_claims(
     maxima = {"tree": max_tree_order, "graph": max_graph_order,
               "ratio": max_ratio_order, "family": max_family_order}
     for claim_id in selected:
-        suite = _CLAIM_SUITES[claim_id]
-        first = _SUITE_FIRST_ORDER[suite]
-        what = f"the {suite} claims ({first}), so they"
-        if claims != "all":
-            first = _CLAIM_FIRST_ORDER.get(claim_id, first)
-            what = f"{claim_id} ({first}), so it"
+        suite, first = _CLAIMS[claim_id]
+        what = f"{claim_id} ({first}), so it"
+        if claims == "all":
+            first = _suite_first_order(suite)
+            what = f"the {suite} claims ({first}), so they"
         if maxima[suite] < first:
             raise ValueError(f"max {suite} order {maxima[suite]} lies below the first order "
                              f"of {what} would check nothing")
@@ -955,9 +934,9 @@ def verify_claims(
     }
     reports, by_suite = [], {}
     for claim_id in selected:
-        suite = _CLAIM_SUITES[claim_id]
+        suite = _CLAIMS[claim_id][0]
         if suite not in by_suite:
-            orders = range(_SUITE_FIRST_ORDER[suite], maxima[suite] + 1)
+            orders = range(_suite_first_order(suite), maxima[suite] + 1)
             by_suite[suite] = [suites[suite](n, witness_cap) for n in orders]
         reports.extend(by_order[claim_id] for by_order in by_suite[suite] if claim_id in by_order)
     if "tree" not in by_suite:

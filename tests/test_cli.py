@@ -125,6 +125,22 @@ def test_oracle_respects_limit(capsys):
     assert "oracle limit (24)" in err
 
 
+@pytest.mark.parametrize("command, first, second", [
+    ("compute", "--graph6", "--edges"), ("compute", "--graph6", "--input"),
+    ("compute", "--edges", "--input"), ("compute", "--batch", "--graph6"),
+    ("compute", "--batch", "--edges"), ("compute", "--batch", "--input"),
+    ("oracle", "--graph6", "--edges"), ("oracle", "--graph6", "--input"),
+    ("oracle", "--edges", "--input"),
+])
+def test_conflicting_graph_inputs_refused(capsys, tmp_path, command, first, second):
+    # the files do not exist: the conflict is refused before any input is read
+    values = {"--graph6": "Ch", "--edges": "2 1 / 0 1", "--input": str(tmp_path / "g.txt"),
+              "--batch": str(tmp_path / "g.g6")}
+    code, out, err = run_cli(capsys, command, first, values[first], second, values[second])
+    assert code == 2 and out == ""
+    assert err == f"error: {first} and {second} conflict: give only one graph input\n"
+
+
 def test_families_table(capsys):
     code, out, _ = run_cli(capsys, "families", "--family", "R", "--n", "10")
     assert code == 0
@@ -145,6 +161,25 @@ def test_families_all_json(capsys):
     rows = json.loads(out)
     families = {row["family"] for row in rows}
     assert families == {"edgeless", "star", "complete", "path", "R", "G_special"}
+
+
+@pytest.mark.parametrize("argv, family, first", [
+    (("--family", "R", "--orders", "1:3"), "R", 4),
+    (("--family", "star", "--n", "-5"), "star", 2),
+])
+def test_families_refuses_an_empty_table(capsys, argv, family, first):
+    code, out, err = run_cli(capsys, "families", *argv)
+    assert code == 2 and out == ""
+    orders = argv[-1] if ":" in argv[-1] else f"{argv[-1]}:{argv[-1]}"
+    assert err == (f"error: orders {orders} lie below the first order of {family} ({first}), "
+                   "so the table would be empty\n")
+
+
+def test_families_all_skips_a_family_below_its_first_order(capsys):
+    code, out, _ = run_cli(capsys, "families", "--orders", "2:3")
+    assert code == 0
+    families = {line.split(",")[0] for line in out.splitlines()[1:]}
+    assert families == {"edgeless", "star", "complete", "path", "G_special"}
 
 
 def test_trees_stream_count(capsys):
@@ -360,7 +395,7 @@ def test_output_dir_environment_variable(capsys, tmp_path, monkeypatch):
 
 def test_config_file_supplies_defaults(capsys, tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"order": 6, "emit": "graph6"}))
+    config.write_text(json.dumps({"order": 6}))
     code, out, _ = run_cli(capsys, "trees", "--config", str(config))
     assert code == 0
     assert len(out.strip().splitlines()) == 6
@@ -459,7 +494,7 @@ CONFIG_KEYS = {
     "compute": {"batch", "config", "edges", "graph6", "input", "out", "output_format"},
     "oracle": {"config", "edges", "graph6", "input", "level", "out", "output_format"},
     "families": {"config", "family", "n", "orders", "out", "output_format"},
-    "trees": {"config", "emit", "order", "out"},
+    "trees": {"config", "order", "out"},
     "scan": {"config", "filter", "objective", "order", "out", "output_format",
              "population", "spot_check_rate", "witness_cap", "workers"},
     "verify": {"claims", "config", "max_family_order", "max_graph_order",

@@ -117,3 +117,12 @@ class TestSubdividedStarBand:
         # trivially, the signed difference is below 0.01 everywhere
         assert all(self.r_average(n) - Fraction(n + 1, 2) < Fraction(1, 100)
                    for n in range(4, 41))
+
+
+def test_path_closed_forms_match_engine_through_order_40():
+    for n in range(41):
+        path = build(FamilySpec("path", n))
+        for level in (0, 1):
+            want = closed_form_summary(FamilySpec("path", n), level)
+            got = nis_summary(path, level)
+            assert (got.sigma, got.total) == (want.sigma, want.total), (n, level)

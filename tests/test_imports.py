@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, and every private
-module-level name is used somewhere besides its definition."""
+module-level name is used somewhere besides its definition, in the package
+itself unless it is a named test reference."""
 
 import ast
 from pathlib import Path
@@ -88,6 +89,15 @@ def test_no_orphaned_private_helpers():
     modules = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     tests = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
     assert orphaned_private_names(modules, tests) == []
+
+
+# private names the package keeps only as the tests' reference
+TEST_REFERENCES = [("oracle.py", "_profile_loop")]
+
+
+def test_no_private_helper_left_to_the_tests_alone():
+    modules = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert orphaned_private_names(modules, []) == TEST_REFERENCES
 
 
 def test_an_orphaned_private_helper_is_found():

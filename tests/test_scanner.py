@@ -386,13 +386,19 @@ class TestStrideSweep:
     def test_shards_stride_whole_blocks_with_stream_indices(self, monkeypatch, shards):
         monkeypatch.setattr(trees_module, "TREE_BLOCK", 100)
         stream = np.concatenate(list(tree_blocks(13)))  # 1301 trees in 14 blocks
+        spots = scanner_module._spot_sample(13, 0.05, 2024)
+        spotted = []
+        monkeypatch.setattr(scanner_module, "_spot_check", lambda levels, row: spotted.append(levels))
         seen = []
         for shard in range(shards):
-            for indices, levels in scanner_module._runs(13, shard, shards):
-                assert indices[0] % 100 == 0 and indices[0] // 100 % shards == shard
-                assert (levels == stream[indices]).all()
-                seen += indices.tolist()
+            for j, (block, checked) in enumerate(scanner_module._blocks(13, spots, shard, shards)):
+                start = (j * shards + shard) * 100
+                assert (block.levels == stream[start:start + 100]).all()
+                seen += range(start, start + len(block.levels))
+                assert checked == spots.picks(np.arange(start, start + len(block.levels))).size
         assert sorted(seen) == list(range(len(stream)))
+        # the spot checks fall on the sampled stream indices, whatever the shard
+        assert sorted(spotted) == sorted(stream[spots.picks(np.arange(len(stream)))].tolist())
 
     def test_one_pool_per_call(self, monkeypatch):
         pools, real_pool = [], scanner_module.Pool
@@ -694,10 +700,21 @@ class TestTreeClaimPass:
         with pytest.raises(ValueError, match=f"max {suite} order {first - 1} lies below"):
             verify_claims(**{option: first - 1})
         # an unselected suite's order is not checked
-        claim = next(c for c, s in scanner_module._CLAIM_SUITES.items() if s != suite)
+        claim = next(c for c, (s, _) in scanner_module._CLAIMS.items() if s != suite)
         orders = {"max_tree_order": 3, "max_graph_order": 3, "max_ratio_order": 3,
                   "max_family_order": 5, option: first - 1}
         assert verify_claims(claims=[claim], **orders)
+
+    @pytest.mark.parametrize("claim, suite, first", [
+        (claim, suite, first) for claim, (suite, first) in scanner_module._CLAIMS.items()])
+    def test_named_claim_checks_from_its_first_order(self, claim, suite, first):
+        reports = verify_claims(claims=[claim], **{f"max_{suite}_order": first})
+        assert {r.claim_id for r in reports} == {claim}
+        (report,) = [r for r in reports if r.order == first]
+        assert report.status == "pass"
+        assert report.min_value is not None and report.max_value is not None
+        with pytest.raises(ValueError, match=f"first order of {claim} \\({first}\\)"):
+            verify_claims(claims=[claim], **{f"max_{suite}_order": first - 1})
 
     def test_degrees_match_structural_predicates(self):
         for n in range(1, 15):
