@@ -64,42 +64,6 @@ def poly_shift(a: Poly, k: int) -> Poly:
 
 
 @dataclass(frozen=True)
-class CountPolynomial:
-    """Generating polynomial of qualifying subsets by cardinality."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.coeffs):
-            raise ValueError("count polynomial cannot have negative coefficients")
-        if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("count polynomial must not carry trailing zeros")
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "CountPolynomial":
-        out = list(coeffs)
-        while out and out[-1] == 0:
-            out.pop()
-        return cls(tuple(out))
-
-    @property
-    def sigma(self) -> int:
-        """Value at 1: the number of qualifying subsets."""
-        return sum(self.coeffs)
-
-    @property
-    def size_sum(self) -> int:
-        """Derivative at 1: the total size over qualifying subsets."""
-        return sum(k * c for k, c in enumerate(self.coeffs))
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-
-@dataclass(frozen=True)
 class NisSummary:
     """(count, size-sum, average) of a family of vertex subsets."""
 
@@ -119,10 +83,6 @@ def format_rational(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def summarize(p: CountPolynomial) -> NisSummary:
-    return NisSummary.from_counts(p.sigma, p.size_sum)
 
 
 @dataclass(frozen=True)
@@ -504,43 +464,6 @@ def _edgeless_scalars(k: int) -> tuple[int, int]:
     return (1 << k, k << (k - 1) if k else 0)
 
 
-# -- public graph-level operations ------------------------------------------
-
-
-def i0_polynomial(g: Graph) -> CountPolynomial:
-    """Independent-set polynomial (subsets inducing no edge, by size)."""
-    return CountPolynomial.from_coeffs(Engine(g).i0())
-
-
-def i1_vertex_recursion(g: Graph) -> CountPolynomial:
-    """One-edge-subset polynomial via the pivot-vertex decomposition."""
-    return CountPolynomial.from_coeffs(Engine(g).i1())
-
-
-def i1_edge_decomposition(g: Graph) -> CountPolynomial:
-    """One-edge-subset polynomial via the per-edge decomposition."""
-    return CountPolynomial.from_coeffs(Engine(g).i1_by_edges())
-
-
-def union_combine(
-    p1_zero: CountPolynomial,
-    p1_one: CountPolynomial,
-    p2_zero: CountPolynomial,
-    p2_one: CountPolynomial,
-) -> tuple[CountPolynomial, CountPolynomial]:
-    """Polynomials of a disjoint union from the parts' polynomials.
-
-    Zero-edge subsets multiply; a one-edge subset places its edge in one
-    part and an independent set in the other.
-    """
-    zero = poly_mul(p1_zero.coeffs, p2_zero.coeffs)
-    one = poly_add(
-        poly_mul(p1_one.coeffs, p2_zero.coeffs),
-        poly_mul(p2_one.coeffs, p1_zero.coeffs),
-    )
-    return CountPolynomial.from_coeffs(zero), CountPolynomial.from_coeffs(one)
-
-
 def nis_summary(g: Graph, level: int) -> NisSummary:
     """(count, size-sum, average) for subsets inducing exactly ``level`` edges."""
     if level not in (0, 1):
@@ -548,33 +471,3 @@ def nis_summary(g: Graph, level: int) -> NisSummary:
     eng = Engine(g)
     sig, tot = eng.scalars0() if level == 0 else eng.scalars1()
     return NisSummary.from_counts(sig, tot)
-
-
-def s1_vertex_recursion(g: Graph) -> NisSummary:
-    """One-edge summary via the scalar recursion (no polynomial arithmetic)."""
-    sig, tot = Engine(g).scalars1()
-    return NisSummary.from_counts(sig, tot)
-
-
-def av1_edge(g: Graph, edge: tuple[int, int]) -> Fraction:
-    """Average size of one-edge subsets whose edge is the given one.
-
-    Equals 2 plus the independent-set average of the graph left after
-    removing both endpoints' neighbourhoods.
-    """
-    u, v = edge
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge of the graph")
-    eng = Engine(g)
-    residual = g.universe & ~(g.adj[u] | g.adj[v])
-    rs, rt = eng.scalars0(residual)
-    return 2 + Fraction(rt, rs)
-
-
-def edge_terms(g: Graph) -> list[EdgeTerm]:
-    """Per-edge residual statistics; weights sum to 1.
-
-    The weighted residual averages reconstruct the global one-edge average
-    as 2 + sum(weight * av0).
-    """
-    return Engine(g).edge_terms()

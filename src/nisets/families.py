@@ -10,9 +10,8 @@ floating-point shortcut.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .engine import Engine, NisSummary
+from .engine import NisSummary
 from .graphs import Graph, build_graph
 
 FAMILY_MIN_ORDER = {
@@ -122,30 +121,3 @@ def closed_form_summary(spec: FamilySpec, level: int) -> NisSummary:
         return NisSummary.from_counts(sigma, total)
     raise ValueError(f"no closed form for family {family!r}; use the engine")
 
-
-_RATIO_TABLE = (
-    ("P5", ("path", 5), Fraction(10, 13)),
-    ("C4", ("cycle", 4), Fraction(4, 7)),
-    ("P4", ("path", 4), Fraction(5, 8)),
-    ("C3", ("cycle", 3), Fraction(3, 4)),
-    ("P3", ("path", 3), Fraction(2, 5)),
-    ("P2", ("path", 2), Fraction(1, 3)),
-)
-
-
-def ratio_table() -> list[tuple[str, Fraction]]:
-    """Known one-edge/zero-edge count ratios for small paths and cycles.
-
-    Each ratio is recomputed by the engine and checked against the expected
-    exact value before it is returned.
-    """
-    out = []
-    for name, (family, n), expected in _RATIO_TABLE:
-        eng = Engine(build(FamilySpec(family, n)))
-        sigma1, _ = eng.scalars1()
-        sigma0, _ = eng.scalars0()
-        got = Fraction(sigma1, sigma0)
-        if got != expected:
-            raise AssertionError(f"ratio for {name}: engine got {got}, expected {expected}")
-        out.append((name, got))
-    return out

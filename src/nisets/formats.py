@@ -68,13 +68,6 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(n, edges)
 
 
-def write_edge_list(g: Graph) -> str:
-    edges = g.edges()
-    lines = [f"{g.n} {len(edges)}"]
-    lines.extend(f"{u} {v}" for u, v in edges)
-    return "\n".join(lines) + "\n"
-
-
 def to_graph6(g: Graph) -> str:
     """Header-less graph6 encoding, single-byte order (n <= 62)."""
     n = g.n

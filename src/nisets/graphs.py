@@ -61,14 +61,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def max_degree(self) -> int:
-        return max((nb.bit_count() for nb in self.adj), default=0)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.adj[u] >> v & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographically ordered."""
         out = []
@@ -76,14 +68,6 @@ class Graph:
             for v in iter_bits(self.adj[u] >> (u + 1) << (u + 1)):
                 out.append((u, v))
         return out
-
-    def closed(self, v: int) -> int:
-        """Closed neighbourhood N[v] as a mask."""
-        return self.adj[v] | (1 << v)
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range 0..{self.n - 1}")
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -103,41 +87,6 @@ def build_graph(n: int, edges) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, tuple(adj))
-
-
-def closed_neighborhood_union(g: Graph, u: int, v: int, *, closed: bool = True) -> int:
-    """N[u] | N[v] (closed) or N(u) | N(v) (open) as a mask.
-
-    For an edge uv the two sets coincide, since each endpoint lies in the
-    other's open neighbourhood.
-    """
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        raise ValueError("neighbourhood union requires two distinct vertices")
-    out = g.adj[u] | g.adj[v]
-    if closed:
-        out |= (1 << u) | (1 << v)
-    return out
-
-
-def induced(g: Graph, keep: int) -> tuple[Graph, tuple[int, ...]]:
-    """Subgraph induced by the mask ``keep``.
-
-    Kept vertices are relabelled contiguously in increasing order; the
-    returned tuple maps each new index to its original vertex.
-    """
-    if keep & ~g.universe:
-        raise ValueError("mask leaves the vertex universe")
-    old = list(iter_bits(keep))
-    pos = {v: i for i, v in enumerate(old)}
-    adj = []
-    for v in old:
-        nb = 0
-        for u in iter_bits(g.adj[v] & keep):
-            nb |= 1 << pos[u]
-        adj.append(nb)
-    return Graph(len(old), tuple(adj)), tuple(old)
 
 
 def components_of(adj, mask: int) -> list[int]:
@@ -161,17 +110,8 @@ def components_of(adj, mask: int) -> list[int]:
     return comps
 
 
-def component_masks(g: Graph, mask: int | None = None) -> list[int]:
-    """Masks of the connected components of the subgraph induced by ``mask``."""
-    return components_of(g.adj, g.universe if mask is None else mask)
-
-
 def is_connected(g: Graph) -> bool:
-    return len(component_masks(g)) <= 1
-
-
-def is_tree(g: Graph) -> bool:
-    return g.n >= 1 and is_connected(g) and g.edge_count == g.n - 1
+    return len(components_of(g.adj, g.universe)) <= 1
 
 
 def is_good_graph(g: Graph) -> bool:
@@ -187,14 +127,6 @@ def is_good_graph(g: Graph) -> bool:
         if (g.adj[u] | g.adj[v]) != universe:
             return False
     return found_edge
-
-
-def delta_bounds(g: Graph) -> tuple[int, int]:
-    """(min, max) of |N(u) | N(v)| over the edges of the graph."""
-    sizes = [(g.adj[u] | g.adj[v]).bit_count() for u, v in g.edges()]
-    if not sizes:
-        raise ValueError("neighbourhood-union bounds undefined for edgeless graph")
-    return min(sizes), max(sizes)
 
 
 @dataclass(frozen=True)
@@ -229,17 +161,6 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
         raise ValueError(f"disjoint union of order {n} exceeds the {MAX_VERTICES}-vertex universe")
     adj = list(g1.adj) + [nb << g1.n for nb in g2.adj]
     return Graph(n, tuple(adj))
-
-
-def relabel(g: Graph, perm) -> Graph:
-    """Graph with vertex v renamed to perm[v]."""
-    adj = [0] * g.n
-    for v in range(g.n):
-        nb = 0
-        for u in iter_bits(g.adj[v]):
-            nb |= 1 << perm[u]
-        adj[perm[v]] = nb
-    return Graph(g.n, tuple(adj))
 
 
 def _twin_of_any(g: Graph, w: int, tried: list[int]) -> bool:

@@ -95,7 +95,3 @@ def _profile_loop(g: Graph, level: int) -> list[int]:
             counts[s.bit_count()] += 1
     return counts
 
-
-def edge_level_counts(g: Graph) -> list[int]:
-    """sigma_l for every induced-edge level l; the entries sum to 2^n."""
-    return [profile.sigma for profile in oracle_profiles(g)]

@@ -895,9 +895,11 @@ def verify_claims(
         if unknown:
             raise ValueError(f"unknown claims: {', '.join(unknown)}")
     if max_graph_order > GRAPH_SCAN_LIMIT:
-        raise ValueError(f"order above exhaustive limit ({GRAPH_SCAN_LIMIT})")
+        raise ValueError(f"max graph order {max_graph_order} above the exhaustive limit "
+                         f"({GRAPH_SCAN_LIMIT})")
     if max_tree_order > TREE_ORDER_LIMIT:
-        raise ValueError(f"order outside supported range (1..{TREE_ORDER_LIMIT})")
+        raise ValueError(f"max tree order {max_tree_order} above the free-tree range "
+                         f"(1..{TREE_ORDER_LIMIT})")
     if max_ratio_order > GRAPH6_ORDER_LIMIT:
         raise ValueError(f"max ratio order above graph6 limit ({GRAPH6_ORDER_LIMIT})")
     if max_family_order > GRAPH6_ORDER_LIMIT:

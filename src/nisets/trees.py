@@ -4,17 +4,15 @@ Trees are produced by the classic successor algorithm on canonical level
 sequences of centre-rooted trees (constant amortized work per tree), so the
 stream order is deterministic.  ``tree_blocks`` walks one bytearray in
 place, each step a few C-level scans and slice assignments, and cuts the
-stream into int8 blocks, which every consumer reads.  Two independent cross-checks live here
-as well: a counting recurrence for the number of free trees, and a slow
-labelled-tree oracle that decodes every length-(n-2) vertex sequence and
-deduplicates the results by a canonical key.
+stream into int8 blocks, which every consumer reads.  An independent
+counting recurrence gives the number of free trees, and a canonical key
+tells trees of any supported order apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -25,7 +23,6 @@ TREE_ORDER_LIMIT = 24
 # bytes per tree, 1.1 MB a block at order 17; blocks of 2048 and more raised
 # a one-worker sweep's peak RSS by a further 2.5 MB and more.
 TREE_BLOCK = 1024
-SEQUENCE_ORACLE_LIMIT = 10  # n^(n-2) labelled trees; keep well clear of that wall
 
 
 @dataclass(frozen=True)
@@ -161,47 +158,6 @@ def count_free_trees(n: int) -> int:
     return _rooted_tree_count(n) - paired // 2
 
 
-# -- labelled-tree oracle ------------------------------------------------------
-
-
-def sequence_to_adjacency(seq: tuple[int, ...], n: int) -> list[list[int]]:
-    """Decode a length-(n-2) vertex sequence into tree adjacency lists.
-
-    Smallest-leaf elimination with a monotone pointer; consumed leaves are
-    zeroed out so the sweeps never revisit them.
-    """
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    adj: list[list[int]] = [[] for _ in range(n)]
-    ptr = 0
-    leaf = -1
-    for x in seq:
-        if leaf < 0:
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-            ptr += 1
-        adj[leaf].append(x)
-        adj[x].append(leaf)
-        degree[leaf] = 0
-        degree[x] -= 1
-        # a vertex below the pointer that just became a leaf would otherwise
-        # never be swept again, so it must be taken immediately
-        leaf = x if degree[x] == 1 and x < ptr else -1
-    if leaf < 0:
-        while degree[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-    degree[leaf] = 0
-    last = 0
-    while degree[last] != 1:
-        last += 1
-    adj[leaf].append(last)
-    adj[last].append(leaf)
-    return adj
-
-
 def _centers(adj: list[list[int]]) -> list[int]:
     n = len(adj)
     if n <= 2:
@@ -245,21 +201,3 @@ def tree_canonical_key(g: Graph) -> str:
         raise ValueError("canonical key undefined for the empty graph")
     return min(_rooted_key(adj, c) for c in _centers(adj))
 
-
-def labelled_tree_classes(n: int) -> int:
-    """Count of isomorphism classes among all n^(n-2) labelled trees.
-
-    Every vertex sequence of length n-2 is decoded and the resulting trees
-    are deduplicated by canonical key; completely independent of the level
-    sequence generator.  Exponential: refuse orders above
-    ``SEQUENCE_ORACLE_LIMIT``.
-    """
-    if not 1 <= n <= SEQUENCE_ORACLE_LIMIT:
-        raise ValueError(f"labelled-tree oracle limited to 1..{SEQUENCE_ORACLE_LIMIT}")
-    if n <= 2:
-        return 1
-    keys = set()
-    for seq in product(range(n), repeat=n - 2):
-        adj = sequence_to_adjacency(seq, n)
-        keys.add(min(_rooted_key(adj, c) for c in _centers(adj)))
-    return len(keys)

@@ -10,10 +10,17 @@ from fractions import Fraction
 
 import pytest
 
-from nisets.engine import Engine, s1_vertex_recursion
-from nisets.families import FamilySpec, build, closed_form_summary, ratio_table
+from crosschecks import labelled_tree_classes, ratio_table
+from nisets.engine import Engine, nis_summary
+from nisets.families import FamilySpec, build, closed_form_summary
 from nisets.formats import from_graph6
-from nisets.graphs import all_pairs, canonical_code, graph_from_pair_mask, is_good_graph
+from nisets.graphs import (
+    all_pairs,
+    canonical_code,
+    graph_from_pair_mask,
+    is_good_graph,
+    structural_predicates,
+)
 from nisets.oracle import OracleProfile, oracle_profiles
 from nisets.scanner import (
     conjecture_scan,
@@ -24,7 +31,7 @@ from nisets.scanner import (
     spot_check_trees,
     verify_claims,
 )
-from nisets.trees import count_free_trees, free_trees, labelled_tree_classes
+from nisets.trees import count_free_trees, free_trees
 
 
 def report(number, ok, detail):
@@ -61,19 +68,19 @@ def test_criterion_2_closed_form_regressions():
         assert (star.sigma, star.total) == (n - 1, 2 * (n - 1)), n
         comp = closed_form_summary(FamilySpec("complete", n), 1)
         assert (comp.sigma, comp.total) == (n * (n - 1) // 2, n * (n - 1)), n
-        engine_star = s1_vertex_recursion(build(FamilySpec("star", n)))
+        engine_star = nis_summary(build(FamilySpec("star", n)), 1)
         assert (engine_star.sigma, engine_star.total) == (star.sigma, star.total), n
-        engine_comp = s1_vertex_recursion(build(FamilySpec("complete", n)))
+        engine_comp = nis_summary(build(FamilySpec("complete", n)), 1)
         assert (engine_comp.sigma, engine_comp.total) == (comp.sigma, comp.total), n
     for n in range(6, 21):
         single = closed_form_summary(FamilySpec("G_special", n), 1)
         assert single.average == Fraction(n, 2) + 1, n
-        assert s1_vertex_recursion(build(FamilySpec("G_special", n))).average == single.average
+        assert nis_summary(build(FamilySpec("G_special", n)), 1).average == single.average
     for n in range(4, 41):
         formula = Fraction(5 * n - 13 + (n + 1) * 2 ** (n - 4), 2 * n - 5 + 2 ** (n - 3))
         assert closed_form_summary(FamilySpec("R", n), 1).average == formula, n
         if n <= 24:
-            assert s1_vertex_recursion(build(FamilySpec("R", n))).average == formula, n
+            assert nis_summary(build(FamilySpec("R", n)), 1).average == formula, n
     assert closed_form_summary(FamilySpec("R", 10), 1).average == Fraction(741, 143)
     report(2, True, "star/complete counts 2..20, single-edge maximizer 6..20, "
                     "subdivided star 4..40 incl. 741/143 at order 10, all exact")
@@ -104,7 +111,7 @@ def test_criterion_4_minimum_average():
     for n in range(3, 17):
         rep = scan_trees(n, "av1")
         assert rep.min_value == 2 and rep.min_count == 1, n
-        assert from_graph6(rep.min_witnesses[0]).max_degree() == n - 1, n
+        assert structural_predicates(from_graph6(rep.min_witnesses[0])).max_degree == n - 1, n
     elapsed = time.perf_counter() - start
     report(4, elapsed < 600,
            f"min 2 with covering-edge equality class (n<=7), unique star minimizer "

@@ -14,7 +14,7 @@ import pytest
 from nisets import cli
 from nisets import engine as engine_module
 from nisets.cli import main
-from nisets.engine import s1_vertex_recursion
+from nisets.engine import nis_summary
 from nisets.formats import from_graph6, to_graph6
 from nisets.trees import free_trees
 
@@ -197,7 +197,7 @@ def test_trees_round_trip_through_compute(capsys):
         code, out2, _ = run_cli(capsys, "compute", "--graph6", line)
         assert code == 0
         payload = json.loads(out2)
-        summary = s1_vertex_recursion(from_graph6(line))
+        summary = nis_summary(from_graph6(line), 1)
         assert payload["sigma1"] == summary.sigma and payload["s1"] == summary.total
 
 
@@ -288,6 +288,18 @@ def test_verify_refuses_family_order_past_graph6_limit(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--max-ratio-order", "63")
     assert code == 2 and out == ""
     assert err == "error: max ratio order above graph6 limit (62)\n"
+
+
+def test_verify_refusal_names_the_max_tree_order(capsys):
+    code, out, err = run_cli(capsys, "verify", "--max-tree-order", "25")
+    assert code == 2 and out == ""
+    assert err == "error: max tree order 25 above the free-tree range (1..24)\n"
+
+
+def test_verify_refusal_names_the_max_graph_order(capsys):
+    code, out, err = run_cli(capsys, "verify", "--max-graph-order", "9")
+    assert code == 2 and out == ""
+    assert err == "error: max graph order 9 above the exhaustive limit (7)\n"
 
 
 def test_verify_refuses_order_below_a_suite_before_running_any(capsys, monkeypatch):

@@ -8,32 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosschecks import sequence_to_adjacency, union_combine
 from nisets import engine as engine_module
 from nisets.engine import (
-    CountPolynomial,
     Engine,
     WorkLimitExceeded,
-    av1_edge,
-    edge_terms,
     format_rational,
-    i0_polynomial,
-    i1_edge_decomposition,
-    i1_vertex_recursion,
     nis_summary,
-    s1_vertex_recursion,
-    summarize,
     tree_scalars,
     tree_scalars_batch,
-    union_combine,
 )
 from nisets.families import FamilySpec, build, closed_form_summary
 from nisets.graphs import (
     all_pairs,
     build_graph,
-    component_masks,
+    components_of,
     disjoint_union,
     graph_from_pair_mask,
-    induced,
     is_good_graph,
 )
 from nisets.oracle import OracleProfile, oracle_profiles, oracle_summary
@@ -42,7 +33,6 @@ from nisets.trees import (
     level_parents,
     level_sequences,
     levels_to_graph,
-    sequence_to_adjacency,
     tree_blocks,
 )
 
@@ -72,44 +62,49 @@ def graphs(draw, max_order):
 
 class TestPolynomials:
     def test_zero_edge_examples(self):
-        assert i0_polynomial(build_graph(3, [])).coeffs == (1, 3, 3, 1)
-        assert i0_polynomial(complete(3)).coeffs == (1, 3)
-        assert i0_polynomial(path(4)).sigma == 8
+        assert Engine(build_graph(3, [])).i0() == (1, 3, 3, 1)
+        assert Engine(complete(3)).i0() == (1, 3)
+        assert nis_summary(path(4), 0).sigma == 8
 
     def test_one_edge_examples(self):
-        assert i1_vertex_recursion(star(4)).coeffs == (0, 0, 3)
-        assert i1_vertex_recursion(build_graph(5, [])).is_zero()
-        assert i1_vertex_recursion(path(4)).coeffs == (0, 0, 3, 2)
+        assert Engine(star(4)).i1() == (0, 0, 3)
+        assert Engine(build_graph(5, [])).i1() == ()
+        assert Engine(path(4)).i1() == (0, 0, 3, 2)
 
     def test_edge_route_examples(self):
-        assert i1_edge_decomposition(complete(4)).coeffs == (0, 0, 6)
-        assert i1_edge_decomposition(build_graph(2, [(0, 1)])).coeffs == (0, 0, 1)
-        assert i1_edge_decomposition(build(FamilySpec("cycle", 4))).coeffs == (0, 0, 4)
+        assert Engine(complete(4)).i1_by_edges() == (0, 0, 6)
+        assert Engine(build_graph(2, [(0, 1)])).i1_by_edges() == (0, 0, 1)
+        assert Engine(build(FamilySpec("cycle", 4))).i1_by_edges() == (0, 0, 4)
 
-    def test_trailing_zeros_rejected(self):
-        with pytest.raises(ValueError, match="trailing"):
-            CountPolynomial((1, 0))
-
-    def test_negative_coefficients_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            CountPolynomial((1, -1))
+    def test_routes_return_no_negative_or_trailing_zero_coefficient(self):
+        offenders, checked = [], 0
+        for n in range(0, 6):
+            pairs = all_pairs(n)
+            for mask in range(1 << len(pairs)):
+                eng = Engine(graph_from_pair_mask(n, mask, pairs))
+                for route in (eng.i0, eng.i1, eng.i1_by_edges):
+                    p = route()
+                    checked += 1
+                    if type(p) is not tuple or any(c < 0 for c in p) or p[-1:] == (0,):
+                        offenders.append((n, mask, route.__name__, p))
+        assert checked == 3300 and offenders == []
 
 
 class TestSummaries:
     def test_summarize_examples(self):
-        s = summarize(CountPolynomial.from_coeffs((0, 0, 3)))
+        s = nis_summary(star(4), 1)
         assert (s.sigma, s.total, s.average) == (3, 6, 2)
-        z = summarize(CountPolynomial.from_coeffs(()))
+        z = nis_summary(build_graph(3, []), 1)
         assert (z.sigma, z.total, z.average) == (0, 0, 0)
-        s = summarize(CountPolynomial.from_coeffs((0, 0, 3, 2)))
+        s = nis_summary(path(4), 1)
         assert (s.sigma, s.total, s.average) == (5, 12, Fraction(12, 5))
 
     def test_scalar_route_examples(self):
-        s = s1_vertex_recursion(star(5))
+        s = nis_summary(star(5), 1)
         assert (s.sigma, s.total, s.average) == (4, 8, 2)
-        s = s1_vertex_recursion(complete(5))
+        s = nis_summary(complete(5), 1)
         assert (s.sigma, s.total, s.average) == (10, 20, 2)
-        s = s1_vertex_recursion(build(FamilySpec("R", 10)))
+        s = nis_summary(build(FamilySpec("R", 10)), 1)
         assert s.average == Fraction(741, 143)
 
     def test_format_rational(self):
@@ -120,90 +115,80 @@ class TestSummaries:
 
 class TestUnionCombine:
     def test_two_single_edges(self):
-        p2 = build_graph(2, [(0, 1)])
-        z, o = union_combine(
-            i0_polynomial(p2), i1_vertex_recursion(p2),
-            i0_polynomial(p2), i1_vertex_recursion(p2),
-        )
-        assert o.sigma == 6
-        assert i1_vertex_recursion(disjoint_union(p2, p2)).coeffs == o.coeffs
-        assert i0_polynomial(disjoint_union(p2, p2)).coeffs == z.coeffs
+        p2 = Engine(build_graph(2, [(0, 1)]))
+        z, o = union_combine(p2.i0(), p2.i1(), p2.i0(), p2.i1())
+        assert sum(o) == 6
+        both = Engine(disjoint_union(p2.graph, p2.graph))
+        assert both.i1() == o
+        assert both.i0() == z
 
     def test_empty_graph_is_identity(self):
-        g = path(4)
-        empty = build_graph(0, [])
-        z, o = union_combine(
-            i0_polynomial(g), i1_vertex_recursion(g),
-            i0_polynomial(empty), i1_vertex_recursion(empty),
-        )
-        assert z.coeffs == i0_polynomial(g).coeffs
-        assert o.coeffs == i1_vertex_recursion(g).coeffs
+        g = Engine(path(4))
+        empty = Engine(build_graph(0, []))
+        z, o = union_combine(g.i0(), g.i1(), empty.i0(), empty.i1())
+        assert z == g.i0()
+        assert o == g.i1()
 
     def test_zero_edge_average_adds(self):
-        e2, e3 = build_graph(2, []), build_graph(3, [])
-        z, _ = union_combine(
-            i0_polynomial(e2), i1_vertex_recursion(e2),
-            i0_polynomial(e3), i1_vertex_recursion(e3),
-        )
-        s = summarize(z)
-        assert s.average == Fraction(5, 2) == Fraction(1) + Fraction(3, 2)
+        e2, e3 = Engine(build_graph(2, [])), Engine(build_graph(3, []))
+        z, _ = union_combine(e2.i0(), e2.i1(), e3.i0(), e3.i1())
+        average = Fraction(sum(k * c for k, c in enumerate(z)), sum(z))
+        assert average == Fraction(5, 2) == Fraction(1) + Fraction(3, 2)
 
     def test_component_factorization(self):
         rng = random.Random(13)
         for _ in range(25):
             g = random_graph(rng, rng.randrange(2, 10), 0.25)
-            comps = component_masks(g)
+            comps = components_of(g.adj, g.universe)
             if len(comps) < 2:
                 continue
-            z_total = CountPolynomial.from_coeffs((1,))
-            o_total = CountPolynomial.from_coeffs(())
+            eng = Engine(g)
+            z_total, o_total = (1,), ()
             for comp in comps:
-                sub, _ = induced(g, comp)
-                z_total, o_total = union_combine(
-                    z_total, o_total, i0_polynomial(sub), i1_vertex_recursion(sub))
-            assert z_total.coeffs == i0_polynomial(g).coeffs
-            assert o_total.coeffs == i1_vertex_recursion(g).coeffs
+                z_total, o_total = union_combine(z_total, o_total, eng.i0(comp), eng.i1(comp))
+            assert z_total == eng.i0()
+            assert o_total == eng.i1()
 
     @given(graphs(8), graphs(8))
     @settings(max_examples=150, deadline=None)
     def test_matches_engine_on_disjoint_union(self, g1, g2):
-        z, o = union_combine(
-            i0_polynomial(g1), i1_vertex_recursion(g1),
-            i0_polynomial(g2), i1_vertex_recursion(g2),
-        )
+        e1, e2 = Engine(g1), Engine(g2)
+        z, o = union_combine(e1.i0(), e1.i1(), e2.i0(), e2.i1())
         eng = Engine(disjoint_union(g1, g2))
-        assert z.coeffs == CountPolynomial.from_coeffs(eng.i0()).coeffs
-        assert o.coeffs == CountPolynomial.from_coeffs(eng.i1()).coeffs
+        assert z == eng.i0()
+        assert o == eng.i1()
+
+
+def edge_averages(g):
+    """The one-edge average of each edge's subsets: 2 plus the
+    independent-set average of what its endpoints' neighbourhoods leave."""
+    return {term.edge: 2 + term.av0 for term in Engine(g).edge_terms()}
 
 
 class TestEdgeStatistics:
     def test_single_edge_with_isolates(self):
         for n in range(3, 9):
             g = build(FamilySpec("G_special", n))
-            assert av1_edge(g, (0, 1)) == 2 + Fraction(n - 2, 2)
+            assert edge_averages(g)[0, 1] == 2 + Fraction(n - 2, 2)
 
     def test_complete_edges(self):
-        assert av1_edge(complete(5), (0, 1)) == 2
+        assert edge_averages(complete(5))[0, 1] == 2
 
     def test_path4_edge(self):
-        assert av1_edge(path(4), (0, 1)) == Fraction(5, 2)
-
-    def test_non_edge_rejected(self):
-        with pytest.raises(ValueError, match="not an edge"):
-            av1_edge(path(4), (0, 2))
+        assert edge_averages(path(4))[0, 1] == Fraction(5, 2)
 
     def test_single_edge_term(self):
-        terms = edge_terms(build_graph(2, [(0, 1)]))
+        terms = Engine(build_graph(2, [(0, 1)])).edge_terms()
         assert len(terms) == 1
         assert terms[0].weight == 1 and terms[0].residual_mask == 0
 
     def test_triangle_terms(self):
-        terms = edge_terms(complete(3))
+        terms = Engine(complete(3)).edge_terms()
         assert [t.weight for t in terms] == [Fraction(1, 3)] * 3
         assert all(t.av0 == 0 for t in terms)
 
     def test_path4_terms(self):
-        terms = edge_terms(path(4))
+        terms = Engine(path(4)).edge_terms()
         assert [t.edge for t in terms] == [(0, 1), (1, 2), (2, 3)]
         assert [t.weight for t in terms] == [Fraction(2, 5), Fraction(1, 5), Fraction(2, 5)]
         assert sum(t.weight * t.av0 for t in terms) == Fraction(2, 5)
@@ -214,14 +199,14 @@ class TestEdgeStatistics:
             g = random_graph(rng, rng.randrange(2, 9))
             if not g.edge_count:
                 continue
-            terms = edge_terms(g)
+            terms = Engine(g).edge_terms()
             assert sum(t.weight for t in terms) == 1
-            s = s1_vertex_recursion(g)
+            s = nis_summary(g, 1)
             assert s.average == 2 + sum(t.weight * t.av0 for t in terms)
 
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError, match="edgeless"):
-            edge_terms(build_graph(3, []))
+            Engine(build_graph(3, [])).edge_terms()
 
 
 class TestRouteAgreement:
@@ -257,7 +242,7 @@ class TestRouteAgreement:
 
 def reference_split(g, mask):
     """(isolated count, components of the rest, pivot) from first principles."""
-    comps = component_masks(g, mask)
+    comps = components_of(g.adj, mask)
     iso = sum(1 for c in comps if not c & (c - 1))
     inside = [v for v in range(g.n) if mask >> v & 1]
     pivot = max(inside, key=lambda v: ((g.adj[v] & mask).bit_count(), -v), default=-1)
@@ -341,7 +326,7 @@ class TestKnownInequalities:
                 g = graph_from_pair_mask(n, mask, pairs)
                 if not g.edge_count:
                     continue
-                s = s1_vertex_recursion(g)
+                s = nis_summary(g, 1)
                 assert s.average >= 2
                 assert (s.average == 2) == is_good_graph(g)
 
@@ -351,8 +336,8 @@ class TestKnownInequalities:
             g = random_graph(rng, rng.randrange(2, 9))
             if not g.edge_count:
                 continue
-            value = s1_vertex_recursion(g).average
-            per_edge = [av1_edge(g, e) for e in g.edges()]
+            value = nis_summary(g, 1).average
+            per_edge = edge_averages(g).values()
             assert min(per_edge) <= value <= max(per_edge)
 
     def test_path_one_edge_counts_by_convolution(self):
@@ -362,7 +347,7 @@ class TestKnownInequalities:
             sigma0[k] = sigma0[k - 1] + sigma0[k - 2]
         for n in range(2, 21):
             expected = sum(sigma0[j - 2] * sigma0[n - 2 - j] for j in range(1, n))
-            assert s1_vertex_recursion(path(n)).sigma == expected
+            assert nis_summary(path(n), 1).sigma == expected
 
     def test_closed_neighbourhood_count_sandwich(self):
         rng = random.Random(41)

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from crosschecks import ratio_table
 from nisets.engine import nis_summary
-from nisets.families import FamilySpec, build, closed_form_summary, ratio_table
+from nisets.families import FamilySpec, build, closed_form_summary
 from nisets.graphs import canonical_code
 
 

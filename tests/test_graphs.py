@@ -4,23 +4,19 @@ from itertools import combinations, permutations
 
 import pytest
 
+from crosschecks import relabel
+from nisets.engine import Engine
 from nisets.families import FamilySpec, build
 from nisets.graphs import (
     all_pairs,
     build_graph,
     canonical_code,
-    closed_neighborhood_union,
-    component_masks,
     components_of,
-    delta_bounds,
     disjoint_union,
     graph_from_pair_mask,
-    induced,
     is_connected,
     is_good_graph,
-    is_tree,
     iter_bits,
-    relabel,
     structural_predicates,
 )
 
@@ -71,62 +67,41 @@ class TestBuildGraph:
             build_graph(3, [(1, 1)])
 
 
+def union_sizes(g):
+    """|N(u) | N(v)| of each edge uv, read off the engine's edge terms."""
+    return [term.union_size for term in Engine(g).edge_terms()]
+
+
 class TestNeighbourhoodUnion:
     def test_open_union_on_path_edge(self):
-        g = path(4)
-        assert closed_neighborhood_union(g, 0, 1, closed=False) == 0b0111
+        assert union_sizes(path(4))[0] == 3  # N(0) | N(1) = {0, 1, 2}
 
     def test_complete_edge_covers_everything(self):
         for n in range(2, 8):
-            g = complete(n)
-            assert closed_neighborhood_union(g, 0, 1, closed=False) == g.universe
-
-    def test_closed_union_without_edges(self):
-        g = build_graph(3, [])
-        assert closed_neighborhood_union(g, 0, 1) == 0b011
+            assert union_sizes(complete(n)) == [n] * (n * (n - 1) // 2)
 
     def test_closed_equals_open_size_on_edges(self):
-        # exhaustive: whenever uv is an edge the two unions coincide
+        # exhaustive: whenever uv is an edge the open union already holds u
+        # and v, so it has the size of the closed one
         for n in range(2, 6):
             pairs = all_pairs(n)
-            for mask in range(1 << len(pairs)):
+            for mask in range(1, 1 << len(pairs)):
                 g = graph_from_pair_mask(n, mask, pairs)
-                for u, v in g.edges():
-                    open_u = closed_neighborhood_union(g, u, v, closed=False)
-                    closed_u = closed_neighborhood_union(g, u, v, closed=True)
-                    assert open_u == closed_u
-                    assert open_u.bit_count() >= 2
-
-    def test_same_vertex_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            closed_neighborhood_union(path(3), 1, 1)
+                closed = [(g.adj[u] | g.adj[v] | 1 << u | 1 << v).bit_count()
+                          for u, v in g.edges()]
+                assert union_sizes(g) == closed
+                assert min(closed) >= 2
 
 
 class TestInduced:
+    # the engine reads an induced subgraph as a vertex mask of its root graph
     def test_path_minus_three_is_single_vertex(self):
-        g, mapping = induced(path(4), 0b1000)
-        assert g.n == 1 and g.edge_count == 0 and mapping == (3,)
-
-    def test_identity(self):
-        k4 = complete(4)
-        g, mapping = induced(k4, k4.universe)
-        assert g == k4 and mapping == (0, 1, 2, 3)
+        eng = Engine(path(4))
+        assert (eng.i0(0b1000), eng.i1(0b1000)) == ((1, 1), ())
 
     def test_cycle_minus_vertex_is_path(self):
-        g, _ = induced(cycle(4), 0b1110)
-        assert canonical_code(g) == canonical_code(path(3))
-
-    def test_contravariant(self):
-        g = cycle(5)
-        for first in range(1 << 5):
-            g1, map1 = induced(g, first)
-            for second in range(1 << g1.n):
-                g2, _ = induced(g1, second)
-                back = 0
-                for new_index in iter_bits(second):
-                    back |= 1 << map1[new_index]
-                direct, _ = induced(g, back)
-                assert g2 == direct
+        eng, p3 = Engine(cycle(4)), Engine(path(3))
+        assert (eng.i0(0b1110), eng.i1(0b1110)) == (p3.i0(), p3.i1())
 
 
 class TestGoodGraph:
@@ -144,26 +119,27 @@ class TestGoodGraph:
 
 
 class TestDeltaBounds:
+    # (min, max) of |N(u) | N(v)| over the edges
     def test_triangle(self):
-        assert delta_bounds(complete(3)) == (3, 3)
+        assert set(union_sizes(complete(3))) == {3}
 
     def test_path4(self):
-        assert delta_bounds(path(4)) == (3, 4)
+        sizes = union_sizes(path(4))
+        assert (min(sizes), max(sizes)) == (3, 4)
 
     def test_single_edge_with_isolates(self):
-        assert delta_bounds(build(FamilySpec("G_special", 6))) == (2, 2)
+        assert union_sizes(build(FamilySpec("G_special", 6))) == [2]
 
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError, match="edgeless"):
-            delta_bounds(build_graph(4, []))
+            union_sizes(build_graph(4, []))
 
     def test_bounds_ordering_exhaustive(self):
         for n in range(2, 6):
             pairs = all_pairs(n)
             for mask in range(1, 1 << len(pairs)):
-                g = graph_from_pair_mask(n, mask, pairs)
-                d1, d2 = delta_bounds(g)
-                assert 2 <= d1 <= d2 <= n
+                sizes = union_sizes(graph_from_pair_mask(n, mask, pairs))
+                assert 2 <= min(sizes) <= max(sizes) <= n
 
 
 class TestStructuralPredicates:
@@ -193,7 +169,8 @@ class TestStructuralPredicates:
         for n in range(1, 8):
             for g, _ in labeled_graph_classes(n):
                 s = structural_predicates(g)
-                assert (s.is_connected, s.is_tree) == (is_connected(g), is_tree(g))
+                tree = is_connected(g) and g.edge_count == n - 1
+                assert (s.is_connected, s.is_tree) == (is_connected(g), tree)
 
 
 def closure_components(g, mask):
@@ -220,8 +197,6 @@ class TestComponents:
             for mask in range(1 << g.n):
                 want = closure_components(g, mask)
                 assert components_of(g.adj, mask) == want
-                assert component_masks(g, mask) == want
-            assert component_masks(g) == closure_components(g, g.universe)
 
     def test_empty_mask(self):
         assert components_of(path(3).adj, 0) == []
@@ -288,7 +263,7 @@ class TestDisjointUnion:
     def test_two_edges(self):
         g = disjoint_union(build_graph(2, [(0, 1)]), build_graph(2, [(0, 1)]))
         assert g.n == 4 and g.edge_count == 2
-        assert len(component_masks(g)) == 2
+        assert len(components_of(g.adj, g.universe)) == 2
 
     def test_universe_overflow(self):
         g33 = build_graph(33, [])
@@ -297,6 +272,9 @@ class TestDisjointUnion:
 
 
 def test_is_tree():
+    def is_tree(g):
+        return structural_predicates(g).is_tree
+
     assert is_tree(path(5)) and is_tree(star(6)) and is_tree(build_graph(1, []))
     assert not is_tree(cycle(4))
     assert not is_tree(build_graph(3, [(0, 1)]))

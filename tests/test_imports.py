@@ -1,6 +1,7 @@
-"""Every module of the package uses each name it imports, and every private
+"""Every module of the package uses each name it imports, every private
 module-level name is used somewhere besides its definition, in the package
-itself unless it is a named test reference."""
+itself unless it is a named test reference, and every public name is used
+by another module of the package or is on one of two named lists."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nisets"
 TESTS = Path(__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -114,3 +116,60 @@ def test_an_orphaned_private_helper_is_found():
     test = "monkeypatch.setattr(module, '_Patched', None)\n"
     assert orphaned_private_names({"m.py": module}, [test]) == [("m.py", "_orphan"),
                                                                 ("m.py", "_unused")]
+
+
+def package_imports(source: str) -> set[str]:
+    """Names the source imports with ``from .module import name`` or
+    ``from nisets.module import name``; a method of the same name is not
+    one of them."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "nisets")
+            for alias in node.names}
+
+
+def public_names_unused_by_the_package(modules: dict[str, str]) -> list[str]:
+    """Names of the ``__all__`` of ``__init__.py`` that no other module of
+    ``modules`` (name -> source) imports."""
+    exported = next(ast.literal_eval(node.value) for node in ast.parse(modules["__init__.py"]).body
+                    if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
+    used = set().union(*(package_imports(source) for module, source in modules.items()
+                         if module != "__init__.py"))
+    return [name for name in exported if name not in used]
+
+
+# public names no other module of the package uses, kept because a library
+# user calls them or receives them from a call
+LIBRARY_ENTRY_POINTS = [
+    # what the entry points return or raise
+    "ConjectureRecord", "EdgeTerm", "OracleProfile", "ScanReport", "StructuralSummary",
+    "Violation", "WorkLimitExceeded",
+    # the tree DP's one-tree reference, isomorphism codes, and the ratio
+    # claim's population
+    "tree_scalars", "canonical_code", "path_cycle_unions",
+    "__version__",
+]
+
+# public names that, besides the tests, only the benchmark's replay in
+# perfbench/ holds; deleting the replay frees them
+HELD_BY_PERFBENCH = ["LevelSequence", "is_good_graph", "labeled_graph_classes",
+                     "oracle_summary", "spot_check_trees"]
+
+
+def test_every_public_name_is_used_or_listed():
+    modules = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    unused = public_names_unused_by_the_package(modules)
+    # an entry point that some module uses needs no listing
+    assert [name for name in LIBRARY_ENTRY_POINTS if name not in unused] == []
+    held = set().union(*(package_imports(path.read_text()) for path in sorted(PERFBENCH.glob("*.py"))))
+    rest = [name for name in unused if name not in LIBRARY_ENTRY_POINTS]
+    assert [name for name in rest if name not in held] == []
+    assert sorted(rest) == HELD_BY_PERFBENCH
+
+
+def test_an_unused_public_name_is_found():
+    modules = {"__init__.py": "from .a import f, g, h\n__all__ = ['f', 'g', 'h']\n",
+               "a.py": "def f():\n    return g()\ndef g():\n    pass\ndef h():\n    pass\n",
+               "b.py": "from .a import f\nf()\nx.h()\n"}
+    assert public_names_unused_by_the_package(modules) == ["g", "h"]

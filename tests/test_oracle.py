@@ -11,7 +11,6 @@ from nisets.families import FamilySpec, build
 from nisets.graphs import build_graph, graph_from_pair_mask
 from nisets.oracle import (
     _profile_loop,
-    edge_level_counts,
     oracle_profile,
     oracle_profiles,
     oracle_summary,
@@ -72,7 +71,7 @@ def test_levels_partition_all_subsets():
         n = rng.randrange(1, 9)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
         g = build_graph(n, edges)
-        counts = edge_level_counts(g)
+        counts = [profile.sigma for profile in oracle_profiles(g)]
         assert sum(counts) == 1 << n
         for level, count in enumerate(counts):
             assert oracle_profile(g, level).sigma == count

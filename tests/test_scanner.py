@@ -11,6 +11,7 @@ import pytest
 
 import nisets.scanner as scanner_module
 import nisets.trees as trees_module
+from crosschecks import relabel
 from nisets.engine import Engine, format_rational, tree_scalars, tree_scalars_batch
 from nisets.families import FamilySpec, build, closed_form_summary
 from nisets.formats import from_graph6, to_graph6
@@ -19,7 +20,6 @@ from nisets.graphs import (
     canonical_code,
     graph_from_pair_mask,
     is_good_graph,
-    relabel,
     structural_predicates,
 )
 from nisets.oracle import OracleProfile, oracle_profiles
@@ -115,11 +115,10 @@ class TestClassEnumeration:
             assert len(set(codes)) == len(codes)
 
     def test_tree_classes_match_free_tree_counts(self):
-        from nisets.graphs import is_tree
         from nisets.trees import count_free_trees
 
         for n in range(1, 8):
-            trees = [g for g, _ in labeled_graph_classes(n) if is_tree(g)]
+            trees = [g for g, _ in labeled_graph_classes(n) if structural_predicates(g).is_tree]
             assert len(trees) == count_free_trees(n)
         assert len(trees) == 11
 
@@ -180,7 +179,7 @@ class TestTreeScans:
         report = scan_trees(9, "av1")
         assert report.min_value == 2 and report.min_count == 1
         witness = from_graph6(report.min_witnesses[0])
-        assert witness.max_degree() == 8
+        assert structural_predicates(witness).max_degree == 8
 
     def test_max_at_four(self):
         report = scan_trees(4, "av1")

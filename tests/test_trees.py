@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 import nisets.trees as trees_module
-from nisets.graphs import canonical_code, is_tree
+from crosschecks import labelled_tree_classes, relabel
+from nisets.graphs import canonical_code, structural_predicates
 from nisets.trees import (
     LevelSequence,
     count_free_trees,
     free_trees,
-    labelled_tree_classes,
     level_sequences,
     tree_blocks,
     tree_canonical_key,
@@ -30,7 +30,7 @@ def test_stream_counts(n):
 @pytest.mark.parametrize("n", range(1, 12))
 def test_every_emission_is_a_tree(n):
     for tree in free_trees(n):
-        assert tree.n == n and is_tree(tree)
+        assert tree.n == n and structural_predicates(tree).is_tree
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -128,8 +128,6 @@ def test_canonical_key_matches_canonical_code_partition():
 
 def test_canonical_key_is_relabelling_invariant():
     import random
-
-    from nisets.graphs import relabel
 
     rng = random.Random(17)
     for tree in free_trees(9):
