@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import Graph, build_graph
+from .graphs import MAX_VERTICES, Graph, build_graph
 
 GRAPH6_ORDER_LIMIT = 62
 
@@ -44,6 +44,8 @@ def parse_edge_list(text: str) -> Graph:
     if len(head) != 2:
         raise FormatError("header must be exactly 'n m'", head_no, head[0][1] if head else 1)
     n = _int_token(head[0][0], head_no, head[0][1], "vertex count")
+    if not 0 <= n <= MAX_VERTICES:
+        raise FormatError(f"vertex count {n} outside 0..{MAX_VERTICES}", head_no, head[0][1])
     m = _int_token(head[1][0], head_no, head[1][1], "edge count")
     body = rows[1:]
     if len(body) != m:
@@ -52,7 +54,7 @@ def parse_edge_list(text: str) -> Graph:
             head_no,
             head[1][1],
         )
-    edges = []
+    edges = set()
     for no, toks in body:
         if len(toks) != 2:
             bad_col = toks[2][1] if len(toks) > 2 else toks[0][1]
@@ -64,7 +66,10 @@ def parse_edge_list(text: str) -> Graph:
                 raise FormatError(f"vertex {w} out of range 0..{n - 1}", no, col)
         if u == v:
             raise FormatError(f"loop edge ({u},{v}) not allowed", no, toks[0][1])
-        edges.append((u, v))
+        edge = (min(u, v), max(u, v))
+        if edge in edges:
+            raise FormatError(f"repeated edge ({u},{v})", no, toks[0][1])
+        edges.add(edge)
     return build_graph(n, edges)
 
 

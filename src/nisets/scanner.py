@@ -46,24 +46,26 @@ from .trees import (
 
 GRAPH_SCAN_LIMIT = 7
 WITNESS_CAP = 100
+SPOT_CHECK_SEED = 2024
 GRAPH_FILTERS = ("all", "connected", "no-isolated-max-deg-2", "non-edgeless")
 OBJECTIVES = ("av1", "sigma-ratio")
 
-# each claim's suite, whose one run per order reports it, and the first
-# order at which it checks anything (internal-degree-cap: the order-2 tree
-# has no internal vertex); a suite starts at the least first order of its claims
+# each claim's suite, whose one run per order checks it; the first order at
+# which it checks anything (internal-degree-cap: the order-2 tree has no
+# internal vertex), a suite starting at the least first order of its claims;
+# and the population and objective its reports name
 _CLAIMS = {
-    "graph-average-lower": ("graph", 2),
-    "graph-average-upper": ("graph", 6),
-    "tree-average-lower": ("tree", 3),
-    "tree-average-band": ("tree", 9),
-    "union-size-sandwich": ("graph", 2),
-    "edge-average-bracket": ("graph", 2),
-    "residual-count-sandwich": ("graph", 2),
-    "degree-two-ratio": ("ratio", 2),
-    "tree-average-cap": ("tree", 2),
-    "internal-degree-cap": ("tree", 3),
-    "subdivided-star-band": ("family", 4),
+    "graph-average-lower": ("graph", 2, "graphs/non-edgeless", "av1"),
+    "graph-average-upper": ("graph", 6, "graphs/non-edgeless", "av1"),
+    "tree-average-lower": ("tree", 3, "free-trees", "av1"),
+    "tree-average-band": ("tree", 9, "free-trees", "av1"),
+    "union-size-sandwich": ("graph", 2, "graphs/non-edgeless", "av1"),
+    "edge-average-bracket": ("graph", 2, "graphs/non-edgeless", "av1"),
+    "residual-count-sandwich": ("graph", 2, "graphs/non-edgeless", "sigma-ratio"),
+    "degree-two-ratio": ("ratio", 2, "path-cycle-unions", "sigma-ratio"),
+    "tree-average-cap": ("tree", 2, "free-trees", "av1"),
+    "internal-degree-cap": ("tree", 3, "free-trees", "av1"),
+    "subdivided-star-band": ("family", 4, "subdivided-star-family", "av1"),
 }
 ALL_CLAIMS = tuple(_CLAIMS)
 
@@ -357,14 +359,14 @@ class _SpotSample:
         return self.want > 0
 
 
-def _spot_sample(n: int, rate: float, seed: int) -> _SpotSample:
+def _spot_sample(n: int, rate: float) -> _SpotSample:
     """Deterministic sample of stream indices of the order-n trees."""
     if not 0 <= rate <= 1:
         raise ValueError("spot-check rate must lie in [0, 1]")
     if rate == 0:
-        return _SpotSample(1, 0, seed)
+        return _SpotSample(1, 0, SPOT_CHECK_SEED)
     total = count_free_trees(n)
-    return _SpotSample(total, min(total, max(1, int(rate * total))), seed)
+    return _SpotSample(total, min(total, max(1, int(rate * total))), SPOT_CHECK_SEED)
 
 
 def _blocks(n, spots, shard=0, shards=1):
@@ -456,12 +458,12 @@ def _tree_sweeps(orders, objective, pool, workers, samples, top_k):
         yield lo, hi, [(-negv, g6) for negv, g6 in sorted(top)[:top_k]]
 
 
-def spot_check_trees(n: int, rate: float, seed: int = 2024) -> int:
+def spot_check_trees(n: int, rate: float) -> int:
     """Check a deterministic sample of order-n trees: the batched tree DP,
     the engine and the subset oracle must agree at both levels.  Every tree
     of the order is scored, as on a sweep.  Returns how many trees were
     checked; raises RouteDisagreement on any mismatch."""
-    spots = _spot_sample(n, rate, seed)
+    spots = _spot_sample(n, rate)
     return sum(checked for _, checked in _blocks(n, spots)) if spots else 0
 
 
@@ -472,14 +474,13 @@ def scan_trees(
     workers: int = 1,
     witness_cap: int | None = WITNESS_CAP,
     spot_check_rate: float = 0.0,
-    seed: int = 2024,
 ) -> ScanReport:
     """Exact extremal values of the objective over all free trees of order n."""
     if not 2 <= n <= TREE_ORDER_LIMIT:
         raise ValueError(f"unsupported order for tree scan (2..{TREE_ORDER_LIMIT})")
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    spots = _spot_sample(n, spot_check_rate, seed)
+    spots = _spot_sample(n, spot_check_rate)
     with _pool(workers) as pool:
         lo, hi, _ = next(_tree_sweeps([n], objective, pool, workers, [spots], top_k=0))
     return _report(f"scan-{objective}", "free-trees", n, objective, (lo, hi), witness_cap)
@@ -513,7 +514,6 @@ def conjecture_scan(
     workers: int = 1,
     top_k: int = 5,
     spot_check_rate: float = 0.0,
-    seed: int = 2024,
 ) -> list[ConjectureRecord]:
     """For each order, the av1-maximal trees and whether the subdivided star
     is the unique maximizer; evidence only, nothing is asserted."""
@@ -522,7 +522,7 @@ def conjecture_scan(
         raise ValueError(f"conjecture scan needs orders >= 4 and <= {TREE_ORDER_LIMIT}")
     if top_k < 0:
         raise ValueError("top list length must be non-negative")
-    samples = [_spot_sample(n, spot_check_rate, seed) for n in orders]
+    samples = [_spot_sample(n, spot_check_rate) for n in orders]
     out = []
     with _pool(workers) as pool:
         sweeps = _tree_sweeps(orders, "av1", pool, workers, samples, top_k)
@@ -595,13 +595,13 @@ def _stated(claim_id: str, n: int) -> bool:
 
 
 def _suite_first_order(suite: str) -> int:
-    return min(first for claim_suite, first in _CLAIMS.values() if claim_suite == suite)
+    return min(first for claim_suite, first, *_ in _CLAIMS.values() if claim_suite == suite)
 
 
-def _tree_claim_reports(n: int, witness_cap, spots):
-    """The tree claims' reports at order n >= 2 from one walk of its trees,
-    keyed by claim id (a claim stated only above n has no report), and how
-    many sampled trees were spot-checked on the way.
+def _tree_claim_reports(n: int, spots):
+    """The tree claims' (sides, violations) at order n >= 2 from one walk of
+    its trees, keyed by claim id (a claim stated only above n has none), and
+    how many sampled trees were spot-checked on the way.
 
     The walk is scored in blocks by the batched tree DP, which feeds the
     sweep's side folds.  Both caps are compared per block in integers, and
@@ -645,15 +645,11 @@ def _tree_claim_reports(n: int, witness_cap, spots):
                     observed=observed,
                     expected=f"<= {format_rational(Fraction(n - int(internal[i]) + 3, 2))}",
                 ))
-
-    def report(claim_id, violations, population_sides=sides):
-        return _report(claim_id, "free-trees", n, "av1", population_sides, witness_cap, violations)
-
     # below its first order internal-degree-cap is still reported, with empty sides
-    reports = {
-        "tree-average-cap": report("tree-average-cap", cap_violations),
-        "internal-degree-cap": report("internal-degree-cap", internal_violations,
-                                      sides if _stated("internal-degree-cap", n) else _extremes()),
+    checks = {
+        "tree-average-cap": (sides, cap_violations),
+        "internal-degree-cap": (sides if _stated("internal-degree-cap", n) else _extremes(),
+                                internal_violations),
     }
     if _stated("tree-average-lower", n):
         lower = []
@@ -663,7 +659,7 @@ def _tree_claim_reports(n: int, witness_cap, spots):
                 observed=f"min {format_rational(lo.value)} on {len(lo.codes)} trees",
                 expected="min 2, only at the star",
             ))
-        reports["tree-average-lower"] = report("tree-average-lower", lower)
+        checks["tree-average-lower"] = (sides, lower)
     if _stated("tree-average-band", n):
         band = []
         if not Fraction(n, 2) < hi.value < Fraction(n + 1, 2):
@@ -672,14 +668,14 @@ def _tree_claim_reports(n: int, witness_cap, spots):
                 observed=format_rational(hi.value),
                 expected=f"in ({format_rational(Fraction(n, 2))}, {format_rational(Fraction(n + 1, 2))})",
             ))
-        reports["tree-average-band"] = report("tree-average-band", band)
-    return reports, checked
+        checks["tree-average-band"] = (sides, band)
+    return checks, checked
 
 
-def _graph_claim_reports(n: int, graphs, witness_cap) -> dict[str, ScanReport]:
-    """The graph claims' reports at order n >= 2 from one pass over its
-    class representatives, keyed by claim id (graph-average-upper has none
-    below its first order).
+def _graph_claim_reports(n: int) -> dict:
+    """The graph claims' (sides, violations) at order n >= 2 from one pass
+    over its class representatives, keyed by claim id (graph-average-upper
+    has none below its first order).
 
     Each non-edgeless class gets one Engine, which serves every claim.
     Whether the class is good (every edge's N(u) | N(v) covers all n
@@ -689,7 +685,7 @@ def _graph_claim_reports(n: int, graphs, witness_cap) -> dict[str, ScanReport]:
     av1_entries, ratio_entries = [], []
     good_set, equal_set = set(), set()
     lower, union, bracket, residual = [], [], [], []
-    for graph in graphs:
+    for graph, _ in labeled_graph_classes(n):
         if graph.edge_count == 0:
             continue
         g6 = to_graph6(graph)
@@ -755,17 +751,11 @@ def _graph_claim_reports(n: int, graphs, witness_cap) -> dict[str, ScanReport]:
             expected="equal sets",
         ))
     sides = _extremes(av1_entries)
-
-    def report(claim_id, violations, objective="av1", population_sides=sides):
-        return _report(claim_id, "graphs/non-edgeless", n, objective, population_sides,
-                       witness_cap, violations)
-
-    reports = {
-        "graph-average-lower": report("graph-average-lower", lower),
-        "union-size-sandwich": report("union-size-sandwich", union),
-        "edge-average-bracket": report("edge-average-bracket", bracket),
-        "residual-count-sandwich": report("residual-count-sandwich", residual,
-                                          "sigma-ratio", _extremes(ratio_entries)),
+    checks = {
+        "graph-average-lower": (sides, lower),
+        "union-size-sandwich": (sides, union),
+        "edge-average-bracket": (sides, bracket),
+        "residual-count-sandwich": (_extremes(ratio_entries), residual),
     }
     if _stated("graph-average-upper", n):
         high = sides[1]
@@ -781,11 +771,11 @@ def _graph_claim_reports(n: int, graphs, witness_cap) -> dict[str, ScanReport]:
                 observed=f"max {format_rational(high.value)} on {len(high.codes)} classes",
                 expected=f"max {format_rational(bound)} on exactly this class",
             ))
-        reports["graph-average-upper"] = report("graph-average-upper", upper)
-    return reports
+        checks["graph-average-upper"] = (sides, upper)
+    return checks
 
 
-def _degree_two_ratio_reports(n: int, witness_cap) -> dict[str, ScanReport]:
+def _degree_two_ratio_reports(n: int) -> dict:
     violations = []
     entries = []
     for combo, graph in path_cycle_unions(n):
@@ -818,11 +808,10 @@ def _degree_two_ratio_reports(n: int, witness_cap) -> dict[str, ScanReport]:
                 observed="unexpected equality case",
                 expected="equality only at the two-vertex path",
             ))
-    return {"degree-two-ratio": _report("degree-two-ratio", "path-cycle-unions", n, "sigma-ratio",
-                                        _extremes(entries), witness_cap, violations)}
+    return {"degree-two-ratio": (_extremes(entries), violations)}
 
 
-def _subdivided_star_reports(n: int, witness_cap) -> dict[str, ScanReport]:
+def _subdivided_star_reports(n: int) -> dict:
     strict_below_half = {7, 8}
     tree = build(FamilySpec("R", n))
     value = nis_summary(tree, 1).average
@@ -859,9 +848,8 @@ def _subdivided_star_reports(n: int, witness_cap) -> dict[str, ScanReport]:
             g6, "subdivided-star average above n/2",
             observed=format_rational(value), expected=f"> {format_rational(half)}",
         ))
-    sides = _extremes([(value.numerator, value.denominator, g6)])
-    return {"subdivided-star-band": _report("subdivided-star-band", "subdivided-star-family", n,
-                                            "av1", sides, witness_cap, violations)}
+    return {"subdivided-star-band": (_extremes([(value.numerator, value.denominator, g6)]),
+                                     violations)}
 
 
 def verify_claims(
@@ -907,7 +895,7 @@ def verify_claims(
     maxima = {"tree": max_tree_order, "graph": max_graph_order,
               "ratio": max_ratio_order, "family": max_family_order}
     for claim_id in selected:
-        suite, first = _CLAIMS[claim_id]
+        suite, first, *_ = _CLAIMS[claim_id]
         what = f"{claim_id} ({first}), so it"
         if claims == "all":
             first = _suite_first_order(suite)
@@ -915,32 +903,34 @@ def verify_claims(
         if maxima[suite] < first:
             raise ValueError(f"max {suite} order {maxima[suite]} lies below the first order "
                              f"of {what} would check nothing")
-    # the sample spot_check_trees draws at its default seed
-    spots = {n: _spot_sample(n, spot_check_rate, 2024) for n in range(2, max_tree_order + 1)}
+    spots = {n: _spot_sample(n, spot_check_rate) for n in range(2, max_tree_order + 1)}
     checked = {} if spot_checked is None else spot_checked
 
-    def tree_reports(n, cap):
-        reports_at_n, checked_at_n = _tree_claim_reports(n, cap, spots[n])
+    def tree_checks(n):
+        checks, checked_at_n = _tree_claim_reports(n, spots[n])
         if spots[n]:
             checked[n] = checked_at_n
-        return reports_at_n
+        return checks
 
-    # each suite maps one order to its claims' reports; an order's
-    # population (trees or graph classes) is walked once and dropped
+    # each suite maps one order to its claims' (sides, violations); an
+    # order's population (trees or graph classes) is walked once and dropped
     suites = {
-        "tree": tree_reports,
-        "graph": lambda n, cap: _graph_claim_reports(
-            n, (g for g, _ in labeled_graph_classes(n)), cap),
+        "tree": tree_checks,
+        "graph": _graph_claim_reports,
         "ratio": _degree_two_ratio_reports,
         "family": _subdivided_star_reports,
     }
     reports, by_suite = [], {}
     for claim_id in selected:
-        suite = _CLAIMS[claim_id][0]
+        suite, _, population, objective = _CLAIMS[claim_id]
         if suite not in by_suite:
             orders = range(_suite_first_order(suite), maxima[suite] + 1)
-            by_suite[suite] = [suites[suite](n, witness_cap) for n in orders]
-        reports.extend(by_order[claim_id] for by_order in by_suite[suite] if claim_id in by_order)
+            by_suite[suite] = {n: suites[suite](n) for n in orders}
+        for n, checks in by_suite[suite].items():
+            if claim_id in checks:
+                sides, violations = checks[claim_id]
+                reports.append(_report(claim_id, population, n, objective, sides, witness_cap,
+                                       violations))
     if "tree" not in by_suite:
         checked.update((n, spot_check_trees(n, spot_check_rate)) for n in spots if spots[n])
     return reports

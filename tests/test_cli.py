@@ -278,7 +278,7 @@ def test_scan_refuses_options_of_the_other_population(capsys, monkeypatch,
 def test_verify_refuses_family_order_past_graph6_limit(capsys, monkeypatch):
     from nisets import scanner
 
-    def no_suite(n, cap):
+    def no_suite(n, spots):
         raise AssertionError("a suite ran before the family and ratio orders were checked")
 
     monkeypatch.setattr(scanner, "_tree_claim_reports", no_suite)
@@ -541,7 +541,7 @@ def test_config_sets_verify_options(capsys, tmp_path):
 def test_verify_refuses_spot_check_rate_above_one(capsys, monkeypatch):
     from nisets import scanner
 
-    def no_suite(n, cap):
+    def no_suite(n, spots):
         raise AssertionError("a suite ran before the spot-check rate was checked")
 
     monkeypatch.setattr(scanner, "_tree_claim_reports", no_suite)
@@ -643,9 +643,11 @@ def test_output_to_a_fifo_is_written_in_place(capsys, tmp_path):
 
 
 def test_console_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "nisets.cli", "compute", "--graph6", "Ch"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["av1"] == "12/5"

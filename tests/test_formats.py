@@ -104,6 +104,10 @@ def test_edge_list_example():
         ("4 1\n0 9\n", 2, 3),
         ("4 1\n1 1\n", 2, 1),
         ("4 1\n0 1 2\n", 2, 5),
+        ("3 2\n0 1\n1 0\n", 3, 1),
+        ("3 3\n0 1\n1 2\n 2 1\n", 4, 2),
+        ("65 0\n", 1, 1),
+        ("-1 0\n", 1, 1),
     ],
 )
 def test_edge_list_errors_carry_position(text, line, column):

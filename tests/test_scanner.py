@@ -190,14 +190,14 @@ class TestTreeScans:
         assert Fraction(5) < report.max_value < Fraction(11, 2)
 
     def test_deterministic_across_runs_and_workers(self):
-        one = scan_trees(11, "av1", workers=1, spot_check_rate=0.05, seed=9)
-        again = scan_trees(11, "av1", workers=1, spot_check_rate=0.05, seed=9)
-        two = scan_trees(11, "av1", workers=2, spot_check_rate=0.05, seed=9)
+        one = scan_trees(11, "av1", workers=1, spot_check_rate=0.05)
+        again = scan_trees(11, "av1", workers=1, spot_check_rate=0.05)
+        two = scan_trees(11, "av1", workers=2, spot_check_rate=0.05)
         assert one == again == two
         # order 11 has 235 trees, so neither stride divides the stream
         for objective in ("av1", "sigma-ratio"):
             reports = [scan_trees(11, objective, workers=w, witness_cap=None,
-                                  spot_check_rate=0.05, seed=9) for w in (1, 2, 3)]
+                                  spot_check_rate=0.05) for w in (1, 2, 3)]
             assert reports[0] == reports[1] == reports[2], objective
 
     def test_order_limits(self):
@@ -282,7 +282,7 @@ class TestLazyTreeFold:
         for seq in level_sequences(8):
             levels += [seq.levels, preorder_depths(seq.to_graph(), 7)]
         rows = np.array(levels, dtype=np.int8)
-        no_spots = scanner_module._spot_sample(8, 0.0, 0)
+        no_spots = scanner_module._spot_sample(8, 0.0)
         for top_k in (0, 1, 2, 3, 5, 8):
             want = eager_fold((LevelSequence(lv).to_graph() for lv in levels), objective, top_k)
             for block in (1, 3, 7, trees_module.TREE_BLOCK):
@@ -295,9 +295,9 @@ class TestLazyTreeFold:
                 assert [(g6, -negv) for negv, g6 in top] == want["top"], block
 
     def test_conjecture_scan_deterministic_across_workers(self):
-        one = conjecture_scan(range(9, 13), workers=1, spot_check_rate=0.05, seed=3)
-        two = conjecture_scan(range(9, 13), workers=2, spot_check_rate=0.05, seed=3)
-        three = conjecture_scan(range(9, 13), workers=3, spot_check_rate=0.05, seed=3)
+        one = conjecture_scan(range(9, 13), workers=1, spot_check_rate=0.05)
+        two = conjecture_scan(range(9, 13), workers=2, spot_check_rate=0.05)
+        three = conjecture_scan(range(9, 13), workers=3, spot_check_rate=0.05)
         assert one == two == three
 
 
@@ -385,7 +385,7 @@ class TestStrideSweep:
     def test_shards_stride_whole_blocks_with_stream_indices(self, monkeypatch, shards):
         monkeypatch.setattr(trees_module, "TREE_BLOCK", 100)
         stream = np.concatenate(list(tree_blocks(13)))  # 1301 trees in 14 blocks
-        spots = scanner_module._spot_sample(13, 0.05, 2024)
+        spots = scanner_module._spot_sample(13, 0.05)
         spotted = []
         monkeypatch.setattr(scanner_module, "_spot_check", lambda levels, row: spotted.append(levels))
         seen = []
@@ -484,7 +484,7 @@ class TestStrideSweep:
     def test_shard_payload_stays_small_at_order_24(self):
         import pickle
 
-        spots = scanner_module._spot_sample(24, 1.0, 2024)
+        spots = scanner_module._spot_sample(24, 1.0)
         payload = (24, "av1", 5, spots, 1, 2)
         assert len(pickle.dumps(payload)) < 1024
         assert spots.want == spots.total == 39_299_897
@@ -494,8 +494,9 @@ class TestStrideSweep:
         for n in range(2, 13):
             total = scanner_module.count_free_trees(n)
             for rate in (0.0, 0.01, 0.05, 0.2, 0.5, 1.0):
-                spots = scanner_module._spot_sample(n, rate, seed)
                 want = min(total, max(1, int(rate * total))) if rate else 0
+                assert scanner_module._spot_sample(n, rate).want == want
+                spots = scanner_module._SpotSample(total, want, seed)
                 rule = [i for i in range(total) if (i + seed) * want % total < want]
                 assert spots.picks(np.arange(total)).tolist() == rule, (n, rate)
                 assert len(rule) == want
@@ -699,13 +700,13 @@ class TestTreeClaimPass:
         with pytest.raises(ValueError, match=f"max {suite} order {first - 1} lies below"):
             verify_claims(**{option: first - 1})
         # an unselected suite's order is not checked
-        claim = next(c for c, (s, _) in scanner_module._CLAIMS.items() if s != suite)
+        claim = next(c for c, (s, *_) in scanner_module._CLAIMS.items() if s != suite)
         orders = {"max_tree_order": 3, "max_graph_order": 3, "max_ratio_order": 3,
                   "max_family_order": 5, option: first - 1}
         assert verify_claims(claims=[claim], **orders)
 
     @pytest.mark.parametrize("claim, suite, first", [
-        (claim, suite, first) for claim, (suite, first) in scanner_module._CLAIMS.items()])
+        (claim, suite, first) for claim, (suite, first, *_) in scanner_module._CLAIMS.items()])
     def test_named_claim_checks_from_its_first_order(self, claim, suite, first):
         reports = verify_claims(claims=[claim], **{f"max_{suite}_order": first})
         assert {r.claim_id for r in reports} == {claim}
@@ -722,6 +723,35 @@ class TestTreeClaimPass:
             for levels, got_max, got_internal in zip(stream.tolist(), max_degree, internal):
                 s = structural_predicates(levels_to_graph(levels))
                 assert (got_max, got_internal or None) == (s.max_degree, s.min_internal_degree)
+
+    def test_claim_reports_carry_the_extremes_of_their_scan(self):
+        # each report names a population and objective; its sides are that
+        # scan's, except internal-degree-cap's empty ones below its first order
+        claims = TREE_CLAIMS + GRAPH_CLAIMS
+        reports = verify_claims(claims=claims, max_tree_order=12, max_graph_order=7,
+                                witness_cap=None)
+        scans = {}
+        for r in reports:
+            suite, first, population, objective = scanner_module._CLAIMS[r.claim_id]
+            assert (r.population, r.objective) == (population, objective)
+            if r.order < first:
+                assert (r.claim_id, r.order, r.min_value, r.max_value) == (
+                    "internal-degree-cap", 2, None, None)
+                continue
+            key = (suite, r.order, objective)
+            if key not in scans:
+                scans[key] = (scan_trees(r.order, objective, witness_cap=None) if suite == "tree"
+                              else scan_graphs(r.order, "non-edgeless", objective, witness_cap=None))
+            scan = scans[key]
+            assert scan.population == population and scan.objective == objective
+            fields = ("min_value", "max_value", "min_witnesses", "max_witnesses",
+                      "min_count", "max_count")
+            assert [getattr(r, f) for f in fields] == [getattr(scan, f) for f in fields], (
+                r.claim_id, r.order)
+        # 36 tree reports (11 + 11 + 10 + 4) and 26 graph reports (4 * 6 + 2)
+        assert len(reports) == 62
+        assert {(s, n) for s, n, _ in scans} == (
+            {("tree", n) for n in range(2, 13)} | {("graph", n) for n in range(2, 8)})
 
     def test_graph_average_upper_without_witnesses(self):
         (report,) = verify_claims(claims=["graph-average-upper"], max_graph_order=6,
@@ -791,10 +821,12 @@ class TestGraphClaimPass:
         assert low <= sigma_g <= high
         for sigma0 in (low - 1, low, high, high + 1):
             tamper(monkeypatch, {(0, g6): (sigma0, s_g)})
-            report = _graph_claim_reports(graph.n, [graph], None)["residual-count-sandwich"]
+            # Bg is not its class's representative, so the suite walks this graph alone
+            monkeypatch.setattr(scanner_module, "labeled_graph_classes", lambda n: [(graph, 1)])
+            _, violations = _graph_claim_reports(graph.n)["residual-count-sandwich"]
             expected = [] if low <= sigma0 <= high else [
                 f"edge ({u},{v}) ratio 1/{sigma0}" for u, v in graph.edges()]
-            assert [v.observed for v in report.violations] == expected
+            assert [v.observed for v in violations] == expected
 
     def test_tampered_averages_are_named(self, monkeypatch):
         graphs = [g for g, _ in labeled_graph_classes(5)]
@@ -806,19 +838,18 @@ class TestGraphClaimPass:
         # 50, above every edge's bracket and the union bound
         tamper(monkeypatch, {(1, low_g6): (low_sigma1, low_sigma1),
                              (1, high_g6): (high_sigma1, 50 * high_sigma1)})
-        reports = _graph_claim_reports(5, graphs, None)
-        assert [v.graph6 for v in reports["graph-average-lower"].violations] == [low_g6]
+        checks = _graph_claim_reports(5)
+        assert [v.graph6 for v in checks["graph-average-lower"][1]] == [low_g6]
         for claim_id in ("edge-average-bracket", "union-size-sandwich"):
-            assert [v.graph6 for v in reports[claim_id].violations] == [low_g6, high_g6]
-        assert not reports["residual-count-sandwich"].violations
-        report = reports["graph-average-lower"]
-        assert (report.min_value, report.min_witnesses) == (1, (low_g6,))
-        assert (report.max_value, report.max_witnesses) == (50, (high_g6,))
+            assert [v.graph6 for v in checks[claim_id][1]] == [low_g6, high_g6]
+        assert not checks["residual-count-sandwich"][1]
+        lo, hi = checks["graph-average-lower"][0]
+        assert (lo.value, lo.codes) == (1, [low_g6])
+        assert (hi.value, hi.codes) == (50, [high_g6])
 
     def test_one_engine_per_non_edgeless_class(self, built_engines):
         graphs = [g for g, _ in labeled_graph_classes(6)]
-        reports = _graph_claim_reports(6, graphs, WITNESS_CAP)
-        assert set(reports) == set(GRAPH_CLAIMS)
+        assert set(_graph_claim_reports(6)) == set(GRAPH_CLAIMS)
         assert built_engines == [g for g in graphs if g.edge_count]
 
     def test_graph_suite_builds_one_engine_per_non_edgeless_class(self, built_engines):
