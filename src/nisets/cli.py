@@ -43,6 +43,7 @@ from .scanner import (
 from .trees import free_trees
 
 ENV_OUTPUT_DIR = "NISETS_OUTPUT_DIR"
+_RATE_HELP = "share of each tree order checked against the subset oracle, in [0, 1]"
 
 
 @contextlib.contextmanager
@@ -398,13 +399,6 @@ def _single_order(text: str) -> tuple[int, int]:
     return (int(text),) * 2
 
 
-def _rate(text: str) -> float:
-    rate = float(text)
-    if not 0 <= rate <= 1:
-        raise argparse.ArgumentTypeError("spot-check rate must lie in [0, 1]")
-    return rate
-
-
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser that records, for config files, the flag behind
     each config key: the option's destination, or ``key`` where two flags
@@ -434,7 +428,7 @@ def _add_witness_cap(parser: argparse.ArgumentParser) -> None:
 
 def _add_sweep(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--spot-check-rate", type=_rate, default=0.0)
+    parser.add_argument("--spot-check-rate", type=float, default=0.0, help=_RATE_HELP)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
@@ -490,7 +484,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
     p.add_argument("--max-graph-order", type=int, default=7)
     p.add_argument("--max-ratio-order", type=int, default=10)
     p.add_argument("--max-family-order", type=int, default=40)
-    p.add_argument("--spot-check-rate", type=_rate, default=0.01)
+    p.add_argument("--spot-check-rate", type=float, default=0.01, help=_RATE_HELP)
     _add_witness_cap(p)
 
     p = command("conjecture", _cmd_conjecture, "tree-maximum evidence scan")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import insort
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -45,6 +45,8 @@ from .trees import (
 )
 
 GRAPH_SCAN_LIMIT = 7
+# the ratio suite scores every union of paths and cycles of each order: 15,341 at order 30
+RATIO_ORDER_LIMIT = 30
 WITNESS_CAP = 100
 SPOT_CHECK_SEED = 2024
 GRAPH_FILTERS = ("all", "connected", "no-isolated-max-deg-2", "non-edgeless")
@@ -83,13 +85,7 @@ class Violation:
     equality_claim: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "claim": self.claim,
-            "observed": self.observed,
-            "expected": self.expected,
-            "equality_claim": self.equality_claim,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -432,30 +428,30 @@ def _sweep_shard(payload):
     return lo, hi, top
 
 
-def _pool(workers: int):
-    """The process pool serving one whole scan; none at one worker."""
+def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate):
+    """(order, min side, max side, top-k (value, graph6) list) of the trees
+    of each order, yielded order by order.  The spot-check rate and the
+    worker count are checked before the call's one process pool opens
+    (none at one worker), and the pool closes when the last order has been
+    yielded.  Every (order, stride shard) task is queued in one pass over
+    the pool, so no worker waits at an order's end; each order's shards are
+    merged in shard order as they arrive."""
+    samples = [_spot_sample(n, spot_check_rate) for n in orders]
     if workers < 1:
         raise ValueError("worker count must be at least 1")
-    return Pool(workers) if workers > 1 else nullcontext()
-
-
-def _tree_sweeps(orders, objective, pool, workers, samples, top_k):
-    """Min side, max side and top-k (value, graph6) list of the trees of
-    each order, yielded order by order.  Every (order, stride shard) task
-    is queued in one pass over the pool, so no worker waits at an order's
-    end; each order's shards are merged in shard order as they arrive."""
     payloads = [(n, objective, top_k, spots, shard, workers)
                 for n, spots in zip(orders, samples) for shard in range(workers)]
-    parts = (pool.imap if pool else map)(_sweep_shard, payloads)
-    for _ in orders:
-        lo, hi = _extremes()
-        top = []
-        for _ in range(workers):
-            part_lo, part_hi, part_top = next(parts)
-            lo.merge(part_lo)
-            hi.merge(part_hi)
-            top += part_top
-        yield lo, hi, [(-negv, g6) for negv, g6 in sorted(top)[:top_k]]
+    with Pool(workers) if workers > 1 else nullcontext() as pool:
+        parts = (pool.imap if pool else map)(_sweep_shard, payloads)
+        for n in orders:
+            lo, hi = _extremes()
+            top = []
+            for _ in range(workers):
+                part_lo, part_hi, part_top = next(parts)
+                lo.merge(part_lo)
+                hi.merge(part_hi)
+                top += part_top
+            yield n, lo, hi, [(-negv, g6) for negv, g6 in sorted(top)[:top_k]]
 
 
 def spot_check_trees(n: int, rate: float) -> int:
@@ -480,9 +476,7 @@ def scan_trees(
         raise ValueError(f"unsupported order for tree scan (2..{TREE_ORDER_LIMIT})")
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    spots = _spot_sample(n, spot_check_rate)
-    with _pool(workers) as pool:
-        lo, hi, _ = next(_tree_sweeps([n], objective, pool, workers, [spots], top_k=0))
+    [(_, lo, hi, _)] = _tree_sweeps([n], objective, workers, 0, spot_check_rate)
     return _report(f"scan-{objective}", "free-trees", n, objective, (lo, hi), witness_cap)
 
 
@@ -522,26 +516,23 @@ def conjecture_scan(
         raise ValueError(f"conjecture scan needs orders >= 4 and <= {TREE_ORDER_LIMIT}")
     if top_k < 0:
         raise ValueError("top list length must be non-negative")
-    samples = [_spot_sample(n, spot_check_rate) for n in orders]
     out = []
-    with _pool(workers) as pool:
-        sweeps = _tree_sweeps(orders, "av1", pool, workers, samples, top_k)
-        for n, (_, hi, top) in zip(orders, sweeps):
-            r_tree = build(FamilySpec("R", n))
-            r_value = nis_summary(r_tree, 1).average
-            unique = len(hi.codes) == 1 and hi.value == r_value
-            if unique:
-                unique = tree_canonical_key(from_graph6(hi.codes[0])) == tree_canonical_key(r_tree)
-            out.append(
-                ConjectureRecord(
-                    order=n,
-                    max_value=hi.value,
-                    max_witnesses=tuple(sorted(hi.codes)[:WITNESS_CAP]),
-                    subdivided_star_value=r_value,
-                    subdivided_star_is_unique_max=unique,
-                    top=tuple((g6, v) for v, g6 in top),
-                )
+    for n, _, hi, top in _tree_sweeps(orders, "av1", workers, top_k, spot_check_rate):
+        r_tree = build(FamilySpec("R", n))
+        r_value = nis_summary(r_tree, 1).average
+        unique = len(hi.codes) == 1 and hi.value == r_value
+        if unique:
+            unique = tree_canonical_key(from_graph6(hi.codes[0])) == tree_canonical_key(r_tree)
+        out.append(
+            ConjectureRecord(
+                order=n,
+                max_value=hi.value,
+                max_witnesses=tuple(sorted(hi.codes)[:WITNESS_CAP]),
+                subdivided_star_value=r_value,
+                subdivided_star_is_unique_max=unique,
+                top=tuple((g6, v) for v, g6 in top),
             )
+        )
     return out
 
 
@@ -871,10 +862,10 @@ def verify_claims(
     family suite, 2 for the others), or of a named claim, is refused, since
     it would check nothing.  At a positive
     ``spot_check_rate`` a sample of the trees of every order up to
-    ``max_tree_order`` is spot-checked: on the tree claims' own walk, with
-    the DP rows their reports came from, when a tree claim is selected, and
-    by ``spot_check_trees`` otherwise.  ``spot_checked``, when given,
-    receives the number of trees checked at each order."""
+    ``max_tree_order`` is spot-checked on the tree claims' own walk, with
+    the DP rows their reports came from; without a tree claim no tree is
+    walked.  ``spot_checked``, when given, receives the number of trees
+    checked at each order."""
     if claims == "all":
         selected = ALL_CLAIMS
     else:
@@ -888,8 +879,9 @@ def verify_claims(
     if max_tree_order > TREE_ORDER_LIMIT:
         raise ValueError(f"max tree order {max_tree_order} above the free-tree range "
                          f"(1..{TREE_ORDER_LIMIT})")
-    if max_ratio_order > GRAPH6_ORDER_LIMIT:
-        raise ValueError(f"max ratio order above graph6 limit ({GRAPH6_ORDER_LIMIT})")
+    if max_ratio_order > RATIO_ORDER_LIMIT:
+        raise ValueError(f"max ratio order {max_ratio_order} above the path-cycle limit "
+                         f"({RATIO_ORDER_LIMIT})")
     if max_family_order > GRAPH6_ORDER_LIMIT:
         raise ValueError(f"max family order above graph6 limit ({GRAPH6_ORDER_LIMIT})")
     maxima = {"tree": max_tree_order, "graph": max_graph_order,
@@ -903,6 +895,7 @@ def verify_claims(
         if maxima[suite] < first:
             raise ValueError(f"max {suite} order {maxima[suite]} lies below the first order "
                              f"of {what} would check nothing")
+    # sampled up front, so a rate outside [0, 1] is refused before any suite runs
     spots = {n: _spot_sample(n, spot_check_rate) for n in range(2, max_tree_order + 1)}
     checked = {} if spot_checked is None else spot_checked
 
@@ -931,6 +924,4 @@ def verify_claims(
                 sides, violations = checks[claim_id]
                 reports.append(_report(claim_id, population, n, objective, sides, witness_cap,
                                        violations))
-    if "tree" not in by_suite:
-        checked.update((n, spot_check_trees(n, spot_check_rate)) for n in spots if spots[n])
     return reports

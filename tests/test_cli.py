@@ -285,9 +285,9 @@ def test_verify_refuses_family_order_past_graph6_limit(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--max-family-order", "63")
     assert code == 2 and out == ""
     assert err == "error: max family order above graph6 limit (62)\n"
-    code, out, err = run_cli(capsys, "verify", "--max-ratio-order", "63")
+    code, out, err = run_cli(capsys, "verify", "--max-ratio-order", "31")
     assert code == 2 and out == ""
-    assert err == "error: max ratio order above graph6 limit (62)\n"
+    assert err == "error: max ratio order 31 above the path-cycle limit (30)\n"
 
 
 def test_verify_refusal_names_the_max_tree_order(capsys):
@@ -547,7 +547,16 @@ def test_verify_refuses_spot_check_rate_above_one(capsys, monkeypatch):
     monkeypatch.setattr(scanner, "_tree_claim_reports", no_suite)
     code, err = exit_code(capsys, "verify", "--spot-check-rate", "1.5")
     assert code == 2
-    assert "spot-check rate must lie in [0, 1]" in err
+    assert err == "error: spot-check rate must lie in [0, 1]\n"
+
+
+def test_verify_without_tree_claims_spot_checks_no_tree(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--claims", "degree-two-ratio",
+                           "--max-ratio-order", "4")
+    assert code == 0
+    payload = json.loads(out)
+    assert [r["order"] for r in payload["reports"]] == [2, 3, 4]
+    assert payload["spot_checked_trees"] == {}
 
 
 def test_trees_has_no_output_format(capsys):

@@ -578,8 +578,8 @@ class TestClaims:
             verify_claims(max_graph_order=8)
         with pytest.raises(ValueError, match="1..24"):
             verify_claims(max_tree_order=25)
-        with pytest.raises(ValueError, match=r"max ratio order above graph6 limit \(62\)"):
-            verify_claims(max_ratio_order=63)
+        with pytest.raises(ValueError, match=r"max ratio order 31 above the path-cycle limit \(30\)"):
+            verify_claims(max_ratio_order=31)
         with pytest.raises(ValueError, match=r"max family order above graph6 limit \(62\)"):
             verify_claims(max_family_order=63)
 
@@ -676,12 +676,20 @@ class TestTreeClaimPass:
             assert walks == {n: runs for n in range(2, 11)}
             assert checked == (sampled if rate else {})
 
-    def test_spot_checks_without_tree_claims_walk_the_stream(self):
+    def test_no_tree_claim_walks_no_tree(self, monkeypatch):
+        walks = Counter()
+
+        def counting_blocks(n):
+            walks[n] += 1
+            return tree_blocks(n)
+
+        monkeypatch.setattr(scanner_module, "tree_blocks", counting_blocks)
         checked = {}
         reports = verify_claims(claims=["degree-two-ratio"], max_tree_order=9,
                                 max_ratio_order=4, spot_check_rate=0.05, spot_checked=checked)
         assert {r.claim_id for r in reports} == {"degree-two-ratio"}
-        assert checked == {n: spot_check_trees(n, 0.05) for n in range(2, 10)}
+        # the spot checks ride only the tree claims' walk
+        assert walks == Counter() and checked == {}
 
     def test_claim_walk_checks_the_rows_it_scored(self, monkeypatch):
         # a DP row off by one at a sampled tree is caught on the claim walk
