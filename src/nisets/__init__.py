@@ -3,6 +3,11 @@ edge, together with the classical independent-set quantities, closed-form
 family evaluators, exhaustive free-tree generation and desk-scale extremal
 verification scans.  All arithmetic is exact."""
 
+import os
+
+# numpy's OpenBLAS starts a thread per CPU on import, and nothing here calls BLAS
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .engine import (
     EdgeTerm,
     Engine,

@@ -38,6 +38,7 @@ from .oracle import oracle_profiles
 from .trees import (
     TREE_ORDER_LIMIT,
     count_free_trees,
+    group_ranges,
     level_parents,
     levels_to_graph,
     tree_blocks,
@@ -49,6 +50,10 @@ GRAPH_SCAN_LIMIT = 7
 RATIO_ORDER_LIMIT = 30
 WITNESS_CAP = 100
 SPOT_CHECK_SEED = 2024
+# tasks per worker at each order of a multi-worker tree sweep; each task pays
+# for a partial block and a fresh top list, so more tasks balance the load
+# but cost more
+_TASKS_PER_WORKER = 2
 GRAPH_FILTERS = ("all", "connected", "no-isolated-max-deg-2", "non-edgeless")
 OBJECTIVES = ("av1", "sigma-ratio")
 
@@ -351,6 +356,15 @@ class _SpotSample:
         shifted = indices + self.seed % self.total
         return np.flatnonzero(shifted * self.want % self.total < self.want)
 
+    def count(self, first: int, stop: int) -> int:
+        """How many of the stream indices first, ..., stop - 1 are sampled.
+        Index i is iff ⌊(i + seed)·want/total⌋ exceeds
+        ⌊(i + seed - 1)·want/total⌋, as want <= total, so the count
+        telescopes."""
+        shift = self.seed % self.total - 1
+        return ((stop + shift) * self.want // self.total
+                - (first + shift) * self.want // self.total)
+
     def __bool__(self) -> bool:
         return self.want > 0
 
@@ -365,16 +379,16 @@ def _spot_sample(n: int, rate: float) -> _SpotSample:
     return _SpotSample(total, min(total, max(1, int(rate * total))), SPOT_CHECK_SEED)
 
 
-def _blocks(n, spots, shard=0, shards=1):
-    """The blocks k of the order-n tree stream with k = shard modulo shards,
-    each scored as a _Block, spot-checked at the trees whose stream indices
+def _blocks(n, spots, start=None, stop=None, first=0):
+    """The blocks of the order-n tree stream from the sequence ``start`` up
+    to the sequence ``stop`` (the whole stream when both are None; see
+    ``tree_blocks``), whose first tree has stream index ``first``, each
+    scored as a _Block, spot-checked at the trees whose stream indices
     ``spots`` samples, and yielded with how many trees it checked."""
-    start = 0
-    for k, levels in enumerate(tree_blocks(n)):
-        if k % shards == shard:
-            block = _Block(levels)
-            yield block, block.spot_check(spots.picks(np.arange(start, start + len(levels))))
-        start += len(levels)
+    for levels in tree_blocks(n, start, stop):
+        block = _Block(levels)
+        yield block, block.spot_check(spots.picks(np.arange(first, first + len(levels))))
+        first += len(levels)
 
 
 def _top_floor(top, top_k):
@@ -390,68 +404,103 @@ def _fold_top(top, top_k, num, den, code) -> None:
     """Offer one block's entries, in stream order, to the top-k list of
     (-value, graph6) pairs.
 
-    While the list is full, an entry can enter only if its value ties or
-    beats the list's last one: a vectorized prefilter against the last
-    value at the block's start drops the rest, and each survivor is checked
-    again against the list as it stands.  Ties pass both checks, so the
-    list does not depend on where blocks start."""
+    The list first takes entries as they come until it holds top_k.  From
+    then on an entry can enter only if its value ties or beats the list's
+    last one: a vectorized prefilter of the block's remaining entries
+    against the last value at that point drops the rest, and each survivor
+    is checked again against the list as it stands.  Ties pass both checks,
+    so the list does not depend on where blocks start."""
+    filled = min(top_k - len(top), len(num))
+    for i in range(filled):
+        insort(top, (-Fraction(int(num[i]), int(den[i])), code(i)))
     floor = _top_floor(top, top_k)
-    offered = range(len(num)) if floor is None else np.flatnonzero(
-        num * floor[1] >= floor[0] * den)
-    for i in offered:
+    if floor is None:
+        return
+    for i in np.flatnonzero(num[filled:] * floor[1] >= floor[0] * den[filled:]) + filled:
         n_i, d_i = int(num[i]), int(den[i])
-        if floor is None or n_i * floor[1] >= floor[0] * d_i:
+        if n_i * floor[1] >= floor[0] * d_i:
             insort(top, (-Fraction(n_i, d_i), code(i)))
             del top[top_k:]
             floor = _top_floor(top, top_k)
 
 
 def _sweep_shard(payload):
-    """Min side, max side and top-k list of the order-n trees in the stream
-    blocks whose index is shard modulo shards.  Each worker runs the
-    generator itself, so no tree crosses a process.
+    """Min side, max side, top-k list and tree count of the order-n trees
+    from the sequence start up to the sequence stop, spot-checked at the
+    indices ``spots`` samples, counted from the range's first tree.  Each
+    worker runs the generator itself, from its range's first tree, so no
+    tree crosses a process.
 
-    The shard is read and scored one block at a time.
+    The range is read and scored one block at a time.
     Values stay unreduced int64 pairs compared by cross-multiplication;
     the graph6 code and the Fraction are built only for a tree that ties
     or beats a side or passes the top list's prefilter, so witness lists
     and tie order are those of an eager fold."""
-    n, objective, top_k, spots, shard, shards = payload
+    n, objective, top_k, spots, start, stop = payload
     lo, hi = _extremes()
     top: list[tuple[Fraction, str]] = []
-    for block, _ in _blocks(n, spots, shard, shards):
+    count = 0
+    for block, _ in _blocks(n, spots, start, stop):
         num, den = block.pair(objective)
         lo.fold(num, den, block.code)
         hi.fold(num, den, block.code)
         if top_k:
             _fold_top(top, top_k, num, den, block.code)
-    return lo, hi, top
+        count += len(num)
+    return lo, hi, top, count
+
+
+def _spot_check_range(payload) -> int:
+    """Spot-check the sampled trees from the sequence start up to the
+    sequence stop, the first of which has stream index ``first``; returns
+    how many were checked."""
+    n, spots, start, stop, first = payload
+    return sum(checked for _, checked in _blocks(n, spots, start, stop, first))
 
 
 def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate):
     """(order, min side, max side, top-k (value, graph6) list) of the trees
     of each order, yielded order by order.  The spot-check rate and the
     worker count are checked before the call's one process pool opens
-    (none at one worker), and the pool closes when the last order has been
-    yielded.  Every (order, stride shard) task is queued in one pass over
-    the pool, so no worker waits at an order's end; each order's shards are
-    merged in shard order as they arrive."""
+    (none at one worker), and the pool closes after the spot checks that
+    follow the last order.
+
+    An order is one task over its whole stream at one worker, else
+    ``_TASKS_PER_WORKER``·workers ranges of ``group_ranges``.  Every
+    (order, range) task is queued in one pass over the pool, so no worker
+    waits at an order's end; each order's tasks are merged in task order,
+    which is stream order, as they arrive.  At one worker the one task per
+    order starts at stream index 0 and spot-checks as it goes.  On more
+    workers a task cannot know its first index until the tasks before it
+    are counted, so a second pass re-walks just the ranges that hold a
+    sampled index and checks those trees."""
     samples = [_spot_sample(n, spot_check_rate) for n in orders]
     if workers < 1:
         raise ValueError("worker count must be at least 1")
-    payloads = [(n, objective, top_k, spots, shard, workers)
-                for n, spots in zip(orders, samples) for shard in range(workers)]
+    inline = workers == 1
+    ranges = [[(None, None)] if inline else group_ranges(n, _TASKS_PER_WORKER * workers)
+              for n in orders]
+    payloads = [(n, objective, top_k, spots if inline else _spot_sample(n, 0), start, stop)
+                for n, spots, order_ranges in zip(orders, samples, ranges)
+                for start, stop in order_ranges]
+    rechecks = []
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         parts = (pool.imap if pool else map)(_sweep_shard, payloads)
-        for n in orders:
+        for n, spots, order_ranges in zip(orders, samples, ranges):
             lo, hi = _extremes()
             top = []
-            for _ in range(workers):
-                part_lo, part_hi, part_top = next(parts)
+            first = 0
+            for start, stop in order_ranges:
+                part_lo, part_hi, part_top, count = next(parts)
                 lo.merge(part_lo)
                 hi.merge(part_hi)
                 top += part_top
+                if not inline and spots.count(first, first + count):
+                    rechecks.append((n, spots, start, stop, first))
+                first += count
             yield n, lo, hi, [(-negv, g6) for negv, g6 in sorted(top)[:top_k]]
+        if rechecks:
+            list(pool.imap(_spot_check_range, rechecks))  # raises on a disagreement
 
 
 def spot_check_trees(n: int, rate: float) -> int:

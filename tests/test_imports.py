@@ -1,9 +1,13 @@
 """Every module of the package uses each name it imports, every private
 module-level name is used somewhere besides its definition, in the package
 itself unless it is a named test reference, and every public name is used
-by another module of the package or is on one of two named lists."""
+by another module of the package or is on one of two named lists.
+Importing the package starts no BLAS thread."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -173,3 +177,28 @@ def test_an_unused_public_name_is_found():
                "a.py": "def f():\n    return g()\ndef g():\n    pass\ndef h():\n    pass\n",
                "b.py": "from .a import f\nf()\nx.h()\n"}
     assert public_names_unused_by_the_package(modules) == ["g", "h"]
+
+
+IMPORT_PROBE = ("import os, nisets; print(os.environ.get('OPENBLAS_NUM_THREADS')); "
+                "print(open('/proc/self/status').read().split('Threads:')[1].split()[0])")
+
+
+def probe_import(**env_extra) -> list[str]:
+    """The OpenBLAS thread setting and the thread count of a fresh
+    interpreter that has imported the package."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+                          env={**env, **env_extra}, check=True)
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_import_starts_no_blas_thread():
+    setting, threads = probe_import()
+    assert setting == "1"
+    # OpenBLAS would start one thread per CPU of the affinity
+    if len(os.sched_getaffinity(0)) > 1:
+        assert threads == "1"
+    # a value the user sets wins
+    assert probe_import(OPENBLAS_NUM_THREADS="2")[0] == "2"

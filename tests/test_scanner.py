@@ -44,6 +44,8 @@ from nisets.scanner import (
 from nisets.trees import (
     LevelSequence,
     free_trees,
+    group_ranges,
+    group_starts,
     level_parents,
     level_sequences,
     levels_to_graph,
@@ -286,9 +288,10 @@ class TestLazyTreeFold:
         for top_k in (0, 1, 2, 3, 5, 8):
             want = eager_fold((LevelSequence(lv).to_graph() for lv in levels), objective, top_k)
             for block in (1, 3, 7, trees_module.TREE_BLOCK):
-                monkeypatch.setattr(scanner_module, "tree_blocks", lambda n, block=block: (
+                monkeypatch.setattr(scanner_module, "tree_blocks", lambda n, *_, block=block: (
                     rows[start:start + block] for start in range(0, len(rows), block)))
-                lo, hi, top = _sweep_shard((8, objective, top_k, no_spots, 0, 1))
+                lo, hi, top, count = _sweep_shard((8, objective, top_k, no_spots, None, None))
+                assert count == len(rows)
                 for side, key in ((lo, "min"), (hi, "max")):
                     assert (side.value, sorted(side.codes)) == want[key], block
                     assert len(side.codes) >= 2
@@ -345,6 +348,19 @@ class TestSide:
             assert (side.value, side.codes) == (want, stream_order)
             assert (by_offer.value, by_offer.codes) == (want, stream_order)
 
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_ranges_merge_to_one_fold_in_stream_order(self, parts):
+        num, den, codes = tied_stream()
+        whole = folded(num, den, codes, 7)
+        merged = _extremes()
+        bounds = [len(num) * k // parts for k in range(parts + 1)]
+        for start, stop in zip(bounds, bounds[1:]):
+            part = folded(num[start:stop], den[start:stop], codes[start:stop], 7)
+            for side, part_side in zip(merged, part):
+                side.merge(part_side)
+        for side, one in zip(merged, whole):
+            assert (side.value, side.codes) == (one.value, one.codes)
+
     @pytest.mark.parametrize("shards", [1, 2, 3])
     def test_stride_shards_merge_to_one_fold(self, shards):
         num, den, codes = tied_stream()
@@ -362,8 +378,8 @@ class TestStrideSweep:
     def test_generator_is_never_more_than_one_block_ahead_of_scoring(self, monkeypatch):
         generated, scored, calls = [0], [0], []
 
-        def counting_blocks(n):
-            for levels in tree_blocks(n):
+        def counting_blocks(n, start=None, stop=None):
+            for levels in tree_blocks(n, start, stop):
                 generated[0] += len(levels)
                 yield levels
 
@@ -381,22 +397,33 @@ class TestStrideSweep:
         assert scored[0] == generated[0] == 106
         assert calls == [16] * 6 + [10]
 
-    @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_shards_stride_whole_blocks_with_stream_indices(self, monkeypatch, shards):
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_ranges_cover_whole_groups_with_stream_indices(self, monkeypatch, parts):
         monkeypatch.setattr(trees_module, "TREE_BLOCK", 100)
-        stream = np.concatenate(list(tree_blocks(13)))  # 1301 trees in 14 blocks
+        stream = np.concatenate(list(tree_blocks(13)))  # 1301 trees in 155 groups
+        heads = {row.tobytes() for row in group_starts(13)}
+        ranges = group_ranges(13, parts)
         spots = scanner_module._spot_sample(13, 0.05)
         spotted = []
         monkeypatch.setattr(scanner_module, "_spot_check", lambda levels, row: spotted.append(levels))
-        seen = []
-        for shard in range(shards):
-            for j, (block, checked) in enumerate(scanner_module._blocks(13, spots, shard, shards)):
-                start = (j * shards + shard) * 100
-                assert (block.levels == stream[start:start + 100]).all()
-                seen += range(start, start + len(block.levels))
-                assert checked == spots.picks(np.arange(start, start + len(block.levels))).size
-        assert sorted(seen) == list(range(len(stream)))
-        # the spot checks fall on the sampled stream indices, whatever the shard
+        first, groups = 0, []
+        for start, stop in ranges:
+            # each range starts at a group's first tree, where the last stopped
+            assert start == stream[first].tobytes()
+            taken, sizes = first, []
+            for block, checked in scanner_module._blocks(13, spots, start, stop, first):
+                assert (block.levels == stream[first:first + len(block.levels)]).all()
+                assert checked == spots.picks(np.arange(first, first + len(block.levels))).size
+                sizes.append(len(block.levels))
+                first += len(block.levels)
+            # whole blocks from the range's first tree, then one partial block
+            assert all(size == 100 for size in sizes[:-1]) and 1 <= sizes[-1] <= 100
+            groups.append(sum(row.tobytes() in heads for row in stream[taken:first]))
+        assert first == len(stream)
+        # runs of consecutive groups with equal group counts
+        assert len(ranges) == parts
+        assert sum(groups) == len(heads) and max(groups) - min(groups) <= 1
+        # the spot checks fall on the sampled stream indices, whatever the range
         assert sorted(spotted) == sorted(stream[spots.picks(np.arange(len(stream)))].tolist())
 
     def test_one_pool_per_call(self, monkeypatch):
@@ -418,7 +445,7 @@ class TestStrideSweep:
         passes, parts = [], {}
 
         class RecordingPool:
-            """Runs the shards in this process and records each pass."""
+            """Runs the tasks in this process and records each pass."""
 
             def __init__(self, workers):
                 pass
@@ -431,10 +458,11 @@ class TestStrideSweep:
 
             def imap(self, func, payloads):
                 payloads = list(payloads)
-                passes.append([(n, shard, shards) for n, _, _, _, shard, shards in payloads])
-                for payload in payloads:
-                    parts[payload[0], payload[4]] = part = func(payload)
-                    yield part
+                passes.append(payloads)
+                for n, objective, top_k, spots, start, stop in payloads:
+                    parts.setdefault(n, []).append((start, stop, *func(
+                        (n, objective, top_k, spots, start, stop))))
+                    yield parts[n][-1][2:]
 
             def map(self, func, payloads):
                 raise AssertionError("an order was swept outside the one pass")
@@ -445,11 +473,21 @@ class TestStrideSweep:
         with monkeypatch.context() as m:
             m.setattr(scanner_module, "Pool", RecordingPool)
             two = conjecture_scan(range(4, 14), workers=2)
-        assert passes == [[(n, shard, 2) for n in range(4, 14) for shard in (0, 1)]]
-        # an order of at most 1024 trees is one block, which shard 0 scores
-        for n in range(4, 13):
-            assert parts[n, 1][1].value is None and parts[n, 1][2] == []
-        assert parts[13, 1][1].value is not None
+        # one pass, queued order by order, without spot checks
+        assert len(passes) == 1
+        assert [payload[:4] for payload in passes[0]] == [
+            (n, "av1", 5, scanner_module._spot_sample(n, 0))
+            for n in range(4, 14) for _ in group_ranges(n, 4)]
+        for n in range(4, 14):
+            # min(4, groups) tasks chain the order's group starts
+            starts = [row.tobytes() for row in group_starts(n)]
+            assert len(parts[n]) == min(4, len(starts))
+            bounds = [start for start, *_ in parts[n]] + [None]
+            assert [stop for _, stop, *_ in parts[n]] == bounds[1:]
+            assert set(bounds[:-1]) <= set(starts) and bounds[0] == starts[0]
+            # every task scores trees, and the tasks' counts add up
+            counts = [count for *_, count in parts[n]]
+            assert min(counts) >= 1 and sum(counts) == scanner_module.count_free_trees(n)
         assert report_bytes(two) == report_bytes(conjecture_scan(range(4, 14), workers=1))
         assert report_bytes(two) == report_bytes(conjecture_scan(range(4, 14), workers=3))
 
@@ -481,11 +519,63 @@ class TestStrideSweep:
         assert len(lines) == 106
         assert sorted(lines) == sorted(" ".join(map(str, seq.levels)) for seq in level_sequences(10))
 
+    def test_spot_checks_are_the_same_trees_at_every_worker_count(self, monkeypatch, tmp_path):
+        def logged(workers):
+            log = tmp_path / f"spots{workers}.txt"
+
+            def logging_spot_check(levels, row):
+                with log.open("a") as handle:
+                    handle.write(" ".join(map(str, levels)) + "\n")
+
+            with monkeypatch.context() as m:
+                # pool workers fork from this process, so they inherit the patch
+                m.setattr(scanner_module, "_spot_check", logging_spot_check)
+                scan_trees(13, workers=workers, spot_check_rate=0.05)
+            return log.read_text().splitlines()
+
+        one = logged(1)
+        assert len(one) == len(set(one)) == scanner_module._spot_sample(13, 0.05).want == 65
+        assert sorted(logged(2)) == sorted(logged(3)) == sorted(one)
+
+    def test_spot_pass_rewalks_only_ranges_with_a_sampled_index(self, monkeypatch):
+        passes = []
+
+        class RecordingPool:
+            """Runs the tasks in this process and records each pass."""
+
+            def __init__(self, workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, payloads):
+                passes.append((func.__name__, list(payloads)))
+                return map(func, passes[-1][1])
+
+        monkeypatch.setattr(scanner_module, "Pool", RecordingPool)
+        # at rate 1/1301 order 13 has one sampled tree, so one of its four
+        # tasks is walked again, from that task's first stream index
+        scan_trees(13, workers=2, spot_check_rate=0.001)
+        (sweep, tasks), (recheck, [(n, spots, start, stop, first)]) = passes
+        assert (sweep, len(tasks), recheck) == ("_sweep_shard", 4, "_spot_check_range")
+        stream = np.concatenate(list(tree_blocks(13)))
+        assert (start, stop) in [task[4:] for task in tasks]
+        assert (n, spots.want) == (13, 1) and start == stream[first].tobytes()
+        [sampled] = spots.picks(np.arange(len(stream)))
+        assert first <= sampled and (stop is None or stream[sampled].tobytes() > stop)
+
     def test_shard_payload_stays_small_at_order_24(self):
         import pickle
 
         spots = scanner_module._spot_sample(24, 1.0)
-        payload = (24, "av1", 5, spots, 1, 2)
+        block = next(tree_blocks(24))
+        start, stop = block[0].tobytes(), block[-1].tobytes()
+        assert len(start) == len(stop) == 24
+        payload = (24, "av1", 5, spots, start, stop)
         assert len(pickle.dumps(payload)) < 1024
         assert spots.want == spots.total == 39_299_897
 
@@ -500,6 +590,8 @@ class TestStrideSweep:
                 rule = [i for i in range(total) if (i + seed) * want % total < want]
                 assert spots.picks(np.arange(total)).tolist() == rule, (n, rate)
                 assert len(rule) == want
+                for first, stop in ((0, total), (0, total // 3), (total // 3, total), (5, 9)):
+                    assert spots.count(first, stop) == spots.picks(np.arange(first, stop)).size
                 assert bool(spots) == (want > 0)
 
     @pytest.mark.parametrize("workers", [0, -4])
@@ -661,9 +753,9 @@ class TestTreeClaimPass:
         sampled = {n: spot_check_trees(n, 0.05) for n in range(2, 11)}
         walks = Counter()
 
-        def counting_blocks(n):
+        def counting_blocks(n, start=None, stop=None):
             walks[n] += 1
-            return tree_blocks(n)
+            return tree_blocks(n, start, stop)
 
         monkeypatch.setattr(scanner_module, "tree_blocks", counting_blocks)
         for runs, rate in ((1, 0.0), (2, 0.05)):
@@ -679,9 +771,9 @@ class TestTreeClaimPass:
     def test_no_tree_claim_walks_no_tree(self, monkeypatch):
         walks = Counter()
 
-        def counting_blocks(n):
+        def counting_blocks(n, start=None, stop=None):
             walks[n] += 1
-            return tree_blocks(n)
+            return tree_blocks(n, start, stop)
 
         monkeypatch.setattr(scanner_module, "tree_blocks", counting_blocks)
         checked = {}
@@ -895,8 +987,11 @@ class TestConjecture:
             raise AssertionError("an order was swept before every order was checked")
 
         monkeypatch.setattr(scanner_module, "_sweep_shard", no_sweep)
+        monkeypatch.setattr(scanner_module, "group_ranges", no_sweep)
         with pytest.raises(ValueError, match="<= 24"):
             conjecture_scan(range(18, 26))
+        with pytest.raises(ValueError, match="<= 24"):
+            conjecture_scan(range(18, 26), workers=2)
 
     def test_negative_top_refused(self):
         with pytest.raises(ValueError, match="top list length"):
