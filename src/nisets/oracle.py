@@ -78,20 +78,3 @@ def oracle_summary(g: Graph, level: int) -> NisSummary:
     profile = oracle_profile(g, level)
     return NisSummary.from_counts(profile.sigma, profile.total)
 
-
-def _profile_loop(g: Graph, level: int) -> list[int]:
-    """One level by a plain loop over the subsets; the tests' reference."""
-    n, adj = g.n, g.adj
-    doubled = 2 * level
-    counts = [0] * (n + 1)
-    for s in range(1 << n):
-        acc = 0
-        rest = s
-        while rest:
-            low = rest & -rest
-            acc += (adj[low.bit_length() - 1] & s).bit_count()
-            rest ^= low
-        if acc == doubled:
-            counts[s.bit_count()] += 1
-    return counts
-

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import insort
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -54,6 +54,8 @@ SPOT_CHECK_SEED = 2024
 # for a partial block and a fresh top list, so more tasks balance the load
 # but cost more
 _TASKS_PER_WORKER = 2
+# the most pool processes a sweep opens
+WORKER_LIMIT = 64
 GRAPH_FILTERS = ("all", "connected", "no-isolated-max-deg-2", "non-edgeless")
 OBJECTIVES = ("av1", "sigma-ratio")
 
@@ -379,12 +381,13 @@ def _spot_sample(n: int, rate: float) -> _SpotSample:
     return _SpotSample(total, min(total, max(1, int(rate * total))), SPOT_CHECK_SEED)
 
 
-def _blocks(n, spots, start=None, stop=None, first=0):
+def _blocks(n, spots, start=None, stop=None):
     """The blocks of the order-n tree stream from the sequence ``start`` up
     to the sequence ``stop`` (the whole stream when both are None; see
-    ``tree_blocks``), whose first tree has stream index ``first``, each
-    scored as a _Block, spot-checked at the trees whose stream indices
-    ``spots`` samples, and yielded with how many trees it checked."""
+    ``tree_blocks``), each scored as a _Block, spot-checked at the trees
+    whose indices, counted from the range's first tree, ``spots`` samples,
+    and yielded with how many trees it checked."""
+    first = 0
     for levels in tree_blocks(n, start, stop):
         block = _Block(levels)
         yield block, block.spot_check(spots.picks(np.arange(first, first + len(levels))))
@@ -450,57 +453,52 @@ def _sweep_shard(payload):
     return lo, hi, top, count
 
 
-def _spot_check_range(payload) -> int:
-    """Spot-check the sampled trees from the sequence start up to the
-    sequence stop, the first of which has stream index ``first``; returns
-    how many were checked."""
-    n, spots, start, stop, first = payload
-    return sum(checked for _, checked in _blocks(n, spots, start, stop, first))
-
-
 def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate):
     """(order, min side, max side, top-k (value, graph6) list) of the trees
-    of each order, yielded order by order.  The spot-check rate and the
-    worker count are checked before the call's one process pool opens
-    (none at one worker), and the pool closes after the spot checks that
-    follow the last order.
+    of each order, in a list.  The spot-check rate and the worker count are
+    checked before the call's one process pool opens (none at one worker).
 
     An order is one task over its whole stream at one worker, else
     ``_TASKS_PER_WORKER``·workers ranges of ``group_ranges``.  Every
     (order, range) task is queued in one pass over the pool, so no worker
     waits at an order's end; each order's tasks are merged in task order,
-    which is stream order, as they arrive.  At one worker the one task per
-    order starts at stream index 0 and spot-checks as it goes.  On more
-    workers a task cannot know its first index until the tasks before it
-    are counted, so a second pass re-walks just the ranges that hold a
-    sampled index and checks those trees."""
+    which is stream order, as they arrive.  An order's first task starts at
+    stream index 0, so it carries the order's sample and spot-checks as it
+    goes; a later task cannot know its first index until the tasks before
+    it are counted, so it carries the empty sample.  A second pass re-walks
+    just the later tasks that hold a sampled index, each with the sample's
+    seed shifted by its first index, so the same trees are checked at any
+    worker count."""
     samples = [_spot_sample(n, spot_check_rate) for n in orders]
     if workers < 1:
         raise ValueError("worker count must be at least 1")
-    inline = workers == 1
-    ranges = [[(None, None)] if inline else group_ranges(n, _TASKS_PER_WORKER * workers)
+    if workers > WORKER_LIMIT:
+        raise ValueError(f"worker count {workers} above the limit ({WORKER_LIMIT})")
+    ranges = [group_ranges(n, _TASKS_PER_WORKER * workers) if workers > 1 else [(None, None)]
               for n in orders]
-    payloads = [(n, objective, top_k, spots if inline else _spot_sample(n, 0), start, stop)
+    payloads = [(n, objective, top_k, _spot_sample(n, 0) if k else spots, start, stop)
                 for n, spots, order_ranges in zip(orders, samples, ranges)
-                for start, stop in order_ranges]
-    rechecks = []
+                for k, (start, stop) in enumerate(order_ranges)]
+    sweeps, rechecks = [], []
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         parts = (pool.imap if pool else map)(_sweep_shard, payloads)
         for n, spots, order_ranges in zip(orders, samples, ranges):
             lo, hi = _extremes()
             top = []
             first = 0
-            for start, stop in order_ranges:
+            for k, (start, stop) in enumerate(order_ranges):
                 part_lo, part_hi, part_top, count = next(parts)
                 lo.merge(part_lo)
                 hi.merge(part_hi)
                 top += part_top
-                if not inline and spots.count(first, first + count):
-                    rechecks.append((n, spots, start, stop, first))
+                if k and spots.count(first, first + count):
+                    rechecks.append((n, objective, 0, replace(spots, seed=spots.seed + first),
+                                     start, stop))
                 first += count
-            yield n, lo, hi, [(-negv, g6) for negv, g6 in sorted(top)[:top_k]]
+            sweeps.append((n, lo, hi, [(-negv, g6) for negv, g6 in sorted(top)[:top_k]]))
         if rechecks:
-            list(pool.imap(_spot_check_range, rechecks))  # raises on a disagreement
+            list(pool.imap(_sweep_shard, rechecks))  # raises on a disagreement
+    return sweeps
 
 
 def spot_check_trees(n: int, rate: float) -> int:
@@ -932,7 +930,8 @@ def verify_claims(
         raise ValueError(f"max ratio order {max_ratio_order} above the path-cycle limit "
                          f"({RATIO_ORDER_LIMIT})")
     if max_family_order > GRAPH6_ORDER_LIMIT:
-        raise ValueError(f"max family order above graph6 limit ({GRAPH6_ORDER_LIMIT})")
+        raise ValueError(f"max family order {max_family_order} above the graph6 limit "
+                         f"({GRAPH6_ORDER_LIMIT})")
     maxima = {"tree": max_tree_order, "graph": max_graph_order,
               "ratio": max_ratio_order, "family": max_family_order}
     for claim_id in selected:

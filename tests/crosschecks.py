@@ -1,7 +1,8 @@
 """Independent cross-checks that only the tests use: the polynomials of a
 disjoint union from its parts, vertex relabelling, a labelled-tree oracle
-that decodes every length-(n-2) vertex sequence, and the known ratio table
-of small paths and cycles."""
+that decodes every length-(n-2) vertex sequence, the known ratio table of
+small paths and cycles, and a plain loop over the subsets for one level of
+the subset oracle."""
 
 from fractions import Fraction
 from itertools import product
@@ -124,3 +125,21 @@ def ratio_table() -> list[tuple[str, Fraction]]:
             raise AssertionError(f"ratio for {name}: engine got {got}, expected {expected}")
         out.append((name, got))
     return out
+
+
+def profile_loop(g: Graph, level: int) -> list[int]:
+    """One level by a plain loop over the subsets; the tests' reference."""
+    n, adj = g.n, g.adj
+    doubled = 2 * level
+    counts = [0] * (n + 1)
+    for s in range(1 << n):
+        acc = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            acc += (adj[low.bit_length() - 1] & s).bit_count()
+            rest ^= low
+        if acc == doubled:
+            counts[s.bit_count()] += 1
+    return counts
+

@@ -284,7 +284,7 @@ def test_verify_refuses_family_order_past_graph6_limit(capsys, monkeypatch):
     monkeypatch.setattr(scanner, "_tree_claim_reports", no_suite)
     code, out, err = run_cli(capsys, "verify", "--max-family-order", "63")
     assert code == 2 and out == ""
-    assert err == "error: max family order above graph6 limit (62)\n"
+    assert err == "error: max family order 63 above the graph6 limit (62)\n"
     code, out, err = run_cli(capsys, "verify", "--max-ratio-order", "31")
     assert code == 2 and out == ""
     assert err == "error: max ratio order 31 above the path-cycle limit (30)\n"
@@ -342,6 +342,19 @@ def test_conjecture_refuses_order_past_limit_before_sweeping(capsys, monkeypatch
     code, out, err = run_cli(capsys, "conjecture", "--orders", "18:25", "--workers", "2")
     assert code == 2 and out == ""
     assert err == "error: conjecture scan needs orders >= 4 and <= 24\n"
+
+
+def test_conjecture_refuses_worker_count_past_limit_before_any_pool(capsys, monkeypatch):
+    from nisets import scanner
+
+    def no_pool(workers):
+        raise AssertionError("a pool opened for a refused worker count")
+
+    monkeypatch.setattr(scanner, "Pool", no_pool)
+    workers = scanner.WORKER_LIMIT + 1
+    code, out, err = run_cli(capsys, "conjecture", "--orders", "4:5", "--workers", str(workers))
+    assert code == 2 and out == ""
+    assert err == f"error: worker count {workers} above the limit ({scanner.WORKER_LIMIT})\n"
 
 
 def test_conjecture_refuses_negative_top(capsys):

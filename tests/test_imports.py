@@ -97,13 +97,9 @@ def test_no_orphaned_private_helpers():
     assert orphaned_private_names(modules, tests) == []
 
 
-# private names the package keeps only as the tests' reference
-TEST_REFERENCES = [("oracle.py", "_profile_loop")]
-
-
 def test_no_private_helper_left_to_the_tests_alone():
     modules = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert orphaned_private_names(modules, []) == TEST_REFERENCES
+    assert orphaned_private_names(modules, []) == []
 
 
 def test_an_orphaned_private_helper_is_found():

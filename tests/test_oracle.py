@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosschecks import profile_loop
 from nisets.families import FamilySpec, build
 from nisets.graphs import build_graph, graph_from_pair_mask
 from nisets.oracle import (
-    _profile_loop,
     oracle_profile,
     oracle_profiles,
     oracle_summary,
@@ -92,7 +92,7 @@ def test_vectorized_and_loop_paths_agree():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25]
         g = build_graph(n, edges)
         for level in (0, 1, 2):
-            assert list(oracle_profile(g, level).by_size) == _profile_loop(g, level)
+            assert list(oracle_profile(g, level).by_size) == profile_loop(g, level)
 
 
 def test_table_matches_loop_on_every_class_through_order_6():
@@ -101,7 +101,7 @@ def test_table_matches_loop_on_every_class_through_order_6():
             profiles = oracle_profiles(g)
             assert len(profiles) == g.edge_count + 1
             for level in range(g.edge_count + 2):
-                assert list(oracle_profile(g, level).by_size) == _profile_loop(g, level)
+                assert list(oracle_profile(g, level).by_size) == profile_loop(g, level)
 
 
 @st.composite
@@ -115,7 +115,7 @@ def graphs(draw, max_order):
 def test_table_matches_loop_on_random_graphs(g):
     profiles = oracle_profiles(g)
     for level in range(min(3, len(profiles))):
-        assert list(profiles[level].by_size) == _profile_loop(g, level)
+        assert list(profiles[level].by_size) == profile_loop(g, level)
     assert all(p.induced_edges == level for level, p in enumerate(profiles))
     assert sum(p.sigma for p in profiles) == 1 << g.n
 

@@ -10,7 +10,7 @@ from nisets.engine import MAX_ENGINE_MASKS, TREE_BATCH_ORDER_LIMIT
 from nisets.formats import GRAPH6_ORDER_LIMIT
 from nisets.graphs import CANONICAL_ORDER_LIMIT, MAX_VERTICES
 from nisets.oracle import ORACLE_ORDER_LIMIT
-from nisets.scanner import GRAPH_SCAN_LIMIT, RATIO_ORDER_LIMIT
+from nisets.scanner import GRAPH_SCAN_LIMIT, RATIO_ORDER_LIMIT, WORKER_LIMIT
 from nisets.trees import TREE_ORDER_LIMIT
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -70,6 +70,7 @@ def test_limits_table_values():
         "`verify --max-ratio-order`": RATIO_ORDER_LIMIT,
         "`verify --max-family-order`": GRAPH6_ORDER_LIMIT,
         "engine work per graph": MAX_ENGINE_MASKS,
+        "`--workers`": WORKER_LIMIT,
     }
 
 

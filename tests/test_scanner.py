@@ -3,6 +3,7 @@
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -411,7 +412,9 @@ class TestStrideSweep:
             # each range starts at a group's first tree, where the last stopped
             assert start == stream[first].tobytes()
             taken, sizes = first, []
-            for block, checked in scanner_module._blocks(13, spots, start, stop, first):
+            # the sample shifted by the range's first stream index
+            shifted = replace(spots, seed=spots.seed + first)
+            for block, checked in scanner_module._blocks(13, shifted, start, stop):
                 assert (block.levels == stream[first:first + len(block.levels)]).all()
                 assert checked == spots.picks(np.arange(first, first + len(block.levels))).size
                 sizes.append(len(block.levels))
@@ -557,16 +560,67 @@ class TestStrideSweep:
                 return map(func, passes[-1][1])
 
         monkeypatch.setattr(scanner_module, "Pool", RecordingPool)
-        # at rate 1/1301 order 13 has one sampled tree, so one of its four
-        # tasks is walked again, from that task's first stream index
+        # at rate 1/1301 order 13 has one sampled tree, past the first task,
+        # so one of its four tasks is walked again with the sample's seed
+        # shifted by that task's first stream index
         scan_trees(13, workers=2, spot_check_rate=0.001)
-        (sweep, tasks), (recheck, [(n, spots, start, stop, first)]) = passes
-        assert (sweep, len(tasks), recheck) == ("_sweep_shard", 4, "_spot_check_range")
+        (sweep, tasks), (recheck, [(n, objective, top_k, shifted, start, stop)]) = passes
+        assert (sweep, len(tasks), recheck) == ("_sweep_shard", 4, "_sweep_shard")
+        assert (n, objective, top_k) == (13, "av1", 0)
         stream = np.concatenate(list(tree_blocks(13)))
-        assert (start, stop) in [task[4:] for task in tasks]
-        assert (n, spots.want) == (13, 1) and start == stream[first].tobytes()
+        assert (start, stop) in [task[4:] for task in tasks[1:]]
+        first = next(i for i, row in enumerate(stream) if row.tobytes() == start)
+        spots = scanner_module._spot_sample(13, 0.001)
+        assert shifted == replace(spots, seed=spots.seed + first) and spots.want == 1
         [sampled] = spots.picks(np.arange(len(stream)))
         assert first <= sampled and (stop is None or stream[sampled].tobytes() > stop)
+        assert shifted.picks(np.arange(sampled - first + 1)).tolist() == [sampled - first]
+
+    def test_first_range_checks_inline_and_is_never_rechecked(self, monkeypatch):
+        passes = []
+
+        class RecordingPool:
+            """Runs the tasks in this process and records each pass."""
+
+            def __init__(self, workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, payloads):
+                passes.append(list(payloads))
+                return map(func, passes[-1])
+
+        monkeypatch.setattr(scanner_module, "Pool", RecordingPool)
+        # every tree is sampled, so every range past an order's first is rechecked
+        conjecture_scan(range(8, 12), workers=2, spot_check_rate=1.0)
+        sweep, recheck = passes
+        firsts = {n: group_starts(n)[0].tobytes() for n in range(8, 12)}
+        for n, _, _, spots, start, _ in sweep:
+            assert spots == scanner_module._spot_sample(n, 1.0 if start == firsts[n] else 0)
+        assert [(n, start) for n, *_, start, _ in recheck] == [
+            (n, start) for n, *_, start, _ in sweep if start != firsts[n]]
+
+    def test_lying_row_in_a_later_range_raises(self, monkeypatch):
+        stream = np.concatenate(list(tree_blocks(13)))
+        (_, first_stop), *_ = group_ranges(13, 4)
+        assert stream[-1].tobytes() < first_stop  # the last tree is past the first range
+        liar = level_parents(stream[-1:])
+
+        def lying_batch(parent):
+            sig0, s0, sig1, s1 = tree_scalars_batch(parent)
+            # S0 is checked but feeds no sweep fold, so only a spot check sees it
+            return sig0, s0 + (parent == liar).all(axis=1), sig1, s1
+
+        # pool workers fork from this process, so they inherit the patch
+        monkeypatch.setattr(scanner_module, "tree_scalars_batch", lying_batch)
+        scan_trees(13, workers=2, spot_check_rate=0.001)  # the lying tree is not sampled
+        with pytest.raises(RouteDisagreement, match="tree DP"):
+            scan_trees(13, workers=2, spot_check_rate=1.0)
 
     def test_shard_payload_stays_small_at_order_24(self):
         import pickle
@@ -578,6 +632,17 @@ class TestStrideSweep:
         payload = (24, "av1", 5, spots, start, stop)
         assert len(pickle.dumps(payload)) < 1024
         assert spots.want == spots.total == 39_299_897
+
+    def test_shifted_sample_picks_the_stream_indices_of_a_range(self):
+        for total, want, seed in ((1301, 65, 2024), (106, 1, 0), (551, 551, 7), (30, 12, 59)):
+            spots = scanner_module._SpotSample(total, want, seed)
+            stream = spots.picks(np.arange(3 * total)).tolist()
+            for first in (0, 1, total - 1, total, total + 17, 2 * total):
+                shifted = replace(spots, seed=spots.seed + first)
+                local = shifted.picks(np.arange(total))
+                assert (local + first).tolist() == [i for i in stream
+                                                    if first <= i < first + total]
+                assert shifted.count(0, total // 2) == spots.count(first, first + total // 2)
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_spot_sample_picks_exactly_the_wanted_count(self, seed):
@@ -600,6 +665,18 @@ class TestStrideSweep:
             scan_trees(6, workers=workers)
         with pytest.raises(ValueError, match="worker count must be at least 1"):
             conjecture_scan([6], workers=workers)
+
+    def test_worker_count_above_the_limit_refused_before_any_pool(self, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError("a pool opened for a refused worker count")
+
+        monkeypatch.setattr(scanner_module, "Pool", no_pool)
+        limit = scanner_module.WORKER_LIMIT
+        match = rf"worker count {limit + 1} above the limit \({limit}\)"
+        with pytest.raises(ValueError, match=match):
+            scan_trees(6, workers=limit + 1)
+        with pytest.raises(ValueError, match=match):
+            conjecture_scan([6, 7], workers=limit + 1)
 
 
 class TestPathCycleUnions:
@@ -672,7 +749,7 @@ class TestClaims:
             verify_claims(max_tree_order=25)
         with pytest.raises(ValueError, match=r"max ratio order 31 above the path-cycle limit \(30\)"):
             verify_claims(max_ratio_order=31)
-        with pytest.raises(ValueError, match=r"max family order above graph6 limit \(62\)"):
+        with pytest.raises(ValueError, match=r"max family order 63 above the graph6 limit \(62\)"):
             verify_claims(max_family_order=63)
 
     def test_reports_are_deterministic(self, reports):
