@@ -15,10 +15,11 @@ tooling exit nonzero.
 from __future__ import annotations
 
 from bisect import insort
+from collections import deque
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from math import factorial
 from multiprocessing import Pool
 
@@ -38,7 +39,6 @@ from .oracle import oracle_profiles
 from .trees import (
     TREE_ORDER_LIMIT,
     count_free_trees,
-    group_ranges,
     level_parents,
     levels_to_graph,
     tree_blocks,
@@ -50,10 +50,10 @@ GRAPH_SCAN_LIMIT = 7
 RATIO_ORDER_LIMIT = 30
 WITNESS_CAP = 100
 SPOT_CHECK_SEED = 2024
-# tasks per worker at each order of a multi-worker tree sweep; each task pays
-# for a partial block and a fresh top list, so more tasks balance the load
-# but cost more
-_TASKS_PER_WORKER = 2
+# blocks per task of a multi-worker tree sweep; each task pays for a fresh
+# top list, so longer runs cost less, but the parent holds more trees in
+# flight and the load is balanced less finely
+_RUN_BLOCKS = 16
 # the most pool processes a sweep opens
 WORKER_LIMIT = 64
 GRAPH_FILTERS = ("all", "connected", "no-isolated-max-deg-2", "non-edgeless")
@@ -358,15 +358,6 @@ class _SpotSample:
         shifted = indices + self.seed % self.total
         return np.flatnonzero(shifted * self.want % self.total < self.want)
 
-    def count(self, first: int, stop: int) -> int:
-        """How many of the stream indices first, ..., stop - 1 are sampled.
-        Index i is iff ⌊(i + seed)·want/total⌋ exceeds
-        ⌊(i + seed - 1)·want/total⌋, as want <= total, so the count
-        telescopes."""
-        shift = self.seed % self.total - 1
-        return ((stop + shift) * self.want // self.total
-                - (first + shift) * self.want // self.total)
-
     def __bool__(self) -> bool:
         return self.want > 0
 
@@ -381,14 +372,11 @@ def _spot_sample(n: int, rate: float) -> _SpotSample:
     return _SpotSample(total, min(total, max(1, int(rate * total))), SPOT_CHECK_SEED)
 
 
-def _blocks(n, spots, start=None, stop=None):
-    """The blocks of the order-n tree stream from the sequence ``start`` up
-    to the sequence ``stop`` (the whole stream when both are None; see
-    ``tree_blocks``), each scored as a _Block, spot-checked at the trees
-    whose indices, counted from the range's first tree, ``spots`` samples,
-    and yielded with how many trees it checked."""
-    first = 0
-    for levels in tree_blocks(n, start, stop):
+def _blocks(blocks, spots, first=0):
+    """Consecutive blocks of a tree stream, the first starting at stream
+    index ``first``, each scored as a _Block, spot-checked at the stream
+    indices ``spots`` samples, and yielded with how many trees it checked."""
+    for levels in blocks:
         block = _Block(levels)
         yield block, block.spot_check(spots.picks(np.arange(first, first + len(levels))))
         first += len(levels)
@@ -428,22 +416,20 @@ def _fold_top(top, top_k, num, den, code) -> None:
 
 
 def _sweep_shard(payload):
-    """Min side, max side, top-k list and tree count of the order-n trees
-    from the sequence start up to the sequence stop, spot-checked at the
-    indices ``spots`` samples, counted from the range's first tree.  Each
-    worker runs the generator itself, from its range's first tree, so no
-    tree crosses a process.
+    """Min side, max side, top-k list and tree count of consecutive blocks
+    of the order-n tree stream, the first starting at stream index
+    ``first``, spot-checked at the stream indices ``spots`` samples.
 
-    The range is read and scored one block at a time.
+    The blocks are read and scored one at a time.
     Values stay unreduced int64 pairs compared by cross-multiplication;
     the graph6 code and the Fraction are built only for a tree that ties
     or beats a side or passes the top list's prefilter, so witness lists
     and tie order are those of an eager fold."""
-    n, objective, top_k, spots, start, stop = payload
+    n, objective, top_k, spots, first, blocks = payload
     lo, hi = _extremes()
     top: list[tuple[Fraction, str]] = []
     count = 0
-    for block, _ in _blocks(n, spots, start, stop):
+    for block, _ in _blocks(blocks, spots, first):
         num, den = block.pair(objective)
         lo.fold(num, den, block.code)
         hi.fold(num, den, block.code)
@@ -453,52 +439,71 @@ def _sweep_shard(payload):
     return lo, hi, top, count
 
 
+def _runs(n):
+    """(first stream index, blocks) of each run of ``_RUN_BLOCKS``
+    consecutive blocks of the order-n tree stream, generated as they are
+    taken."""
+    blocks, first = iter(tree_blocks(n)), 0
+    while run := list(islice(blocks, _RUN_BLOCKS)):
+        yield first, run
+        first += sum(map(len, run))
+
+
+def _in_order(pool, tasks, limit):
+    """(tag, ``_sweep_shard`` result) of each (tag, payload) task, in task
+    order: in this process without a pool, else on the pool with at most
+    ``limit`` tasks submitted and not yet read, so the tasks are taken
+    only as results are read."""
+    if pool is None:
+        yield from ((tag, _sweep_shard(payload)) for tag, payload in tasks)
+        return
+    pending = deque()
+    for tag, payload in tasks:
+        pending.append((tag, pool.apply_async(_sweep_shard, (payload,))))
+        if len(pending) == limit:
+            tag, result = pending.popleft()
+            yield tag, result.get()
+    yield from ((tag, result.get()) for tag, result in pending)
+
+
 def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate):
     """(order, min side, max side, top-k (value, graph6) list) of the trees
     of each order, in a list.  The spot-check rate and the worker count are
     checked before the call's one process pool opens (none at one worker).
 
-    An order is one task over its whole stream at one worker, else
-    ``_TASKS_PER_WORKER``·workers ranges of ``group_ranges``.  Every
-    (order, range) task is queued in one pass over the pool, so no worker
-    waits at an order's end; each order's tasks are merged in task order,
-    which is stream order, as they arrive.  An order's first task starts at
-    stream index 0, so it carries the order's sample and spot-checks as it
-    goes; a later task cannot know its first index until the tasks before
-    it are counted, so it carries the empty sample.  A second pass re-walks
-    just the later tasks that hold a sampled index, each with the sample's
-    seed shifted by its first index, so the same trees are checked at any
-    worker count."""
+    At one worker an order is one task over its lazy stream.  At more, this
+    process walks each order's stream once and hands it to the pool in runs
+    of ``_RUN_BLOCKS`` blocks, at most 2·workers runs ahead of the results
+    read, so memory does not grow with the tree count and a free worker
+    takes the next run, whatever its order.  A task knows its first stream
+    index, so it spot-checks the order's sampled trees in it as it goes, and
+    the same trees are checked at any worker count.  Each result carries
+    its order's position and is merged in task order, which is stream
+    order.  Every order's tree count must equal ``count_free_trees``, or
+    RouteDisagreement is raised."""
     samples = [_spot_sample(n, spot_check_rate) for n in orders]
     if workers < 1:
         raise ValueError("worker count must be at least 1")
     if workers > WORKER_LIMIT:
         raise ValueError(f"worker count {workers} above the limit ({WORKER_LIMIT})")
-    ranges = [group_ranges(n, _TASKS_PER_WORKER * workers) if workers > 1 else [(None, None)]
-              for n in orders]
-    payloads = [(n, objective, top_k, _spot_sample(n, 0) if k else spots, start, stop)
-                for n, spots, order_ranges in zip(orders, samples, ranges)
-                for k, (start, stop) in enumerate(order_ranges)]
-    sweeps, rechecks = [], []
+    tasks = ((k, (n, objective, top_k, spots, first, blocks))
+             for k, (n, spots) in enumerate(zip(orders, samples))
+             for first, blocks in (_runs(n) if workers > 1 else [(0, tree_blocks(n))]))
+    folds = [(*_extremes(), []) for _ in orders]
+    totals = [0] * len(orders)
     with Pool(workers) if workers > 1 else nullcontext() as pool:
-        parts = (pool.imap if pool else map)(_sweep_shard, payloads)
-        for n, spots, order_ranges in zip(orders, samples, ranges):
-            lo, hi = _extremes()
-            top = []
-            first = 0
-            for k, (start, stop) in enumerate(order_ranges):
-                part_lo, part_hi, part_top, count = next(parts)
-                lo.merge(part_lo)
-                hi.merge(part_hi)
-                top += part_top
-                if k and spots.count(first, first + count):
-                    rechecks.append((n, objective, 0, replace(spots, seed=spots.seed + first),
-                                     start, stop))
-                first += count
-            sweeps.append((n, lo, hi, [(-negv, g6) for negv, g6 in sorted(top)[:top_k]]))
-        if rechecks:
-            list(pool.imap(_sweep_shard, rechecks))  # raises on a disagreement
-    return sweeps
+        for k, (part_lo, part_hi, part_top, count) in _in_order(pool, tasks, 2 * workers):
+            lo, hi, top = folds[k]
+            lo.merge(part_lo)
+            hi.merge(part_hi)
+            top += part_top
+            totals[k] += count
+    for n, total in zip(orders, totals):
+        if total != count_free_trees(n):
+            raise RouteDisagreement(f"the order-{n} stream held {total} trees, but the "
+                                    f"counting recurrence gives {count_free_trees(n)}")
+    return [(n, lo, hi, [(-negv, g6) for negv, g6 in sorted(top)[:top_k]])
+            for n, (lo, hi, top) in zip(orders, folds)]
 
 
 def spot_check_trees(n: int, rate: float) -> int:
@@ -507,7 +512,7 @@ def spot_check_trees(n: int, rate: float) -> int:
     of the order is scored, as on a sweep.  Returns how many trees were
     checked; raises RouteDisagreement on any mismatch."""
     spots = _spot_sample(n, rate)
-    return sum(checked for _, checked in _blocks(n, spots)) if spots else 0
+    return sum(checked for _, checked in _blocks(tree_blocks(n), spots)) if spots else 0
 
 
 def scan_trees(
@@ -653,7 +658,7 @@ def _tree_claim_reports(n: int, spots):
     star = None
     cap_violations, internal_violations = [], []
     checked = 0
-    for block, checked_here in _blocks(n, spots):
+    for block, checked_here in _blocks(tree_blocks(n), spots):
         checked += checked_here
         num, den = block.pair("av1")
         lo.fold(num, den, block.code)

@@ -4,11 +4,9 @@ Trees are produced by the classic successor algorithm on canonical level
 sequences of centre-rooted trees (constant amortized work per tree), so the
 stream order is deterministic.  ``tree_blocks`` walks one bytearray in
 place, each step a few C-level scans and slice assignments, and cuts the
-stream, or a range of it between two of the group starts that
-``group_starts`` lists (``group_ranges`` cuts such ranges), into int8
-blocks, which every consumer reads.  An
-independent counting recurrence gives the number of free trees, and a
-canonical key tells trees of any supported order apart.
+stream into int8 blocks, which every consumer reads.  An independent
+counting recurrence gives the number of free trees, and a canonical key
+tells trees of any supported order apart.
 """
 
 from __future__ import annotations
@@ -80,35 +78,22 @@ def _check_order(n: int) -> None:
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"  # translate table: every level one deeper
 
 
-def _jump(levels: bytearray, n: int, cut: int) -> None:
-    """Move past every sequence sharing the first root subtree, which ends
-    before ``cut``: the successor at the subtree's last vertex, then, if
-    that vertex was deeper than level 2, a path as tall as the new first
-    subtree at the end."""
-    p = cut - 1
-    top = levels[p]
-    q = levels.rfind(top - 1, 0, p)
-    levels[p:] = (levels[q:p] * (n - p))[:n - p]
-    if top > 2:
-        height = max(levels[1:levels.find(1, 2) % (n + 1)])
-        levels[n - height:] = range(1, height + 1)
-
-
-def _walk(n: int, start: bytes | None, stop: bytes | None, groups: bool):
-    """The walk of ``tree_blocks`` and ``group_starts``: centre-rooted
-    sequences from ``start`` (the stream's first when None) to the first
-    that is ``<= stop``, excluded, or to the star, in blocks as
-    ``tree_blocks`` yields them.  Each step is the successor, or with
-    ``groups`` the jump past the first root subtree.  A sequence is
-    centre-rooted unless its first root subtree is taller than the rest, or
-    as tall and larger, or as tall, as large and later read from its own
-    root; the walk then jumps."""
+def tree_blocks(n: int):
+    """Canonical level sequences of the free trees of order n, in stream
+    order, as (B, n) int8 blocks of ``TREE_BLOCK`` rows (the last may be
+    shorter).  One bytearray walks the rooted sequences in place
+    (Wright, Richmond, Odlyzko and McKay, SIAM J. Comput. 15, 1986), each
+    step a few C-level scans; the successor at position p repeats, from p
+    on, the stretch from the latest earlier vertex one level above p up to
+    p.  A sequence is centre-rooted unless its first root subtree is taller
+    than the rest, or as tall and larger, or as tall, as large and later
+    read from its own root; the walk then jumps past every sequence sharing
+    that first subtree."""
     _check_order(n)
     if n <= 2:
         yield np.arange(n, dtype=np.int8).reshape(1, n)
         return
-    levels = bytearray(start or bytes(range(n // 2 + 1)) + bytes(range(1, (n + 1) // 2)))
-    stop = stop or b""
+    levels = bytearray(bytes(range(n // 2 + 1)) + bytes(range(1, (n + 1) // 2)))
     rows, full, span = bytearray(), TREE_BLOCK * n, n + 1
     while True:
         cut = levels.find(1, 2) % span  # the root's second child, n if none
@@ -118,56 +103,27 @@ def _walk(n: int, start: bytes | None, stop: bytes | None, groups: bool):
         if left > right or left == right and (
                 2 * cut > n + 2 or 2 * cut == n + 2
                 and levels[2:cut] > levels[cut:].translate(_PLUS_ONE)):
-            _jump(levels, n, cut)
-        if levels <= stop:
-            break
+            # jump: the successor at the first subtree's last vertex, then,
+            # if that vertex was deeper than level 2, a path as tall as the
+            # new first subtree at the end
+            p = cut - 1
+            top = levels[p]
+            q = levels.rfind(top - 1, 0, p)
+            levels[p:] = (levels[q:p] * (n - p))[:n - p]
+            if top > 2:
+                height = max(levels[1:levels.find(1, 2) % span])
+                levels[n - height:] = range(1, height + 1)
         rows += levels
         if len(rows) == full:
             yield np.frombuffer(rows, dtype=np.int8).reshape(-1, n)
             rows = bytearray()
         if levels[2] == 1:  # the star
             break
-        if groups:
-            _jump(levels, n, levels.find(1, 2) % span)
-            continue
         p = len(levels.rstrip(b"\1")) - 1  # the last vertex off level 1
         q = levels.rfind(levels[p] - 1, 0, p)
         levels[p:] = (levels[q:p] * (n - p))[:n - p]
     if rows:
         yield np.frombuffer(rows, dtype=np.int8).reshape(-1, n)
-
-
-def tree_blocks(n: int, start: bytes | None = None, stop: bytes | None = None):
-    """Canonical level sequences of the free trees of order n, in stream
-    order, as (B, n) int8 blocks of ``TREE_BLOCK`` rows (the last may be
-    shorter): all of them, or those from the sequence ``start`` up to and
-    excluding the sequence ``stop``, both given as bytes.  The stream is
-    strictly decreasing, so the range ends at the first sequence
-    ``<= stop``.  One bytearray walks the rooted sequences in place
-    (Wright, Richmond, Odlyzko and McKay, SIAM J. Comput. 15, 1986), each
-    step a few C-level scans; the successor at position p repeats, from p
-    on, the stretch from the latest earlier vertex one level above p up to
-    p, and a sequence that is not centre-rooted is jumped past."""
-    return _walk(n, start, stop, groups=False)
-
-
-def group_starts(n: int) -> np.ndarray:
-    """The first sequence of each group of the order-n stream, in stream
-    order, as a (G, n) int8 array, where a group is a run of trees sharing
-    their first root subtree: from one group's first tree, the jump past
-    that subtree and then the centre check land on the next group's first
-    tree."""
-    return np.concatenate(list(_walk(n, None, None, groups=True)))
-
-
-def group_ranges(n: int, parts: int) -> list[tuple[bytes, bytes | None]]:
-    """``(start, stop)`` arguments of ``tree_blocks`` that cut the order-n
-    stream into ``parts`` runs of consecutive groups with equal group
-    counts, or into one run per group if there are fewer groups."""
-    starts = group_starts(n)
-    parts = min(parts, len(starts))
-    bounds = [starts[len(starts) * k // parts].tobytes() for k in range(parts)] + [None]
-    return list(zip(bounds, bounds[1:]))
 
 
 def level_sequences(n: int):

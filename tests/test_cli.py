@@ -336,9 +336,9 @@ def test_conjecture_refuses_order_past_limit_before_sweeping(capsys, monkeypatch
     def no_sweep(*args):
         raise AssertionError("an order was swept before every order was checked")
 
-    # neither sweep a range nor list the group starts that cut the ranges
+    # neither sweep a run nor generate the trees that make the runs
     monkeypatch.setattr(scanner, "_sweep_shard", no_sweep)
-    monkeypatch.setattr(scanner, "group_ranges", no_sweep)
+    monkeypatch.setattr(scanner, "tree_blocks", no_sweep)
     code, out, err = run_cli(capsys, "conjecture", "--orders", "18:25", "--workers", "2")
     assert code == 2 and out == ""
     assert err == "error: conjecture scan needs orders >= 4 and <= 24\n"

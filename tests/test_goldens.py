@@ -12,6 +12,7 @@ from nisets.cli import main
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 TREE_SWEEP = "0df32eed34562777e8aab7e9d6df96f7eaf73d930d3bac8af3234db23fe687c6"
+SPOT_CHECKED_SCAN = "117d43faeb965b0e291f92c3741a78f9d6ce596adcdadf97a4aa9d0ad01c92bf"
 GOLDENS = [
     (("verify",), "474ebb740581bb186cb5fe99b6d376b93ad9601047fb775b10ee893a02f97f01"),
     (("conjecture", "--orders", "4:17"), TREE_SWEEP),
@@ -26,6 +27,9 @@ GOLDENS = [
     (("scan", "--population", "trees", "--order", "13", "--objective", "sigma-ratio",
       "--workers", "2", "--witness-cap", "-1"),
      "c66fcdf04c4c3142d919ed32034dac033e6f98c8096098500fda136c7a1914b5"),
+    # order 16 is two runs at two workers, each spot-checking its own trees
+    *((("scan", "--population", "trees", "--order", "16", "--spot-check-rate", "0.01",
+        "--workers", workers), SPOT_CHECKED_SCAN) for workers in ("1", "2")),
 ]
 
 

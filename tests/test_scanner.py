@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,8 +46,6 @@ from nisets.scanner import (
 from nisets.trees import (
     LevelSequence,
     free_trees,
-    group_ranges,
-    group_starts,
     level_parents,
     level_sequences,
     levels_to_graph,
@@ -289,9 +288,8 @@ class TestLazyTreeFold:
         for top_k in (0, 1, 2, 3, 5, 8):
             want = eager_fold((LevelSequence(lv).to_graph() for lv in levels), objective, top_k)
             for block in (1, 3, 7, trees_module.TREE_BLOCK):
-                monkeypatch.setattr(scanner_module, "tree_blocks", lambda n, *_, block=block: (
-                    rows[start:start + block] for start in range(0, len(rows), block)))
-                lo, hi, top, count = _sweep_shard((8, objective, top_k, no_spots, None, None))
+                blocks = [rows[start:start + block] for start in range(0, len(rows), block)]
+                lo, hi, top, count = _sweep_shard((8, objective, top_k, no_spots, 0, blocks))
                 assert count == len(rows)
                 for side, key in ((lo, "min"), (hi, "max")):
                     assert (side.value, sorted(side.codes)) == want[key], block
@@ -303,6 +301,23 @@ class TestLazyTreeFold:
         two = conjecture_scan(range(9, 13), workers=2, spot_check_rate=0.05)
         three = conjecture_scan(range(9, 13), workers=3, spot_check_rate=0.05)
         assert one == two == three
+
+
+class InProcessPool:
+    """Stands in for a process pool: each task runs in this process when
+    its result is read."""
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def apply_async(self, func, args):
+        return SimpleNamespace(get=lambda: func(*args))
 
 
 def tied_stream(length=60):
@@ -379,8 +394,8 @@ class TestStrideSweep:
     def test_generator_is_never_more_than_one_block_ahead_of_scoring(self, monkeypatch):
         generated, scored, calls = [0], [0], []
 
-        def counting_blocks(n, start=None, stop=None):
-            for levels in tree_blocks(n, start, stop):
+        def counting_blocks(n):
+            for levels in tree_blocks(n):
                 generated[0] += len(levels)
                 yield levels
 
@@ -398,37 +413,6 @@ class TestStrideSweep:
         assert scored[0] == generated[0] == 106
         assert calls == [16] * 6 + [10]
 
-    @pytest.mark.parametrize("parts", [1, 2, 3])
-    def test_ranges_cover_whole_groups_with_stream_indices(self, monkeypatch, parts):
-        monkeypatch.setattr(trees_module, "TREE_BLOCK", 100)
-        stream = np.concatenate(list(tree_blocks(13)))  # 1301 trees in 155 groups
-        heads = {row.tobytes() for row in group_starts(13)}
-        ranges = group_ranges(13, parts)
-        spots = scanner_module._spot_sample(13, 0.05)
-        spotted = []
-        monkeypatch.setattr(scanner_module, "_spot_check", lambda levels, row: spotted.append(levels))
-        first, groups = 0, []
-        for start, stop in ranges:
-            # each range starts at a group's first tree, where the last stopped
-            assert start == stream[first].tobytes()
-            taken, sizes = first, []
-            # the sample shifted by the range's first stream index
-            shifted = replace(spots, seed=spots.seed + first)
-            for block, checked in scanner_module._blocks(13, shifted, start, stop):
-                assert (block.levels == stream[first:first + len(block.levels)]).all()
-                assert checked == spots.picks(np.arange(first, first + len(block.levels))).size
-                sizes.append(len(block.levels))
-                first += len(block.levels)
-            # whole blocks from the range's first tree, then one partial block
-            assert all(size == 100 for size in sizes[:-1]) and 1 <= sizes[-1] <= 100
-            groups.append(sum(row.tobytes() in heads for row in stream[taken:first]))
-        assert first == len(stream)
-        # runs of consecutive groups with equal group counts
-        assert len(ranges) == parts
-        assert sum(groups) == len(heads) and max(groups) - min(groups) <= 1
-        # the spot checks fall on the sampled stream indices, whatever the range
-        assert sorted(spotted) == sorted(stream[spots.picks(np.arange(len(stream)))].tolist())
-
     def test_one_pool_per_call(self, monkeypatch):
         pools, real_pool = [], scanner_module.Pool
 
@@ -445,52 +429,33 @@ class TestStrideSweep:
         assert pools == [2, 2]
 
     def test_one_pool_pass_over_every_order(self, monkeypatch):
-        passes, parts = [], {}
+        tasks = []
 
-        class RecordingPool:
-            """Runs the tasks in this process and records each pass."""
-
-            def __init__(self, workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, func, payloads):
-                payloads = list(payloads)
-                passes.append(payloads)
-                for n, objective, top_k, spots, start, stop in payloads:
-                    parts.setdefault(n, []).append((start, stop, *func(
-                        (n, objective, top_k, spots, start, stop))))
-                    yield parts[n][-1][2:]
-
-            def map(self, func, payloads):
-                raise AssertionError("an order was swept outside the one pass")
+        class RecordingPool(InProcessPool):
+            def apply_async(self, func, args):
+                tasks.append(args[0])
+                return super().apply_async(func, args)
 
         def report_bytes(records):
             return json.dumps([r.to_json_dict() for r in records]).encode()
 
+        monkeypatch.setattr(trees_module, "TREE_BLOCK", 16)
         with monkeypatch.context() as m:
             m.setattr(scanner_module, "Pool", RecordingPool)
             two = conjecture_scan(range(4, 14), workers=2)
         # one pass, queued order by order, without spot checks
-        assert len(passes) == 1
-        assert [payload[:4] for payload in passes[0]] == [
+        assert [task[:4] for task in tasks] == [
             (n, "av1", 5, scanner_module._spot_sample(n, 0))
-            for n in range(4, 14) for _ in group_ranges(n, 4)]
+            for n in range(4, 14) for _ in range(-(-scanner_module.count_free_trees(n) // 256))]
         for n in range(4, 14):
-            # min(4, groups) tasks chain the order's group starts
-            starts = [row.tobytes() for row in group_starts(n)]
-            assert len(parts[n]) == min(4, len(starts))
-            bounds = [start for start, *_ in parts[n]] + [None]
-            assert [stop for _, stop, *_ in parts[n]] == bounds[1:]
-            assert set(bounds[:-1]) <= set(starts) and bounds[0] == starts[0]
-            # every task scores trees, and the tasks' counts add up
-            counts = [count for *_, count in parts[n]]
-            assert min(counts) >= 1 and sum(counts) == scanner_module.count_free_trees(n)
+            # runs of 16 blocks of 16 trees chain the order's stream
+            runs = [(first, blocks) for m, *_, first, blocks in tasks if m == n]
+            stream = np.concatenate(list(tree_blocks(n)))
+            assert [first for first, _ in runs] == list(range(0, len(stream), 256))
+            for first, blocks in runs:
+                assert len(blocks) <= 16 and all(len(block) <= 16 for block in blocks)
+                run = np.concatenate(blocks)
+                assert (run == stream[first:first + len(run)]).all()
         assert report_bytes(two) == report_bytes(conjecture_scan(range(4, 14), workers=1))
         assert report_bytes(two) == report_bytes(conjecture_scan(range(4, 14), workers=3))
 
@@ -522,7 +487,12 @@ class TestStrideSweep:
         assert len(lines) == 106
         assert sorted(lines) == sorted(" ".join(map(str, seq.levels)) for seq in level_sequences(10))
 
-    def test_spot_checks_are_the_same_trees_at_every_worker_count(self, monkeypatch, tmp_path):
+    # order 13 is one run at the real block size, and six at blocks of 16
+    @pytest.mark.parametrize("block", [1024, 16])
+    def test_spot_checks_are_the_same_trees_at_every_worker_count(self, monkeypatch, tmp_path,
+                                                                  block):
+        monkeypatch.setattr(trees_module, "TREE_BLOCK", block)
+
         def logged(workers):
             log = tmp_path / f"spots{workers}.txt"
 
@@ -540,75 +510,11 @@ class TestStrideSweep:
         assert len(one) == len(set(one)) == scanner_module._spot_sample(13, 0.05).want == 65
         assert sorted(logged(2)) == sorted(logged(3)) == sorted(one)
 
-    def test_spot_pass_rewalks_only_ranges_with_a_sampled_index(self, monkeypatch):
-        passes = []
-
-        class RecordingPool:
-            """Runs the tasks in this process and records each pass."""
-
-            def __init__(self, workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, func, payloads):
-                passes.append((func.__name__, list(payloads)))
-                return map(func, passes[-1][1])
-
-        monkeypatch.setattr(scanner_module, "Pool", RecordingPool)
-        # at rate 1/1301 order 13 has one sampled tree, past the first task,
-        # so one of its four tasks is walked again with the sample's seed
-        # shifted by that task's first stream index
-        scan_trees(13, workers=2, spot_check_rate=0.001)
-        (sweep, tasks), (recheck, [(n, objective, top_k, shifted, start, stop)]) = passes
-        assert (sweep, len(tasks), recheck) == ("_sweep_shard", 4, "_sweep_shard")
-        assert (n, objective, top_k) == (13, "av1", 0)
+    def test_lying_row_in_a_later_run_raises(self, monkeypatch):
+        # order 13 in six runs of 256 trees; the last tree is in the last run
+        monkeypatch.setattr(trees_module, "TREE_BLOCK", 16)
         stream = np.concatenate(list(tree_blocks(13)))
-        assert (start, stop) in [task[4:] for task in tasks[1:]]
-        first = next(i for i, row in enumerate(stream) if row.tobytes() == start)
-        spots = scanner_module._spot_sample(13, 0.001)
-        assert shifted == replace(spots, seed=spots.seed + first) and spots.want == 1
-        [sampled] = spots.picks(np.arange(len(stream)))
-        assert first <= sampled and (stop is None or stream[sampled].tobytes() > stop)
-        assert shifted.picks(np.arange(sampled - first + 1)).tolist() == [sampled - first]
-
-    def test_first_range_checks_inline_and_is_never_rechecked(self, monkeypatch):
-        passes = []
-
-        class RecordingPool:
-            """Runs the tasks in this process and records each pass."""
-
-            def __init__(self, workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, func, payloads):
-                passes.append(list(payloads))
-                return map(func, passes[-1])
-
-        monkeypatch.setattr(scanner_module, "Pool", RecordingPool)
-        # every tree is sampled, so every range past an order's first is rechecked
-        conjecture_scan(range(8, 12), workers=2, spot_check_rate=1.0)
-        sweep, recheck = passes
-        firsts = {n: group_starts(n)[0].tobytes() for n in range(8, 12)}
-        for n, _, _, spots, start, _ in sweep:
-            assert spots == scanner_module._spot_sample(n, 1.0 if start == firsts[n] else 0)
-        assert [(n, start) for n, *_, start, _ in recheck] == [
-            (n, start) for n, *_, start, _ in sweep if start != firsts[n]]
-
-    def test_lying_row_in_a_later_range_raises(self, monkeypatch):
-        stream = np.concatenate(list(tree_blocks(13)))
-        (_, first_stop), *_ = group_ranges(13, 4)
-        assert stream[-1].tobytes() < first_stop  # the last tree is past the first range
+        assert len(stream) == 1301
         liar = level_parents(stream[-1:])
 
         def lying_batch(parent):
@@ -622,16 +528,40 @@ class TestStrideSweep:
         with pytest.raises(RouteDisagreement, match="tree DP"):
             scan_trees(13, workers=2, spot_check_rate=1.0)
 
-    def test_shard_payload_stays_small_at_order_24(self):
-        import pickle
+    def test_parent_keeps_at_most_two_runs_per_worker_in_flight(self, monkeypatch):
+        submitted, read, ahead = [0], [0], []
 
-        spots = scanner_module._spot_sample(24, 1.0)
-        block = next(tree_blocks(24))
-        start, stop = block[0].tobytes(), block[-1].tobytes()
-        assert len(start) == len(stop) == 24
-        payload = (24, "av1", 5, spots, start, stop)
-        assert len(pickle.dumps(payload)) < 1024
-        assert spots.want == spots.total == 39_299_897
+        class RecordingPool(InProcessPool):
+            def apply_async(self, func, args):
+                submitted[0] += 1
+                ahead.append(submitted[0] - read[0])
+                result = super().apply_async(func, args)
+
+                def get():
+                    read[0] += 1
+                    return result.get()
+
+                return SimpleNamespace(get=get)
+
+        monkeypatch.setattr(trees_module, "TREE_BLOCK", 16)
+        monkeypatch.setattr(scanner_module, "Pool", RecordingPool)
+        scan_trees(14, workers=2)
+        # 3159 trees in 13 runs; the parent never runs more than 2·2 ahead
+        assert submitted[0] == read[0] == 13
+        assert max(ahead) == 4
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_stream_short_of_the_tree_count_raises(self, monkeypatch, workers):
+        def short_blocks(n):
+            *blocks, last = tree_blocks(n)
+            return [*blocks, last[:-1]]  # every tree but the star
+
+        monkeypatch.setattr(scanner_module, "tree_blocks", short_blocks)
+        match = "order-11 stream held 234 trees, but the counting recurrence gives 235"
+        with pytest.raises(RouteDisagreement, match=match):
+            scan_trees(11, workers=workers)
+        with pytest.raises(RouteDisagreement, match=match):
+            conjecture_scan([11, 12], workers=workers)
 
     def test_shifted_sample_picks_the_stream_indices_of_a_range(self):
         for total, want, seed in ((1301, 65, 2024), (106, 1, 0), (551, 551, 7), (30, 12, 59)):
@@ -642,7 +572,6 @@ class TestStrideSweep:
                 local = shifted.picks(np.arange(total))
                 assert (local + first).tolist() == [i for i in stream
                                                     if first <= i < first + total]
-                assert shifted.count(0, total // 2) == spots.count(first, first + total // 2)
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     def test_spot_sample_picks_exactly_the_wanted_count(self, seed):
@@ -655,8 +584,6 @@ class TestStrideSweep:
                 rule = [i for i in range(total) if (i + seed) * want % total < want]
                 assert spots.picks(np.arange(total)).tolist() == rule, (n, rate)
                 assert len(rule) == want
-                for first, stop in ((0, total), (0, total // 3), (total // 3, total), (5, 9)):
-                    assert spots.count(first, stop) == spots.picks(np.arange(first, stop)).size
                 assert bool(spots) == (want > 0)
 
     @pytest.mark.parametrize("workers", [0, -4])
@@ -830,9 +757,9 @@ class TestTreeClaimPass:
         sampled = {n: spot_check_trees(n, 0.05) for n in range(2, 11)}
         walks = Counter()
 
-        def counting_blocks(n, start=None, stop=None):
+        def counting_blocks(n):
             walks[n] += 1
-            return tree_blocks(n, start, stop)
+            return tree_blocks(n)
 
         monkeypatch.setattr(scanner_module, "tree_blocks", counting_blocks)
         for runs, rate in ((1, 0.0), (2, 0.05)):
@@ -848,9 +775,9 @@ class TestTreeClaimPass:
     def test_no_tree_claim_walks_no_tree(self, monkeypatch):
         walks = Counter()
 
-        def counting_blocks(n, start=None, stop=None):
+        def counting_blocks(n):
             walks[n] += 1
-            return tree_blocks(n, start, stop)
+            return tree_blocks(n)
 
         monkeypatch.setattr(scanner_module, "tree_blocks", counting_blocks)
         checked = {}
@@ -1064,7 +991,7 @@ class TestConjecture:
             raise AssertionError("an order was swept before every order was checked")
 
         monkeypatch.setattr(scanner_module, "_sweep_shard", no_sweep)
-        monkeypatch.setattr(scanner_module, "group_ranges", no_sweep)
+        monkeypatch.setattr(scanner_module, "tree_blocks", no_sweep)
         with pytest.raises(ValueError, match="<= 24"):
             conjecture_scan(range(18, 26))
         with pytest.raises(ValueError, match="<= 24"):

@@ -12,7 +12,6 @@ from nisets.trees import (
     LevelSequence,
     count_free_trees,
     free_trees,
-    group_starts,
     level_sequences,
     tree_blocks,
     tree_canonical_key,
@@ -80,33 +79,10 @@ def stream_rows(n):
     return [row.tobytes() for block in tree_blocks(n) for row in block]
 
 
-@pytest.mark.parametrize("n", range(3, 19))
-def test_group_starts_are_the_first_trees_of_each_first_subtree_run(n):
-    firsts, last = [], None
-    for levels in stream_rows(n):
-        cut = levels.find(1, 2) % (n + 1)  # the root's second child, n if none
-        if levels[1:cut] != last:
-            firsts.append(levels)
-            last = levels[1:cut]
-    starts = group_starts(n)
-    assert starts.dtype == np.int8 and [row.tobytes() for row in starts] == firsts
-
-
 @pytest.mark.parametrize("n", [8, 12, 16])
 def test_stream_is_strictly_decreasing(n):
     rows = stream_rows(n)
     assert all(a > b for a, b in zip(rows, rows[1:]))
-
-
-@pytest.mark.parametrize("n", sorted(STREAM_DIGESTS))
-def test_group_ranges_concatenate_to_the_stream(n):
-    starts = [row.tobytes() for row in group_starts(n)]
-    # every group alone, and four runs of groups
-    for bounds in (starts + [None], starts[::len(starts) // 4 + 1] + [None]):
-        blocks = [block for start, stop in zip(bounds, bounds[1:])
-                  for block in tree_blocks(n, start, stop)]
-        data = b"".join(block.tobytes() for block in blocks)
-        assert (len(data) // n, hashlib.sha256(data).hexdigest()) == STREAM_DIGESTS[n]
 
 
 def test_stream_is_deterministic():
