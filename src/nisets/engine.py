@@ -15,8 +15,8 @@ Trees also have a linear dynamic program over their level sequences.
 ``tree_scalars`` runs it on one tree in Python integers and is the
 reference.  ``tree_scalars_batch`` runs it on a block of B trees at once,
 given as their parent array, in int64 numpy arrays, exact up to order 24;
-every tree sweep and the tree claim suite use it, and their spot checks
-compare its rows with ``Engine`` and the subset oracle.
+every tree sweep uses it, the tree claims' included, and a sweep's spot
+checks compare its rows with ``Engine`` and the subset oracle.
 
 All arithmetic is exact: Python integers for counts (int64 in the batched
 tree DP, where the order bound rules out overflow), fractions for

@@ -313,14 +313,6 @@ class _Block:
         sig0, _, sig1, tot1 = self.values
         return (tot1, sig1) if objective == "av1" else (sig1, sig0)
 
-    def spot_check(self, positions) -> int:
-        """Check the DP rows of the trees at these block positions, the
-        values the sweep uses, against Engine and the subset oracle;
-        returns how many trees were checked."""
-        for i in positions:
-            _spot_check(self.levels[i].tolist(), tuple(int(v[i]) for v in self.values))
-        return len(positions)
-
 
 def _spot_check(levels, row) -> None:
     """Compare one tree's batched DP row (sigma0, S0, sigma1, S1), the
@@ -372,16 +364,6 @@ def _spot_sample(n: int, rate: float) -> _SpotSample:
     return _SpotSample(total, min(total, max(1, int(rate * total))), SPOT_CHECK_SEED)
 
 
-def _blocks(blocks, spots, first=0):
-    """Consecutive blocks of a tree stream, the first starting at stream
-    index ``first``, each scored as a _Block, spot-checked at the stream
-    indices ``spots`` samples, and yielded with how many trees it checked."""
-    for levels in blocks:
-        block = _Block(levels)
-        yield block, block.spot_check(spots.picks(np.arange(first, first + len(levels))))
-        first += len(levels)
-
-
 def _top_floor(top, top_k):
     """(numerator, denominator) of the top list's last value once it holds
     top_k entries, else None."""
@@ -415,28 +397,85 @@ def _fold_top(top, top_k, num, den, code) -> None:
             floor = _top_floor(top, top_k)
 
 
+class _Sweep:
+    """What a sweep found over consecutive trees of one order's stream: the
+    min and max sides, the top list of (-value, graph6) pairs, the tree
+    count, how many trees were spot-checked, and, when the caps are
+    checked, the trees over the tree cap or off its claimed equality and
+    those over the internal-degree cap, as Violation lists in stream order.
+    ``merge`` joins the sweep of the next stretch of the stream."""
+
+    def __init__(self):
+        self.lo, self.hi = _extremes()
+        self.top, self.cap_violations, self.internal_violations = [], [], []
+        self.count = self.checked = 0
+
+    def merge(self, part: _Sweep) -> None:
+        self.lo.merge(part.lo)
+        self.hi.merge(part.hi)
+        self.top += part.top
+        self.cap_violations += part.cap_violations
+        self.internal_violations += part.internal_violations
+        self.count += part.count
+        self.checked += part.checked
+
+
 def _sweep_shard(payload):
-    """Min side, max side, top-k list and tree count of consecutive blocks
-    of the order-n tree stream, the first starting at stream index
-    ``first``, spot-checked at the stream indices ``spots`` samples.
+    """The _Sweep of consecutive blocks of the order-n tree stream, the
+    first starting at stream index ``first``, spot-checked at the stream
+    indices ``spots`` samples against Engine and the subset oracle, with
+    the DP rows the folds use.  With ``caps`` set (av1 only) both tree caps
+    are compared per block in integers, with degrees from a bincount of the
+    block's parent array.
 
     The blocks are read and scored one at a time.
     Values stay unreduced int64 pairs compared by cross-multiplication;
     the graph6 code and the Fraction are built only for a tree that ties
-    or beats a side or passes the top list's prefilter, so witness lists
-    and tie order are those of an eager fold."""
-    n, objective, top_k, spots, first, blocks = payload
-    lo, hi = _extremes()
-    top: list[tuple[Fraction, str]] = []
-    count = 0
-    for block, _ in _blocks(blocks, spots, first):
+    or beats a side, passes the top list's prefilter or breaks a cap, so
+    witness lists and tie order are those of an eager fold."""
+    n, objective, top_k, spots, caps, first, blocks = payload
+    cap = 4 + max(n - 3, 0)  # twice the tree cap 2 + max(n-3, 0)/2
+    cap_text = format_rational(Fraction(cap, 2))
+    claimed_equality = n in (2, 3, 4)  # stated for the paths of these orders
+    found = _Sweep()
+    for levels in blocks:
+        block = _Block(levels)
+        picks = spots.picks(np.arange(first + found.count, first + found.count + len(levels)))
+        for i in picks:
+            _spot_check(levels[i].tolist(), tuple(int(v[i]) for v in block.values))
+        found.checked += len(picks)
         num, den = block.pair(objective)
-        lo.fold(num, den, block.code)
-        hi.fold(num, den, block.code)
+        found.lo.fold(num, den, block.code)
+        found.hi.fold(num, den, block.code)
         if top_k:
-            _fold_top(top, top_k, num, den, block.code)
-        count += len(num)
-    return lo, hi, top, count
+            _fold_top(found.top, top_k, num, den, block.code)
+        found.count += len(num)
+        if not caps:
+            continue
+        max_degree, internal = _block_degrees(block.parent)
+        over_cap = 2 * num > cap * den
+        off_equality = claimed_equality & (max_degree <= 2) & (2 * num != cap * den)
+        over_internal = (internal > 0) & (2 * num > (n - internal + 3) * den)
+        for i in np.flatnonzero(over_cap | off_equality | over_internal):
+            g6 = block.code(i)
+            observed = format_rational(Fraction(int(num[i]), int(den[i])))
+            if over_cap[i]:
+                found.cap_violations.append(Violation(
+                    g6, "tree average capped by 2 + max(n-3,0)/2",
+                    observed=observed, expected=f"<= {cap_text}",
+                ))
+            if off_equality[i]:
+                found.cap_violations.append(Violation(
+                    g6, "claimed equality of the tree cap at the short paths",
+                    observed=observed, expected=cap_text, equality_claim=True,
+                ))
+            if over_internal[i]:
+                found.internal_violations.append(Violation(
+                    g6, "tree average capped via the minimum internal degree",
+                    observed=observed,
+                    expected=f"<= {format_rational(Fraction(n - int(internal[i]) + 3, 2))}",
+                ))
+    return found
 
 
 def _runs(n):
@@ -466,9 +505,9 @@ def _in_order(pool, tasks, limit):
     yield from ((tag, result.get()) for tag, result in pending)
 
 
-def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate):
-    """(order, min side, max side, top-k (value, graph6) list) of the trees
-    of each order, in a list.  The spot-check rate and the worker count are
+def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False):
+    """The _Sweep of the trees of each order, in a list, its top list cut
+    to the top_k best.  The spot-check rate and the worker count are
     checked before the call's one process pool opens (none at one worker).
 
     At one worker an order is one task over its lazy stream.  At more, this
@@ -486,24 +525,19 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate):
         raise ValueError("worker count must be at least 1")
     if workers > WORKER_LIMIT:
         raise ValueError(f"worker count {workers} above the limit ({WORKER_LIMIT})")
-    tasks = ((k, (n, objective, top_k, spots, first, blocks))
+    tasks = ((k, (n, objective, top_k, spots, caps, first, blocks))
              for k, (n, spots) in enumerate(zip(orders, samples))
              for first, blocks in (_runs(n) if workers > 1 else [(0, tree_blocks(n))]))
-    folds = [(*_extremes(), []) for _ in orders]
-    totals = [0] * len(orders)
+    sweeps = [_Sweep() for _ in orders]
     with Pool(workers) if workers > 1 else nullcontext() as pool:
-        for k, (part_lo, part_hi, part_top, count) in _in_order(pool, tasks, 2 * workers):
-            lo, hi, top = folds[k]
-            lo.merge(part_lo)
-            hi.merge(part_hi)
-            top += part_top
-            totals[k] += count
-    for n, total in zip(orders, totals):
-        if total != count_free_trees(n):
-            raise RouteDisagreement(f"the order-{n} stream held {total} trees, but the "
+        for k, part in _in_order(pool, tasks, 2 * workers):
+            sweeps[k].merge(part)
+    for n, sweep in zip(orders, sweeps):
+        if sweep.count != count_free_trees(n):
+            raise RouteDisagreement(f"the order-{n} stream held {sweep.count} trees, but the "
                                     f"counting recurrence gives {count_free_trees(n)}")
-    return [(n, lo, hi, [(-negv, g6) for negv, g6 in sorted(top)[:top_k]])
-            for n, (lo, hi, top) in zip(orders, folds)]
+        sweep.top = sorted(sweep.top)[:top_k]
+    return sweeps
 
 
 def spot_check_trees(n: int, rate: float) -> int:
@@ -511,8 +545,8 @@ def spot_check_trees(n: int, rate: float) -> int:
     the engine and the subset oracle must agree at both levels.  Every tree
     of the order is scored, as on a sweep.  Returns how many trees were
     checked; raises RouteDisagreement on any mismatch."""
-    spots = _spot_sample(n, rate)
-    return sum(checked for _, checked in _blocks(tree_blocks(n), spots)) if spots else 0
+    [sweep] = _tree_sweeps([n], "av1", 1, 0, rate)
+    return sweep.checked
 
 
 def scan_trees(
@@ -528,8 +562,9 @@ def scan_trees(
         raise ValueError(f"unsupported order for tree scan (2..{TREE_ORDER_LIMIT})")
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    [(_, lo, hi, _)] = _tree_sweeps([n], objective, workers, 0, spot_check_rate)
-    return _report(f"scan-{objective}", "free-trees", n, objective, (lo, hi), witness_cap)
+    [sweep] = _tree_sweeps([n], objective, workers, 0, spot_check_rate)
+    return _report(f"scan-{objective}", "free-trees", n, objective, (sweep.lo, sweep.hi),
+                   witness_cap)
 
 
 @dataclass(frozen=True)
@@ -569,7 +604,8 @@ def conjecture_scan(
     if top_k < 0:
         raise ValueError("top list length must be non-negative")
     out = []
-    for n, _, hi, top in _tree_sweeps(orders, "av1", workers, top_k, spot_check_rate):
+    for n, sweep in zip(orders, _tree_sweeps(orders, "av1", workers, top_k, spot_check_rate)):
+        hi = sweep.hi
         r_tree = build(FamilySpec("R", n))
         r_value = nis_summary(r_tree, 1).average
         unique = len(hi.codes) == 1 and hi.value == r_value
@@ -582,7 +618,7 @@ def conjecture_scan(
                 max_witnesses=tuple(sorted(hi.codes)[:WITNESS_CAP]),
                 subdivided_star_value=r_value,
                 subdivided_star_is_unique_max=unique,
-                top=tuple((g6, v) for v, g6 in top),
+                top=tuple((g6, -negv) for negv, g6 in sweep.top),
             )
         )
     return out
@@ -641,60 +677,20 @@ def _suite_first_order(suite: str) -> int:
     return min(first for claim_suite, first, *_ in _CLAIMS.values() if claim_suite == suite)
 
 
-def _tree_claim_reports(n: int, spots):
-    """The tree claims' (sides, violations) at order n >= 2 from one walk of
-    its trees, keyed by claim id (a claim stated only above n has none), and
-    how many sampled trees were spot-checked on the way.
-
-    The walk is scored in blocks by the batched tree DP, which feeds the
-    sweep's side folds.  Both caps are compared per block in integers, and
-    degrees come from a bincount of the block's parent array; graph6 codes
-    are built only for side entries, the star and violators, and a
-    Fraction only for violators and the extremes."""
-    cap = 4 + max(n - 3, 0)  # twice the tree cap 2 + max(n-3, 0)/2
-    cap_text = format_rational(Fraction(cap, 2))
-    claimed_equality = n in (2, 3, 4)  # stated for the paths of these orders
-    lo, hi = sides = _extremes()
-    star = None
-    cap_violations, internal_violations = [], []
-    checked = 0
-    for block, checked_here in _blocks(tree_blocks(n), spots):
-        checked += checked_here
-        num, den = block.pair("av1")
-        lo.fold(num, den, block.code)
-        hi.fold(num, den, block.code)
-        max_degree, internal = _block_degrees(block.parent)
-        for i in np.flatnonzero(max_degree == n - 1):
-            star = block.code(i)
-        over_cap = 2 * num > cap * den
-        off_equality = claimed_equality & (max_degree <= 2) & (2 * num != cap * den)
-        over_internal = (internal > 0) & (2 * num > (n - internal + 3) * den)
-        for i in np.flatnonzero(over_cap | off_equality | over_internal):
-            g6 = block.code(i)
-            observed = format_rational(Fraction(int(num[i]), int(den[i])))
-            if over_cap[i]:
-                cap_violations.append(Violation(
-                    g6, "tree average capped by 2 + max(n-3,0)/2",
-                    observed=observed, expected=f"<= {cap_text}",
-                ))
-            if off_equality[i]:
-                cap_violations.append(Violation(
-                    g6, "claimed equality of the tree cap at the short paths",
-                    observed=observed, expected=cap_text, equality_claim=True,
-                ))
-            if over_internal[i]:
-                internal_violations.append(Violation(
-                    g6, "tree average capped via the minimum internal degree",
-                    observed=observed,
-                    expected=f"<= {format_rational(Fraction(n - int(internal[i]) + 3, 2))}",
-                ))
+def _tree_claim_reports(n: int, sweep: _Sweep) -> dict:
+    """The tree claims' (sides, violations) at order n >= 2, keyed by claim
+    id (a claim stated only above n has none), from the av1 sweep of its
+    trees with both caps checked.  ``build`` labels the star as the stream
+    does, so its graph6 is the one the sweep's sides hold."""
+    lo, hi = sides = sweep.lo, sweep.hi
     # below its first order internal-degree-cap is still reported, with empty sides
     checks = {
-        "tree-average-cap": (sides, cap_violations),
+        "tree-average-cap": (sides, sweep.cap_violations),
         "internal-degree-cap": (sides if _stated("internal-degree-cap", n) else _extremes(),
-                                internal_violations),
+                                sweep.internal_violations),
     }
     if _stated("tree-average-lower", n):
+        star = to_graph6(build(FamilySpec("star", n)))
         lower = []
         if lo.value != 2 or lo.codes != [star]:
             lower.append(Violation(
@@ -712,7 +708,7 @@ def _tree_claim_reports(n: int, spots):
                 expected=f"in ({format_rational(Fraction(n, 2))}, {format_rational(Fraction(n + 1, 2))})",
             ))
         checks["tree-average-band"] = (sides, band)
-    return checks, checked
+    return checks
 
 
 def _graph_claim_reports(n: int) -> dict:
@@ -908,20 +904,21 @@ def verify_claims(
 ) -> list[ScanReport]:
     """Run the claim suites exhaustively and return one report per claim
     and order, claim by claim in the order selected (a repeated claim id
-    counts once).  Equality discrepancies are recorded, not raised.
+    counts once): ``claims`` is "all", one claim id or an iterable of
+    them.  Equality discrepancies are recorded, not raised.
 
     A maximum order below the first order of a suite under "all" (4 for the
     family suite, 2 for the others), or of a named claim, is refused, since
     it would check nothing.  At a positive
     ``spot_check_rate`` a sample of the trees of every order up to
-    ``max_tree_order`` is spot-checked on the tree claims' own walk, with
+    ``max_tree_order`` is spot-checked on the tree claims' sweep, with
     the DP rows their reports came from; without a tree claim no tree is
     walked.  ``spot_checked``, when given, receives the number of trees
     checked at each order."""
     if claims == "all":
         selected = ALL_CLAIMS
     else:
-        selected = list(dict.fromkeys(claims))
+        selected = list(dict.fromkeys([claims] if isinstance(claims, str) else claims))
         unknown = [c for c in selected if c not in _CLAIMS]
         if unknown:
             raise ValueError(f"unknown claims: {', '.join(unknown)}")
@@ -948,15 +945,14 @@ def verify_claims(
         if maxima[suite] < first:
             raise ValueError(f"max {suite} order {maxima[suite]} lies below the first order "
                              f"of {what} would check nothing")
-    # sampled up front, so a rate outside [0, 1] is refused before any suite runs
-    spots = {n: _spot_sample(n, spot_check_rate) for n in range(2, max_tree_order + 1)}
+    _spot_sample(2, spot_check_rate)  # refuses a rate outside [0, 1] before any suite runs
     checked = {} if spot_checked is None else spot_checked
 
     def tree_checks(n):
-        checks, checked_at_n = _tree_claim_reports(n, spots[n])
-        if spots[n]:
-            checked[n] = checked_at_n
-        return checks
+        [sweep] = _tree_sweeps([n], "av1", 1, 0, spot_check_rate, caps=True)
+        if spot_check_rate:
+            checked[n] = sweep.checked
+        return _tree_claim_reports(n, sweep)
 
     # each suite maps one order to its claims' (sides, violations); an
     # order's population (trees or graph classes) is walked once and dropped

@@ -278,10 +278,10 @@ def test_scan_refuses_options_of_the_other_population(capsys, monkeypatch,
 def test_verify_refuses_family_order_past_graph6_limit(capsys, monkeypatch):
     from nisets import scanner
 
-    def no_suite(n, spots):
-        raise AssertionError("a suite ran before the family and ratio orders were checked")
+    def no_walk(n):
+        raise AssertionError("a tree was walked before the family and ratio orders were checked")
 
-    monkeypatch.setattr(scanner, "_tree_claim_reports", no_suite)
+    monkeypatch.setattr(scanner, "tree_blocks", no_walk)
     code, out, err = run_cli(capsys, "verify", "--max-family-order", "63")
     assert code == 2 and out == ""
     assert err == "error: max family order 63 above the graph6 limit (62)\n"
@@ -308,7 +308,7 @@ def test_verify_refuses_order_below_a_suite_before_running_any(capsys, monkeypat
     def no_suite(*args):
         raise AssertionError("a suite ran before every order was checked")
 
-    for suite in ("_tree_claim_reports", "_graph_claim_reports", "_degree_two_ratio_reports",
+    for suite in ("tree_blocks", "_graph_claim_reports", "_degree_two_ratio_reports",
                   "_subdivided_star_reports"):
         monkeypatch.setattr(scanner, suite, no_suite)
     code, out, err = run_cli(capsys, "verify", "--max-graph-order", "-3", "--max-tree-order", "2",
@@ -556,10 +556,10 @@ def test_config_sets_verify_options(capsys, tmp_path):
 def test_verify_refuses_spot_check_rate_above_one(capsys, monkeypatch):
     from nisets import scanner
 
-    def no_suite(n, spots):
-        raise AssertionError("a suite ran before the spot-check rate was checked")
+    def no_walk(n):
+        raise AssertionError("a tree was walked before the spot-check rate was checked")
 
-    monkeypatch.setattr(scanner, "_tree_claim_reports", no_suite)
+    monkeypatch.setattr(scanner, "tree_blocks", no_walk)
     code, err = exit_code(capsys, "verify", "--spot-check-rate", "1.5")
     assert code == 2
     assert err == "error: spot-check rate must lie in [0, 1]\n"

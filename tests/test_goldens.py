@@ -30,6 +30,11 @@ GOLDENS = [
     # order 16 is two runs at two workers, each spot-checking its own trees
     *((("scan", "--population", "trees", "--order", "16", "--spot-check-rate", "0.01",
         "--workers", workers), SPOT_CHECKED_SCAN) for workers in ("1", "2")),
+    # every tree of orders 2-12 (986) checked against the oracle on the claims' sweep
+    (("verify", "--claims",
+      "tree-average-lower,tree-average-band,tree-average-cap,internal-degree-cap",
+      "--max-tree-order", "12", "--spot-check-rate", "1"),
+     "c6919ae56a6c612da557cfe6e98e4d99158facdd758b93af7012033a4dcfef0a"),
 ]
 
 

@@ -289,12 +289,12 @@ class TestLazyTreeFold:
             want = eager_fold((LevelSequence(lv).to_graph() for lv in levels), objective, top_k)
             for block in (1, 3, 7, trees_module.TREE_BLOCK):
                 blocks = [rows[start:start + block] for start in range(0, len(rows), block)]
-                lo, hi, top, count = _sweep_shard((8, objective, top_k, no_spots, 0, blocks))
-                assert count == len(rows)
-                for side, key in ((lo, "min"), (hi, "max")):
+                found = _sweep_shard((8, objective, top_k, no_spots, False, 0, blocks))
+                assert found.count == len(rows)
+                for side, key in ((found.lo, "min"), (found.hi, "max")):
                     assert (side.value, sorted(side.codes)) == want[key], block
                     assert len(side.codes) >= 2
-                assert [(g6, -negv) for negv, g6 in top] == want["top"], block
+                assert [(g6, -negv) for negv, g6 in found.top] == want["top"], block
 
     def test_conjecture_scan_deterministic_across_workers(self):
         one = conjecture_scan(range(9, 13), workers=1, spot_check_rate=0.05)
@@ -554,7 +554,8 @@ class TestStrideSweep:
     def test_a_stream_short_of_the_tree_count_raises(self, monkeypatch, workers):
         def short_blocks(n):
             *blocks, last = tree_blocks(n)
-            return [*blocks, last[:-1]]  # every tree but the star
+            # order 11 loses its star; verify walks orders 2-10 whole first
+            return [*blocks, last[:-1] if n == 11 else last]
 
         monkeypatch.setattr(scanner_module, "tree_blocks", short_blocks)
         match = "order-11 stream held 234 trees, but the counting recurrence gives 235"
@@ -562,6 +563,20 @@ class TestStrideSweep:
             scan_trees(11, workers=workers)
         with pytest.raises(RouteDisagreement, match=match):
             conjecture_scan([11, 12], workers=workers)
+        with pytest.raises(RouteDisagreement, match=match):
+            verify_claims(claims=["tree-average-cap"], max_tree_order=11)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_caps_are_checked_only_for_the_claims(self, monkeypatch, workers):
+        def no_degrees(parent):
+            raise AssertionError("degrees computed on a sweep that checks no cap")
+
+        # the pool forks, so the workers see the patch too
+        monkeypatch.setattr(scanner_module, "_block_degrees", no_degrees)
+        conjecture_scan([9, 10], workers=workers)
+        scan_trees(10, workers=workers)
+        with pytest.raises(AssertionError, match="checks no cap"):
+            verify_claims(claims=["tree-average-cap"], max_tree_order=9)
 
     def test_shifted_sample_picks_the_stream_indices_of_a_range(self):
         for total, want, seed in ((1301, 65, 2024), (106, 1, 0), (551, 551, 7), (30, 12, 59)):
@@ -668,6 +683,12 @@ class TestClaims:
     def test_unknown_claim_rejected(self):
         with pytest.raises(ValueError, match="unknown claims"):
             verify_claims(claims=["flux-capacitor"])
+
+    def test_a_single_claim_id_is_one_claim(self):
+        assert (verify_claims(claims="tree-average-cap", max_tree_order=6)
+                == verify_claims(claims=["tree-average-cap"], max_tree_order=6))
+        with pytest.raises(ValueError, match="^unknown claims: flux-capacitor$"):
+            verify_claims(claims="flux-capacitor")
 
     def test_order_caps_enforced(self):
         with pytest.raises(ValueError, match="exhaustive limit"):
