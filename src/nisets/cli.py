@@ -159,13 +159,17 @@ def _compute_record(graph: Graph) -> dict:
     p0 = eng.i0()
     p1 = eng.i1()
     p1_edges = eng.i1_by_edges()
-    sig1, tot1 = eng.scalars1()
-    if p1 != p1_edges or (sig1, tot1) != (sum(p1), sum(k * c for k, c in enumerate(p1))):
+    (sig1, tot1), (sig0, tot0) = eng.scalars1(), eng.scalars0()
+
+    def moments(p):
+        return sum(p), sum(k * c for k, c in enumerate(p))
+
+    if p1 != p1_edges or (sig1, tot1) != moments(p1) or (sig0, tot0) != moments(p0):
         raise RouteDisagreement(
             f"internal routes disagree on {to_graph6(graph)}: "
-            f"pivot {p1}, per-edge {p1_edges}, scalar ({sig1}, {tot1})"
+            f"pivot {p1}, per-edge {p1_edges}, scalar ({sig1}, {tot1}); "
+            f"level 0 {p0}, scalar ({sig0}, {tot0})"
         )
-    sig0, tot0 = eng.scalars0()
     av0 = Fraction(tot0, sig0) if sig0 else Fraction(0)
     av1 = Fraction(tot1, sig1) if sig1 else Fraction(0)
     record = {

@@ -14,7 +14,6 @@ tooling exit nonzero.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
@@ -50,9 +49,9 @@ GRAPH_SCAN_LIMIT = 7
 RATIO_ORDER_LIMIT = 30
 WITNESS_CAP = 100
 SPOT_CHECK_SEED = 2024
-# blocks per task of a multi-worker tree sweep; each task pays for a fresh
-# top list, so longer runs cost less, but the parent holds more trees in
-# flight and the load is balanced less finely
+# blocks per task of a multi-worker tree sweep; shorter runs balance the
+# load more finely and keep fewer trees in flight in the parent, but each
+# task's max side starts empty and encodes the best trees it meets
 _RUN_BLOCKS = 16
 # the most pool processes a sweep opens
 WORKER_LIMIT = 64
@@ -144,59 +143,91 @@ def has_inequality_violations(reports) -> bool:
 
 class _Side:
     """The min (``smaller``) or max side of a stream of values num/den with
-    positive denominators: the extreme, kept as an unreduced pair and
-    compared by cross-multiplication, and the graph6 codes of the entries
-    that reach it, in stream order.  An empty side has value None and no
-    codes."""
+    positive denominators: its best values, best first, each an unreduced
+    [num, den, codes] list compared by cross-multiplication, whose codes
+    are the graph6 of the entries that reach it, in stream order.  The side
+    keeps the fewest values that hold ``keep`` entries, so every tie of the
+    last one stays.  ``value`` and ``codes`` are the extreme's; an empty side has
+    value None and no codes."""
 
-    __slots__ = ("smaller", "num", "den", "codes")
+    __slots__ = ("smaller", "keep", "values")
 
-    def __init__(self, smaller: bool):
-        self.smaller = smaller
-        self.num = self.den = None
-        self.codes: list[str] = []
+    def __init__(self, smaller: bool, keep: int = 1):
+        self.smaller, self.keep = smaller, keep
+        self.values: list[list] = []
 
     @property
     def value(self) -> Fraction | None:
-        return None if self.den is None else Fraction(self.num, self.den)
+        return Fraction(*self.values[0][:2]) if self.values else None
+
+    @property
+    def codes(self) -> list[str]:
+        return self.values[0][2] if self.values else []
 
     def _keeps(self, lhs, rhs):
         """Whether lhs ties or beats rhs on this side, elementwise on arrays."""
         return lhs <= rhs if self.smaller else lhs >= rhs
 
+    def _full(self) -> bool:
+        return sum(len(codes) for *_, codes in self.values) >= self.keep
+
     def offer(self, num, den, codes) -> None:
-        """Take entries of value num/den with these codes: they join a side
-        they tie and replace a side they beat."""
-        if self.den is not None and num * self.den == self.num * den:
-            self.codes.extend(codes)
-        elif self.den is None or self._keeps(num * self.den, self.num * den):
-            self.num, self.den, self.codes = num, den, list(codes)
+        """Take entries of value num/den with these codes: they join a value
+        they tie and enter before the values they beat, and the values
+        past the first ``keep`` entries are dropped."""
+        values, at = self.values, 0
+        while at < len(values) and not self._keeps(num * values[at][1], values[at][0] * den):
+            at += 1
+        if at < len(values) and num * values[at][1] == values[at][0] * den:
+            values[at][2].extend(codes)
+            return
+        values.insert(at, [num, den, list(codes)])
+        held = 0
+        for k, (*_, kept) in enumerate(values):
+            held += len(kept)
+            if held >= self.keep:
+                del values[k + 1:]
+                return
 
     def fold(self, num, den, code) -> None:
         """Take one block of int64 values num/den, where ``code(i)`` is the
         graph6 of entry i.
 
-        The block's entries that tie or beat the side meet in an exact
-        tournament of cross-multiplications; every entry tied with its
-        winner then joins or replaces the side, so only those are encoded."""
-        contenders = (np.arange(len(num)) if self.den is None else
-                      np.flatnonzero(self._keeps(num * self.den, self.num * den)))
-        if not contenders.size:
-            return
-        alive = contenders
-        while alive.size > 1:
-            half = alive.size // 2
-            a, b = alive[:half], alive[half:2 * half]
-            winners = np.where(self._keeps(num[a] * den[b], num[b] * den[a]), a, b)
-            alive = np.concatenate((winners, alive[2 * half:]))
-        best_num, best_den = int(num[alive[0]]), int(den[alive[0]])
-        tied = contenders[num[contenders] * best_den == best_num * den[contenders]]
-        self.offer(best_num, best_den, [code(i) for i in tied])
+        Each round drops the entries that the last kept value beats, once
+        the side is full; the rest meet in an exact tournament of
+        cross-multiplications, and the entries tied with its winner are
+        offered together.  So only entries that reach the side are encoded,
+        each value's codes arrive in stream order, and the side does not
+        depend on where blocks start."""
+        contenders = np.arange(len(num))
+        while contenders.size:
+            if self._full():
+                last_num, last_den, _ = self.values[-1]
+                contenders = contenders[self._keeps(num[contenders] * last_den,
+                                                    last_num * den[contenders])]
+                if not contenders.size:
+                    return
+            alive = contenders
+            while alive.size > 1:
+                half = alive.size // 2
+                a, b = alive[:half], alive[half:2 * half]
+                winners = np.where(self._keeps(num[a] * den[b], num[b] * den[a]), a, b)
+                alive = np.concatenate((winners, alive[2 * half:]))
+            best_num, best_den = int(num[alive[0]]), int(den[alive[0]])
+            tied = num[contenders] * best_den == best_num * den[contenders]
+            self.offer(best_num, best_den, [code(i) for i in contenders[tied]])
+            contenders = contenders[~tied]
 
     def merge(self, other: _Side) -> None:
         """Join the side of a later stretch of the same stream."""
-        if other.den is not None:
-            self.offer(other.num, other.den, other.codes)
+        for num, den, codes in other.values:
+            self.offer(num, den, codes)
+
+    def ranked(self) -> list[tuple[str, Fraction]]:
+        """The first ``keep`` (graph6, value) pairs, best first, ties in
+        graph6 order."""
+        return [(g6, Fraction(num, den)) for num, den, codes in self.values
+                for g6 in sorted(codes)][:self.keep]
 
 
 def _extremes(entries=()):
@@ -294,26 +325,6 @@ def scan_graphs(
 
 # -- tree sweeps ---------------------------------------------------------------
 
-class _Block:
-    """One block of trees scored by the batched tree DP: the (b, n) int8
-    levels, their parent array and the DP's four value arrays."""
-
-    def __init__(self, levels):
-        self.levels = levels
-        self.parent = level_parents(levels)
-        self.values = tree_scalars_batch(self.parent)
-
-    def code(self, i) -> str:
-        return to_graph6(levels_to_graph(self.levels[i].tolist()))
-
-    def pair(self, objective: str):
-        """The objective of every tree as unreduced (numerator, denominator)
-        int64 arrays.  Sweeps start at order 2, where every tree has an
-        edge, so both denominators are positive."""
-        sig0, _, sig1, tot1 = self.values
-        return (tot1, sig1) if objective == "av1" else (sig1, sig0)
-
-
 def _spot_check(levels, row) -> None:
     """Compare one tree's batched DP row (sigma0, S0, sigma1, S1), the
     engine and the subset oracle."""
@@ -364,56 +375,22 @@ def _spot_sample(n: int, rate: float) -> _SpotSample:
     return _SpotSample(total, min(total, max(1, int(rate * total))), SPOT_CHECK_SEED)
 
 
-def _top_floor(top, top_k):
-    """(numerator, denominator) of the top list's last value once it holds
-    top_k entries, else None."""
-    if len(top) < top_k:
-        return None
-    last = -top[-1][0]
-    return last.numerator, last.denominator
-
-
-def _fold_top(top, top_k, num, den, code) -> None:
-    """Offer one block's entries, in stream order, to the top-k list of
-    (-value, graph6) pairs.
-
-    The list first takes entries as they come until it holds top_k.  From
-    then on an entry can enter only if its value ties or beats the list's
-    last one: a vectorized prefilter of the block's remaining entries
-    against the last value at that point drops the rest, and each survivor
-    is checked again against the list as it stands.  Ties pass both checks,
-    so the list does not depend on where blocks start."""
-    filled = min(top_k - len(top), len(num))
-    for i in range(filled):
-        insort(top, (-Fraction(int(num[i]), int(den[i])), code(i)))
-    floor = _top_floor(top, top_k)
-    if floor is None:
-        return
-    for i in np.flatnonzero(num[filled:] * floor[1] >= floor[0] * den[filled:]) + filled:
-        n_i, d_i = int(num[i]), int(den[i])
-        if n_i * floor[1] >= floor[0] * d_i:
-            insort(top, (-Fraction(n_i, d_i), code(i)))
-            del top[top_k:]
-            floor = _top_floor(top, top_k)
-
-
 class _Sweep:
     """What a sweep found over consecutive trees of one order's stream: the
-    min and max sides, the top list of (-value, graph6) pairs, the tree
-    count, how many trees were spot-checked, and, when the caps are
-    checked, the trees over the tree cap or off its claimed equality and
-    those over the internal-degree cap, as Violation lists in stream order.
-    ``merge`` joins the sweep of the next stretch of the stream."""
+    min side, the max side keeping the top_k best entries (at least one),
+    the tree count, how many trees were spot-checked, and, when the caps
+    are checked, the trees over the tree cap or off its claimed equality
+    and those over the internal-degree cap, as Violation lists in stream
+    order.  ``merge`` joins the sweep of the next stretch of the stream."""
 
-    def __init__(self):
-        self.lo, self.hi = _extremes()
-        self.top, self.cap_violations, self.internal_violations = [], [], []
+    def __init__(self, top_k: int):
+        self.lo, self.hi = _Side(smaller=True), _Side(smaller=False, keep=max(top_k, 1))
+        self.cap_violations, self.internal_violations = [], []
         self.count = self.checked = 0
 
     def merge(self, part: _Sweep) -> None:
         self.lo.merge(part.lo)
         self.hi.merge(part.hi)
-        self.top += part.top
         self.cap_violations += part.cap_violations
         self.internal_violations += part.internal_violations
         self.count += part.count
@@ -430,34 +407,40 @@ def _sweep_shard(payload):
 
     The blocks are read and scored one at a time.
     Values stay unreduced int64 pairs compared by cross-multiplication;
-    the graph6 code and the Fraction are built only for a tree that ties
-    or beats a side, passes the top list's prefilter or breaks a cap, so
-    witness lists and tie order are those of an eager fold."""
+    the graph6 code and the Fraction are built only for a tree that
+    reaches a side or breaks a cap, so witness lists and tie order are
+    those of an eager fold."""
     n, objective, top_k, spots, caps, first, blocks = payload
     cap = 4 + max(n - 3, 0)  # twice the tree cap 2 + max(n-3, 0)/2
     cap_text = format_rational(Fraction(cap, 2))
     claimed_equality = n in (2, 3, 4)  # stated for the paths of these orders
-    found = _Sweep()
+    found = _Sweep(top_k)
     for levels in blocks:
-        block = _Block(levels)
+        parent = level_parents(levels)
+        values = tree_scalars_batch(parent)
+
+        def code(i):
+            return to_graph6(levels_to_graph(levels[i].tolist()))
+
         picks = spots.picks(np.arange(first + found.count, first + found.count + len(levels)))
         for i in picks:
-            _spot_check(levels[i].tolist(), tuple(int(v[i]) for v in block.values))
+            _spot_check(levels[i].tolist(), tuple(int(v[i]) for v in values))
         found.checked += len(picks)
-        num, den = block.pair(objective)
-        found.lo.fold(num, den, block.code)
-        found.hi.fold(num, den, block.code)
-        if top_k:
-            _fold_top(found.top, top_k, num, den, block.code)
+        # sweeps start at order 2, where every tree has an edge, so both
+        # denominators are positive
+        sig0, _, sig1, tot1 = values
+        num, den = (tot1, sig1) if objective == "av1" else (sig1, sig0)
+        found.lo.fold(num, den, code)
+        found.hi.fold(num, den, code)
         found.count += len(num)
         if not caps:
             continue
-        max_degree, internal = _block_degrees(block.parent)
+        max_degree, internal = _block_degrees(parent)
         over_cap = 2 * num > cap * den
         off_equality = claimed_equality & (max_degree <= 2) & (2 * num != cap * den)
         over_internal = (internal > 0) & (2 * num > (n - internal + 3) * den)
         for i in np.flatnonzero(over_cap | off_equality | over_internal):
-            g6 = block.code(i)
+            g6 = code(i)
             observed = format_rational(Fraction(int(num[i]), int(den[i])))
             if over_cap[i]:
                 found.cap_violations.append(Violation(
@@ -506,9 +489,10 @@ def _in_order(pool, tasks, limit):
 
 
 def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False):
-    """The _Sweep of the trees of each order, in a list, its top list cut
-    to the top_k best.  The spot-check rate and the worker count are
-    checked before the call's one process pool opens (none at one worker).
+    """The _Sweep of the trees of each order, in a list, its max side
+    keeping the top_k best entries.  The spot-check rate and the worker
+    count are checked before the call's one process pool opens (none at
+    one worker).
 
     At one worker an order is one task over its lazy stream.  At more, this
     process walks each order's stream once and hands it to the pool in runs
@@ -528,7 +512,7 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
     tasks = ((k, (n, objective, top_k, spots, caps, first, blocks))
              for k, (n, spots) in enumerate(zip(orders, samples))
              for first, blocks in (_runs(n) if workers > 1 else [(0, tree_blocks(n))]))
-    sweeps = [_Sweep() for _ in orders]
+    sweeps = [_Sweep(top_k) for _ in orders]
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         for k, part in _in_order(pool, tasks, 2 * workers):
             sweeps[k].merge(part)
@@ -536,7 +520,6 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
         if sweep.count != count_free_trees(n):
             raise RouteDisagreement(f"the order-{n} stream held {sweep.count} trees, but the "
                                     f"counting recurrence gives {count_free_trees(n)}")
-        sweep.top = sorted(sweep.top)[:top_k]
     return sweeps
 
 
@@ -618,7 +601,7 @@ def conjecture_scan(
                 max_witnesses=tuple(sorted(hi.codes)[:WITNESS_CAP]),
                 subdivided_star_value=r_value,
                 subdivided_star_is_unique_max=unique,
-                top=tuple((g6, -negv) for negv, g6 in sweep.top),
+                top=tuple(hi.ranked()[:top_k]),
             )
         )
     return out

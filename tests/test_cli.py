@@ -104,6 +104,23 @@ def test_compute_batch_reads_line_by_line(capsys, monkeypatch, tmp_path):
     assert events == ["read", "compute"] * 3
 
 
+@pytest.mark.parametrize("source", ["--graph6", "--batch"])
+def test_compute_cross_checks_level_zero(capsys, monkeypatch, tmp_path, source):
+    # the whole graph's level-0 scalars one set over, every other mask exact
+    scalars0 = engine_module.Engine.scalars0
+
+    def one_over(self, mask=None):
+        sig, tot = scalars0(self, mask)
+        return (sig + 1 if mask is None else sig), tot
+
+    monkeypatch.setattr(engine_module.Engine, "scalars0", one_over)
+    batch = tmp_path / "batch.g6"
+    batch.write_text("Ch\n")
+    code, _, err = run_cli(capsys, "compute", source, "Ch" if source == "--graph6" else str(batch))
+    assert code == 1
+    assert err.startswith("internal disagreement: internal routes disagree on Ch: ")
+
+
 def test_compute_work_guard_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(engine_module, "MAX_ENGINE_MASKS", 4)
     code, out, err = run_cli(capsys, "compute", "--graph6", "IheA@GUAo")

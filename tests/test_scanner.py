@@ -30,6 +30,7 @@ from nisets.scanner import (
     OBJECTIVES,
     WITNESS_CAP,
     RouteDisagreement,
+    _Side,
     _block_degrees,
     _extremes,
     _graph_claim_reports,
@@ -294,7 +295,7 @@ class TestLazyTreeFold:
                 for side, key in ((found.lo, "min"), (found.hi, "max")):
                     assert (side.value, sorted(side.codes)) == want[key], block
                     assert len(side.codes) >= 2
-                assert [(g6, -negv) for negv, g6 in found.top] == want["top"], block
+                assert found.hi.ranked()[:top_k] == want["top"], block
 
     def test_conjecture_scan_deterministic_across_workers(self):
         one = conjecture_scan(range(9, 13), workers=1, spot_check_rate=0.05)
@@ -335,8 +336,17 @@ def tied_stream(length=60):
     return np.array(num, dtype=np.int64), np.array(den, dtype=np.int64), codes
 
 
-def folded(num, den, codes, block):
-    lo, hi = _extremes()
+# entries a side keeps: at keep 40 the max side of tied_stream() holds three
+# values and ranked() cuts among the ties of the last
+KEEPS = (1, 2, 5, 40)
+
+
+def sides(keep):
+    return _Side(smaller=True, keep=keep), _Side(smaller=False, keep=keep)
+
+
+def folded(num, den, codes, block, keep=1):
+    lo, hi = sides(keep)
     for start in range(0, len(num), block):
         stop = start + block
         for side in (lo, hi):
@@ -357,25 +367,31 @@ class TestSide:
         num, den, codes = tied_stream()
         values = [Fraction(int(a), int(b)) for a, b in zip(num, den)]
         offered = _extremes((int(a), int(b), c) for a, b, c in zip(num, den, codes))
-        for side, by_offer, extreme in zip(folded(num, den, codes, block), offered, (min, max)):
-            want = extreme(values)
-            stream_order = [c for v, c in zip(values, codes) if v == want]
-            assert len(stream_order) >= 10
-            assert (side.value, side.codes) == (want, stream_order)
-            assert (by_offer.value, by_offer.codes) == (want, stream_order)
+        for keep in KEEPS:
+            for side, by_offer, extreme, sign in zip(folded(num, den, codes, block, keep),
+                                                     offered, (min, max), (1, -1)):
+                want = extreme(values)
+                stream_order = [c for v, c in zip(values, codes) if v == want]
+                assert len(stream_order) >= 10
+                assert (side.value, side.codes) == (want, stream_order)
+                assert (by_offer.value, by_offer.codes) == (want, stream_order)
+                eager = sorted((sign * v, c) for v, c in zip(values, codes))[:keep]
+                assert side.ranked() == [(c, sign * v) for v, c in eager], keep
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     def test_ranges_merge_to_one_fold_in_stream_order(self, parts):
         num, den, codes = tied_stream()
-        whole = folded(num, den, codes, 7)
-        merged = _extremes()
-        bounds = [len(num) * k // parts for k in range(parts + 1)]
-        for start, stop in zip(bounds, bounds[1:]):
-            part = folded(num[start:stop], den[start:stop], codes[start:stop], 7)
-            for side, part_side in zip(merged, part):
-                side.merge(part_side)
-        for side, one in zip(merged, whole):
-            assert (side.value, side.codes) == (one.value, one.codes)
+        for keep in KEEPS:
+            whole = folded(num, den, codes, 7, keep)
+            merged = sides(keep)
+            bounds = [len(num) * k // parts for k in range(parts + 1)]
+            for start, stop in zip(bounds, bounds[1:]):
+                part = folded(num[start:stop], den[start:stop], codes[start:stop], 7, keep)
+                for side, part_side in zip(merged, part):
+                    side.merge(part_side)
+            for side, one in zip(merged, whole):
+                assert ((side.value, side.codes, side.ranked())
+                        == (one.value, one.codes, one.ranked())), keep
 
     @pytest.mark.parametrize("shards", [1, 2, 3])
     def test_stride_shards_merge_to_one_fold(self, shards):
