@@ -1,10 +1,12 @@
 """Exact counting of vertex subsets inducing zero or one edge.
 
 Counts are carried either as generating polynomials in the subset size
-(coefficient k = number of qualifying subsets of cardinality k) or as the
-scalar pair (count, size-sum).  Both are computed by memoized recursion on
-vertex masks over an immutable root graph, along two structurally different
-decompositions whose agreement is cross-checked by the test suite:
+(coefficient k = number of qualifying subsets of cardinality k), packed
+into one Python integer inside ``Engine`` and returned as coefficient
+tuples, or as the scalar pair (count, size-sum).  Both are computed by
+memoized recursion on vertex masks over an immutable root graph, along two
+structurally different decompositions whose agreement is cross-checked by
+the test suite:
 
 * removing a pivot vertex, its closed neighbourhood, or the pivot together
   with one neighbour and both neighbourhoods;
@@ -19,7 +21,8 @@ every tree sweep uses it, the tree claims' included, and a sweep's spot
 checks compare its rows with ``Engine`` and the subset oracle.
 
 All arithmetic is exact: Python integers for counts (int64 in the batched
-tree DP, where the order bound rules out overflow), fractions for
+tree DP, where the order bound rules out overflow; (n+1)-bit slots in a
+packed polynomial, where no coefficient exceeds 2^n), fractions for
 averages.  The average of an empty family is 0 by convention, with the
 zero count kept visible so callers can distinguish the two situations.
 """
@@ -34,33 +37,6 @@ import numpy as np
 from .graphs import Graph, components_of
 
 Poly = tuple  # coefficient tuple, no trailing zeros; () is the zero polynomial
-
-_ZERO: Poly = ()
-_ONE: Poly = (1,)
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, c in enumerate(b):
-        out[k] += c
-    return tuple(out)
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return _ZERO
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return tuple(out)
-
-
-def poly_shift(a: Poly, k: int) -> Poly:
-    return ((0,) * k + a) if a else _ZERO
 
 
 @dataclass(frozen=True)
@@ -115,8 +91,9 @@ class WorkLimitExceeded(ValueError):
 
 
 # Most vertex subsets one Engine decomposes before it refuses to go on.  At
-# about 520 bytes per subset across all memos this keeps an engine near
-# 270 MB; the compute-batch benchmark's largest graph needs about 10^4.
+# about 440 bytes per subset across all memos this keeps an engine near
+# 230 MB; the compute-batch benchmark's largest graph needs about 10^4
+# (10,341 at seed 1).
 MAX_ENGINE_MASKS = 1 << 19
 
 
@@ -129,24 +106,36 @@ class Engine:
     its own value memo; entries are deterministic, so the caches can be
     rebuilt or merged freely.  An engine decomposes at most
     ``MAX_ENGINE_MASKS`` masks and raises ``WorkLimitExceeded`` past that.
+
+    The polynomial memos hold each polynomial packed into one integer:
+    coefficient k sits in bits [k·w, (k+1)·w) with w = n + 1, so ``+`` adds,
+    ``*`` multiplies and ``<< w`` multiplies by x.  Every coefficient any
+    route forms, partial sums and products included, counts distinct
+    k-subsets of the root graph's vertices, so it is at most C(n, k) <= 2^n
+    and a slot never carries into the next.  ``i0``, ``i1`` and ``i1_by_edges`` unpack their
+    result into a coefficient tuple.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self._adj = graph.adj
         self._full = graph.universe
+        self._w = w = graph.n + 1
         self._dec: dict[int, tuple[int, list[int], int]] = {}
-        self._p0: dict[int, Poly] = {0: _ONE}
-        self._p1: dict[int, Poly] = {0: _ZERO}
+        self._p0: dict[int, int] = {0: 1}
+        self._p1: dict[int, int] = {0: 0}
         self._sc0: dict[int, tuple[int, int]] = {0: (1, 0)}
         self._sc1: dict[int, tuple[int, int]] = {0: (0, 0)}
-        # rows of Pascal's triangle: (1 + x)^k, the independent-set
-        # polynomial of k isolated vertices
-        row = (1,)
-        self._binomial = [row]
-        for _ in range(graph.n):
-            row = (1, *(row[i] + row[i + 1] for i in range(len(row) - 1)), 1)
-            self._binomial.append(row)
+        # (1 + x)^k packed, the independent-set polynomial of k isolated vertices
+        self._binomial = [(1 + (1 << w)) ** k for k in range(graph.n + 1)]
+
+    def _unpack(self, packed: int) -> Poly:
+        low = (1 << self._w) - 1
+        out = []
+        while packed:
+            out.append(packed & low)
+            packed >>= self._w
+        return tuple(out)
 
     # -- mask decomposition --------------------------------------------------
 
@@ -154,44 +143,69 @@ class Engine:
         """(count of isolated vertices, component masks of the rest, pivot).
 
         The pivot is the vertex of maximum degree inside ``mask``, lowest
-        index on ties (-1 for the empty mask).  One pass over the bits
-        finds the degrees; a walk over the non-isolated rest finds the
-        components.
+        index on ties (-1 for the empty mask).  One walk finds the
+        components, the isolated vertices being the one-vertex ones, and one
+        pass over each other component's bits finds its degrees and its
+        pivot; the best of those pivots is the mask's.  A component's
+        degrees inside ``mask`` are its degrees inside itself, so when
+        ``mask`` falls apart, each component not yet memoized is stored with
+        its own decomposition, ``(0, [component], its pivot)``, and is never
+        walked itself.
         """
-        got = self._dec.get(mask)
+        dec = self._dec
+        got = dec.get(mask)
         if got is not None:
             return got
+        adj = self._adj
+        iso = 0
+        comps = []
+        pivots = []
+        pivot = -1
+        best = -1
+        for comp in components_of(adj, mask):
+            if not comp & (comp - 1):
+                iso += 1
+                if best < 0:
+                    best, pivot = 0, comp.bit_length() - 1
+                continue
+            top = -1
+            bits = comp
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                v = low.bit_length() - 1
+                d = (adj[v] & comp).bit_count()
+                if d > top:
+                    top = d
+                    at = v
+            if top > best or (top == best and at < pivot):
+                best, pivot = top, at
+            comps.append(comp)
+            pivots.append(at)
+        if iso or len(comps) != 1:
+            for comp, at in zip(comps, pivots):
+                if comp not in dec:
+                    self._store(comp, (0, [comp], at))
+        out = (iso, comps, pivot)
+        self._store(mask, out)
+        return out
+
+    def _store(self, mask: int, entry: tuple[int, list[int], int]) -> None:
+        """Memoize one decomposition, seeded ones included, unless the
+        engine already holds ``MAX_ENGINE_MASKS``."""
         if len(self._dec) >= MAX_ENGINE_MASKS:
             raise WorkLimitExceeded(
                 f"graph of order {self.graph.n} needs more than {MAX_ENGINE_MASKS} "
                 f"vertex-subset decompositions; refusing to continue"
             )
-        adj = self._adj
-        iso = 0
-        rest = mask
-        pivot = -1
-        best = -1
-        bits = mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            v = low.bit_length() - 1
-            d = (adj[v] & mask).bit_count()
-            if d > best:
-                best = d
-                pivot = v
-            if not d:
-                iso += 1
-                rest ^= low
-        out = (iso, components_of(adj, rest), pivot)
-        self._dec[mask] = out
-        return out
+        self._dec[mask] = entry
 
     # -- zero-edge (independent set) polynomials ----------------------------
 
     def i0(self, mask: int | None = None) -> Poly:
-        if mask is None:
-            mask = self._full
+        return self._unpack(self._i0(self._full if mask is None else mask))
+
+    def _i0(self, mask: int) -> int:
         memo = self._p0
         got = memo.get(mask)
         if got is not None:
@@ -200,21 +214,19 @@ class Engine:
         if iso or len(comps) != 1:
             out = self._binomial[iso]
             for c in comps:
-                out = poly_mul(out, self.i0(c))
+                out *= self._i0(c)
         else:
             closed = self._adj[v] | (1 << v)
-            out = poly_add(
-                self.i0(mask & ~(1 << v)),
-                poly_shift(self.i0(mask & ~closed), 1),
-            )
+            out = self._i0(mask & ~(1 << v)) + (self._i0(mask & ~closed) << self._w)
         memo[mask] = out
         return out
 
     # -- one-edge polynomials, pivot-vertex route ----------------------------
 
     def i1(self, mask: int | None = None) -> Poly:
-        if mask is None:
-            mask = self._full
+        return self._unpack(self._i1(self._full if mask is None else mask))
+
+    def _i1(self, mask: int) -> int:
         memo = self._p1
         got = memo.get(mask)
         if got is not None:
@@ -223,25 +235,22 @@ class Engine:
         iso, comps, v = self._split(mask)
         if iso or len(comps) != 1:
             acc0 = self._binomial[iso]
-            acc1 = _ZERO
+            acc1 = 0
             for c in comps:
-                c0 = self.i0(c)
-                c1 = self.i1(c)
-                acc1 = poly_add(poly_mul(acc1, c0), poly_mul(acc0, c1))
-                acc0 = poly_mul(acc0, c0)
+                c0 = self._i0(c)
+                acc1 = acc1 * c0 + acc0 * self._i1(c)
+                acc0 *= c0
             out = acc1
         else:
             closed = adj[v] | (1 << v)
-            out = poly_add(
-                self.i1(mask & ~(1 << v)),
-                poly_shift(self.i1(mask & ~closed), 1),
-            )
+            out = self._i1(mask & ~(1 << v)) + (self._i1(mask & ~closed) << self._w)
+            pairs = 0
             nbrs = adj[v] & mask
             while nbrs:
                 low = nbrs & -nbrs
                 nbrs ^= low
-                residual = mask & ~(adj[v] | adj[low.bit_length() - 1])
-                out = poly_add(out, poly_shift(self.i0(residual), 2))
+                pairs += self._i0(mask & ~(adj[v] | adj[low.bit_length() - 1]))
+            out += pairs << 2 * self._w
         memo[mask] = out
         return out
 
@@ -251,7 +260,7 @@ class Engine:
         if mask is None:
             mask = self._full
         adj = self._adj
-        out = _ZERO
+        out = 0
         bits = mask
         while bits:
             low = bits & -bits
@@ -261,8 +270,8 @@ class Engine:
             while above:
                 high = above & -above
                 above ^= high
-                out = poly_add(out, self.i0(mask & ~(nu | adj[high.bit_length() - 1])))
-        return poly_shift(out, 2)
+                out += self._i0(mask & ~(nu | adj[high.bit_length() - 1]))
+        return self._unpack(out << 2 * self._w)
 
     # -- scalar route (independent of the polynomial arithmetic) -------------
 

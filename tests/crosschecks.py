@@ -1,5 +1,6 @@
 """Independent cross-checks that only the tests use: the polynomials of a
-disjoint union from its parts, vertex relabelling, a labelled-tree oracle
+disjoint union from its parts, in coefficient-tuple arithmetic rather than
+the engine's packed integers, vertex relabelling, a labelled-tree oracle
 that decodes every length-(n-2) vertex sequence, the known ratio table of
 small paths and cycles, and a plain loop over the subsets for one level of
 the subset oracle."""
@@ -7,12 +8,32 @@ the subset oracle."""
 from fractions import Fraction
 from itertools import product
 
-from nisets.engine import Engine, poly_add, poly_mul
+from nisets.engine import Engine
 from nisets.families import FamilySpec, build
 from nisets.graphs import Graph, iter_bits
 from nisets.trees import _centers, _rooted_key
 
 SEQUENCE_ORACLE_LIMIT = 10  # n^(n-2) labelled trees; keep well clear of that wall
+
+
+def poly_add(a, b) -> tuple[int, ...]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    return tuple(out)
+
+
+def poly_mul(a, b) -> tuple[int, ...]:
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return tuple(out)
 
 
 def union_combine(p1_zero, p1_one, p2_zero, p2_one) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -88,6 +89,41 @@ class TestPolynomials:
                     if type(p) is not tuple or any(c < 0 for c in p) or p[-1:] == (0,):
                         offenders.append((n, mask, route.__name__, p))
         assert checked == 3300 and offenders == []
+
+
+class TestPackedSlots:
+    """Closed forms at the edges of the universe, where a coefficient comes
+    closest to the slot width of the engine's packed polynomials."""
+
+    @staticmethod
+    def check(g, p0, p1):
+        eng = Engine(g)
+        assert eng.i0() == p0
+        assert eng.i1() == eng.i1_by_edges() == p1
+        assert eng.scalars0() == (sum(p0), sum(k * c for k, c in enumerate(p0)))
+        assert eng.scalars1() == (sum(p1), sum(k * c for k, c in enumerate(p1)))
+
+    def test_edgeless_64(self):
+        p0 = tuple(comb(64, k) for k in range(65))
+        assert max(p0) == comb(64, 32) > 1 << 60
+        self.check(build_graph(64, []), p0, ())
+
+    def test_perfect_matching_64(self):
+        # (1 + 2x)^32 and 32·x²·(1 + 2x)^31: one edge whole, every other
+        # edge empty or with one of its two ends
+        g = build_graph(64, [(2 * i, 2 * i + 1) for i in range(32)])
+        p0 = tuple(comb(32, k) << k for k in range(33))
+        p1 = (0, 0, *(32 * comb(31, k) << k for k in range(32)))
+        self.check(g, p0, p1)
+
+    def test_star_64(self):
+        # the leaves alone, or the centre alone, or the centre with one leaf
+        p0 = tuple(comb(63, k) + (k == 1) for k in range(64))
+        self.check(star(64), p0, (0, 0, 63))
+
+    def test_orders_zero_and_one(self):
+        self.check(build_graph(0, []), (1,), ())
+        self.check(build_graph(1, []), (1, 1), ())
 
 
 class TestSummaries:
@@ -294,14 +330,39 @@ class TestDecomposition:
         monkeypatch.setattr(engine_module, "components_of", counting_components)
         monkeypatch.setattr(Engine, "_split", logging_split)
         rng = random.Random(5)
+        seeded_in_all = 0
         for g in [complete(6), path(9), disjoint_union(star(5), build_graph(3, [])),
                   random_graph(rng, 12, 0.3), random_graph(rng, 13, 0.5)]:
             walked.clear()
             requested.clear()
             eng = Engine(g)
             run_all_routes(eng)
-            assert len(walked) == len(set(requested)) == len(eng._dec)
-            assert len(requested) > len(walked)
+            # a split mask stores its components unwalked
+            seeded = {c for m in walked for c in eng._dec[m][1]
+                      if eng._dec[m][0] or len(eng._dec[m][1]) > 1} - set(walked)
+            assert len(walked) == len(set(walked))
+            assert len(walked) + len(seeded) == len(eng._dec) == len(set(requested))
+            assert len(requested) > len(eng._dec)
+            seeded_in_all += len(seeded)
+        assert seeded_in_all
+
+    def test_seeded_entries_match_reference_on_every_class_through_order_6(self):
+        from nisets.scanner import labeled_graph_classes
+
+        for n in range(1, 7):
+            for g, _ in labeled_graph_classes(n):
+                eng = Engine(g)
+                run_all_routes(eng)
+                for mask, entry in eng._dec.items():
+                    assert entry == reference_split(g, mask)
+
+    @given(graphs(14))
+    @settings(max_examples=60, deadline=None)
+    def test_seeded_entries_match_reference_on_random_graphs(self, g):
+        eng = Engine(g)
+        run_all_routes(eng)
+        for mask, entry in eng._dec.items():
+            assert entry == reference_split(g, mask)
 
     def test_work_guard_caps_decomposed_masks(self, monkeypatch):
         g = random_graph(random.Random(3), 12, 0.35)
@@ -316,6 +377,18 @@ class TestDecomposition:
             run_all_routes(capped)
         assert isinstance(info.value, ValueError)
         assert len(capped._dec) == needed - 1
+
+    def test_work_guard_holds_at_every_cap(self, monkeypatch):
+        # seeded components count against the cap as walked masks do
+        g = disjoint_union(random_graph(random.Random(4), 7, 0.3), path(5))
+        eng = Engine(g)
+        run_all_routes(eng)
+        for cap in range(len(eng._dec)):
+            monkeypatch.setattr(engine_module, "MAX_ENGINE_MASKS", cap)
+            capped = Engine(g)
+            with pytest.raises(WorkLimitExceeded):
+                run_all_routes(capped)
+            assert len(capped._dec) == cap
 
 
 class TestKnownInequalities:
