@@ -89,12 +89,53 @@ def _emit(text: str, path: str | None) -> None:
         handle.write(text)
 
 
+_escape = json.encoder.encode_basestring_ascii  # the C escaper where json has one
+
+
+def _indented(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)``, for a value nested ``pad`` deep.
+
+    On an indent, ``json`` takes its pure-Python encoder; this builds the
+    same text from the C string escaper, ``int.__repr__`` and one join per
+    list of plain ints.  Other leaves (bool, None, float) go through
+    ``json.dumps``, which also raises the same ``TypeError`` on a value json
+    cannot write."""
+    if isinstance(value, str):
+        return _escape(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = (f"{_key(key)}: {_indented(item, inner)}" for key, item in value.items())
+        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(item) is int for item in value):
+            body = map(int.__repr__, value)
+        else:
+            body = (_indented(item, inner) for item in value)
+        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: a non-str key is quoted as its own
+    JSON text (bool and None included)."""
+    if isinstance(key, str):
+        return _escape(key)
+    if isinstance(key, (int, float)) or key is None:
+        return f'"{json.dumps(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _emit_json(payload, path: str | None) -> None:
-    """Write ``payload`` as indented JSON chunk by chunk, so the whole text
-    is never held in memory."""
+    """Write ``payload`` as indented JSON, the bytes of
+    ``json.dumps(payload, indent=2)`` and a newline."""
     with _output(path) as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        handle.write(_indented(payload) + "\n")
 
 
 def _emit_json_array(items, path: str | None) -> None:
@@ -103,9 +144,7 @@ def _emit_json_array(items, path: str | None) -> None:
     with _output(path) as handle:
         opening = "[\n  "
         for item in items:
-            # json.dumps escapes newlines inside strings, so every newline
-            # here is layout and takes the array's indent
-            handle.write(opening + json.dumps(item, indent=2).replace("\n", "\n  "))
+            handle.write(opening + _indented(item, "  "))
             opening = ",\n  "
         handle.write("[]\n" if opening == "[\n  " else "\n]\n")
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, components_of
+from .graphs import Graph
 
 Poly = tuple  # coefficient tuple, no trailing zeros; () is the zero polynomial
 
@@ -54,8 +54,9 @@ class NisSummary:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Lowest-terms display: bare integers stay bare, otherwise ``p/q``."""
-    value = Fraction(value)
+    """Lowest-terms display: bare integers stay bare, otherwise ``p/q``.
+    An int carries its own numerator and denominator, so nothing is
+    wrapped."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -143,14 +144,17 @@ class Engine:
         """(count of isolated vertices, component masks of the rest, pivot).
 
         The pivot is the vertex of maximum degree inside ``mask``, lowest
-        index on ties (-1 for the empty mask).  One walk finds the
-        components, the isolated vertices being the one-vertex ones, and one
-        pass over each other component's bits finds its degrees and its
-        pivot; the best of those pivots is the mask's.  A component's
-        degrees inside ``mask`` are its degrees inside itself, so when
-        ``mask`` falls apart, each component not yet memoized is stored with
-        its own decomposition, ``(0, [component], its pivot)``, and is never
-        walked itself.
+        index on ties (-1 for the empty mask).  One walk over ``mask``
+        visits each vertex once and takes its neighbours inside ``mask``:
+        they grow the component, their count is the vertex's degree, and a
+        vertex with none is isolated.  Components come out in order of their
+        lowest vertex, but a component's vertices are visited in walk order,
+        so its pivot (highest degree, then lowest index) is compared
+        explicitly; the best of the components' pivots is the mask's.  A
+        component's degrees inside ``mask`` are its degrees inside itself,
+        so when ``mask`` falls apart, each component not yet memoized is
+        stored with its own decomposition, ``(0, [component], its pivot)``,
+        and is never walked itself.
         """
         dec = self._dec
         got = dec.get(mask)
@@ -162,22 +166,34 @@ class Engine:
         pivots = []
         pivot = -1
         best = -1
-        for comp in components_of(adj, mask):
-            if not comp & (comp - 1):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            nbrs = adj[v] & mask
+            if not nbrs:
+                rest ^= low
                 iso += 1
                 if best < 0:
-                    best, pivot = 0, comp.bit_length() - 1
+                    best, pivot = 0, v
                 continue
-            top = -1
-            bits = comp
-            while bits:
-                low = bits & -bits
-                bits ^= low
+            # the component is what leaves ``rest`` while the walk runs
+            comp = rest
+            rest ^= low | nbrs
+            top, at = nbrs.bit_count(), v
+            todo = nbrs
+            while todo:
+                low = todo & -todo
+                todo ^= low
                 v = low.bit_length() - 1
-                d = (adj[v] & comp).bit_count()
-                if d > top:
-                    top = d
-                    at = v
+                nbrs = adj[v] & mask
+                d = nbrs.bit_count()
+                if d > top or (d == top and v < at):
+                    top, at = d, v
+                nbrs &= rest
+                todo |= nbrs
+                rest ^= nbrs
+            comp ^= rest
             if top > best or (top == best and at < pivot):
                 best, pivot = top, at
             comps.append(comp)

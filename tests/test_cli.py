@@ -7,9 +7,12 @@ import stat
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nisets import cli
 from nisets import engine as engine_module
@@ -166,8 +169,6 @@ def test_families_table(capsys):
     family, n, sigma1, s1, num, den = lines[1].split(",")
     assert (family, n) == ("R", "10")
     assert (sigma1, s1) == ("143", "741")
-    from fractions import Fraction
-
     assert Fraction(int(num), int(den)) == Fraction(741, 143)
 
 
@@ -622,6 +623,49 @@ def test_compute_batch_writes_each_record_as_computed(capsys, monkeypatch, tmp_p
     assert writes[0] == "" and json.loads(writes[1] + "]")[0]["av1"] == "12/5"
     assert json.loads(writes[1] + out) == json.loads(json.dumps(
         [record(from_graph6("Ch")), record(from_graph6("C~"))]))
+
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**70, 2**70),
+    st.floats(), st.sampled_from([-0.0, 1e300, 0.1, -1e-300]),
+    st.text(), st.text(st.characters(max_codepoint=0x20)),
+    st.sampled_from(["é", "日本", "\U0001f600", "a\nb"]),
+)
+_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.floats())
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.integers(), max_size=4),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_indented_writer_is_json_dumps(value):
+    assert cli._indented(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{(1, 2): 0}, {"a": [Fraction(1, 2)]}, [object()]])
+def test_indented_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        cli._indented(value)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_streamed_array_bytes_equal_whole_payload(tmp_path, count):
+    items = [{"n": 4, "note": "two\nlines", "i0": [1, 4, 3]}, [], {"nested": {"1": [True, None]}}]
+    streamed, whole = tmp_path / "streamed.json", tmp_path / "whole.json"
+    cli._emit_json_array(iter(items[:count]), str(streamed))
+    cli._emit_json(items[:count], str(whole))
+    assert streamed.read_bytes() == whole.read_bytes()
+    assert whole.read_text() == json.dumps(items[:count], indent=2) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -313,21 +313,26 @@ class TestDecomposition:
         for mask in [g.universe, *masks]:
             assert eng._split(mask) == reference_split(g, mask)
 
+    def test_pivot_tie_goes_to_lowest_index_not_first_visited(self):
+        # the walk from 0 reaches 5 (degree 3) before 2 (degree 3), via 5-3
+        g = build_graph(6, [(0, 5), (5, 3), (5, 4), (2, 1), (2, 3), (2, 4)])
+        assert Engine(g)._split(g.universe)[2] == 2
+        eng = Engine(g)
+        for mask in range(1 << g.n):
+            assert eng._split(mask) == reference_split(g, mask)
+
     def test_each_mask_decomposed_once_across_routes(self, monkeypatch):
         walked = []
         requested = []
-        original_walk = engine_module.components_of
         original_split = Engine._split
 
-        def counting_components(adj, mask):
-            walked.append(mask)
-            return original_walk(adj, mask)
-
         def logging_split(self, mask):
+            # a call on a mask not yet memoized is a walk
+            if mask not in self._dec:
+                walked.append(mask)
             requested.append(mask)
             return original_split(self, mask)
 
-        monkeypatch.setattr(engine_module, "components_of", counting_components)
         monkeypatch.setattr(Engine, "_split", logging_split)
         rng = random.Random(5)
         seeded_in_all = 0
