@@ -203,11 +203,15 @@ def _compute_record(graph: Graph) -> dict:
     def moments(p):
         return sum(p), sum(k * c for k, c in enumerate(p))
 
-    if p1 != p1_edges or (sig1, tot1) != moments(p1) or (sig0, tot0) != moments(p0):
+    edge_terms = eng.edge_terms() if graph.edge_count else []
+    # each one-edge subset is an edge uv plus an independent set of R_uv
+    by_terms = (sum(t.sigma0 for t in edge_terms), sum(2 * t.sigma0 + t.s0 for t in edge_terms))
+    if (p1 != p1_edges or (sig1, tot1) != moments(p1) or (sig0, tot0) != moments(p0)
+            or by_terms != (sig1, tot1)):
         raise RouteDisagreement(
             f"internal routes disagree on {to_graph6(graph)}: "
-            f"pivot {p1}, per-edge {p1_edges}, scalar ({sig1}, {tot1}); "
-            f"level 0 {p0}, scalar ({sig0}, {tot0})"
+            f"pivot {p1}, per-edge {p1_edges}, scalar ({sig1}, {tot1}), "
+            f"edge terms {by_terms}; level 0 {p0}, scalar ({sig0}, {tot0})"
         )
     av0 = Fraction(tot0, sig0) if sig0 else Fraction(0)
     av1 = Fraction(tot1, sig1) if sig1 else Fraction(0)
@@ -227,20 +231,16 @@ def _compute_record(graph: Graph) -> dict:
     }
     if sig1 == 0:
         record["note"] = "no 1-nearly independent sets"
-    terms = []
-    if graph.edge_count:
-        for term in eng.edge_terms():
-            terms.append({
-                "u": term.edge[0],
-                "v": term.edge[1],
-                "residual": list(iter_bits(term.residual_mask)),
-                "sigma0": term.sigma0,
-                "s0": term.s0,
-                "weight": format_rational(term.weight),
-                "av0": format_rational(term.av0),
-                "union_size": term.union_size,
-            })
-    record["edge_terms"] = terms
+    record["edge_terms"] = [{
+        "u": term.edge[0],
+        "v": term.edge[1],
+        "residual": list(iter_bits(term.residual_mask)),
+        "sigma0": term.sigma0,
+        "s0": term.s0,
+        "weight": format_rational(term.weight),
+        "av0": format_rational(term.av0),
+        "union_size": term.union_size,
+    } for term in edge_terms]
     return record
 
 

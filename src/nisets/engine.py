@@ -68,8 +68,9 @@ class EdgeTerm:
 
     ``residual_mask`` is the vertex set remaining after deleting both
     endpoints' neighbourhoods (endpoints included); sigma0/s0 count the
-    independent sets of that residual graph and their total size.  The
-    weights over all edges of a graph sum to 1.
+    independent sets of that residual graph and their total size, read off
+    its independent-set polynomial as I(1) and I'(1).  The weights over all
+    edges of a graph sum to 1.
     """
 
     edge: tuple[int, int]
@@ -94,7 +95,7 @@ class WorkLimitExceeded(ValueError):
 # Most vertex subsets one Engine decomposes before it refuses to go on.  At
 # about 440 bytes per subset across all memos this keeps an engine near
 # 230 MB; the compute-batch benchmark's largest graph needs about 10^4
-# (10,341 at seed 1).
+# (8,079 at seed 1).
 MAX_ENGINE_MASKS = 1 << 19
 
 
@@ -103,9 +104,11 @@ class Engine:
 
     Every route asks ``_split`` for the structure of a vertex mask
     (isolated vertices, components of the rest, pivot), and that
-    decomposition is memoized once per engine and shared.  Each route keeps
-    its own value memo; entries are deterministic, so the caches can be
-    rebuilt or merged freely.  An engine decomposes at most
+    decomposition is memoized once per engine and shared.  Pivots follow
+    one static order, highest root degree first, lowest index on ties,
+    kept as one rank per vertex.  Each route keeps its own value memo;
+    entries are deterministic, so the caches can be rebuilt or merged
+    freely.  An engine decomposes at most
     ``MAX_ENGINE_MASKS`` masks and raises ``WorkLimitExceeded`` past that.
 
     The polynomial memos hold each polynomial packed into one integer:
@@ -122,6 +125,8 @@ class Engine:
         self._adj = graph.adj
         self._full = graph.universe
         self._w = w = graph.n + 1
+        # pivot order: higher root degree first, then lower index
+        self._rank = [graph.degree(v) * w + graph.n - v for v in range(graph.n)]
         self._dec: dict[int, tuple[int, list[int], int]] = {}
         self._p0: dict[int, int] = {0: 1}
         self._p1: dict[int, int] = {0: 0}
@@ -143,24 +148,25 @@ class Engine:
     def _split(self, mask: int) -> tuple[int, list[int], int]:
         """(count of isolated vertices, component masks of the rest, pivot).
 
-        The pivot is the vertex of maximum degree inside ``mask``, lowest
-        index on ties (-1 for the empty mask).  One walk over ``mask``
-        visits each vertex once and takes its neighbours inside ``mask``:
-        they grow the component, their count is the vertex's degree, and a
-        vertex with none is isolated.  Components come out in order of their
-        lowest vertex, but a component's vertices are visited in walk order,
-        so its pivot (highest degree, then lowest index) is compared
-        explicitly; the best of the components' pivots is the mask's.  A
-        component's degrees inside ``mask`` are its degrees inside itself,
-        so when ``mask`` falls apart, each component not yet memoized is
-        stored with its own decomposition, ``(0, [component], its pivot)``,
-        and is never walked itself.
+        The pivot is the vertex of ``mask`` of highest degree in the root
+        graph, lowest index on ties (-1 for the empty mask), read off the
+        static ``_rank``.  Any vertex of a connected mask gives the same
+        polynomial; this one only keeps the number of masks down.  One walk
+        over ``mask`` takes each vertex's neighbours inside ``mask`` that it
+        has not reached yet: they grow the component, and a vertex with no
+        neighbour inside ``mask`` is isolated.  Components come out in order
+        of their lowest vertex, each with its pivot; the best of those, and
+        of the isolated vertices, is the mask's.  The rank does not depend on
+        the mask, so when ``mask`` falls apart, each component not yet
+        memoized is stored with its own decomposition,
+        ``(0, [component], its pivot)``, and is never walked itself.
         """
         dec = self._dec
         got = dec.get(mask)
         if got is not None:
             return got
         adj = self._adj
+        rank = self._rank
         iso = 0
         comps = []
         pivots = []
@@ -174,27 +180,25 @@ class Engine:
             if not nbrs:
                 rest ^= low
                 iso += 1
-                if best < 0:
-                    best, pivot = 0, v
+                if rank[v] > best:
+                    best, pivot = rank[v], v
                 continue
             # the component is what leaves ``rest`` while the walk runs
             comp = rest
             rest ^= low | nbrs
-            top, at = nbrs.bit_count(), v
+            top, at = rank[v], v
             todo = nbrs
             while todo:
                 low = todo & -todo
                 todo ^= low
                 v = low.bit_length() - 1
-                nbrs = adj[v] & mask
-                d = nbrs.bit_count()
-                if d > top or (d == top and v < at):
-                    top, at = d, v
-                nbrs &= rest
+                if rank[v] > top:
+                    top, at = rank[v], v
+                nbrs = adj[v] & rest
                 todo |= nbrs
                 rest ^= nbrs
             comp ^= rest
-            if top > best or (top == best and at < pivot):
+            if top > best:
                 best, pivot = top, at
             comps.append(comp)
             pivots.append(at)
@@ -357,6 +361,9 @@ class Engine:
     # -- per-edge statistics --------------------------------------------------
 
     def edge_terms(self) -> list[EdgeTerm]:
+        """One ``EdgeTerm`` per edge uv, in ``Graph.edges`` order.  Each
+        residual's (sigma0, s0) are the moments of its independent-set
+        polynomial, which ``i1_by_edges`` memoizes for the same masks."""
         g = self.graph
         edges = g.edges()
         if not edges:
@@ -366,7 +373,8 @@ class Engine:
         for u, v in edges:
             union = adj[u] | adj[v]
             residual = self._full & ~union
-            rs, rt = self.scalars0(residual)
+            p = self.i0(residual)
+            rs, rt = sum(p), sum(k * c for k, c in enumerate(p))
             raw.append((u, v, residual, rs, rt, union.bit_count()))
         denom = sum(rs for *_, rs, _rt, _l in raw)
         terms = []

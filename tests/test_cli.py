@@ -1,5 +1,6 @@
 """Command-line interface: outputs, round trips, exit codes, config."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -117,6 +118,24 @@ def test_compute_cross_checks_level_zero(capsys, monkeypatch, tmp_path, source):
         return (sig + 1 if mask is None else sig), tot
 
     monkeypatch.setattr(engine_module.Engine, "scalars0", one_over)
+    batch = tmp_path / "batch.g6"
+    batch.write_text("Ch\n")
+    code, _, err = run_cli(capsys, "compute", source, "Ch" if source == "--graph6" else str(batch))
+    assert code == 1
+    assert err.startswith("internal disagreement: internal routes disagree on Ch: ")
+
+
+@pytest.mark.parametrize("field", ["sigma0", "s0"])
+@pytest.mark.parametrize("source", ["--graph6", "--batch"])
+def test_compute_cross_checks_edge_terms(capsys, monkeypatch, tmp_path, source, field):
+    # one edge term's residual count one over, every route exact
+    edge_terms = engine_module.Engine.edge_terms
+
+    def one_over(self):
+        first, *rest = edge_terms(self)
+        return [dataclasses.replace(first, **{field: getattr(first, field) + 1}), *rest]
+
+    monkeypatch.setattr(engine_module.Engine, "edge_terms", one_over)
     batch = tmp_path / "batch.g6"
     batch.write_text("Ch\n")
     code, _, err = run_cli(capsys, "compute", source, "Ch" if source == "--graph6" else str(batch))

@@ -244,6 +244,16 @@ class TestEdgeStatistics:
         with pytest.raises(ValueError, match="edgeless"):
             Engine(build_graph(3, [])).edge_terms()
 
+    @given(graphs(14))
+    @settings(max_examples=60, deadline=None)
+    def test_residual_counts_match_the_scalar_route(self, g):
+        # the terms read the residual's polynomial; the scalar route is separate
+        if not g.edge_count:
+            return
+        eng = Engine(g)
+        for t in eng.edge_terms():
+            assert (t.sigma0, t.s0) == eng.scalars0(t.residual_mask)
+
 
 class TestRouteAgreement:
     def test_exhaustive_small_orders(self):
@@ -281,7 +291,7 @@ def reference_split(g, mask):
     comps = components_of(g.adj, mask)
     iso = sum(1 for c in comps if not c & (c - 1))
     inside = [v for v in range(g.n) if mask >> v & 1]
-    pivot = max(inside, key=lambda v: ((g.adj[v] & mask).bit_count(), -v), default=-1)
+    pivot = max(inside, key=lambda v: (g.adj[v].bit_count(), -v), default=-1)
     return iso, [c for c in comps if c & (c - 1)], pivot
 
 
@@ -314,12 +324,27 @@ class TestDecomposition:
             assert eng._split(mask) == reference_split(g, mask)
 
     def test_pivot_tie_goes_to_lowest_index_not_first_visited(self):
-        # the walk from 0 reaches 5 (degree 3) before 2 (degree 3), via 5-3
-        g = build_graph(6, [(0, 5), (5, 3), (5, 4), (2, 1), (2, 3), (2, 4)])
+        # the walk from 0 reaches 5 (root degree 5) before 2 (root degree 5),
+        # via 5-3; inside {0..5}, 3 has the most neighbours (4) but root
+        # degree 4, and 2 and 5 keep 3 of their 5 neighbours outside it
+        g = build_graph(9, [(0, 5), (5, 3), (3, 2), (3, 1), (3, 4), (2, 1),
+                            *((u, w) for u in (2, 5) for w in (6, 7, 8))])
+        inside = 0b111111
+        assert (g.adj[3] & inside).bit_count() > (g.adj[2] & inside).bit_count()
+        assert Engine(g)._split(inside) == (0, [inside], 2)
         assert Engine(g)._split(g.universe)[2] == 2
         eng = Engine(g)
         for mask in range(1 << g.n):
             assert eng._split(mask) == reference_split(g, mask)
+
+    @pytest.mark.parametrize("seed, n, p, masks", [(11, 20, 0.3, 413), (12, 22, 0.25, 482),
+                                                   (13, 24, 0.2, 509)])
+    def test_decomposed_masks_pinned(self, seed, n, p, masks):
+        # the work all routes take on a fixed graph; a pivot rule that
+        # builds more masks fails here rather than only running slower
+        eng = Engine(random_graph(random.Random(seed), n, p))
+        run_all_routes(eng)
+        assert len(eng._dec) == masks
 
     def test_each_mask_decomposed_once_across_routes(self, monkeypatch):
         walked = []
