@@ -23,7 +23,6 @@ from .graphs import (
     Graph,
     StructuralSummary,
     build_graph,
-    canonical_code,
     disjoint_union,
     is_good_graph,
     structural_predicates,
@@ -57,7 +56,7 @@ __all__ = [
     "WorkLimitExceeded",
     "FamilySpec", "build", "closed_form_summary",
     "FormatError", "from_graph6", "parse_edge_list", "to_graph6",
-    "Graph", "StructuralSummary", "build_graph", "canonical_code",
+    "Graph", "StructuralSummary", "build_graph",
     "disjoint_union",
     "is_good_graph", "structural_predicates",
     "OracleProfile", "oracle_profile", "oracle_summary",

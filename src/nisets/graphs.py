@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 MAX_VERTICES = 64
-CANONICAL_ORDER_LIMIT = 10
 
 
 def iter_bits(mask: int):
@@ -161,87 +160,6 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
         raise ValueError(f"disjoint union of order {n} exceeds the {MAX_VERTICES}-vertex universe")
     adj = list(g1.adj) + [nb << g1.n for nb in g2.adj]
     return Graph(n, tuple(adj))
-
-
-def _twin_of_any(g: Graph, w: int, tried: list[int]) -> bool:
-    # u and w are interchangeable whenever their neighbourhoods agree away
-    # from the pair itself; swapping them is then an automorphism.
-    aw = g.adj[w]
-    for u in tried:
-        au = g.adj[u]
-        if au == aw or (au ^ aw) == (1 << u) | (1 << w):
-            return True
-    return False
-
-
-def canonical_code(g: Graph) -> bytes:
-    """Order-invariant encoding: equal codes exactly for isomorphic graphs.
-
-    Minimizes the column-wise upper-triangle adjacency encoding over all
-    vertex orderings, pruning orderings that cannot stay minimal and
-    skipping interchangeable (twin) candidates.  Limited to small orders.
-    """
-    n = g.n
-    if n > CANONICAL_ORDER_LIMIT:
-        raise ValueError(
-            f"order too large for canonicalization (limit {CANONICAL_ORDER_LIMIT})"
-        )
-    if n <= 1:
-        return bytes([n])
-
-    adj = g.adj
-    best: list[int] | None = None
-    order = [0] * n
-    cols = [0] * (n - 1)
-
-    def extend(pos: int, used: int) -> None:
-        nonlocal best
-        if pos == n:
-            if best is None or cols < best:
-                best = cols.copy()
-            return
-        # Column value of candidate w at this position, earlier rows first.
-        scored: dict[int, list[int]] = {}
-        for w in range(n):
-            if used >> w & 1:
-                continue
-            col = 0
-            aw = adj[w]
-            for i in range(pos):
-                col = (col << 1) | (aw >> order[i] & 1)
-            scored.setdefault(col, []).append(w)
-        cmin = min(scored)
-        if best is not None:
-            prefix = best[: pos - 1]
-            if cols[: pos - 1] > prefix:
-                return
-            if cols[: pos - 1] == prefix and cmin > best[pos - 1]:
-                return
-        tried: list[int] = []
-        for w in scored[cmin]:
-            if _twin_of_any(g, w, tried):
-                continue
-            tried.append(w)
-            order[pos] = w
-            cols[pos - 1] = cmin
-            extend(pos + 1, used | (1 << w))
-
-    for start in range(n):
-        order[0] = start
-        extend(1, 1 << start)
-
-    assert best is not None
-    bits = []
-    for j, col in enumerate(best, start=1):
-        bits.extend((col >> (j - 1 - i)) & 1 for i in range(j))
-    packed = bytearray([n])
-    for k in range(0, len(bits), 8):
-        byte = 0
-        for b in bits[k : k + 8]:
-            byte = (byte << 1) | b
-        byte <<= max(0, 8 - len(bits[k : k + 8]))
-        packed.append(byte)
-    return bytes(packed)
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:

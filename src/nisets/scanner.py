@@ -260,7 +260,8 @@ def labeled_graph_classes(n: int) -> list[tuple[Graph, int]]:
 
     Walks every edge mask in increasing order; an unseen mask starts a new
     class and its whole permutation orbit is marked, so each class's
-    representative is the minimal mask of its orbit.
+    representative is the minimal mask of its orbit.  The labelled counts
+    must sum to 2^C(n,2), or RouteDisagreement is raised.
     """
     if not 1 <= n <= GRAPH_SCAN_LIMIT:
         raise ValueError(f"order {n} outside 1..{GRAPH_SCAN_LIMIT}; graphs are enumerated "
@@ -287,6 +288,10 @@ def labeled_graph_classes(n: int) -> list[tuple[Graph, int]]:
         count = nperms // int(np.count_nonzero(images == mask))
         classes.append((graph_from_pair_mask(n, mask, pairs), count))
         mask = seen.find(0, mask + 1)
+    total = sum(count for _, count in classes)
+    if total != 1 << len(pairs):
+        raise RouteDisagreement(f"the order-{n} classes count {total} labelled graphs, "
+                                f"but there are 2^{len(pairs)}")
     return classes
 
 

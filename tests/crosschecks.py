@@ -1,19 +1,21 @@
 """Independent cross-checks that only the tests use: the polynomials of a
 disjoint union from its parts, in coefficient-tuple arithmetic rather than
-the engine's packed integers, vertex relabelling, a labelled-tree oracle
+the engine's packed integers, vertex relabelling, a canonical form of
+small graphs by its definition, a labelled-tree oracle
 that decodes every length-(n-2) vertex sequence, the known ratio table of
 small paths and cycles, and a plain loop over the subsets for one level of
 the subset oracle."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from nisets.engine import Engine
 from nisets.families import FamilySpec, build
-from nisets.graphs import Graph, iter_bits
+from nisets.graphs import Graph, all_pairs, iter_bits
 from nisets.trees import _centers, _rooted_key
 
 SEQUENCE_ORACLE_LIMIT = 10  # n^(n-2) labelled trees; keep well clear of that wall
+CANONICAL_MASK_LIMIT = 7  # n! relabellings; 5040 at order 7
 
 
 def poly_add(a, b) -> tuple[int, ...]:
@@ -61,6 +63,20 @@ def relabel(g: Graph, perm) -> Graph:
             nb |= 1 << perm[u]
         adj[perm[v]] = nb
     return Graph(g.n, tuple(adj))
+
+
+def pair_mask(g: Graph) -> int:
+    """The edge set as a mask over the colex pairs of ``all_pairs``."""
+    return sum(1 << s for s, (i, j) in enumerate(all_pairs(g.n)) if g.adj[i] >> j & 1)
+
+
+def canonical_mask(g: Graph) -> int:
+    """The least pair mask over all n! relabellings: equal exactly for
+    isomorphic graphs of one order.  Refuses orders above
+    ``CANONICAL_MASK_LIMIT``."""
+    if g.n > CANONICAL_MASK_LIMIT:
+        raise ValueError(f"canonical mask limited to order {CANONICAL_MASK_LIMIT}")
+    return min(pair_mask(relabel(g, p)) for p in permutations(range(g.n)))
 
 
 def sequence_to_adjacency(seq: tuple[int, ...], n: int) -> list[list[int]]:

@@ -10,13 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from crosschecks import labelled_tree_classes, ratio_table
+from crosschecks import canonical_mask, labelled_tree_classes, ratio_table
 from nisets.engine import Engine, nis_summary
 from nisets.families import FamilySpec, build, closed_form_summary
 from nisets.formats import from_graph6
 from nisets.graphs import (
     all_pairs,
-    canonical_code,
     graph_from_pair_mask,
     is_good_graph,
     structural_predicates,
@@ -126,7 +125,7 @@ def test_criterion_5_maximum_average():
         assert rep.max_value == Fraction(n, 2) + 1, n
         assert rep.max_count == 1, n
         witness = from_graph6(rep.max_witnesses[0])
-        assert canonical_code(witness) == canonical_code(build(FamilySpec("G_special", n)))
+        assert canonical_mask(witness) == canonical_mask(build(FamilySpec("G_special", n)))
     report(5, True, "unique maximizer n/2 + 1 at orders 6 and 7, exact")
 
 

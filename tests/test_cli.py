@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import threading
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from nisets import engine as engine_module
 from nisets.cli import main
 from nisets.engine import nis_summary
 from nisets.formats import from_graph6, to_graph6
+from nisets.scanner import RouteDisagreement, labeled_graph_classes
 from nisets.trees import free_trees
 
 
@@ -286,6 +289,19 @@ def test_scan_graphs_order_zero_refused(capsys):
     assert code == 2 and out == ""
     assert err == ("error: order 0 outside 1..7; graphs are enumerated up to the "
                    "exhaustive limit (7)\n")
+
+
+def test_scan_graphs_audits_the_labelled_count(capsys, monkeypatch):
+    # the edgeless graph and K4, fixed by all 24 permutations, each count
+    # one stabiliser too many, so each is labelled 24 // 25 = 0 times
+    count_nonzero = np.count_nonzero
+    monkeypatch.setattr(np, "count_nonzero", lambda a: count_nonzero(a) + (count_nonzero(a) == 24))
+    message = "the order-4 classes count 62 labelled graphs, but there are 2^6"
+    with pytest.raises(RouteDisagreement, match=re.escape(message)):
+        labeled_graph_classes(4)
+    code, out, err = run_cli(capsys, "scan", "--population", "graphs", "--order", "4")
+    assert code == 1 and out == ""
+    assert err == f"internal disagreement: {message}\n"
 
 
 OTHER_POPULATION_ERRORS = {

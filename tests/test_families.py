@@ -7,7 +7,7 @@ import pytest
 from crosschecks import ratio_table
 from nisets.engine import nis_summary
 from nisets.families import FamilySpec, build, closed_form_summary
-from nisets.graphs import canonical_code
+from nisets.trees import tree_canonical_key
 
 
 def test_min_orders_enforced():
@@ -22,7 +22,7 @@ def test_min_orders_enforced():
 
 
 def test_subdivided_star_smallest_is_path():
-    assert canonical_code(build(FamilySpec("R", 4))) == canonical_code(
+    assert tree_canonical_key(build(FamilySpec("R", 4))) == tree_canonical_key(
         build(FamilySpec("path", 4)))
 
 

@@ -1,16 +1,12 @@
-"""Graph core: construction, neighbourhoods, predicates, canonical codes."""
-
-from itertools import combinations, permutations
+"""Graph core: construction, neighbourhoods, predicates."""
 
 import pytest
 
-from crosschecks import relabel
 from nisets.engine import Engine
 from nisets.families import FamilySpec, build
 from nisets.graphs import (
     all_pairs,
     build_graph,
-    canonical_code,
     components_of,
     disjoint_union,
     graph_from_pair_mask,
@@ -200,54 +196,6 @@ class TestComponents:
 
     def test_empty_mask(self):
         assert components_of(path(3).adj, 0) == []
-
-
-class TestCanonicalCode:
-    def test_relabelled_paths_agree(self):
-        g = path(4)
-        codes = {canonical_code(relabel(g, perm)) for perm in permutations(range(4))}
-        assert len(codes) == 1
-
-    def test_path_vs_star_differ(self):
-        assert canonical_code(path(4)) != canonical_code(star(4))
-
-    def test_triangle_all_orders(self):
-        g = complete(3)
-        codes = {canonical_code(relabel(g, perm)) for perm in permutations(range(3))}
-        assert len(codes) == 1
-
-    def test_order_limit(self):
-        with pytest.raises(ValueError, match="order too large"):
-            canonical_code(build_graph(11, []))
-
-    @pytest.mark.parametrize("n,classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)])
-    def test_partitions_labeled_graphs(self, n, classes):
-        pairs = all_pairs(n)
-        codes = {canonical_code(graph_from_pair_mask(n, mask, pairs))
-                 for mask in range(1 << len(pairs))}
-        assert len(codes) == classes
-
-    def test_partition_at_order_six_matches_orbit_scan(self):
-        # all 32768 labelled graphs collapse to the regression value of 156
-        # classes, the same count the scanner's orbit enumeration finds
-        from nisets.scanner import labeled_graph_classes
-
-        pairs = all_pairs(6)
-        codes = {canonical_code(graph_from_pair_mask(6, mask, pairs))
-                 for mask in range(1 << 15)}
-        assert len(codes) == 156 == len(labeled_graph_classes(6))
-
-    def test_code_is_invariant_on_samples(self):
-        import random
-
-        rng = random.Random(11)
-        for _ in range(50):
-            n = rng.randrange(2, 9)
-            edges = [pair for pair in combinations(range(n), 2) if rng.random() < 0.4]
-            g = build_graph(n, edges)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            assert canonical_code(g) == canonical_code(relabel(g, perm))
 
 
 class TestDisjointUnion:

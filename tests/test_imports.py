@@ -145,9 +145,8 @@ LIBRARY_ENTRY_POINTS = [
     # what the entry points return or raise
     "ConjectureRecord", "EdgeTerm", "OracleProfile", "ScanReport", "StructuralSummary",
     "Violation", "WorkLimitExceeded",
-    # the tree DP's one-tree reference, isomorphism codes, and the ratio
-    # claim's population
-    "tree_scalars", "canonical_code", "path_cycle_unions",
+    # the tree DP's one-tree reference and the ratio claim's population
+    "tree_scalars", "path_cycle_unions",
     "__version__",
 ]
 

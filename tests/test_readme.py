@@ -8,7 +8,7 @@ from pathlib import Path
 
 from nisets.engine import MAX_ENGINE_MASKS, TREE_BATCH_ORDER_LIMIT
 from nisets.formats import GRAPH6_ORDER_LIMIT
-from nisets.graphs import CANONICAL_ORDER_LIMIT, MAX_VERTICES
+from nisets.graphs import MAX_VERTICES
 from nisets.oracle import ORACLE_ORDER_LIMIT
 from nisets.scanner import GRAPH_SCAN_LIMIT, RATIO_ORDER_LIMIT, WORKER_LIMIT
 from nisets.trees import TREE_ORDER_LIMIT
@@ -65,7 +65,6 @@ def test_limits_table_values():
         "exhaustive graph scans": GRAPH_SCAN_LIMIT,
         "free-tree generation": TREE_ORDER_LIMIT,
         "batched tree DP (int64)": TREE_BATCH_ORDER_LIMIT,
-        "canonical codes": CANONICAL_ORDER_LIMIT,
         "graph6 I/O": GRAPH6_ORDER_LIMIT,
         "`verify --max-ratio-order`": RATIO_ORDER_LIMIT,
         "`verify --max-family-order`": GRAPH6_ORDER_LIMIT,

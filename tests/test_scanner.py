@@ -13,13 +13,12 @@ import pytest
 
 import nisets.scanner as scanner_module
 import nisets.trees as trees_module
-from crosschecks import relabel
+from crosschecks import canonical_mask, pair_mask, relabel
 from nisets.engine import Engine, format_rational, tree_scalars, tree_scalars_batch
 from nisets.families import FamilySpec, build, closed_form_summary
 from nisets.formats import from_graph6, to_graph6
 from nisets.graphs import (
     all_pairs,
-    canonical_code,
     graph_from_pair_mask,
     is_good_graph,
     structural_predicates,
@@ -87,10 +86,6 @@ def reference_graph_classes(n):
     return classes
 
 
-def pair_mask(g):
-    return sum(1 << s for s, (i, j) in enumerate(all_pairs(g.n)) if g.adj[i] >> j & 1)
-
-
 class TestClassEnumeration:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_class_counts_and_orbit_sizes(self, n):
@@ -114,8 +109,12 @@ class TestClassEnumeration:
 
     def test_representatives_are_pairwise_non_isomorphic(self):
         for n in range(2, 6):
-            codes = [canonical_code(g) for g, _ in labeled_graph_classes(n)]
-            assert len(set(codes)) == len(codes)
+            masks = [canonical_mask(g) for g, _ in labeled_graph_classes(n)]
+            assert len(set(masks)) == len(masks)
+
+    def test_canonical_mask_limit(self):
+        with pytest.raises(ValueError, match="limited to order 7"):
+            canonical_mask(graph_from_pair_mask(8, 0))
 
     def test_tree_classes_match_free_tree_counts(self):
         from nisets.trees import count_free_trees
@@ -139,7 +138,7 @@ class TestGraphScans:
         report = scan_graphs(6, "non-edgeless", "av1")
         assert report.max_value == 4 and report.max_count == 1
         witness = from_graph6(report.max_witnesses[0])
-        assert canonical_code(witness) == canonical_code(build(FamilySpec("G_special", 6)))
+        assert canonical_mask(witness) == canonical_mask(build(FamilySpec("G_special", 6)))
 
     def test_min_is_two_with_good_witnesses(self):
         report = scan_graphs(5, "non-edgeless", "av1", witness_cap=None)
@@ -153,7 +152,7 @@ class TestGraphScans:
         # P4 (5/8), C4 (4/7) and P2+P2 (2/3); the cycle attains the minimum
         report = scan_graphs(4, "no-isolated-max-deg-2", "sigma-ratio")
         assert report.min_value == Fraction(4, 7)
-        assert canonical_code(from_graph6(report.min_witnesses[0])) == canonical_code(
+        assert canonical_mask(from_graph6(report.min_witnesses[0])) == canonical_mask(
             build(FamilySpec("cycle", 4)))
 
     def test_edgeless_excluded_from_average_objective(self):

@@ -7,7 +7,8 @@ import pytest
 
 import nisets.trees as trees_module
 from crosschecks import labelled_tree_classes, relabel
-from nisets.graphs import canonical_code, structural_predicates
+from nisets.graphs import structural_predicates
+from nisets.scanner import labeled_graph_classes
 from nisets.trees import (
     LevelSequence,
     count_free_trees,
@@ -33,10 +34,10 @@ def test_every_emission_is_a_tree(n):
         assert tree.n == n and structural_predicates(tree).is_tree
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 14))
 def test_no_two_emissions_share_a_canonical_code(n):
-    codes = [canonical_code(tree) for tree in free_trees(n)]
-    assert len(set(codes)) == len(codes)
+    keys = [tree_canonical_key(tree) for tree in free_trees(n)]
+    assert len(set(keys)) == len(keys)
 
 
 # (tree count, SHA-256 of every tree's level bytes in stream order), as the
@@ -126,14 +127,14 @@ def test_labelled_tree_oracle_limit():
         labelled_tree_classes(11)
 
 
-def test_canonical_key_matches_canonical_code_partition():
-    # on all free trees of order <= 8 the two invariants induce the same
-    # partition (both are complete for trees)
-    for n in range(1, 9):
-        trees = list(free_trees(n))
-        keys = [tree_canonical_key(t) for t in trees]
-        codes = [canonical_code(t) for t in trees]
-        assert len(set(keys)) == len(trees) == len(set(codes))
+def test_canonical_keys_match_the_orbit_walk_tree_classes():
+    # the orbit walk finds each isomorphism class once, independently of
+    # the level-sequence generator
+    for n in range(1, 8):
+        keys = [tree_canonical_key(t) for t in free_trees(n)]
+        walked = [tree_canonical_key(g) for g, _ in labeled_graph_classes(n)
+                  if structural_predicates(g).is_tree]
+        assert sorted(keys) == sorted(walked) and len(set(keys)) == len(keys), n
 
 
 def test_canonical_key_is_relabelling_invariant():
