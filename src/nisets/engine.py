@@ -64,13 +64,15 @@ def format_rational(value: Fraction | int) -> str:
 
 @dataclass(frozen=True)
 class EdgeTerm:
-    """Per-edge contribution to the one-edge-subset average.
+    """Per-edge contribution to the one-edge-subset average, one entry of
+    ``compute``'s ``edge_terms``.
 
     ``residual_mask`` is the vertex set remaining after deleting both
-    endpoints' neighbourhoods (endpoints included); sigma0/s0 count the
-    independent sets of that residual graph and their total size, read off
-    its independent-set polynomial as I(1) and I'(1).  The weights over all
-    edges of a graph sum to 1.
+    endpoints' neighbourhoods (endpoints included), and ``union_size`` is
+    the size of that union; sigma0/s0 count the independent sets of the
+    residual graph and their total size, read off its independent-set
+    polynomial as I(1) and I'(1).  The weights over all edges of a graph
+    sum to 1.
     """
 
     edge: tuple[int, int]
@@ -79,8 +81,6 @@ class EdgeTerm:
     s0: int
     weight: Fraction
     union_size: int
-    closed_size_u: int
-    closed_size_v: int
 
     @property
     def av0(self) -> Fraction:
@@ -364,8 +364,7 @@ class Engine:
         """One ``EdgeTerm`` per edge uv, in ``Graph.edges`` order.  Each
         residual's (sigma0, s0) are the moments of its independent-set
         polynomial, which ``i1_by_edges`` memoizes for the same masks."""
-        g = self.graph
-        edges = g.edges()
+        edges = self.graph.edges()
         if not edges:
             raise ValueError("edge terms undefined for edgeless graph")
         adj = self._adj
@@ -387,8 +386,6 @@ class Engine:
                     s0=rt,
                     weight=Fraction(rs, denom),
                     union_size=union_size,
-                    closed_size_u=g.degree(u) + 1,
-                    closed_size_v=g.degree(v) + 1,
                 )
             )
         return terms

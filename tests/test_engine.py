@@ -30,6 +30,8 @@ from nisets.graphs import (
 )
 from nisets.oracle import OracleProfile, oracle_profiles, oracle_summary
 from nisets.trees import (
+    TREE_BLOCK,
+    TREE_ORDER_LIMIT,
     LevelSequence,
     level_parents,
     level_sequences,
@@ -465,8 +467,8 @@ class TestKnownInequalities:
                 ratio = Fraction(term.sigma0, sigma_g)
                 lower = 1 / (
                     Fraction(2) ** (term.union_size - 2)
-                    + Fraction(2) ** (term.union_size - term.closed_size_u)
-                    + Fraction(2) ** (term.union_size - term.closed_size_v)
+                    + Fraction(2) ** (term.union_size - g.degree(u) - 1)
+                    + Fraction(2) ** (term.union_size - g.degree(v) - 1)
                     + 1
                 )
                 assert lower <= ratio
@@ -582,6 +584,13 @@ class TestTreeScalarsBatch:
         got = batch_rows([star, path])
         assert got == [tree_scalars(star), tree_scalars(path)]
         assert got[0][:2] == ((1 << 23) + 1, 23 * (1 << 22) + 1)
+
+    def test_scores_the_first_block_at_the_tree_order_limit(self):
+        # every tree sweep scores its blocks with the batched DP, so the
+        # tree population's order limit must not pass the batch's
+        rows = next(tree_blocks(TREE_ORDER_LIMIT)).tolist()
+        assert len(rows) == TREE_BLOCK
+        assert batch_rows(rows) == [tree_scalars(levels) for levels in rows]
 
     def test_refuses_order_past_the_limit(self):
         with pytest.raises(ValueError, match="order <= 24, got 25"):

@@ -614,7 +614,6 @@ class TestStrideSweep:
                 rule = [i for i in range(total) if (i + seed) * want % total < want]
                 assert spots.picks(np.arange(total)).tolist() == rule, (n, rate)
                 assert len(rule) == want
-                assert bool(spots) == (want > 0)
 
     @pytest.mark.parametrize("workers", [0, -4])
     def test_worker_count_below_one_refused(self, workers):
@@ -986,6 +985,46 @@ class TestGraphClaimPass:
         lo, hi = checks["graph-average-lower"][0]
         assert (lo.value, lo.codes) == (1, [low_g6])
         assert (hi.value, hi.codes) == (50, [high_g6])
+
+    def test_covering_edge_mismatches_follow_in_graph6_order(self, monkeypatch):
+        # C5 has an edge whose neighbourhoods miss a vertex, yet is moved onto
+        # average 2; the star, whose every edge covers all vertices, is moved
+        # off it, below 2.  The walk meets the star first, so only the sort
+        # by graph6 puts C5 ahead of it
+        cycle, star = "DLo", "Ds_"
+        assert not is_good_graph(from_graph6(cycle)) and is_good_graph(from_graph6(star))
+        codes = [to_graph6(g) for g, _ in labeled_graph_classes(5)]
+        assert codes.index(star) < codes.index(cycle)
+        cycle_sigma1, _ = Engine(from_graph6(cycle)).scalars1()
+        star_sigma1, _ = Engine(from_graph6(star)).scalars1()
+        tamper(monkeypatch, {(1, cycle): (cycle_sigma1, 2 * cycle_sigma1),
+                             (1, star): (star_sigma1, star_sigma1)})
+        covering = "average equals 2 exactly for graphs whose every edge covers all vertices"
+        _, lower = _graph_claim_reports(5)["graph-average-lower"]
+        assert [(v.graph6, v.claim) for v in lower] == [
+            (star, "average size of one-edge subsets is at least 2"),
+            (cycle, covering),
+            (star, covering),
+        ]
+
+    def test_graph_suite_builds_no_polynomial(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            route = getattr(Engine, name)
+
+            def wrapper(self, mask):
+                calls[name] += 1
+                return route(self, mask)
+            return wrapper
+
+        for name in ("_i0", "_i1"):
+            monkeypatch.setattr(Engine, name, counted(name))
+        _graph_claim_reports(6)
+        assert calls == {}
+        # the counters see the polynomial routes when they run
+        Engine(from_graph6("Bw")).i1()
+        assert calls["_i0"] and calls["_i1"]
 
     def test_one_engine_per_non_edgeless_class(self, built_engines):
         graphs = [g for g, _ in labeled_graph_classes(6)]
