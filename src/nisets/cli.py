@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from itertools import chain
 
-from .engine import Engine, format_rational
+from .engine import Engine, format_rational, moments
 from .families import FAMILY_MIN_ORDER, FamilySpec, closed_form_summary
 from .formats import FormatError, from_graph6, parse_edge_list, to_graph6
 from .graphs import Graph, iter_bits
@@ -200,9 +200,6 @@ def _compute_record(graph: Graph) -> dict:
     p1_edges = eng.i1_by_edges()
     (sig1, tot1), (sig0, tot0) = eng.scalars1(), eng.scalars0()
 
-    def moments(p):
-        return sum(p), sum(k * c for k, c in enumerate(p))
-
     edge_terms = eng.edge_terms() if graph.edge_count else []
     # each one-edge subset is an edge uv plus an independent set of R_uv
     by_terms = (sum(t.sigma0 for t in edge_terms), sum(2 * t.sigma0 + t.s0 for t in edge_terms))
@@ -306,32 +303,24 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _family_rows(family: str, orders) -> list[list]:
-    rows = []
-    for n in orders:
-        if n < max(FAMILY_MIN_ORDER[family], 2):
-            continue
-        summary = closed_form_summary(FamilySpec(family, n), 1)
-        rows.append([
-            family, n, summary.sigma, summary.total,
-            summary.average.numerator, summary.average.denominator,
-        ])
-    return rows
-
-
 def _cmd_families(args: argparse.Namespace) -> int:
     lo, hi = args.orders
     # the parser's choices leave out cycle, which has no closed form
     names = [f for f in FAMILY_MIN_ORDER if f != "cycle"] if args.family == "all" else [args.family]
-    header = ["family", "n", "sigma1", "s1", "av1_num", "av1_den"]
-    rows = []
-    for name in names:
-        rows.extend(_family_rows(name, range(lo, hi + 1)))
-    if not rows:
+    # every order is refused or accepted before any closed form is evaluated
+    specs = [FamilySpec(name, n) for name in names
+             for n in range(max(lo, FAMILY_MIN_ORDER[name], 2), hi + 1)]
+    if not specs:
         first = min(max(FAMILY_MIN_ORDER[name], 2) for name in names)
         what = "any family" if args.family == "all" else args.family
         raise ValueError(f"orders {lo}:{hi} lie below the first order of {what} ({first}), "
                          "so the table would be empty")
+    header = ["family", "n", "sigma1", "s1", "av1_num", "av1_den"]
+    rows = []
+    for spec in specs:
+        summary = closed_form_summary(spec, 1)
+        rows.append([spec.family, spec.n, summary.sigma, summary.total,
+                     summary.average.numerator, summary.average.denominator])
     _write(args, [dict(zip(header, row)) for row in rows], header, rows)
     return 0
 
@@ -369,6 +358,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     else:
         report = scan_graphs(args.order, args.filter, args.objective,
                              witness_cap=_witness_cap(args))
+        # only order 1 can keep no class: its one graph is edgeless
+        if report.max_value is None:
+            raise ValueError(f"--filter {args.filter} keeps no order-{args.order} class for "
+                             f"--objective {args.objective}, so the scan would check nothing")
     d = report.to_json_dict()
     header = ["population", "order", "objective", "min", "max",
               "min_count", "max_count", "min_witnesses", "max_witnesses"]

@@ -276,22 +276,17 @@ class Engine:
 
     # -- one-edge polynomial, per-edge route ---------------------------------
 
-    def i1_by_edges(self, mask: int | None = None) -> Poly:
-        if mask is None:
-            mask = self._full
+    def _edge_route(self) -> list[tuple[int, int, int, int]]:
+        """The per-edge route's terms in ``Graph.edges`` order: (u, v,
+        N(u) | N(v), the packed independent-set polynomial of what that
+        union leaves).  Every subset inducing the one edge uv is uv plus an
+        independent set of the residual."""
         adj = self._adj
-        out = 0
-        bits = mask
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            nu = adj[low.bit_length() - 1]
-            above = nu & bits
-            while above:
-                high = above & -above
-                above ^= high
-                out += self._i0(mask & ~(nu | adj[high.bit_length() - 1]))
-        return self._unpack(out << 2 * self._w)
+        return [(u, v, (union := adj[u] | adj[v]), self._i0(self._full & ~union))
+                for u, v in self.graph.edges()]
+
+    def i1_by_edges(self) -> Poly:
+        return self._unpack(sum(p for *_, p in self._edge_route()) << 2 * self._w)
 
     # -- scalar route (independent of the polynomial arithmetic) -------------
 
@@ -361,34 +356,23 @@ class Engine:
     # -- per-edge statistics --------------------------------------------------
 
     def edge_terms(self) -> list[EdgeTerm]:
-        """One ``EdgeTerm`` per edge uv, in ``Graph.edges`` order.  Each
-        residual's (sigma0, s0) are the moments of its independent-set
-        polynomial, which ``i1_by_edges`` memoizes for the same masks."""
-        edges = self.graph.edges()
-        if not edges:
+        """One ``EdgeTerm`` per term of the per-edge route, in
+        ``Graph.edges`` order, with the moments of its residual's
+        independent-set polynomial as (sigma0, s0)."""
+        route = self._edge_route()
+        if not route:
             raise ValueError("edge terms undefined for edgeless graph")
-        adj = self._adj
-        raw = []
-        for u, v in edges:
-            union = adj[u] | adj[v]
-            residual = self._full & ~union
-            p = self.i0(residual)
-            rs, rt = sum(p), sum(k * c for k, c in enumerate(p))
-            raw.append((u, v, residual, rs, rt, union.bit_count()))
-        denom = sum(rs for *_, rs, _rt, _l in raw)
-        terms = []
-        for u, v, residual, rs, rt, union_size in raw:
-            terms.append(
-                EdgeTerm(
-                    edge=(u, v),
-                    residual_mask=residual,
-                    sigma0=rs,
-                    s0=rt,
-                    weight=Fraction(rs, denom),
-                    union_size=union_size,
-                )
-            )
-        return terms
+        counts = [moments(self._unpack(p)) for *_, p in route]
+        denom = sum(rs for rs, _ in counts)
+        return [EdgeTerm(edge=(u, v), residual_mask=self._full & ~union, sigma0=rs, s0=rt,
+                         weight=Fraction(rs, denom), union_size=union.bit_count())
+                for (u, v, union, _), (rs, rt) in zip(route, counts)]
+
+
+def moments(p: Poly) -> tuple[int, int]:
+    """(I(1), I'(1)) of a coefficient tuple: the number of subsets it
+    counts and the sum of their sizes."""
+    return sum(p), sum(k * c for k, c in enumerate(p))
 
 
 def tree_scalars(levels) -> tuple[int, int, int, int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import NisSummary
-from .graphs import Graph, build_graph
+from .graphs import MAX_VERTICES, Graph, build_graph
 
 FAMILY_MIN_ORDER = {
     "edgeless": 0,
@@ -36,6 +36,10 @@ class FamilySpec:
         low = FAMILY_MIN_ORDER[self.family]
         if self.n < low:
             raise ValueError(f"family {self.family!r} requires order >= {low}")
+        # the closed forms stop where ``build`` does
+        if self.n > MAX_VERTICES:
+            raise ValueError(f"family {self.family!r} requires order <= {MAX_VERTICES}, "
+                             "the vertex universe")
 
 
 def build(spec: FamilySpec) -> Graph:

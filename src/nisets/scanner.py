@@ -41,7 +41,6 @@ from .trees import (
     level_parents,
     levels_to_graph,
     tree_blocks,
-    tree_canonical_key,
 )
 
 GRAPH_SCAN_LIMIT = 7
@@ -574,6 +573,15 @@ class ConjectureRecord:
         }
 
 
+def _is_subdivided_star(tree: Graph) -> bool:
+    """Whether a tree of order n >= 4 is R, read off its degrees.  A tree
+    with n-2 leaves, a hub of degree n-2 and one vertex w of degree 2 is R:
+    were w off the hub, the hub and its n-2 leaves would make a component
+    without w."""
+    n = tree.n
+    return sorted(tree.degree(v) for v in range(n)) == [1] * (n - 2) + [2, n - 2]
+
+
 def conjecture_scan(
     orders,
     *,
@@ -591,11 +599,10 @@ def conjecture_scan(
     out = []
     for n, sweep in zip(orders, _tree_sweeps(orders, "av1", workers, top_k, spot_check_rate)):
         hi = sweep.hi
-        r_tree = build(FamilySpec("R", n))
-        r_value = nis_summary(r_tree, 1).average
+        r_value = nis_summary(build(FamilySpec("R", n)), 1).average
         unique = len(hi.codes) == 1 and hi.value == r_value
         if unique:
-            unique = tree_canonical_key(from_graph6(hi.codes[0])) == tree_canonical_key(r_tree)
+            unique = _is_subdivided_star(from_graph6(hi.codes[0]))
         out.append(
             ConjectureRecord(
                 order=n,

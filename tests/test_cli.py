@@ -215,6 +215,21 @@ def test_families_refuses_an_empty_table(capsys, argv, family, first):
                    "so the table would be empty\n")
 
 
+@pytest.mark.parametrize("argv, family", [
+    (("--family", "R", "--n", "20000"), "R"),
+    (("--family", "path", "--orders", "2:6000"), "path"),
+    (("--orders", "60:65"), "edgeless"),
+])
+def test_families_refuses_orders_past_the_vertex_universe(capsys, monkeypatch, argv, family):
+    def no_closed_form(*args):
+        raise AssertionError("a closed form was evaluated before every order was checked")
+
+    monkeypatch.setattr(cli, "closed_form_summary", no_closed_form)
+    code, out, err = run_cli(capsys, "families", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: family {family!r} requires order <= 64, the vertex universe\n"
+
+
 def test_families_all_skips_a_family_below_its_first_order(capsys):
     code, out, _ = run_cli(capsys, "families", "--orders", "2:3")
     assert code == 0
@@ -289,6 +304,25 @@ def test_scan_graphs_order_zero_refused(capsys):
     assert code == 2 and out == ""
     assert err == ("error: order 0 outside 1..7; graphs are enumerated up to the "
                    "exhaustive limit (7)\n")
+
+
+@pytest.mark.parametrize("graph_filter, objective", [
+    ("all", "av1"),
+    ("non-edgeless", "sigma-ratio"),
+])
+def test_scan_graphs_refuses_a_population_with_no_class(capsys, graph_filter, objective):
+    code, out, err = run_cli(capsys, "scan", "--population", "graphs", "--order", "1",
+                             "--filter", graph_filter, "--objective", objective)
+    assert code == 2 and out == ""
+    assert err == (f"error: --filter {graph_filter} keeps no order-1 class for --objective "
+                   f"{objective}, so the scan would check nothing\n")
+
+
+def test_scan_graphs_keeps_the_edgeless_class_for_sigma_ratio(capsys):
+    code, out, _ = run_cli(capsys, "scan", "--population", "graphs", "--order", "1",
+                           "--objective", "sigma-ratio")
+    assert code == 0
+    assert json.loads(out)["extremal"] == {"min": "0", "max": "0"}
 
 
 def test_scan_graphs_audits_the_labelled_count(capsys, monkeypatch):

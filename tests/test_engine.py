@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosschecks import sequence_to_adjacency, union_combine
+from nisets import cli
 from nisets import engine as engine_module
 from nisets.engine import (
     Engine,
     WorkLimitExceeded,
     format_rational,
+    moments,
     nis_summary,
     tree_scalars,
     tree_scalars_batch,
@@ -255,6 +257,29 @@ class TestEdgeStatistics:
         eng = Engine(g)
         for t in eng.edge_terms():
             assert (t.sigma0, t.s0) == eng.scalars0(t.residual_mask)
+
+    @given(graphs(14))
+    @settings(max_examples=60, deadline=None)
+    def test_terms_are_the_per_edge_route(self, g):
+        # one edge list serves both: the terms in Graph.edges order, and
+        # i1_by_edges as x^2 times the sum of their residual polynomials
+        eng = Engine(g)
+        terms = eng.edge_terms() if g.edge_count else []
+        assert [t.edge for t in terms] == g.edges()
+        total = [0] * (g.n + 3)
+        for t in terms:
+            for k, c in enumerate(eng.i0(t.residual_mask)):
+                total[k + 2] += c
+        while total and not total[-1]:
+            total.pop()
+        assert eng.i1_by_edges() == tuple(total)
+
+    def test_moments(self):
+        # P3: I(x) = 1 + 3x + x^2, so I(1) = 5 and I'(1) = 3 + 2
+        assert moments((1, 3, 1)) == (5, 5)
+        assert moments(()) == (0, 0)
+        # compute's cross-check reads the same definition
+        assert cli.moments is moments
 
 
 class TestRouteAgreement:

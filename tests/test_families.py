@@ -7,6 +7,7 @@ import pytest
 from crosschecks import ratio_table
 from nisets.engine import nis_summary
 from nisets.families import FamilySpec, build, closed_form_summary
+from nisets.graphs import MAX_VERTICES
 from nisets.trees import tree_canonical_key
 
 
@@ -19,6 +20,15 @@ def test_min_orders_enforced():
         FamilySpec("G_special", 2)
     with pytest.raises(ValueError, match="unknown family"):
         FamilySpec("wheel", 5)
+
+
+def test_orders_past_the_vertex_universe_refused():
+    with pytest.raises(ValueError, match="<= 64"):
+        FamilySpec("path", MAX_VERTICES + 1)
+    # at the last order the closed form and the constructed graph agree
+    for family in ("path", "R"):
+        spec = FamilySpec(family, MAX_VERTICES)
+        assert closed_form_summary(spec, 1) == nis_summary(build(spec), 1)
 
 
 def test_subdivided_star_smallest_is_path():

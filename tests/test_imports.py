@@ -5,6 +5,7 @@ by another module of the package or is on one of two named lists.
 Importing the package starts no BLAS thread."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -153,7 +154,7 @@ LIBRARY_ENTRY_POINTS = [
 # public names that, besides the tests, only the benchmark's replay in
 # perfbench/ holds; deleting the replay frees them
 HELD_BY_PERFBENCH = ["LevelSequence", "is_good_graph", "labeled_graph_classes",
-                     "oracle_summary", "spot_check_trees"]
+                     "oracle_summary", "spot_check_trees", "tree_canonical_key"]
 
 
 def test_every_public_name_is_used_or_listed():
@@ -172,6 +173,37 @@ def test_an_unused_public_name_is_found():
                "a.py": "def f():\n    return g()\ndef g():\n    pass\ndef h():\n    pass\n",
                "b.py": "from .a import f\nf()\nx.h()\n"}
     assert public_names_unused_by_the_package(modules) == ["g", "h"]
+
+
+def unresolved_package_imports(source: str) -> list[str]:
+    """``module.name`` of each ``from nisets.module import name`` of the
+    source, nested ones included, whose module does not import or does not
+    hold the name."""
+    missing = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nisets":
+            try:
+                module = importlib.import_module(node.module)
+            except ImportError:
+                module = None
+            missing += [f"{node.module}.{alias.name}" for alias in node.names
+                        if not hasattr(module, alias.name)]
+    return missing
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_perfbench_package_imports_resolve(path):
+    # the benchmark's replay imports the package only when it traces
+    assert unresolved_package_imports(path.read_text()) == []
+
+
+def test_an_unresolved_package_import_is_found():
+    source = ("from nisets.engine import Engine, no_such_name\n"
+              "def f():\n"
+              "    from nisets.no_such_module import g\n"
+              "from os import path\n")
+    assert unresolved_package_imports(source) == ["nisets.engine.no_such_name",
+                                                  "nisets.no_such_module.g"]
 
 
 IMPORT_PROBE = ("import os, nisets; print(os.environ.get('OPENBLAS_NUM_THREADS')); "

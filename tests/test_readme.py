@@ -68,6 +68,7 @@ def test_limits_table_values():
         "graph6 I/O": GRAPH6_ORDER_LIMIT,
         "`verify --max-ratio-order`": RATIO_ORDER_LIMIT,
         "`verify --max-family-order`": GRAPH6_ORDER_LIMIT,
+        "`families`": MAX_VERTICES,
         "engine work per graph": MAX_ENGINE_MASKS,
         "`--workers`": WORKER_LIMIT,
     }

@@ -33,6 +33,7 @@ from nisets.scanner import (
     _block_degrees,
     _extremes,
     _graph_claim_reports,
+    _is_subdivided_star,
     _sweep_shard,
     conjecture_scan,
     has_inequality_violations,
@@ -1075,6 +1076,13 @@ class TestConjecture:
     def test_negative_top_refused(self):
         with pytest.raises(ValueError, match="top list length"):
             conjecture_scan([6], top_k=-1)
+
+    def test_degree_rule_finds_exactly_the_subdivided_star(self):
+        # the scan names R by its degrees; the canonical key says the same
+        for n in range(4, 17):
+            r_key = tree_canonical_key(build(FamilySpec("R", n)))
+            for tree in free_trees(n):
+                assert _is_subdivided_star(tree) == (tree_canonical_key(tree) == r_key)
 
 
 def test_spot_check_catches_disagreement(monkeypatch):
