@@ -23,6 +23,7 @@ import stat
 import sys
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 
 from .engine import Engine, format_rational, moments
 from .families import FAMILY_MIN_ORDER, FamilySpec, closed_form_summary
@@ -97,24 +98,28 @@ def _indented(value, pad: str = "") -> str:
 
     On an indent, ``json`` takes its pure-Python encoder; this builds the
     same text from the C string escaper, ``int.__repr__`` and one join per
-    list of plain ints.  Other leaves (bool, None, float) go through
-    ``json.dumps``, which also raises the same ``TypeError`` on a value json
-    cannot write."""
+    dict or list.  Inside a dict or a list, leaves of exact type int or
+    str are written in place; other leaves (bool, None, float) go through
+    ``json.dumps``, which also raises the same ``TypeError`` on a value
+    json cannot write."""
     if isinstance(value, str):
         return _escape(value)
     inner = pad + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        body = (f"{_key(key)}: {_indented(item, inner)}" for key, item in value.items())
+        body = [f"{_key(key)}: " + (int.__repr__(item) if type(item) is int
+                                    else _escape(item) if type(item) is str
+                                    else _indented(item, inner))
+                for key, item in value.items()]
         return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(type(item) is int for item in value):
-            body = map(int.__repr__, value)
-        else:
-            body = (_indented(item, inner) for item in value)
+        body = [int.__repr__(item) if type(item) is int
+                else _escape(item) if type(item) is str
+                else _indented(item, inner)
+                for item in value]
         return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
     if type(value) is int:
         return int.__repr__(value)
@@ -193,6 +198,14 @@ def _decimal(value: Fraction) -> str:
     return f"{value.numerator / value.denominator:.6f}"
 
 
+def _ratio(num: int, den: int) -> str:
+    """``format_rational(Fraction(num, den))`` for den > 0, without the
+    Fraction."""
+    common = gcd(num, den)
+    num, den = num // common, den // common
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def _compute_record(graph: Graph) -> dict:
     eng = Engine(graph)
     p0 = eng.i0()
@@ -235,7 +248,7 @@ def _compute_record(graph: Graph) -> dict:
         "sigma0": term.sigma0,
         "s0": term.s0,
         "weight": format_rational(term.weight),
-        "av0": format_rational(term.av0),
+        "av0": _ratio(term.s0, term.sigma0),
         "union_size": term.union_size,
     } for term in edge_terms]
     return record
@@ -277,8 +290,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             _emit(_compute_csv([record]), args.out)
         return 0
     with open(args.batch) as handle:
-        records = (_batch_record(number, line)
-                   for number, line in enumerate(handle, 1) if line.strip())
+        lines = ((number, line) for number, line in enumerate(handle, 1) if line.strip())
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"batch {args.batch} holds no graph, so compute would check nothing")
+        records = (_batch_record(number, line) for number, line in chain([first], lines))
         if args.output_format == "json":
             _emit_json_array(records, args.out)
         else:

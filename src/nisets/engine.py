@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -62,10 +63,10 @@ def format_rational(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeTerm:
     """Per-edge contribution to the one-edge-subset average, one entry of
-    ``compute``'s ``edge_terms``.
+    ``compute``'s ``edge_terms``, in the root graph's labels.
 
     ``residual_mask`` is the vertex set remaining after deleting both
     endpoints' neighbourhoods (endpoints included), and ``union_size`` is
@@ -102,13 +103,20 @@ MAX_ENGINE_MASKS = 1 << 19
 class Engine:
     """Memoized evaluator bound to one root graph.
 
-    Every route asks ``_split`` for the structure of a vertex mask
-    (isolated vertices, components of the rest, pivot), and that
-    decomposition is memoized once per engine and shared.  Pivots follow
-    one static order, highest root degree first, lowest index on ties,
-    kept as one rank per vertex.  Each route keeps its own value memo;
-    entries are deterministic, so the caches can be rebuilt or merged
-    freely.  An engine decomposes at most
+    The engine works in its own labels, which follow one static pivot
+    order, highest root degree first, lowest index on ties: the order's
+    first vertex is internal vertex n - 1, its last is internal vertex 0.
+    The mask arguments of ``i0``, ``i1``, ``scalars0`` and ``scalars1`` are
+    graph labels, mapped in once per call; ``edge_terms`` answers in graph
+    labels.  Every route asks ``_split`` for the structure of an internal
+    mask (isolated vertices, components of the rest, pivot), and that
+    decomposition is memoized once per engine and shared.  The pivot of a
+    mask is its first vertex in the static order, so its highest set bit.
+    The order runs down from the top bit rather than up from the bottom
+    because a dict places an int key by its low bits: vertices leave the
+    masks pivots first, so the low bits are the ones that keep varying.
+    Each route keeps its own value memo; entries are deterministic, so the
+    caches can be rebuilt or merged freely.  An engine decomposes at most
     ``MAX_ENGINE_MASKS`` masks and raises ``WorkLimitExceeded`` past that.
 
     The polynomial memos hold each polynomial packed into one integer:
@@ -122,11 +130,17 @@ class Engine:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self._adj = graph.adj
         self._full = graph.universe
         self._w = w = graph.n + 1
-        # pivot order: higher root degree first, then lower index
-        self._rank = [graph.degree(v) * w + graph.n - v for v in range(graph.n)]
+        # the static pivot order, last vertex first: ascending root degree,
+        # and the higher index first among equals, as the sort is stable
+        degree = [nb.bit_count() for nb in graph.adj]
+        order = sorted(range(graph.n - 1, -1, -1), key=degree.__getitem__)
+        # graph vertex -> internal vertex
+        self._label = label = [0] * graph.n
+        for i, v in enumerate(order):
+            label[v] = i
+        self._adj = [self._inside(graph.adj[v]) for v in order]
         self._dec: dict[int, tuple[int, list[int], int]] = {}
         self._p0: dict[int, int] = {0: 1}
         self._p1: dict[int, int] = {0: 0}
@@ -134,6 +148,18 @@ class Engine:
         self._sc1: dict[int, tuple[int, int]] = {0: (0, 0)}
         # (1 + x)^k packed, the independent-set polynomial of k isolated vertices
         self._binomial = [(1 + (1 << w)) ** k for k in range(graph.n + 1)]
+
+    def _inside(self, mask: int | None) -> int:
+        """A graph-label mask in internal labels; None is the whole graph."""
+        if mask is None:
+            return self._full
+        label = self._label
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << label[low.bit_length() - 1]
+            mask ^= low
+        return out
 
     def _unpack(self, packed: int) -> Poly:
         low = (1 << self._w) - 1
@@ -146,67 +172,53 @@ class Engine:
     # -- mask decomposition --------------------------------------------------
 
     def _split(self, mask: int) -> tuple[int, list[int], int]:
-        """(count of isolated vertices, component masks of the rest, pivot).
+        """(count of isolated vertices, component masks of the rest, pivot)
+        of an internal mask.
 
-        The pivot is the vertex of ``mask`` of highest degree in the root
-        graph, lowest index on ties (-1 for the empty mask), read off the
-        static ``_rank``.  Any vertex of a connected mask gives the same
-        polynomial; this one only keeps the number of masks down.  One walk
-        over ``mask`` takes each vertex's neighbours inside ``mask`` that it
-        has not reached yet: they grow the component, and a vertex with no
-        neighbour inside ``mask`` is isolated.  Components come out in order
-        of their lowest vertex, each with its pivot; the best of those, and
-        of the isolated vertices, is the mask's.  The rank does not depend on
-        the mask, so when ``mask`` falls apart, each component not yet
-        memoized is stored with its own decomposition,
-        ``(0, [component], its pivot)``, and is never walked itself.
+        The pivot is the highest vertex of ``mask`` (-1 for the empty
+        mask): the internal labels follow the static pivot order.  Any
+        vertex of a connected mask gives the same polynomial; this one only
+        keeps the number of masks down.  One walk over ``mask`` takes each
+        vertex's neighbours inside ``mask`` that it has not reached yet:
+        they grow the component, and a vertex with no neighbour inside
+        ``mask`` is isolated.  Components come out in order of their lowest
+        vertex.  A component's pivot is its highest vertex, so when
+        ``mask`` falls apart, each component not yet memoized is stored
+        with its own decomposition, ``(0, [component], its highest
+        vertex)``, and is never walked itself.
         """
         dec = self._dec
         got = dec.get(mask)
         if got is not None:
             return got
         adj = self._adj
-        rank = self._rank
         iso = 0
         comps = []
-        pivots = []
-        pivot = -1
-        best = -1
         rest = mask
         while rest:
             low = rest & -rest
-            v = low.bit_length() - 1
-            nbrs = adj[v] & mask
+            nbrs = adj[low.bit_length() - 1] & mask
             if not nbrs:
                 rest ^= low
                 iso += 1
-                if rank[v] > best:
-                    best, pivot = rank[v], v
                 continue
             # the component is what leaves ``rest`` while the walk runs
             comp = rest
             rest ^= low | nbrs
-            top, at = rank[v], v
             todo = nbrs
             while todo:
                 low = todo & -todo
                 todo ^= low
-                v = low.bit_length() - 1
-                if rank[v] > top:
-                    top, at = rank[v], v
-                nbrs = adj[v] & rest
+                nbrs = adj[low.bit_length() - 1] & rest
                 todo |= nbrs
                 rest ^= nbrs
             comp ^= rest
-            if top > best:
-                best, pivot = top, at
             comps.append(comp)
-            pivots.append(at)
         if iso or len(comps) != 1:
-            for comp, at in zip(comps, pivots):
+            for comp in comps:
                 if comp not in dec:
-                    self._store(comp, (0, [comp], at))
-        out = (iso, comps, pivot)
+                    self._store(comp, (0, [comp], comp.bit_length() - 1))
+        out = (iso, comps, mask.bit_length() - 1)
         self._store(mask, out)
         return out
 
@@ -223,7 +235,7 @@ class Engine:
     # -- zero-edge (independent set) polynomials ----------------------------
 
     def i0(self, mask: int | None = None) -> Poly:
-        return self._unpack(self._i0(self._full if mask is None else mask))
+        return self._unpack(self._i0(self._inside(mask)))
 
     def _i0(self, mask: int) -> int:
         memo = self._p0
@@ -244,7 +256,7 @@ class Engine:
     # -- one-edge polynomials, pivot-vertex route ----------------------------
 
     def i1(self, mask: int | None = None) -> Poly:
-        return self._unpack(self._i1(self._full if mask is None else mask))
+        return self._unpack(self._i1(self._inside(mask)))
 
     def _i1(self, mask: int) -> int:
         memo = self._p1
@@ -276,24 +288,28 @@ class Engine:
 
     # -- one-edge polynomial, per-edge route ---------------------------------
 
+    @cached_property
     def _edge_route(self) -> list[tuple[int, int, int, int]]:
-        """The per-edge route's terms in ``Graph.edges`` order: (u, v,
-        N(u) | N(v), the packed independent-set polynomial of what that
-        union leaves).  Every subset inducing the one edge uv is uv plus an
-        independent set of the residual."""
-        adj = self._adj
-        return [(u, v, (union := adj[u] | adj[v]), self._i0(self._full & ~union))
+        """The per-edge route's terms in ``Graph.edges`` order, listed once
+        per engine: (u, v, N(u) | N(v) in graph labels, the packed
+        independent-set polynomial of what that union leaves).  Every subset
+        inducing the one edge uv is uv plus an independent set of the
+        residual."""
+        adj, label, full = self._adj, self._label, self._full
+        nbhd = self.graph.adj
+        return [(u, v, nbhd[u] | nbhd[v], self._i0(full & ~(adj[label[u]] | adj[label[v]])))
                 for u, v in self.graph.edges()]
 
     def i1_by_edges(self) -> Poly:
-        return self._unpack(sum(p for *_, p in self._edge_route()) << 2 * self._w)
+        return self._unpack(sum(p for *_, p in self._edge_route) << 2 * self._w)
 
     # -- scalar route (independent of the polynomial arithmetic) -------------
 
     def scalars0(self, mask: int | None = None) -> tuple[int, int]:
         """(count, size-sum) over subsets of ``mask`` inducing no edge."""
-        if mask is None:
-            mask = self._full
+        return self._scalars0(self._inside(mask))
+
+    def _scalars0(self, mask: int) -> tuple[int, int]:
         memo = self._sc0
         got = memo.get(mask)
         if got is not None:
@@ -302,22 +318,23 @@ class Engine:
         if iso or len(comps) != 1:
             sig, tot = _edgeless_scalars(iso)
             for c in comps:
-                cs, ct = self.scalars0(c)
+                cs, ct = self._scalars0(c)
                 tot = tot * cs + sig * ct
                 sig = sig * cs
             out = (sig, tot)
         else:
             closed = self._adj[v] | (1 << v)
-            s_a, t_a = self.scalars0(mask & ~(1 << v))
-            s_b, t_b = self.scalars0(mask & ~closed)
+            s_a, t_a = self._scalars0(mask & ~(1 << v))
+            s_b, t_b = self._scalars0(mask & ~closed)
             out = (s_a + s_b, t_a + t_b + s_b)
         memo[mask] = out
         return out
 
     def scalars1(self, mask: int | None = None) -> tuple[int, int]:
         """(count, size-sum) over subsets of ``mask`` inducing one edge."""
-        if mask is None:
-            mask = self._full
+        return self._scalars1(self._inside(mask))
+
+    def _scalars1(self, mask: int) -> tuple[int, int]:
         memo = self._sc1
         got = memo.get(mask)
         if got is not None:
@@ -328,8 +345,8 @@ class Engine:
             sig0, tot0 = _edgeless_scalars(iso)
             sig1, tot1 = 0, 0
             for c in comps:
-                cs0, ct0 = self.scalars0(c)
-                cs1, ct1 = self.scalars1(c)
+                cs0, ct0 = self._scalars0(c)
+                cs1, ct1 = self._scalars1(c)
                 tot1 = tot1 * cs0 + sig1 * ct0 + ct1 * sig0 + cs1 * tot0
                 sig1 = sig1 * cs0 + sig0 * cs1
                 tot0 = tot0 * cs0 + sig0 * ct0
@@ -337,8 +354,8 @@ class Engine:
             out = (sig1, tot1)
         else:
             closed = adj[v] | (1 << v)
-            s_a, t_a = self.scalars1(mask & ~(1 << v))
-            s_b, t_b = self.scalars1(mask & ~closed)
+            s_a, t_a = self._scalars1(mask & ~(1 << v))
+            s_b, t_b = self._scalars1(mask & ~closed)
             sig = s_a + s_b
             tot = t_a + s_b + t_b
             nbrs = adj[v] & mask
@@ -346,7 +363,7 @@ class Engine:
                 low = nbrs & -nbrs
                 nbrs ^= low
                 residual = mask & ~(adj[v] | adj[low.bit_length() - 1])
-                rs, rt = self.scalars0(residual)
+                rs, rt = self._scalars0(residual)
                 sig += rs
                 tot += 2 * rs + rt
             out = (sig, tot)
@@ -357,9 +374,9 @@ class Engine:
 
     def edge_terms(self) -> list[EdgeTerm]:
         """One ``EdgeTerm`` per term of the per-edge route, in
-        ``Graph.edges`` order, with the moments of its residual's
-        independent-set polynomial as (sigma0, s0)."""
-        route = self._edge_route()
+        ``Graph.edges`` order and graph labels, with the moments of its
+        residual's independent-set polynomial as (sigma0, s0)."""
+        route = self._edge_route
         if not route:
             raise ValueError("edge terms undefined for edgeless graph")
         counts = [moments(self._unpack(p)) for *_, p in route]

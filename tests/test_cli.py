@@ -99,6 +99,20 @@ def test_compute_batch_golden(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+LARGE_BATCH = Path(__file__).parent / "data" / "compute_batch_large.g6"
+
+
+def test_compute_large_batch_golden(capsys):
+    # one graph each of orders 24, 28, 32, 36, 40 and 44 at densities
+    # 0.3-0.5, drawn as the compute-batch benchmark draws its input; the
+    # engine relabels vertices, and edges and residuals must stay in graph
+    # labels.  Digest taken before the relabelling
+    code, out, _ = run_cli(capsys, "compute", "--batch", str(LARGE_BATCH))
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "c8bd462da63e7307d8f337e77bd5ffb802a185074e9c6f16c48109194573b7c7")
+
+
 def test_compute_batch_reads_line_by_line(capsys, monkeypatch, tmp_path):
     events = []
     parse, record = cli.from_graph6, cli._compute_record
@@ -668,11 +682,13 @@ def test_trees_has_no_output_format(capsys):
 
 
 @pytest.mark.parametrize("text", ["", "\n\n"])
-def test_compute_empty_batch_is_an_empty_array(capsys, tmp_path, text):
+def test_compute_refuses_an_empty_batch(capsys, tmp_path, text):
     batch = tmp_path / "batch.g6"
     batch.write_text(text)
-    code, out, _ = run_cli(capsys, "compute", "--batch", str(batch))
-    assert code == 0 and out == "[]\n"
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(capsys, "compute", "--batch", str(batch), "--output-format", fmt)
+        assert code == 2 and out == ""
+        assert err == f"error: batch {batch} holds no graph, so compute would check nothing\n"
 
 
 def test_compute_batch_writes_each_record_as_computed(capsys, monkeypatch, tmp_path):

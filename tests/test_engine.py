@@ -322,6 +322,37 @@ def reference_split(g, mask):
     return iso, [c for c in comps if c & (c - 1)], pivot
 
 
+def relabel(mask, labels):
+    """``mask`` with each vertex v replaced by ``labels[v]``."""
+    return sum(1 << labels[v] for v in range(len(labels)) if mask >> v & 1)
+
+
+def graph_labels(eng):
+    """The graph vertex behind each of ``eng``'s internal vertices."""
+    return sorted(range(eng.graph.n), key=eng._label.__getitem__)
+
+
+def in_graph_labels(eng, entry):
+    """A decomposition of ``eng``'s, mapped back to graph labels, with its
+    components in order of their lowest vertex as ``reference_split``
+    lists them."""
+    iso, comps, pivot = entry
+    labels = graph_labels(eng)
+    comps = sorted((relabel(c, labels) for c in comps), key=lambda c: c & -c)
+    return iso, comps, labels[pivot] if pivot >= 0 else -1
+
+
+def graph_split(eng, mask):
+    """``eng._split`` of a mask given in graph labels, in graph labels."""
+    return in_graph_labels(eng, eng._split(relabel(mask, eng._label)))
+
+
+def decompositions(eng):
+    """Every memoized decomposition of ``eng``, keyed and given in graph labels."""
+    labels = graph_labels(eng)
+    return {relabel(mask, labels): in_graph_labels(eng, entry) for mask, entry in eng._dec.items()}
+
+
 def run_all_routes(eng):
     eng.i0()
     eng.i1()
@@ -340,7 +371,7 @@ class TestDecomposition:
             for g, _ in labeled_graph_classes(n):
                 eng = Engine(g)
                 for mask in range(1 << n):
-                    assert eng._split(mask) == reference_split(g, mask)
+                    assert graph_split(eng, mask) == reference_split(g, mask)
 
     @given(graphs(14), st.data())
     @settings(max_examples=60, deadline=None)
@@ -348,21 +379,22 @@ class TestDecomposition:
         masks = data.draw(st.lists(st.integers(0, g.universe), max_size=100))
         eng = Engine(g)
         for mask in [g.universe, *masks]:
-            assert eng._split(mask) == reference_split(g, mask)
+            assert graph_split(eng, mask) == reference_split(g, mask)
 
     def test_pivot_tie_goes_to_lowest_index_not_first_visited(self):
-        # the walk from 0 reaches 5 (root degree 5) before 2 (root degree 5),
-        # via 5-3; inside {0..5}, 3 has the most neighbours (4) but root
-        # degree 4, and 2 and 5 keep 3 of their 5 neighbours outside it
+        # in graph labels a walk from 0 reaches 5 (root degree 5) before 2
+        # (root degree 5), via 5-3; inside {0..5}, 3 has the most neighbours
+        # (4) but root degree 4, and 2 and 5 keep 3 of their 5 neighbours
+        # outside it.  The tie goes to 2 through the engine's label order
         g = build_graph(9, [(0, 5), (5, 3), (3, 2), (3, 1), (3, 4), (2, 1),
                             *((u, w) for u in (2, 5) for w in (6, 7, 8))])
         inside = 0b111111
         assert (g.adj[3] & inside).bit_count() > (g.adj[2] & inside).bit_count()
-        assert Engine(g)._split(inside) == (0, [inside], 2)
-        assert Engine(g)._split(g.universe)[2] == 2
+        assert graph_split(Engine(g), inside) == (0, [inside], 2)
+        assert graph_split(Engine(g), g.universe)[2] == 2
         eng = Engine(g)
         for mask in range(1 << g.n):
-            assert eng._split(mask) == reference_split(g, mask)
+            assert graph_split(eng, mask) == reference_split(g, mask)
 
     @pytest.mark.parametrize("seed, n, p, masks", [(11, 20, 0.3, 413), (12, 22, 0.25, 482),
                                                    (13, 24, 0.2, 509)])
@@ -410,7 +442,7 @@ class TestDecomposition:
             for g, _ in labeled_graph_classes(n):
                 eng = Engine(g)
                 run_all_routes(eng)
-                for mask, entry in eng._dec.items():
+                for mask, entry in decompositions(eng).items():
                     assert entry == reference_split(g, mask)
 
     @given(graphs(14))
@@ -418,7 +450,7 @@ class TestDecomposition:
     def test_seeded_entries_match_reference_on_random_graphs(self, g):
         eng = Engine(g)
         run_all_routes(eng)
-        for mask, entry in eng._dec.items():
+        for mask, entry in decompositions(eng).items():
             assert entry == reference_split(g, mask)
 
     def test_work_guard_caps_decomposed_masks(self, monkeypatch):
