@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd
 
-from .engine import Engine, format_rational, moments
+from .engine import Engine, NisSummary, format_rational, moments
 from .families import FAMILY_MIN_ORDER, FamilySpec, closed_form_summary
 from .formats import FormatError, from_graph6, parse_edge_list, to_graph6
 from .graphs import Graph, iter_bits
@@ -136,16 +136,9 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _emit_json(payload, path: str | None) -> None:
-    """Write ``payload`` as indented JSON, the bytes of
-    ``json.dumps(payload, indent=2)`` and a newline."""
-    with _output(path) as handle:
-        handle.write(_indented(payload) + "\n")
-
-
 def _emit_json_array(items, path: str | None) -> None:
-    """Write the items of an iterable as one indented JSON array, each as
-    soon as it is produced; the bytes are those of ``_emit_json(list(items))``."""
+    """Write an iterable's items as one indented JSON array, each as soon as
+    it is produced: the bytes of ``_indented(list(items))`` and a newline."""
     with _output(path) as handle:
         opening = "[\n  "
         for item in items:
@@ -166,7 +159,7 @@ def _write(args: argparse.Namespace, payload, header, rows) -> None:
     """The report as JSON ``payload`` or as a CSV table, per --output-format;
     ``rows`` may be a generator, consumed only for CSV."""
     if args.output_format == "json":
-        _emit_json(payload, args.out)
+        _emit(_indented(payload) + "\n", args.out)
     else:
         _emit(_csv_text(header, rows), args.out)
 
@@ -223,8 +216,8 @@ def _compute_record(graph: Graph) -> dict:
             f"pivot {p1}, per-edge {p1_edges}, scalar ({sig1}, {tot1}), "
             f"edge terms {by_terms}; level 0 {p0}, scalar ({sig0}, {tot0})"
         )
-    av0 = Fraction(tot0, sig0) if sig0 else Fraction(0)
-    av1 = Fraction(tot1, sig1) if sig1 else Fraction(0)
+    av0 = NisSummary.from_counts(sig0, tot0).average
+    av1 = NisSummary.from_counts(sig1, tot1).average
     record = {
         "n": graph.n,
         "edges": graph.edge_count,
@@ -285,7 +278,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if _one_input(args, ("batch", "graph6", "edges", "input")) != "batch":
         record = _compute_record(_read_graph(args))
         if args.output_format == "json":
-            _emit_json(record, args.out)
+            _emit(_indented(record) + "\n", args.out)
         else:
             _emit(_compute_csv([record]), args.out)
         return 0
@@ -305,14 +298,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     graph = _read_graph(args)
     profile = oracle_profile(graph, args.level)
-    avg = Fraction(profile.total, profile.sigma) if profile.sigma else Fraction(0)
     payload = {
         "n": graph.n,
         "level": args.level,
         "by_size": list(profile.by_size),
         "sigma": profile.sigma,
         "total": profile.total,
-        "average": format_rational(avg),
+        "average": format_rational(NisSummary.from_counts(profile.sigma, profile.total).average),
     }
     row = [v if k != "by_size" else ";".join(map(str, v)) for k, v in payload.items()]
     _write(args, payload, payload.keys(), [row])

@@ -294,24 +294,12 @@ def labeled_graph_classes(n: int) -> list[tuple[Graph, int]]:
     return classes
 
 
-def scan_graphs(
-    n: int,
-    graph_filter: str = "all",
-    objective: str = "av1",
-    *,
-    witness_cap: int | None = WITNESS_CAP,
-) -> ScanReport:
-    """Exact extremal values of the objective over isomorphism classes.
-
-    With the ``av1`` objective, the edgeless class is always excluded.
-    """
-    if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
-    if graph_filter not in GRAPH_FILTERS:
-        raise ValueError(f"unknown graph filter {graph_filter!r}")
-    entries = []
+def _class_records(n: int, graph_filter: str):
+    """(graph, graph6, Engine, sigma1, S1) of each order-n class the filter
+    keeps, in ``labeled_graph_classes`` order: the one walk of the graph
+    population, read by ``scan_graphs`` and the graph claims alike."""
     for graph, _ in labeled_graph_classes(n):
-        if not graph.edge_count and (objective == "av1" or graph_filter == "non-edgeless"):
+        if graph_filter == "non-edgeless" and not graph.edge_count:
             continue
         if graph_filter == "connected" and not structural_predicates(graph).is_connected:
             continue
@@ -321,8 +309,30 @@ def scan_graphs(
                 continue
         eng = Engine(graph)
         sigma1, s1 = eng.scalars1()
-        num, den = (s1, sigma1) if objective == "av1" else (sigma1, eng.scalars0()[0])
-        entries.append((num, den, to_graph6(graph)))
+        yield graph, to_graph6(graph), eng, sigma1, s1
+
+
+def scan_graphs(
+    n: int,
+    graph_filter: str = "all",
+    objective: str = "av1",
+    *,
+    witness_cap: int | None = WITNESS_CAP,
+) -> ScanReport:
+    """Exact extremal values of the objective over isomorphism classes.
+
+    With the ``av1`` objective only the classes with sigma1 > 0, every graph
+    but the edgeless one, count; only ``sigma-ratio`` reads ``scalars0``.
+    """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+    if graph_filter not in GRAPH_FILTERS:
+        raise ValueError(f"unknown graph filter {graph_filter!r}")
+    records = _class_records(n, graph_filter)
+    if objective == "av1":
+        entries = [(s1, sigma1, g6) for _, g6, _, sigma1, s1 in records if sigma1]
+    else:
+        entries = [(sigma1, eng.scalars0()[0], g6) for _, g6, eng, sigma1, _ in records]
     return _report(f"scan-{objective}", f"graphs/{graph_filter}", n, objective,
                    _extremes(entries), witness_cap)
 
@@ -705,26 +715,21 @@ def _tree_claim_reports(n: int, sweep: _Sweep) -> dict:
 
 def _graph_claim_reports(n: int) -> dict:
     """The graph claims' (sides, violations) at order n >= 2 from one pass
-    over its class representatives, keyed by claim id (graph-average-upper
-    has none below its first order).
+    over the "non-edgeless" class records, keyed by claim id
+    (graph-average-upper has none below its first order).
 
-    Each non-edgeless class gets one Engine, which serves every claim on
-    its scalar route: per edge uv, the union N(u) | N(v) comes from the
-    adjacency masks and the (sigma0, S0) of the graph left after deleting
-    it from ``scalars0``.  The classes where "every edge's union covers
-    all n vertices" disagrees with av1 = 2 close graph-average-lower's
-    violations, in graph6 order.  Every comparison is made in integers; a
-    Fraction is built only for violation text and the extremes."""
+    Each record's Engine serves every claim on its scalar route: per edge
+    uv, the union N(u) | N(v) comes from the adjacency masks and the
+    (sigma0, S0) of the graph left after deleting it from ``scalars0``.
+    The classes where "every edge's union covers all n vertices" disagrees
+    with av1 = 2 close graph-average-lower's violations, in graph6 order.
+    Every comparison is made in integers; a Fraction is built only for
+    violation text and the extremes."""
     av1_entries, ratio_entries = [], []
     mismatched = []
     lower, union, bracket, residual = [], [], [], []
-    for graph, _ in labeled_graph_classes(n):
-        if graph.edge_count == 0:
-            continue
-        g6 = to_graph6(graph)
-        eng = Engine(graph)
+    for graph, g6, eng, sigma1, s1 in _class_records(n, "non-edgeless"):
         sigma_g, _ = eng.scalars0()
-        sigma1, s1 = eng.scalars1()
         av1_entries.append((s1, sigma1, g6))
         ratio_entries.append((sigma1, sigma_g, g6))
         adj, universe = graph.adj, graph.universe

@@ -748,7 +748,7 @@ def test_streamed_array_bytes_equal_whole_payload(tmp_path, count):
     items = [{"n": 4, "note": "two\nlines", "i0": [1, 4, 3]}, [], {"nested": {"1": [True, None]}}]
     streamed, whole = tmp_path / "streamed.json", tmp_path / "whole.json"
     cli._emit_json_array(iter(items[:count]), str(streamed))
-    cli._emit_json(items[:count], str(whole))
+    cli._emit(cli._indented(items[:count]) + "\n", str(whole))
     assert streamed.read_bytes() == whole.read_bytes()
     assert whole.read_text() == json.dumps(items[:count], indent=2) + "\n"
 

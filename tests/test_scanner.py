@@ -1037,6 +1037,35 @@ class TestGraphClaimPass:
         classes = sum(1 for n in range(2, 7) for g, _ in labeled_graph_classes(n) if g.edge_count)
         assert len(built_engines) == classes == 202
 
+    def test_claim_sides_are_the_non_edgeless_scans(self):
+        # the scan and the claims read the same class records, so each
+        # objective's claim sides are its non-edgeless scan's
+        for n in range(2, 8):
+            checks = _graph_claim_reports(n)
+            for objective, claim_id in (("av1", "graph-average-lower"),
+                                        ("sigma-ratio", "residual-count-sandwich")):
+                scan = scan_graphs(n, "non-edgeless", objective, witness_cap=None)
+                lo, hi = checks[claim_id][0]
+                assert [lo.value, hi.value, sorted(lo.codes), sorted(hi.codes),
+                        len(lo.codes), len(hi.codes)] == [
+                    scan.min_value, scan.max_value, list(scan.min_witnesses),
+                    list(scan.max_witnesses), scan.min_count, scan.max_count], (n, claim_id)
+
+    def test_av1_graph_scan_reads_no_level_zero_scalars(self, monkeypatch):
+        calls = Counter()
+        scalars0 = Engine.scalars0
+
+        def counted(self, mask=None):
+            calls["scalars0"] += 1
+            return scalars0(self, mask)
+
+        monkeypatch.setattr(Engine, "scalars0", counted)
+        scan_graphs(7)
+        assert calls == {}
+        # the counter sees the sigma-ratio scan's one read per class
+        scan_graphs(3, "all", "sigma-ratio")
+        assert calls == {"scalars0": 4}
+
 
 class TestConjecture:
     def test_small_orders(self):
