@@ -27,7 +27,7 @@ from math import gcd
 
 from .engine import Engine, NisSummary, format_rational, moments
 from .families import FAMILY_MIN_ORDER, FamilySpec, closed_form_summary
-from .formats import FormatError, from_graph6, parse_edge_list, to_graph6
+from .formats import from_graph6, parse_edge_list, to_graph6
 from .graphs import Graph, iter_bits
 from .oracle import oracle_profile
 from .scanner import (
@@ -433,14 +433,20 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
 
 def _parse_orders(text: str) -> tuple[int, int]:
     lo, colon, hi = text.partition(":")
-    lo, hi = int(lo), int(hi if colon else lo)
+    try:
+        lo, hi = int(lo), int(hi if colon else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"order range {text!r} is not LO:HI in integers") from None
     if lo > hi:
         raise argparse.ArgumentTypeError(f"order range {text} is reversed: LO exceeds HI")
     return lo, hi
 
 
 def _single_order(text: str) -> tuple[int, int]:
-    return (int(text),) * 2
+    try:
+        return (int(text),) * 2
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"order {text!r} is not an integer N") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -451,7 +457,8 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         self.flags: dict[str, str] = {}
         super().__init__(**kwargs)
-        del self.flags["help"]  # -h takes no value, so no config key names it
+        # options the constructor adds, such as -h, take no config key
+        self.flags.clear()
 
     def add_argument(self, *names, key=None, **kwargs):
         action = super().add_argument(*names, **kwargs)
@@ -573,9 +580,6 @@ def main(argv=None) -> int:
         if args.out and base and not os.path.isabs(args.out):
             args.out = os.path.join(base, args.out)
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RouteDisagreement as exc:
         print(f"internal disagreement: {exc}", file=sys.stderr)
         return 1

@@ -26,7 +26,7 @@ import numpy as np
 
 from .engine import Engine, format_rational, nis_summary, tree_scalars_batch
 from .families import FamilySpec, build
-from .formats import GRAPH6_ORDER_LIMIT, from_graph6, to_graph6
+from .formats import GRAPH6_ORDER_LIMIT, to_graph6
 from .graphs import (
     Graph,
     all_pairs,
@@ -583,15 +583,6 @@ class ConjectureRecord:
         }
 
 
-def _is_subdivided_star(tree: Graph) -> bool:
-    """Whether a tree of order n >= 4 is R, read off its degrees.  A tree
-    with n-2 leaves, a hub of degree n-2 and one vertex w of degree 2 is R:
-    were w off the hub, the hub and its n-2 leaves would make a component
-    without w."""
-    n = tree.n
-    return sorted(tree.degree(v) for v in range(n)) == [1] * (n - 2) + [2, n - 2]
-
-
 def conjecture_scan(
     orders,
     *,
@@ -600,7 +591,9 @@ def conjecture_scan(
     spot_check_rate: float = 0.0,
 ) -> list[ConjectureRecord]:
     """For each order, the av1-maximal trees and whether the subdivided star
-    is the unique maximizer; evidence only, nothing is asserted."""
+    is the unique maximizer; evidence only, nothing is asserted.  The stream
+    roots R at its hub with the subdivided edge first, so R's graph6 is the
+    one the sweep's sides hold."""
     orders = list(orders)
     if not all(4 <= n <= TREE_ORDER_LIMIT for n in orders):
         raise ValueError(f"conjecture scan needs orders >= 4 and <= {TREE_ORDER_LIMIT}")
@@ -609,17 +602,16 @@ def conjecture_scan(
     out = []
     for n, sweep in zip(orders, _tree_sweeps(orders, "av1", workers, top_k, spot_check_rate)):
         hi = sweep.hi
-        r_value = nis_summary(build(FamilySpec("R", n)), 1).average
-        unique = len(hi.codes) == 1 and hi.value == r_value
-        if unique:
-            unique = _is_subdivided_star(from_graph6(hi.codes[0]))
+        r_tree = levels_to_graph([0, 1, 2] + [1] * (n - 3))
+        r_value = nis_summary(r_tree, 1).average
         out.append(
             ConjectureRecord(
                 order=n,
                 max_value=hi.value,
                 max_witnesses=tuple(sorted(hi.codes)[:WITNESS_CAP]),
                 subdivided_star_value=r_value,
-                subdivided_star_is_unique_max=unique,
+                subdivided_star_is_unique_max=(hi.value == r_value
+                                               and hi.codes == [to_graph6(r_tree)]),
                 top=tuple(hi.ranked()[:top_k]),
             )
         )
@@ -797,13 +789,12 @@ def _graph_claim_reports(n: int) -> dict:
     if _stated("graph-average-upper", n):
         high = sides[1]
         bound = Fraction(n, 2) + 1
-        single_edge = build(FamilySpec("G_special", n))
+        # the walk's one-edge class is labelled as ``build`` labels the single edge
+        single_edge = to_graph6(build(FamilySpec("G_special", n)))
         upper = []
-        # every one-edge class of order n is the single edge plus isolated vertices
-        if not (high.value == bound and len(high.codes) == 1
-                and from_graph6(high.codes[0]).edge_count == 1):
+        if not (high.value == bound and high.codes == [single_edge]):
             upper.append(Violation(
-                to_graph6(single_edge),
+                single_edge,
                 "the single edge plus isolated vertices uniquely maximizes the average",
                 observed=f"max {format_rational(high.value)} on {len(high.codes)} classes",
                 expected=f"max {format_rational(bound)} on exactly this class",

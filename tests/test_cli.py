@@ -595,6 +595,18 @@ def test_reversed_order_range_exits_2(capsys, command, orders):
     assert f"argument --orders: order range {orders} is reversed: LO exceeds HI" in err
 
 
+@pytest.mark.parametrize("command,flag,value,form", [
+    ("families", "--orders", "a", "LO:HI"),
+    ("conjecture", "--orders", "4:x", "LO:HI"),
+    ("families", "--n", "x", "an integer N"),
+])
+def test_non_integer_order_exits_2_naming_the_form(capsys, command, flag, value, form):
+    code, err = exit_code(capsys, command, flag, value)
+    assert code == 2
+    assert f"argument {flag}: order" in err and f"{value!r} is not {form}" in err
+    assert "_parse_orders" not in err and "_single_order" not in err
+
+
 @pytest.mark.parametrize("argv,entries,orders", [
     (("--n", "3"), {"orders": "5:5"}, [3]),
     (("--orders", "3:4"), {"n": 6}, [3, 4]),

@@ -144,8 +144,8 @@ def public_names_unused_by_the_package(modules: dict[str, str]) -> list[str]:
 # user calls them or receives them from a call
 LIBRARY_ENTRY_POINTS = [
     # what the entry points return or raise
-    "ConjectureRecord", "EdgeTerm", "OracleProfile", "ScanReport", "StructuralSummary",
-    "Violation", "WorkLimitExceeded",
+    "ConjectureRecord", "EdgeTerm", "FormatError", "OracleProfile", "ScanReport",
+    "StructuralSummary", "Violation", "WorkLimitExceeded",
     # the tree DP's one-tree reference and the ratio claim's population
     "tree_scalars", "path_cycle_unions",
     # the graph classes with their labelled counts, and the oracle's summary

@@ -33,7 +33,6 @@ from nisets.scanner import (
     _block_degrees,
     _extremes,
     _graph_claim_reports,
-    _is_subdivided_star,
     _sweep_shard,
     conjecture_scan,
     has_inequality_violations,
@@ -1066,6 +1065,21 @@ class TestGraphClaimPass:
         scan_graphs(3, "all", "sigma-ratio")
         assert calls == {"scalars0": 4}
 
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_upper_claim_names_the_single_edge(self, monkeypatch, n):
+        # the single edge drops to 2 and a two-edge class alone takes its
+        # value n/2 + 1: the max side holds one class, and it is not the
+        # single edge plus isolated vertices
+        single = to_graph6(build(FamilySpec("G_special", n)))
+        two_edges = next(to_graph6(g) for g, _ in labeled_graph_classes(n) if g.edge_count == 2)
+        single_sigma1, _ = Engine(from_graph6(single)).scalars1()
+        two_sigma1, _ = Engine(from_graph6(two_edges)).scalars1()
+        tamper(monkeypatch, {(1, single): (single_sigma1, 2 * single_sigma1),
+                             (1, two_edges): (2 * two_sigma1, (n + 2) * two_sigma1)})
+        (_, hi), upper = _graph_claim_reports(n)["graph-average-upper"]
+        assert (hi.value, hi.codes) == (Fraction(n, 2) + 1, [two_edges])
+        assert [v.graph6 for v in upper] == [single]
+
 
 class TestConjecture:
     def test_small_orders(self):
@@ -1106,12 +1120,40 @@ class TestConjecture:
         with pytest.raises(ValueError, match="top list length"):
             conjecture_scan([6], top_k=-1)
 
-    def test_degree_rule_finds_exactly_the_subdivided_star(self):
-        # the scan names R by its degrees; the canonical key says the same
+    def test_a_tree_in_the_subdivided_stars_place_is_not_unique(self, monkeypatch):
+        # R drops to 2 and the star takes R's exact (sigma1, S1): the max
+        # side holds one tree, and it is not R
+        n = 9
+        star_levels = [0] + [1] * (n - 1)
+        r_parent, star_parent = level_parents(np.array([[0, 1, 2] + [1] * (n - 3), star_levels]))
+        (record,) = conjecture_scan([n])
+        assert record.subdivided_star_is_unique_max
+        true_batch = scanner_module.tree_scalars_batch
+        _, _, (r_sigma1,), (r_total1,) = true_batch(r_parent[None])
+
+        def moved(parent):
+            sig0, s0, sig1, tot1 = (v.copy() for v in true_batch(parent))
+            for i, row in enumerate(parent):
+                if (row == r_parent).all():
+                    sig1[i], tot1[i] = r_sigma1, 2 * r_sigma1
+                elif (row == star_parent).all():
+                    sig1[i], tot1[i] = r_sigma1, r_total1
+            return sig0, s0, sig1, tot1
+
+        monkeypatch.setattr(scanner_module, "tree_scalars_batch", moved)
+        (moved_record,) = conjecture_scan([n])
+        assert moved_record.max_value == moved_record.subdivided_star_value == record.max_value
+        assert moved_record.max_witnesses == (to_graph6(levels_to_graph(star_levels)),)
+        assert not moved_record.subdivided_star_is_unique_max
+
+    def test_stream_levels_name_exactly_the_subdivided_star(self):
+        # the scan names R by the graph6 of its stream level sequence; the
+        # canonical key says the same
         for n in range(4, 17):
             r_key = tree_canonical_key(build(FamilySpec("R", n)))
+            r_code = to_graph6(levels_to_graph([0, 1, 2] + [1] * (n - 3)))
             for tree in free_trees(n):
-                assert _is_subdivided_star(tree) == (tree_canonical_key(tree) == r_key)
+                assert (to_graph6(tree) == r_code) == (tree_canonical_key(tree) == r_key)
 
 
 def test_spot_check_catches_disagreement(monkeypatch):
