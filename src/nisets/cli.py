@@ -23,10 +23,9 @@ import stat
 import sys
 from fractions import Fraction
 from itertools import chain
-from math import gcd
 
 from .engine import Engine, NisSummary, format_rational, moments
-from .families import FAMILY_MIN_ORDER, FamilySpec, closed_form_summary
+from .families import CLOSED_FORM_FAMILIES, FAMILY_MIN_ORDER, FamilySpec, closed_form_summary
 from .formats import from_graph6, parse_edge_list, to_graph6
 from .graphs import Graph, iter_bits
 from .oracle import oracle_profile
@@ -191,14 +190,6 @@ def _decimal(value: Fraction) -> str:
     return f"{value.numerator / value.denominator:.6f}"
 
 
-def _ratio(num: int, den: int) -> str:
-    """``format_rational(Fraction(num, den))`` for den > 0, without the
-    Fraction."""
-    common = gcd(num, den)
-    num, den = num // common, den // common
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
 def _compute_record(graph: Graph) -> dict:
     eng = Engine(graph)
     p0 = eng.i0()
@@ -240,8 +231,8 @@ def _compute_record(graph: Graph) -> dict:
         "residual": list(iter_bits(term.residual_mask)),
         "sigma0": term.sigma0,
         "s0": term.s0,
-        "weight": format_rational(term.weight),
-        "av0": _ratio(term.s0, term.sigma0),
+        "weight": format_rational(term.sigma0, term.sigma1),
+        "av0": format_rational(term.s0, term.sigma0),
         "union_size": term.union_size,
     } for term in edge_terms]
     return record
@@ -313,8 +304,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_families(args: argparse.Namespace) -> int:
     lo, hi = args.orders
-    # the parser's choices leave out cycle, which has no closed form
-    names = [f for f in FAMILY_MIN_ORDER if f != "cycle"] if args.family == "all" else [args.family]
+    names = CLOSED_FORM_FAMILIES if args.family == "all" else [args.family]
     # every order is refused or accepted before any closed form is evaluated
     specs = [FamilySpec(name, n) for name in names
              for n in range(max(lo, FAMILY_MIN_ORDER[name], 2), hi + 1)]
@@ -385,8 +375,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     claims = args.claims
     if claims != "all":
         claims = [c for c in (c.strip() for c in claims.split(",")) if c]
-        if not claims:
-            raise ValueError("--claims names no claim: give 'all' or comma-separated claim ids")
     spot_checked = {}
     reports = verify_claims(
         claims=claims,
@@ -512,7 +500,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _Parser]]:
 
     p = command("families", _cmd_families, "closed-form regression table", output_format="csv")
     p.add_argument("--family", default="all",
-                   choices=sorted(set(FAMILY_MIN_ORDER) - {"cycle"} | {"all"}))
+                   choices=sorted([*CLOSED_FORM_FAMILIES, "all"]))
     # --n and --orders set one destination, so the later of the two wins
     p.add_argument("--orders", type=_parse_orders, default="2:12", help="order range LO:HI")
     p.add_argument("--n", dest="orders", key="n", type=_single_order, metavar="N",

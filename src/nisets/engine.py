@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 import numpy as np
 
@@ -54,13 +55,15 @@ class NisSummary:
         return cls(sigma, total, avg)
 
 
-def format_rational(value: Fraction | int) -> str:
-    """Lowest-terms display: bare integers stay bare, otherwise ``p/q``.
-    An int carries its own numerator and denominator, so nothing is
-    wrapped."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(num: Fraction | int, den: int = 1) -> str:
+    """``num/den`` in lowest terms, as a bare integer or ``p/q``, for an int
+    pair with den >= 1 or for an int or a Fraction alone."""
+    if den == 1:
+        num, den = num.numerator, num.denominator
+    else:
+        common = gcd(num, den)
+        num, den = num // common, den // common
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,16 +75,20 @@ class EdgeTerm:
     endpoints' neighbourhoods (endpoints included), and ``union_size`` is
     the size of that union; sigma0/s0 count the independent sets of the
     residual graph and their total size, read off its independent-set
-    polynomial as I(1) and I'(1).  The weights over all edges of a graph
-    sum to 1.
+    polynomial as I(1) and I'(1).  ``sigma1`` sums sigma0 over all edges
+    of the graph (its one-edge subsets), so the weights sum to 1.
     """
 
     edge: tuple[int, int]
     residual_mask: int
     sigma0: int
     s0: int
-    weight: Fraction
+    sigma1: int
     union_size: int
+
+    @property
+    def weight(self) -> Fraction:
+        return Fraction(self.sigma0, self.sigma1)
 
     @property
     def av0(self) -> Fraction:
@@ -380,9 +387,9 @@ class Engine:
         if not route:
             raise ValueError("edge terms undefined for edgeless graph")
         counts = [moments(self._unpack(p)) for *_, p in route]
-        denom = sum(rs for rs, _ in counts)
+        sigma1 = sum(rs for rs, _ in counts)
         return [EdgeTerm(edge=(u, v), residual_mask=self._full & ~union, sigma0=rs, s0=rt,
-                         weight=Fraction(rs, denom), union_size=union.bit_count())
+                         sigma1=sigma1, union_size=union.bit_count())
                 for (u, v, union, _), (rs, rt) in zip(route, counts)]
 
 

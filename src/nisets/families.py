@@ -24,6 +24,9 @@ FAMILY_MIN_ORDER = {
     "G_special": 3,
 }
 
+# the families ``closed_form_summary`` evaluates; cycles go through the engine
+CLOSED_FORM_FAMILIES = tuple(name for name in FAMILY_MIN_ORDER if name != "cycle")
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -80,11 +83,9 @@ def _path_scalar_tables(n: int):
 
 
 def closed_form_summary(spec: FamilySpec, level: int) -> NisSummary:
-    """Exact (count, size-sum, average) from the family's closed form.
-
-    Cycles have no closed form here; compute them through the engine.
-    """
-    if level not in (0, 1):
+    """Exact (count, size-sum, average) from the family's closed form, for
+    a family of ``CLOSED_FORM_FAMILIES``."""
+    if level not in (0, 1) or spec.family not in CLOSED_FORM_FAMILIES:
         raise ValueError(f"no closed form for family {spec.family!r} at level {level}")
     n = spec.n
     family = spec.family
@@ -115,13 +116,12 @@ def closed_form_summary(spec: FamilySpec, level: int) -> NisSummary:
         sigma = 2 * n - 5 + (1 << (n - 3))
         total = 5 * n - 13 + (n + 1) * (1 << (n - 4))
         return NisSummary.from_counts(sigma, total)
-    if family == "G_special":
-        if level == 0:
-            sigma = 3 << (n - 2)
-            total = (1 << (n - 1)) + 3 * (n - 2) * (1 << (n - 3))
-            return NisSummary.from_counts(sigma, total)
-        sigma = 1 << (n - 2)
-        total = (1 << (n - 1)) + (n - 2) * (1 << (n - 3))
+    # G_special
+    if level == 0:
+        sigma = 3 << (n - 2)
+        total = (1 << (n - 1)) + 3 * (n - 2) * (1 << (n - 3))
         return NisSummary.from_counts(sigma, total)
-    raise ValueError(f"no closed form for family {family!r}; use the engine")
+    sigma = 1 << (n - 2)
+    total = (1 << (n - 1)) + (n - 2) * (1 << (n - 3))
+    return NisSummary.from_counts(sigma, total)
 

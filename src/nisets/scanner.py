@@ -418,12 +418,12 @@ def _sweep_shard(payload):
 
     The blocks are read and scored one at a time.
     Values stay unreduced int64 pairs compared by cross-multiplication;
-    the graph6 code and the Fraction are built only for a tree that
-    reaches a side or breaks a cap, so witness lists and tie order are
-    those of an eager fold."""
+    the graph6 code is built only for a tree that reaches a side or
+    breaks a cap, so witness lists and tie order are those of an eager
+    fold."""
     n, objective, top_k, spots, caps, first, blocks = payload
     cap = 4 + max(n - 3, 0)  # twice the tree cap 2 + max(n-3, 0)/2
-    cap_text = format_rational(Fraction(cap, 2))
+    cap_text = format_rational(cap, 2)
     claimed_equality = n in (2, 3, 4)  # stated for the paths of these orders
     found = _Sweep(top_k)
     for levels in blocks:
@@ -452,7 +452,7 @@ def _sweep_shard(payload):
         over_internal = (internal > 0) & (2 * num > (n - internal + 3) * den)
         for i in np.flatnonzero(over_cap | off_equality | over_internal):
             g6 = code(i)
-            observed = format_rational(Fraction(int(num[i]), int(den[i])))
+            observed = format_rational(int(num[i]), int(den[i]))
             if over_cap[i]:
                 found.cap_violations.append(Violation(
                     g6, "tree average capped by 2 + max(n-3,0)/2",
@@ -467,7 +467,7 @@ def _sweep_shard(payload):
                 found.internal_violations.append(Violation(
                     g6, "tree average capped via the minimum internal degree",
                     observed=observed,
-                    expected=f"<= {format_rational(Fraction(n - int(internal[i]) + 3, 2))}",
+                    expected=f"<= {format_rational(n - int(internal[i]) + 3, 2)}",
                 ))
     return found
 
@@ -699,7 +699,7 @@ def _tree_claim_reports(n: int, sweep: _Sweep) -> dict:
             band.append(Violation(
                 "", "tree maximum lies strictly between n/2 and (n+1)/2",
                 observed=format_rational(hi.value),
-                expected=f"in ({format_rational(Fraction(n, 2))}, {format_rational(Fraction(n + 1, 2))})",
+                expected=f"in ({format_rational(n, 2)}, {format_rational(n + 1, 2)})",
             ))
         checks["tree-average-band"] = (sides, band)
     return checks
@@ -716,7 +716,7 @@ def _graph_claim_reports(n: int) -> dict:
     The classes where "every edge's union covers all n vertices" disagrees
     with av1 = 2 close graph-average-lower's violations, in graph6 order.
     Every comparison is made in integers; a Fraction is built only for
-    violation text and the extremes."""
+    the extremes, the upper bound and a bracket violation's range."""
     av1_entries, ratio_entries = [], []
     mismatched = []
     lower, union, bracket, residual = [], [], [], []
@@ -735,7 +735,7 @@ def _graph_claim_reports(n: int) -> dict:
         if s1 < 2 * sigma1:
             lower.append(Violation(
                 g6, "average size of one-edge subsets is at least 2",
-                observed=format_rational(Fraction(s1, sigma1)), expected=">= 2",
+                observed=format_rational(s1, sigma1), expected=">= 2",
             ))
         # union-size sandwich: lower bound low_num/low_den (low_den >= 1), upper bound up2/2
         low_num, low_den, up2 = 3 * n + 2 - 3 * d2, n + 1 - d2, n + 4 - d1
@@ -743,9 +743,9 @@ def _graph_claim_reports(n: int) -> dict:
                 and 2 * s1 <= up2 * sigma1 and up2 <= n + 2):
             union.append(Violation(
                 g6, "neighbourhood-union size sandwich around the average",
-                observed=f"lower {format_rational(Fraction(low_num, low_den))}, "
-                         f"av {format_rational(Fraction(s1, sigma1))}, "
-                         f"upper {format_rational(Fraction(up2, 2))}",
+                observed=f"lower {format_rational(low_num, low_den)}, "
+                         f"av {format_rational(s1, sigma1)}, "
+                         f"upper {format_rational(up2, 2)}",
                 expected="2 <= lower <= av <= upper <= (n+2)/2",
             ))
         # av1 - 2 = excess/sigma1 against each edge's residual average s0/sigma0
@@ -755,7 +755,7 @@ def _graph_claim_reports(n: int) -> dict:
             per_edge = [2 + Fraction(s0, sigma0) for sigma0, s0 in residuals]
             bracket.append(Violation(
                 g6, "per-edge conditional averages bracket the average",
-                observed=f"av {format_rational(Fraction(s1, sigma1))} outside "
+                observed=f"av {format_rational(s1, sigma1)} outside "
                          f"[{format_rational(min(per_edge))}, {format_rational(max(per_edge))}]",
                 expected="min edge average <= av <= max edge average",
             ))
@@ -770,7 +770,7 @@ def _graph_claim_reports(n: int) -> dict:
             if not sigma_g <= sigma0 * lower_den or sigma0 + max(minus[u], minus[v]) > sigma_g:
                 residual.append(Violation(
                     g6, "per-edge residual independent-set count sandwich",
-                    observed=f"edge ({u},{v}) ratio {format_rational(Fraction(sigma0, sigma_g))}",
+                    observed=f"edge ({u},{v}) ratio {format_rational(sigma0, sigma_g)}",
                     expected="within the closed-neighbourhood bounds",
                 ))
     for g6 in sorted(mismatched):
@@ -849,7 +849,7 @@ def _subdivided_star_reports(n: int) -> dict:
         violations.append(Violation(
             g6, "subdivided-star average below (n+1)/2",
             observed=format_rational(value),
-            expected=f"< {format_rational(Fraction(n + 1, 2))}",
+            expected=f"< {format_rational(n + 1, 2)}",
         ))
     half = Fraction(n, 2)
     if n == 6:
@@ -896,18 +896,20 @@ def verify_claims(
     counts once): ``claims`` is "all", one claim id or an iterable of
     them.  Equality discrepancies are recorded, not raised.
 
-    A maximum order below the first order of a suite under "all" (4 for the
-    family suite, 2 for the others), or of a named claim, is refused, since
-    it would check nothing.  At a positive
-    ``spot_check_rate`` a sample of the trees of every order up to
-    ``max_tree_order`` is spot-checked on the tree claims' sweep, with
-    the DP rows their reports came from; without a tree claim no tree is
-    walked.  ``spot_checked``, when given, receives the number of trees
-    checked at each order."""
+    A selection that names no claim ([], () or ""), and a maximum order
+    below the first order of a suite under "all" (4 for the family suite,
+    2 for the others) or of a named claim, are refused before any suite
+    runs, since they would check nothing.  At a positive ``spot_check_rate``
+    a sample of the trees of every order up to ``max_tree_order`` is
+    spot-checked on the tree claims' sweep, with the DP rows their reports
+    came from; without a tree claim no tree is walked.  ``spot_checked``,
+    when given, receives the number of trees checked at each order."""
     if claims == "all":
         selected = ALL_CLAIMS
     else:
         selected = list(dict.fromkeys([claims] if isinstance(claims, str) else claims))
+        if not any(selected):
+            raise ValueError("no claim selected: give 'all' or one or more claim ids")
         unknown = [c for c in selected if c not in _CLAIMS]
         if unknown:
             raise ValueError(f"unknown claims: {', '.join(unknown)}")

@@ -500,7 +500,7 @@ def test_verify_claims_list_drops_empty_items(capsys, tmp_path):
     for empty in (",", " , "):
         code, out, err = run_cli(capsys, "verify", "--claims", empty)
         assert code == 2 and out == ""
-        assert err.startswith("error: --claims names no claim")
+        assert err.startswith("error: no claim selected")
 
 
 def test_conjecture_csv(capsys):

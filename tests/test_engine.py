@@ -147,10 +147,18 @@ class TestSummaries:
         s = nis_summary(build(FamilySpec("R", 10)), 1)
         assert s.average == Fraction(741, 143)
 
-    def test_format_rational(self):
+    @given(st.integers(-10**20, 10**20), st.integers(1, 10**20))
+    @settings(max_examples=300, deadline=None)
+    def test_format_rational(self, num, den):
         assert format_rational(Fraction(12, 5)) == "12/5"
         assert format_rational(Fraction(4, 2)) == "2"
         assert format_rational(0) == "0"
+        # an int pair reads as the Fraction it stands for, a zero and a
+        # whole quotient included; an int or a Fraction alone reads as itself
+        for pair in ((num, den), (0, den), (num * den, den)):
+            assert format_rational(*pair) == format_rational(Fraction(*pair)) == str(Fraction(*pair))
+        assert format_rational(num) == str(num) == format_rational(num, 1)
+        assert format_rational(Fraction(num, den)) == str(Fraction(num, den))
 
 
 class TestUnionCombine:
@@ -257,6 +265,7 @@ class TestEdgeStatistics:
         eng = Engine(g)
         for t in eng.edge_terms():
             assert (t.sigma0, t.s0) == eng.scalars0(t.residual_mask)
+            assert t.sigma1 == eng.scalars1()[0]
 
     @given(graphs(14))
     @settings(max_examples=60, deadline=None)

@@ -6,7 +6,13 @@ import pytest
 
 from crosschecks import ratio_table
 from nisets.engine import nis_summary
-from nisets.families import FamilySpec, build, closed_form_summary
+from nisets.families import (
+    CLOSED_FORM_FAMILIES,
+    FAMILY_MIN_ORDER,
+    FamilySpec,
+    build,
+    closed_form_summary,
+)
 from nisets.graphs import MAX_VERTICES
 from nisets.trees import tree_canonical_key
 
@@ -69,9 +75,8 @@ def test_star_and_complete_counts(n):
 
 
 def test_closed_forms_match_engine():
-    for family, low in (("edgeless", 2), ("star", 2), ("complete", 2),
-                        ("path", 2), ("R", 4), ("G_special", 3)):
-        for n in range(low, 21):
+    for family in CLOSED_FORM_FAMILIES:
+        for n in range(max(FAMILY_MIN_ORDER[family], 2), 21):
             g = build(FamilySpec(family, n))
             for level in (0, 1):
                 want = closed_form_summary(FamilySpec(family, n), level)
@@ -80,6 +85,7 @@ def test_closed_forms_match_engine():
 
 
 def test_cycle_has_no_closed_form():
+    assert CLOSED_FORM_FAMILIES == tuple(f for f in FAMILY_MIN_ORDER if f != "cycle")
     with pytest.raises(ValueError, match="cycle"):
         closed_form_summary(FamilySpec("cycle", 5), 1)
 

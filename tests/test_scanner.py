@@ -832,6 +832,16 @@ class TestTreeClaimPass:
         with pytest.raises(RouteDisagreement, match="tree DP"):
             verify_claims(claims=["tree-average-cap"], max_tree_order=6, spot_check_rate=0.01)
 
+    def test_empty_selection_refused_before_any_suite(self, monkeypatch):
+        calls = Counter()
+        for suite in ("_graph_claim_reports", "_tree_sweeps"):
+            monkeypatch.setattr(scanner_module, suite,
+                                lambda *args, suite=suite, **kwargs: calls.update([suite]))
+        for empty in ([], (), ""):
+            with pytest.raises(ValueError, match="^no claim selected"):
+                verify_claims(claims=empty)
+        assert calls == Counter()
+
     @pytest.mark.parametrize("suite, option, first", [
         ("tree", "max_tree_order", 2), ("graph", "max_graph_order", 2),
         ("ratio", "max_ratio_order", 2), ("family", "max_family_order", 4)])
