@@ -593,8 +593,11 @@ def conjecture_scan(
     """For each order, the av1-maximal trees and whether the subdivided star
     is the unique maximizer; evidence only, nothing is asserted.  The stream
     roots R at its hub with the subdivided edge first, so R's graph6 is the
-    one the sweep's sides hold."""
+    one the sweep's sides hold.  An empty order list is refused, since it
+    would check nothing."""
     orders = list(orders)
+    if not orders:
+        raise ValueError("no order selected: give one or more tree orders")
     if not all(4 <= n <= TREE_ORDER_LIMIT for n in orders):
         raise ValueError(f"conjecture scan needs orders >= 4 and <= {TREE_ORDER_LIMIT}")
     if top_k < 0:

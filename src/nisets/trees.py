@@ -1,16 +1,18 @@
 """Exhaustive generation of free trees, one per isomorphism class.
 
-Trees are produced by the classic successor algorithm on canonical level
-sequences of centre-rooted trees (constant amortized work per tree), so the
-stream order is deterministic.  ``tree_blocks`` walks one bytearray in
-place, each step a few C-level scans and slice assignments, and cuts the
-stream into int8 blocks, which every consumer reads.  An independent
-counting recurrence gives the number of free trees, and a canonical key
-tells trees of any supported order apart.
+The stream holds the canonical level sequences of centre-rooted trees in
+decreasing order, so it is deterministic.  ``tree_blocks`` builds it as a
+join: each first root subtree, walked by the rooted successor algorithm,
+is paired with a contiguous range of a table of the rests that may follow
+it, and the rows are copied into int8 blocks, which every consumer reads.
+An independent counting recurrence gives the number of free trees, and a
+canonical key tells trees of any supported order apart.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,52 +80,104 @@ def _check_order(n: int) -> None:
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"  # translate table: every level one deeper
 
 
+def _rooted_walk(levels: bytearray):
+    """``levels``, a canonical rooted level sequence, then each later one
+    of its size in Beyer-Hedetniemi order down to the star, all in the one
+    bytearray, updated in place.  The successor at the last vertex p off
+    level 1 repeats, from p on, the stretch from the latest earlier vertex
+    one level above p up to p."""
+    m = len(levels)
+    while True:
+        yield levels
+        p = len(levels.rstrip(b"\1")) - 1
+        if not p:
+            return
+        q = levels.rfind(levels[p] - 1, 0, p)
+        levels[p:] = (levels[q:p] * (m - p))[:m - p]
+
+
+def _tallest(s: int, h: int) -> bytes:
+    """The first rooted level sequence of size s and height at most h."""
+    return bytes(range(h + 1)) + bytes([h]) * (s - 1 - h)
+
+
+class _Rests:
+    """The rests of size m = n - s that may follow a first subtree of size
+    s: the rooted trees whose children are all at most the largest such
+    subtree X, in decreasing order, as the rows of an int8 table.  The
+    first is the root over k copies of X and X's first r vertices, where
+    (k, r) = divmod(m - 1, s).  ``at_most[t]`` is the first row of height
+    at most t (``at_most[-1]`` is the row count), and ``start`` is the
+    first row whose first child is at most the subtree last joined."""
+
+    def __init__(self, n: int, s: int):
+        m = n - s
+        x = _tallest(s, min(s - 1, m - 1)).translate(_PLUS_ONE)
+        k, r = divmod(m - 1, s)
+        self.rows = bytearray()
+        for levels in _rooted_walk(bytearray(b"\0" + x * k + x[:r])):
+            self.rows += levels
+        self.table = np.frombuffer(self.rows, dtype=np.int8).reshape(-1, m)
+        heights = self.table.max(axis=1)  # never rising along the rows
+        self.at_most = np.searchsorted(-heights, -np.arange(m + 1)).tolist() + [len(heights)]
+        self.start = 0
+
+
 def tree_blocks(n: int):
     """Canonical level sequences of the free trees of order n, in stream
     order, as (B, n) int8 blocks of ``TREE_BLOCK`` rows (the last may be
-    shorter).  One bytearray walks the rooted sequences in place
-    (Wright, Richmond, Odlyzko and McKay, SIAM J. Comput. 15, 1986), each
-    step a few C-level scans; the successor at position p repeats, from p
-    on, the stretch from the latest earlier vertex one level above p up to
-    p.  A sequence is centre-rooted unless its first root subtree is taller
-    than the rest, or as tall and larger, or as tall, as large and later
-    read from its own root; the walk then jumps past every sequence sharing
-    that first subtree."""
+    shorter).  The sequences are centre-rooted (Wright, Richmond, Odlyzko
+    and McKay, SIAM J. Comput. 15, 1986) and strictly decreasing.
+
+    Each is the root, its first subtree T of size s one level down, then
+    the children of a rest R of size m = n - s, a rooted tree whose
+    children are all at most T.  It is centre-rooted when R is taller than
+    T, or as tall with s < m, or as tall, as large and R >= T.  So the
+    first subtrees, of height at most min(s - 1, m - 1), are merged in
+    decreasing order across sizes, and each is joined to a contiguous
+    range of its size's rest table (``_Rests``): heights never rise along
+    a rooted stream, so from the first rest whose first child is at most T
+    come the rests taller than T, then those as tall, then the shorter."""
     _check_order(n)
     if n <= 2:
         yield np.arange(n, dtype=np.int8).reshape(1, n)
         return
-    levels = bytearray(bytes(range(n // 2 + 1)) + bytes(range(1, (n + 1) // 2)))
-    rows, full, span = bytearray(), TREE_BLOCK * n, n + 1
-    while True:
-        cut = levels.find(1, 2) % span  # the root's second child, n if none
-        # the first subtree against the rest: heights, sizes (cut - 1 against
-        # n - cut + 1), then the sequences, both read from their own roots
-        left, right = max(levels[1:cut]) - 1, max(levels[cut:], default=0)
-        if left > right or left == right and (
-                2 * cut > n + 2 or 2 * cut == n + 2
-                and levels[2:cut] > levels[cut:].translate(_PLUS_ONE)):
-            # jump: the successor at the first subtree's last vertex, then,
-            # if that vertex was deeper than level 2, a path as tall as the
-            # new first subtree at the end
-            p = cut - 1
-            top = levels[p]
-            q = levels.rfind(top - 1, 0, p)
-            levels[p:] = (levels[q:p] * (n - p))[:n - p]
-            if top > 2:
-                height = max(levels[1:levels.find(1, 2) % span])
-                levels[n - height:] = range(1, height + 1)
-        rows += levels
-        if len(rows) == full:
-            yield np.frombuffer(rows, dtype=np.int8).reshape(-1, n)
-            rows = bytearray()
-        if levels[2] == 1:  # the star
-            break
-        p = len(levels.rstrip(b"\1")) - 1  # the last vertex off level 1
-        q = levels.rfind(levels[p] - 1, 0, p)
-        levels[p:] = (levels[q:p] * (n - p))[:n - p]
-    if rows:
-        yield np.frombuffer(rows, dtype=np.int8).reshape(-1, n)
+    tables: dict[int, _Rests] = {}
+    block, fill = np.empty((TREE_BLOCK, n), dtype=np.int8), 0
+    firsts = [map(bytes, _rooted_walk(bytearray(_tallest(s, min(s - 1, n - 1 - s)))))
+              for s in range(1, n - 1)]
+    for first in heapq.merge(*firsts, reverse=True):
+        s, t = len(first), max(first)
+        m = n - s
+        rests = tables.get(s)
+        if rests is None:
+            rests = tables[s] = _Rests(n, s)
+        rows, child = rests.rows, first.translate(_PLUS_ONE)
+        # a row's first child is at most T exactly when the row sorts
+        # below the root, T as a child, then a vertex on level 2
+        key, a = b"\0" + child + b"\2", rests.start
+        while rows[a * m:a * m + m] >= key:
+            a += 1
+        rests.start = a
+        if s < m:
+            b = rests.at_most[t - 1]
+        elif s > m:
+            b = rests.at_most[t]
+        else:  # of the rests as tall as T, those at least T
+            lo = rests.at_most[t]
+            b = lo + bisect_left(range(lo, rests.at_most[t - 1]), True,
+                                 key=lambda i: rows[i * m:i * m + m] < first)
+        head = np.frombuffer(b"\0" + child, dtype=np.int8)
+        while a < b:
+            take = min(b - a, TREE_BLOCK - fill)
+            block[fill:fill + take, :s + 1] = head
+            block[fill:fill + take, s + 1:] = rests.table[a:a + take, 1:]
+            fill, a = fill + take, a + take
+            if fill == TREE_BLOCK:
+                yield block
+                block, fill = np.empty((TREE_BLOCK, n), dtype=np.int8), 0
+    if fill:
+        yield block[:fill]
 
 
 def level_sequences(n: int):

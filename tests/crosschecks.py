@@ -2,12 +2,14 @@
 disjoint union from its parts, in coefficient-tuple arithmetic rather than
 the engine's packed integers, vertex relabelling, a canonical form of
 small graphs by its definition, a labelled-tree oracle
-that decodes every length-(n-2) vertex sequence, the known ratio table of
-small paths and cycles, and a plain loop over the subsets for one level of
-the subset oracle."""
+that decodes every length-(n-2) vertex sequence, the free-tree stream by a
+walk of whole sequences, the known ratio table of small paths and cycles,
+and a plain loop over the subsets for one level of the subset oracle."""
 
 from fractions import Fraction
 from itertools import permutations, product
+
+import numpy as np
 
 from nisets.engine import Engine
 from nisets.families import FamilySpec, build
@@ -134,6 +136,55 @@ def labelled_tree_classes(n: int) -> int:
         adj = sequence_to_adjacency(seq, n)
         keys.add(min(_rooted_key(adj, c) for c in _centers(adj)))
     return len(keys)
+
+
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"  # translate table: every level one deeper
+
+
+def reference_tree_blocks(n: int, block: int):
+    """The free-tree stream of order n in (B, n) int8 blocks of ``block``
+    rows, by a walk of whole level sequences; the reference for
+    ``tree_blocks``.  One bytearray walks the rooted sequences in place
+    (Wright, Richmond, Odlyzko and McKay, SIAM J. Comput. 15, 1986); the
+    successor at position p repeats, from p on, the stretch from the latest
+    earlier vertex one level above p up to p.  A sequence is centre-rooted
+    unless its first root subtree is taller than the rest, or as tall and
+    larger, or as tall, as large and later read from its own root; the walk
+    then jumps past every sequence sharing that first subtree."""
+    if n <= 2:
+        yield np.arange(n, dtype=np.int8).reshape(1, n)
+        return
+    levels = bytearray(bytes(range(n // 2 + 1)) + bytes(range(1, (n + 1) // 2)))
+    rows, full, span = bytearray(), block * n, n + 1
+    while True:
+        cut = levels.find(1, 2) % span  # the root's second child, n if none
+        # the first subtree against the rest: heights, sizes (cut - 1 against
+        # n - cut + 1), then the sequences, both read from their own roots
+        left, right = max(levels[1:cut]) - 1, max(levels[cut:], default=0)
+        if left > right or left == right and (
+                2 * cut > n + 2 or 2 * cut == n + 2
+                and levels[2:cut] > levels[cut:].translate(_PLUS_ONE)):
+            # jump: the successor at the first subtree's last vertex, then,
+            # if that vertex was deeper than level 2, a path as tall as the
+            # new first subtree at the end
+            p = cut - 1
+            top = levels[p]
+            q = levels.rfind(top - 1, 0, p)
+            levels[p:] = (levels[q:p] * (n - p))[:n - p]
+            if top > 2:
+                height = max(levels[1:levels.find(1, 2) % span])
+                levels[n - height:] = range(1, height + 1)
+        rows += levels
+        if len(rows) == full:
+            yield np.frombuffer(rows, dtype=np.int8).reshape(-1, n)
+            rows = bytearray()
+        if levels[2] == 1:  # the star
+            break
+        p = len(levels.rstrip(b"\1")) - 1  # the last vertex off level 1
+        q = levels.rfind(levels[p] - 1, 0, p)
+        levels[p:] = (levels[q:p] * (n - p))[:n - p]
+    if rows:
+        yield np.frombuffer(rows, dtype=np.int8).reshape(-1, n)
 
 
 _RATIO_TABLE = (

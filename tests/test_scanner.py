@@ -1115,6 +1115,12 @@ class TestConjecture:
         with pytest.raises(ValueError, match=">= 4"):
             conjecture_scan([3])
 
+    def test_empty_order_list_refused(self):
+        # an empty selection would check nothing, as verify_claims refuses
+        for orders in ([], (), range(5, 4)):
+            with pytest.raises(ValueError, match="no order selected"):
+                conjecture_scan(orders)
+
     def test_orders_checked_before_any_sweep(self, monkeypatch):
         def no_sweep(*args):
             raise AssertionError("an order was swept before every order was checked")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nisets.trees as trees_module
-from crosschecks import labelled_tree_classes, relabel
+from crosschecks import labelled_tree_classes, reference_tree_blocks, relabel
 from nisets.graphs import structural_predicates
 from nisets.scanner import labeled_graph_classes
 from nisets.trees import (
@@ -41,12 +41,14 @@ def test_no_two_emissions_share_a_canonical_code(n):
 
 
 # (tree count, SHA-256 of every tree's level bytes in stream order), as the
-# tuple-per-tree generator produced them before the block stream
+# tuple-per-tree generator produced them before the block stream (order 20:
+# as the whole-sequence walk of ``reference_tree_blocks`` produced it)
 STREAM_DIGESTS = {
     10: (106, "affcca541476d16f9474d3ece3376d47d52255242c4bfbdb12851f41e51c93b5"),
     14: (3159, "86b198329454b54ff105dd773d4696e4a1be3ae9f1c67e7b0248094635df7091"),
     16: (19320, "b7af4ae64e9411115cfb0fcc27a5503dc220dd261ef546d9aa9272476361a608"),
     18: (123867, "197cd0965db5676a891f02d3921ee0fdaaca6d5198e9ccadd1be18a06c644f54"),
+    20: (823065, "8588ba97528326f7bfa7dcec59f4b217e4ca511dd5e0b09369afcdea88a53f48"),
 }
 
 
@@ -74,6 +76,12 @@ def test_block_size_does_not_change_the_stream(monkeypatch, block):
         assert all(len(b) == block for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= block
         assert stream_digest(n) == STREAM_DIGESTS[n]
     assert [b.tolist() for n in (1, 2) for b in tree_blocks(n)] == [[[0]], [[0, 1]]]
+    # the join against the whole-sequence walk, block for block
+    for n in range(1, 19):
+        got, want = list(tree_blocks(n)), list(reference_tree_blocks(n, block))
+        assert [b.shape for b in got] == [b.shape for b in want], n
+        assert all(b.dtype == np.int8 for b in got), n
+        assert [b.tobytes() for b in got] == [b.tobytes() for b in want], n
 
 
 def stream_rows(n):
