@@ -146,6 +146,11 @@ def _emit_json_array(items, path: str | None) -> None:
         handle.write("[]\n" if opening == "[\n  " else "\n]\n")
 
 
+def _cell(value):
+    """A report value as one CSV cell: a list is one ``;``-joined cell."""
+    return ";".join(map(str, value)) if isinstance(value, list) else value
+
+
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -197,7 +202,7 @@ def _compute_record(graph: Graph) -> dict:
     p1_edges = eng.i1_by_edges()
     (sig1, tot1), (sig0, tot0) = eng.scalars1(), eng.scalars0()
 
-    edge_terms = eng.edge_terms() if graph.edge_count else []
+    edge_terms = eng.edge_terms()
     # each one-edge subset is an edge uv plus an independent set of R_uv
     by_terms = (sum(t.sigma0 for t in edge_terms), sum(2 * t.sigma0 + t.s0 for t in edge_terms))
     if (p1 != p1_edges or (sig1, tot1) != moments(p1) or (sig0, tot0) != moments(p0)
@@ -241,20 +246,11 @@ def _compute_record(graph: Graph) -> dict:
 def _compute_csv(records) -> str:
     head = ["n", "edges", "sigma0", "s0", "av0", "av0_decimal",
             "sigma1", "s1", "av1", "av1_decimal", "i0_coefficients", "i1_coefficients", "note"]
-    rows = []
-    for rec in records:
-        rows.append([rec[k] if k != "i0_coefficients" and k != "i1_coefficients"
-                     else ";".join(map(str, rec[k]))
-                     for k in head[:-1]] + [rec.get("note", "")])
-    text = _csv_text(head, rows)
-    edge_rows = []
-    for i, rec in enumerate(records):
-        for term in rec["edge_terms"]:
-            edge_rows.append([i, term["u"], term["v"], term["sigma0"], term["s0"],
-                              term["weight"], term["av0"], term["union_size"]])
-    text += "\n" + _csv_text(
-        ["graph_index", "u", "v", "sigma0", "s0", "weight", "av0", "union_size"], edge_rows)
-    return text
+    text = _csv_text(head, ([_cell(rec.get(k, "")) for k in head] for rec in records))
+    edge_head = ["u", "v", "sigma0", "s0", "weight", "av0", "union_size"]
+    edge_rows = ([i, *(term[k] for k in edge_head)]
+                 for i, rec in enumerate(records) for term in rec["edge_terms"])
+    return text + "\n" + _csv_text(["graph_index", *edge_head], edge_rows)
 
 
 def _batch_record(number: int, line: str) -> dict:
@@ -297,8 +293,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         "total": profile.total,
         "average": format_rational(NisSummary.from_counts(profile.sigma, profile.total).average),
     }
-    row = [v if k != "by_size" else ";".join(map(str, v)) for k, v in payload.items()]
-    _write(args, payload, payload.keys(), [row])
+    _write(args, payload, payload.keys(), [[_cell(v) for v in payload.values()]])
     return 0
 
 
@@ -363,11 +358,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     d = report.to_json_dict()
     header = ["population", "order", "objective", "min", "max",
               "min_count", "max_count", "min_witnesses", "max_witnesses"]
-    row = [d["population"], d["order"], d["objective"],
-           d["extremal"]["min"], d["extremal"]["max"],
-           d["min_count"], d["max_count"],
-           ";".join(d["min_witnesses"]), ";".join(d["max_witnesses"])]
-    _write(args, d, header, [row])
+    cells = {**d, **d["extremal"]}
+    _write(args, d, header, [[_cell(cells[key]) for key in header]])
     return 0
 
 
@@ -394,10 +386,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             1 for r in reports for v in r.violations if v.equality_claim),
     }
     header = ["claim_id", "population", "order", "status", "min", "max", "violations"]
-    rows = ([r.claim_id, r.population, r.order, r.status,
-             None if r.min_value is None else format_rational(r.min_value),
-             None if r.max_value is None else format_rational(r.max_value),
-             len(r.violations)] for r in reports)
+    rows = ([d["claim_id"], d["population"], d["order"], d["status"],
+             d["extremal"]["min"], d["extremal"]["max"], len(d["violations"])]
+            for d in payload["reports"])
     _write(args, payload, header, rows)
     return 1 if has_inequality_violations(reports) else 0
 
@@ -410,12 +401,11 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
         top_k=args.top,
         spot_check_rate=args.spot_check_rate,
     )
+    dicts = [rec.to_json_dict() for rec in records]
     header = ["order", "max", "subdivided_star", "unique_max", "max_witnesses"]
-    rows = ([rec.order, format_rational(rec.max_value),
-             format_rational(rec.subdivided_star_value),
-             rec.subdivided_star_is_unique_max,
-             ";".join(rec.max_witnesses)] for rec in records)
-    _write(args, [rec.to_json_dict() for rec in records], header, rows)
+    rows = ([d["order"], d["max"], d["subdivided_star"], d["subdivided_star_is_unique_max"],
+             _cell(d["max_witnesses"])] for d in dicts)
+    _write(args, dicts, header, rows)
     return 0
 
 

@@ -380,12 +380,10 @@ class Engine:
     # -- per-edge statistics --------------------------------------------------
 
     def edge_terms(self) -> list[EdgeTerm]:
-        """One ``EdgeTerm`` per term of the per-edge route, in
-        ``Graph.edges`` order and graph labels, with the moments of its
-        residual's independent-set polynomial as (sigma0, s0)."""
+        """One ``EdgeTerm`` per term of the per-edge route (none for an
+        edgeless graph), in ``Graph.edges`` order and graph labels, with the
+        moments of its residual's independent-set polynomial as (sigma0, s0)."""
         route = self._edge_route
-        if not route:
-            raise ValueError("edge terms undefined for edgeless graph")
         counts = [moments(self._unpack(p)) for *_, p in route]
         sigma1 = sum(rs for rs, _ in counts)
         return [EdgeTerm(edge=(u, v), residual_mask=self._full & ~union, sigma0=rs, s0=rt,

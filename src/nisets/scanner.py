@@ -48,9 +48,9 @@ GRAPH_SCAN_LIMIT = 7
 RATIO_ORDER_LIMIT = 30
 WITNESS_CAP = 100
 SPOT_CHECK_SEED = 2024
-# blocks per task of a multi-worker tree sweep; shorter runs balance the
-# load more finely and keep fewer trees in flight in the parent, but each
-# task's max side starts empty and encodes the best trees it meets
+# blocks per task of a tree sweep; shorter runs balance the load more
+# finely and keep fewer trees in flight in the parent, but each task's max
+# side starts empty and encodes the best trees it meets
 _RUN_BLOCKS = 16
 # the most pool processes a sweep opens
 WORKER_LIMIT = 64
@@ -505,16 +505,16 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
     count are checked before the call's one process pool opens (none at
     one worker).
 
-    At one worker an order is one task over its lazy stream.  At more, this
-    process walks each order's stream once and hands it to the pool in runs
-    of ``_RUN_BLOCKS`` blocks, at most 2·workers runs ahead of the results
-    read, so memory does not grow with the tree count and a free worker
-    takes the next run, whatever its order.  A task knows its first stream
-    index, so it spot-checks the order's sampled trees in it as it goes, and
-    the same trees are checked at any worker count.  Each result carries
-    its order's position and is merged in task order, which is stream
-    order.  Every order's tree count must equal ``count_free_trees``, or
-    RouteDisagreement is raised."""
+    This process walks each order's stream once and cuts it into runs of
+    ``_RUN_BLOCKS`` blocks, one task each, at every worker count.  One
+    worker scores each run here as it is cut; more take the runs from a
+    pool fed at most 2·workers runs ahead of the results read.  So memory
+    does not grow with the tree count, and a free worker takes the next
+    run, whatever its order.  A task knows its first stream index, so it
+    spot-checks the order's sampled trees in it as it goes; the tasks, and
+    so the trees checked, are the same at every worker count.  Results are
+    merged in task order, which is stream order.  Every order's tree count
+    must equal ``count_free_trees``, or RouteDisagreement is raised."""
     samples = [_spot_sample(n, spot_check_rate) for n in orders]
     if workers < 1:
         raise ValueError("worker count must be at least 1")
@@ -522,7 +522,7 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
         raise ValueError(f"worker count {workers} above the limit ({WORKER_LIMIT})")
     tasks = ((k, (n, objective, top_k, spots, caps, first, blocks))
              for k, (n, spots) in enumerate(zip(orders, samples))
-             for first, blocks in (_runs(n) if workers > 1 else [(0, tree_blocks(n))]))
+             for first, blocks in _runs(n))
     sweeps = [_Sweep(top_k) for _ in orders]
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         for k, part in _in_order(pool, tasks, 2 * workers):

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, round trips, exit codes, config."""
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -9,6 +10,7 @@ import stat
 import subprocess
 import sys
 import threading
+from io import StringIO
 from fractions import Fraction
 from pathlib import Path
 
@@ -501,6 +503,22 @@ def test_verify_claims_list_drops_empty_items(capsys, tmp_path):
         code, out, err = run_cli(capsys, "verify", "--claims", empty)
         assert code == 2 and out == ""
         assert err.startswith("error: no claim selected")
+
+
+def test_verify_csv_rows_are_the_json_reports(capsys):
+    code, text, _ = run_cli(capsys, "verify", "--max-tree-order", "9")
+    assert code == 0
+    reports = json.loads(text)["reports"]
+    code, out, _ = run_cli(capsys, "verify", "--max-tree-order", "9", "--output-format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(StringIO(out))
+    assert header == ["claim_id", "population", "order", "status", "min", "max", "violations"]
+    # csv writes a None extreme as an empty cell
+    assert rows == [[r["claim_id"], r["population"], str(r["order"]), r["status"],
+                     r["extremal"]["min"] or "", r["extremal"]["max"] or "",
+                     str(len(r["violations"]))] for r in reports]
+    # order 2's one tree has no internal vertex, so the cap meets no tree
+    assert ["internal-degree-cap", "free-trees", "2", "pass", "", "", "0"] in rows
 
 
 def test_conjecture_csv(capsys):

@@ -252,9 +252,8 @@ class TestEdgeStatistics:
             s = nis_summary(g, 1)
             assert s.average == 2 + sum(t.weight * t.av0 for t in terms)
 
-    def test_edgeless_rejected(self):
-        with pytest.raises(ValueError, match="edgeless"):
-            Engine(build_graph(3, [])).edge_terms()
+    def test_edgeless_has_no_terms(self):
+        assert Engine(build_graph(3, [])).edge_terms() == []
 
     @given(graphs(14))
     @settings(max_examples=60, deadline=None)
@@ -273,7 +272,7 @@ class TestEdgeStatistics:
         # one edge list serves both: the terms in Graph.edges order, and
         # i1_by_edges as x^2 times the sum of their residual polynomials
         eng = Engine(g)
-        terms = eng.edge_terms() if g.edge_count else []
+        terms = eng.edge_terms()
         assert [t.edge for t in terms] == g.edges()
         total = [0] * (g.n + 3)
         for t in terms:

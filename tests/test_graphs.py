@@ -126,9 +126,8 @@ class TestDeltaBounds:
     def test_single_edge_with_isolates(self):
         assert union_sizes(build(FamilySpec("G_special", 6))) == [2]
 
-    def test_edgeless_rejected(self):
-        with pytest.raises(ValueError, match="edgeless"):
-            union_sizes(build_graph(4, []))
+    def test_edgeless_has_no_terms(self):
+        assert union_sizes(build_graph(4, [])) == []
 
     def test_bounds_ordering_exhaustive(self):
         for n in range(2, 6):
