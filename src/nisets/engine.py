@@ -15,9 +15,11 @@ the test suite:
 
 Trees also have a linear dynamic program over their level sequences.
 ``tree_scalars`` runs it on one tree in Python integers and is the
-reference.  ``tree_scalars_batch`` runs it on a block of B trees at once,
-given as their parent array, in int64 numpy arrays, exact up to order 24;
-every tree sweep uses it, the tree claims' included, and a sweep's spot
+reference.  ``root_states_batch`` runs it on a block of B rooted trees at
+once, given as their parent array, in int64 numpy arrays, exact up to order
+24, and ``join_scalars`` scores a free tree from the root states of two
+rooted ones: a rest R and the subtree T that joins R's root.  Every tree
+sweep scores its trees so, the tree claims' included, and a sweep's spot
 checks compare its rows with ``Engine`` and the subset oracle.
 
 All arithmetic is exact: Python integers for counts (int64 in the batched
@@ -459,17 +461,36 @@ def tree_scalars(levels) -> tuple[int, int, int, int]:
 TREE_BATCH_ORDER_LIMIT = 24
 
 
-def tree_scalars_batch(parent: np.ndarray):
-    """``tree_scalars`` of a block of B trees, given as the (B, n) parent
-    array of their level sequences (``trees.level_parents``), as four int64
-    arrays (sigma0, S0, sigma1, S1) of length B.
+def _join_child(parent, child):
+    """The eight states of a vertex after one more child's subtree joins
+    it, from the vertex's states so far and the child's: the transitions of
+    ``tree_scalars``, free = a + b, one = c + f, out = a, edge = b + c,
+    elementwise on arrays."""
+    pa0, pa1, pb0, pb1, pc0, pc1, pf0, pf1 = parent
+    a0, a1, b0, b1, c0, c1, f0, f1 = child
+    free0, free1 = a0 + b0, a1 + b1
+    one0, one1 = c0 + f0, c1 + f1
+    edge0, edge1 = b0 + c0, b1 + c1
+    return (
+        pa0 * free0, pa1 * free0 + pa0 * free1,
+        pb0 * a0, pb1 * a0 + pb0 * a1,
+        pc0 * free0 + pa0 * one0, pc1 * free0 + pc0 * free1 + pa1 * one0 + pa0 * one1,
+        pf0 * a0 + pb0 * edge0, pf1 * a0 + pf0 * a1 + pb1 * edge0 + pb0 * edge1,
+    )
 
-    The eight states a0, a1, b0, b1, c0, c1, f0, f1 of all B trees sit in
-    one (8, n·B) array, vertex-major: vertex v of tree t is column v·B + t.
-    Position i is folded into its parents for every tree at once, with one
-    gather and one scatter of the parents' columns; the children's columns
-    are the contiguous slice of position i.  Refuses n above
-    ``TREE_BATCH_ORDER_LIMIT``, where int64 could overflow."""
+
+def root_states_batch(parent: np.ndarray) -> np.ndarray:
+    """The root's eight states a0, a1, b0, b1, c0, c1, f0, f1 (those of
+    ``tree_scalars``) of each of a block of B rooted trees, given as the
+    (B, n) parent array of their level sequences (``trees.level_parents``),
+    as one (8, B) int64 array.
+
+    The states of all B trees sit in one (8, n·B) array, vertex-major:
+    vertex v of tree t is column v·B + t.  Position i is joined to its
+    parents for every tree at once, with one gather and one scatter of the
+    parents' columns; the children's columns are the contiguous slice of
+    position i.  Refuses n above ``TREE_BATCH_ORDER_LIMIT``, where int64
+    could overflow."""
     b, n = parent.shape
     if n > TREE_BATCH_ORDER_LIMIT:
         raise ValueError(f"batched tree DP needs order <= {TREE_BATCH_ORDER_LIMIT}, got {n}")
@@ -477,21 +498,20 @@ def tree_scalars_batch(parent: np.ndarray):
     states[[0, 2, 3]] = 1  # a leaf: a = (1, 0), b = (1, 1), c = f = (0, 0)
     trees = np.arange(b)
     for i in range(n - 1, 0, -1):
-        a0, a1, b0, b1, c0, c1, f0, f1 = states[:, i * b:(i + 1) * b]
         at = parent[:, i] * b + trees
-        pa0, pa1, pb0, pb1, pc0, pc1, pf0, pf1 = states[:, at]
-        # the transitions of tree_scalars: free = a + b, one = c + f,
-        # out = a, edge = b + c
-        free0, free1 = a0 + b0, a1 + b1
-        one0, one1 = c0 + f0, c1 + f1
-        edge0, edge1 = b0 + c0, b1 + c1
-        states[:, at] = (
-            pa0 * free0, pa1 * free0 + pa0 * free1,
-            pb0 * a0, pb1 * a0 + pb0 * a1,
-            pc0 * free0 + pa0 * one0, pc1 * free0 + pc0 * free1 + pa1 * one0 + pa0 * one1,
-            pf0 * a0 + pb0 * edge0, pf1 * a0 + pf0 * a1 + pb1 * edge0 + pb0 * edge1,
-        )
-    a0, a1, b0, b1, c0, c1, f0, f1 = states[:, :b]
+        states[:, at] = _join_child(states[:, at], states[:, i * b:(i + 1) * b])
+    return states[:, :b]
+
+
+def join_scalars(rest: np.ndarray, first: np.ndarray):
+    """(sigma0, S0, sigma1, S1) of the trees made of a rooted tree R with
+    one more child subtree T at its root, as four int64 arrays, from the
+    (8, B) root states of R and of T (``root_states_batch``, gathered row by
+    row): T joins R's root as ``root_states_batch`` joins every child.
+
+    Every product of the join is one nonnegative term of a state of the
+    whole tree of order n, and so below n·2^n (under 2^29 at order 24)."""
+    a0, a1, b0, b1, c0, c1, f0, f1 = _join_child(rest, first)
     return a0 + b0, a1 + b1, c0 + f0, c1 + f1
 
 

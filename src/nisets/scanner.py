@@ -4,8 +4,8 @@ Graph populations are enumerated as full labelled-graph orbits (every
 2^C(n,2) edge set, deduplicated into isomorphism classes by expanding the
 permutation orbit of each previously unseen mask), so the exhaustiveness of
 every claim check is auditable.  Tree populations come from the free-tree
-block stream, scored a block at a time.  All claim checks are exact rational
-comparisons.
+stream as segments of joined rooted trees, scored a block of trees at a
+time.  All claim checks are exact rational comparisons.
 
 Failed equality statements are recorded as violations and never dropped;
 a failed inequality would indicate an engine bug and makes the surrounding
@@ -18,13 +18,13 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import permutations
 from math import factorial
 from multiprocessing import Pool
 
 import numpy as np
 
-from .engine import Engine, format_rational, nis_summary, tree_scalars_batch
+from .engine import Engine, format_rational, join_scalars, nis_summary, root_states_batch
 from .families import FamilySpec, build
 from .formats import GRAPH6_ORDER_LIMIT, to_graph6
 from .graphs import (
@@ -36,11 +36,13 @@ from .graphs import (
 )
 from .oracle import oracle_profiles
 from .trees import (
+    TREE_BLOCK,
     TREE_ORDER_LIMIT,
+    RootedTables,
     count_free_trees,
     level_parents,
     levels_to_graph,
-    tree_blocks,
+    segment_runs,
 )
 
 GRAPH_SCAN_LIMIT = 7
@@ -48,9 +50,9 @@ GRAPH_SCAN_LIMIT = 7
 RATIO_ORDER_LIMIT = 30
 WITNESS_CAP = 100
 SPOT_CHECK_SEED = 2024
-# blocks per task of a tree sweep; shorter runs balance the load more
-# finely and keep fewer trees in flight in the parent, but each task's max
-# side starts empty and encodes the best trees it meets
+# blocks of TREE_BLOCK trees per task of a tree sweep; shorter runs balance
+# the load more finely, but each task's max side starts empty and encodes
+# the best trees it meets
 _RUN_BLOCKS = 16
 # the most pool processes a sweep opens
 WORKER_LIMIT = 64
@@ -340,7 +342,7 @@ def scan_graphs(
 # -- tree sweeps ---------------------------------------------------------------
 
 def _spot_check(levels, row) -> None:
-    """Compare one tree's batched DP row (sigma0, S0, sigma1, S1), the
+    """Compare one tree's joined DP row (sigma0, S0, sigma1, S1), the
     engine and the subset oracle."""
     graph = levels_to_graph(levels)
     eng = Engine(graph)
@@ -408,34 +410,99 @@ class _Sweep:
         self.checked += part.checked
 
 
-def _sweep_shard(payload):
-    """The _Sweep of consecutive blocks of the order-n tree stream, the
-    first starting at stream index ``first``, spot-checked at the stream
-    indices ``spots`` samples against Engine and the subset oracle, with
-    the DP rows the folds use.  With ``caps`` set (av1 only) both tree caps
-    are compared per block in integers, with degrees from a bincount of the
-    block's parent array.
+def _rooted_degrees(parent):
+    """Max degree and least internal degree (degree > 1;
+    ``TREE_ORDER_LIMIT``, which no degree reaches, when none) of every
+    rooted tree of a (B, k) parent array from ``level_parents`` once its
+    root gains one more edge, as a (2, B) int8 array: a bincount of the
+    parents gives the child counts, and every vertex has one more edge, to
+    its parent or, at the root, to the rooted tree it is joined to."""
+    b, k = parent.shape
+    slots = parent[:, 1:] + k * np.arange(b)[:, None]
+    degree = np.bincount(slots.ravel(), minlength=b * k).reshape(b, k) + 1
+    return np.array([degree.max(axis=1),
+                     np.where(degree > 1, degree, TREE_ORDER_LIMIT).min(axis=1)], dtype=np.int8)
 
-    The blocks are read and scored one at a time.
-    Values stay unreduced int64 pairs compared by cross-multiplication;
-    the graph6 code is built only for a tree that reaches a side or
-    breaks a cap, so witness lists and tie order are those of an eager
-    fold."""
+
+class _Tables:
+    """What a sweep scores its trees from, built once per call for its top
+    order: the ``RootedTables``, the eight root states
+    (``root_states_batch``) of every row, and, for the caps, every row's
+    degree data (``_rooted_degrees``), both computed ``TREE_BLOCK`` rows at
+    a time.  Each is one array over the rows of all sizes, those of size k
+    from ``offsets[k]`` on."""
+
+    def __init__(self, top: int, caps: bool):
+        self.rooted = RootedTables(top)
+        tables = [self.rooted.tables[k] for k in range(1, top)]
+        self.offsets = np.cumsum([0, 0] + [len(table) for table in tables])
+        self.states = np.empty((8, self.offsets[-1]), dtype=np.int64)
+        self.degrees = np.empty((2, self.offsets[-1]), dtype=np.int8) if caps else None
+        for start, table in zip(self.offsets[1:], tables):
+            for lo in range(0, len(table), TREE_BLOCK):
+                parent = level_parents(table[lo:lo + TREE_BLOCK])
+                at = slice(start + lo, start + lo + len(parent))
+                self.states[:, at] = root_states_batch(parent)
+                if caps:
+                    self.degrees[:, at] = _rooted_degrees(parent)
+
+    def rows(self, n: int, block):
+        """The rest's row and the first subtree's row of each tree of a
+        block of order-n segments (``tree_segments``), in stream order, and
+        a function giving tree i's level sequence."""
+        s, t, a, b = np.array(block).T
+        counts = b - a
+        sizes, firsts = np.repeat(s, counts), np.repeat(t, counts)
+        rests = np.arange(counts.sum()) + np.repeat(a + counts - np.cumsum(counts), counts)
+
+        def levels(i):
+            return self.rooted.joined(n, int(sizes[i]), int(firsts[i]), int(rests[i]))
+
+        return self.offsets[n - sizes] + rests, self.offsets[sizes] + firsts, levels
+
+    def scalars(self, rest, first):
+        """(sigma0, S0, sigma1, S1) of the trees of these rows."""
+        return join_scalars(self.states[:, rest], self.states[:, first])
+
+    def tree_degrees(self, rest, first):
+        """Max degree and minimum internal degree (degree > 1; 0 when no
+        vertex is internal) of the trees of these rows: R's root and T's
+        gain the edge that joins them, so a tree's degrees are its two
+        rows' together."""
+        maxima, inner = self.degrees[:, [rest, first]]
+        internal = inner.min(axis=0)
+        internal[internal == TREE_ORDER_LIMIT] = 0
+        return maxima.max(axis=0), internal
+
+
+def _score_run(tables, payload):
+    """The _Sweep of a run of consecutive blocks of segments of the order-n
+    tree stream (``segment_runs``), the first starting at stream index
+    ``first``, spot-checked at the stream indices ``spots`` samples against
+    Engine and the subset oracle, with the rows the folds use.  With
+    ``caps`` set (av1 only) both tree caps are compared per block in
+    integers, with degrees from the tables.
+
+    The blocks are joined and scored one at a time.  Values stay unreduced
+    int64 pairs compared by cross-multiplication; a tree's level sequence
+    and graph6 code are built only for a tree that is spot-checked, reaches
+    a side or breaks a cap, so witness lists and tie order are those of an
+    eager fold."""
     n, objective, top_k, spots, caps, first, blocks = payload
     cap = 4 + max(n - 3, 0)  # twice the tree cap 2 + max(n-3, 0)/2
     cap_text = format_rational(cap, 2)
     claimed_equality = n in (2, 3, 4)  # stated for the paths of these orders
     found = _Sweep(top_k)
-    for levels in blocks:
-        parent = level_parents(levels)
-        values = tree_scalars_batch(parent)
+    for block in blocks:
+        rest, head, levels = tables.rows(n, block)
+        values = tables.scalars(rest, head)
 
         def code(i):
-            return to_graph6(levels_to_graph(levels[i].tolist()))
+            return to_graph6(levels_to_graph(levels(i)))
 
-        picks = spots.picks(np.arange(first + found.count, first + found.count + len(levels)))
+        picks = spots.picks(np.arange(first + found.count, first + found.count + len(rest)))
         for i in picks:
-            _spot_check(levels[i].tolist(), tuple(int(v[i]) for v in values))
+            _spot_check(levels(i), tuple(int(v[i]) for v in values))
         found.checked += len(picks)
         # sweeps start at order 2, where every tree has an edge, so both
         # denominators are positive
@@ -446,7 +513,7 @@ def _sweep_shard(payload):
         found.count += len(num)
         if not caps:
             continue
-        max_degree, internal = _block_degrees(parent)
+        max_degree, internal = tables.tree_degrees(rest, head)
         over_cap = 2 * num > cap * den
         off_equality = claimed_equality & (max_degree <= 2) & (2 * num != cap * den)
         over_internal = (internal > 0) & (2 * num > (n - internal + 3) * den)
@@ -472,27 +539,30 @@ def _sweep_shard(payload):
     return found
 
 
-def _runs(n):
-    """(first stream index, blocks) of each run of ``_RUN_BLOCKS``
-    consecutive blocks of the order-n tree stream, generated as they are
-    taken."""
-    blocks, first = iter(tree_blocks(n)), 0
-    while run := list(islice(blocks, _RUN_BLOCKS)):
-        yield first, run
-        first += sum(map(len, run))
+_pool_tables = None  # a pool worker's _Tables, from _hold_tables
 
 
-def _in_order(pool, tasks, limit):
-    """(tag, ``_sweep_shard`` result) of each (tag, payload) task, in task
-    order: in this process without a pool, else on the pool with at most
-    ``limit`` tasks submitted and not yet read, so the tasks are taken
-    only as results are read."""
+def _hold_tables(tables) -> None:
+    """Pool initializer: keep the sweep's tables in this worker."""
+    global _pool_tables
+    _pool_tables = tables
+
+
+def _pooled_run(payload):
+    return _score_run(_pool_tables, payload)
+
+
+def _in_order(pool, tables, tasks, limit):
+    """(tag, ``_score_run`` result) of each (tag, payload) task, in task
+    order: in this process without a pool, else on the pool, whose workers
+    hold ``tables``, with at most ``limit`` tasks submitted and not yet
+    read, so the tasks are taken only as results are read."""
     if pool is None:
-        yield from ((tag, _sweep_shard(payload)) for tag, payload in tasks)
+        yield from ((tag, _score_run(tables, payload)) for tag, payload in tasks)
         return
     pending = deque()
     for tag, payload in tasks:
-        pending.append((tag, pool.apply_async(_sweep_shard, (payload,))))
+        pending.append((tag, pool.apply_async(_pooled_run, (payload,))))
         if len(pending) == limit:
             tag, result = pending.popleft()
             yield tag, result.get()
@@ -505,7 +575,10 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
     count are checked before the call's one process pool opens (none at
     one worker).
 
-    This process walks each order's stream once and cuts it into runs of
+    The tables (``_Tables``) are built once, for the largest order, before
+    the pool opens; its workers receive them through the pool's
+    initializer.  This process walks each order's stream once as segments
+    (``segment_runs``), no rows copied, and cuts it into runs of
     ``_RUN_BLOCKS`` blocks, one task each, at every worker count.  One
     worker scores each run here as it is cut; more take the runs from a
     pool fed at most 2·workers runs ahead of the results read.  So memory
@@ -520,12 +593,14 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
         raise ValueError("worker count must be at least 1")
     if workers > WORKER_LIMIT:
         raise ValueError(f"worker count {workers} above the limit ({WORKER_LIMIT})")
+    tables = _Tables(max(orders), caps)
     tasks = ((k, (n, objective, top_k, spots, caps, first, blocks))
              for k, (n, spots) in enumerate(zip(orders, samples))
-             for first, blocks in _runs(n))
+             for first, blocks in segment_runs(tables.rooted, n, _RUN_BLOCKS))
     sweeps = [_Sweep(top_k) for _ in orders]
-    with Pool(workers) if workers > 1 else nullcontext() as pool:
-        for k, part in _in_order(pool, tasks, 2 * workers):
+    with (Pool(workers, initializer=_hold_tables, initargs=(tables,)) if workers > 1
+          else nullcontext()) as pool:
+        for k, part in _in_order(pool, tables, tasks, 2 * workers):
             sweeps[k].merge(part)
     for n, sweep in zip(orders, sweeps):
         if sweep.count != count_free_trees(n):
@@ -535,7 +610,7 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
 
 
 def spot_check_trees(n: int, rate: float) -> int:
-    """Check a deterministic sample of order-n trees: the batched tree DP,
+    """Check a deterministic sample of order-n trees: the joined tree DP,
     the engine and the subset oracle must agree at both levels.  Every tree
     of the order is scored, as on a sweep.  Returns how many trees were
     checked; raises RouteDisagreement on any mismatch."""
@@ -648,21 +723,6 @@ def path_cycle_unions(n: int):
 
 
 # -- claim suites ----------------------------------------------------------------
-
-
-def _block_degrees(parent):
-    """Max degree and minimum internal degree (degree > 1; 0 when no
-    vertex is internal) of every tree of a (B, n) parent array from
-    ``level_parents``, as two int arrays: a bincount of the parents gives
-    the child counts, and every vertex but the root has one more edge."""
-    b, n = parent.shape
-    slots = parent[:, 1:] + n * np.arange(b)[:, None]
-    degree = np.bincount(slots.ravel(), minlength=b * n).reshape(b, n)
-    degree[:, 1:] += 1
-    # no degree reaches n, so n marks a tree without internal vertices
-    internal = np.where(degree > 1, degree, n).min(axis=1)
-    internal[internal == n] = 0
-    return degree.max(axis=1), internal
 
 
 def _stated(claim_id: str, n: int) -> bool:
@@ -942,26 +1002,27 @@ def verify_claims(
     _spot_sample(2, spot_check_rate)  # refuses a rate outside [0, 1] before any suite runs
     checked = {} if spot_checked is None else spot_checked
 
-    def tree_checks(n):
-        [sweep] = _tree_sweeps([n], "av1", 1, 0, spot_check_rate, caps=True)
+    def tree_checks(orders):
+        # one sweep, one table build and at most one pool for every order
+        sweeps = _tree_sweeps(orders, "av1", 1, 0, spot_check_rate, caps=True)
         if spot_check_rate:
-            checked[n] = sweep.checked
-        return _tree_claim_reports(n, sweep)
+            checked.update((n, sweep.checked) for n, sweep in zip(orders, sweeps))
+        return map(_tree_claim_reports, orders, sweeps)
 
-    # each suite maps one order to its claims' (sides, violations); an
+    # each suite maps its orders to their claims' (sides, violations); an
     # order's population (trees or graph classes) is walked once and dropped
     suites = {
         "tree": tree_checks,
-        "graph": _graph_claim_reports,
-        "ratio": _degree_two_ratio_reports,
-        "family": _subdivided_star_reports,
+        "graph": lambda orders: map(_graph_claim_reports, orders),
+        "ratio": lambda orders: map(_degree_two_ratio_reports, orders),
+        "family": lambda orders: map(_subdivided_star_reports, orders),
     }
     reports, by_suite = [], {}
     for claim_id in selected:
         suite, _, population, objective = _CLAIMS[claim_id]
         if suite not in by_suite:
-            orders = range(_suite_first_order(suite), maxima[suite] + 1)
-            by_suite[suite] = {n: suites[suite](n) for n in orders}
+            orders = list(range(_suite_first_order(suite), maxima[suite] + 1))
+            by_suite[suite] = dict(zip(orders, suites[suite](orders)))
         for n, checks in by_suite[suite].items():
             if claim_id in checks:
                 sides, violations = checks[claim_id]

@@ -1,10 +1,11 @@
 """Exhaustive generation of free trees, one per isomorphism class.
 
 The stream holds the canonical level sequences of centre-rooted trees in
-decreasing order, so it is deterministic.  ``tree_blocks`` builds it as a
-join: each first root subtree, walked by the rooted successor algorithm,
-is paired with a contiguous range of a table of the rests that may follow
-it, and the rows are copied into int8 blocks, which every consumer reads.
+decreasing order, so it is deterministic.  ``tree_segments`` walks it as a
+join of rooted trees from ``RootedTables``: each first root subtree is
+paired with a contiguous range of the rests that may follow it, without
+copying a row.  Tree sweeps score these segments; ``tree_blocks`` copies
+their rows into int8 blocks for the readers of whole sequences.
 An independent counting recurrence gives the number of free trees, and a
 canonical key tells trees of any supported order apart.
 """
@@ -15,15 +16,17 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count, islice
 
 import numpy as np
 
 from .graphs import Graph, build_graph
 
 TREE_ORDER_LIMIT = 24
-# Trees per block of the stream.  The batched tree DP's states take 64·n
-# bytes per tree, 1.1 MB a block at order 17; blocks of 2048 and more raised
-# a one-worker sweep's peak RSS by a further 2.5 MB and more.
+# Trees per block of the stream, and rooted-table rows per call of the
+# batched DP, whose states take 64·k bytes a row of size k.  A sweep joins
+# and folds a block at a time; computing its tables' states unchunked raised
+# a one-worker sweep of order 20 from 37.3 to 56.3 MB peak RSS.
 TREE_BLOCK = 1024
 
 
@@ -101,82 +104,150 @@ def _tallest(s: int, h: int) -> bytes:
     return bytes(range(h + 1)) + bytes([h]) * (s - 1 - h)
 
 
-class _Rests:
-    """The rests of size m = n - s that may follow a first subtree of size
-    s: the rooted trees whose children are all at most the largest such
-    subtree X, in decreasing order, as the rows of an int8 table.  The
-    first is the root over k copies of X and X's first r vertices, where
-    (k, r) = divmod(m - 1, s).  ``at_most[t]`` is the first row of height
-    at most t (``at_most[-1]`` is the row count), and ``start`` is the
-    first row whose first child is at most the subtree last joined."""
+def _rest_start(n: int, s: int) -> bytes:
+    """The first rest of size m = n - s that may follow a first subtree of
+    size s: the root over k copies of the largest such subtree X and X's
+    first r vertices, where (k, r) = divmod(m - 1, s).  The rests are the
+    rooted trees of size m whose children are all at most X, so they run
+    from it to the star."""
+    m = n - s
+    x = _tallest(s, min(s - 1, m - 1)).translate(_PLUS_ONE)
+    k, r = divmod(m - 1, s)
+    return b"\0" + x * k + x[:r]
 
-    def __init__(self, n: int, s: int):
+
+class RootedTables:
+    """The rooted trees of each size k < ``top`` that the order-``top``
+    stream joins, as first subtrees of height at most min(k - 1, top - 1 - k)
+    or as rests (``_rest_start``), in decreasing order down to the star:
+    ``rows[k]`` holds them as bytes, k per tree, and ``tables[k]`` as a
+    (rows, k) int8 array.  Along a rooted stream heights never rise, so
+    each is a suffix of the stream of all rooted trees of size k, and the
+    first subtrees and rests of every smaller order are suffixes of these.
+    ``at_most[k][h]`` is the first row of height at most h
+    (``at_most[k][-1]`` is the row count)."""
+
+    def __init__(self, top: int):
+        if not 2 <= top <= TREE_ORDER_LIMIT:
+            raise ValueError(f"rooted tables need an order in 2..{TREE_ORDER_LIMIT}")
+        starts = {}
+        for s in range(1, max(top - 1, 2)):  # the first subtree sizes (1 at order 2)
+            m = top - s
+            starts[s] = max(starts.get(s, b""), _tallest(s, min(s - 1, m - 1)))
+            starts[m] = max(starts.get(m, b""), _rest_start(top, s))
+        self.rows, self.tables, self.at_most = {}, {}, {}
+        for k, start in sorted(starts.items()):
+            rows = bytearray()
+            for levels in _rooted_walk(bytearray(start)):
+                rows += levels
+            self.rows[k] = bytes(rows)
+            self.tables[k] = np.frombuffer(self.rows[k], dtype=np.int8).reshape(-1, k)
+            heights = self.tables[k].max(axis=1)  # never rising along the rows
+            self.at_most[k] = np.searchsorted(-heights, -np.arange(k + 1)).tolist() + [len(heights)]
+
+    def joined(self, n: int, s: int, t: int, r: int) -> list[int]:
+        """The level sequence of the order-n tree made of row r of size
+        n - s with row t of size s, one level down, as its root's first
+        subtree."""
         m = n - s
-        x = _tallest(s, min(s - 1, m - 1)).translate(_PLUS_ONE)
-        k, r = divmod(m - 1, s)
-        self.rows = bytearray()
-        for levels in _rooted_walk(bytearray(b"\0" + x * k + x[:r])):
-            self.rows += levels
-        self.table = np.frombuffer(self.rows, dtype=np.int8).reshape(-1, m)
-        heights = self.table.max(axis=1)  # never rising along the rows
-        self.at_most = np.searchsorted(-heights, -np.arange(m + 1)).tolist() + [len(heights)]
-        self.start = 0
+        first, rest = self.rows[s][t * s:t * s + s], self.rows[m][r * m:r * m + m]
+        return list(b"\0" + first.translate(_PLUS_ONE) + rest[1:])
+
+
+def tree_segments(tables: RootedTables, n: int):
+    """The free trees of order n, in stream order, as segments (s, t, a, b):
+    the root, its first subtree T of size s, row t of ``tables.rows[s]``, one
+    level down, then the children of each of the rests of size m = n - s in
+    rows a to b - 1 of ``tables.rows[m]``.  ``tables`` may be built for any
+    order from n up (a table that lacks the order-n rests is refused).
+    Segments are never empty.
+
+    The sequences are centre-rooted (Wright, Richmond, Odlyzko and McKay,
+    SIAM J. Comput. 15, 1986) and strictly decreasing.  A rest R, a rooted
+    tree whose children are all at most T, makes a centre-rooted tree when
+    R is taller than T, or as tall with s < m, or as tall, as large and
+    R >= T.  So the first subtrees, of height at most min(s - 1, m - 1), are
+    merged in decreasing order across sizes, and each is joined to a
+    contiguous range of its size's rests: heights never rise along a rooted
+    stream, so from the first rest whose first child is at most T come the
+    rests taller than T, then those as tall, then the shorter."""
+    if n == 2:  # the edge: one vertex below another
+        yield 1, 0, 0, 1
+        return
+    starts, firsts = {}, []
+    for s in range(1, n - 1):
+        m = n - s
+        # the order-n rests are the suffix from their first row
+        rest, rests = _rest_start(n, s), tables.rows[m]
+        starts[m] = a = bisect_left(range(len(rests) // m), True,
+                                    key=lambda i: rests[i * m:i * m + m] <= rest)
+        if rests[a * m:a * m + m] != rest:
+            raise ValueError(f"the size-{m} rooted table misses the order-{n} rests")
+        lo = tables.at_most[s][min(s - 1, m - 1)]
+        firsts.append(zip(map(bytes, tables.tables[s][lo:]), count(lo)))
+    for first, t in heapq.merge(*firsts, reverse=True):
+        s, height = len(first), max(first)
+        m = n - s
+        rows, at_most = tables.rows[m], tables.at_most[m]
+        # a row's first child is at most T exactly when the row sorts
+        # below the root, T as a child, then a vertex on level 2
+        key, a = b"\0" + first.translate(_PLUS_ONE) + b"\2", starts[m]
+        while rows[a * m:a * m + m] >= key:
+            a += 1
+        starts[m] = a
+        if s < m:
+            b = at_most[height - 1]
+        elif s > m:
+            b = at_most[height]
+        else:  # of the rests as tall as T, those at least T
+            lo = at_most[height]
+            b = lo + bisect_left(range(lo, at_most[height - 1]), True,
+                                 key=lambda i: rows[i * m:i * m + m] < first)
+        if a < b:
+            yield s, t, a, b
+
+
+def segment_blocks(tables: RootedTables, n: int):
+    """The segments of ``tree_segments(tables, n)`` in lists, blocks of
+    ``TREE_BLOCK`` trees (the last may be shorter), a segment that crosses
+    the end of a block split in two."""
+    block, fill = [], 0
+    for s, t, a, b in tree_segments(tables, n):
+        while a < b:
+            take = min(b - a, TREE_BLOCK - fill)
+            block.append((s, t, a, a + take))
+            fill, a = fill + take, a + take
+            if fill == TREE_BLOCK:
+                yield block
+                block, fill = [], 0
+    if block:
+        yield block
+
+
+def segment_runs(tables: RootedTables, n: int, blocks: int):
+    """(first stream index, blocks) of each run of ``blocks`` consecutive
+    blocks of ``segment_blocks(tables, n)``."""
+    stream, first = segment_blocks(tables, n), 0
+    while run := list(islice(stream, blocks)):
+        yield first, run
+        first += sum(b - a for block in run for *_, a, b in block)
 
 
 def tree_blocks(n: int):
     """Canonical level sequences of the free trees of order n, in stream
     order, as (B, n) int8 blocks of ``TREE_BLOCK`` rows (the last may be
-    shorter).  The sequences are centre-rooted (Wright, Richmond, Odlyzko
-    and McKay, SIAM J. Comput. 15, 1986) and strictly decreasing.
-
-    Each is the root, its first subtree T of size s one level down, then
-    the children of a rest R of size m = n - s, a rooted tree whose
-    children are all at most T.  It is centre-rooted when R is taller than
-    T, or as tall with s < m, or as tall, as large and R >= T.  So the
-    first subtrees, of height at most min(s - 1, m - 1), are merged in
-    decreasing order across sizes, and each is joined to a contiguous
-    range of its size's rest table (``_Rests``): heights never rise along
-    a rooted stream, so from the first rest whose first child is at most T
-    come the rests taller than T, then those as tall, then the shorter."""
+    shorter): the rows of the segments of ``segment_blocks``."""
     _check_order(n)
-    if n <= 2:
-        yield np.arange(n, dtype=np.int8).reshape(1, n)
+    if n == 1:
+        yield np.zeros((1, 1), dtype=np.int8)
         return
-    tables: dict[int, _Rests] = {}
-    block, fill = np.empty((TREE_BLOCK, n), dtype=np.int8), 0
-    firsts = [map(bytes, _rooted_walk(bytearray(_tallest(s, min(s - 1, n - 1 - s)))))
-              for s in range(1, n - 1)]
-    for first in heapq.merge(*firsts, reverse=True):
-        s, t = len(first), max(first)
-        m = n - s
-        rests = tables.get(s)
-        if rests is None:
-            rests = tables[s] = _Rests(n, s)
-        rows, child = rests.rows, first.translate(_PLUS_ONE)
-        # a row's first child is at most T exactly when the row sorts
-        # below the root, T as a child, then a vertex on level 2
-        key, a = b"\0" + child + b"\2", rests.start
-        while rows[a * m:a * m + m] >= key:
-            a += 1
-        rests.start = a
-        if s < m:
-            b = rests.at_most[t - 1]
-        elif s > m:
-            b = rests.at_most[t]
-        else:  # of the rests as tall as T, those at least T
-            lo = rests.at_most[t]
-            b = lo + bisect_left(range(lo, rests.at_most[t - 1]), True,
-                                 key=lambda i: rows[i * m:i * m + m] < first)
-        head = np.frombuffer(b"\0" + child, dtype=np.int8)
-        while a < b:
-            take = min(b - a, TREE_BLOCK - fill)
-            block[fill:fill + take, :s + 1] = head
-            block[fill:fill + take, s + 1:] = rests.table[a:a + take, 1:]
-            fill, a = fill + take, a + take
-            if fill == TREE_BLOCK:
-                yield block
-                block, fill = np.empty((TREE_BLOCK, n), dtype=np.int8), 0
-    if fill:
+    tables = RootedTables(n)
+    for segments in segment_blocks(tables, n):
+        block, fill = np.zeros((TREE_BLOCK, n), dtype=np.int8), 0
+        for s, t, a, b in segments:
+            block[fill:fill + b - a, 1:s + 1] = tables.tables[s][t] + 1
+            block[fill:fill + b - a, s + 1:] = tables.tables[n - s][a:b, 1:]
+            fill += b - a
         yield block[:fill]
 
 

@@ -3,15 +3,17 @@ disjoint union from its parts, in coefficient-tuple arithmetic rather than
 the engine's packed integers, vertex relabelling, a canonical form of
 small graphs by its definition, a labelled-tree oracle
 that decodes every length-(n-2) vertex sequence, the free-tree stream by a
-walk of whole sequences, the known ratio table of small paths and cycles,
-and a plain loop over the subsets for one level of the subset oracle."""
+walk of whole sequences, the batched tree DP and the degrees of whole trees
+(the reference for the sweeps' join of rooted tables), the known ratio
+table of small paths and cycles, and a plain loop over the subsets for one
+level of the subset oracle."""
 
 from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 
-from nisets.engine import Engine
+from nisets.engine import Engine, root_states_batch
 from nisets.families import FamilySpec, build
 from nisets.graphs import Graph, all_pairs, iter_bits
 from nisets.trees import _centers, _rooted_key
@@ -185,6 +187,30 @@ def reference_tree_blocks(n: int, block: int):
         levels[p:] = (levels[q:p] * (n - p))[:n - p]
     if rows:
         yield np.frombuffer(rows, dtype=np.int8).reshape(-1, n)
+
+
+def tree_scalars_batch(parent):
+    """``tree_scalars`` of a block of B whole trees, given as the (B, n)
+    parent array of their level sequences (``trees.level_parents``), as four
+    int64 arrays (sigma0, S0, sigma1, S1): the batched DP folds every
+    position of every tree."""
+    a0, a1, b0, b1, c0, c1, f0, f1 = root_states_batch(parent)
+    return a0 + b0, a1 + b1, c0 + f0, c1 + f1
+
+
+def block_degrees(parent):
+    """Max degree and minimum internal degree (degree > 1; 0 when no
+    vertex is internal) of every tree of a (B, n) parent array from
+    ``level_parents``, as two int arrays: a bincount of the parents gives
+    the child counts, and every vertex but the root has one more edge."""
+    b, n = parent.shape
+    slots = parent[:, 1:] + n * np.arange(b)[:, None]
+    degree = np.bincount(slots.ravel(), minlength=b * n).reshape(b, n)
+    degree[:, 1:] += 1
+    # no degree reaches n, so n marks a tree without internal vertices
+    internal = np.where(degree > 1, degree, n).min(axis=1)
+    internal[internal == n] = 0
+    return degree.max(axis=1), internal
 
 
 _RATIO_TABLE = (

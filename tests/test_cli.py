@@ -381,10 +381,10 @@ def test_scan_refuses_options_of_the_other_population(capsys, monkeypatch,
 def test_verify_refuses_family_order_past_graph6_limit(capsys, monkeypatch):
     from nisets import scanner
 
-    def no_walk(n):
+    def no_walk(top):
         raise AssertionError("a tree was walked before the family and ratio orders were checked")
 
-    monkeypatch.setattr(scanner, "tree_blocks", no_walk)
+    monkeypatch.setattr(scanner, "RootedTables", no_walk)
     code, out, err = run_cli(capsys, "verify", "--max-family-order", "63")
     assert code == 2 and out == ""
     assert err == "error: max family order 63 above the graph6 limit (62)\n"
@@ -411,7 +411,7 @@ def test_verify_refuses_order_below_a_suite_before_running_any(capsys, monkeypat
     def no_suite(*args):
         raise AssertionError("a suite ran before every order was checked")
 
-    for suite in ("tree_blocks", "_graph_claim_reports", "_degree_two_ratio_reports",
+    for suite in ("RootedTables", "_graph_claim_reports", "_degree_two_ratio_reports",
                   "_subdivided_star_reports"):
         monkeypatch.setattr(scanner, suite, no_suite)
     code, out, err = run_cli(capsys, "verify", "--max-graph-order", "-3", "--max-tree-order", "2",
@@ -439,9 +439,9 @@ def test_conjecture_refuses_order_past_limit_before_sweeping(capsys, monkeypatch
     def no_sweep(*args):
         raise AssertionError("an order was swept before every order was checked")
 
-    # neither sweep a run nor generate the trees that make the runs
-    monkeypatch.setattr(scanner, "_sweep_shard", no_sweep)
-    monkeypatch.setattr(scanner, "tree_blocks", no_sweep)
+    # neither sweep a run nor build the tables that make the runs
+    monkeypatch.setattr(scanner, "_score_run", no_sweep)
+    monkeypatch.setattr(scanner, "RootedTables", no_sweep)
     code, out, err = run_cli(capsys, "conjecture", "--orders", "18:25", "--workers", "2")
     assert code == 2 and out == ""
     assert err == "error: conjecture scan needs orders >= 4 and <= 24\n"
@@ -687,10 +687,10 @@ def test_config_sets_verify_options(capsys, tmp_path):
 def test_verify_refuses_spot_check_rate_above_one(capsys, monkeypatch):
     from nisets import scanner
 
-    def no_walk(n):
+    def no_walk(top):
         raise AssertionError("a tree was walked before the spot-check rate was checked")
 
-    monkeypatch.setattr(scanner, "tree_blocks", no_walk)
+    monkeypatch.setattr(scanner, "RootedTables", no_walk)
     code, err = exit_code(capsys, "verify", "--spot-check-rate", "1.5")
     assert code == 2
     assert err == "error: spot-check rate must lie in [0, 1]\n"
@@ -851,3 +851,23 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["av1"] == "12/5"
+
+
+SPAWNED_CONJECTURE = """
+import multiprocessing, sys
+from nisets.cli import main
+multiprocessing.set_start_method("spawn")
+sys.exit(main(["conjecture", "--orders", "4:12", "--workers", "2"]))
+"""
+
+
+def test_spawned_pool_writes_the_one_worker_report(capsys):
+    # spawned workers receive the sweep's tables pickled, where forked ones
+    # inherit them, and must write the same bytes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", SPAWNED_CONJECTURE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(capsys, "conjecture", "--orders", "4:12", "--workers", "1")
+    assert code == 0 and proc.stdout == out

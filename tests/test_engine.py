@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosschecks import sequence_to_adjacency, union_combine
+from crosschecks import sequence_to_adjacency, tree_scalars_batch, union_combine
 from nisets import cli
 from nisets import engine as engine_module
 from nisets.engine import (
@@ -19,7 +19,6 @@ from nisets.engine import (
     moments,
     nis_summary,
     tree_scalars,
-    tree_scalars_batch,
 )
 from nisets.families import FamilySpec, build, closed_form_summary
 from nisets.graphs import (

@@ -13,8 +13,14 @@ import pytest
 
 import nisets.scanner as scanner_module
 import nisets.trees as trees_module
-from crosschecks import canonical_mask, pair_mask, relabel
-from nisets.engine import Engine, format_rational, tree_scalars, tree_scalars_batch
+from crosschecks import block_degrees, canonical_mask, pair_mask, relabel, tree_scalars_batch
+from nisets.engine import (
+    Engine,
+    format_rational,
+    join_scalars,
+    root_states_batch,
+    tree_scalars,
+)
 from nisets.families import FamilySpec, build, closed_form_summary
 from nisets.formats import from_graph6, to_graph6
 from nisets.graphs import (
@@ -30,10 +36,10 @@ from nisets.scanner import (
     WITNESS_CAP,
     RouteDisagreement,
     _Side,
-    _block_degrees,
     _extremes,
     _graph_claim_reports,
-    _sweep_shard,
+    _score_run,
+    _Tables,
     conjecture_scan,
     has_inequality_violations,
     labeled_graph_classes,
@@ -44,13 +50,19 @@ from nisets.scanner import (
     verify_claims,
 )
 from nisets.trees import (
-    LevelSequence,
+    RootedTables,
+    _rest_start,
+    _rooted_walk,
+    _tallest,
     free_trees,
     level_parents,
     level_sequences,
     levels_to_graph,
+    segment_blocks,
+    segment_runs,
     tree_blocks,
     tree_canonical_key,
+    tree_segments,
 )
 
 GRAPH_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -234,15 +246,10 @@ def eager_fold(graphs, objective, top_k=5):
     }
 
 
-def preorder_depths(graph, root):
-    depths = []
-    stack = [(root, -1, 0)]
-    while stack:
-        v, parent, depth = stack.pop()
-        depths.append(depth)
-        stack.extend((u, v, depth + 1) for u in range(graph.n)
-                     if graph.adj[v] >> u & 1 and u != parent)
-    return tuple(depths)
+def valued_like(values, levels):
+    """Which rows of a join's four value arrays carry the (sigma0, S0,
+    sigma1, S1) of the tree with these levels."""
+    return np.logical_and.reduce([got == want for got, want in zip(values, tree_scalars(levels))])
 
 
 class TestLazyTreeFold:
@@ -275,22 +282,21 @@ class TestLazyTreeFold:
         assert len(records[2].max_witnesses) == 2
 
     @pytest.mark.parametrize("objective", ["av1", "sigma-ratio"])
-    def test_chunk_fold_keeps_every_tie(self, monkeypatch, objective):
-        # every order-8 tree twice, canonically rooted and rooted at its last
-        # vertex: each value is tied on both sides and at every top-k
-        # boundary, and at odd block sizes the two copies of a tree straddle
-        # block boundaries
-        levels = []
-        for seq in level_sequences(8):
-            levels += [seq.levels, preorder_depths(seq.to_graph(), 7)]
-        rows = np.array(levels, dtype=np.int8)
+    def test_chunk_fold_keeps_every_tie(self, objective):
+        # every order-8 tree twice in a row, as two one-tree segments: each
+        # value is tied on both sides and at every top-k boundary, and at
+        # odd block sizes the two copies of a tree straddle block boundaries
+        tables = _Tables(8, False)
+        trees = [(s, t, r, r + 1) for s, t, a, b in tree_segments(tables.rooted, 8)
+                 for r in range(a, b) for _ in range(2)]
+        graphs = [levels_to_graph(tables.rooted.joined(8, s, t, r)) for s, t, r, _ in trees]
         no_spots = scanner_module._spot_sample(8, 0.0)
         for top_k in (0, 1, 2, 3, 5, 8):
-            want = eager_fold((LevelSequence(lv).to_graph() for lv in levels), objective, top_k)
+            want = eager_fold(graphs, objective, top_k)
             for block in (1, 3, 7, trees_module.TREE_BLOCK):
-                blocks = [rows[start:start + block] for start in range(0, len(rows), block)]
-                found = _sweep_shard((8, objective, top_k, no_spots, False, 0, blocks))
-                assert found.count == len(rows)
+                blocks = [trees[start:start + block] for start in range(0, len(trees), block)]
+                found = _score_run(tables, (8, objective, top_k, no_spots, False, 0, blocks))
+                assert found.count == len(trees) == 46
                 for side, key in ((found.lo, "min"), (found.hi, "max")):
                     assert (side.value, sorted(side.codes)) == want[key], block
                     assert len(side.codes) >= 2
@@ -304,11 +310,12 @@ class TestLazyTreeFold:
 
 
 class InProcessPool:
-    """Stands in for a process pool: each task runs in this process when
-    its result is read."""
+    """Stands in for a process pool: its initializer and each task run in
+    this process, a task when its result is read."""
 
-    def __init__(self, workers):
-        pass
+    def __init__(self, workers, initializer=None, initargs=()):
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -409,19 +416,19 @@ class TestStrideSweep:
     def test_generator_is_never_more_than_one_run_ahead_of_scoring(self, monkeypatch):
         generated, scored, calls = [0], [0], []
 
-        def counting_blocks(n):
-            for levels in tree_blocks(n):
-                generated[0] += len(levels)
-                yield levels
+        def counting_runs(tables, n, blocks):
+            for first, run in segment_runs(tables, n, blocks):
+                generated[0] += sum(b - a for block in run for *_, a, b in block)
+                yield first, run
 
-        def counting_batch(parent):
+        def counting_join(rest, first):
             calls.append(generated[0] - scored[0])
-            scored[0] += len(parent)
-            return tree_scalars_batch(parent)
+            scored[0] += rest.shape[1]
+            return join_scalars(rest, first)
 
         monkeypatch.setattr(trees_module, "TREE_BLOCK", 16)
-        monkeypatch.setattr(scanner_module, "tree_blocks", counting_blocks)
-        monkeypatch.setattr(scanner_module, "tree_scalars_batch", counting_batch)
+        monkeypatch.setattr(scanner_module, "segment_runs", counting_runs)
+        monkeypatch.setattr(scanner_module, "join_scalars", counting_join)
         scan_trees(13, workers=1)
         # 1301 trees in five runs of 16 full blocks, then a run of two
         # blocks, of 16 and 5 trees; each run is cut from the stream once
@@ -430,18 +437,15 @@ class TestStrideSweep:
         assert calls == list(range(256, 0, -16)) * 5 + [21, 5]
 
     def test_one_task_list_at_every_worker_count(self, monkeypatch):
-        sweep_shard = scanner_module._sweep_shard
-
         def recorded(workers):
             tasks = []
 
-            def recording_shard(payload):
-                *head, blocks = payload
-                tasks.append((*head, [block.tobytes() for block in blocks]))
-                return sweep_shard(payload)
+            def recording_run(tables, payload):
+                tasks.append(payload)
+                return _score_run(tables, payload)
 
             with monkeypatch.context() as m:
-                m.setattr(scanner_module, "_sweep_shard", recording_shard)
+                m.setattr(scanner_module, "_score_run", recording_run)
                 m.setattr(scanner_module, "Pool", InProcessPool)
                 for n in range(4, 14):
                     scan_trees(n, workers=workers, spot_check_rate=0.02)
@@ -459,9 +463,9 @@ class TestStrideSweep:
     def test_one_pool_per_call(self, monkeypatch):
         pools, real_pool = [], scanner_module.Pool
 
-        def counting_pool(workers):
+        def counting_pool(workers, **kwargs):
             pools.append(workers)
-            return real_pool(workers)
+            return real_pool(workers, **kwargs)
 
         monkeypatch.setattr(scanner_module, "Pool", counting_pool)
         conjecture_scan(range(9, 13), workers=2)
@@ -490,20 +494,23 @@ class TestStrideSweep:
         assert [task[:4] for task in tasks] == [
             (n, "av1", 5, scanner_module._spot_sample(n, 0))
             for n in range(4, 14) for _ in range(-(-scanner_module.count_free_trees(n) // 256))]
+        tables = RootedTables(13)
         for n in range(4, 14):
-            # runs of 16 blocks of 16 trees chain the order's stream
+            # runs of 16 blocks of segments of 16 trees chain the order's stream
             runs = [(first, blocks) for m, *_, first, blocks in tasks if m == n]
             stream = np.concatenate(list(tree_blocks(n)))
             assert [first for first, _ in runs] == list(range(0, len(stream), 256))
             for first, blocks in runs:
-                assert len(blocks) <= 16 and all(len(block) <= 16 for block in blocks)
-                run = np.concatenate(blocks)
+                assert len(blocks) <= 16
+                assert all(sum(b - a for *_, a, b in block) <= 16 for block in blocks)
+                run = np.array([tables.joined(n, s, t, r) for block in blocks
+                                for s, t, a, b in block for r in range(a, b)])
                 assert (run == stream[first:first + len(run)]).all()
         assert report_bytes(two) == report_bytes(conjecture_scan(range(4, 14), workers=1))
         assert report_bytes(two) == report_bytes(conjecture_scan(range(4, 14), workers=3))
 
     def test_refused_scan_opens_no_pool(self, monkeypatch):
-        def no_pool(workers):
+        def no_pool(*args, **kwargs):
             raise AssertionError("a pool opened before the inputs were checked")
 
         monkeypatch.setattr(scanner_module, "Pool", no_pool)
@@ -554,19 +561,21 @@ class TestStrideSweep:
         assert sorted(logged(2)) == sorted(logged(3)) == sorted(one)
 
     def test_lying_row_in_a_later_run_raises(self, monkeypatch):
-        # order 13 in six runs of 256 trees; the last tree is in the last run
+        # order 13 in six runs of 256 trees; the last tree, the star (the
+        # only order-13 tree with its values), is in the last run
         monkeypatch.setattr(trees_module, "TREE_BLOCK", 16)
         stream = np.concatenate(list(tree_blocks(13)))
         assert len(stream) == 1301
-        liar = level_parents(stream[-1:])
+        liar = tuple(stream[-1].tolist())
+        assert liar == (0,) + (1,) * 12
 
-        def lying_batch(parent):
-            sig0, s0, sig1, s1 = tree_scalars_batch(parent)
+        def lying_join(rest, first):
+            values = sig0, s0, sig1, s1 = join_scalars(rest, first)
             # S0 is checked but feeds no sweep fold, so only a spot check sees it
-            return sig0, s0 + (parent == liar).all(axis=1), sig1, s1
+            return sig0, s0 + valued_like(values, liar), sig1, s1
 
         # pool workers fork from this process, so they inherit the patch
-        monkeypatch.setattr(scanner_module, "tree_scalars_batch", lying_batch)
+        monkeypatch.setattr(scanner_module, "join_scalars", lying_join)
         scan_trees(13, workers=2, spot_check_rate=0.001)  # the lying tree is not sampled
         with pytest.raises(RouteDisagreement, match="tree DP"):
             scan_trees(13, workers=2, spot_check_rate=1.0)
@@ -595,12 +604,14 @@ class TestStrideSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_stream_short_of_the_tree_count_raises(self, monkeypatch, workers):
-        def short_blocks(n):
-            *blocks, last = tree_blocks(n)
-            # order 11 loses its star; verify walks orders 2-10 whole first
-            return [*blocks, last[:-1] if n == 11 else last]
+        def short_runs(tables, n, blocks):
+            *runs, (first, last) = segment_runs(tables, n, blocks)
+            if n == 11:  # order 11 loses its star, the last tree of the last segment
+                *head, (*segments, (s, t, a, b)) = last
+                last = [*head, [*segments, (s, t, a, b - 1)]]
+            return [*runs, (first, last)]
 
-        monkeypatch.setattr(scanner_module, "tree_blocks", short_blocks)
+        monkeypatch.setattr(scanner_module, "segment_runs", short_runs)
         match = "order-11 stream held 234 trees, but the counting recurrence gives 235"
         with pytest.raises(RouteDisagreement, match=match):
             scan_trees(11, workers=workers)
@@ -614,8 +625,8 @@ class TestStrideSweep:
         def no_degrees(parent):
             raise AssertionError("degrees computed on a sweep that checks no cap")
 
-        # the pool forks, so the workers see the patch too
-        monkeypatch.setattr(scanner_module, "_block_degrees", no_degrees)
+        # the tables, degrees included, are built before any pool opens
+        monkeypatch.setattr(scanner_module, "_rooted_degrees", no_degrees)
         conjecture_scan([9, 10], workers=workers)
         scan_trees(10, workers=workers)
         with pytest.raises(AssertionError, match="checks no cap"):
@@ -661,6 +672,63 @@ class TestStrideSweep:
             scan_trees(6, workers=limit + 1)
         with pytest.raises(ValueError, match=match):
             conjecture_scan([6, 7], workers=limit + 1)
+
+
+def walked(start: bytes) -> bytes:
+    """The rows of the rooted walk from ``start`` down to the star."""
+    return b"".join(map(bytes, _rooted_walk(bytearray(start))))
+
+
+class TestJoin:
+    def test_join_equals_the_block_route_at_every_order(self):
+        # values and degrees of each tree, row for row in stream order,
+        # against the batched DP and a bincount over whole trees
+        tables = _Tables(18, True)
+        for n in range(2, 19):
+            joined = [[] for _ in range(6)]
+            for block in segment_blocks(tables.rooted, n):
+                rest, first, _ = tables.rows(n, block)
+                for column, got in zip(joined, (*tables.scalars(rest, first),
+                                                *tables.tree_degrees(rest, first))):
+                    column.append(got)
+            stream = np.concatenate(list(tree_blocks(n)))
+            parent = level_parents(stream)
+            want = (*tree_scalars_batch(parent), *block_degrees(parent))
+            for column, expected in zip(joined, want):
+                assert np.concatenate(column).tolist() == expected.tolist(), n
+
+    def test_tables_of_smaller_orders_are_suffixes(self):
+        # the first subtrees and the rests of order n are suffixes of the
+        # tables of order n + 1, whose rows are suffixes of the next order's,
+        # so tables built for the top order serve every smaller one
+        for n in range(3, 18):
+            tables, larger = RootedTables(n).rows, RootedTables(n + 1).rows
+            for k, rows in tables.items():
+                assert larger[k].endswith(rows), (n, k)
+            for s in range(1, n - 1):
+                m = n - s
+                assert larger[m].endswith(walked(_rest_start(n, s))), (n, s)
+                assert larger[s].endswith(walked(_tallest(s, min(s - 1, m - 1)))), (n, s)
+
+    def test_join_products_at_the_order_limit_stay_below_the_bound(self):
+        # each product of the join at order 24 is at most the product of the
+        # largest rest state and the largest first-subtree sum it meets, over
+        # the tables; those stay below n·2^n < 2^29, far inside int64
+        n = scanner_module.TREE_ORDER_LIMIT
+        tables = RootedTables(n)
+        largest = {k: np.max([root_states_batch(level_parents(table[lo:lo + 8192])).max(axis=1)
+                              for lo in range(0, len(table), 8192)], axis=0)
+                   for k, table in tables.tables.items()}
+        products = []
+        for s in range(1, n - 1):
+            pa0, pa1, pb0, pb1, pc0, pc1, pf0, pf1 = (int(v) for v in largest[n - s])
+            a0, a1, b0, b1, c0, c1, f0, f1 = (int(v) for v in largest[s])
+            # what T brings to the join: free = a + b, one = c + f, edge = b + c, out = a
+            parts = (a0 + b0, a1 + b1, c0 + f0, c1 + f1, b0 + c0, b1 + c1, a0, a1)
+            products += [rest * part for rest in (pa0, pa1, pb0, pb1, pc0, pc1, pf0, pf1)
+                         for part in parts]
+        # the bound holds, and with less than a factor 4 to spare
+        assert n << (n - 2) < max(products) < n << n
 
 
 class TestPathCycleUnions:
@@ -779,16 +847,18 @@ class TestTreeClaimPass:
         first, second = inflated
         assert Fraction(9, 2) < inflated[second] < inflated[first]
 
-        # the batch sees parent arrays, which name their trees as well
-        by_parent = {tuple(level_parents(np.array([levels], dtype=np.int8))[0].tolist()): factor
-                     for levels, factor in factors.items()}
+        # the join sees values, which name these two trees among the order's
+        values = [tree_scalars(levels) for levels in stream]
+        assert all(values.count(tree_scalars(levels)) == 1 for levels in factors)
 
-        def inflating_batch(parent):
-            sig0, s0, sig1, s1 = tree_scalars_batch(parent)
-            factor = [by_parent.get(tuple(row.tolist()), 1) for row in parent]
-            return sig0, s0, sig1, np.array(factor) * s1
+        def inflating_join(rest, first):
+            values = sig0, s0, sig1, s1 = join_scalars(rest, first)
+            factor = np.ones_like(s1)
+            for levels, times in factors.items():
+                factor[valued_like(values, levels)] = times
+            return sig0, s0, sig1, factor * s1
 
-        monkeypatch.setattr(scanner_module, "tree_scalars_batch", inflating_batch)
+        monkeypatch.setattr(scanner_module, "join_scalars", inflating_join)
         reports = verify_claims(claims=["tree-average-cap", "internal-degree-cap"],
                                 max_tree_order=9, witness_cap=None)
         g6 = {levels: to_graph6(levels_to_graph(levels)) for levels in factors}
@@ -804,14 +874,15 @@ class TestTreeClaimPass:
         # the star's average 2 becomes 13/4, strictly between the other
         # order-7 trees' extremes 3 and 86/25, so the star enters neither side
         star = (0,) + (1,) * 6
+        stars = [(0,) + (1,) * (n - 1) for n in range(2, 8)]
 
-        def inflating_batch(parent):
-            sig0, s0, sig1, s1 = tree_scalars_batch(parent)
-            # the star's vertices all hang off the root
-            is_star = np.array([row.tolist() == [0] * len(star) for row in parent])
+        def inflating_join(rest, first):
+            values = sig0, s0, sig1, s1 = join_scalars(rest, first)
+            # at each order only the star has n - 1 one-edge subsets
+            is_star = np.logical_or.reduce([valued_like(values, levels) for levels in stars])
             return sig0, s0, np.where(is_star, 8, 1) * sig1, np.where(is_star, 13, 1) * s1
 
-        monkeypatch.setattr(scanner_module, "tree_scalars_batch", inflating_batch)
+        monkeypatch.setattr(scanner_module, "join_scalars", inflating_join)
         (report,) = verify_claims(claims=["tree-average-lower"], max_tree_order=7)[-1:]
         assert report.order == 7 and report.min_value < Fraction(13, 4) < report.max_value
         assert [v.graph6 for v in report.violations] == [to_graph6(levels_to_graph(star))]
@@ -820,11 +891,11 @@ class TestTreeClaimPass:
         sampled = {n: spot_check_trees(n, 0.05) for n in range(2, 11)}
         walks = Counter()
 
-        def counting_blocks(n):
+        def counting_runs(tables, n, blocks):
             walks[n] += 1
-            return tree_blocks(n)
+            return segment_runs(tables, n, blocks)
 
-        monkeypatch.setattr(scanner_module, "tree_blocks", counting_blocks)
+        monkeypatch.setattr(scanner_module, "segment_runs", counting_runs)
         for runs, rate in ((1, 0.0), (2, 0.05)):
             checked = {}
             reports = verify_claims(claims=TREE_CLAIMS, max_tree_order=10,
@@ -838,11 +909,11 @@ class TestTreeClaimPass:
     def test_no_tree_claim_walks_no_tree(self, monkeypatch):
         walks = Counter()
 
-        def counting_blocks(n):
+        def counting_runs(tables, n, blocks):
             walks[n] += 1
-            return tree_blocks(n)
+            return segment_runs(tables, n, blocks)
 
-        monkeypatch.setattr(scanner_module, "tree_blocks", counting_blocks)
+        monkeypatch.setattr(scanner_module, "segment_runs", counting_runs)
         checked = {}
         reports = verify_claims(claims=["degree-two-ratio"], max_tree_order=9,
                                 max_ratio_order=4, spot_check_rate=0.05, spot_checked=checked)
@@ -852,11 +923,11 @@ class TestTreeClaimPass:
 
     def test_claim_walk_checks_the_rows_it_scored(self, monkeypatch):
         # a DP row off by one at a sampled tree is caught on the claim walk
-        def lying_batch(parent):
-            sig0, s0, sig1, s1 = tree_scalars_batch(parent)
+        def lying_join(rest, first):
+            sig0, s0, sig1, s1 = join_scalars(rest, first)
             return sig0, s0, sig1, s1 + 1
 
-        monkeypatch.setattr(scanner_module, "tree_scalars_batch", lying_batch)
+        monkeypatch.setattr(scanner_module, "join_scalars", lying_join)
         with pytest.raises(RouteDisagreement, match="tree DP"):
             verify_claims(claims=["tree-average-cap"], max_tree_order=6, spot_check_rate=0.01)
 
@@ -894,12 +965,13 @@ class TestTreeClaimPass:
             verify_claims(claims=[claim], **{f"max_{suite}_order": first - 1})
 
     def test_degrees_match_structural_predicates(self):
-        for n in range(1, 15):
-            stream = np.concatenate(list(tree_blocks(n)))
-            max_degree, internal = _block_degrees(level_parents(stream))
-            for levels, got_max, got_internal in zip(stream.tolist(), max_degree, internal):
-                s = structural_predicates(levels_to_graph(levels))
-                assert (got_max, got_internal or None) == (s.max_degree, s.min_internal_degree)
+        tables = _Tables(14, True)
+        for n in range(2, 15):
+            for block in segment_blocks(tables.rooted, n):
+                rest, first, levels = tables.rows(n, block)
+                for i, got in enumerate(zip(*tables.tree_degrees(rest, first))):
+                    s = structural_predicates(levels_to_graph(levels(i)))
+                    assert (got[0], got[1] or None) == (s.max_degree, s.min_internal_degree)
 
     def test_claim_reports_carry_the_extremes_of_their_scan(self):
         # each report names a population and objective; its sides are that
@@ -1153,8 +1225,8 @@ class TestConjecture:
         def no_sweep(*args):
             raise AssertionError("an order was swept before every order was checked")
 
-        monkeypatch.setattr(scanner_module, "_sweep_shard", no_sweep)
-        monkeypatch.setattr(scanner_module, "tree_blocks", no_sweep)
+        monkeypatch.setattr(scanner_module, "_score_run", no_sweep)
+        monkeypatch.setattr(scanner_module, "RootedTables", no_sweep)
         with pytest.raises(ValueError, match="<= 24"):
             conjecture_scan(range(18, 26))
         with pytest.raises(ValueError, match="<= 24"):
@@ -1169,22 +1241,22 @@ class TestConjecture:
         # side holds one tree, and it is not R
         n = 9
         star_levels = [0] + [1] * (n - 1)
-        r_parent, star_parent = level_parents(np.array([[0, 1, 2] + [1] * (n - 3), star_levels]))
+        r_levels = [0, 1, 2] + [1] * (n - 3)
+        # R is the unique maximiser, and the star alone has n - 1 one-edge
+        # subsets, so their values name them among the order's trees
         (record,) = conjecture_scan([n])
         assert record.subdivided_star_is_unique_max
-        true_batch = scanner_module.tree_scalars_batch
-        _, _, (r_sigma1,), (r_total1,) = true_batch(r_parent[None])
+        _, _, r_sigma1, r_total1 = tree_scalars(r_levels)
 
-        def moved(parent):
-            sig0, s0, sig1, tot1 = (v.copy() for v in true_batch(parent))
-            for i, row in enumerate(parent):
-                if (row == r_parent).all():
-                    sig1[i], tot1[i] = r_sigma1, 2 * r_sigma1
-                elif (row == star_parent).all():
-                    sig1[i], tot1[i] = r_sigma1, r_total1
+        def moved(rest, first):
+            values = join_scalars(rest, first)
+            is_r, is_star = valued_like(values, r_levels), valued_like(values, star_levels)
+            sig0, s0, sig1, tot1 = (v.copy() for v in values)
+            sig1[is_r], tot1[is_r] = r_sigma1, 2 * r_sigma1
+            sig1[is_star], tot1[is_star] = r_sigma1, r_total1
             return sig0, s0, sig1, tot1
 
-        monkeypatch.setattr(scanner_module, "tree_scalars_batch", moved)
+        monkeypatch.setattr(scanner_module, "join_scalars", moved)
         (moved_record,) = conjecture_scan([n])
         assert moved_record.max_value == moved_record.subdivided_star_value == record.max_value
         assert moved_record.max_witnesses == (to_graph6(levels_to_graph(star_levels)),)
@@ -1227,10 +1299,10 @@ def test_spot_check_catches_disagreement(monkeypatch):
 def test_spot_check_catches_tree_dp_disagreement(monkeypatch):
     import nisets.scanner as scanner_module
 
-    def lying_batch(parent):
-        return (np.ones(len(parent), dtype=np.int64),) * 4
+    def lying_join(rest, first):
+        return (np.ones(rest.shape[1], dtype=np.int64),) * 4
 
-    monkeypatch.setattr(scanner_module, "tree_scalars_batch", lying_batch)
+    monkeypatch.setattr(scanner_module, "join_scalars", lying_join)
     with pytest.raises(RouteDisagreement, match="tree DP"):
         spot_check_trees(5, 1.0)
 
