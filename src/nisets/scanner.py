@@ -494,8 +494,8 @@ def _score_run(tables, payload):
     claimed_equality = n in (2, 3, 4)  # stated for the paths of these orders
     found = _Sweep(top_k)
     for block in blocks:
-        rest, head, levels = tables.rows(n, block)
-        values = tables.scalars(rest, head)
+        rest, subtree, levels = tables.rows(n, block)
+        values = tables.scalars(rest, subtree)
 
         def code(i):
             return to_graph6(levels_to_graph(levels(i)))
@@ -513,7 +513,7 @@ def _score_run(tables, payload):
         found.count += len(num)
         if not caps:
             continue
-        max_degree, internal = tables.tree_degrees(rest, head)
+        max_degree, internal = tables.tree_degrees(rest, subtree)
         over_cap = 2 * num > cap * den
         off_equality = claimed_equality & (max_degree <= 2) & (2 * num != cap * den)
         over_internal = (internal > 0) & (2 * num > (n - internal + 3) * den)
