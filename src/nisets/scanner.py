@@ -430,13 +430,16 @@ class _Tables:
     (``root_states_batch``) of every row, and, for the caps, every row's
     degree data (``_rooted_degrees``), both computed ``TREE_BLOCK`` rows at
     a time.  Each is one array over the rows of all sizes, those of size k
-    from ``offsets[k]`` on."""
+    from ``offsets[k]`` on.  A state of a rooted tree of size k < 24 counts
+    subsets of its k vertices, so it is below k·2^k < 2^31 and is held
+    exactly as int32, half of int64's table; ``scalars`` widens the rows it
+    gathers to int64 before they are multiplied."""
 
     def __init__(self, top: int, caps: bool):
         self.rooted = RootedTables(top)
         tables = [self.rooted.tables[k] for k in range(1, top)]
         self.offsets = np.cumsum([0, 0] + [len(table) for table in tables])
-        self.states = np.empty((8, self.offsets[-1]), dtype=np.int64)
+        self.states = np.empty((8, self.offsets[-1]), dtype=np.int32)
         self.degrees = np.empty((2, self.offsets[-1]), dtype=np.int8) if caps else None
         for start, table in zip(self.offsets[1:], tables):
             for lo in range(0, len(table), TREE_BLOCK):
@@ -462,7 +465,8 @@ class _Tables:
 
     def scalars(self, rest, first):
         """(sigma0, S0, sigma1, S1) of the trees of these rows."""
-        return join_scalars(self.states[:, rest], self.states[:, first])
+        return join_scalars(self.states[:, rest].astype(np.int64),
+                            self.states[:, first].astype(np.int64))
 
     def tree_degrees(self, rest, first):
         """Max degree and minimum internal degree (degree > 1; 0 when no

@@ -252,6 +252,17 @@ def valued_like(values, levels):
     return np.logical_and.reduce([got == want for got, want in zip(values, tree_scalars(levels))])
 
 
+def preorder_depths(graph, root):
+    depths = []
+    stack = [(root, -1, 0)]
+    while stack:
+        v, parent, depth = stack.pop()
+        depths.append(depth)
+        stack.extend((u, v, depth + 1) for u in range(graph.n)
+                     if graph.adj[v] >> u & 1 and u != parent)
+    return tuple(depths)
+
+
 class TestLazyTreeFold:
     @pytest.mark.parametrize("objective", ["av1", "sigma-ratio"])
     def test_scan_trees_matches_eager_fold(self, objective):
@@ -300,6 +311,35 @@ class TestLazyTreeFold:
                 for side, key in ((found.lo, "min"), (found.hi, "max")):
                     assert (side.value, sorted(side.codes)) == want[key], block
                     assert len(side.codes) >= 2
+                assert found.hi.ranked()[:top_k] == want["top"], block
+
+    @pytest.mark.parametrize("objective", ["av1", "sigma-ratio"])
+    def test_side_fold_keeps_every_tie_with_its_own_code(self, objective):
+        # every order-8 tree twice, canonically rooted and rooted at its last
+        # vertex: each value is tied on both sides and at every top-k
+        # boundary between two different graph6 codes, and at odd block
+        # sizes the two copies of a tree straddle block boundaries
+        levels = []
+        for seq in level_sequences(8):
+            levels += [seq.levels, preorder_depths(seq.to_graph(), 7)]
+        rows = np.array(levels, dtype=np.int8)
+        codes = [to_graph6(levels_to_graph(lv)) for lv in levels]
+        sig0, _, sig1, tot1 = tree_scalars_batch(level_parents(rows))
+        num, den = (tot1, sig1) if objective == "av1" else (sig1, sig0)
+        for top_k in (0, 1, 2, 3, 5, 8):
+            want = eager_fold((levels_to_graph(lv) for lv in levels), objective, top_k)
+            for block in (1, 3, 7, trees_module.TREE_BLOCK):
+                found = scanner_module._Sweep(top_k)
+                for start in range(0, len(rows), block):
+                    at = slice(start, start + block)
+                    for side in (found.lo, found.hi):
+                        side.fold(num[at], den[at], lambda i, start=start: codes[start + i])
+                for side, key in ((found.lo, "min"), (found.hi, "max")):
+                    assert (side.value, sorted(side.codes)) == want[key], block
+                    # each tied entry keeps its own code, in stream order
+                    assert side.codes == [g6 for g6, p, q in zip(codes, num, den)
+                                          if side.value * int(q) == int(p)], block
+                    assert len(set(side.codes)) >= 2
                 assert found.hi.ranked()[:top_k] == want["top"], block
 
     def test_conjecture_scan_deterministic_across_workers(self):
@@ -729,6 +769,10 @@ class TestJoin:
                          for part in parts]
         # the bound holds, and with less than a factor 4 to spare
         assert n << (n - 2) < max(products) < n << n
+        # every state of a rooted tree of size k < n is below k·2^k < 2^31,
+        # so the sweep's tables hold them exactly as int32
+        assert all(int(largest[k].max()) < k << k for k in largest)
+        assert max(k << k for k in largest) < np.iinfo(np.int32).max
 
 
 class TestPathCycleUnions:
