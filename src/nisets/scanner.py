@@ -430,10 +430,11 @@ class _Tables:
     (``root_states_batch``) of every row, and, for the caps, every row's
     degree data (``_rooted_degrees``), both computed ``TREE_BLOCK`` rows at
     a time.  Each is one array over the rows of all sizes, those of size k
-    from ``offsets[k]`` on.  A state of a rooted tree of size k < 24 counts
-    subsets of its k vertices, so it is below k·2^k < 2^31 and is held
-    exactly as int32, half of int64's table; ``scalars`` widens the rows it
-    gathers to int64 before they are multiplied."""
+    from ``offsets[k]`` on.  A state of a rooted tree of size k counts
+    subsets of its k vertices or sums their sizes, so it is below k·2^k,
+    under 2^31 for every k < ``TREE_ORDER_LIMIT``: the states are held
+    exactly as int32, half of an int64 table, and ``scalars`` widens the
+    rows it gathers to int64 before they are multiplied."""
 
     def __init__(self, top: int, caps: bool):
         self.rooted = RootedTables(top)
