@@ -2,8 +2,9 @@
 
 Graph populations are enumerated as full labelled-graph orbits (every
 2^C(n,2) edge set, deduplicated into isomorphism classes by expanding the
-permutation orbit of each previously unseen mask), so the exhaustiveness of
-every claim check is auditable.  Tree populations come from the free-tree
+permutation orbit of each previously unseen mask, summed from tables of the
+images of three pair slots' bit patterns), so the exhaustiveness of every
+claim check is auditable.  Tree populations come from the free-tree
 stream as segments of joined rooted trees, scored a block of trees at a
 time.  All claim checks are exact rational comparisons.
 
@@ -256,35 +257,56 @@ def _report(claim_id, population, order, objective, sides, witness_cap, violatio
 # -- exhaustive labelled-graph enumeration -------------------------------------
 
 
+def _orbit_tables(n: int) -> list[np.ndarray]:
+    """Permutation images of the order-n edge masks, three pair slots at a time.
+
+    ``tables[k][b, p]`` is the image under the p-th permutation of the bit
+    pattern b on pair slots 3k..3k+2, built by doubling from the images of
+    the single slots, so a mask's images are one row per table added up.
+    Every image is below 2^C(n,2), and int32 holds them while
+    C(GRAPH_SCAN_LIMIT, 2) < 31.
+    """
+    pairs = all_pairs(n)
+    slot = np.zeros((n, n), dtype=np.int32)
+    for s, (i, j) in enumerate(pairs):
+        slot[i, j] = slot[j, i] = s
+    perms = np.fromiter(permutations(range(n)), dtype=np.dtype((np.int8, n)), count=factorial(n))
+    # single[s, p] is the slot that pair slot s moves to under permutation p
+    single = slot[perms[:, [i for i, _ in pairs]], perms[:, [j for _, j in pairs]]].T
+    tables = []
+    for start in range(0, len(pairs), 3):
+        rows = np.zeros((8, len(perms)), dtype=np.int32)
+        for b, s in enumerate(range(start, min(start + 3, len(pairs)))):
+            rows[1 << b:2 << b] = rows[:1 << b] + (1 << single[s])
+        tables.append(rows)
+    return tables
+
+
 def labeled_graph_classes(n: int) -> list[tuple[Graph, int]]:
     """One representative per isomorphism class plus its labelled count.
 
     Walks every edge mask in increasing order; an unseen mask starts a new
-    class and its whole permutation orbit is marked, so each class's
-    representative is the minimal mask of its orbit.  The labelled counts
-    must sum to 2^C(n,2), or RouteDisagreement is raised.
+    class and its whole permutation orbit, summed from ``_orbit_tables``,
+    is marked, so each class's representative is the minimal mask of its
+    orbit.  The labelled counts must sum to 2^C(n,2), or RouteDisagreement
+    is raised.
     """
     if not 1 <= n <= GRAPH_SCAN_LIMIT:
         raise ValueError(f"order {n} outside 1..{GRAPH_SCAN_LIMIT}; graphs are enumerated "
                          f"up to the exhaustive limit ({GRAPH_SCAN_LIMIT})")
     pairs = all_pairs(n)
-    slot = np.zeros((n, n), dtype=np.int32)
-    for s, (i, j) in enumerate(pairs):
-        slot[i, j] = slot[j, i] = s
     nperms = factorial(n)
-    perms = np.fromiter(permutations(range(n)), dtype=np.dtype((np.int8, n)), count=nperms)
-    first = [i for i, _ in pairs]
-    second = [j for _, j in pairs]
-    # table[s, p] is the single-bit image of pair slot s under permutation p,
-    # so an orbit is one gather and sum; int32 holds the C(7,2) = 21 bits.
-    table = np.ascontiguousarray((1 << slot[perms[:, first], perms[:, second]]).T)
+    tables = _orbit_tables(n)
     seen = bytearray(1 << len(pairs))
     marks = np.frombuffer(seen, dtype=np.uint8)
     classes = []
     mask = 0
     while mask >= 0:
-        images = table[[s for s in range(len(pairs)) if mask >> s & 1]].sum(axis=0)
-        marks[images] = 1
+        images = np.zeros(nperms, dtype=np.int32)
+        for k, rows in enumerate(tables):
+            images += rows[mask >> 3 * k & 7]
+        # numpy scatters intp indices fastest, so widen once before marking
+        marks[images.astype(np.intp)] = 1
         # orbit-stabiliser: the labelled count is n! over the stabiliser size
         count = nperms // int(np.count_nonzero(images == mask))
         classes.append((graph_from_pair_mask(n, mask, pairs), count))

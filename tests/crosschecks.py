@@ -1,7 +1,9 @@
 """Independent cross-checks that only the tests use: the polynomials of a
 disjoint union from its parts, in coefficient-tuple arithmetic rather than
 the engine's packed integers, vertex relabelling, a canonical form of
-small graphs by its definition, a labelled-tree oracle
+small graphs by its definition, the numpy gather-and-sum walk of the
+labelled-graph orbits (the reference for the scanner's chunked image
+tables), a labelled-tree oracle
 that decodes every length-(n-2) vertex sequence, the free-tree stream by a
 walk of whole sequences, the batched tree DP and the degrees of whole trees
 (the reference for the sweeps' join of rooted tables), the known ratio
@@ -10,12 +12,13 @@ level of the subset oracle."""
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 import numpy as np
 
 from nisets.engine import Engine, root_states_batch
 from nisets.families import FamilySpec, build
-from nisets.graphs import Graph, all_pairs, iter_bits
+from nisets.graphs import Graph, all_pairs, graph_from_pair_mask, iter_bits
 from nisets.trees import _centers, _rooted_key
 
 SEQUENCE_ORACLE_LIMIT = 10  # n^(n-2) labelled trees; keep well clear of that wall
@@ -81,6 +84,39 @@ def canonical_mask(g: Graph) -> int:
     if g.n > CANONICAL_MASK_LIMIT:
         raise ValueError(f"canonical mask limited to order {CANONICAL_MASK_LIMIT}")
     return min(pair_mask(relabel(g, p)) for p in permutations(range(g.n)))
+
+
+def slot_image_table(n: int) -> np.ndarray:
+    """``table[s, p]``: the single-bit image of pair slot s under the p-th
+    permutation of ``itertools.permutations(range(n))``, as int32."""
+    pairs = all_pairs(n)
+    slot = np.zeros((n, n), dtype=np.int32)
+    for s, (i, j) in enumerate(pairs):
+        slot[i, j] = slot[j, i] = s
+    perms = np.fromiter(permutations(range(n)), dtype=np.dtype((np.int8, n)), count=factorial(n))
+    first = [i for i, _ in pairs]
+    second = [j for _, j in pairs]
+    return np.ascontiguousarray((1 << slot[perms[:, first], perms[:, second]]).T)
+
+
+def gather_sum_graph_classes(n: int) -> list[tuple[Graph, int]]:
+    """The orbit walk with one gather of ``slot_image_table`` rows per class:
+    each unseen mask's images are the rows of its set slots summed over the
+    n! columns, and its labelled count is n! over its stabiliser."""
+    pairs = all_pairs(n)
+    table = slot_image_table(n)
+    nperms = factorial(n)
+    seen = bytearray(1 << len(pairs))
+    marks = np.frombuffer(seen, dtype=np.uint8)
+    classes = []
+    mask = 0
+    while mask >= 0:
+        images = table[[s for s in range(len(pairs)) if mask >> s & 1]].sum(axis=0)
+        marks[images] = 1
+        count = nperms // int(np.count_nonzero(images == mask))
+        classes.append((graph_from_pair_mask(n, mask, pairs), count))
+        mask = seen.find(0, mask + 1)
+    return classes
 
 
 def sequence_to_adjacency(seq: tuple[int, ...], n: int) -> list[list[int]]:

@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
+from math import comb
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,15 @@ import pytest
 
 import nisets.scanner as scanner_module
 import nisets.trees as trees_module
-from crosschecks import block_degrees, canonical_mask, pair_mask, relabel, tree_scalars_batch
+from crosschecks import (
+    block_degrees,
+    canonical_mask,
+    gather_sum_graph_classes,
+    pair_mask,
+    relabel,
+    slot_image_table,
+    tree_scalars_batch,
+)
 from nisets.engine import (
     Engine,
     format_rational,
@@ -32,12 +41,14 @@ from nisets.graphs import (
 from nisets.oracle import OracleProfile, oracle_profiles
 from nisets.scanner import (
     GRAPH_FILTERS,
+    GRAPH_SCAN_LIMIT,
     OBJECTIVES,
     WITNESS_CAP,
     RouteDisagreement,
     _Side,
     _extremes,
     _graph_claim_reports,
+    _orbit_tables,
     _score_run,
     _Tables,
     conjecture_scan,
@@ -111,6 +122,27 @@ class TestClassEnumeration:
         want = [(g.adj, count) for g, count in reference_graph_classes(n)]
         assert got == want
         assert all(type(count) is int for _, count in got)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_gather_and_sum_walk(self, n):
+        got = [(g, count) for g, count in labeled_graph_classes(n)]
+        assert got == gather_sum_graph_classes(n)
+
+    def test_orbit_tables_sum_to_the_slot_images(self):
+        n = 5
+        table = slot_image_table(n)
+        tables = _orbit_tables(n)
+        assert len(tables) == 4 and all(rows.shape == (8, 120) for rows in tables)
+        for mask in range(1 << 10):
+            images = sum(rows[mask >> 3 * k & 7] for k, rows in enumerate(tables))
+            want = table[[s for s in range(10) if mask >> s & 1]].sum(axis=0)
+            assert np.array_equal(images, want), mask
+
+    def test_image_dtype_holds_every_mask_up_to_the_limit(self):
+        # an image is a mask of C(n, 2) bits, so the tables' signed dtype
+        # must keep C(GRAPH_SCAN_LIMIT, 2) bits below its sign bit
+        dtype = _orbit_tables(3)[0].dtype
+        assert comb(GRAPH_SCAN_LIMIT, 2) < np.iinfo(dtype).bits - 1
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_representatives_are_minimal_masks(self, n):
