@@ -5,8 +5,8 @@ Graph populations are enumerated as full labelled-graph orbits (every
 permutation orbit of each previously unseen mask, summed from tables of the
 images of three pair slots' bit patterns), so the exhaustiveness of every
 claim check is auditable.  Tree populations come from the free-tree
-stream as segments of joined rooted trees, scored a block of trees at a
-time.  All claim checks are exact rational comparisons.
+stream as segments of joined rooted trees, cut into runs and scored a
+slice of trees at a time.  All claim checks are exact rational comparisons.
 
 Failed equality statements are recorded as violations and never dropped;
 a failed inequality would indicate an engine bug and makes the surrounding
@@ -37,13 +37,12 @@ from .graphs import (
 )
 from .oracle import oracle_profiles
 from .trees import (
-    TREE_BLOCK,
     TREE_ORDER_LIMIT,
     RootedTables,
     count_free_trees,
     level_parents,
     levels_to_graph,
-    segment_runs,
+    tree_segments,
 )
 
 GRAPH_SCAN_LIMIT = 7
@@ -51,9 +50,14 @@ GRAPH_SCAN_LIMIT = 7
 RATIO_ORDER_LIMIT = 30
 WITNESS_CAP = 100
 SPOT_CHECK_SEED = 2024
-# blocks of TREE_BLOCK trees per task of a tree sweep; shorter runs balance
-# the load more finely, but each task's max side starts empty and encodes
-# the best trees it meets
+# Trees per slice of a sweep's joins and folds, and rooted-table rows per
+# call of the batched DP, whose states take 64·k bytes a row of size k;
+# computing the tables' states unchunked raised a one-worker sweep of order
+# 20 from 37.3 to 56.3 MB peak RSS.
+_BLOCK = 1024
+# blocks per task of a tree sweep; shorter runs balance the load more
+# finely, but each task's max side starts empty and encodes the best trees
+# it meets
 _RUN_BLOCKS = 16
 # the most pool processes a sweep opens
 WORKER_LIMIT = 64
@@ -450,8 +454,8 @@ class _Tables:
     """What a sweep scores its trees from, built once per call for its top
     order: the ``RootedTables``, the eight root states
     (``root_states_batch``) of every row, and, for the caps, every row's
-    degree data (``_rooted_degrees``), both computed ``TREE_BLOCK`` rows at
-    a time.  Each is one array over the rows of all sizes, those of size k
+    degree data (``_rooted_degrees``), both computed ``_BLOCK`` rows at a
+    time.  Each is one array over the rows of all sizes, those of size k
     from ``offsets[k]`` on.  A state of a rooted tree of size k counts
     subsets of its k vertices or sums their sizes, so it is below k·2^k,
     under 2^31 for every k < ``TREE_ORDER_LIMIT``: the states are held
@@ -465,18 +469,18 @@ class _Tables:
         self.states = np.empty((8, self.offsets[-1]), dtype=np.int32)
         self.degrees = np.empty((2, self.offsets[-1]), dtype=np.int8) if caps else None
         for start, table in zip(self.offsets[1:], tables):
-            for lo in range(0, len(table), TREE_BLOCK):
-                parent = level_parents(table[lo:lo + TREE_BLOCK])
+            for lo in range(0, len(table), _BLOCK):
+                parent = level_parents(table[lo:lo + _BLOCK])
                 at = slice(start + lo, start + lo + len(parent))
                 self.states[:, at] = root_states_batch(parent)
                 if caps:
                     self.degrees[:, at] = _rooted_degrees(parent)
 
-    def rows(self, n: int, block):
+    def rows(self, n: int, segments):
         """The rest's row and the first subtree's row of each tree of a
-        block of order-n segments (``tree_segments``), in stream order, and
+        list of order-n segments (``tree_segments``), in stream order, and
         a function giving tree i's level sequence."""
-        s, t, a, b = np.array(block).T
+        s, t, a, b = np.array(segments).T
         counts = b - a
         sizes, firsts = np.repeat(s, counts), np.repeat(t, counts)
         rests = np.arange(counts.sum()) + np.repeat(a + counts - np.cumsum(counts), counts)
@@ -502,34 +506,51 @@ class _Tables:
         return maxima.max(axis=0), internal
 
 
-def _score_run(tables, payload):
-    """The _Sweep of a run of consecutive blocks of segments of the order-n
-    tree stream (``segment_runs``), the first starting at stream index
-    ``first``, spot-checked at the stream indices ``spots`` samples against
-    Engine and the subset oracle, with the rows the folds use.  With
-    ``caps`` set (av1 only) both tree caps are compared per block in
-    integers, with degrees from the tables.
+def _runs(tables, n: int):
+    """(first stream index, segments) of each run of ``_RUN_BLOCKS``·``_BLOCK``
+    consecutive trees of ``tree_segments(tables, n)`` (the last may be
+    shorter), a segment that crosses the end of a run split in two."""
+    size, run, fill, first = _RUN_BLOCKS * _BLOCK, [], 0, 0
+    for s, t, a, b in tree_segments(tables, n):
+        while a < b:
+            take = min(b - a, size - fill)
+            run.append((s, t, a, a + take))
+            fill, a = fill + take, a + take
+            if fill == size:
+                yield first, run
+                run, fill, first = [], 0, first + size
+    if run:
+        yield first, run
 
-    The blocks are joined and scored one at a time.  Values stay unreduced
-    int64 pairs compared by cross-multiplication; a tree's level sequence
-    and graph6 code are built only for a tree that is spot-checked, reaches
-    a side or breaks a cap, so witness lists and tie order are those of an
-    eager fold."""
-    n, objective, top_k, spots, caps, first, blocks = payload
+
+def _score_run(tables, payload):
+    """The _Sweep of a run of segments of the order-n tree stream
+    (``_runs``), starting at stream index ``first``, spot-checked at the
+    stream indices ``spots`` samples against Engine and the subset oracle,
+    with the rows the folds use.  With ``caps`` set (av1 only) both tree
+    caps are compared per slice in integers, with degrees from the tables.
+
+    The run's rows are expanded once, then joined and scored ``_BLOCK``
+    trees at a time.  Values stay unreduced int64 pairs compared by
+    cross-multiplication; a tree's level sequence and graph6 code are built
+    only for a tree that is spot-checked, reaches a side or breaks a cap,
+    so witness lists and tie order are those of an eager fold."""
+    n, objective, top_k, spots, caps, first, segments = payload
     cap = 4 + max(n - 3, 0)  # twice the tree cap 2 + max(n-3, 0)/2
     cap_text = format_rational(cap, 2)
     claimed_equality = n in (2, 3, 4)  # stated for the paths of these orders
     found = _Sweep(top_k)
-    for block in blocks:
-        rest, subtree, levels = tables.rows(n, block)
+    rests, subtrees, levels = tables.rows(n, segments)
+    for lo in range(0, len(rests), _BLOCK):
+        rest, subtree = rests[lo:lo + _BLOCK], subtrees[lo:lo + _BLOCK]
         values = tables.scalars(rest, subtree)
 
         def code(i):
-            return to_graph6(levels_to_graph(levels(i)))
+            return to_graph6(levels_to_graph(levels(lo + i)))
 
-        picks = spots.picks(np.arange(first + found.count, first + found.count + len(rest)))
+        picks = spots.picks(np.arange(first + lo, first + lo + len(rest)))
         for i in picks:
-            _spot_check(levels(i), tuple(int(v[i]) for v in values))
+            _spot_check(levels(lo + i), tuple(int(v[i]) for v in values))
         found.checked += len(picks)
         # sweeps start at order 2, where every tree has an edge, so both
         # denominators are positive
@@ -604,9 +625,9 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
 
     The tables (``_Tables``) are built once, for the largest order, before
     the pool opens; its workers receive them through the pool's
-    initializer.  This process walks each order's stream once as segments
-    (``segment_runs``), no rows copied, and cuts it into runs of
-    ``_RUN_BLOCKS`` blocks, one task each, at every worker count.  One
+    initializer.  This process walks each order's stream once as segments,
+    no rows copied, and cuts it into runs of ``_RUN_BLOCKS`` blocks
+    (``_runs``), one task each, at every worker count.  One
     worker scores each run here as it is cut; more take the runs from a
     pool fed at most 2·workers runs ahead of the results read.  So memory
     does not grow with the tree count, and a free worker takes the next
@@ -621,9 +642,9 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
     if workers > WORKER_LIMIT:
         raise ValueError(f"worker count {workers} above the limit ({WORKER_LIMIT})")
     tables = _Tables(max(orders), caps)
-    tasks = ((k, (n, objective, top_k, spots, caps, first, blocks))
+    tasks = ((k, (n, objective, top_k, spots, caps, first, segments))
              for k, (n, spots) in enumerate(zip(orders, samples))
-             for first, blocks in segment_runs(tables.rooted, n, _RUN_BLOCKS))
+             for first, segments in _runs(tables.rooted, n))
     sweeps = [_Sweep(top_k) for _ in orders]
     with (Pool(workers, initializer=_hold_tables, initargs=(tables,)) if workers > 1
           else nullcontext()) as pool:

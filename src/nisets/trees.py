@@ -4,8 +4,8 @@ The stream holds the canonical level sequences of centre-rooted trees in
 decreasing order, so it is deterministic.  ``tree_segments`` walks it as a
 join of rooted trees from ``RootedTables``: each first root subtree is
 paired with a contiguous range of the rests that may follow it, without
-copying a row.  Tree sweeps score these segments; ``tree_blocks`` copies
-their rows into int8 blocks for the readers of whole sequences.
+copying a row.  Tree sweeps score these segments, and ``free_trees`` and
+``level_sequences`` spell each tree of them.
 An independent counting recurrence gives the number of free trees, and a
 canonical key tells trees of any supported order apart.
 """
@@ -16,18 +16,13 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count
 
 import numpy as np
 
 from .graphs import Graph, build_graph
 
 TREE_ORDER_LIMIT = 24
-# Trees per block of the stream, and rooted-table rows per call of the
-# batched DP, whose states take 64·k bytes a row of size k.  A sweep joins
-# and folds a block at a time; computing its tables' states unchunked raised
-# a one-worker sweep of order 20 from 37.3 to 56.3 MB peak RSS.
-TREE_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -130,6 +125,7 @@ class RootedTables:
     def __init__(self, top: int):
         if not 2 <= top <= TREE_ORDER_LIMIT:
             raise ValueError(f"rooted tables need an order in 2..{TREE_ORDER_LIMIT}")
+        self.top = top
         starts = {}
         for s in range(1, max(top - 1, 2)):  # the first subtree sizes (1 at order 2)
             m = top - s
@@ -159,8 +155,8 @@ def tree_segments(tables: RootedTables, n: int):
     the root, its first subtree T of size s, row t of ``tables.rows[s]``, one
     level down, then the children of each of the rests of size m = n - s in
     rows a to b - 1 of ``tables.rows[m]``.  ``tables`` may be built for any
-    order from n up (a table that lacks the order-n rests is refused).
-    Segments are never empty.
+    order from n up; an order below 2 or above theirs is refused.  Segments
+    are never empty.
 
     The sequences are centre-rooted (Wright, Richmond, Odlyzko and McKay,
     SIAM J. Comput. 15, 1986) and strictly decreasing.  A rest R, a rooted
@@ -171,6 +167,8 @@ def tree_segments(tables: RootedTables, n: int):
     contiguous range of its size's rests: heights never rise along a rooted
     stream, so from the first rest whose first child is at most T come the
     rests taller than T, then those as tall, then the shorter."""
+    if not 2 <= n <= tables.top:
+        raise ValueError(f"tables for order {tables.top} serve orders 2..{tables.top}, not {n}")
     if n == 2:  # the edge: one vertex below another
         yield 1, 0, 0, 1
         return
@@ -207,62 +205,32 @@ def tree_segments(tables: RootedTables, n: int):
             yield s, t, a, b
 
 
-def segment_blocks(tables: RootedTables, n: int):
-    """The segments of ``tree_segments(tables, n)`` in lists, blocks of
-    ``TREE_BLOCK`` trees (the last may be shorter), a segment that crosses
-    the end of a block split in two."""
-    block, fill = [], 0
-    for s, t, a, b in tree_segments(tables, n):
-        while a < b:
-            take = min(b - a, TREE_BLOCK - fill)
-            block.append((s, t, a, a + take))
-            fill, a = fill + take, a + take
-            if fill == TREE_BLOCK:
-                yield block
-                block, fill = [], 0
-    if block:
-        yield block
-
-
-def segment_runs(tables: RootedTables, n: int, blocks: int):
-    """(first stream index, blocks) of each run of ``blocks`` consecutive
-    blocks of ``segment_blocks(tables, n)``."""
-    stream, first = segment_blocks(tables, n), 0
-    while run := list(islice(stream, blocks)):
-        yield first, run
-        first += sum(b - a for block in run for *_, a, b in block)
-
-
-def tree_blocks(n: int):
-    """Canonical level sequences of the free trees of order n, in stream
-    order, as (B, n) int8 blocks of ``TREE_BLOCK`` rows (the last may be
-    shorter): the rows of the segments of ``segment_blocks``."""
+def _stream(n: int):
+    """The level sequences of the free trees of order n, in stream order,
+    as lists: the trees of ``tree_segments`` over the order's own tables,
+    each segment's root and first subtree spelled once (``joined``)."""
     _check_order(n)
     if n == 1:
-        yield np.zeros((1, 1), dtype=np.int8)
+        yield [0]
         return
     tables = RootedTables(n)
-    for segments in segment_blocks(tables, n):
-        block, fill = np.zeros((TREE_BLOCK, n), dtype=np.int8), 0
-        for s, t, a, b in segments:
-            block[fill:fill + b - a, 1:s + 1] = tables.tables[s][t] + 1
-            block[fill:fill + b - a, s + 1:] = tables.tables[n - s][a:b, 1:]
-            fill += b - a
-        yield block[:fill]
+    for s, t, a, b in tree_segments(tables, n):
+        m = n - s
+        head, rests = b"\0" + tables.rows[s][t * s:t * s + s].translate(_PLUS_ONE), tables.rows[m]
+        for r in range(a * m, b * m, m):
+            yield list(head + rests[r + 1:r + m])
 
 
 def level_sequences(n: int):
     """Canonical level sequences of all free trees of order n, in stream order."""
-    for block in tree_blocks(n):
-        for levels in block.tolist():
-            yield LevelSequence(tuple(levels))
+    for levels in _stream(n):
+        yield LevelSequence(tuple(levels))
 
 
 def free_trees(n: int):
     """All free trees of order n, exactly once up to isomorphism."""
-    for block in tree_blocks(n):
-        for levels in block.tolist():
-            yield levels_to_graph(levels)
+    for levels in _stream(n):
+        yield levels_to_graph(levels)
 
 
 @lru_cache(maxsize=None)

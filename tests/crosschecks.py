@@ -5,7 +5,8 @@ small graphs by its definition, the numpy gather-and-sum walk of the
 labelled-graph orbits (the reference for the scanner's chunked image
 tables), a labelled-tree oracle
 that decodes every length-(n-2) vertex sequence, the free-tree stream by a
-walk of whole sequences, the batched tree DP and the degrees of whole trees
+walk of whole sequences, the rows of the stream's segments as int8 arrays,
+the batched tree DP and the degrees of whole trees
 (the reference for the sweeps' join of rooted tables), the known ratio
 table of small paths and cycles, and a plain loop over the subsets for one
 level of the subset oracle."""
@@ -19,7 +20,7 @@ import numpy as np
 from nisets.engine import Engine, root_states_batch
 from nisets.families import FamilySpec, build
 from nisets.graphs import Graph, all_pairs, graph_from_pair_mask, iter_bits
-from nisets.trees import _centers, _rooted_key
+from nisets.trees import RootedTables, _centers, _rooted_key, tree_segments
 
 SEQUENCE_ORACLE_LIMIT = 10  # n^(n-2) labelled trees; keep well clear of that wall
 CANONICAL_MASK_LIMIT = 7  # n! relabellings; 5040 at order 7
@@ -181,14 +182,15 @@ _PLUS_ONE = bytes(range(1, 256)) + b"\0"  # translate table: every level one dee
 
 def reference_tree_blocks(n: int, block: int):
     """The free-tree stream of order n in (B, n) int8 blocks of ``block``
-    rows, by a walk of whole level sequences; the reference for
-    ``tree_blocks``.  One bytearray walks the rooted sequences in place
-    (Wright, Richmond, Odlyzko and McKay, SIAM J. Comput. 15, 1986); the
-    successor at position p repeats, from p on, the stretch from the latest
-    earlier vertex one level above p up to p.  A sequence is centre-rooted
-    unless its first root subtree is taller than the rest, or as tall and
-    larger, or as tall, as large and later read from its own root; the walk
-    then jumps past every sequence sharing that first subtree."""
+    rows, by a walk of whole level sequences; the reference for the
+    stream's segments (``trees.tree_segments``).  One bytearray walks the
+    rooted sequences in place (Wright, Richmond, Odlyzko and McKay, SIAM J.
+    Comput. 15, 1986); the successor at position p repeats, from p on, the
+    stretch from the latest earlier vertex one level above p up to p.  A
+    sequence is centre-rooted unless its first root subtree is taller than
+    the rest, or as tall and larger, or as tall, as large and later read
+    from its own root; the walk then jumps past every sequence sharing that
+    first subtree."""
     if n <= 2:
         yield np.arange(n, dtype=np.int8).reshape(1, n)
         return
@@ -223,6 +225,29 @@ def reference_tree_blocks(n: int, block: int):
         levels[p:] = (levels[q:p] * (n - p))[:n - p]
     if rows:
         yield np.frombuffer(rows, dtype=np.int8).reshape(-1, n)
+
+
+def segment_rows(tables, n: int, segments) -> np.ndarray:
+    """The level sequences of the trees of order-n segments
+    (``trees.tree_segments``) over ``tables``, as one (B, n) int8 array in
+    stream order: per segment, the root, its first subtree one level down
+    and the children of each rest, copied with numpy."""
+    segments = list(segments)
+    rows, fill = np.zeros((sum(b - a for *_, a, b in segments), n), dtype=np.int8), 0
+    for s, t, a, b in segments:
+        rows[fill:fill + b - a, 1:s + 1] = tables.tables[s][t] + 1
+        rows[fill:fill + b - a, s + 1:] = tables.tables[n - s][a:b, 1:]
+        fill += b - a
+    return rows
+
+
+def tree_rows(n: int) -> np.ndarray:
+    """The free-tree stream of order n as one (count, n) int8 array, the
+    rows of its segments over the order's own tables."""
+    if n == 1:
+        return np.zeros((1, 1), dtype=np.int8)
+    tables = RootedTables(n)
+    return segment_rows(tables, n, tree_segments(tables, n))
 
 
 def tree_scalars_batch(parent):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosschecks import sequence_to_adjacency, tree_scalars_batch, union_combine
+from crosschecks import sequence_to_adjacency, tree_rows, tree_scalars_batch, union_combine
 from nisets import cli
 from nisets import engine as engine_module
 from nisets.engine import (
@@ -30,14 +31,13 @@ from nisets.graphs import (
     is_good_graph,
 )
 from nisets.oracle import OracleProfile, oracle_profiles, oracle_summary
+from nisets.scanner import _BLOCK
 from nisets.trees import (
-    TREE_BLOCK,
     TREE_ORDER_LIMIT,
     LevelSequence,
     level_parents,
     level_sequences,
     levels_to_graph,
-    tree_blocks,
 )
 
 
@@ -636,7 +636,7 @@ class TestTreeScalarsBatch:
         assert batch_rows(rows) == [tree_scalars(levels) for levels in rows]
 
     def test_matches_reference_on_a_stride_sample_at_order_18(self):
-        rows = [tuple(levels) for levels in np.concatenate(list(tree_blocks(18)))[::7].tolist()]
+        rows = [tuple(levels) for levels in tree_rows(18)[::7].tolist()]
         assert len(rows) == 17_696
         assert batch_rows(rows) == [tree_scalars(levels) for levels in rows]
 
@@ -652,8 +652,8 @@ class TestTreeScalarsBatch:
     def test_scores_the_first_block_at_the_tree_order_limit(self):
         # every tree sweep scores its blocks with the batched DP, so the
         # tree population's order limit must not pass the batch's
-        rows = next(tree_blocks(TREE_ORDER_LIMIT)).tolist()
-        assert len(rows) == TREE_BLOCK
+        rows = [seq.levels for seq in islice(level_sequences(TREE_ORDER_LIMIT), _BLOCK)]
+        assert len(rows) == _BLOCK
         assert batch_rows(rows) == [tree_scalars(levels) for levels in rows]
 
     def test_refuses_order_past_the_limit(self):

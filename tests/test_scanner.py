@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 
 import nisets.scanner as scanner_module
-import nisets.trees as trees_module
 from crosschecks import (
     block_degrees,
     canonical_mask,
     gather_sum_graph_classes,
     pair_mask,
     relabel,
+    segment_rows,
     slot_image_table,
+    tree_rows,
     tree_scalars_batch,
 )
 from nisets.engine import (
@@ -69,9 +70,6 @@ from nisets.trees import (
     level_parents,
     level_sequences,
     levels_to_graph,
-    segment_blocks,
-    segment_runs,
-    tree_blocks,
     tree_canonical_key,
     tree_segments,
 )
@@ -324,10 +322,11 @@ class TestLazyTreeFold:
         assert len(records[2].max_witnesses) == 2
 
     @pytest.mark.parametrize("objective", ["av1", "sigma-ratio"])
-    def test_chunk_fold_keeps_every_tie(self, objective):
-        # every order-8 tree twice in a row, as two one-tree segments: each
-        # value is tied on both sides and at every top-k boundary, and at
-        # odd block sizes the two copies of a tree straddle block boundaries
+    def test_chunk_fold_keeps_every_tie(self, monkeypatch, objective):
+        # every order-8 tree twice in a row, as two one-tree segments of one
+        # run: each value is tied on both sides and at every top-k boundary,
+        # and at odd block sizes the two copies of a tree straddle the ends
+        # of the run's slices
         tables = _Tables(8, False)
         trees = [(s, t, r, r + 1) for s, t, a, b in tree_segments(tables.rooted, 8)
                  for r in range(a, b) for _ in range(2)]
@@ -335,9 +334,9 @@ class TestLazyTreeFold:
         no_spots = scanner_module._spot_sample(8, 0.0)
         for top_k in (0, 1, 2, 3, 5, 8):
             want = eager_fold(graphs, objective, top_k)
-            for block in (1, 3, 7, trees_module.TREE_BLOCK):
-                blocks = [trees[start:start + block] for start in range(0, len(trees), block)]
-                found = _score_run(tables, (8, objective, top_k, no_spots, False, 0, blocks))
+            for block in (1, 3, 7, 1024):
+                monkeypatch.setattr(scanner_module, "_BLOCK", block)
+                found = _score_run(tables, (8, objective, top_k, no_spots, False, 0, trees))
                 assert found.count == len(trees) == 46
                 for side, key in ((found.lo, "min"), (found.hi, "max")):
                     assert (side.value, sorted(side.codes)) == want[key], block
@@ -359,7 +358,7 @@ class TestLazyTreeFold:
         num, den = (tot1, sig1) if objective == "av1" else (sig1, sig0)
         for top_k in (0, 1, 2, 3, 5, 8):
             want = eager_fold((levels_to_graph(lv) for lv in levels), objective, top_k)
-            for block in (1, 3, 7, trees_module.TREE_BLOCK):
+            for block in (1, 3, 7, 1024):
                 found = scanner_module._Sweep(top_k)
                 for start in range(0, len(rows), block):
                     at = slice(start, start + block)
@@ -487,9 +486,9 @@ class TestStrideSweep:
     def test_generator_is_never_more_than_one_run_ahead_of_scoring(self, monkeypatch):
         generated, scored, calls = [0], [0], []
 
-        def counting_runs(tables, n, blocks):
-            for first, run in segment_runs(tables, n, blocks):
-                generated[0] += sum(b - a for block in run for *_, a, b in block)
+        def counting_runs(tables, n):
+            for first, run in real_runs(tables, n):
+                generated[0] += sum(b - a for *_, a, b in run)
                 yield first, run
 
         def counting_join(rest, first):
@@ -497,12 +496,13 @@ class TestStrideSweep:
             scored[0] += rest.shape[1]
             return join_scalars(rest, first)
 
-        monkeypatch.setattr(trees_module, "TREE_BLOCK", 16)
-        monkeypatch.setattr(scanner_module, "segment_runs", counting_runs)
+        real_runs = scanner_module._runs
+        monkeypatch.setattr(scanner_module, "_BLOCK", 16)
+        monkeypatch.setattr(scanner_module, "_runs", counting_runs)
         monkeypatch.setattr(scanner_module, "join_scalars", counting_join)
         scan_trees(13, workers=1)
-        # 1301 trees in five runs of 16 full blocks, then a run of two
-        # blocks, of 16 and 5 trees; each run is cut from the stream once
+        # 1301 trees in five runs of 16 full blocks, then a run of 21 trees
+        # in two slices, of 16 and 5; each run is cut from the stream once
         # the one before it is scored
         assert scored[0] == generated[0] == 1301
         assert calls == list(range(256, 0, -16)) * 5 + [21, 5]
@@ -523,7 +523,7 @@ class TestStrideSweep:
                 conjecture_scan(range(4, 14), workers=workers)
             return tasks
 
-        monkeypatch.setattr(trees_module, "TREE_BLOCK", 16)
+        monkeypatch.setattr(scanner_module, "_BLOCK", 16)
         one = recorded(1)
         # runs of 16 blocks of 16 trees, for the scans and then the conjecture
         runs = sum(-(-scanner_module.count_free_trees(n) // 256) for n in range(4, 14))
@@ -557,7 +557,7 @@ class TestStrideSweep:
         def report_bytes(records):
             return json.dumps([r.to_json_dict() for r in records]).encode()
 
-        monkeypatch.setattr(trees_module, "TREE_BLOCK", 16)
+        monkeypatch.setattr(scanner_module, "_BLOCK", 16)
         with monkeypatch.context() as m:
             m.setattr(scanner_module, "Pool", RecordingPool)
             two = conjecture_scan(range(4, 14), workers=2)
@@ -567,15 +567,13 @@ class TestStrideSweep:
             for n in range(4, 14) for _ in range(-(-scanner_module.count_free_trees(n) // 256))]
         tables = RootedTables(13)
         for n in range(4, 14):
-            # runs of 16 blocks of segments of 16 trees chain the order's stream
-            runs = [(first, blocks) for m, *_, first, blocks in tasks if m == n]
-            stream = np.concatenate(list(tree_blocks(n)))
+            # runs of segments of 16 blocks of 16 trees chain the order's stream
+            runs = [(first, segments) for m, *_, first, segments in tasks if m == n]
+            stream = tree_rows(n)
             assert [first for first, _ in runs] == list(range(0, len(stream), 256))
-            for first, blocks in runs:
-                assert len(blocks) <= 16
-                assert all(sum(b - a for *_, a, b in block) <= 16 for block in blocks)
-                run = np.array([tables.joined(n, s, t, r) for block in blocks
-                                for s, t, a, b in block for r in range(a, b)])
+            for first, segments in runs:
+                assert sum(b - a for *_, a, b in segments) <= 256
+                run = segment_rows(tables, n, segments)
                 assert (run == stream[first:first + len(run)]).all()
         assert report_bytes(two) == report_bytes(conjecture_scan(range(4, 14), workers=1))
         assert report_bytes(two) == report_bytes(conjecture_scan(range(4, 14), workers=3))
@@ -612,7 +610,7 @@ class TestStrideSweep:
     @pytest.mark.parametrize("block", [1024, 16])
     def test_spot_checks_are_the_same_trees_at_every_worker_count(self, monkeypatch, tmp_path,
                                                                   block):
-        monkeypatch.setattr(trees_module, "TREE_BLOCK", block)
+        monkeypatch.setattr(scanner_module, "_BLOCK", block)
 
         def logged(workers):
             log = tmp_path / f"spots{workers}.txt"
@@ -634,8 +632,8 @@ class TestStrideSweep:
     def test_lying_row_in_a_later_run_raises(self, monkeypatch):
         # order 13 in six runs of 256 trees; the last tree, the star (the
         # only order-13 tree with its values), is in the last run
-        monkeypatch.setattr(trees_module, "TREE_BLOCK", 16)
-        stream = np.concatenate(list(tree_blocks(13)))
+        monkeypatch.setattr(scanner_module, "_BLOCK", 16)
+        stream = tree_rows(13)
         assert len(stream) == 1301
         liar = tuple(stream[-1].tolist())
         assert liar == (0,) + (1,) * 12
@@ -666,7 +664,7 @@ class TestStrideSweep:
 
                 return SimpleNamespace(get=get)
 
-        monkeypatch.setattr(trees_module, "TREE_BLOCK", 16)
+        monkeypatch.setattr(scanner_module, "_BLOCK", 16)
         monkeypatch.setattr(scanner_module, "Pool", RecordingPool)
         scan_trees(14, workers=2)
         # 3159 trees in 13 runs; the parent never runs more than 2·2 ahead
@@ -675,14 +673,15 @@ class TestStrideSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_stream_short_of_the_tree_count_raises(self, monkeypatch, workers):
-        def short_runs(tables, n, blocks):
-            *runs, (first, last) = segment_runs(tables, n, blocks)
+        def short_runs(tables, n):
+            *runs, (first, last) = real_runs(tables, n)
             if n == 11:  # order 11 loses its star, the last tree of the last segment
-                *head, (*segments, (s, t, a, b)) = last
-                last = [*head, [*segments, (s, t, a, b - 1)]]
+                *segments, (s, t, a, b) = last
+                last = [*segments, (s, t, a, b - 1)]
             return [*runs, (first, last)]
 
-        monkeypatch.setattr(scanner_module, "segment_runs", short_runs)
+        real_runs = scanner_module._runs
+        monkeypatch.setattr(scanner_module, "_runs", short_runs)
         match = "order-11 stream held 234 trees, but the counting recurrence gives 235"
         with pytest.raises(RouteDisagreement, match=match):
             scan_trees(11, workers=workers)
@@ -751,19 +750,20 @@ def walked(start: bytes) -> bytes:
 
 
 class TestJoin:
-    def test_join_equals_the_block_route_at_every_order(self):
+    def test_join_equals_the_block_route_at_every_order(self, monkeypatch):
         # values and degrees of each tree, row for row in stream order,
-        # against the batched DP and a bincount over whole trees
+        # against the batched DP and a bincount over whole trees, joined a
+        # run of one block at a time
+        monkeypatch.setattr(scanner_module, "_RUN_BLOCKS", 1)
         tables = _Tables(18, True)
         for n in range(2, 19):
             joined = [[] for _ in range(6)]
-            for block in segment_blocks(tables.rooted, n):
-                rest, first, _ = tables.rows(n, block)
+            for _, segments in scanner_module._runs(tables.rooted, n):
+                rest, first, _ = tables.rows(n, segments)
                 for column, got in zip(joined, (*tables.scalars(rest, first),
                                                 *tables.tree_degrees(rest, first))):
                     column.append(got)
-            stream = np.concatenate(list(tree_blocks(n)))
-            parent = level_parents(stream)
+            parent = level_parents(tree_rows(n))
             want = (*tree_scalars_batch(parent), *block_degrees(parent))
             for column, expected in zip(joined, want):
                 assert np.concatenate(column).tolist() == expected.tolist(), n
@@ -966,11 +966,12 @@ class TestTreeClaimPass:
         sampled = {n: spot_check_trees(n, 0.05) for n in range(2, 11)}
         walks = Counter()
 
-        def counting_runs(tables, n, blocks):
+        def counting_runs(tables, n):
             walks[n] += 1
-            return segment_runs(tables, n, blocks)
+            return real_runs(tables, n)
 
-        monkeypatch.setattr(scanner_module, "segment_runs", counting_runs)
+        real_runs = scanner_module._runs
+        monkeypatch.setattr(scanner_module, "_runs", counting_runs)
         for runs, rate in ((1, 0.0), (2, 0.05)):
             checked = {}
             reports = verify_claims(claims=TREE_CLAIMS, max_tree_order=10,
@@ -984,11 +985,12 @@ class TestTreeClaimPass:
     def test_no_tree_claim_walks_no_tree(self, monkeypatch):
         walks = Counter()
 
-        def counting_runs(tables, n, blocks):
+        def counting_runs(tables, n):
             walks[n] += 1
-            return segment_runs(tables, n, blocks)
+            return real_runs(tables, n)
 
-        monkeypatch.setattr(scanner_module, "segment_runs", counting_runs)
+        real_runs = scanner_module._runs
+        monkeypatch.setattr(scanner_module, "_runs", counting_runs)
         checked = {}
         reports = verify_claims(claims=["degree-two-ratio"], max_tree_order=9,
                                 max_ratio_order=4, spot_check_rate=0.05, spot_checked=checked)
@@ -1042,8 +1044,8 @@ class TestTreeClaimPass:
     def test_degrees_match_structural_predicates(self):
         tables = _Tables(14, True)
         for n in range(2, 15):
-            for block in segment_blocks(tables.rooted, n):
-                rest, first, levels = tables.rows(n, block)
+            for _, segments in scanner_module._runs(tables.rooted, n):
+                rest, first, levels = tables.rows(n, segments)
                 for i, got in enumerate(zip(*tables.tree_degrees(rest, first))):
                     s = structural_predicates(levels_to_graph(levels(i)))
                     assert (got[0], got[1] or None) == (s.max_degree, s.min_internal_degree)

@@ -5,17 +5,24 @@ import hashlib
 import numpy as np
 import pytest
 
-import nisets.trees as trees_module
-from crosschecks import labelled_tree_classes, reference_tree_blocks, relabel
+import nisets.scanner as scanner_module
+from crosschecks import (
+    labelled_tree_classes,
+    reference_tree_blocks,
+    relabel,
+    segment_rows,
+    tree_rows,
+)
 from nisets.graphs import structural_predicates
 from nisets.scanner import labeled_graph_classes
 from nisets.trees import (
     LevelSequence,
+    RootedTables,
     count_free_trees,
     free_trees,
     level_sequences,
-    tree_blocks,
     tree_canonical_key,
+    tree_segments,
 )
 
 FREE_TREE_COUNTS = [None, 1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301]
@@ -52,10 +59,14 @@ STREAM_DIGESTS = {
 }
 
 
+def rows_digest(rows):
+    return len(rows), hashlib.sha256(rows.tobytes()).hexdigest()
+
+
 def stream_digest(n):
-    blocks = list(tree_blocks(n))
-    assert all(b.dtype == np.int8 and b.shape[1] == n for b in blocks)
-    return sum(map(len, blocks)), hashlib.sha256(b"".join(b.tobytes() for b in blocks)).hexdigest()
+    rows = tree_rows(n)
+    assert rows.dtype == np.int8 and rows.shape[1] == n
+    return rows_digest(rows)
 
 
 @pytest.mark.parametrize("n", sorted(STREAM_DIGESTS))
@@ -65,32 +76,51 @@ def test_stream_order_is_pinned(n):
 
 def test_stream_length_matches_the_counting_recurrence():
     for n in range(1, 19):
-        assert sum(map(len, tree_blocks(n))) == count_free_trees(n), n
+        assert len(tree_rows(n)) == count_free_trees(n), n
+
+
+def test_segments_refuse_an_order_their_tables_cannot_serve():
+    tables = RootedTables(10)
+    for n in (11, 12, 25):
+        with pytest.raises(ValueError, match=f"serve orders 2..10, not {n}"):
+            next(tree_segments(tables, n))
+
+
+def test_segments_refuse_an_order_below_two():
+    # order 1 has one tree, but no first root subtree to join a rest to
+    tables = RootedTables(10)
+    for n in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"serve orders 2..10, not {n}"):
+            next(tree_segments(tables, n))
+    assert [seq.levels for n in (1, 2) for seq in level_sequences(n)] == [(0,), (0, 1)]
 
 
 @pytest.mark.parametrize("block", [1, 7, 1024])
 def test_block_size_does_not_change_the_stream(monkeypatch, block):
-    monkeypatch.setattr(trees_module, "TREE_BLOCK", block)
-    for n in (10, 14):
-        blocks = list(tree_blocks(n))
-        assert all(len(b) == block for b in blocks[:-1]) and 1 <= len(blocks[-1]) <= block
-        assert stream_digest(n) == STREAM_DIGESTS[n]
-    assert [b.tolist() for n in (1, 2) for b in tree_blocks(n)] == [[[0]], [[0, 1]]]
-    # the join against the whole-sequence walk, block for block
-    for n in range(1, 19):
-        got, want = list(tree_blocks(n)), list(reference_tree_blocks(n, block))
-        assert [b.shape for b in got] == [b.shape for b in want], n
-        assert all(b.dtype == np.int8 for b in got), n
-        assert [b.tobytes() for b in got] == [b.tobytes() for b in want], n
-
-
-def stream_rows(n):
-    return [row.tobytes() for block in tree_blocks(n) for row in block]
+    # the sweeps' cutter at blocks of ``block`` trees: each run spells
+    # ``_RUN_BLOCKS`` consecutive blocks of the whole-sequence walk, the
+    # last run and its last block possibly shorter
+    monkeypatch.setattr(scanner_module, "_BLOCK", block)
+    per = scanner_module._RUN_BLOCKS
+    assert [b.tolist() for b in reference_tree_blocks(1, block)] == [[[0]]]
+    for n in range(2, 19):
+        tables = RootedTables(n)
+        runs = list(scanner_module._runs(tables, n))
+        got = [segment_rows(tables, n, segments) for _, segments in runs]
+        want = list(reference_tree_blocks(n, block))
+        assert all(len(b) == block for b in want[:-1]) and 1 <= len(want[-1]) <= block, n
+        assert [first for first, _ in runs] == list(range(0, count_free_trees(n), per * block)), n
+        assert all(b.dtype == np.int8 and b.shape[1] == n for b in got), n
+        assert [b.tobytes() for b in got] == [b"".join(w.tobytes() for w in want[k:k + per])
+                                              for k in range(0, len(want), per)], n
+        if n in STREAM_DIGESTS:
+            assert rows_digest(np.concatenate(got)) == STREAM_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", [8, 12, 16])
 def test_stream_is_strictly_decreasing(n):
-    rows = stream_rows(n)
+    rows = [bytes(seq.levels) for seq in level_sequences(n)]
+    assert rows == [row.tobytes() for row in tree_rows(n)]
     assert all(a > b for a, b in zip(rows, rows[1:]))
 
 
