@@ -477,10 +477,10 @@ class _Tables:
                     self.degrees[:, at] = _rooted_degrees(parent)
 
     def rows(self, n: int, segments):
-        """The rest's row and the first subtree's row of each tree of a
-        list of order-n segments (``tree_segments``), in stream order, and
+        """The rest's row and the first subtree's row of each tree of
+        order-n segments (rows of ``tree_segments``), in stream order, and
         a function giving tree i's level sequence."""
-        s, t, a, b = np.array(segments).T
+        s, t, a, b = np.asarray(segments).T
         counts = b - a
         sizes, firsts = np.repeat(s, counts), np.repeat(t, counts)
         rests = np.arange(counts.sum()) + np.repeat(a + counts - np.cumsum(counts), counts)
@@ -510,16 +510,14 @@ def _runs(tables, n: int):
     """(first stream index, segments) of each run of ``_RUN_BLOCKS``·``_BLOCK``
     consecutive trees of ``tree_segments(tables, n)`` (the last may be
     shorter), a segment that crosses the end of a run split in two."""
-    size, run, fill, first = _RUN_BLOCKS * _BLOCK, [], 0, 0
-    for s, t, a, b in tree_segments(tables, n):
-        while a < b:
-            take = min(b - a, size - fill)
-            run.append((s, t, a, a + take))
-            fill, a = fill + take, a + take
-            if fill == size:
-                yield first, run
-                run, fill, first = [], 0, first + size
-    if run:
+    segments, size = tree_segments(tables, n), _RUN_BLOCKS * _BLOCK
+    ends = np.cumsum(segments[:, 3] - segments[:, 2])  # the stream index after each segment
+    for first in range(0, ends[-1], size):
+        last = min(first + size, ends[-1])
+        lo, hi = np.searchsorted(ends, [first, last - 1], "right")  # those of its ends
+        run = segments[lo:hi + 1].copy()
+        run[0, 2] = run[0, 3] - (ends[lo] - first)
+        run[-1, 3] -= ends[hi] - last
         yield first, run
 
 

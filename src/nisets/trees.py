@@ -1,22 +1,19 @@
 """Exhaustive generation of free trees, one per isomorphism class.
 
 The stream holds the canonical level sequences of centre-rooted trees in
-decreasing order, so it is deterministic.  ``tree_segments`` walks it as a
-join of rooted trees from ``RootedTables``: each first root subtree is
-paired with a contiguous range of the rests that may follow it, without
-copying a row.  Tree sweeps score these segments, and ``free_trees`` and
-``level_sequences`` spell each tree of them.
+decreasing order, so it is deterministic.  ``tree_segments`` gives it as
+a join of rooted trees from ``RootedTables``, one array row per first root
+subtree and the contiguous range of rests that may follow it, found by
+sorted-array searches over the tables, not by a walk.  Tree sweeps score
+these segments, and ``free_trees`` and ``level_sequences`` spell them.
 An independent counting recurrence gives the number of free trees, and a
 canonical key tells trees of any supported order apart.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
 
 import numpy as np
 
@@ -150,59 +147,64 @@ class RootedTables:
         return list(b"\0" + first.translate(_PLUS_ONE) + rest[1:])
 
 
-def tree_segments(tables: RootedTables, n: int):
-    """The free trees of order n, in stream order, as segments (s, t, a, b):
-    the root, its first subtree T of size s, row t of ``tables.rows[s]``, one
-    level down, then the children of each of the rests of size m = n - s in
-    rows a to b - 1 of ``tables.rows[m]``.  ``tables`` may be built for any
-    order from n up; an order below 2 or above theirs is refused.  Segments
-    are never empty.
+def tree_segments(tables: RootedTables, n: int) -> np.ndarray:
+    """The free trees of order n, in stream order, as an (S, 4) int32 array
+    of segments (s, t, a, b): the root, its first subtree T of size s, row t
+    of ``tables.rows[s]``, one level down, then the children of each rest of
+    size m = n - s in rows a to b - 1 of ``tables.rows[m]``.  ``tables``
+    serve the orders 2 to ``tables.top``, and no other.  No segment is empty.
 
     The sequences are centre-rooted (Wright, Richmond, Odlyzko and McKay,
     SIAM J. Comput. 15, 1986) and strictly decreasing.  A rest R, a rooted
     tree whose children are all at most T, makes a centre-rooted tree when
     R is taller than T, or as tall with s < m, or as tall, as large and
-    R >= T.  So the first subtrees, of height at most min(s - 1, m - 1), are
-    merged in decreasing order across sizes, and each is joined to a
-    contiguous range of its size's rests: heights never rise along a rooted
-    stream, so from the first rest whose first child is at most T come the
-    rests taller than T, then those as tall, then the shorter."""
+    R >= T.  So each first subtree, of height at most min(s - 1, m - 1), is
+    joined to a contiguous range of its size's rests: heights never rise
+    along a rooted stream, so from the first rest whose first child is at
+    most T come the rests taller than T, then those as tall, then the
+    shorter.  One ``searchsorted`` per size finds its ranges in the rows
+    read as ascending 'S' bytes, which ignore trailing NULs (safe: only a
+    row's first byte, the root, is 0), and one stable sort of the first
+    subtrees, decreasing, merges the sizes in stream order."""
     if not 2 <= n <= tables.top:
         raise ValueError(f"tables for order {tables.top} serve orders 2..{tables.top}, not {n}")
-    if n == 2:  # the edge: one vertex below another
-        yield 1, 0, 0, 1
-        return
-    starts, firsts = {}, []
-    for s in range(1, n - 1):
+    segments = []
+    for s in range(1, max(n - 1, 2)):  # the first subtree sizes (1 at order 2, the edge)
         m = n - s
-        # the order-n rests are the suffix from their first row
-        rest, rests = _rest_start(n, s), tables.rows[m]
-        starts[m] = a = bisect_left(range(len(rests) // m), True,
-                                    key=lambda i: rests[i * m:i * m + m] <= rest)
-        if rests[a * m:a * m + m] != rest:
+        rests = np.ascontiguousarray(tables.tables[m].view(f"S{m}")[::-1, 0])
+        rest = _rest_start(n, s)  # the order-n rests are the suffix from it
+        start = len(rests) - np.searchsorted(rests, rest) - 1
+        if tables.rows[m][start * m:start * m + m] != rest:
             raise ValueError(f"the size-{m} rooted table misses the order-{n} rests")
         lo = tables.at_most[s][min(s - 1, m - 1)]
-        firsts.append(zip(map(bytes, tables.tables[s][lo:]), count(lo)))
-    for first, t in heapq.merge(*firsts, reverse=True):
-        s, height = len(first), max(first)
-        m = n - s
-        rows, at_most = tables.rows[m], tables.at_most[m]
-        # a row's first child is at most T exactly when the row sorts
-        # below the root, T as a child, then a vertex on level 2
-        key, a = b"\0" + first.translate(_PLUS_ONE) + b"\2", starts[m]
-        while rows[a * m:a * m + m] >= key:
-            a += 1
-        starts[m] = a
+        first = tables.tables[s][lo:]
+        height, at_most = first.max(axis=1), np.array(tables.at_most[m])
         if s < m:
             b = at_most[height - 1]
         elif s > m:
             b = at_most[height]
         else:  # of the rests as tall as T, those at least T
-            lo = at_most[height]
-            b = lo + bisect_left(range(lo, at_most[height - 1]), True,
-                                 key=lambda i: rows[i * m:i * m + m] < first)
-        if a < b:
-            yield s, t, a, b
+            b = np.clip(len(rests) - np.searchsorted(rests, first.view(f"S{m}")[:, 0]),
+                        at_most[height], at_most[height - 1])
+        live = np.flatnonzero(b > start)  # the first subtrees that may take a rest
+        first, b = first[live], b[live]
+        # a row's first child is at most T exactly when the row sorts below
+        # the root, T as a child, then a vertex on level 2, both NUL-padded
+        key = np.full((len(first), s + 2), 2, dtype=np.int8)
+        key[:, 0], key[:, 1:-1] = 0, first + 1
+        key = key.view(f"S{s + 2}")[:, 0]
+        a = np.maximum(start, len(rests) - np.searchsorted(rests, key))
+        keep = np.flatnonzero(a < b)
+        segments.append(np.stack([np.full(len(keep), s), lo + live[keep], a[keep], b[keep]],
+                                 axis=1).astype(np.int32))
+    bounds = np.cumsum([0] + [len(part) for part in segments])
+    segments = np.concatenate(segments)
+    firsts = np.zeros((len(segments), n), dtype=np.int8)  # each T, zero-padded
+    for s, lo, hi in zip(range(1, max(n - 1, 2)), bounds, bounds[1:]):
+        firsts[lo:hi, :s] = tables.tables[s][segments[lo:hi, 1]]
+    order = np.argsort(firsts.view(f"S{n}")[:, 0], kind="stable")
+    del firsts  # freed before the sorted copy is made: 14.7 MB at order 24
+    return segments[order[::-1]]
 
 
 def _stream(n: int):
@@ -214,7 +216,7 @@ def _stream(n: int):
         yield [0]
         return
     tables = RootedTables(n)
-    for s, t, a, b in tree_segments(tables, n):
+    for s, t, a, b in tree_segments(tables, n).tolist():
         m = n - s
         head, rests = b"\0" + tables.rows[s][t * s:t * s + s].translate(_PLUS_ONE), tables.rows[m]
         for r in range(a * m, b * m, m):

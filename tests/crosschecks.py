@@ -5,14 +5,16 @@ small graphs by its definition, the numpy gather-and-sum walk of the
 labelled-graph orbits (the reference for the scanner's chunked image
 tables), a labelled-tree oracle
 that decodes every length-(n-2) vertex sequence, the free-tree stream by a
-walk of whole sequences, the rows of the stream's segments as int8 arrays,
+walk of whole sequences, its segments by a heap-merge walk, the rows of the stream's segments as int8 arrays,
 the batched tree DP and the degrees of whole trees
 (the reference for the sweeps' join of rooted tables), the known ratio
 table of small paths and cycles, and a plain loop over the subsets for one
 level of the subset oracle."""
 
+import heapq
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import count, permutations, product
 from math import factorial
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from nisets.engine import Engine, root_states_batch
 from nisets.families import FamilySpec, build
 from nisets.graphs import Graph, all_pairs, graph_from_pair_mask, iter_bits
-from nisets.trees import RootedTables, _centers, _rooted_key, tree_segments
+from nisets.trees import RootedTables, _centers, _rooted_key, _rest_start, tree_segments
 
 SEQUENCE_ORACLE_LIMIT = 10  # n^(n-2) labelled trees; keep well clear of that wall
 CANONICAL_MASK_LIMIT = 7  # n! relabellings; 5040 at order 7
@@ -225,6 +227,50 @@ def reference_tree_blocks(n: int, block: int):
         levels[p:] = (levels[q:p] * (n - p))[:n - p]
     if rows:
         yield np.frombuffer(rows, dtype=np.int8).reshape(-1, n)
+
+
+def reference_segments(tables, n: int):
+    """The segments (s, t, a, b) of the order-n free-tree stream over
+    ``tables``, in stream order, by a lazy walk; the reference for
+    ``trees.tree_segments``.  The first subtrees of every size are merged
+    in decreasing order (``heapq.merge``), and a per-size pointer, which
+    only moves forward, finds the first rest each may take."""
+    if not 2 <= n <= tables.top:
+        raise ValueError(f"tables for order {tables.top} serve orders 2..{tables.top}, not {n}")
+    if n == 2:  # the edge: one vertex below another
+        yield 1, 0, 0, 1
+        return
+    starts, firsts = {}, []
+    for s in range(1, n - 1):
+        m = n - s
+        # the order-n rests are the suffix from their first row
+        rest, rests = _rest_start(n, s), tables.rows[m]
+        starts[m] = a = bisect_left(range(len(rests) // m), True,
+                                    key=lambda i: rests[i * m:i * m + m] <= rest)
+        if rests[a * m:a * m + m] != rest:
+            raise ValueError(f"the size-{m} rooted table misses the order-{n} rests")
+        lo = tables.at_most[s][min(s - 1, m - 1)]
+        firsts.append(zip(map(bytes, tables.tables[s][lo:]), count(lo)))
+    for first, t in heapq.merge(*firsts, reverse=True):
+        s, height = len(first), max(first)
+        m = n - s
+        rows, at_most = tables.rows[m], tables.at_most[m]
+        # a row's first child is at most T exactly when the row sorts
+        # below the root, T as a child, then a vertex on level 2
+        key, a = b"\0" + first.translate(_PLUS_ONE) + b"\2", starts[m]
+        while rows[a * m:a * m + m] >= key:
+            a += 1
+        starts[m] = a
+        if s < m:
+            b = at_most[height - 1]
+        elif s > m:
+            b = at_most[height]
+        else:  # of the rests as tall as T, those at least T
+            lo = at_most[height]
+            b = lo + bisect_left(range(lo, at_most[height - 1]), True,
+                                 key=lambda i: rows[i * m:i * m + m] < first)
+        if a < b:
+            yield s, t, a, b
 
 
 def segment_rows(tables, n: int, segments) -> np.ndarray:

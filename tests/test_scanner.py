@@ -512,7 +512,9 @@ class TestStrideSweep:
             tasks = []
 
             def recording_run(tables, payload):
-                tasks.append(payload)
+                # the payload's segments are an array, compared as a list
+                *head, segments = payload
+                tasks.append((*head, segments.tolist()))
                 return _score_run(tables, payload)
 
             with monkeypatch.context() as m:

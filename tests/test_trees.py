@@ -8,6 +8,7 @@ import pytest
 import nisets.scanner as scanner_module
 from crosschecks import (
     labelled_tree_classes,
+    reference_segments,
     reference_tree_blocks,
     relabel,
     segment_rows,
@@ -93,6 +94,26 @@ def test_segments_refuse_an_order_below_two():
         with pytest.raises(ValueError, match=f"serve orders 2..10, not {n}"):
             next(tree_segments(tables, n))
     assert [seq.levels for n in (1, 2) for seq in level_sequences(n)] == [(0,), (0, 1)]
+
+
+def test_segments_equal_the_heap_merge_walk():
+    # the sorted-array searches against the lazy walk, over each order's
+    # own tables and over the order-18 ones, and at order 20
+    def check(tables, n):
+        got = tree_segments(tables, n)
+        assert got.dtype == np.int32 and got.shape[1] == 4, n
+        assert (got[:, 2] < got[:, 3]).all(), n
+        assert got.tolist() == [list(segment) for segment in reference_segments(tables, n)], n
+
+    top = RootedTables(18)
+    for n in range(2, 19):
+        check(RootedTables(n), n)
+        check(top, n)
+    check(RootedTables(20), 20)
+    # the searches read rows as 'S' bytes, which ignore trailing NULs; only
+    # a row's root is 0, so the one row that ends in a NUL, the single
+    # vertex, still sorts below every longer row
+    assert np.argsort(np.array([b"\0\1\2", b"\0", b"\0\1"], dtype="S3")).tolist() == [1, 2, 0]
 
 
 @pytest.mark.parametrize("block", [1, 7, 1024])
