@@ -13,19 +13,19 @@ the test suite:
 * summing, over all edges, the independent-set polynomial of the graph left
   after deleting both endpoints' neighbourhoods.
 
-Trees also have a linear dynamic program over their level sequences.
-``tree_scalars`` runs it on one tree in Python integers and is the
-reference.  ``root_states_batch`` runs it on a block of B rooted trees at
-once, given as their parent array, in int64 numpy arrays, exact up to order
-24, and ``join_scalars`` scores a free tree from the root states of two
-rooted ones: a rest R and the subtree T that joins R's root.  Every tree
-sweep scores its trees so, the tree claims' included, and a sweep's spot
-checks compare its rows with ``Engine`` and the subset oracle.
+Trees also have a linear dynamic program over their level sequences, one
+transition, ``_join_child``: a vertex's eight states once one more child's
+subtree joins it.  ``tree_scalars`` folds it over one tree in Python
+integers.  The scanner's rooted tables join two smaller rows' states into
+each row, and ``join_scalars`` scores a free tree from the root states of
+two rooted ones: a rest R and the subtree T that joins R's root.  Every
+tree sweep scores its trees so, the tree claims' included, and a sweep's
+spot checks compare its rows with ``Engine`` and the subset oracle.
 
-All arithmetic is exact: Python integers for counts (int64 in the batched
-tree DP, where the order bound rules out overflow; (n+1)-bit slots in a
-packed polynomial, where no coefficient exceeds 2^n), fractions for
-averages.  The average of an empty family is 0 by convention, with the
+All arithmetic is exact: Python integers for counts (int32 and int64 in
+the tree joins, where the tree order limit rules out overflow; (n+1)-bit
+slots in a packed polynomial, where no coefficient exceeds 2^n), fractions
+for averages.  The average of an empty family is 0 by convention, with the
 zero count kept visible so callers can distinguish the two situations.
 """
 
@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-
-import numpy as np
 
 from .graphs import Graph
 
@@ -406,19 +404,9 @@ def tree_scalars(levels) -> tuple[int, int, int, int]:
     depth 0, each later depth between 1 and one more than the previous);
     the parent of a vertex is the latest earlier vertex one level up.  A
     linear dynamic program replaces the mask recursion of ``Engine``: each
-    vertex v carries four (count, size-sum) pairs over the vertex subsets
-    of its subtree,
-
-    * a: v out, no edge;
-    * b: v in, no edge;
-    * c: v out, one edge;
-    * f: v in, one edge (below a child, or joining v to its one chosen
-      child; the two cases combine identically, so they share a state);
-
-    and vertices are folded child-into-parent in reverse preorder, so every
-    subtree is complete before it meets its parent.  Pairs combine as
-    (x, X) * (y, Y) = (xy, Xy + xY).
-    """
+    vertex starts as a leaf and every vertex is joined to its parent
+    (``_join_child``) in reverse preorder, so every subtree is complete
+    before it meets its parent."""
     n = len(levels)
     parent = [0] * n
     last = [0] * (n + 1)
@@ -426,46 +414,31 @@ def tree_scalars(levels) -> tuple[int, int, int, int]:
         depth = levels[i]
         parent[i] = last[depth - 1]
         last[depth] = i
-    a0 = [1] * n
-    a1 = [0] * n
-    b0 = [1] * n
-    b1 = [1] * n
-    c0 = [0] * n
-    c1 = [0] * n
-    f0 = [0] * n
-    f1 = [0] * n
+    states = [(1, 0, 1, 1, 0, 0, 0, 0)] * n  # a leaf: a = (1, 0), b = (1, 1), c = f = (0, 0)
     for i in range(n - 1, 0, -1):
-        p = parent[i]
-        # under an absent parent the child may take any state; under a
-        # present one it is absent, or present with no edge of its own
-        # below (the edge is then p-i), or absent with the edge below
-        free0, free1 = a0[i] + b0[i], a1[i] + b1[i]
-        one0, one1 = c0[i] + f0[i], c1[i] + f1[i]
-        out0, out1 = a0[i], a1[i]
-        edge0, edge1 = b0[i] + c0[i], b1[i] + c1[i]
-        pa0, pa1, pb0, pb1 = a0[p], a1[p], b0[p], b1[p]
-        c1[p] = c1[p] * free0 + c0[p] * free1 + pa1 * one0 + pa0 * one1
-        c0[p] = c0[p] * free0 + pa0 * one0
-        a1[p] = pa1 * free0 + pa0 * free1
-        a0[p] = pa0 * free0
-        f1[p] = f1[p] * out0 + f0[p] * out1 + pb1 * edge0 + pb0 * edge1
-        f0[p] = f0[p] * out0 + pb0 * edge0
-        b1[p] = pb1 * out0 + pb0 * out1
-        b0[p] = pb0 * out0
-    return a0[0] + b0[0], a1[0] + b1[0], c0[0] + f0[0], c1[0] + f1[0]
-
-
-# Largest order the batched tree DP accepts: every state counts subsets of
-# at most n vertices, so it stays below n·2^n < 2^29, and a product of two
-# states, or a cross-multiplied comparison of two values, below 2^58.
-TREE_BATCH_ORDER_LIMIT = 24
+        states[parent[i]] = _join_child(states[parent[i]], states[i])
+    a0, a1, b0, b1, c0, c1, f0, f1 = states[0]
+    return a0 + b0, a1 + b1, c0 + f0, c1 + f1
 
 
 def _join_child(parent, child):
-    """The eight states of a vertex after one more child's subtree joins
-    it, from the vertex's states so far and the child's: the transitions of
-    ``tree_scalars``, free = a + b, one = c + f, out = a, edge = b + c,
-    elementwise on arrays."""
+    """The eight states a0, a1, b0, b1, c0, c1, f0, f1 of a vertex after one
+    more child's subtree joins it, from the vertex's states so far and the
+    child's root states, as ints or elementwise on arrays.  Each state is a
+    (count, size-sum) pair over the vertex subsets of the subtree:
+
+    * a: the vertex out, no edge;
+    * b: the vertex in, no edge;
+    * c: the vertex out, one edge;
+    * f: the vertex in, one edge (below a child, or joining the vertex to
+      its one chosen child; the two cases combine identically, so they
+      share a state).
+
+    Under an absent vertex the child may take any state (free = a + b, or
+    one = c + f with the edge); under a present one it is absent (out = a),
+    or present with no edge of its own below, the edge then joining the
+    two, or absent with the edge below (edge = b + c).  Pairs combine as
+    (x, X) * (y, Y) = (xy, Xy + xY)."""
     pa0, pa1, pb0, pb1, pc0, pc1, pf0, pf1 = parent
     a0, a1, b0, b1, c0, c1, f0, f1 = child
     free0, free1 = a0 + b0, a1 + b1
@@ -479,38 +452,14 @@ def _join_child(parent, child):
     )
 
 
-def root_states_batch(parent: np.ndarray) -> np.ndarray:
-    """The root's eight states a0, a1, b0, b1, c0, c1, f0, f1 (those of
-    ``tree_scalars``) of each of a block of B rooted trees, given as the
-    (B, n) parent array of their level sequences (``trees.level_parents``),
-    as one (8, B) int64 array.
-
-    The states of all B trees sit in one (8, n·B) array, vertex-major:
-    vertex v of tree t is column v·B + t.  Position i is joined to its
-    parents for every tree at once, with one gather and one scatter of the
-    parents' columns; the children's columns are the contiguous slice of
-    position i.  Refuses n above ``TREE_BATCH_ORDER_LIMIT``, where int64
-    could overflow."""
-    b, n = parent.shape
-    if n > TREE_BATCH_ORDER_LIMIT:
-        raise ValueError(f"batched tree DP needs order <= {TREE_BATCH_ORDER_LIMIT}, got {n}")
-    states = np.zeros((8, n * b), dtype=np.int64)
-    states[[0, 2, 3]] = 1  # a leaf: a = (1, 0), b = (1, 1), c = f = (0, 0)
-    trees = np.arange(b)
-    for i in range(n - 1, 0, -1):
-        at = parent[:, i] * b + trees
-        states[:, at] = _join_child(states[:, at], states[:, i * b:(i + 1) * b])
-    return states[:, :b]
-
-
-def join_scalars(rest: np.ndarray, first: np.ndarray):
+def join_scalars(rest, first):
     """(sigma0, S0, sigma1, S1) of the trees made of a rooted tree R with
-    one more child subtree T at its root, as four int64 arrays, from the
-    (8, B) root states of R and of T (``root_states_batch``, gathered row by
-    row): T joins R's root as ``root_states_batch`` joins every child.
-
-    Every product of the join is one nonnegative term of a state of the
-    whole tree of order n, and so below n·2^n (under 2^29 at order 24)."""
+    one more child subtree T at its root, as four arrays, from the root
+    states of R and of T (``_join_child``'s eight rows each, gathered row by
+    row from the scanner's tables and widened to int64): T joins R's root as
+    every child joins its parent.  Every product of the join is one term of
+    a state of the whole tree, below the bound ``trees.TREE_ORDER_LIMIT``
+    states."""
     a0, a1, b0, b1, c0, c1, f0, f1 = _join_child(rest, first)
     return a0 + b0, a1 + b1, c0 + f0, c1 + f1
 

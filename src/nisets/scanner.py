@@ -25,7 +25,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .engine import Engine, format_rational, join_scalars, nis_summary, root_states_batch
+from .engine import Engine, _join_child, format_rational, join_scalars, nis_summary
 from .families import FamilySpec, build
 from .formats import GRAPH6_ORDER_LIMIT, to_graph6
 from .graphs import (
@@ -40,7 +40,6 @@ from .trees import (
     TREE_ORDER_LIMIT,
     RootedTables,
     count_free_trees,
-    level_parents,
     levels_to_graph,
     tree_segments,
 )
@@ -50,10 +49,7 @@ GRAPH_SCAN_LIMIT = 7
 RATIO_ORDER_LIMIT = 30
 WITNESS_CAP = 100
 SPOT_CHECK_SEED = 2024
-# Trees per slice of a sweep's joins and folds, and rooted-table rows per
-# call of the batched DP, whose states take 64·k bytes a row of size k;
-# computing the tables' states unchunked raised a one-worker sweep of order
-# 20 from 37.3 to 56.3 MB peak RSS.
+# trees per slice of a sweep's joins and folds
 _BLOCK = 1024
 # blocks per task of a tree sweep; shorter runs balance the load more
 # finely, but each task's max side starts empty and encodes the best trees
@@ -436,45 +432,85 @@ class _Sweep:
         self.checked += part.checked
 
 
-def _rooted_degrees(parent):
-    """Max degree and least internal degree (degree > 1;
-    ``TREE_ORDER_LIMIT``, which no degree reaches, when none) of every
-    rooted tree of a (B, k) parent array from ``level_parents`` once its
-    root gains one more edge, as a (2, B) int8 array: a bincount of the
-    parents gives the child counts, and every vertex has one more edge, to
-    its parent or, at the root, to the rooted tree it is joined to."""
-    b, k = parent.shape
-    slots = parent[:, 1:] + k * np.arange(b)[:, None]
-    degree = np.bincount(slots.ravel(), minlength=b * k).reshape(b, k) + 1
-    return np.array([degree.max(axis=1),
-                     np.where(degree > 1, degree, TREE_ORDER_LIMIT).min(axis=1)], dtype=np.int8)
+def _join_degrees(rest, child):
+    """The degree data of the rooted trees made of a rooted tree R' with one
+    more child subtree C at its root, from R''s and C's, as three int8
+    arrays: the largest degree, the least internal (> 1) degree of the
+    vertices other than the root (``TREE_ORDER_LIMIT``, which no degree
+    reaches, when none) and the root's degree, with every root counted
+    with one more edge, to the tree it is joined to.  So C's vertices keep
+    their degrees, C's root now among the others, and R''s root gains C."""
+    top, inner, root = rest
+    child_top, child_inner, child_root = child
+    child_inner = np.where(child_root > 1, np.minimum(child_inner, child_root), child_inner)
+    return np.maximum(np.maximum(top, child_top), root + 1), np.minimum(inner, child_inner), root + 1
 
 
 class _Tables:
     """What a sweep scores its trees from, built once per call for its top
-    order: the ``RootedTables``, the eight root states
-    (``root_states_batch``) of every row, and, for the caps, every row's
-    degree data (``_rooted_degrees``), both computed ``_BLOCK`` rows at a
-    time.  Each is one array over the rows of all sizes, those of size k
-    from ``offsets[k]`` on.  A state of a rooted tree of size k counts
-    subsets of its k vertices or sums their sizes, so it is below k·2^k,
-    under 2^31 for every k < ``TREE_ORDER_LIMIT``: the states are held
-    exactly as int32, half of an int64 table, and ``scalars`` widens the
-    rows it gathers to int64 before they are multiplied."""
+    order: the ``RootedTables``, the eight root states (``_join_child``) of
+    every row, and, for the caps, every row's degree data
+    (``_join_degrees``).  Each is one array over the rows of all sizes,
+    those of size k from ``offsets[k]`` on.  The states are held and
+    joined exactly as int32 (the bound at ``TREE_ORDER_LIMIT``), and
+    ``scalars`` widens the rows it gathers to int64 before they are
+    multiplied.
+
+    Sizes are built in ascending order.  A row X of size k >= 2 is its
+    first child subtree C, of size c, joined one level down to the root of
+    its remainder R' (the root with X's other children), so X's states and
+    degrees are R''s and C's joined.  ``searchsorted`` over each size's
+    rows, read as ascending 'S' bytes as in ``tree_segments``, finds the
+    rows of C and R', and a lookup that lands on an unequal row raises
+    RouteDisagreement.  None does: the rows of size j are every rooted tree
+    of size j when j <= top/2, else those whose children are all at most
+    the path on top - j vertices, so at most top - j - 2 high or that path
+    (the rests' bound for s = top - j, which holds the first subtrees, at
+    most top - j - 1 high).  So C or R' of size at most top/2 is a row.
+    Else k > top/2 as well, and X's children meet X's bound, which is
+    tighter than any smaller size's: R''s children are X's, and C is not
+    the path on top - k < top/2 vertices, so it is at most top - k - 2
+    high and its children at most top - c - 2."""
 
     def __init__(self, top: int, caps: bool):
         self.rooted = RootedTables(top)
-        tables = [self.rooted.tables[k] for k in range(1, top)]
-        self.offsets = np.cumsum([0, 0] + [len(table) for table in tables])
+        tables = self.rooted.tables
+        self.offsets = np.cumsum([0, 0] + [len(tables[k]) for k in range(1, top)])
         self.states = np.empty((8, self.offsets[-1]), dtype=np.int32)
-        self.degrees = np.empty((2, self.offsets[-1]), dtype=np.int8) if caps else None
-        for start, table in zip(self.offsets[1:], tables):
-            for lo in range(0, len(table), _BLOCK):
-                parent = level_parents(table[lo:lo + _BLOCK])
-                at = slice(start + lo, start + lo + len(parent))
-                self.states[:, at] = root_states_batch(parent)
+        self.states[:, 0] = (1, 0, 1, 1, 0, 0, 0, 0)  # one vertex: a = (1, 0), b = (1, 1)
+        self.degrees = None
+        if caps:
+            self.degrees = np.empty((3, self.offsets[-1]), dtype=np.int8)
+            self.degrees[:, 0] = (1, TREE_ORDER_LIMIT, 1)
+        ascending = {}
+
+        def rows_of(keys, k, part):
+            """The rows of the trees spelled by a (B, j) int8 array, each
+            the ``part`` of a row of size k."""
+            j = keys.shape[1]
+            keys = keys.view(f"S{j}")[:, 0]
+            found = np.minimum(np.searchsorted(ascending[j], keys), len(ascending[j]) - 1)
+            if (ascending[j][found] != keys).any():
+                raise RouteDisagreement(f"a {part} of size {j} of a size-{k} rooted row "
+                                        f"is not a row of the tables")
+            return self.offsets[j] + len(ascending[j]) - 1 - found
+
+        for k in range(2, top):
+            ascending[k - 1] = np.ascontiguousarray(tables[k - 1].view(f"S{k - 1}")[::-1, 0])
+            table = tables[k]
+            sizes = np.full(len(table), k - 1, dtype=np.int8)  # C's size: up to X's second child
+            for i in range(k - 1, 1, -1):
+                sizes[table[:, i] == 1] = i - 1
+            for c in range(1, k):
+                at = np.flatnonzero(sizes == c)
+                rows = table[at]
+                child = rows_of(rows[:, 1:c + 1] - 1, k, "first subtree")
+                rest = rows_of(np.delete(rows, np.s_[1:c + 1], axis=1), k, "remainder")
+                at += self.offsets[k]
+                self.states[:, at] = _join_child(self.states[:, rest], self.states[:, child])
                 if caps:
-                    self.degrees[:, at] = _rooted_degrees(parent)
+                    self.degrees[:, at] = _join_degrees(self.degrees[:, rest],
+                                                        self.degrees[:, child])
 
     def rows(self, n: int, segments):
         """The rest's row and the first subtree's row of each tree of
@@ -500,8 +536,8 @@ class _Tables:
         vertex is internal) of the trees of these rows: R's root and T's
         gain the edge that joins them, so a tree's degrees are its two
         rows' together."""
-        maxima, inner = self.degrees[:, [rest, first]]
-        internal = inner.min(axis=0)
+        maxima, inner, roots = self.degrees[:, [rest, first]]
+        internal = np.where(roots > 1, np.minimum(inner, roots), inner).min(axis=0)
         internal[internal == TREE_ORDER_LIMIT] = 0
         return maxima.max(axis=0), internal
 

@@ -19,6 +19,13 @@ import numpy as np
 
 from .graphs import Graph, build_graph
 
+# Largest order of the free-tree stream and of every tree sweep.  A state
+# of the tree DP (``engine._join_child``) of a rooted tree of size k counts
+# subsets of its k vertices or sums their sizes, so it is below k·2^k, and
+# each product of a join that makes a tree of order n is one term of such a
+# state, below n·2^n < 2^29 at n <= 24.  So the rooted tables hold and join
+# their states exactly as int32, and a sweep's products of int64 values,
+# its cross-multiplied comparisons included, stay below 2^58.
 TREE_ORDER_LIMIT = 24
 
 
@@ -50,21 +57,6 @@ def levels_to_graph(levels) -> Graph:
             edges.append((stack[-1], i))
         stack.append(i)
     return build_graph(len(levels), edges)
-
-
-def level_parents(levels: np.ndarray) -> np.ndarray:
-    """Parent of every vertex of a (B, n) block of level sequences, as a
-    (B, n) index array; the parent of vertex i is the latest earlier vertex
-    one level up, and the root's entry is 0."""
-    b, n = levels.shape
-    trees = np.arange(b)
-    last = np.zeros((b, n + 1), dtype=np.intp)  # last vertex seen at each depth
-    parent = np.zeros((b, n), dtype=np.intp)
-    for i in range(1, n):
-        depth = levels[:, i]
-        parent[:, i] = last[trees, depth - 1]
-        last[trees, depth] = i
-    return parent
 
 
 def _check_order(n: int) -> None:

@@ -6,8 +6,9 @@ labelled-graph orbits (the reference for the scanner's chunked image
 tables), a labelled-tree oracle
 that decodes every length-(n-2) vertex sequence, the free-tree stream by a
 walk of whole sequences, its segments by a heap-merge walk, the rows of the stream's segments as int8 arrays,
-the batched tree DP and the degrees of whole trees
-(the reference for the sweeps' join of rooted tables), the known ratio
+the per-position tree DP over blocks of level sequences and the degrees
+of whole and rooted trees by bincounts (the references for the rooted
+tables' join of rows and the sweeps' join of tables), the known ratio
 table of small paths and cycles, and a plain loop over the subsets for one
 level of the subset oracle."""
 
@@ -19,10 +20,17 @@ from math import factorial
 
 import numpy as np
 
-from nisets.engine import Engine, root_states_batch
+from nisets.engine import Engine, _join_child
 from nisets.families import FamilySpec, build
 from nisets.graphs import Graph, all_pairs, graph_from_pair_mask, iter_bits
-from nisets.trees import RootedTables, _centers, _rooted_key, _rest_start, tree_segments
+from nisets.trees import (
+    TREE_ORDER_LIMIT,
+    RootedTables,
+    _centers,
+    _rest_start,
+    _rooted_key,
+    tree_segments,
+)
 
 SEQUENCE_ORACLE_LIMIT = 10  # n^(n-2) labelled trees; keep well clear of that wall
 CANONICAL_MASK_LIMIT = 7  # n! relabellings; 5040 at order 7
@@ -296,28 +304,90 @@ def tree_rows(n: int) -> np.ndarray:
     return segment_rows(tables, n, tree_segments(tables, n))
 
 
+def level_parents(levels: np.ndarray) -> np.ndarray:
+    """Parent of every vertex of a (B, n) block of level sequences, as a
+    (B, n) index array; the parent of vertex i is the latest earlier vertex
+    one level up, and the root's entry is 0."""
+    b, n = levels.shape
+    trees = np.arange(b)
+    last = np.zeros((b, n + 1), dtype=np.intp)  # last vertex seen at each depth
+    parent = np.zeros((b, n), dtype=np.intp)
+    for i in range(1, n):
+        depth = levels[:, i]
+        parent[:, i] = last[trees, depth - 1]
+        last[trees, depth] = i
+    return parent
+
+
+def root_states_batch(parent: np.ndarray) -> np.ndarray:
+    """The root's eight states a0, a1, b0, b1, c0, c1, f0, f1 (those of
+    ``engine._join_child``) of each of a block of B rooted trees, given as
+    the (B, n) parent array of their level sequences (``level_parents``),
+    as one (8, B) int64 array: the per-position DP, which joins every
+    position of every tree to its parent.
+
+    The states of all B trees sit in one (8, n·B) array, vertex-major:
+    vertex v of tree t is column v·B + t.  Position i is joined to its
+    parents for every tree at once, with one gather and one scatter of the
+    parents' columns; the children's columns are the contiguous slice of
+    position i.  Refuses n above ``TREE_ORDER_LIMIT``, past the bound that
+    keeps int64 exact."""
+    b, n = parent.shape
+    if n > TREE_ORDER_LIMIT:
+        raise ValueError(f"batched tree DP needs order <= {TREE_ORDER_LIMIT}, got {n}")
+    states = np.zeros((8, n * b), dtype=np.int64)
+    states[[0, 2, 3]] = 1  # a leaf: a = (1, 0), b = (1, 1), c = f = (0, 0)
+    trees = np.arange(b)
+    for i in range(n - 1, 0, -1):
+        at = parent[:, i] * b + trees
+        states[:, at] = _join_child(states[:, at], states[:, i * b:(i + 1) * b])
+    return states[:, :b]
+
+
 def tree_scalars_batch(parent):
     """``tree_scalars`` of a block of B whole trees, given as the (B, n)
-    parent array of their level sequences (``trees.level_parents``), as four
+    parent array of their level sequences (``level_parents``), as four
     int64 arrays (sigma0, S0, sigma1, S1): the batched DP folds every
     position of every tree."""
     a0, a1, b0, b1, c0, c1, f0, f1 = root_states_batch(parent)
     return a0 + b0, a1 + b1, c0 + f0, c1 + f1
 
 
-def block_degrees(parent):
-    """Max degree and minimum internal degree (degree > 1; 0 when no
-    vertex is internal) of every tree of a (B, n) parent array from
-    ``level_parents``, as two int arrays: a bincount of the parents gives
-    the child counts, and every vertex but the root has one more edge."""
+def parent_degrees(parent):
+    """The degree of every vertex of each tree of a (B, n) parent array
+    from ``level_parents``, the root's edge to its parent not counted: a
+    bincount of the parents gives the child counts, and every vertex but
+    the root has one more edge."""
     b, n = parent.shape
     slots = parent[:, 1:] + n * np.arange(b)[:, None]
     degree = np.bincount(slots.ravel(), minlength=b * n).reshape(b, n)
     degree[:, 1:] += 1
+    return degree
+
+
+def block_degrees(parent):
+    """Max degree and minimum internal degree (degree > 1; 0 when no
+    vertex is internal) of every tree of a (B, n) parent array from
+    ``level_parents``, as two int arrays."""
+    degree = parent_degrees(parent)
+    n = degree.shape[1]
     # no degree reaches n, so n marks a tree without internal vertices
     internal = np.where(degree > 1, degree, n).min(axis=1)
     internal[internal == n] = 0
     return degree.max(axis=1), internal
+
+
+def rooted_degrees(parent):
+    """The degree data of ``scanner._Tables`` of every rooted tree of a
+    (B, k) parent array from ``level_parents``, once its root gains one
+    more edge, as a (3, B) int8 array: the largest degree, the least
+    internal degree of the vertices other than the root
+    (``TREE_ORDER_LIMIT`` when none) and the root's degree."""
+    degree = parent_degrees(parent)
+    degree[:, 0] += 1
+    inner = np.where(degree[:, 1:] > 1, degree[:, 1:], TREE_ORDER_LIMIT)
+    return np.array([degree.max(axis=1), inner.min(axis=1, initial=TREE_ORDER_LIMIT),
+                     degree[:, 0]], dtype=np.int8)
 
 
 _RATIO_TABLE = (

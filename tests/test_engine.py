@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosschecks import sequence_to_adjacency, tree_rows, tree_scalars_batch, union_combine
+from crosschecks import (
+    level_parents,
+    sequence_to_adjacency,
+    tree_rows,
+    tree_scalars_batch,
+    union_combine,
+)
 from nisets import cli
 from nisets import engine as engine_module
 from nisets.engine import (
@@ -35,7 +41,6 @@ from nisets.scanner import _BLOCK
 from nisets.trees import (
     TREE_ORDER_LIMIT,
     LevelSequence,
-    level_parents,
     level_sequences,
     levels_to_graph,
 )
@@ -650,8 +655,8 @@ class TestTreeScalarsBatch:
         assert got[0][:2] == ((1 << 23) + 1, 23 * (1 << 22) + 1)
 
     def test_scores_the_first_block_at_the_tree_order_limit(self):
-        # every tree sweep scores its blocks with the batched DP, so the
-        # tree population's order limit must not pass the batch's
+        # the per-position DP, the reference for the rooted tables, must
+        # be exact up to the tree population's order limit
         rows = [seq.levels for seq in islice(level_sequences(TREE_ORDER_LIMIT), _BLOCK)]
         assert len(rows) == _BLOCK
         assert batch_rows(rows) == [tree_scalars(levels) for levels in rows]

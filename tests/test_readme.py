@@ -6,7 +6,7 @@ import ast
 import re
 from pathlib import Path
 
-from nisets.engine import MAX_ENGINE_MASKS, TREE_BATCH_ORDER_LIMIT
+from nisets.engine import MAX_ENGINE_MASKS
 from nisets.formats import GRAPH6_ORDER_LIMIT
 from nisets.graphs import MAX_VERTICES
 from nisets.oracle import ORACLE_ORDER_LIMIT
@@ -64,7 +64,6 @@ def test_limits_table_values():
         "subset oracle": ORACLE_ORDER_LIMIT,
         "exhaustive graph scans": GRAPH_SCAN_LIMIT,
         "free-tree generation": TREE_ORDER_LIMIT,
-        "batched tree DP (int64)": TREE_BATCH_ORDER_LIMIT,
         "graph6 I/O": GRAPH6_ORDER_LIMIT,
         "`verify --max-ratio-order`": RATIO_ORDER_LIMIT,
         "`verify --max-family-order`": GRAPH6_ORDER_LIMIT,

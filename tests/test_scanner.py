@@ -17,8 +17,11 @@ from crosschecks import (
     block_degrees,
     canonical_mask,
     gather_sum_graph_classes,
+    level_parents,
     pair_mask,
     relabel,
+    root_states_batch,
+    rooted_degrees,
     segment_rows,
     slot_image_table,
     tree_rows,
@@ -28,7 +31,6 @@ from nisets.engine import (
     Engine,
     format_rational,
     join_scalars,
-    root_states_batch,
     tree_scalars,
 )
 from nisets.families import FamilySpec, build, closed_form_summary
@@ -67,7 +69,6 @@ from nisets.trees import (
     _rooted_walk,
     _tallest,
     free_trees,
-    level_parents,
     level_sequences,
     levels_to_graph,
     tree_canonical_key,
@@ -694,11 +695,11 @@ class TestStrideSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_caps_are_checked_only_for_the_claims(self, monkeypatch, workers):
-        def no_degrees(parent):
+        def no_degrees(rest, child):
             raise AssertionError("degrees computed on a sweep that checks no cap")
 
         # the tables, degrees included, are built before any pool opens
-        monkeypatch.setattr(scanner_module, "_rooted_degrees", no_degrees)
+        monkeypatch.setattr(scanner_module, "_join_degrees", no_degrees)
         conjecture_scan([9, 10], workers=workers)
         scan_trees(10, workers=workers)
         with pytest.raises(AssertionError, match="checks no cap"):
@@ -746,6 +747,19 @@ class TestStrideSweep:
             conjecture_scan([6, 7], workers=limit + 1)
 
 
+def per_position_chunks(rooted):
+    """(first row, root states, degree data) of each chunk of up to 8192
+    rows of each size of a RootedTables, sizes ascending, rows numbered as
+    in ``_Tables``, by the per-position DP and a bincount of the parents."""
+    start = 0
+    for k in range(1, rooted.top):
+        table = rooted.tables[k]
+        for lo in range(0, len(table), 8192):
+            parent = level_parents(table[lo:lo + 8192])
+            yield start + lo, root_states_batch(parent), rooted_degrees(parent)
+        start += len(table)
+
+
 def walked(start: bytes) -> bytes:
     """The rows of the rooted walk from ``start`` down to the star."""
     return b"".join(map(bytes, _rooted_walk(bytearray(start))))
@@ -783,15 +797,51 @@ class TestJoin:
                 assert larger[m].endswith(walked(_rest_start(n, s))), (n, s)
                 assert larger[s].endswith(walked(_tallest(s, min(s - 1, m - 1)))), (n, s)
 
+    def test_joined_rows_equal_the_per_position_dp(self):
+        # every row's states and degree data, joined from two smaller rows,
+        # against the per-position DP and a bincount over each rooted tree
+        for top in range(2, 19):
+            tables = _Tables(top, True)
+            for start, states, degrees in per_position_chunks(tables.rooted):
+                at = slice(start, start + states.shape[1])
+                assert np.array_equal(tables.states[:, at], states), top
+                assert np.array_equal(tables.degrees[:, at], degrees), top
+
+    @pytest.mark.parametrize("row, part", [(b"\0\1\2", "first subtree"), (b"\0\1\1", "remainder")],
+                             ids=["path", "star"])
+    def test_a_row_missing_from_the_tables_is_found(self, monkeypatch, row, part):
+        # the path on 3 vertices is the first subtree of the path on 4, and
+        # the star on 3 the remainder of the star on 4: without its row, the
+        # join's lookup lands on an unequal row
+        def missing_a_row(top):
+            rooted = RootedTables(top)
+            rows = rooted.rows[3]
+            at = rows.index(row)
+            rooted.rows[3] = rows[:at] + rows[at + 3:]
+            rooted.tables[3] = np.frombuffer(rooted.rows[3], dtype=np.int8).reshape(-1, 3)
+            return rooted
+
+        monkeypatch.setattr(scanner_module, "RootedTables", missing_a_row)
+        match = f"a {part} of size 3 of a size-4 rooted row"
+        with pytest.raises(RouteDisagreement, match=match):
+            _Tables(10, False)
+        with pytest.raises(RouteDisagreement, match=match):
+            conjecture_scan([10], workers=1)
+
     def test_join_products_at_the_order_limit_stay_below_the_bound(self):
-        # each product of the join at order 24 is at most the product of the
-        # largest rest state and the largest first-subtree sum it meets, over
-        # the tables; those stay below n·2^n < 2^29, far inside int64
+        # the joined tables of order 24 equal the per-position DP row for
+        # row; each product of the join at order 24 is at most the product
+        # of the largest rest state and the largest first-subtree sum it
+        # meets, over the tables; those stay below n·2^n < 2^29, far inside
+        # int64
         n = scanner_module.TREE_ORDER_LIMIT
-        tables = RootedTables(n)
-        largest = {k: np.max([root_states_batch(level_parents(table[lo:lo + 8192])).max(axis=1)
-                              for lo in range(0, len(table), 8192)], axis=0)
-                   for k, table in tables.tables.items()}
+        tables = _Tables(n, True)
+        for start, states, degrees in per_position_chunks(tables.rooted):
+            at = slice(start, start + states.shape[1])
+            assert np.array_equal(tables.states[:, at], states)
+            assert np.array_equal(tables.degrees[:, at], degrees)
+        offsets = tables.offsets
+        largest = {k: tables.states[:, offsets[k]:offsets[k + 1]].max(axis=1) for k in range(1, n)}
         products = []
         for s in range(1, n - 1):
             pa0, pa1, pb0, pb1, pc0, pc1, pf0, pf1 = (int(v) for v in largest[n - s])
