@@ -440,10 +440,11 @@ def _join_degrees(rest, child):
     reaches, when none) and the root's degree, with every root counted
     with one more edge, to the tree it is joined to.  So C's vertices keep
     their degrees, C's root now among the others, and R''s root gains C."""
-    top, inner, root = rest
-    child_top, child_inner, child_root = child
+    largest, inner, root = rest
+    child_largest, child_inner, child_root = child
     child_inner = np.where(child_root > 1, np.minimum(child_inner, child_root), child_inner)
-    return np.maximum(np.maximum(top, child_top), root + 1), np.minimum(inner, child_inner), root + 1
+    return (np.maximum(np.maximum(largest, child_largest), root + 1),
+            np.minimum(inner, child_inner), root + 1)
 
 
 class _Tables:
@@ -481,7 +482,7 @@ class _Tables:
         self.degrees = None
         if caps:
             self.degrees = np.empty((3, self.offsets[-1]), dtype=np.int8)
-            self.degrees[:, 0] = (1, TREE_ORDER_LIMIT, 1)
+            self.degrees[:, 0] = (1, TREE_ORDER_LIMIT, 1)  # one vertex, nothing below it
         ascending = {}
 
         def rows_of(keys, k, part):
@@ -498,14 +499,13 @@ class _Tables:
         for k in range(2, top):
             ascending[k - 1] = np.ascontiguousarray(tables[k - 1].view(f"S{k - 1}")[::-1, 0])
             table = tables[k]
-            sizes = np.full(len(table), k - 1, dtype=np.int8)  # C's size: up to X's second child
+            sizes = np.full(len(table), k - 1, dtype=np.int8)  # C's: up to X's second child
             for i in range(k - 1, 1, -1):
                 sizes[table[:, i] == 1] = i - 1
-            for c in range(1, k):
+            for c in np.unique(sizes).tolist():
                 at = np.flatnonzero(sizes == c)
-                rows = table[at]
-                child = rows_of(rows[:, 1:c + 1] - 1, k, "first subtree")
-                rest = rows_of(np.delete(rows, np.s_[1:c + 1], axis=1), k, "remainder")
+                child = rows_of(table[at, 1:c + 1] - 1, k, "first subtree")
+                rest = rows_of(table[at[:, None], [0, *range(c + 1, k)]], k, "remainder")
                 at += self.offsets[k]
                 self.states[:, at] = _join_child(self.states[:, rest], self.states[:, child])
                 if caps:

@@ -3,9 +3,9 @@ disjoint union from its parts, in coefficient-tuple arithmetic rather than
 the engine's packed integers, vertex relabelling, a canonical form of
 small graphs by its definition, the numpy gather-and-sum walk of the
 labelled-graph orbits (the reference for the scanner's chunked image
-tables), a labelled-tree oracle
-that decodes every length-(n-2) vertex sequence, the free-tree stream by a
-walk of whole sequences, its segments by a heap-merge walk, the rows of the stream's segments as int8 arrays,
+tables), a labelled-tree oracle that decodes every length-(n-2) vertex
+sequence, the free-tree stream by a walk of whole sequences, its segments
+by a heap-merge walk, the rows of the stream's segments as int8 arrays,
 the per-position tree DP over blocks of level sequences and the degrees
 of whole and rooted trees by bincounts (the references for the rooted
 tables' join of rows and the sweeps' join of tables), the known ratio

@@ -747,17 +747,17 @@ class TestStrideSweep:
             conjecture_scan([6, 7], workers=limit + 1)
 
 
-def per_position_chunks(rooted):
-    """(first row, root states, degree data) of each chunk of up to 8192
-    rows of each size of a RootedTables, sizes ascending, rows numbered as
-    in ``_Tables``, by the per-position DP and a bincount of the parents."""
-    start = 0
-    for k in range(1, rooted.top):
-        table = rooted.tables[k]
+def assert_joined_like_the_dp(tables):
+    """Every row's states and degree data in a ``_Tables`` built with the
+    caps equal the per-position DP and a bincount of the parents, taken
+    over 8192 rows of a size at a time."""
+    for k in range(1, tables.rooted.top):
+        table, start = tables.rooted.tables[k], tables.offsets[k]
         for lo in range(0, len(table), 8192):
             parent = level_parents(table[lo:lo + 8192])
-            yield start + lo, root_states_batch(parent), rooted_degrees(parent)
-        start += len(table)
+            at = slice(start + lo, start + lo + len(parent))
+            assert np.array_equal(tables.states[:, at], root_states_batch(parent)), (k, lo)
+            assert np.array_equal(tables.degrees[:, at], rooted_degrees(parent)), (k, lo)
 
 
 def walked(start: bytes) -> bytes:
@@ -801,11 +801,7 @@ class TestJoin:
         # every row's states and degree data, joined from two smaller rows,
         # against the per-position DP and a bincount over each rooted tree
         for top in range(2, 19):
-            tables = _Tables(top, True)
-            for start, states, degrees in per_position_chunks(tables.rooted):
-                at = slice(start, start + states.shape[1])
-                assert np.array_equal(tables.states[:, at], states), top
-                assert np.array_equal(tables.degrees[:, at], degrees), top
+            assert_joined_like_the_dp(_Tables(top, True))
 
     @pytest.mark.parametrize("row, part", [(b"\0\1\2", "first subtree"), (b"\0\1\1", "remainder")],
                              ids=["path", "star"])
@@ -836,10 +832,7 @@ class TestJoin:
         # int64
         n = scanner_module.TREE_ORDER_LIMIT
         tables = _Tables(n, True)
-        for start, states, degrees in per_position_chunks(tables.rooted):
-            at = slice(start, start + states.shape[1])
-            assert np.array_equal(tables.states[:, at], states)
-            assert np.array_equal(tables.degrees[:, at], degrees)
+        assert_joined_like_the_dp(tables)
         offsets = tables.offsets
         largest = {k: tables.states[:, offsets[k]:offsets[k + 1]].max(axis=1) for k in range(1, n)}
         products = []
