@@ -502,7 +502,7 @@ class _Tables:
             sizes = np.full(len(table), k - 1, dtype=np.int8)  # C's: up to X's second child
             for i in range(k - 1, 1, -1):
                 sizes[table[:, i] == 1] = i - 1
-            for c in np.unique(sizes).tolist():
+            for c in np.flatnonzero(np.bincount(sizes)).tolist():  # the sizes present
                 at = np.flatnonzero(sizes == c)
                 child = rows_of(table[at, 1:c + 1] - 1, k, "first subtree")
                 rest = rows_of(table[at[:, None], [0, *range(c + 1, k)]], k, "remainder")
