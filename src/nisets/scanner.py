@@ -44,6 +44,8 @@ from .trees import (
     tree_segments,
 )
 
+# the graph walk's subset tables hold sigma0 <= 2^n and S0 <= n * 2^(n-1)
+# of every induced subgraph in int32, so n * 2^(n-1) < 2^31 needs n <= 27
 GRAPH_SCAN_LIMIT = 7
 # the ratio suite scores every union of paths and cycles of each order: 15,341 at order 30
 RATIO_ORDER_LIMIT = 30
@@ -318,10 +320,37 @@ def labeled_graph_classes(n: int) -> list[tuple[Graph, int]]:
     return classes
 
 
+def _subset_scalars(graphs, n: int):
+    """(sigma0, S0) of the subgraph each vertex subset induces, for every
+    order-n graph: two (graphs, 2^n) int32 arrays indexed by vertex mask.
+
+    Built by doubling over the vertices: a subset whose top vertex is v is
+    a lower subset L with v added, and its independent sets are those of L
+    plus v joined to each of L outside N[v], which is L & ~N(v)."""
+    adj = np.array([graph.adj for graph in graphs], dtype=np.int32).reshape(len(graphs), n)
+    count = np.ones((len(graphs), 1 << n), dtype=np.int32)
+    size = np.zeros((len(graphs), 1 << n), dtype=np.int32)
+    for v in range(n):
+        low = 1 << v
+        rest = np.arange(low, dtype=np.int32) & ~adj[:, v:v + 1]
+        with_v = np.take_along_axis(count[:, :low], rest, axis=1)
+        count[:, low:2 * low] = count[:, :low] + with_v
+        size[:, low:2 * low] = (size[:, :low] + np.take_along_axis(size[:, :low], rest, axis=1)
+                                + with_v)
+    return count, size
+
+
 def _class_records(n: int, graph_filter: str):
-    """(graph, graph6, Engine, sigma1, S1) of each order-n class the filter
-    keeps, in ``labeled_graph_classes`` order: the one walk of the graph
-    population, read by ``scan_graphs`` and the graph claims alike."""
+    """(graph, graph6, counts, totals, sigma1, S1) of each order-n class the
+    filter keeps, in ``labeled_graph_classes`` order: the one walk of the
+    graph population, read by ``scan_graphs`` and the graph claims alike.
+
+    ``counts[mask]`` and ``totals[mask]`` are the sigma0 and S0 of the
+    subgraph the vertex mask induces, one row of ``_subset_scalars`` built
+    once over the kept classes.  An edge uv's one-edge sets are uv joined
+    to each independent set of V - (N(u) | N(v)), so sigma1 sums that
+    residual's sigma0 over the edges, and S1 its 2 sigma0 + S0."""
+    kept = []
     for graph, _ in labeled_graph_classes(n):
         if graph_filter == "non-edgeless" and not graph.edge_count:
             continue
@@ -331,9 +360,15 @@ def _class_records(n: int, graph_filter: str):
             s = structural_predicates(graph)
             if s.has_isolated_vertex or s.max_degree > 2:
                 continue
-        eng = Engine(graph)
-        sigma1, s1 = eng.scalars1()
-        yield graph, to_graph6(graph), eng, sigma1, s1
+        kept.append(graph)
+    count, size = _subset_scalars(kept, n)
+    for graph, count_row, size_row in zip(kept, count, size):
+        counts, totals = count_row.tolist(), size_row.tolist()
+        adj, universe = graph.adj, graph.universe
+        rests = [universe & ~(adj[u] | adj[v]) for u, v in graph.edges()]
+        sigma1 = sum(counts[m] for m in rests)
+        s1 = 2 * sigma1 + sum(totals[m] for m in rests)
+        yield graph, to_graph6(graph), counts, totals, sigma1, s1
 
 
 def scan_graphs(
@@ -346,7 +381,8 @@ def scan_graphs(
     """Exact extremal values of the objective over isomorphism classes.
 
     With the ``av1`` objective only the classes with sigma1 > 0, every graph
-    but the edgeless one, count; only ``sigma-ratio`` reads ``scalars0``.
+    but the edgeless one, count; ``sigma-ratio`` reads each record's
+    whole-graph sigma0 from its table row.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -354,9 +390,10 @@ def scan_graphs(
         raise ValueError(f"unknown graph filter {graph_filter!r}")
     records = _class_records(n, graph_filter)
     if objective == "av1":
-        entries = [(s1, sigma1, g6) for _, g6, _, sigma1, s1 in records if sigma1]
+        entries = [(s1, sigma1, g6) for _, g6, _, _, sigma1, s1 in records if sigma1]
     else:
-        entries = [(sigma1, eng.scalars0()[0], g6) for _, g6, eng, sigma1, _ in records]
+        entries = [(sigma1, counts[graph.universe], g6)
+                   for graph, g6, counts, _, sigma1, _ in records]
     return _report(f"scan-{objective}", f"graphs/{graph_filter}", n, objective,
                    _extremes(entries), witness_cap)
 
@@ -855,9 +892,10 @@ def _graph_claim_reports(n: int) -> dict:
     over the "non-edgeless" class records, keyed by claim id
     (graph-average-upper has none below its first order).
 
-    Each record's Engine serves every claim on its scalar route: per edge
-    uv, the union N(u) | N(v) comes from the adjacency masks and the
-    (sigma0, S0) of the graph left after deleting it from ``scalars0``.
+    Each record's table row serves every claim: per edge uv, the union
+    N(u) | N(v) comes from the adjacency masks, and the (sigma0, S0) of the
+    graph left after deleting it, like sigma0 of G and of each G - w, is
+    the row's entry at that vertex mask.
     The classes where "every edge's union covers all n vertices" disagrees
     with av1 = 2 close graph-average-lower's violations, in graph6 order.
     Every comparison is made in integers; a Fraction is built only for
@@ -865,15 +903,15 @@ def _graph_claim_reports(n: int) -> dict:
     av1_entries, ratio_entries = [], []
     mismatched = []
     lower, union, bracket, residual = [], [], [], []
-    for graph, g6, eng, sigma1, s1 in _class_records(n, "non-edgeless"):
-        sigma_g, _ = eng.scalars0()
+    for graph, g6, counts, totals, sigma1, s1 in _class_records(n, "non-edgeless"):
+        adj, universe = graph.adj, graph.universe
+        sigma_g = counts[universe]
         av1_entries.append((s1, sigma1, g6))
         ratio_entries.append((sigma1, sigma_g, g6))
-        adj, universe = graph.adj, graph.universe
         edges = graph.edges()
         unions = [adj[u] | adj[v] for u, v in edges]
         sizes = [mask.bit_count() for mask in unions]
-        residuals = [eng.scalars0(universe & ~mask) for mask in unions]
+        residuals = [(counts[universe & ~mask], totals[universe & ~mask]) for mask in unions]
         d1, d2 = min(sizes), max(sizes)
         if (d1 == n) != (s1 == 2 * sigma1):
             mismatched.append(g6)
@@ -904,15 +942,14 @@ def _graph_claim_reports(n: int) -> dict:
                          f"[{format_rational(min(per_edge))}, {format_rational(max(per_edge))}]",
                 expected="min edge average <= av <= max edge average",
             ))
-        # sigma0(G - w) for every vertex w on an edge
-        minus = {w: eng.scalars0(universe & ~(1 << w))[0] for w in range(n) if adj[w]}
         for (u, v), size, (sigma0, _) in zip(edges, sizes, residuals):
             # the residual ratio sigma0/sigma_g lies between 1/lower_den, where
             # lower_den = 2^(l-2) + 2^(l-|N[u]|) + 2^(l-|N[v]|) + 1, and 1 - s0(G - w)/sigma_g
             # for each endpoint w; l >= |N[u]|, |N[v]| >= 2 keeps every exponent >= 0
             closed = (2, graph.degree(u) + 1, graph.degree(v) + 1)
             lower_den = sum(1 << (size - c) for c in closed) + 1
-            if not sigma_g <= sigma0 * lower_den or sigma0 + max(minus[u], minus[v]) > sigma_g:
+            minus = max(counts[universe ^ 1 << u], counts[universe ^ 1 << v])
+            if not sigma_g <= sigma0 * lower_den or sigma0 + minus > sigma_g:
                 residual.append(Violation(
                     g6, "per-edge residual independent-set count sandwich",
                     observed=f"edge ({u},{v}) ratio {format_rational(sigma0, sigma_g)}",

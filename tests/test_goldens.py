@@ -16,6 +16,9 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 TREE_SWEEP = "0df32eed34562777e8aab7e9d6df96f7eaf73d930d3bac8af3234db23fe687c6"
 TOP_40 = "9e1b9f91b4fb9d158388cb924154205282152041675a87b492ca5475f70bb281"
 SPOT_CHECKED_SCAN = "117d43faeb965b0e291f92c3741a78f9d6ce596adcdadf97a4aa9d0ad01c92bf"
+# every graph claim to order 7 with full witness lists, so a change in tie
+# order past the default cap of 100 witnesses shows
+GRAPH_CLAIMS = "449e91bdfa5e4bf00b749b0e658604e576da3e39aa30e26defc1212eb26af2aa"
 GOLDENS = [
     (("verify",), "474ebb740581bb186cb5fe99b6d376b93ad9601047fb775b10ee893a02f97f01"),
     (("conjecture", "--orders", "4:17"), TREE_SWEEP),
@@ -44,6 +47,9 @@ GOLDENS = [
       "tree-average-lower,tree-average-band,tree-average-cap,internal-degree-cap",
       "--max-tree-order", "12", "--spot-check-rate", "1"),
      "c6919ae56a6c612da557cfe6e98e4d99158facdd758b93af7012033a4dcfef0a"),
+    (("verify", "--claims", "graph-average-lower,graph-average-upper,union-size-sandwich,"
+      "edge-average-bracket,residual-count-sandwich", "--max-graph-order", "7",
+      "--witness-cap", "-1"), GRAPH_CLAIMS),
 ]
 
 # the SHA-256 of the graph6 file ``trees --order n`` writes, one free tree a line

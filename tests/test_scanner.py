@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nisets.scanner as scanner_module
 from crosschecks import (
@@ -53,6 +55,7 @@ from nisets.scanner import (
     _graph_claim_reports,
     _orbit_tables,
     _score_run,
+    _subset_scalars,
     _Tables,
     conjecture_scan,
     has_inequality_violations,
@@ -1135,28 +1138,27 @@ GRAPH_CLAIMS = ["graph-average-lower", "graph-average-upper", "union-size-sandwi
                 "edge-average-bracket", "residual-count-sandwich"]
 
 
-class TamperedEngine(Engine):
-    """An Engine whose whole-graph scalars are replaced for chosen graphs:
-    ``replaced[(level, graph6)]`` is the (count, size-sum) its
-    ``scalars0()`` (level 0) or ``scalars1()`` (level 1) returns.  Every
-    proper vertex subset keeps its true values."""
-
-    replaced: dict = {}
-
-    def scalars0(self, mask=None):
-        return self._replaced(0, mask) or super().scalars0(mask)
-
-    def scalars1(self, mask=None):
-        return self._replaced(1, mask) or super().scalars1(mask)
-
-    def _replaced(self, level, mask):
-        return None if mask is not None else self.replaced.get((level, to_graph6(self.graph)))
-
-
 def tamper(monkeypatch, replaced):
-    """Let the scanner build TamperedEngines with these replacements."""
-    monkeypatch.setattr(TamperedEngine, "replaced", replaced)
-    monkeypatch.setattr(scanner_module, "Engine", TamperedEngine)
+    """Plant whole-graph scalars in the graph walk for chosen graphs:
+    ``replaced[(level, graph6)]`` is the (count, size-sum) that the
+    graph's table row holds at its full vertex mask (level 0), or that its
+    record carries as (sigma1, S1) (level 1).  Every proper vertex subset
+    keeps its true values."""
+    subset_scalars, class_records = scanner_module._subset_scalars, scanner_module._class_records
+
+    def planted_tables(graphs, n):
+        count, size = subset_scalars(graphs, n)
+        for row, graph in enumerate(graphs):
+            if (0, to_graph6(graph)) in replaced:
+                count[row, -1], size[row, -1] = replaced[0, to_graph6(graph)]
+        return count, size
+
+    def planted_records(n, graph_filter):
+        for graph, g6, counts, totals, sigma1, s1 in class_records(n, graph_filter):
+            yield (graph, g6, counts, totals, *replaced.get((1, g6), (sigma1, s1)))
+
+    monkeypatch.setattr(scanner_module, "_subset_scalars", planted_tables)
+    monkeypatch.setattr(scanner_module, "_class_records", planted_records)
 
 
 @pytest.fixture
@@ -1170,6 +1172,61 @@ def built_engines(monkeypatch):
 
     monkeypatch.setattr(scanner_module, "Engine", counting_engine)
     return built
+
+
+@pytest.fixture
+def built_tables(monkeypatch):
+    """The graphs of every subset table the scanner builds during the test,
+    one list per table."""
+    built = []
+    subset_scalars = scanner_module._subset_scalars
+
+    def counting_tables(graphs, n):
+        built.append(list(graphs))
+        return subset_scalars(graphs, n)
+
+    monkeypatch.setattr(scanner_module, "_subset_scalars", counting_tables)
+    return built
+
+
+def engine_subset_scalars(graph):
+    """The general Engine's (sigma0, S0) at every vertex mask of the graph."""
+    eng = Engine(graph)
+    return [eng.scalars0(mask) for mask in range(1 << graph.n)]
+
+
+class TestSubsetScalars:
+    @pytest.mark.parametrize("n", range(1, GRAPH_SCAN_LIMIT + 1))
+    def test_every_mask_of_every_class_matches_the_engine(self, n):
+        records = list(scanner_module._class_records(n, "all"))
+        assert [r[0] for r in records] == [g for g, _ in labeled_graph_classes(n)]
+        for graph, g6, counts, totals, sigma1, s1 in records:
+            assert list(zip(counts, totals)) == engine_subset_scalars(graph), g6
+            eng = Engine(graph)
+            by_edges = eng.i1_by_edges()
+            assert (sigma1, s1) == eng.scalars1() == (
+                sum(by_edges), sum(k * c for k, c in enumerate(by_edges))), g6
+
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, (1 << n * (n - 1) // 2) - 1), min_size=1,
+                             max_size=3))))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_engine_on_random_graphs(self, drawn):
+        n, masks = drawn
+        graphs = [graph_from_pair_mask(n, mask) for mask in masks]
+        count, size = _subset_scalars(graphs, n)
+        for graph, count_row, size_row in zip(graphs, count.tolist(), size.tolist()):
+            assert list(zip(count_row, size_row)) == engine_subset_scalars(graph)
+
+    def test_int32_holds_every_subset_up_to_the_limit(self):
+        # an order-n table holds sigma0 <= 2^n and S0 <= n * 2^(n-1), both
+        # reached by the edgeless graph, so its dtype must hold the limit's
+        # S0 bound
+        (count,), (size,) = _subset_scalars([graph_from_pair_mask(5, 0)], 5)
+        assert count.dtype == size.dtype
+        assert (count.max(), size.max()) == (2 ** 5, 5 * 2 ** 4)
+        n = GRAPH_SCAN_LIMIT
+        assert 2 ** n <= n * 2 ** (n - 1) <= np.iinfo(count.dtype).max
 
 
 class TestGraphClaimPass:
@@ -1258,15 +1315,22 @@ class TestGraphClaimPass:
         Engine(from_graph6("Bw")).i1()
         assert calls["_i0"] and calls["_i1"]
 
-    def test_one_engine_per_non_edgeless_class(self, built_engines):
+    def test_one_engine_per_non_edgeless_class(self, built_engines, built_tables):
+        # the walk builds no Engine, and one subset table over the kept classes
         graphs = [g for g, _ in labeled_graph_classes(6)]
         assert set(_graph_claim_reports(6)) == set(GRAPH_CLAIMS)
-        assert built_engines == [g for g in graphs if g.edge_count]
+        assert built_engines == []
+        assert built_tables == [[g for g in graphs if g.edge_count]]
 
-    def test_graph_suite_builds_one_engine_per_non_edgeless_class(self, built_engines):
+    def test_graph_suite_builds_one_engine_per_non_edgeless_class(self, built_engines,
+                                                                  built_tables):
+        # one subset table per order, over exactly its non-edgeless classes
         verify_claims(claims=GRAPH_CLAIMS, max_graph_order=6)
+        assert built_engines == []
+        assert built_tables == [[g for g, _ in labeled_graph_classes(n) if g.edge_count]
+                                for n in range(2, 7)]
         classes = sum(1 for n in range(2, 7) for g, _ in labeled_graph_classes(n) if g.edge_count)
-        assert len(built_engines) == classes == 202
+        assert sum(map(len, built_tables)) == classes == 202
 
     def test_claim_sides_are_the_non_edgeless_scans(self):
         # the scan and the claims read the same class records, so each
@@ -1282,7 +1346,8 @@ class TestGraphClaimPass:
                     scan.min_value, scan.max_value, list(scan.min_witnesses),
                     list(scan.max_witnesses), scan.min_count, scan.max_count], (n, claim_id)
 
-    def test_av1_graph_scan_reads_no_level_zero_scalars(self, monkeypatch):
+    def test_av1_graph_scan_reads_no_level_zero_scalars(self, monkeypatch, built_engines,
+                                                        built_tables):
         calls = Counter()
         scalars0 = Engine.scalars0
 
@@ -1293,9 +1358,17 @@ class TestGraphClaimPass:
         monkeypatch.setattr(Engine, "scalars0", counted)
         scan_graphs(7)
         assert calls == {}
-        # the counter sees the sigma-ratio scan's one read per class
+        assert built_engines == []
+        assert built_tables == [[g for g, _ in labeled_graph_classes(7)]]
+        # the sigma-ratio scan reads its one table too, built over its 4 classes
         scan_graphs(3, "all", "sigma-ratio")
-        assert calls == {"scalars0": 4}
+        assert calls == {}
+        assert built_engines == []
+        assert built_tables[1:] == [[g for g, _ in labeled_graph_classes(3)]]
+        assert len(built_tables[1]) == 4
+        # the counter sees level-zero reads when they run
+        Engine(from_graph6("Bw")).scalars0()
+        assert calls == {"scalars0": 1}
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_upper_claim_names_the_single_edge(self, monkeypatch, n):
