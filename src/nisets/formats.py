@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import MAX_VERTICES, Graph, build_graph
+from .graphs import MAX_VERTICES, Graph, build_graph, graph_from_pair_mask
 
 GRAPH6_ORDER_LIMIT = 62
 
@@ -74,27 +74,21 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def to_graph6(g: Graph) -> str:
-    """Header-less graph6 encoding, single-byte order (n <= 62)."""
+    """Header-less graph6 encoding, single-byte order (n <= 62): the order
+    byte, then one bit per vertex pair (i, j), i < j, in colex order
+    (``graphs.all_pairs``), cut six bits to a character, zero-padded."""
     n = g.n
     if n > GRAPH6_ORDER_LIMIT:
         raise ValueError(f"graph6 writing limited to {GRAPH6_ORDER_LIMIT} vertices")
-    bits = []
-    for j in range(1, n):
-        col = g.adj[j]
-        bits.extend((col >> i) & 1 for i in range(j))
-    chars = [chr(n + 63)]
-    for k in range(0, len(bits), 6):
-        group = bits[k : k + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return "".join(chars)
+    # column j's pairs (0, j) .. (j - 1, j) are bits 0 .. j - 1 of adj[j]
+    bits = "".join(f"{g.adj[j] & (1 << j) - 1:0{j}b}"[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return chr(n + 63) + "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
 
 
 def from_graph6(s: str) -> Graph:
-    """Decode a header-less graph6 string (n <= 62)."""
+    """Decode a header-less graph6 string (n <= 62): its data bits are the
+    pair mask of ``graphs.graph_from_pair_mask``, first pair lowest."""
     s = s.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
@@ -109,19 +103,12 @@ def from_graph6(s: str) -> Graph:
         raise ValueError(
             f"graph6 string for order {n} needs {expect_chars} data characters, got {len(s) - 1}"
         )
-    bits = []
+    bits = ""
     for ch in s[1:]:
         val = ord(ch) - 63
         if not 0 <= val < 64:
             raise ValueError(f"invalid graph6 character {ch!r}")
-        bits.extend((val >> (5 - k)) & 1 for k in range(6))
-    if any(bits[need:]):
+        bits += f"{val:06b}"
+    if "1" in bits[need:]:
         raise ValueError("nonzero padding bits in graph6 string")
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                edges.append((i, j))
-            pos += 1
-    return build_graph(n, edges)
+    return graph_from_pair_mask(n, int("0" + bits[:need][::-1], 2))

@@ -407,7 +407,7 @@ def _spot_check(levels, row) -> None:
     eng = Engine(graph)
     routes = (("tree DP", row[:2], row[2:]), ("engine", eng.scalars0(), eng.scalars1()))
     # one table serves both levels; the padding is level 1 of a one-vertex tree
-    wants = [(p.sigma, p.total) for p in oracle_profiles(graph)] + [(0, 0)]
+    wants = [(p.sigma, p.total) for p in oracle_profiles(graph)[:2]] + [(0, 0)]
     for level in (0, 1):
         for name, *by_level in routes:
             if by_level[level] != wants[level]:
@@ -498,8 +498,8 @@ class _Tables:
     first child subtree C, of size c, joined one level down to the root of
     its remainder R' (the root with X's other children), so X's states and
     degrees are R''s and C's joined.  ``searchsorted`` over each size's
-    rows, read as ascending 'S' bytes as in ``tree_segments``, finds the
-    rows of C and R', and a lookup that lands on an unequal row raises
+    rows, a reversed, so ascending, 'S' view as in ``tree_segments``, finds
+    the rows of C and R', and a lookup that lands on an unequal row raises
     RouteDisagreement.  None does: the rows of size j are every rooted tree
     of size j when j <= top/2, else those whose children are all at most
     the path on top - j vertices, so at most top - j - 2 high or that path
@@ -520,21 +520,19 @@ class _Tables:
         if caps:
             self.degrees = np.empty((3, self.offsets[-1]), dtype=np.int8)
             self.degrees[:, 0] = (1, TREE_ORDER_LIMIT, 1)  # one vertex, nothing below it
-        ascending = {}
 
         def rows_of(keys, k, part):
             """The rows of the trees spelled by a (B, j) int8 array, each
             the ``part`` of a row of size k."""
             j = keys.shape[1]
-            keys = keys.view(f"S{j}")[:, 0]
-            found = np.minimum(np.searchsorted(ascending[j], keys), len(ascending[j]) - 1)
-            if (ascending[j][found] != keys).any():
+            rows, keys = tables[j].view(f"S{j}")[::-1, 0], keys.view(f"S{j}")[:, 0]
+            found = np.minimum(np.searchsorted(rows, keys), len(rows) - 1)
+            if (rows[found] != keys).any():
                 raise RouteDisagreement(f"a {part} of size {j} of a size-{k} rooted row "
                                         f"is not a row of the tables")
-            return self.offsets[j] + len(ascending[j]) - 1 - found
+            return self.offsets[j] + len(rows) - 1 - found
 
         for k in range(2, top):
-            ascending[k - 1] = np.ascontiguousarray(tables[k - 1].view(f"S{k - 1}")[::-1, 0])
             table = tables[k]
             sizes = np.full(len(table), k - 1, dtype=np.int8)  # C's: up to X's second child
             for i in range(k - 1, 1, -1):

@@ -155,15 +155,15 @@ def tree_segments(tables: RootedTables, n: int) -> np.ndarray:
     along a rooted stream, so from the first rest whose first child is at
     most T come the rests taller than T, then those as tall, then the
     shorter.  One ``searchsorted`` per size finds its ranges in the rows
-    read as ascending 'S' bytes, which ignore trailing NULs (safe: only a
-    row's first byte, the root, is 0), and one stable sort of the first
-    subtrees, decreasing, merges the sizes in stream order."""
+    read in place, reversed, as ascending 'S' bytes, which ignore trailing
+    NULs (safe: only a row's first byte, the root, is 0), and one stable
+    sort of the first subtrees, decreasing, merges the sizes in stream order."""
     if not 2 <= n <= tables.top:
         raise ValueError(f"tables for order {tables.top} serve orders 2..{tables.top}, not {n}")
     segments = []
     for s in range(1, max(n - 1, 2)):  # the first subtree sizes (1 at order 2, the edge)
         m = n - s
-        rests = np.ascontiguousarray(tables.tables[m].view(f"S{m}")[::-1, 0])
+        rests = tables.tables[m].view(f"S{m}")[::-1, 0]  # ascending, not copied
         rest = _rest_start(n, s)  # the order-n rests are the suffix from it
         start = len(rests) - np.searchsorted(rests, rest) - 1
         if tables.rows[m][start * m:start * m + m] != rest:

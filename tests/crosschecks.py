@@ -9,8 +9,9 @@ by a heap-merge walk, the rows of the stream's segments as int8 arrays,
 the per-position tree DP over blocks of level sequences and the degrees
 of whole and rooted trees by bincounts (the references for the rooted
 tables' join of rows and the sweeps' join of tables), the known ratio
-table of small paths and cycles, and a plain loop over the subsets for one
-level of the subset oracle."""
+table of small paths and cycles, a plain loop over the subsets for one
+level of the subset oracle, and graph6 coded bit by bit (the reference
+for ``formats``' pair-mask coder)."""
 
 import heapq
 from bisect import bisect_left
@@ -22,7 +23,8 @@ import numpy as np
 
 from nisets.engine import Engine, _join_child
 from nisets.families import FamilySpec, build
-from nisets.graphs import Graph, all_pairs, graph_from_pair_mask, iter_bits
+from nisets.formats import GRAPH6_ORDER_LIMIT
+from nisets.graphs import Graph, all_pairs, build_graph, graph_from_pair_mask, iter_bits
 from nisets.trees import (
     TREE_ORDER_LIMIT,
     RootedTables,
@@ -434,3 +436,60 @@ def profile_loop(g: Graph, level: int) -> list[int]:
             counts[s.bit_count()] += 1
     return counts
 
+
+
+def reference_to_graph6(g: Graph) -> str:
+    """Header-less graph6 by a loop over the pairs and one over each
+    six-bit group; the reference for ``formats.to_graph6``."""
+    n = g.n
+    if n > GRAPH6_ORDER_LIMIT:
+        raise ValueError(f"graph6 writing limited to {GRAPH6_ORDER_LIMIT} vertices")
+    bits = []
+    for j in range(1, n):
+        col = g.adj[j]
+        bits.extend((col >> i) & 1 for i in range(j))
+    chars = [chr(n + 63)]
+    for k in range(0, len(bits), 6):
+        group = bits[k : k + 6]
+        group += [0] * (6 - len(group))
+        val = 0
+        for b in group:
+            val = (val << 1) | b
+        chars.append(chr(val + 63))
+    return "".join(chars)
+
+
+def reference_from_graph6(s: str) -> Graph:
+    """A header-less graph6 string decoded bit by bit into an edge list,
+    with ``formats.from_graph6``'s checks and messages in its order; the
+    reference for it."""
+    s = s.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    if not s:
+        raise ValueError("empty graph6 string")
+    n = ord(s[0]) - 63
+    if not 0 <= n <= GRAPH6_ORDER_LIMIT:
+        raise ValueError(f"graph6 order byte {s[0]!r} outside 0..{GRAPH6_ORDER_LIMIT}")
+    need = n * (n - 1) // 2
+    expect_chars = (need + 5) // 6
+    if len(s) - 1 != expect_chars:
+        raise ValueError(
+            f"graph6 string for order {n} needs {expect_chars} data characters, got {len(s) - 1}"
+        )
+    bits = []
+    for ch in s[1:]:
+        val = ord(ch) - 63
+        if not 0 <= val < 64:
+            raise ValueError(f"invalid graph6 character {ch!r}")
+        bits.extend((val >> (5 - k)) & 1 for k in range(6))
+    if any(bits[need:]):
+        raise ValueError("nonzero padding bits in graph6 string")
+    edges = []
+    pos = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[pos]:
+                edges.append((i, j))
+            pos += 1
+    return build_graph(n, edges)

@@ -13,7 +13,9 @@ from nisets.formats import (
     parse_edge_list,
     to_graph6,
 )
+from crosschecks import reference_from_graph6, reference_to_graph6
 from nisets.graphs import build_graph, graph_from_pair_mask
+from nisets.scanner import labeled_graph_classes
 
 
 @st.composite
@@ -53,6 +55,40 @@ def test_graph6_round_trip_random():
 @settings(max_examples=200, deadline=None)
 def test_graph6_round_trip_property(g):
     assert from_graph6(to_graph6(g)) == g
+
+
+def test_graph6_equals_the_bitwise_reference():
+    # every labelled graph of orders 0-5 and every order-7 class: the pair
+    # mask coder writes the reference's string and reads it back
+    labelled = (graph_from_pair_mask(n, mask) for n in range(6)
+                for mask in range(1 << n * (n - 1) // 2))
+    classes = (g for g, _ in labeled_graph_classes(7))
+    for g in (*labelled, *classes):
+        text = to_graph6(g)
+        assert text == reference_to_graph6(g)
+        assert from_graph6(text) == g == reference_from_graph6(text)
+
+
+def decoded(decoder, text):
+    """The decoder's graph, or its exception's type and message."""
+    try:
+        return decoder(text)
+    except Exception as err:  # compared, not swallowed
+        return type(err), str(err)
+
+
+@st.composite
+def graph6_like(draw):
+    text = draw(st.text(st.characters(min_codepoint=0, max_codepoint=199), max_size=6))
+    if text and draw(st.booleans()):  # a valid order byte first
+        text = chr(63 + draw(st.integers(0, GRAPH6_ORDER_LIMIT))) + text[1:]
+    return text
+
+
+@given(graph6_like())
+@settings(max_examples=500, deadline=None)
+def test_graph6_reader_fails_as_the_reference(text):
+    assert decoded(from_graph6, text) == decoded(reference_from_graph6, text)
 
 
 def test_graph6_order_limit():

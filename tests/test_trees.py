@@ -116,6 +116,27 @@ def test_segments_equal_the_heap_merge_walk():
     assert np.argsort(np.array([b"\0\1\2", b"\0", b"\0\1"], dtype="S3")).tolist() == [1, 2, 0]
 
 
+@pytest.mark.parametrize("top", [18, 24])
+def test_searches_over_reversed_rows_equal_those_over_a_copy(top):
+    # tree_segments and _Tables search each size's rows through a reversed,
+    # strided 'S' view; at every size, the rows themselves and the keys
+    # tree_segments builds, the root, T + 1 and a level-2 vertex, must land
+    # where they land in the view's contiguous copy
+    tables = RootedTables(top)
+    for m, table in tables.tables.items():
+        rows = table.view(f"S{m}")[::-1, 0]
+        copy = np.ascontiguousarray(rows)
+        assert len(rows) == 1 or not rows.flags.c_contiguous, m
+        keys = [table.view(f"S{m}")[:, 0]]
+        if top - m in tables.tables:
+            first, s = tables.tables[top - m], top - m
+            key = np.full((len(first), s + 2), 2, dtype=np.int8)
+            key[:, 0], key[:, 1:-1] = 0, first + 1
+            keys.append(key.view(f"S{s + 2}")[:, 0])
+        for key in keys:
+            assert np.array_equal(np.searchsorted(rows, key), np.searchsorted(copy, key)), m
+
+
 @pytest.mark.parametrize("block", [1, 7, 1024])
 def test_block_size_does_not_change_the_stream(monkeypatch, block):
     # the sweeps' cutter at blocks of ``block`` trees: each run spells
