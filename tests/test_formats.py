@@ -1,4 +1,5 @@
-"""Edge-list and graph6 round trips, plus parse-error positions."""
+"""Edge-list and graph6 round trips, parse-error positions, and the graph6
+coder against its bit-by-bit reference."""
 
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosschecks import reference_from_graph6, reference_to_graph6
 from nisets.formats import (
     GRAPH6_ORDER_LIMIT,
     FormatError,
@@ -13,7 +15,6 @@ from nisets.formats import (
     parse_edge_list,
     to_graph6,
 )
-from crosschecks import reference_from_graph6, reference_to_graph6
 from nisets.graphs import build_graph, graph_from_pair_mask
 from nisets.scanner import labeled_graph_classes
 
