@@ -54,8 +54,7 @@ SPOT_CHECK_SEED = 2024
 # trees per slice of a sweep's joins and folds
 _BLOCK = 1024
 # blocks per task of a tree sweep; shorter runs balance the load more
-# finely, but each task's max side starts empty and encodes the best trees
-# it meets
+# finely, longer ones send fewer tasks
 _RUN_BLOCKS = 16
 # the most pool processes a sweep opens
 WORKER_LIMIT = 64
@@ -149,10 +148,10 @@ class _Side:
     """The min (``smaller``) or max side of a stream of values num/den with
     positive denominators: its best values, best first, each an unreduced
     [num, den, codes] list compared by cross-multiplication, whose codes
-    are the graph6 of the entries that reach it, in stream order.  The side
-    keeps the fewest values that hold ``keep`` entries, so every tie of the
-    last one stays.  ``value`` and ``codes`` are the extreme's; an empty side has
-    value None and no codes."""
+    key the entries that reach it, in stream order: graph6, or a tree
+    sweep's row keys (``_Tables``).  The side keeps the fewest values that
+    hold ``keep`` entries, so every tie of the last one stays.  ``value`` and
+    ``codes`` are the extreme's; an empty side has value None and no codes."""
 
     __slots__ = ("smaller", "keep", "values")
 
@@ -193,16 +192,15 @@ class _Side:
                 del values[k + 1:]
                 return
 
-    def fold(self, num, den, code) -> None:
-        """Take one block of int64 values num/den, where ``code(i)`` is the
-        graph6 of entry i.
+    def fold(self, num, den, keys) -> None:
+        """Take one block of int64 values num/den, where ``keys[i]`` is the
+        key of entry i.
 
         Each round drops the entries that the last kept value beats, once
         the side is full; the rest meet in an exact tournament of
         cross-multiplications, and the entries tied with its winner are
-        offered together.  So only entries that reach the side are encoded,
-        each value's codes arrive in stream order, and the side does not
-        depend on where blocks start."""
+        offered together.  So each value's keys arrive in stream order, and
+        the side does not depend on where blocks start."""
         contenders = np.arange(len(num))
         while contenders.size:
             if self._full():
@@ -219,7 +217,7 @@ class _Side:
                 alive = np.concatenate((winners, alive[2 * half:]))
             best_num, best_den = int(num[alive[0]]), int(den[alive[0]])
             tied = num[contenders] * best_den == best_num * den[contenders]
-            self.offer(best_num, best_den, [code(i) for i in contenders[tied]])
+            self.offer(best_num, best_den, keys[contenders[tied]].tolist())
             contenders = contenders[~tied]
 
     def merge(self, other: _Side) -> None:
@@ -508,7 +506,9 @@ class _Tables:
     Else k > top/2 as well, and X's children meet X's bound, which is
     tighter than any smaller size's: R''s children are X's, and C is not
     the path on top - k < top/2 vertices, so it is at most top - k - 2
-    high and its children at most top - c - 2."""
+    high and its children at most top - c - 2.  A sweep names each tree by
+    its key (``keys``), rest·R + first for its two rows with R =
+    ``offsets[-1]``, below R^2 < 2^41 at ``TREE_ORDER_LIMIT``."""
 
     def __init__(self, top: int, caps: bool):
         self.rooted = RootedTables(top)
@@ -549,17 +549,23 @@ class _Tables:
 
     def rows(self, n: int, segments):
         """The rest's row and the first subtree's row of each tree of
-        order-n segments (rows of ``tree_segments``), in stream order, and
-        a function giving tree i's level sequence."""
+        order-n segments (rows of ``tree_segments``), in stream order."""
         s, t, a, b = np.asarray(segments).T
         counts = b - a
-        sizes, firsts = np.repeat(s, counts), np.repeat(t, counts)
-        rests = np.arange(counts.sum()) + np.repeat(a + counts - np.cumsum(counts), counts)
+        shift = np.repeat(self.offsets[n - s] + a + counts - np.cumsum(counts), counts)
+        return np.arange(counts.sum()) + shift, np.repeat(self.offsets[s] + t, counts)
 
-        def levels(i):
-            return self.rooted.joined(n, int(sizes[i]), int(firsts[i]), int(rests[i]))
+    def keys(self, rest, first):
+        """The keys of the trees of these rows, which ``levels`` spells."""
+        return rest * self.offsets[-1] + first
 
-        return self.offsets[n - sizes] + rests, self.offsets[sizes] + firsts, levels
+    def levels(self, key) -> list[int]:
+        """The level sequence of the tree a key names: its rest's root, its
+        first subtree one level down, then the rest's other vertices."""
+        rows = divmod(int(key), int(self.offsets[-1]))
+        sizes = (np.searchsorted(self.offsets, rows, "right") - 1).tolist()
+        rest, first = (self.rooted.tables[k][i - self.offsets[k]] for i, k in zip(rows, sizes))
+        return [0, *(first + 1).tolist(), *rest[1:].tolist()]
 
     def scalars(self, rest, first):
         """(sigma0, S0, sigma1, S1) of the trees of these rows."""
@@ -601,32 +607,29 @@ def _score_run(tables, payload):
 
     The run's rows are expanded once, then joined and scored ``_BLOCK``
     trees at a time.  Values stay unreduced int64 pairs compared by
-    cross-multiplication; a tree's level sequence and graph6 code are built
-    only for a tree that is spot-checked, reaches a side or breaks a cap,
-    so witness lists and tie order are those of an eager fold."""
+    cross-multiplication, and the sides hold keys (``_Tables``), so witness
+    lists and tie order are those of an eager fold; a tree is spelled only
+    for a spot check, and encoded only when it breaks a cap."""
     n, objective, top_k, spots, caps, first, segments = payload
     cap = 4 + max(n - 3, 0)  # twice the tree cap 2 + max(n-3, 0)/2
     cap_text = format_rational(cap, 2)
     claimed_equality = n in (2, 3, 4)  # stated for the paths of these orders
     found = _Sweep(top_k)
-    rests, subtrees, levels = tables.rows(n, segments)
+    rests, subtrees = tables.rows(n, segments)
     for lo in range(0, len(rests), _BLOCK):
         rest, subtree = rests[lo:lo + _BLOCK], subtrees[lo:lo + _BLOCK]
+        key = tables.keys(rest, subtree)
         values = tables.scalars(rest, subtree)
-
-        def code(i):
-            return to_graph6(levels_to_graph(levels(lo + i)))
-
         picks = spots.picks(np.arange(first + lo, first + lo + len(rest)))
         for i in picks:
-            _spot_check(levels(lo + i), tuple(int(v[i]) for v in values))
+            _spot_check(tables.levels(key[i]), tuple(int(v[i]) for v in values))
         found.checked += len(picks)
         # sweeps start at order 2, where every tree has an edge, so both
         # denominators are positive
         sig0, _, sig1, tot1 = values
         num, den = (tot1, sig1) if objective == "av1" else (sig1, sig0)
-        found.lo.fold(num, den, code)
-        found.hi.fold(num, den, code)
+        found.lo.fold(num, den, key)
+        found.hi.fold(num, den, key)
         found.count += len(num)
         if not caps:
             continue
@@ -635,7 +638,7 @@ def _score_run(tables, payload):
         off_equality = claimed_equality & (max_degree <= 2) & (2 * num != cap * den)
         over_internal = (internal > 0) & (2 * num > (n - internal + 3) * den)
         for i in np.flatnonzero(over_cap | off_equality | over_internal):
-            g6 = code(i)
+            g6 = to_graph6(levels_to_graph(tables.levels(key[i])))
             observed = format_rational(int(num[i]), int(den[i]))
             if over_cap[i]:
                 found.cap_violations.append(Violation(
@@ -704,7 +707,8 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
     spot-checks the order's sampled trees in it as it goes; the tasks, and
     so the trees checked, are the same at every worker count.  Results are
     merged in task order, which is stream order.  Every order's tree count
-    must equal ``count_free_trees``, or RouteDisagreement is raised."""
+    must equal ``count_free_trees``, or RouteDisagreement is raised.  Only
+    then is each key the merged sides keep encoded, once."""
     samples = [_spot_sample(n, spot_check_rate) for n in orders]
     if workers < 1:
         raise ValueError("worker count must be at least 1")
@@ -723,6 +727,9 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
         if sweep.count != count_free_trees(n):
             raise RouteDisagreement(f"the order-{n} stream held {sweep.count} trees, but the "
                                     f"counting recurrence gives {count_free_trees(n)}")
+        for side in (sweep.lo, sweep.hi):
+            for value in side.values:
+                value[2] = [to_graph6(levels_to_graph(tables.levels(key))) for key in value[2]]
     return sweeps
 
 

@@ -130,14 +130,6 @@ class RootedTables:
             heights = self.tables[k].max(axis=1)  # never rising along the rows
             self.at_most[k] = np.searchsorted(-heights, -np.arange(k + 1)).tolist() + [len(heights)]
 
-    def joined(self, n: int, s: int, t: int, r: int) -> list[int]:
-        """The level sequence of the order-n tree made of row r of size
-        n - s with row t of size s, one level down, as its root's first
-        subtree."""
-        m = n - s
-        first, rest = self.rows[s][t * s:t * s + s], self.rows[m][r * m:r * m + m]
-        return list(b"\0" + first.translate(_PLUS_ONE) + rest[1:])
-
 
 def tree_segments(tables: RootedTables, n: int) -> np.ndarray:
     """The free trees of order n, in stream order, as an (S, 4) int32 array
@@ -202,7 +194,7 @@ def tree_segments(tables: RootedTables, n: int) -> np.ndarray:
 def _stream(n: int):
     """The level sequences of the free trees of order n, in stream order,
     as lists: the trees of ``tree_segments`` over the order's own tables,
-    each segment's root and first subtree spelled once (``joined``)."""
+    each segment's root and first subtree spelled once."""
     _check_order(n)
     if n == 1:
         yield [0]

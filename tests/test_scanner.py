@@ -285,6 +285,14 @@ def valued_like(values, levels):
     return np.logical_and.reduce([got == want for got, want in zip(values, tree_scalars(levels))])
 
 
+def spelled(tables, side):
+    """A tree sweep's side with each row key replaced by the graph6 of the
+    tree it names, as ``_tree_sweeps`` does after the merge."""
+    for value in side.values:
+        value[2] = [to_graph6(levels_to_graph(tables.levels(key))) for key in value[2]]
+    return side
+
+
 def preorder_depths(graph, root):
     depths = []
     stack = [(root, -1, 0)]
@@ -334,7 +342,8 @@ class TestLazyTreeFold:
         tables = _Tables(8, False)
         trees = [(s, t, r, r + 1) for s, t, a, b in tree_segments(tables.rooted, 8)
                  for r in range(a, b) for _ in range(2)]
-        graphs = [levels_to_graph(tables.rooted.joined(8, s, t, r)) for s, t, r, _ in trees]
+        rest, first = tables.rows(8, trees)
+        graphs = [levels_to_graph(tables.levels(key)) for key in tables.keys(rest, first)]
         no_spots = scanner_module._spot_sample(8, 0.0)
         for top_k in (0, 1, 2, 3, 5, 8):
             want = eager_fold(graphs, objective, top_k)
@@ -343,6 +352,9 @@ class TestLazyTreeFold:
                 found = _score_run(tables, (8, objective, top_k, no_spots, False, 0, trees))
                 assert found.count == len(trees) == 46
                 for side, key in ((found.lo, "min"), (found.hi, "max")):
+                    # a task's sides hold the trees' row keys, as ints
+                    assert all(type(code) is int for code in side.codes)
+                    spelled(tables, side)
                     assert (side.value, sorted(side.codes)) == want[key], block
                     assert len(side.codes) >= 2
                 assert found.hi.ranked()[:top_k] == want["top"], block
@@ -358,6 +370,7 @@ class TestLazyTreeFold:
             levels += [seq.levels, preorder_depths(seq.to_graph(), 7)]
         rows = np.array(levels, dtype=np.int8)
         codes = [to_graph6(levels_to_graph(lv)) for lv in levels]
+        keys = np.array(codes, dtype=object)
         sig0, _, sig1, tot1 = tree_scalars_batch(level_parents(rows))
         num, den = (tot1, sig1) if objective == "av1" else (sig1, sig0)
         for top_k in (0, 1, 2, 3, 5, 8):
@@ -367,7 +380,7 @@ class TestLazyTreeFold:
                 for start in range(0, len(rows), block):
                     at = slice(start, start + block)
                     for side in (found.lo, found.hi):
-                        side.fold(num[at], den[at], lambda i, start=start: codes[start + i])
+                        side.fold(num[at], den[at], keys[at])
                 for side, key in ((found.lo, "min"), (found.hi, "max")):
                     assert (side.value, sorted(side.codes)) == want[key], block
                     # each tied entry keeps its own code, in stream order
@@ -427,10 +440,11 @@ def sides(keep):
 
 def folded(num, den, codes, block, keep=1):
     lo, hi = sides(keep)
+    keys = np.array(codes, dtype=object)
     for start in range(0, len(num), block):
         stop = start + block
         for side in (lo, hi):
-            side.fold(num[start:stop], den[start:stop], lambda i, start=start: codes[start + i])
+            side.fold(num[start:stop], den[start:stop], keys[start:stop])
     return lo, hi
 
 
@@ -708,6 +722,25 @@ class TestStrideSweep:
         with pytest.raises(AssertionError, match="checks no cap"):
             verify_claims(claims=["tree-average-cap"], max_tree_order=9)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_sweep_encodes_only_the_codes_its_sides_keep(self, monkeypatch, workers):
+        # the tasks' sides hold row keys, and with no spot check and no cap
+        # the only trees encoded are those the merged sides keep, each once,
+        # in this process; pool workers fork with the patch, so a call made
+        # in one is not counted here
+        encoded, real_to_graph6 = [], scanner_module.to_graph6
+
+        def counting_to_graph6(graph):
+            encoded.append(real_to_graph6(graph))
+            return encoded[-1]
+
+        monkeypatch.setattr(scanner_module, "to_graph6", counting_to_graph6)
+        sweeps = scanner_module._tree_sweeps(range(4, 18), "av1", workers, 5, 0.0)
+        held = [code for sweep in sweeps for side in (sweep.lo, sweep.hi)
+                for *_, codes in side.values for code in codes]
+        assert encoded == held
+        assert len(held) == 79
+
     def test_shifted_sample_picks_the_stream_indices_of_a_range(self):
         for total, want, seed in ((1301, 65, 2024), (106, 1, 0), (551, 551, 7), (30, 12, 59)):
             spots = scanner_module._SpotSample(total, want, seed)
@@ -778,7 +811,7 @@ class TestJoin:
         for n in range(2, 19):
             joined = [[] for _ in range(6)]
             for _, segments in scanner_module._runs(tables.rooted, n):
-                rest, first, _ = tables.rows(n, segments)
+                rest, first = tables.rows(n, segments)
                 for column, got in zip(joined, (*tables.scalars(rest, first),
                                                 *tables.tree_degrees(rest, first))):
                     column.append(got)
@@ -827,16 +860,19 @@ class TestJoin:
         with pytest.raises(RouteDisagreement, match=match):
             conjecture_scan([10], workers=1)
 
-    def test_join_products_at_the_order_limit_stay_below_the_bound(self):
+    def test_join_products_at_the_order_limit_stay_below_the_bound(self, order_limit_tables):
         # the joined tables of order 24 equal the per-position DP row for
         # row; each product of the join at order 24 is at most the product
         # of the largest rest state and the largest first-subtree sum it
         # meets, over the tables; those stay below n·2^n < 2^29, far inside
         # int64
         n = scanner_module.TREE_ORDER_LIMIT
-        tables = _Tables(n, True)
+        tables = order_limit_tables
         assert_joined_like_the_dp(tables)
         offsets = tables.offsets
+        # a sweep's tree key, rest·R + first with R rows, is below R^2, which
+        # int64 holds
+        assert int(offsets[-1]) ** 2 < 2 ** 63
         largest = {k: tables.states[:, offsets[k]:offsets[k + 1]].max(axis=1) for k in range(1, n)}
         products = []
         for s in range(1, n - 1):
@@ -1090,13 +1126,17 @@ class TestTreeClaimPass:
             verify_claims(claims=[claim], **{f"max_{suite}_order": first - 1})
 
     def test_degrees_match_structural_predicates(self):
+        # and each tree's key spells the stream's level sequence, in order
         tables = _Tables(14, True)
         for n in range(2, 15):
+            stream = []
             for _, segments in scanner_module._runs(tables.rooted, n):
-                rest, first, levels = tables.rows(n, segments)
-                for i, got in enumerate(zip(*tables.tree_degrees(rest, first))):
-                    s = structural_predicates(levels_to_graph(levels(i)))
+                rest, first = tables.rows(n, segments)
+                for key, *got in zip(tables.keys(rest, first), *tables.tree_degrees(rest, first)):
+                    stream.append(tables.levels(key))
+                    s = structural_predicates(levels_to_graph(stream[-1]))
                     assert (got[0], got[1] or None) == (s.max_degree, s.min_internal_degree)
+            assert stream == tree_rows(n).tolist(), n
 
     def test_claim_reports_carry_the_extremes_of_their_scan(self):
         # each report names a population and objective; its sides are that

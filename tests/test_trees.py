@@ -17,6 +17,7 @@ from crosschecks import (
 from nisets.graphs import structural_predicates
 from nisets.scanner import labeled_graph_classes
 from nisets.trees import (
+    TREE_ORDER_LIMIT,
     LevelSequence,
     RootedTables,
     count_free_trees,
@@ -116,13 +117,16 @@ def test_segments_equal_the_heap_merge_walk():
     assert np.argsort(np.array([b"\0\1\2", b"\0", b"\0\1"], dtype="S3")).tolist() == [1, 2, 0]
 
 
-@pytest.mark.parametrize("top", [18, 24])
-def test_searches_over_reversed_rows_equal_those_over_a_copy(top):
+@pytest.mark.parametrize("top", [18, TREE_ORDER_LIMIT])
+def test_searches_over_reversed_rows_equal_those_over_a_copy(request, top):
     # tree_segments and _Tables search each size's rows through a reversed,
     # strided 'S' view; at every size, the rows themselves and the keys
     # tree_segments builds, the root, T + 1 and a level-2 vertex, must land
     # where they land in the view's contiguous copy
-    tables = RootedTables(top)
+    if top == TREE_ORDER_LIMIT:
+        tables = request.getfixturevalue("order_limit_tables").rooted
+    else:
+        tables = RootedTables(top)
     for m, table in tables.tables.items():
         rows = table.view(f"S{m}")[::-1, 0]
         copy = np.ascontiguousarray(rows)
