@@ -17,10 +17,11 @@ Trees also have a linear dynamic program over their level sequences, one
 transition, ``_join_child``: a vertex's eight states once one more child's
 subtree joins it.  ``tree_scalars`` folds it over one tree in Python
 integers.  The scanner's rooted tables join two smaller rows' states into
-each row, and ``join_scalars`` scores a free tree from the root states of
-two rooted ones: a rest R and the subtree T that joins R's root.  Every
-tree sweep scores its trees so, the tree claims' included, and a sweep's
-spot checks compare its rows with ``Engine`` and the subset oracle.
+each row, along the joins that built the rows, and ``join_scalars``
+scores a free tree from the root states of two rooted ones: a rest R and
+the subtree T that joins R's root.  Every tree sweep scores its trees so,
+the tree claims' included, and a sweep's spot checks compare its rows
+with ``Engine`` and the subset oracle.
 
 All arithmetic is exact: Python integers for counts (int32 and int64 in
 the tree joins, where the tree order limit rules out overflow; (n+1)-bit

@@ -492,56 +492,28 @@ class _Tables:
     ``scalars`` widens the rows it gathers to int64 before they are
     multiplied.
 
-    Sizes are built in ascending order.  A row X of size k >= 2 is its
-    first child subtree C, of size c, joined one level down to the root of
-    its remainder R' (the root with X's other children), so X's states and
-    degrees are R''s and C's joined.  ``searchsorted`` over each size's
-    rows, a reversed, so ascending, 'S' view as in ``tree_segments``, finds
-    the rows of C and R', and a lookup that lands on an unequal row raises
-    RouteDisagreement.  None does: the rows of size j are every rooted tree
-    of size j when j <= top/2, else those whose children are all at most
-    the path on top - j vertices, so at most top - j - 2 high or that path
-    (the rests' bound for s = top - j, which holds the first subtrees, at
-    most top - j - 1 high).  So C or R' of size at most top/2 is a row.
-    Else k > top/2 as well, and X's children meet X's bound, which is
-    tighter than any smaller size's: R''s children are X's, and C is not
-    the path on top - k < top/2 vertices, so it is at most top - k - 2
-    high and its children at most top - c - 2.  A sweep names each tree by
-    its key (``keys``), rest·R + first for its two rows with R =
-    ``offsets[-1]``, below R^2 < 2^41 at ``TREE_ORDER_LIMIT``."""
+    Sizes are built in ascending order, each along the segments it was
+    joined from (``RootedTables.joins``), which are consumed and dropped:
+    a row X of size k is its first child subtree C joined one level down
+    to the root of its remainder R', so X's states and degrees are R''s
+    and C's joined, read through ``rows`` a run (``_runs``) at a time.  A
+    sweep names each tree by its key (``keys``), rest·R + first for its
+    two rows with R = ``offsets[-1]``, below R^2 < 2^41 at
+    ``TREE_ORDER_LIMIT``."""
 
     def __init__(self, top: int, caps: bool):
         self.rooted = RootedTables(top)
-        tables = self.rooted.tables
-        self.offsets = np.cumsum([0, 0] + [len(tables[k]) for k in range(1, top)])
+        self.offsets = np.cumsum([0, 0] + [len(self.rooted.tables[k]) for k in range(1, top)])
         self.states = np.empty((8, self.offsets[-1]), dtype=np.int32)
         self.states[:, 0] = (1, 0, 1, 1, 0, 0, 0, 0)  # one vertex: a = (1, 0), b = (1, 1)
         self.degrees = None
         if caps:
             self.degrees = np.empty((3, self.offsets[-1]), dtype=np.int8)
             self.degrees[:, 0] = (1, TREE_ORDER_LIMIT, 1)  # one vertex, nothing below it
-
-        def rows_of(keys, k, part):
-            """The rows of the trees spelled by a (B, j) int8 array, each
-            the ``part`` of a row of size k."""
-            j = keys.shape[1]
-            rows, keys = tables[j].view(f"S{j}")[::-1, 0], keys.view(f"S{j}")[:, 0]
-            found = np.minimum(np.searchsorted(rows, keys), len(rows) - 1)
-            if (rows[found] != keys).any():
-                raise RouteDisagreement(f"a {part} of size {j} of a size-{k} rooted row "
-                                        f"is not a row of the tables")
-            return self.offsets[j] + len(rows) - 1 - found
-
         for k in range(2, top):
-            table = tables[k]
-            sizes = np.full(len(table), k - 1, dtype=np.int8)  # C's: up to X's second child
-            for i in range(k - 1, 1, -1):
-                sizes[table[:, i] == 1] = i - 1
-            for c in np.flatnonzero(np.bincount(sizes)).tolist():  # the sizes present
-                at = np.flatnonzero(sizes == c)
-                child = rows_of(table[at, 1:c + 1] - 1, k, "first subtree")
-                rest = rows_of(table[at[:, None], [0, *range(c + 1, k)]], k, "remainder")
-                at += self.offsets[k]
+            for first, segments in _runs(self.rooted.joins.pop(k)):
+                rest, child = self.rows(k, segments)
+                at = slice(self.offsets[k] + first, self.offsets[k] + first + len(rest))
                 self.states[:, at] = _join_child(self.states[:, rest], self.states[:, child])
                 if caps:
                     self.degrees[:, at] = _join_degrees(self.degrees[:, rest],
@@ -549,7 +521,8 @@ class _Tables:
 
     def rows(self, n: int, segments):
         """The rest's row and the first subtree's row of each tree of
-        order-n segments (rows of ``tree_segments``), in stream order."""
+        order-n segments (rows of ``tree_segments``, or
+        ``RootedTables.joins[n]``), in order."""
         s, t, a, b = np.asarray(segments).T
         counts = b - a
         shift = np.repeat(self.offsets[n - s] + a + counts - np.cumsum(counts), counts)
@@ -583,12 +556,12 @@ class _Tables:
         return maxima.max(axis=0), internal
 
 
-def _runs(tables, n: int):
-    """(first stream index, segments) of each run of ``_RUN_BLOCKS``·``_BLOCK``
-    consecutive trees of ``tree_segments(tables, n)`` (the last may be
-    shorter), a segment that crosses the end of a run split in two."""
-    segments, size = tree_segments(tables, n), _RUN_BLOCKS * _BLOCK
-    ends = np.cumsum(segments[:, 3] - segments[:, 2])  # the stream index after each segment
+def _runs(segments):
+    """(first index, segments) of each run of ``_RUN_BLOCKS``·``_BLOCK``
+    consecutive trees of a segment array (the last may be shorter), a
+    segment that crosses the end of a run split in two."""
+    size = _RUN_BLOCKS * _BLOCK
+    ends = np.cumsum(segments[:, 3] - segments[:, 2])  # the index after each segment
     for first in range(0, ends[-1], size):
         last = min(first + size, ends[-1])
         lo, hi = np.searchsorted(ends, [first, last - 1], "right")  # those of its ends
@@ -717,7 +690,7 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
     tables = _Tables(max(orders), caps)
     tasks = ((k, (n, objective, top_k, spots, caps, first, segments))
              for k, (n, spots) in enumerate(zip(orders, samples))
-             for first, segments in _runs(tables.rooted, n))
+             for first, segments in _runs(tree_segments(tables.rooted, n)))
     sweeps = [_Sweep(top_k) for _ in orders]
     with (Pool(workers, initializer=_hold_tables, initargs=(tables,)) if workers > 1
           else nullcontext()) as pool:

@@ -4,7 +4,8 @@ The stream holds the canonical level sequences of centre-rooted trees in
 decreasing order, so it is deterministic.  ``tree_segments`` gives it as
 a join of rooted trees from ``RootedTables``, one array row per first root
 subtree and the contiguous range of rests that may follow it, found by
-sorted-array searches over the tables, not by a walk.  Tree sweeps score
+sorted-array searches over the tables.  The tables are built by the same
+join, each size from smaller ones, so no walk runs.  Tree sweeps score
 these segments, and ``free_trees`` and ``level_sequences`` spell them.
 An independent counting recurrence gives the number of free trees, and a
 canonical key tells trees of any supported order apart.
@@ -64,103 +65,117 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order outside supported range (1..{TREE_ORDER_LIMIT})")
 
 
-_PLUS_ONE = bytes(range(1, 256)) + b"\0"  # translate table: every level one deeper
+def _first_rests(table: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """For each first subtree T, a row of the (B, s) int8 array ``first``,
+    the first row of ``table``, rooted trees of one size in decreasing
+    order, whose first child is at most T.  Such a row sorts below the
+    root, T as a child, then a vertex on level 2, both NUL-padded, so those
+    rows are a suffix of the table, found by one search of those keys.
+    The rows are searched in place, reversed, as ascending 'S' bytes, which
+    ignore trailing NULs (safe: only a row's first byte, the root, is 0)."""
+    m, s = table.shape[1], first.shape[1]
+    key = np.full((len(first), s + 2), 2, dtype=np.int8)
+    key[:, 0], key[:, 1:-1] = 0, first + 1
+    rows = table.view(f"S{m}")[::-1, 0]  # ascending, not copied
+    return len(rows) - np.searchsorted(rows, key.view(f"S{s + 2}")[:, 0])
 
 
-def _rooted_walk(levels: bytearray):
-    """``levels``, a canonical rooted level sequence, then each later one
-    of its size in Beyer-Hedetniemi order down to the star, all in the one
-    bytearray, updated in place.  The successor at the last vertex p off
-    level 1 repeats, from p on, the stretch from the latest earlier vertex
-    one level above p up to p."""
-    m = len(levels)
-    while True:
-        yield levels
-        p = len(levels.rstrip(b"\1")) - 1
-        if not p:
-            return
-        q = levels.rfind(levels[p] - 1, 0, p)
-        levels[p:] = (levels[q:p] * (m - p))[:m - p]
-
-
-def _tallest(s: int, h: int) -> bytes:
-    """The first rooted level sequence of size s and height at most h."""
-    return bytes(range(h + 1)) + bytes([h]) * (s - 1 - h)
-
-
-def _rest_start(n: int, s: int) -> bytes:
-    """The first rest of size m = n - s that may follow a first subtree of
-    size s: the root over k copies of the largest such subtree X and X's
-    first r vertices, where (k, r) = divmod(m - 1, s).  The rests are the
-    rooted trees of size m whose children are all at most X, so they run
-    from it to the star."""
-    m = n - s
-    x = _tallest(s, min(s - 1, m - 1)).translate(_PLUS_ONE)
-    k, r = divmod(m - 1, s)
-    return b"\0" + x * k + x[:r]
+def _merged(tables: dict, parts: list, width: int) -> np.ndarray:
+    """The segments (s, t, a, b) of ``parts``, (S, 4) int32 arrays of one
+    first subtree size s each, in ascending s, as one array in decreasing
+    order of their first subtrees T, row t of ``tables[s]``, by one stable
+    sort of each T zero-padded to ``width`` (a tree sorts above every
+    proper prefix of it, as the trees they make do).  A segment's rests
+    come in decreasing order, so the segments come in the order of the
+    trees they make.  ``parts`` is emptied."""
+    segments = np.concatenate(parts)
+    parts.clear()  # freed before the sort's copies are made: 9.8 MB at order 24
+    firsts = np.zeros((len(segments), width), dtype=np.int8)
+    bounds = np.searchsorted(segments[:, 0], range(1, width + 1))
+    for s, lo, hi in zip(range(1, width), bounds, bounds[1:]):
+        firsts[lo:hi, :s] = tables[s][segments[lo:hi, 1]]
+    order = np.argsort(firsts.view(f"S{width}")[:, 0], kind="stable")
+    del firsts  # freed before the sorted copy is made: 14.7 MB at order 24
+    return segments[order[::-1]]
 
 
 class RootedTables:
     """The rooted trees of each size k < ``top`` that the order-``top``
-    stream joins, as first subtrees of height at most min(k - 1, top - 1 - k)
-    or as rests (``_rest_start``), in decreasing order down to the star:
-    ``rows[k]`` holds them as bytes, k per tree, and ``tables[k]`` as a
-    (rows, k) int8 array.  Along a rooted stream heights never rise, so
-    each is a suffix of the stream of all rooted trees of size k, and the
-    first subtrees and rests of every smaller order are suffixes of these.
-    ``at_most[k][h]`` is the first row of height at most h
-    (``at_most[k][-1]`` is the row count)."""
+    stream and its sweep tables join: ``tables[k]`` holds those whose
+    children are all at most the path on min(k - 1, top - k) vertices, as
+    a (rows, k) int8 array of level sequences in decreasing order, down to
+    the star.  For k <= top/2 that is every rooted tree of size k, and the
+    rows of a smaller top are a suffix of these.  ``at_most[k][h]`` is the
+    first row of height at most h (``at_most[k][-1]`` is the row count),
+    heights never rising along the rows.
+
+    Each size is joined from smaller ones as the free trees are
+    (``tree_segments``): a row X of size k is its first child C, of size c,
+    one level down below the root of its remainder R' (the root with X's
+    other children), a tree of size k - c whose first child is at most C.
+    ``joins[k]`` holds the rows of size k as segments (c, t, a, b): C is
+    row t of ``tables[c]``, one of those at most the path P of size k's
+    bound, and R' runs over rows a to b - 1 of ``tables[k - c]``, the
+    suffix ``_first_rests`` finds; ``_merged`` puts the segments in row
+    order.  The rule is closed under the join: C <= P has children at most
+    the path one shorter, inside size c's bound, and R''s children are at
+    most C, inside size (k - c)'s bound.  A free tree's first subtree and
+    its rests at any order n <= ``top`` meet the same bounds."""
 
     def __init__(self, top: int):
         if not 2 <= top <= TREE_ORDER_LIMIT:
             raise ValueError(f"rooted tables need an order in 2..{TREE_ORDER_LIMIT}")
         self.top = top
-        starts = {}
-        for s in range(1, max(top - 1, 2)):  # the first subtree sizes (1 at order 2)
-            m = top - s
-            starts[s] = max(starts.get(s, b""), _tallest(s, min(s - 1, m - 1)))
-            starts[m] = max(starts.get(m, b""), _rest_start(top, s))
-        self.rows, self.tables, self.at_most = {}, {}, {}
-        for k, start in sorted(starts.items()):
-            rows = bytearray()
-            for levels in _rooted_walk(bytearray(start)):
-                rows += levels
-            self.rows[k] = bytes(rows)
-            self.tables[k] = np.frombuffer(self.rows[k], dtype=np.int8).reshape(-1, k)
-            heights = self.tables[k].max(axis=1)  # never rising along the rows
+        self.tables, self.joins, self.at_most = {1: np.zeros((1, 1), dtype=np.int8)}, {}, {}
+        for k in range(2, top):
+            path = bytes(range(min(k - 1, top - k)))
+            parts = []
+            for c in range(1, k):  # every C takes a rest: at least the star
+                table, rests = self.tables[c], self.tables[k - c]
+                lo = len(table) - np.searchsorted(table.view(f"S{c}")[::-1, 0], path, "right")
+                t = np.arange(lo, len(table))
+                parts.append(np.stack([np.full_like(t, c), t, _first_rests(rests, table[lo:]),
+                                       np.full_like(t, len(rests))], axis=1, dtype=np.int32))
+            self.joins[k] = joins = _merged(self.tables, parts, k)
+            sizes, t, a, b = joins.T
+            counts = b - a
+            sizes, t = np.repeat(sizes, counts), np.repeat(t, counts)
+            rests = np.arange(len(sizes)) + np.repeat(a + counts - np.cumsum(counts), counts)
+            rows = np.zeros((len(sizes), k), dtype=np.int8)
+            for c in range(1, k):
+                at = np.flatnonzero(sizes == c)
+                rows[at, 1:c + 1] = self.tables[c][t[at]] + 1
+                rows[at, c + 1:] = self.tables[k - c][rests[at], 1:]
+            self.tables[k] = rows
+        for k, table in self.tables.items():
+            heights = table.max(axis=1)
             self.at_most[k] = np.searchsorted(-heights, -np.arange(k + 1)).tolist() + [len(heights)]
 
 
 def tree_segments(tables: RootedTables, n: int) -> np.ndarray:
     """The free trees of order n, in stream order, as an (S, 4) int32 array
     of segments (s, t, a, b): the root, its first subtree T of size s, row t
-    of ``tables.rows[s]``, one level down, then the children of each rest of
-    size m = n - s in rows a to b - 1 of ``tables.rows[m]``.  ``tables``
-    serve the orders 2 to ``tables.top``, and no other.  No segment is empty.
+    of ``tables.tables[s]``, one level down, then the children of each rest
+    of size m = n - s in rows a to b - 1 of ``tables.tables[m]``.
+    ``tables`` serve the orders 2 to ``tables.top``, and no other.  No
+    segment is empty.
 
     The sequences are centre-rooted (Wright, Richmond, Odlyzko and McKay,
     SIAM J. Comput. 15, 1986) and strictly decreasing.  A rest R, a rooted
     tree whose children are all at most T, makes a centre-rooted tree when
     R is taller than T, or as tall with s < m, or as tall, as large and
-    R >= T.  So each first subtree, of height at most min(s - 1, m - 1), is
-    joined to a contiguous range of its size's rests: heights never rise
-    along a rooted stream, so from the first rest whose first child is at
-    most T come the rests taller than T, then those as tall, then the
-    shorter.  One ``searchsorted`` per size finds its ranges in the rows
-    read in place, reversed, as ascending 'S' bytes, which ignore trailing
-    NULs (safe: only a row's first byte, the root, is 0), and one stable
-    sort of the first subtrees, decreasing, merges the sizes in stream order."""
+    R >= T.  So each first subtree, of height at most min(s - 1, m - 1)
+    (m - 2 when s > m), is joined to a contiguous range of its size's
+    rows: from the first whose first child is at most T (``_first_rests``)
+    come the rests taller than T, then those as tall, then the shorter.
+    ``_merged`` puts the sizes in stream order, as for the rooted tables'
+    own joins."""
     if not 2 <= n <= tables.top:
         raise ValueError(f"tables for order {tables.top} serve orders 2..{tables.top}, not {n}")
-    segments = []
+    parts = []
     for s in range(1, max(n - 1, 2)):  # the first subtree sizes (1 at order 2, the edge)
         m = n - s
-        rests = tables.tables[m].view(f"S{m}")[::-1, 0]  # ascending, not copied
-        rest = _rest_start(n, s)  # the order-n rests are the suffix from it
-        start = len(rests) - np.searchsorted(rests, rest) - 1
-        if tables.rows[m][start * m:start * m + m] != rest:
-            raise ValueError(f"the size-{m} rooted table misses the order-{n} rests")
-        lo = tables.at_most[s][min(s - 1, m - 1)]
+        lo = tables.at_most[s][min(s - 1, m - 1 - (s > m))]
         first = tables.tables[s][lo:]
         height, at_most = first.max(axis=1), np.array(tables.at_most[m])
         if s < m:
@@ -168,27 +183,14 @@ def tree_segments(tables: RootedTables, n: int) -> np.ndarray:
         elif s > m:
             b = at_most[height]
         else:  # of the rests as tall as T, those at least T
+            rests = tables.tables[m].view(f"S{m}")[::-1, 0]
             b = np.clip(len(rests) - np.searchsorted(rests, first.view(f"S{m}")[:, 0]),
                         at_most[height], at_most[height - 1])
-        live = np.flatnonzero(b > start)  # the first subtrees that may take a rest
-        first, b = first[live], b[live]
-        # a row's first child is at most T exactly when the row sorts below
-        # the root, T as a child, then a vertex on level 2, both NUL-padded
-        key = np.full((len(first), s + 2), 2, dtype=np.int8)
-        key[:, 0], key[:, 1:-1] = 0, first + 1
-        key = key.view(f"S{s + 2}")[:, 0]
-        a = np.maximum(start, len(rests) - np.searchsorted(rests, key))
+        a = _first_rests(tables.tables[m], first)
         keep = np.flatnonzero(a < b)
-        segments.append(np.stack([np.full(len(keep), s), lo + live[keep], a[keep], b[keep]],
-                                 axis=1).astype(np.int32))
-    bounds = np.cumsum([0] + [len(part) for part in segments])
-    segments = np.concatenate(segments)
-    firsts = np.zeros((len(segments), n), dtype=np.int8)  # each T, zero-padded
-    for s, lo, hi in zip(range(1, max(n - 1, 2)), bounds, bounds[1:]):
-        firsts[lo:hi, :s] = tables.tables[s][segments[lo:hi, 1]]
-    order = np.argsort(firsts.view(f"S{n}")[:, 0], kind="stable")
-    del firsts  # freed before the sorted copy is made: 14.7 MB at order 24
-    return segments[order[::-1]]
+        parts.append(np.stack([np.full(len(keep), s), lo + keep, a[keep], b[keep]], axis=1,
+                              dtype=np.int32))
+    return _merged(tables.tables, parts, n)
 
 
 def _stream(n: int):
@@ -201,10 +203,9 @@ def _stream(n: int):
         return
     tables = RootedTables(n)
     for s, t, a, b in tree_segments(tables, n).tolist():
-        m = n - s
-        head, rests = b"\0" + tables.rows[s][t * s:t * s + s].translate(_PLUS_ONE), tables.rows[m]
-        for r in range(a * m, b * m, m):
-            yield list(head + rests[r + 1:r + m])
+        head = [0, *(tables.tables[s][t] + 1).tolist()]
+        for rest in tables.tables[n - s][a:b, 1:].tolist():
+            yield head + rest
 
 
 def level_sequences(n: int):

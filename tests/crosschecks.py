@@ -5,7 +5,8 @@ small graphs by its definition, the numpy gather-and-sum walk of the
 labelled-graph orbits (the reference for the scanner's chunked image
 tables), a labelled-tree oracle that decodes every length-(n-2) vertex
 sequence, the free-tree stream by a walk of whole sequences, its segments
-by a heap-merge walk, the rows of the stream's segments as int8 arrays,
+by a heap-merge walk, the rooted tables by a Beyer-Hedetniemi walk from
+each size's first row, the rows of the stream's segments as int8 arrays,
 the per-position tree DP over blocks of level sequences and the degrees
 of whole and rooted trees by bincounts (the references for the rooted
 tables' join of rows and the sweeps' join of tables), the known ratio
@@ -29,7 +30,6 @@ from nisets.trees import (
     TREE_ORDER_LIMIT,
     RootedTables,
     _centers,
-    _rest_start,
     _rooted_key,
     tree_segments,
 )
@@ -192,6 +192,58 @@ def labelled_tree_classes(n: int) -> int:
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"  # translate table: every level one deeper
 
 
+def rooted_walk(levels: bytearray):
+    """``levels``, a canonical rooted level sequence, then each later one
+    of its size in Beyer-Hedetniemi order (SIAM J. Comput. 9, 1980) down to
+    the star, all in the one bytearray, updated in place.  The successor
+    at the last vertex p off level 1 repeats, from p on, the stretch from
+    the latest earlier vertex one level above p up to p."""
+    m = len(levels)
+    while True:
+        yield levels
+        p = len(levels.rstrip(b"\1")) - 1
+        if not p:
+            return
+        q = levels.rfind(levels[p] - 1, 0, p)
+        levels[p:] = (levels[q:p] * (m - p))[:m - p]
+
+
+def walked(start: bytes) -> bytes:
+    """The rows of the rooted walk from ``start`` down to the star."""
+    return b"".join(map(bytes, rooted_walk(bytearray(start))))
+
+
+def tallest(s: int, h: int) -> bytes:
+    """The first rooted level sequence of size s and height at most h."""
+    return bytes(range(h + 1)) + bytes([h]) * (s - 1 - h)
+
+
+def rest_start(n: int, s: int) -> bytes:
+    """The first rest of size m = n - s that may follow a first subtree of
+    size s: the root over k copies of the largest such subtree X and X's
+    first r vertices, where (k, r) = divmod(m - 1, s).  The rests are the
+    rooted trees of size m whose children are all at most X, so they run
+    from it to the star."""
+    m = n - s
+    x = tallest(s, min(s - 1, m - 1)).translate(_PLUS_ONE)
+    k, r = divmod(m - 1, s)
+    return b"\0" + x * k + x[:r]
+
+
+def reference_rooted_rows(top: int) -> dict:
+    """The rows of each size k < ``top`` that the order-``top`` stream
+    joins, as bytes, k per tree, by a walk; the reference for
+    ``trees.RootedTables``.  A size starts at the larger of its first row
+    as a first subtree, of height at most min(k - 1, top - 1 - k), and as
+    a rest (``rest_start``), and walks down to the star."""
+    starts = {}
+    for s in range(1, max(top - 1, 2)):  # the first subtree sizes (1 at order 2)
+        m = top - s
+        starts[s] = max(starts.get(s, b""), tallest(s, min(s - 1, m - 1)))
+        starts[m] = max(starts.get(m, b""), rest_start(top, s))
+    return {k: walked(start) for k, start in sorted(starts.items())}
+
+
 def reference_tree_blocks(n: int, block: int):
     """The free-tree stream of order n in (B, n) int8 blocks of ``block``
     rows, by a walk of whole level sequences; the reference for the
@@ -251,10 +303,11 @@ def reference_segments(tables, n: int):
         yield 1, 0, 0, 1
         return
     starts, firsts = {}, []
+    rows_of = {k: table.tobytes() for k, table in tables.tables.items()}
     for s in range(1, n - 1):
         m = n - s
         # the order-n rests are the suffix from their first row
-        rest, rests = _rest_start(n, s), tables.rows[m]
+        rest, rests = rest_start(n, s), rows_of[m]
         starts[m] = a = bisect_left(range(len(rests) // m), True,
                                     key=lambda i: rests[i * m:i * m + m] <= rest)
         if rests[a * m:a * m + m] != rest:
@@ -264,7 +317,7 @@ def reference_segments(tables, n: int):
     for first, t in heapq.merge(*firsts, reverse=True):
         s, height = len(first), max(first)
         m = n - s
-        rows, at_most = tables.rows[m], tables.at_most[m]
+        rows, at_most = rows_of[m], tables.at_most[m]
         # a row's first child is at most T exactly when the row sorts
         # below the root, T as a child, then a vertex on level 2
         key, a = b"\0" + first.translate(_PLUS_ONE) + b"\2", starts[m]

@@ -22,12 +22,15 @@ from crosschecks import (
     level_parents,
     pair_mask,
     relabel,
+    rest_start,
     root_states_batch,
     rooted_degrees,
     segment_rows,
     slot_image_table,
+    tallest,
     tree_rows,
     tree_scalars_batch,
+    walked,
 )
 from nisets.engine import (
     Engine,
@@ -68,9 +71,6 @@ from nisets.scanner import (
 )
 from nisets.trees import (
     RootedTables,
-    _rest_start,
-    _rooted_walk,
-    _tallest,
     free_trees,
     level_sequences,
     levels_to_graph,
@@ -504,8 +504,8 @@ class TestStrideSweep:
     def test_generator_is_never_more_than_one_run_ahead_of_scoring(self, monkeypatch):
         generated, scored, calls = [0], [0], []
 
-        def counting_runs(tables, n):
-            for first, run in real_runs(tables, n):
+        def counting_runs(segments):
+            for first, run in real_runs(segments):
                 generated[0] += sum(b - a for *_, a, b in run)
                 yield first, run
 
@@ -514,7 +514,11 @@ class TestStrideSweep:
             scored[0] += rest.shape[1]
             return join_scalars(rest, first)
 
+        # the sweep's tables, whose joins are cut by the same cutter, are
+        # built before the stream is counted
+        tables = _Tables(13, False)
         real_runs = scanner_module._runs
+        monkeypatch.setattr(scanner_module, "_Tables", lambda top, caps: tables)
         monkeypatch.setattr(scanner_module, "_BLOCK", 16)
         monkeypatch.setattr(scanner_module, "_runs", counting_runs)
         monkeypatch.setattr(scanner_module, "join_scalars", counting_join)
@@ -693,15 +697,14 @@ class TestStrideSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_stream_short_of_the_tree_count_raises(self, monkeypatch, workers):
-        def short_runs(tables, n):
-            *runs, (first, last) = real_runs(tables, n)
+        def short_segments(tables, n):
+            segments = real_segments(tables, n)
             if n == 11:  # order 11 loses its star, the last tree of the last segment
-                *segments, (s, t, a, b) = last
-                last = [*segments, (s, t, a, b - 1)]
-            return [*runs, (first, last)]
+                segments[-1, 3] -= 1
+            return segments
 
-        real_runs = scanner_module._runs
-        monkeypatch.setattr(scanner_module, "_runs", short_runs)
+        real_segments = scanner_module.tree_segments
+        monkeypatch.setattr(scanner_module, "tree_segments", short_segments)
         match = "order-11 stream held 234 trees, but the counting recurrence gives 235"
         with pytest.raises(RouteDisagreement, match=match):
             scan_trees(11, workers=workers)
@@ -796,11 +799,6 @@ def assert_joined_like_the_dp(tables):
             assert np.array_equal(tables.degrees[:, at], rooted_degrees(parent)), (k, lo)
 
 
-def walked(start: bytes) -> bytes:
-    """The rows of the rooted walk from ``start`` down to the star."""
-    return b"".join(map(bytes, _rooted_walk(bytearray(start))))
-
-
 class TestJoin:
     def test_join_equals_the_block_route_at_every_order(self, monkeypatch):
         # values and degrees of each tree, row for row in stream order,
@@ -810,7 +808,7 @@ class TestJoin:
         tables = _Tables(18, True)
         for n in range(2, 19):
             joined = [[] for _ in range(6)]
-            for _, segments in scanner_module._runs(tables.rooted, n):
+            for _, segments in scanner_module._runs(tree_segments(tables.rooted, n)):
                 rest, first = tables.rows(n, segments)
                 for column, got in zip(joined, (*tables.scalars(rest, first),
                                                 *tables.tree_degrees(rest, first))):
@@ -825,13 +823,13 @@ class TestJoin:
         # tables of order n + 1, whose rows are suffixes of the next order's,
         # so tables built for the top order serve every smaller one
         for n in range(3, 18):
-            tables, larger = RootedTables(n).rows, RootedTables(n + 1).rows
+            tables, larger = RootedTables(n).tables, RootedTables(n + 1).tables
             for k, rows in tables.items():
-                assert larger[k].endswith(rows), (n, k)
+                assert larger[k].tobytes().endswith(rows.tobytes()), (n, k)
             for s in range(1, n - 1):
                 m = n - s
-                assert larger[m].endswith(walked(_rest_start(n, s))), (n, s)
-                assert larger[s].endswith(walked(_tallest(s, min(s - 1, m - 1)))), (n, s)
+                assert larger[m].tobytes().endswith(walked(rest_start(n, s))), (n, s)
+                assert larger[s].tobytes().endswith(walked(tallest(s, min(s - 1, m - 1)))), (n, s)
 
     def test_joined_rows_equal_the_per_position_dp(self):
         # every row's states and degree data, joined from two smaller rows,
@@ -839,24 +837,21 @@ class TestJoin:
         for top in range(2, 19):
             assert_joined_like_the_dp(_Tables(top, True))
 
-    @pytest.mark.parametrize("row, part", [(b"\0\1\2", "first subtree"), (b"\0\1\1", "remainder")],
+    @pytest.mark.parametrize("row, held", [(b"\0\1\2", 92), (b"\0\1\1", 99)],
                              ids=["path", "star"])
-    def test_a_row_missing_from_the_tables_is_found(self, monkeypatch, row, part):
+    def test_a_row_missing_from_the_tables_is_found(self, monkeypatch, row, held):
         # the path on 3 vertices is the first subtree of the path on 4, and
-        # the star on 3 the remainder of the star on 4: without its row, the
-        # join's lookup lands on an unequal row
+        # the star on 3 the remainder of the star on 4: without its row and
+        # its join, the order-10 stream misses trees, which the tree count
+        # finds
         def missing_a_row(top):
             rooted = RootedTables(top)
-            rows = rooted.rows[3]
-            at = rows.index(row)
-            rooted.rows[3] = rows[:at] + rows[at + 3:]
-            rooted.tables[3] = np.frombuffer(rooted.rows[3], dtype=np.int8).reshape(-1, 3)
+            keep = [i for i, levels in enumerate(rooted.tables[3].tolist()) if bytes(levels) != row]
+            rooted.tables[3], rooted.joins[3] = rooted.tables[3][keep], rooted.joins[3][keep]
             return rooted
 
         monkeypatch.setattr(scanner_module, "RootedTables", missing_a_row)
-        match = f"a {part} of size 3 of a size-4 rooted row"
-        with pytest.raises(RouteDisagreement, match=match):
-            _Tables(10, False)
+        match = f"the order-10 stream held {held} trees, but the counting recurrence gives 106"
         with pytest.raises(RouteDisagreement, match=match):
             conjecture_scan([10], workers=1)
 
@@ -1050,12 +1045,12 @@ class TestTreeClaimPass:
         sampled = {n: spot_check_trees(n, 0.05) for n in range(2, 11)}
         walks = Counter()
 
-        def counting_runs(tables, n):
+        def counting_segments(tables, n):
             walks[n] += 1
-            return real_runs(tables, n)
+            return real_segments(tables, n)
 
-        real_runs = scanner_module._runs
-        monkeypatch.setattr(scanner_module, "_runs", counting_runs)
+        real_segments = scanner_module.tree_segments
+        monkeypatch.setattr(scanner_module, "tree_segments", counting_segments)
         for runs, rate in ((1, 0.0), (2, 0.05)):
             checked = {}
             reports = verify_claims(claims=TREE_CLAIMS, max_tree_order=10,
@@ -1069,12 +1064,12 @@ class TestTreeClaimPass:
     def test_no_tree_claim_walks_no_tree(self, monkeypatch):
         walks = Counter()
 
-        def counting_runs(tables, n):
+        def counting_segments(tables, n):
             walks[n] += 1
-            return real_runs(tables, n)
+            return real_segments(tables, n)
 
-        real_runs = scanner_module._runs
-        monkeypatch.setattr(scanner_module, "_runs", counting_runs)
+        real_segments = scanner_module.tree_segments
+        monkeypatch.setattr(scanner_module, "tree_segments", counting_segments)
         checked = {}
         reports = verify_claims(claims=["degree-two-ratio"], max_tree_order=9,
                                 max_ratio_order=4, spot_check_rate=0.05, spot_checked=checked)
@@ -1130,7 +1125,7 @@ class TestTreeClaimPass:
         tables = _Tables(14, True)
         for n in range(2, 15):
             stream = []
-            for _, segments in scanner_module._runs(tables.rooted, n):
+            for _, segments in scanner_module._runs(tree_segments(tables.rooted, n)):
                 rest, first = tables.rows(n, segments)
                 for key, *got in zip(tables.keys(rest, first), *tables.tree_degrees(rest, first)):
                     stream.append(tables.levels(key))

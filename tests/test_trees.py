@@ -8,6 +8,7 @@ import pytest
 import nisets.scanner as scanner_module
 from crosschecks import (
     labelled_tree_classes,
+    reference_rooted_rows,
     reference_segments,
     reference_tree_blocks,
     relabel,
@@ -20,6 +21,7 @@ from nisets.trees import (
     TREE_ORDER_LIMIT,
     LevelSequence,
     RootedTables,
+    _first_rests,
     count_free_trees,
     free_trees,
     level_sequences,
@@ -117,28 +119,90 @@ def test_segments_equal_the_heap_merge_walk():
     assert np.argsort(np.array([b"\0\1\2", b"\0", b"\0\1"], dtype="S3")).tolist() == [1, 2, 0]
 
 
+def test_rooted_tables_equal_the_walk(order_limit_tables):
+    # the joined tables against the Beyer-Hedetniemi walk of each size from
+    # its first row, at every top to 20 and at the order limit
+    for top in [*range(2, 21), TREE_ORDER_LIMIT]:
+        tables = order_limit_tables.rooted if top == TREE_ORDER_LIMIT else RootedTables(top)
+        walk = reference_rooted_rows(top)
+        assert sorted(tables.tables) == sorted(walk), top
+        for k, rows in walk.items():
+            assert tables.tables[k].dtype == np.int8 and tables.tables[k].shape[1] == k
+            assert tables.tables[k].tobytes() == rows, (top, k)
+
+
+def first_child(levels: bytes) -> bytes:
+    """The first child subtree of a rooted level sequence, read from its
+    own root; empty for the single vertex."""
+    cut = levels.find(1, 2) % (len(levels) + 1)  # the root's second child, or the end
+    return bytes(level - 1 for level in levels[1:cut])
+
+
+def test_joins_spell_the_rows():
+    # each segment (c, t, a, b) of a size's joins spells its rows as the
+    # root, C + 1 and R'[1:], for C row t of size c and each R' in rows a
+    # to b - 1 of size k - c: the whole suffix whose first child is at
+    # most C
+    for top in range(2, 19):
+        tables = RootedTables(top)
+        assert sorted(tables.joins) == list(range(2, top)), top
+        rows = {k: [row.tobytes() for row in table] for k, table in tables.tables.items()}
+        for k, joins in tables.joins.items():
+            assert joins.dtype == np.int32 and joins.shape[1] == 4, (top, k)
+            spelled = []
+            for c, t, a, b in joins.tolist():
+                first, rests = rows[c][t], rows[k - c]
+                assert a < b == len(rests), (top, k, c, t)
+                assert a == 0 or first_child(rests[a - 1]) > first, (top, k, c, t)
+                for rest in rests[a:b]:
+                    assert first_child(rest) <= first, (top, k, c, t)
+                    spelled.append(b"\0" + bytes(level + 1 for level in first) + rest[1:])
+            assert b"".join(spelled) == tables.tables[k].tobytes(), (top, k)
+
+
+def rest_keys(first):
+    """The keys ``_first_rests`` searches for the first subtrees of a
+    (B, s) int8 array: the root, T + 1 and a level-2 vertex."""
+    s = first.shape[1]
+    key = np.full((len(first), s + 2), 2, dtype=np.int8)
+    key[:, 0], key[:, 1:-1] = 0, first + 1
+    return key.view(f"S{s + 2}")[:, 0]
+
+
 @pytest.mark.parametrize("top", [18, TREE_ORDER_LIMIT])
 def test_searches_over_reversed_rows_equal_those_over_a_copy(request, top):
-    # tree_segments and _Tables search each size's rows through a reversed,
-    # strided 'S' view; at every size, the rows themselves and the keys
-    # tree_segments builds, the root, T + 1 and a level-2 vertex, must land
-    # where they land in the view's contiguous copy
+    # tree_segments and RootedTables search each size's rows through a
+    # reversed, strided 'S' view; the rows themselves, the rests' keys of
+    # ``_first_rests`` at order top and at every (k, c) join of the tables,
+    # and each join's path bound, searched from the right, must land where
+    # they land in the view's contiguous copy
     if top == TREE_ORDER_LIMIT:
-        tables = request.getfixturevalue("order_limit_tables").rooted
+        tables = request.getfixturevalue("order_limit_tables").rooted.tables
     else:
-        tables = RootedTables(top)
-    for m, table in tables.tables.items():
-        rows = table.view(f"S{m}")[::-1, 0]
-        copy = np.ascontiguousarray(rows)
+        tables = RootedTables(top).tables
+
+    def copy_of(m):
+        rows = tables[m].view(f"S{m}")[::-1, 0]
         assert len(rows) == 1 or not rows.flags.c_contiguous, m
-        keys = [table.view(f"S{m}")[:, 0]]
-        if top - m in tables.tables:
-            first, s = tables.tables[top - m], top - m
-            key = np.full((len(first), s + 2), 2, dtype=np.int8)
-            key[:, 0], key[:, 1:-1] = 0, first + 1
-            keys.append(key.view(f"S{s + 2}")[:, 0])
-        for key in keys:
-            assert np.array_equal(np.searchsorted(rows, key), np.searchsorted(copy, key)), m
+        return rows, np.ascontiguousarray(rows)
+
+    for m, table in tables.items():
+        rows, copy = copy_of(m)
+        key = table.view(f"S{m}")[:, 0]
+        assert np.array_equal(np.searchsorted(rows, key), np.searchsorted(copy, key)), m
+        if top - m in tables:
+            first = tables[top - m]
+            want = len(copy) - np.searchsorted(copy, rest_keys(first))
+            assert np.array_equal(_first_rests(table, first), want), m
+    for k in range(2, top):
+        path = bytes(range(min(k - 1, top - k)))
+        for c in range(1, k):
+            rows, copy = copy_of(c)
+            lo = np.searchsorted(rows, path, "right")
+            assert lo == np.searchsorted(copy, path, "right"), (k, c)
+            first = tables[c][len(rows) - lo:]
+            want = len(tables[k - c]) - np.searchsorted(copy_of(k - c)[1], rest_keys(first))
+            assert np.array_equal(_first_rests(tables[k - c], first), want), (k, c)
 
 
 @pytest.mark.parametrize("block", [1, 7, 1024])
@@ -151,7 +215,7 @@ def test_block_size_does_not_change_the_stream(monkeypatch, block):
     assert [b.tolist() for b in reference_tree_blocks(1, block)] == [[[0]]]
     for n in range(2, 19):
         tables = RootedTables(n)
-        runs = list(scanner_module._runs(tables, n))
+        runs = list(scanner_module._runs(tree_segments(tables, n)))
         got = [segment_rows(tables, n, segments) for _, segments in runs]
         want = list(reference_tree_blocks(n, block))
         assert all(len(b) == block for b in want[:-1]) and 1 <= len(want[-1]) <= block, n
