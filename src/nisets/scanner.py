@@ -35,7 +35,7 @@ from .graphs import (
     graph_from_pair_mask,
     structural_predicates,
 )
-from .oracle import oracle_profiles
+from .oracle import oracle_profiles_of
 from .trees import (
     TREE_ORDER_LIMIT,
     RootedTables,
@@ -398,21 +398,24 @@ def scan_graphs(
 
 # -- tree sweeps ---------------------------------------------------------------
 
-def _spot_check(levels, row) -> None:
-    """Compare one tree's joined DP row (sigma0, S0, sigma1, S1), the
-    engine and the subset oracle."""
-    graph = levels_to_graph(levels)
-    eng = Engine(graph)
-    routes = (("tree DP", row[:2], row[2:]), ("engine", eng.scalars0(), eng.scalars1()))
-    # one table serves both levels; the padding is level 1 of a one-vertex tree
-    wants = [(p.sigma, p.total) for p in oracle_profiles(graph)[:2]] + [(0, 0)]
-    for level in (0, 1):
-        for name, *by_level in routes:
-            if by_level[level] != wants[level]:
-                raise RouteDisagreement(
-                    f"{name} {by_level[level]} vs subset oracle {wants[level]} "
-                    f"at level {level} on {to_graph6(graph)}"
-                )
+def _spot_check(levels, rows) -> None:
+    """Compare the joined DP rows (sigma0, S0, sigma1, S1) of a block's
+    sampled trees, given by their level sequences, with the engine and the
+    subset oracle, whose one kernel call takes every tree's table; the
+    first mismatch in stream order is raised."""
+    graphs = [levels_to_graph(tree) for tree in levels]
+    for graph, row, profiles in zip(graphs, rows, oracle_profiles_of(graphs)):
+        eng = Engine(graph)
+        routes = (("tree DP", row[:2], row[2:]), ("engine", eng.scalars0(), eng.scalars1()))
+        # the padding is level 1 of a one-vertex tree
+        wants = [(p.sigma, p.total) for p in profiles[:2]] + [(0, 0)]
+        for level in (0, 1):
+            for name, *by_level in routes:
+                if by_level[level] != wants[level]:
+                    raise RouteDisagreement(
+                        f"{name} {by_level[level]} vs subset oracle {wants[level]} "
+                        f"at level {level} on {to_graph6(graph)}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -532,13 +535,16 @@ class _Tables:
         """The keys of the trees of these rows, which ``levels`` spells."""
         return rest * self.offsets[-1] + first
 
-    def levels(self, key) -> list[int]:
-        """The level sequence of the tree a key names: its rest's root, its
-        first subtree one level down, then the rest's other vertices."""
-        rows = divmod(int(key), int(self.offsets[-1]))
-        sizes = (np.searchsorted(self.offsets, rows, "right") - 1).tolist()
-        rest, first = (self.rooted.tables[k][i - self.offsets[k]] for i, k in zip(rows, sizes))
-        return [0, *(first + 1).tolist(), *rest[1:].tolist()]
+    def levels(self, keys) -> list[list[int]]:
+        """The level sequence of the tree each of a sequence of keys names:
+        its rest's root, its first subtree one level down, then the rest's
+        other vertices.  The keys' rows and sizes are found in one pass."""
+        rows = np.stack(np.divmod(np.asarray(keys, dtype=np.int64), self.offsets[-1]))
+        sizes = np.searchsorted(self.offsets, rows, "right") - 1
+        rests, firsts = (rows - self.offsets[sizes]).tolist()
+        tables = self.rooted.tables
+        return [[0, *(tables[t][j] + 1).tolist(), *tables[s][i][1:].tolist()]
+                for s, t, i, j in zip(*sizes.tolist(), rests, firsts)]
 
     def scalars(self, rest, first):
         """(sigma0, S0, sigma1, S1) of the trees of these rows."""
@@ -593,10 +599,10 @@ def _score_run(tables, payload):
         rest, subtree = rests[lo:lo + _BLOCK], subtrees[lo:lo + _BLOCK]
         key = tables.keys(rest, subtree)
         values = tables.scalars(rest, subtree)
-        picks = spots.picks(np.arange(first + lo, first + lo + len(rest)))
-        for i in picks:
-            _spot_check(tables.levels(key[i]), tuple(int(v[i]) for v in values))
-        found.checked += len(picks)
+        if spots.want:
+            picks = spots.picks(np.arange(first + lo, first + lo + len(rest)))
+            _spot_check(tables.levels(key[picks]), list(zip(*(v[picks].tolist() for v in values))))
+            found.checked += len(picks)
         # sweeps start at order 2, where every tree has an edge, so both
         # denominators are positive
         sig0, _, sig1, tot1 = values
@@ -610,8 +616,9 @@ def _score_run(tables, payload):
         over_cap = 2 * num > cap * den
         off_equality = claimed_equality & (max_degree <= 2) & (2 * num != cap * den)
         over_internal = (internal > 0) & (2 * num > (n - internal + 3) * den)
-        for i in np.flatnonzero(over_cap | off_equality | over_internal):
-            g6 = to_graph6(levels_to_graph(tables.levels(key[i])))
+        flagged = np.flatnonzero(over_cap | off_equality | over_internal)
+        for i, levels in zip(flagged, tables.levels(key[flagged])):
+            g6 = to_graph6(levels_to_graph(levels))
             observed = format_rational(int(num[i]), int(den[i]))
             if over_cap[i]:
                 found.cap_violations.append(Violation(
@@ -702,7 +709,7 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
                                     f"counting recurrence gives {count_free_trees(n)}")
         for side in (sweep.lo, sweep.hi):
             for value in side.values:
-                value[2] = [to_graph6(levels_to_graph(tables.levels(key))) for key in value[2]]
+                value[2] = [to_graph6(levels_to_graph(levels)) for levels in tables.levels(value[2])]
     return sweeps
 
 

@@ -11,8 +11,9 @@ the per-position tree DP over blocks of level sequences and the degrees
 of whole and rooted trees by bincounts (the references for the rooted
 tables' join of rows and the sweeps' join of tables), the known ratio
 table of small paths and cycles, a plain loop over the subsets for one
-level of the subset oracle, and graph6 coded bit by bit (the reference
-for ``formats``' pair-mask coder)."""
+level of the subset oracle, the oracle's table of one graph at a time
+(the reference for its batched kernel), and graph6 coded bit by bit (the
+reference for ``formats``' pair-mask coder)."""
 
 import heapq
 from bisect import bisect_left
@@ -26,6 +27,7 @@ from nisets.engine import Engine, _join_child
 from nisets.families import FamilySpec, build
 from nisets.formats import GRAPH6_ORDER_LIMIT
 from nisets.graphs import Graph, all_pairs, build_graph, graph_from_pair_mask, iter_bits
+from nisets.oracle import OracleProfile
 from nisets.trees import (
     TREE_ORDER_LIMIT,
     RootedTables,
@@ -489,6 +491,26 @@ def profile_loop(g: Graph, level: int) -> list[int]:
             counts[s.bit_count()] += 1
     return counts
 
+
+def reference_oracle_profiles(g: Graph) -> tuple[OracleProfile, ...]:
+    """Every level's per-size subset counts from one table of one graph's
+    2^n subset keys, 2^16 subsets to a numpy pass; the reference for
+    ``oracle.oracle_profiles_of``."""
+    n, adj, width, chunk = g.n, g.adj, g.n + 1, 1 << 16
+    # key[S] = width * edges(S) + |S|; adding vertex b to a subset S of
+    # vertices 0..b-1 gains |N(b) & S| edges and one vertex
+    key = np.zeros(1 << n, dtype=np.uint16)
+    for b in range(n):
+        high = 1 << b
+        for start in range(0, high, chunk):
+            stop = min(start + chunk, high)
+            subsets = np.arange(start, stop, dtype=np.uint32)
+            gained = np.bitwise_count(subsets & np.uint32(adj[b])).astype(np.uint16)
+            key[high + start:high + stop] = key[start:stop] + gained * width + 1
+    size = (g.edge_count + 1) * width
+    hist = sum(np.bincount(key[s:s + chunk], minlength=size) for s in range(0, 1 << n, chunk))
+    rows = hist.reshape(-1, width).tolist()
+    return tuple(OracleProfile(level, tuple(row)) for level, row in enumerate(rows))
 
 
 def reference_to_graph6(g: Graph) -> str:

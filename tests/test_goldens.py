@@ -1,7 +1,7 @@
 """Report goldens: the SHA-256 of the report each pinned command writes,
 at every worker count that must give the same bytes, and of the free-tree
-file ``trees`` writes at every order to 16.  ``ORDER_22`` and ``ORDER_24``
-are checked by CI only, past tier-1's orders."""
+file ``trees`` writes at every order to 16.  ``ORDER_22``, ``ORDER_24`` and
+``TREE_BAND_18`` are checked by CI only, past tier-1's orders."""
 
 import hashlib
 import json
@@ -78,6 +78,10 @@ ORDER_22 = "a3948a63d1b1053eadab9e894469b5a0e5216c3a5bdc8e01d0698ba6144df4b6"
 # and of ``conjecture --orders 24:24``, at the tree order limit, where a
 # sweep's tree keys reach their largest values
 ORDER_24 = "53fca6f9e6058e2faf45692b54cacc87e4141c0c2ced9bb6d9bfd1c80df30329"
+# and of ``verify --claims tree-average-band --max-tree-order 18
+# --spot-check-rate 0.01``, whose 2,054 spot checks share oracle passes of
+# several trees to order 17 and take one tree a pass at order 18
+TREE_BAND_18 = "faa1b694c397c643a7f803c43928e60c6d92d18ca8ffa85ca35e7baeb9903024"
 
 
 @pytest.mark.parametrize("argv, digest", GOLDENS, ids=[" ".join(argv) for argv, _ in GOLDENS])

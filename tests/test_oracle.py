@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosschecks import profile_loop
+import nisets.oracle as oracle_module
+from crosschecks import profile_loop, reference_oracle_profiles
 from nisets.families import FamilySpec, build
-from nisets.graphs import build_graph, graph_from_pair_mask
+from nisets.graphs import all_pairs, build_graph, graph_from_pair_mask
 from nisets.oracle import (
     oracle_profile,
     oracle_profiles,
+    oracle_profiles_of,
     oracle_summary,
 )
 from nisets.scanner import labeled_graph_classes
@@ -139,3 +141,37 @@ def test_order_limit():
 def test_negative_level_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         oracle_profile(build_graph(3, []), -1)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_kernel_equals_the_reference_on_every_labelled_graph(n):
+    # one batch of every edge set: one pass of graphs of every edge count
+    graphs = [graph_from_pair_mask(n, mask) for mask in range(1 << comb(n, 2))]
+    assert oracle_profiles_of(graphs) == [reference_oracle_profiles(g) for g in graphs]
+
+
+@pytest.mark.parametrize("n", range(6, 21))
+def test_kernel_equals_the_reference_on_seeded_gnm_graphs(monkeypatch, n):
+    # batches of one graph, of exactly one full pass and, below order 18,
+    # with a partial last pass; from order 18 up a pass holds one graph
+    rng, pairs, step = random.Random(n), all_pairs(n), max(1, oracle_module._PASS >> n)
+    graphs = [build_graph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+              for _ in range(step + 3)]
+    want = [reference_oracle_profiles(g) for g in graphs]
+    passes, real_pass = [], oracle_module._oracle_pass
+
+    def counting_pass(batch):
+        passes.append(len(batch))
+        return real_pass(batch)
+
+    monkeypatch.setattr(oracle_module, "_oracle_pass", counting_pass)
+    for count in (1, step, len(graphs)):
+        passes.clear()
+        assert oracle_profiles_of(graphs[:count]) == want[:count], count
+        assert passes == [step] * (count // step) + [count % step] * (count % step > 0)
+
+
+def test_kernel_refuses_a_batch_of_mixed_orders():
+    with pytest.raises(ValueError, match="orders 4 and 5 in one batch"):
+        oracle_profiles_of([build_graph(4, []), build_graph(5, [])])
+    assert oracle_profiles_of([]) == []

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from math import comb
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nisets.oracle as oracle_module
 import nisets.scanner as scanner_module
 from crosschecks import (
     block_degrees,
@@ -46,7 +48,7 @@ from nisets.graphs import (
     is_good_graph,
     structural_predicates,
 )
-from nisets.oracle import OracleProfile, oracle_profiles
+from nisets.oracle import OracleProfile, oracle_profiles_of
 from nisets.scanner import (
     GRAPH_FILTERS,
     GRAPH_SCAN_LIMIT,
@@ -289,7 +291,7 @@ def spelled(tables, side):
     """A tree sweep's side with each row key replaced by the graph6 of the
     tree it names, as ``_tree_sweeps`` does after the merge."""
     for value in side.values:
-        value[2] = [to_graph6(levels_to_graph(tables.levels(key))) for key in value[2]]
+        value[2] = [to_graph6(levels_to_graph(levels)) for levels in tables.levels(value[2])]
     return side
 
 
@@ -343,7 +345,7 @@ class TestLazyTreeFold:
         trees = [(s, t, r, r + 1) for s, t, a, b in tree_segments(tables.rooted, 8)
                  for r in range(a, b) for _ in range(2)]
         rest, first = tables.rows(8, trees)
-        graphs = [levels_to_graph(tables.levels(key)) for key in tables.keys(rest, first)]
+        graphs = [levels_to_graph(levels) for levels in tables.levels(tables.keys(rest, first))]
         no_spots = scanner_module._spot_sample(8, 0.0)
         for top_k in (0, 1, 2, 3, 5, 8):
             want = eager_fold(graphs, objective, top_k)
@@ -619,9 +621,9 @@ class TestStrideSweep:
     def test_every_spot_is_checked_once_across_shards(self, monkeypatch, tmp_path):
         log = tmp_path / "spots.txt"
 
-        def logging_spot_check(levels, row):
+        def logging_spot_check(levels, rows):
             with log.open("a") as handle:
-                handle.write(" ".join(map(str, levels)) + "\n")
+                handle.writelines(" ".join(map(str, tree)) + "\n" for tree in levels)
 
         # pool workers fork from this process, so they inherit the patch
         monkeypatch.setattr(scanner_module, "_spot_check", logging_spot_check)
@@ -639,9 +641,9 @@ class TestStrideSweep:
         def logged(workers):
             log = tmp_path / f"spots{workers}.txt"
 
-            def logging_spot_check(levels, row):
+            def logging_spot_check(levels, rows):
                 with log.open("a") as handle:
-                    handle.write(" ".join(map(str, levels)) + "\n")
+                    handle.writelines(" ".join(map(str, tree)) + "\n" for tree in levels)
 
             with monkeypatch.context() as m:
                 # pool workers fork from this process, so they inherit the patch
@@ -672,6 +674,47 @@ class TestStrideSweep:
         scan_trees(13, workers=2, spot_check_rate=0.001)  # the lying tree is not sampled
         with pytest.raises(RouteDisagreement, match="tree DP"):
             scan_trees(13, workers=2, spot_check_rate=1.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_of_two_lying_trees_in_a_block_is_reported(self, monkeypatch, workers):
+        # order 10 is one block; the earlier liar is off at level 1 and the
+        # later at level 0, so a check taking the block's trees level by
+        # level, not tree by tree, would name the later one
+        tables = _Tables(10, False)
+        rest, first = tables.rows(10, tree_segments(tables.rooted, 10))
+        keys = tables.keys(rest, first)
+        early, late = keys[20], keys[70]
+        real_scalars = scanner_module._Tables.scalars
+
+        def lying_scalars(self, rest, first):
+            sig0, s0, sig1, s1 = real_scalars(self, rest, first)
+            keys = self.keys(rest, first)
+            return sig0, s0 + (keys == late), sig1, s1 + (keys == early)
+
+        # pool workers fork from this process, so they inherit the patch
+        monkeypatch.setattr(scanner_module._Tables, "scalars", lying_scalars)
+        [levels] = tables.levels([early])
+        _, _, sig1, s1 = tree_scalars(levels)
+        g6 = to_graph6(levels_to_graph(levels))
+        message = f"tree DP ({sig1}, {s1 + 1}) vs subset oracle ({sig1}, {s1}) at level 1 on {g6}"
+        with pytest.raises(RouteDisagreement, match=f"^{re.escape(message)}$"):
+            scan_trees(10, workers=workers, spot_check_rate=1.0)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.01])
+    def test_picks_runs_once_per_block_only_when_trees_are_sampled(self, monkeypatch, rate):
+        calls, real_picks = [], scanner_module._SpotSample.picks
+
+        def counting_picks(self, indices):
+            calls.append(len(indices))
+            return real_picks(self, indices)
+
+        monkeypatch.setattr(scanner_module._SpotSample, "picks", counting_picks)
+        orders = range(4, 17)
+        conjecture_scan(orders, spot_check_rate=rate)
+        blocks = sum(-(-scanner_module.count_free_trees(n) // scanner_module._BLOCK)
+                     for n in orders)
+        assert blocks == 42
+        assert len(calls) == (blocks if rate else 0)
 
     def test_parent_keeps_at_most_two_runs_per_worker_in_flight(self, monkeypatch):
         submitted, read, ahead = [0], [0], []
@@ -1127,8 +1170,9 @@ class TestTreeClaimPass:
             stream = []
             for _, segments in scanner_module._runs(tree_segments(tables.rooted, n)):
                 rest, first = tables.rows(n, segments)
-                for key, *got in zip(tables.keys(rest, first), *tables.tree_degrees(rest, first)):
-                    stream.append(tables.levels(key))
+                keys = tables.keys(rest, first)
+                for levels, *got in zip(tables.levels(keys), *tables.tree_degrees(rest, first)):
+                    stream.append(levels)
                     s = structural_predicates(levels_to_graph(stream[-1]))
                     assert (got[0], got[1] or None) == (s.max_degree, s.min_internal_degree)
             assert stream == tree_rows(n).tolist(), n
@@ -1538,23 +1582,29 @@ def test_spot_check_catches_tree_dp_disagreement(monkeypatch):
 
 
 def test_spot_check_builds_one_oracle_table_per_tree(monkeypatch):
-    tables = []
+    # order 12 is one block, so its 55 checked trees share one kernel call,
+    # and at most 2^18 >> 12 = 64 graphs share a pass: all 55 enter one
+    passes, real_pass = [], oracle_module._oracle_pass
 
-    def counting_oracle_profiles(graph):
-        tables.append(graph)
-        return oracle_profiles(graph)
+    def counting_pass(graphs):
+        passes.append(list(graphs))
+        return real_pass(graphs)
 
-    monkeypatch.setattr(scanner_module, "oracle_profiles", counting_oracle_profiles)
+    monkeypatch.setattr(oracle_module, "_oracle_pass", counting_pass)
     checked = spot_check_trees(12, 0.1)
-    assert checked == 55 and len(tables) == checked
+    entered = [to_graph6(graph) for graph in chain.from_iterable(passes)]
+    assert checked == 55 and len(entered) == checked and len(set(entered)) == checked
+    assert len(passes) == 1
 
 
 def test_spot_check_catches_oracle_disagreement(monkeypatch):
-    def lying_oracle_profiles(graph):
-        profiles = oracle_profiles(graph)
-        shifted = OracleProfile(1, (0,) + profiles[1].by_size[:-1])
-        return (profiles[0], shifted) + profiles[2:]
+    def lying_oracle_profiles_of(graphs):
+        lies = []
+        for profiles in oracle_profiles_of(graphs):
+            shifted = OracleProfile(1, (0,) + profiles[1].by_size[:-1])
+            lies.append((profiles[0], shifted) + profiles[2:])
+        return lies
 
-    monkeypatch.setattr(scanner_module, "oracle_profiles", lying_oracle_profiles)
+    monkeypatch.setattr(scanner_module, "oracle_profiles_of", lying_oracle_profiles_of)
     with pytest.raises(RouteDisagreement, match=r"vs subset oracle \(\d+, \d+\) at level 1"):
         spot_check_trees(5, 1.0)
