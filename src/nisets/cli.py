@@ -44,6 +44,7 @@ from .trees import free_trees
 
 ENV_OUTPUT_DIR = "NISETS_OUTPUT_DIR"
 _RATE_HELP = "share of each tree order checked against the subset oracle, in [0, 1]"
+_WORKERS_HELP = "processes that score the trees, this one included: w - 1 pool processes"
 
 
 @contextlib.contextmanager
@@ -456,7 +457,7 @@ def _add_witness_cap(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_sweep(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     parser.add_argument("--spot-check-rate", type=float, default=0.0, help=_RATE_HELP)
 
 

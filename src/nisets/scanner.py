@@ -15,8 +15,6 @@ tooling exit nonzero.
 
 from __future__ import annotations
 
-from collections import deque
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -53,10 +51,10 @@ WITNESS_CAP = 100
 SPOT_CHECK_SEED = 2024
 # trees per slice of a sweep's joins and folds
 _BLOCK = 1024
-# blocks per task of a tree sweep; shorter runs balance the load more
-# finely, longer ones send fewer tasks
+# blocks per task of a tree sweep; shorter runs even out the stride shares
+# more finely, longer ones leave fewer parts to merge
 _RUN_BLOCKS = 16
-# the most pool processes a sweep opens
+# the most processes a sweep scores in, this one included
 WORKER_LIMIT = 64
 GRAPH_FILTERS = ("all", "connected", "no-isolated-max-deg-2", "non-edgeless")
 OBJECTIVES = ("av1", "sigma-ratio")
@@ -639,34 +637,27 @@ def _score_run(tables, payload):
     return found
 
 
-_pool_tables = None  # a pool worker's _Tables, from _hold_tables
+def _hold_shares(*shares) -> None:
+    """Pool initializer: keep the sweep's tables, task list and stride in
+    this process, as ``_pool_shares``."""
+    global _pool_shares
+    _pool_shares = shares
 
 
-def _hold_tables(tables) -> None:
-    """Pool initializer: keep the sweep's tables in this worker."""
-    global _pool_tables
-    _pool_tables = tables
+def _score_share(tables, tasks, stride, share):
+    """The _Sweep of each (tag, payload) task share, share + stride, ... in
+    order, up to the first RouteDisagreement, which ends the list."""
+    parts = []
+    for _, payload in tasks[share::stride]:
+        try:
+            parts.append(_score_run(tables, payload))
+        except RouteDisagreement as error:
+            return parts + [error]
+    return parts
 
 
-def _pooled_run(payload):
-    return _score_run(_pool_tables, payload)
-
-
-def _in_order(pool, tables, tasks, limit):
-    """(tag, ``_score_run`` result) of each (tag, payload) task, in task
-    order: in this process without a pool, else on the pool, whose workers
-    hold ``tables``, with at most ``limit`` tasks submitted and not yet
-    read, so the tasks are taken only as results are read."""
-    if pool is None:
-        yield from ((tag, _score_run(tables, payload)) for tag, payload in tasks)
-        return
-    pending = deque()
-    for tag, payload in tasks:
-        pending.append((tag, pool.apply_async(_pooled_run, (payload,))))
-        if len(pending) == limit:
-            tag, result = pending.popleft()
-            yield tag, result.get()
-    yield from ((tag, result.get()) for tag, result in pending)
+def _pooled_share(share):
+    return _score_share(*_pool_shares, share)
 
 
 def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False):
@@ -675,20 +666,17 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
     count are checked before the call's one process pool opens (none at
     one worker).
 
-    The tables (``_Tables``) are built once, for the largest order, before
-    the pool opens; its workers receive them through the pool's
-    initializer.  This process walks each order's stream once as segments,
-    no rows copied, and cuts it into runs of ``_RUN_BLOCKS`` blocks
-    (``_runs``), one task each, at every worker count.  One
-    worker scores each run here as it is cut; more take the runs from a
-    pool fed at most 2·workers runs ahead of the results read.  So memory
-    does not grow with the tree count, and a free worker takes the next
-    run, whatever its order.  A task knows its first stream index, so it
-    spot-checks the order's sampled trees in it as it goes; the tasks, and
-    so the trees checked, are the same at every worker count.  Results are
-    merged in task order, which is stream order.  Every order's tree count
-    must equal ``count_free_trees``, or RouteDisagreement is raised.  Only
-    then is each key the merged sides keep encoded, once."""
+    The tables (``_Tables``) are built once, for the largest order.  Each
+    order's stream is walked once as segments and cut into runs of
+    ``_RUN_BLOCKS`` blocks (``_runs``), one task each, which spot-checks
+    the sampled trees of its run.  One worker scores each run as it is
+    cut, so memory does not grow with the tree count.  At w > 1 the task
+    list is cut whole and held with the tables by a pool of w - 1
+    processes; share s, tasks s, s + w, ..., is scored in one call, share
+    0 here.  Parts merge in task order, which is stream order, so the
+    first RouteDisagreement met is the first in the stream.  Every order's
+    tree count must equal ``count_free_trees``, or RouteDisagreement is
+    raised.  Only then is each key the merged sides keep encoded, once."""
     samples = [_spot_sample(n, spot_check_rate) for n in orders]
     if workers < 1:
         raise ValueError("worker count must be at least 1")
@@ -699,9 +687,18 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
              for k, (n, spots) in enumerate(zip(orders, samples))
              for first, segments in _runs(tree_segments(tables.rooted, n)))
     sweeps = [_Sweep(top_k) for _ in orders]
-    with (Pool(workers, initializer=_hold_tables, initargs=(tables,)) if workers > 1
-          else nullcontext()) as pool:
-        for k, part in _in_order(pool, tables, tasks, 2 * workers):
+    if workers == 1:
+        for k, payload in tasks:
+            sweeps[k].merge(_score_run(tables, payload))
+    else:
+        tasks = list(tasks)
+        with Pool(workers - 1, initializer=_hold_shares, initargs=(tables, tasks, workers)) as pool:
+            pending = pool.map_async(_pooled_share, range(1, workers))
+            parts = [_score_share(tables, tasks, workers, 0), *pending.get()]
+        for index, (k, _) in enumerate(tasks):
+            part = parts[index % workers][index // workers]
+            if isinstance(part, RouteDisagreement):
+                raise part
             sweeps[k].merge(part)
     for n, sweep in zip(orders, sweeps):
         if sweep.count != count_free_trees(n):

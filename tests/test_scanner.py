@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import re
 from collections import Counter
 from dataclasses import replace
@@ -400,7 +401,7 @@ class TestLazyTreeFold:
 
 class InProcessPool:
     """Stands in for a process pool: its initializer and each task run in
-    this process, a task when its result is read."""
+    this process, a map's tasks when its results are read."""
 
     def __init__(self, workers, initializer=None, initargs=()):
         if initializer is not None:
@@ -412,8 +413,15 @@ class InProcessPool:
     def __exit__(self, *exc):
         return False
 
-    def apply_async(self, func, args):
-        return SimpleNamespace(get=lambda: func(*args))
+    def map_async(self, func, iterable):
+        return SimpleNamespace(get=lambda: [func(item) for item in iterable])
+
+
+def in_task_order(payloads):
+    """The ``_score_run`` payloads of one sweep in task order: the pool's
+    shares are scored out of it, and a task's order and first stream index
+    name its place."""
+    return sorted(payloads, key=lambda payload: (payload[0], payload[5]))
 
 
 def tied_stream(length=60):
@@ -533,29 +541,33 @@ class TestStrideSweep:
 
     def test_one_task_list_at_every_worker_count(self, monkeypatch):
         def recorded(workers):
-            tasks = []
+            calls = []
 
             def recording_run(tables, payload):
                 # the payload's segments are an array, compared as a list
                 *head, segments = payload
-                tasks.append((*head, segments.tolist()))
+                calls[-1].append((*head, segments.tolist()))
                 return _score_run(tables, payload)
 
             with monkeypatch.context() as m:
                 m.setattr(scanner_module, "_score_run", recording_run)
                 m.setattr(scanner_module, "Pool", InProcessPool)
                 for n in range(4, 14):
+                    calls.append([])
                     scan_trees(n, workers=workers, spot_check_rate=0.02)
+                calls.append([])
                 conjecture_scan(range(4, 14), workers=workers)
-            return tasks
+            return calls
 
         monkeypatch.setattr(scanner_module, "_BLOCK", 16)
         one = recorded(1)
+        # one worker scores the tasks in task order
+        assert one == [in_task_order(call) for call in one]
         # runs of 16 blocks of 16 trees, for the scans and then the conjecture
         runs = sum(-(-scanner_module.count_free_trees(n) // 256) for n in range(4, 14))
-        assert len(one) == 2 * runs
-        assert recorded(2) == one
-        assert recorded(3) == one
+        assert sum(map(len, one)) == 2 * runs
+        assert [in_task_order(call) for call in recorded(2)] == one
+        assert [in_task_order(call) for call in recorded(3)] == one
 
     def test_one_pool_per_call(self, monkeypatch):
         pools, real_pool = [], scanner_module.Pool
@@ -565,28 +577,30 @@ class TestStrideSweep:
             return real_pool(workers, **kwargs)
 
         monkeypatch.setattr(scanner_module, "Pool", counting_pool)
+        # w workers are this process and a pool of w - 1
         conjecture_scan(range(9, 13), workers=2)
-        assert pools == [2]
-        scan_trees(11, workers=2)
-        assert pools == [2, 2]
+        assert pools == [1]
+        scan_trees(11, workers=3)
+        assert pools == [1, 2]
         conjecture_scan(range(9, 13), workers=1)
-        assert pools == [2, 2]
+        assert pools == [1, 2]
 
     def test_one_pool_pass_over_every_order(self, monkeypatch):
-        tasks = []
+        payloads = []
 
-        class RecordingPool(InProcessPool):
-            def apply_async(self, func, args):
-                tasks.append(args[0])
-                return super().apply_async(func, args)
+        def recording_run(tables, payload):
+            payloads.append(payload)
+            return _score_run(tables, payload)
 
         def report_bytes(records):
             return json.dumps([r.to_json_dict() for r in records]).encode()
 
         monkeypatch.setattr(scanner_module, "_BLOCK", 16)
         with monkeypatch.context() as m:
-            m.setattr(scanner_module, "Pool", RecordingPool)
+            m.setattr(scanner_module, "Pool", InProcessPool)
+            m.setattr(scanner_module, "_score_run", recording_run)
             two = conjecture_scan(range(4, 14), workers=2)
+        tasks = in_task_order(payloads)
         # one pass, queued order by order, without spot checks
         assert [task[:4] for task in tasks] == [
             (n, "av1", 5, scanner_module._spot_sample(n, 0))
@@ -700,6 +714,45 @@ class TestStrideSweep:
         with pytest.raises(RouteDisagreement, match=f"^{re.escape(message)}$"):
             scan_trees(10, workers=workers, spot_check_rate=1.0)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_of_two_lying_trees_in_different_runs_is_reported(self, monkeypatch, workers):
+        # order 13 in six runs of 256 trees; the earlier liar is in run 1, in
+        # a pool process's share, and the later in run w, in this process's
+        # share 0, which is scored first
+        monkeypatch.setattr(scanner_module, "_BLOCK", 16)
+        tables = _Tables(13, False)
+        rest, first = tables.rows(13, tree_segments(tables.rooted, 13))
+        keys = tables.keys(rest, first)
+        early, late = keys[256 + 20], keys[256 * workers + 70]
+        real_scalars = scanner_module._Tables.scalars
+
+        def lying_scalars(self, rest, first):
+            sig0, s0, sig1, s1 = real_scalars(self, rest, first)
+            keys = self.keys(rest, first)
+            return sig0, s0 + (keys == late), sig1, s1 + (keys == early)
+
+        # pool workers fork from this process, so they inherit the patch
+        monkeypatch.setattr(scanner_module._Tables, "scalars", lying_scalars)
+        [levels] = tables.levels([early])
+        _, _, sig1, s1 = tree_scalars(levels)
+        g6 = to_graph6(levels_to_graph(levels))
+        message = f"tree DP ({sig1}, {s1 + 1}) vs subset oracle ({sig1}, {s1}) at level 1 on {g6}"
+        with pytest.raises(RouteDisagreement, match=f"^{re.escape(message)}$"):
+            scan_trees(13, workers=workers, spot_check_rate=1.0)
+
+    def test_more_workers_than_runs_write_the_one_worker_report(self):
+        def report_bytes(records):
+            return json.dumps([r.to_json_dict() for r in records]).encode()
+
+        # order 5 is one run, and orders 4-7 are one run each, so some
+        # shares hold no task
+        assert report_bytes([scan_trees(5, workers=4)]) == report_bytes([scan_trees(5, workers=1)])
+        assert not multiprocessing.active_children()
+        one = report_bytes(conjecture_scan(range(4, 8), workers=1))
+        for workers in (3, 5):
+            assert report_bytes(conjecture_scan(range(4, 8), workers=workers)) == one
+            assert not multiprocessing.active_children()
+
     @pytest.mark.parametrize("rate", [0.0, 0.01])
     def test_picks_runs_once_per_block_only_when_trees_are_sampled(self, monkeypatch, rate):
         calls, real_picks = [], scanner_module._SpotSample.picks
@@ -716,27 +769,38 @@ class TestStrideSweep:
         assert blocks == 42
         assert len(calls) == (blocks if rate else 0)
 
-    def test_parent_keeps_at_most_two_runs_per_worker_in_flight(self, monkeypatch):
-        submitted, read, ahead = [0], [0], []
+    def test_each_pool_process_sends_one_result(self, monkeypatch):
+        maps, shares = [], []
 
         class RecordingPool(InProcessPool):
-            def apply_async(self, func, args):
-                submitted[0] += 1
-                ahead.append(submitted[0] - read[0])
-                result = super().apply_async(func, args)
+            def map_async(self, func, iterable):
+                result = super().map_async(func, iterable)
 
                 def get():
-                    read[0] += 1
-                    return result.get()
+                    maps.append(result.get())
+                    return maps[-1]
 
                 return SimpleNamespace(get=get)
 
+        def recording_share(tables, tasks, stride, share):
+            shares.append((stride, share))
+            return real_share(tables, tasks, stride, share)
+
+        real_share = scanner_module._score_share
         monkeypatch.setattr(scanner_module, "_BLOCK", 16)
         monkeypatch.setattr(scanner_module, "Pool", RecordingPool)
-        scan_trees(14, workers=2)
-        # 3159 trees in 13 runs; the parent never runs more than 2·2 ahead
-        assert submitted[0] == read[0] == 13
-        assert max(ahead) == 4
+        monkeypatch.setattr(scanner_module, "_score_share", recording_share)
+        for workers in (2, 3):
+            maps.clear()
+            shares.clear()
+            scan_trees(14, workers=workers)
+            # 3159 trees in 13 runs: this process scores runs 0, w, 2w, ...
+            # and the pool's one map sends w - 1 results, one per share
+            assert sorted(shares) == [(workers, s) for s in range(workers)]
+            [results] = maps
+            assert len(results) == workers - 1
+            assert [len(parts) for parts in results] == [len(range(s, 13, workers))
+                                                         for s in range(1, workers)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_stream_short_of_the_tree_count_raises(self, monkeypatch, workers):
