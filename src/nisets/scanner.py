@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 from multiprocessing import Pool
 
@@ -51,7 +51,7 @@ WITNESS_CAP = 100
 SPOT_CHECK_SEED = 2024
 # trees per slice of a sweep's joins and folds
 _BLOCK = 1024
-# blocks per task of a tree sweep; shorter runs even out the stride shares
+# blocks per task of a tree sweep; shorter runs even out the pool's shares
 # more finely, longer ones leave fewer parts to merge
 _RUN_BLOCKS = 16
 # the most processes a sweep scores in, this one included
@@ -637,18 +637,30 @@ def _score_run(tables, payload):
     return found
 
 
+def _shares(trees, workers):
+    """Task indices of ``workers`` shares of tasks of these tree counts, in
+    task order.  Most trees first, each task joins the share of least
+    weight, a task weighing its trees and two blocks; share 0 weighs least."""
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for index in sorted(range(len(trees)), key=trees.__getitem__, reverse=True):
+        s = loads.index(min(loads))
+        shares[s].append(index)
+        loads[s] += trees[index] + 2 * _BLOCK
+    return [sorted(shares[s]) for s in sorted(range(workers), key=loads.__getitem__)]
+
+
 def _hold_shares(*shares) -> None:
-    """Pool initializer: keep the sweep's tables, task list and stride in
-    this process, as ``_pool_shares``."""
+    """Pool initializer: keep the sweep's tables and each share's task list
+    in this process, as ``_pool_shares``."""
     global _pool_shares
     _pool_shares = shares
 
 
-def _score_share(tables, tasks, stride, share):
-    """The _Sweep of each (tag, payload) task share, share + stride, ... in
-    order, up to the first RouteDisagreement, which ends the list."""
+def _score_share(tables, tasks):
+    """The _Sweep of each (tag, payload) task in order, up to the first
+    RouteDisagreement, which ends the list."""
     parts = []
-    for _, payload in tasks[share::stride]:
+    for _, payload in tasks:
         try:
             parts.append(_score_run(tables, payload))
         except RouteDisagreement as error:
@@ -657,7 +669,13 @@ def _score_share(tables, tasks, stride, share):
 
 
 def _pooled_share(share):
-    return _score_share(*_pool_shares, share)
+    # loaded in a pool process already; a top-level import would slow every command's start
+    from multiprocessing.pool import ExceptionWithTraceback
+
+    parts = _score_share(_pool_shares[0], _pool_shares[1][share])
+    if parts and isinstance(parts[-1], RouteDisagreement):  # sent with its traceback, as if raised
+        parts[-1] = ExceptionWithTraceback(parts[-1], parts[-1].__traceback__)
+    return parts
 
 
 def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False):
@@ -671,12 +689,12 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
     ``_RUN_BLOCKS`` blocks (``_runs``), one task each, which spot-checks
     the sampled trees of its run.  One worker scores each run as it is
     cut, so memory does not grow with the tree count.  At w > 1 the task
-    list is cut whole and held with the tables by a pool of w - 1
-    processes; share s, tasks s, s + w, ..., is scored in one call, share
-    0 here.  Parts merge in task order, which is stream order, so the
-    first RouteDisagreement met is the first in the stream.  Every order's
-    tree count must equal ``count_free_trees``, or RouteDisagreement is
-    raised.  Only then is each key the merged sides keep encoded, once."""
+    list is cut whole, dealt into w shares (``_shares``) and held with the
+    tables by a pool of w - 1 processes; each share is scored in one call,
+    the lightest here.  Parts merge in task order, which is stream order,
+    so the first RouteDisagreement met is the first.  Every order's tree
+    count must equal ``count_free_trees``, or RouteDisagreement is raised.
+    Only then is each key the merged sides keep encoded, once."""
     samples = [_spot_sample(n, spot_check_rate) for n in orders]
     if workers < 1:
         raise ValueError("worker count must be at least 1")
@@ -688,18 +706,19 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
              for first, segments in _runs(tree_segments(tables.rooted, n)))
     sweeps = [_Sweep(top_k) for _ in orders]
     if workers == 1:
-        for k, payload in tasks:
-            sweeps[k].merge(_score_run(tables, payload))
+        parts = ((k, _score_run(tables, payload)) for k, payload in tasks)
     else:
         tasks = list(tasks)
-        with Pool(workers - 1, initializer=_hold_shares, initargs=(tables, tasks, workers)) as pool:
+        shares = _shares([int(np.sum(p[-1][:, 3] - p[-1][:, 2])) for _, p in tasks], workers)
+        held = [[tasks[i] for i in share] for share in shares]
+        with Pool(workers - 1, initializer=_hold_shares, initargs=(tables, held)) as pool:
             pending = pool.map_async(_pooled_share, range(1, workers))
-            parts = [_score_share(tables, tasks, workers, 0), *pending.get()]
-        for index, (k, _) in enumerate(tasks):
-            part = parts[index % workers][index // workers]
-            if isinstance(part, RouteDisagreement):
-                raise part
-            sweeps[k].merge(part)
+            scored = [_score_share(tables, held[0]), *pending.get()]
+        parts = ((tasks[i][0], part) for i, part in sorted(chain(*map(zip, shares, scored))))
+    for k, part in parts:
+        if isinstance(part, RouteDisagreement):
+            raise part
+        sweeps[k].merge(part)
     for n, sweep in zip(orders, sweeps):
         if sweep.count != count_free_trees(n):
             raise RouteDisagreement(f"the order-{n} stream held {sweep.count} trees, but the "

@@ -2,7 +2,7 @@
 module-level name is used somewhere besides its definition, in the package
 itself unless it is a named test reference, and every public name is used
 by another module of the package or is on one of two named lists.
-Importing the package starts no BLAS thread."""
+Importing the package starts no BLAS thread and loads no process pool."""
 
 import ast
 import importlib
@@ -231,3 +231,14 @@ def test_import_starts_no_blas_thread():
         assert threads == "1"
     # a value the user sets wins
     assert probe_import(OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
+def test_import_loads_no_pool_module():
+    # multiprocessing.pool and what it imports take about 18 ms, which
+    # only a command that opens a pool should pay
+    probe = "import sys, nisets.cli; print('multiprocessing.pool' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                          check=True)
+    assert proc.stdout.split() == ["False"]

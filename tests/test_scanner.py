@@ -9,6 +9,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import chain, permutations
 from math import comb
+from multiprocessing.pool import RemoteTraceback
 from types import SimpleNamespace
 
 import numpy as np
@@ -716,14 +717,18 @@ class TestStrideSweep:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_first_of_two_lying_trees_in_different_runs_is_reported(self, monkeypatch, workers):
-        # order 13 in six runs of 256 trees; the earlier liar is in run 1, in
-        # a pool process's share, and the later in run w, in this process's
-        # share 0, which is scored first
+        # order 13 in six runs, five of 256 trees and one of 21; the earlier
+        # liar is in the first run of the last share, a pool process's at
+        # w > 1, and the later in a later run of share 0, this process's,
+        # which is scored first
         monkeypatch.setattr(scanner_module, "_BLOCK", 16)
+        runs = scanner_module._shares([256] * 5 + [21], workers)
+        early_run = runs[-1][0]
+        late_run = next(i for i in runs[0] if i > early_run)
         tables = _Tables(13, False)
         rest, first = tables.rows(13, tree_segments(tables.rooted, 13))
         keys = tables.keys(rest, first)
-        early, late = keys[256 + 20], keys[256 * workers + 70]
+        early, late = keys[256 * early_run + 20], keys[256 * late_run + 70]
         real_scalars = scanner_module._Tables.scalars
 
         def lying_scalars(self, rest, first):
@@ -737,8 +742,14 @@ class TestStrideSweep:
         _, _, sig1, s1 = tree_scalars(levels)
         g6 = to_graph6(levels_to_graph(levels))
         message = f"tree DP ({sig1}, {s1 + 1}) vs subset oracle ({sig1}, {s1}) at level 1 on {g6}"
-        with pytest.raises(RouteDisagreement, match=f"^{re.escape(message)}$"):
+        with pytest.raises(RouteDisagreement, match=f"^{re.escape(message)}$") as raised:
             scan_trees(13, workers=workers, spot_check_rate=1.0)
+        # a pool process's error keeps the traceback of where it was raised
+        cause = raised.value.__cause__
+        if workers > 1:
+            assert isinstance(cause, RemoteTraceback) and "in _score_run" in str(cause)
+        else:
+            assert cause is None
 
     def test_more_workers_than_runs_write_the_one_worker_report(self):
         def report_bytes(records):
@@ -782,9 +793,9 @@ class TestStrideSweep:
 
                 return SimpleNamespace(get=get)
 
-        def recording_share(tables, tasks, stride, share):
-            shares.append((stride, share))
-            return real_share(tables, tasks, stride, share)
+        def recording_share(tables, tasks):
+            shares.append([payload[5] // 256 for _, payload in tasks])
+            return real_share(tables, tasks)
 
         real_share = scanner_module._score_share
         monkeypatch.setattr(scanner_module, "_BLOCK", 16)
@@ -794,13 +805,33 @@ class TestStrideSweep:
             maps.clear()
             shares.clear()
             scan_trees(14, workers=workers)
-            # 3159 trees in 13 runs: this process scores runs 0, w, 2w, ...
-            # and the pool's one map sends w - 1 results, one per share
-            assert sorted(shares) == [(workers, s) for s in range(workers)]
+            # 3159 trees in 13 runs, twelve of 256 and one of 87: this
+            # process scores share 0 first, and the pool's one map sends
+            # w - 1 results, one per share, each its share's runs
+            runs = scanner_module._shares([256] * 12 + [87], workers)
+            assert shares == runs
             [results] = maps
-            assert len(results) == workers - 1
-            assert [len(parts) for parts in results] == [len(range(s, 13, workers))
-                                                         for s in range(1, workers)]
+            assert [len(parts) for parts in results] == [len(share) for share in runs[1:]]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5, 20])
+    def test_shares_deal_every_run_once_and_this_process_the_lightest(self, workers):
+        # the runs of the tree sweep of orders 4-17: one per order to 15,
+        # two for order 16 and three for order 17
+        size = scanner_module._RUN_BLOCKS * scanner_module._BLOCK
+        trees = [min(size, count - first) for count in map(scanner_module.count_free_trees, range(4, 18))
+                 for first in range(0, count, size)]
+        assert len(trees) == 17 and sum(trees) == 81134
+        shares = scanner_module._shares(trees, workers)
+        assert len(shares) == workers
+        assert sorted(chain(*shares)) == list(range(17))
+        assert all(share == sorted(share) for share in shares)
+        # a run weighs its trees and two blocks; share 0 is the lightest,
+        # and dealt largest first, no share outweighs it by more than a run
+        weights = [sum(trees[i] + 2 * scanner_module._BLOCK for i in share) for share in shares]
+        assert weights[0] == min(weights)
+        assert max(weights) - weights[0] <= size + 2 * scanner_module._BLOCK
+        if workers == 2:
+            assert [sum(trees[i] for i in share) for share in shares] == [41583, 39551]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_stream_short_of_the_tree_count_raises(self, monkeypatch, workers):
