@@ -669,8 +669,7 @@ def _score_share(tables, tasks):
 
 
 def _pooled_share(share):
-    # loaded in a pool process already; a top-level import would slow every command's start
-    from multiprocessing.pool import ExceptionWithTraceback
+    from multiprocessing.pool import ExceptionWithTraceback  # not at the top: slow to import
 
     parts = _score_share(_pool_shares[0], _pool_shares[1][share])
     if parts and isinstance(parts[-1], RouteDisagreement):  # sent with its traceback, as if raised
