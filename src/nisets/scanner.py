@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain, permutations
 from math import factorial
-from multiprocessing import Pool
+from multiprocessing import Pipe, Process
 
 import numpy as np
 
@@ -649,51 +649,45 @@ def _shares(trees, workers):
     return [sorted(shares[s]) for s in sorted(range(workers), key=loads.__getitem__)]
 
 
-def _hold_shares(*shares) -> None:
-    """Pool initializer: keep the sweep's tables and each share's task list
-    in this process, as ``_pool_shares``."""
-    global _pool_shares
-    _pool_shares = shares
-
-
 def _score_share(tables, tasks):
     """The _Sweep of each (tag, payload) task in order, up to the first
-    RouteDisagreement, which ends the list."""
+    error, which ends the list."""
     parts = []
     for _, payload in tasks:
         try:
             parts.append(_score_run(tables, payload))
-        except RouteDisagreement as error:
+        except Exception as error:
             return parts + [error]
     return parts
 
 
-def _pooled_share(share):
-    from multiprocessing.pool import ExceptionWithTraceback  # not at the top: slow to import
-
-    parts = _score_share(_pool_shares[0], _pool_shares[1][share])
-    if parts and isinstance(parts[-1], RouteDisagreement):  # sent with its traceback, as if raised
+def _pooled_share(tables, tasks, sender):
+    """Score a share in a pool process and send its parts in one message,
+    an error with its traceback, as if raised."""
+    parts = _score_share(tables, tasks)
+    if parts and isinstance(parts[-1], Exception):
+        from multiprocessing.pool import ExceptionWithTraceback  # slow to import: errors only
         parts[-1] = ExceptionWithTraceback(parts[-1], parts[-1].__traceback__)
-    return parts
+    sender.send(parts)
 
 
 def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False):
     """The _Sweep of the trees of each order, in a list, its max side
     keeping the top_k best entries.  The spot-check rate and the worker
-    count are checked before the call's one process pool opens (none at
-    one worker).
+    count are checked before any pool process starts (none at one worker).
 
     The tables (``_Tables``) are built once, for the largest order.  Each
     order's stream is walked once as segments and cut into runs of
     ``_RUN_BLOCKS`` blocks (``_runs``), one task each, which spot-checks
     the sampled trees of its run.  One worker scores each run as it is
     cut, so memory does not grow with the tree count.  At w > 1 the task
-    list is cut whole, dealt into w shares (``_shares``) and held with the
-    tables by a pool of w - 1 processes; each share is scored in one call,
-    the lightest here.  Parts merge in task order, which is stream order,
-    so the first RouteDisagreement met is the first.  Every order's tree
-    count must equal ``count_free_trees``, or RouteDisagreement is raised.
-    Only then is each key the merged sides keep encoded, once."""
+    list is cut whole and dealt into w shares (``_shares``): w - 1 pool
+    processes, started with the tables and a share each, send back their
+    share's parts in one message while this process scores the lightest.
+    Parts merge in task order, which is stream order, so the first error
+    met is the first.  Every order's tree count must equal
+    ``count_free_trees``, or RouteDisagreement is raised.  Only then is
+    each key the merged sides keep encoded, once."""
     samples = [_spot_sample(n, spot_check_rate) for n in orders]
     if workers < 1:
         raise ValueError("worker count must be at least 1")
@@ -710,12 +704,20 @@ def _tree_sweeps(orders, objective, workers, top_k, spot_check_rate, caps=False)
         tasks = list(tasks)
         shares = _shares([int(np.sum(p[-1][:, 3] - p[-1][:, 2])) for _, p in tasks], workers)
         held = [[tasks[i] for i in share] for share in shares]
-        with Pool(workers - 1, initializer=_hold_shares, initargs=(tables, held)) as pool:
-            pending = pool.map_async(_pooled_share, range(1, workers))
-            scored = [_score_share(tables, held[0]), *pending.get()]
+        pipes = [Pipe(duplex=False) for _ in held[1:]]
+        pool = [Process(target=_pooled_share, args=(tables, share, sender), daemon=True)
+                for share, (_, sender) in zip(held[1:], pipes)]
+        for process, (_, sender) in zip(pool, pipes):
+            process.start()
+            sender.close()  # the process holds the send end, so its death ends the pipe
+        try:
+            scored = [_score_share(tables, held[0]), *(receiver.recv() for receiver, _ in pipes)]
+        finally:
+            for process in pool:
+                process.join()
         parts = ((tasks[i][0], part) for i, part in sorted(chain(*map(zip, shares, scored))))
     for k, part in parts:
-        if isinstance(part, RouteDisagreement):
+        if isinstance(part, Exception):
             raise part
         sweeps[k].merge(part)
     for n, sweep in zip(orders, sweeps):

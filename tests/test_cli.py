@@ -453,10 +453,10 @@ def test_conjecture_refuses_order_past_limit_before_sweeping(capsys, monkeypatch
 def test_conjecture_refuses_worker_count_past_limit_before_any_pool(capsys, monkeypatch):
     from nisets import scanner
 
-    def no_pool(workers):
+    def no_pool(**kwargs):
         raise AssertionError("a pool opened for a refused worker count")
 
-    monkeypatch.setattr(scanner, "Pool", no_pool)
+    monkeypatch.setattr(scanner, "Process", no_pool)
     workers = scanner.WORKER_LIMIT + 1
     code, out, err = run_cli(capsys, "conjecture", "--orders", "4:5", "--workers", str(workers))
     assert code == 2 and out == ""

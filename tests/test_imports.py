@@ -234,8 +234,8 @@ def test_import_starts_no_blas_thread():
 
 
 def test_import_loads_no_pool_module():
-    # multiprocessing.pool and what it imports take about 18 ms, which
-    # only a command that opens a pool should pay
+    # multiprocessing.pool is slow to import, and only a pool process that
+    # sends back an error needs it
     probe = "import sys, nisets.cli; print('multiprocessing.pool' in sys.modules)"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), env.get("PYTHONPATH"))))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import multiprocessing
+import os
 import re
 from collections import Counter
 from dataclasses import replace
@@ -10,7 +11,6 @@ from fractions import Fraction
 from itertools import chain, permutations
 from math import comb
 from multiprocessing.pool import RemoteTraceback
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -401,21 +401,17 @@ class TestLazyTreeFold:
 
 
 class InProcessPool:
-    """Stands in for a process pool: its initializer and each task run in
-    this process, a map's tasks when its results are read."""
+    """Stands in for a pool process: its target runs in this process when
+    it starts, so a share's one message must fit the pipe's buffer."""
 
-    def __init__(self, workers, initializer=None, initargs=()):
-        if initializer is not None:
-            initializer(*initargs)
+    def __init__(self, target, args, daemon):
+        self.target, self.args = target, args
 
-    def __enter__(self):
-        return self
+    def start(self):
+        self.target(*self.args)
 
-    def __exit__(self, *exc):
-        return False
-
-    def map_async(self, func, iterable):
-        return SimpleNamespace(get=lambda: [func(item) for item in iterable])
+    def join(self):
+        pass
 
 
 def in_task_order(payloads):
@@ -552,7 +548,7 @@ class TestStrideSweep:
 
             with monkeypatch.context() as m:
                 m.setattr(scanner_module, "_score_run", recording_run)
-                m.setattr(scanner_module, "Pool", InProcessPool)
+                m.setattr(scanner_module, "Process", InProcessPool)
                 for n in range(4, 14):
                     calls.append([])
                     scan_trees(n, workers=workers, spot_check_rate=0.02)
@@ -571,20 +567,20 @@ class TestStrideSweep:
         assert [in_task_order(call) for call in recorded(3)] == one
 
     def test_one_pool_per_call(self, monkeypatch):
-        pools, real_pool = [], scanner_module.Pool
+        started, real_process = [], scanner_module.Process
 
-        def counting_pool(workers, **kwargs):
-            pools.append(workers)
-            return real_pool(workers, **kwargs)
+        def counting_process(**kwargs):
+            started.append(kwargs["target"])
+            return real_process(**kwargs)
 
-        monkeypatch.setattr(scanner_module, "Pool", counting_pool)
+        monkeypatch.setattr(scanner_module, "Process", counting_process)
         # w workers are this process and a pool of w - 1
         conjecture_scan(range(9, 13), workers=2)
-        assert pools == [1]
+        assert started == [scanner_module._pooled_share]
         scan_trees(11, workers=3)
-        assert pools == [1, 2]
+        assert started == [scanner_module._pooled_share] * 3
         conjecture_scan(range(9, 13), workers=1)
-        assert pools == [1, 2]
+        assert len(started) == 3
 
     def test_one_pool_pass_over_every_order(self, monkeypatch):
         payloads = []
@@ -598,7 +594,7 @@ class TestStrideSweep:
 
         monkeypatch.setattr(scanner_module, "_BLOCK", 16)
         with monkeypatch.context() as m:
-            m.setattr(scanner_module, "Pool", InProcessPool)
+            m.setattr(scanner_module, "Process", InProcessPool)
             m.setattr(scanner_module, "_score_run", recording_run)
             two = conjecture_scan(range(4, 14), workers=2)
         tasks = in_task_order(payloads)
@@ -623,7 +619,7 @@ class TestStrideSweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool opened before the inputs were checked")
 
-        monkeypatch.setattr(scanner_module, "Pool", no_pool)
+        monkeypatch.setattr(scanner_module, "Process", no_pool)
         with pytest.raises(ValueError, match="2..24"):
             scan_trees(25, workers=2)
         with pytest.raises(ValueError, match="unknown objective"):
@@ -781,37 +777,68 @@ class TestStrideSweep:
         assert len(calls) == (blocks if rate else 0)
 
     def test_each_pool_process_sends_one_result(self, monkeypatch):
-        maps, shares = [], []
+        sent, shares = [], []
 
-        class RecordingPool(InProcessPool):
-            def map_async(self, func, iterable):
-                result = super().map_async(func, iterable)
+        class RecordingSender:
+            def __init__(self, sender):
+                self.sender = sender
 
-                def get():
-                    maps.append(result.get())
-                    return maps[-1]
+            def send(self, parts):
+                sent.append(parts)
+                self.sender.send(parts)
 
-                return SimpleNamespace(get=get)
+        def recording_pooled(tables, tasks, sender):
+            real_pooled(tables, tasks, RecordingSender(sender))
 
         def recording_share(tables, tasks):
             shares.append([payload[5] // 256 for _, payload in tasks])
             return real_share(tables, tasks)
 
-        real_share = scanner_module._score_share
+        real_pooled, real_share = scanner_module._pooled_share, scanner_module._score_share
         monkeypatch.setattr(scanner_module, "_BLOCK", 16)
-        monkeypatch.setattr(scanner_module, "Pool", RecordingPool)
+        monkeypatch.setattr(scanner_module, "Process", InProcessPool)
+        monkeypatch.setattr(scanner_module, "_pooled_share", recording_pooled)
         monkeypatch.setattr(scanner_module, "_score_share", recording_share)
         for workers in (2, 3):
-            maps.clear()
+            sent.clear()
             shares.clear()
             scan_trees(14, workers=workers)
-            # 3159 trees in 13 runs, twelve of 256 and one of 87: this
-            # process scores share 0 first, and the pool's one map sends
-            # w - 1 results, one per share, each its share's runs
+            # 3159 trees in 13 runs, twelve of 256 and one of 87: each of
+            # the w - 1 pool processes, started before this process scores
+            # share 0, sends one message, its share's parts
             runs = scanner_module._shares([256] * 12 + [87], workers)
-            assert shares == runs
-            [results] = maps
-            assert [len(parts) for parts in results] == [len(share) for share in runs[1:]]
+            assert shares == runs[1:] + runs[:1]
+            assert [len(parts) for parts in sent] == [len(share) for share in runs[1:]]
+
+    def test_a_pool_process_error_of_any_kind_is_raised_here(self, monkeypatch):
+        parent, real_run = os.getpid(), scanner_module._score_run
+
+        def failing_run(tables, payload):
+            if os.getpid() != parent:
+                raise ValueError("lost in a pool process")
+            return real_run(tables, payload)
+
+        # pool processes fork from this process, so they inherit the patch
+        monkeypatch.setattr(scanner_module, "_score_run", failing_run)
+        with pytest.raises(ValueError, match="^lost in a pool process$") as raised:
+            scan_trees(11, workers=2)
+        assert isinstance(raised.value.__cause__, RemoteTraceback)
+        assert not multiprocessing.active_children()
+
+    def test_a_pool_process_that_dies_unsent_ends_the_call(self, monkeypatch):
+        parent, real_run = os.getpid(), scanner_module._score_run
+
+        def dying_run(tables, payload):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real_run(tables, payload)
+
+        # pool processes fork from this process, so they inherit the patch;
+        # this process closes its copy of the send end, so the read ends
+        monkeypatch.setattr(scanner_module, "_score_run", dying_run)
+        with pytest.raises(EOFError):
+            scan_trees(11, workers=3)
+        assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5, 20])
     def test_shares_deal_every_run_once_and_this_process_the_lightest(self, workers):
@@ -912,10 +939,10 @@ class TestStrideSweep:
             conjecture_scan([6], workers=workers)
 
     def test_worker_count_above_the_limit_refused_before_any_pool(self, monkeypatch):
-        def no_pool(workers):
+        def no_pool(**kwargs):
             raise AssertionError("a pool opened for a refused worker count")
 
-        monkeypatch.setattr(scanner_module, "Pool", no_pool)
+        monkeypatch.setattr(scanner_module, "Process", no_pool)
         limit = scanner_module.WORKER_LIMIT
         match = rf"worker count {limit + 1} above the limit \({limit}\)"
         with pytest.raises(ValueError, match=match):
