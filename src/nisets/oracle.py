@@ -45,21 +45,22 @@ def _check_order(g: Graph) -> None:
         raise ValueError(f"order {g.n} exceeds oracle limit ({ORACLE_ORDER_LIMIT})")
 
 
-def oracle_profiles_of(graphs) -> list[tuple[OracleProfile, ...]]:
-    """``oracle_profiles`` of each of a sequence of graphs of one order,
-    taken ``_PASS`` >> n graphs (at least one) to a pass."""
+def oracle_levels_of(graphs) -> list[np.ndarray]:
+    """Each of a sequence of graphs of one order as its (edge_count + 1,
+    n + 1) array of subset counts by induced-edge count and size, taken
+    ``_PASS`` >> n graphs (at least one) to a pass."""
     graphs = list(graphs)
     for g in graphs:
         _check_order(g)
         if g.n != graphs[0].n:
             raise ValueError(f"graphs of orders {graphs[0].n} and {g.n} in one batch")
     step = max(1, _PASS >> graphs[0].n) if graphs else 1
-    return [profiles for start in range(0, len(graphs), step)
-            for profiles in _oracle_pass(graphs[start:start + step])]
+    return [levels for start in range(0, len(graphs), step)
+            for levels in _oracle_pass(graphs[start:start + step])]
 
 
-def _oracle_pass(graphs) -> list[tuple[OracleProfile, ...]]:
-    """The profiles of graphs of one order from one table of their keys."""
+def _oracle_pass(graphs) -> list[np.ndarray]:
+    """The level rows of graphs of one order from one table of their keys."""
     n, count, width = graphs[0].n, len(graphs), graphs[0].n + 1
     edges = [g.edge_count for g in graphs]
     size = (max(edges) + 1) * width
@@ -82,9 +83,14 @@ def _oracle_pass(graphs) -> list[tuple[OracleProfile, ...]]:
     flat = key.reshape(-1)
     hist = sum(np.bincount(flat[s:s + _CHUNK], minlength=count * size)
                for s in range(0, flat.size, _CHUNK))
-    tables = hist.reshape(count, -1, width).tolist()
-    return [tuple(OracleProfile(level, tuple(row)) for level, row in enumerate(rows[:e + 1]))
-            for e, rows in zip(edges, tables)]
+    return [rows[:e + 1] for e, rows in zip(edges, hist.reshape(count, -1, width))]
+
+
+def oracle_profiles_of(graphs) -> list[tuple[OracleProfile, ...]]:
+    """``oracle_profiles`` of each of a sequence of graphs of one order,
+    from ``oracle_levels_of``."""
+    return [tuple(OracleProfile(level, tuple(row)) for level, row in enumerate(levels.tolist()))
+            for levels in oracle_levels_of(graphs)]
 
 
 def oracle_profiles(g: Graph) -> tuple[OracleProfile, ...]:

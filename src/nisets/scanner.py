@@ -15,6 +15,7 @@ tooling exit nonzero.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain, permutations
@@ -33,7 +34,7 @@ from .graphs import (
     graph_from_pair_mask,
     structural_predicates,
 )
-from .oracle import oracle_profiles_of
+from .oracle import oracle_levels_of
 from .trees import (
     TREE_ORDER_LIMIT,
     RootedTables,
@@ -280,22 +281,20 @@ def _orbit_tables(n: int) -> list[np.ndarray]:
     return tables
 
 
-def labeled_graph_classes(n: int) -> list[tuple[Graph, int]]:
-    """One representative per isomorphism class plus its labelled count.
-
-    Walks every edge mask in increasing order; an unseen mask starts a new
-    class and its whole permutation orbit, summed from ``_orbit_tables``,
-    is marked, so each class's representative is the minimal mask of its
-    orbit.  The labelled counts must sum to 2^C(n,2), or RouteDisagreement
-    is raised.
-    """
+def _class_masks(n: int) -> list[tuple[int, int]]:
+    """(pair mask, labelled count) of one representative per order-n
+    isomorphism class.  Walks every edge mask in increasing order; an
+    unseen mask starts a new class and its whole permutation orbit, summed
+    from ``_orbit_tables``, is marked, so each class's representative is
+    the minimal mask of its orbit.  The labelled counts must sum to
+    2^C(n,2), or RouteDisagreement is raised."""
     if not 1 <= n <= GRAPH_SCAN_LIMIT:
         raise ValueError(f"order {n} outside 1..{GRAPH_SCAN_LIMIT}; graphs are enumerated "
                          f"up to the exhaustive limit ({GRAPH_SCAN_LIMIT})")
-    pairs = all_pairs(n)
+    slots = n * (n - 1) // 2
     nperms = factorial(n)
     tables = _orbit_tables(n)
-    seen = bytearray(1 << len(pairs))
+    seen = bytearray(1 << slots)
     marks = np.frombuffer(seen, dtype=np.uint8)
     classes = []
     mask = 0
@@ -306,26 +305,33 @@ def labeled_graph_classes(n: int) -> list[tuple[Graph, int]]:
         # numpy scatters intp indices fastest, so widen once before marking
         marks[images.astype(np.intp)] = 1
         # orbit-stabiliser: the labelled count is n! over the stabiliser size
-        count = nperms // int(np.count_nonzero(images == mask))
-        classes.append((graph_from_pair_mask(n, mask, pairs), count))
+        classes.append((mask, nperms // int(np.count_nonzero(images == mask))))
         mask = seen.find(0, mask + 1)
     total = sum(count for _, count in classes)
-    if total != 1 << len(pairs):
+    if total != 1 << slots:
         raise RouteDisagreement(f"the order-{n} classes count {total} labelled graphs, "
-                                f"but there are 2^{len(pairs)}")
+                                f"but there are 2^{slots}")
     return classes
 
 
-def _subset_scalars(graphs, n: int):
-    """(sigma0, S0) of the subgraph each vertex subset induces, for every
-    order-n graph: two (graphs, 2^n) int32 arrays indexed by vertex mask.
+def labeled_graph_classes(n: int) -> list[tuple[Graph, int]]:
+    """One representative per isomorphism class plus its labelled count,
+    the graphs of ``_class_masks``."""
+    classes, pairs = _class_masks(n), all_pairs(n)
+    return [(graph_from_pair_mask(n, mask, pairs), count) for mask, count in classes]
+
+
+def _subset_scalars(adj, n: int):
+    """(sigma0, S0) of the subgraph each vertex subset induces, for the
+    order-n graphs whose adjacency masks are the rows of ``adj``: two
+    (graphs, 2^n) int32 arrays indexed by vertex mask.
 
     Built by doubling over the vertices: a subset whose top vertex is v is
     a lower subset L with v added, and its independent sets are those of L
     plus v joined to each of L outside N[v], which is L & ~N(v)."""
-    adj = np.array([graph.adj for graph in graphs], dtype=np.int32).reshape(len(graphs), n)
-    count = np.ones((len(graphs), 1 << n), dtype=np.int32)
-    size = np.zeros((len(graphs), 1 << n), dtype=np.int32)
+    adj = np.asarray(adj, dtype=np.int32).reshape(len(adj), n)
+    count = np.ones((len(adj), 1 << n), dtype=np.int32)
+    size = np.zeros((len(adj), 1 << n), dtype=np.int32)
     for v in range(n):
         low = 1 << v
         rest = np.arange(low, dtype=np.int32) & ~adj[:, v:v + 1]
@@ -336,35 +342,70 @@ def _subset_scalars(graphs, n: int):
     return count, size
 
 
-def _class_records(n: int, graph_filter: str):
-    """(graph, graph6, counts, totals, sigma1, S1) of each order-n class the
-    filter keeps, in ``labeled_graph_classes`` order: the one walk of the
-    graph population, read by ``scan_graphs`` and the graph claims alike.
+_GraphRecords = namedtuple("_GraphRecords", "adj count size edge union residual0 residual1 "
+                                            "sigma1 s1")
 
-    ``counts[mask]`` and ``totals[mask]`` are the sigma0 and S0 of the
-    subgraph the vertex mask induces, one row of ``_subset_scalars`` built
-    once over the kept classes.  An edge uv's one-edge sets are uv joined
-    to each independent set of V - (N(u) | N(v)), so sigma1 sums that
-    residual's sigma0 over the edges, and S1 its 2 sigma0 + S0."""
-    kept = []
-    for graph, _ in labeled_graph_classes(n):
-        if graph_filter == "non-edgeless" and not graph.edge_count:
-            continue
-        if graph_filter == "connected" and not structural_predicates(graph).is_connected:
-            continue
-        if graph_filter == "no-isolated-max-deg-2":
-            s = structural_predicates(graph)
-            if s.has_isolated_vertex or s.max_degree > 2:
-                continue
-        kept.append(graph)
-    count, size = _subset_scalars(kept, n)
-    for graph, count_row, size_row in zip(kept, count, size):
-        counts, totals = count_row.tolist(), size_row.tolist()
-        adj, universe = graph.adj, graph.universe
-        rests = [universe & ~(adj[u] | adj[v]) for u, v in graph.edges()]
-        sigma1 = sum(counts[m] for m in rests)
-        s1 = 2 * sigma1 + sum(totals[m] for m in rests)
-        yield graph, to_graph6(graph), counts, totals, sigma1, s1
+
+def _graph_records(adj) -> _GraphRecords:
+    """The order-n graphs whose adjacency masks are the rows of ``adj``:
+    their (sigma0, S0) tables; per lexicographic vertex pair uv (the
+    ``Graph.edges`` order), whether it is an edge, the size of
+    N(u) | N(v), and the int32 table entries (sigma0, S0) of the residual
+    V - (N(u) | N(v)), widened to int64; and sigma1 and S1, which sum each
+    edge's residual sigma0 and 2 sigma0 + S0, its one-edge sets being uv
+    joined to each independent set of its residual.  As each count is at
+    most 2^n and each size sum at most n 2^n, every claim product and fold
+    cross-multiplication is below n 4^n < 2^63 up to n = 29, past the
+    tables' int32 limit of 27."""
+    adj = np.asarray(adj, dtype=np.int64)
+    n = adj.shape[1]
+    count, size = _subset_scalars(adj, n)
+    us, vs = np.triu_indices(n, 1)
+    union = adj[:, us] | adj[:, vs]
+    edge = (adj[:, us] >> vs & 1).astype(bool)
+    rests = ((1 << n) - 1) & ~union
+    residual0, residual1 = (np.take_along_axis(table, rests, axis=1).astype(np.int64)
+                            for table in (count, size))
+    sigma1 = np.where(edge, residual0, 0).sum(axis=1)
+    return _GraphRecords(adj, count, size, edge, np.bitwise_count(union).astype(np.int64),
+                         residual0, residual1, sigma1,
+                         2 * sigma1 + np.where(edge, residual1, 0).sum(axis=1))
+
+
+def _class_records(n: int, graph_filter: str) -> _GraphRecords:
+    """The records of the order-n classes the filter keeps, in walk order,
+    read by ``scan_graphs`` and the graph claims alike; a Graph is built
+    only for a structural filter."""
+    masks = np.array([mask for mask, _ in _class_masks(n)], dtype=np.int64)
+    pairs = all_pairs(n)
+    # pair slot s = (i, j) puts j in N(i) and i in N(j)
+    weights = np.zeros((len(pairs), n), dtype=np.int64)
+    for s, (i, j) in enumerate(pairs):
+        weights[s, i], weights[s, j] = 1 << j, 1 << i
+    adj = (masks[:, None] >> np.arange(len(pairs)) & 1) @ weights
+    if graph_filter == "non-edgeless":
+        adj = adj[masks != 0]
+    elif graph_filter != "all":
+        summaries = [structural_predicates(Graph(n, tuple(row))) for row in adj.tolist()]
+        adj = adj[[s.is_connected if graph_filter == "connected"
+                   else not s.has_isolated_vertex and s.max_degree <= 2 for s in summaries]]
+    return _graph_records(adj)
+
+
+def _named(adj, index) -> str:
+    """The graph6 of a record's graph, written only where a report names it."""
+    return to_graph6(Graph(adj.shape[1], tuple(adj[int(index)].tolist())))
+
+
+def _graph_sides(adj, num, den, keys):
+    """Min and max sides of int64 values num/den keyed by record index,
+    the kept keys then written as graph6."""
+    sides = _Side(smaller=True), _Side(smaller=False)
+    for side in sides:
+        side.fold(num, den, keys)
+        for value in side.values:
+            value[2] = [_named(adj, index) for index in value[2]]
+    return sides
 
 
 def scan_graphs(
@@ -386,12 +427,13 @@ def scan_graphs(
         raise ValueError(f"unknown graph filter {graph_filter!r}")
     records = _class_records(n, graph_filter)
     if objective == "av1":
-        entries = [(s1, sigma1, g6) for _, g6, _, _, sigma1, s1 in records if sigma1]
+        keys = np.flatnonzero(records.sigma1)
+        num, den = records.s1[keys], records.sigma1[keys]
     else:
-        entries = [(sigma1, counts[graph.universe], g6)
-                   for graph, g6, counts, _, sigma1, _ in records]
+        keys = np.arange(len(records.adj))
+        num, den = records.sigma1, records.count[:, -1].astype(np.int64)
     return _report(f"scan-{objective}", f"graphs/{graph_filter}", n, objective,
-                   _extremes(entries), witness_cap)
+                   _graph_sides(records.adj, num, den, keys), witness_cap)
 
 
 # -- tree sweeps ---------------------------------------------------------------
@@ -402,11 +444,12 @@ def _spot_check(levels, rows) -> None:
     subset oracle, whose one kernel call takes every tree's table; the
     first mismatch in stream order is raised."""
     graphs = [levels_to_graph(tree) for tree in levels]
-    for graph, row, profiles in zip(graphs, rows, oracle_profiles_of(graphs)):
+    for graph, row, counts in zip(graphs, rows, oracle_levels_of(graphs)):
         eng = Engine(graph)
         routes = (("tree DP", row[:2], row[2:]), ("engine", eng.scalars0(), eng.scalars1()))
         # the padding is level 1 of a one-vertex tree
-        wants = [(p.sigma, p.total) for p in profiles[:2]] + [(0, 0)]
+        sizes = np.arange(graph.n + 1)
+        wants = [(int(level.sum()), int(level @ sizes)) for level in counts[:2]] + [(0, 0)]
         for level in (0, 1):
             for name, *by_level in routes:
                 if by_level[level] != wants[level]:
@@ -890,85 +933,81 @@ def _tree_claim_reports(n: int, sweep: _Sweep) -> dict:
 
 
 def _graph_claim_reports(n: int) -> dict:
-    """The graph claims' (sides, violations) at order n >= 2 from one pass
-    over the "non-edgeless" class records, keyed by claim id
-    (graph-average-upper has none below its first order).
+    """``_graph_checks`` of the "non-edgeless" order-n class records."""
+    return _graph_checks(_class_records(n, "non-edgeless"))
 
-    Each record's table row serves every claim: per edge uv, the union
-    N(u) | N(v) comes from the adjacency masks, and the (sigma0, S0) of the
-    graph left after deleting it, like sigma0 of G and of each G - w, is
-    the row's entry at that vertex mask.
-    The classes where "every edge's union covers all n vertices" disagrees
-    with av1 = 2 close graph-average-lower's violations, in graph6 order.
-    Every comparison is made in integers; a Fraction is built only for
-    the extremes, the upper bound and a bracket violation's range."""
-    av1_entries, ratio_entries = [], []
-    mismatched = []
-    lower, union, bracket, residual = [], [], [], []
-    for graph, g6, counts, totals, sigma1, s1 in _class_records(n, "non-edgeless"):
-        adj, universe = graph.adj, graph.universe
-        sigma_g = counts[universe]
-        av1_entries.append((s1, sigma1, g6))
-        ratio_entries.append((sigma1, sigma_g, g6))
-        edges = graph.edges()
-        unions = [adj[u] | adj[v] for u, v in edges]
-        sizes = [mask.bit_count() for mask in unions]
-        residuals = [(counts[universe & ~mask], totals[universe & ~mask]) for mask in unions]
-        d1, d2 = min(sizes), max(sizes)
-        if (d1 == n) != (s1 == 2 * sigma1):
-            mismatched.append(g6)
-        if s1 < 2 * sigma1:
-            lower.append(Violation(
-                g6, "average size of one-edge subsets is at least 2",
-                observed=format_rational(s1, sigma1), expected=">= 2",
-            ))
-        # union-size sandwich: lower bound low_num/low_den (low_den >= 1), upper bound up2/2
-        low_num, low_den, up2 = 3 * n + 2 - 3 * d2, n + 1 - d2, n + 4 - d1
-        if not (2 * low_den <= low_num and low_num * sigma1 <= s1 * low_den
-                and 2 * s1 <= up2 * sigma1 and up2 <= n + 2):
-            union.append(Violation(
-                g6, "neighbourhood-union size sandwich around the average",
-                observed=f"lower {format_rational(low_num, low_den)}, "
-                         f"av {format_rational(s1, sigma1)}, "
-                         f"upper {format_rational(up2, 2)}",
-                expected="2 <= lower <= av <= upper <= (n+2)/2",
-            ))
-        # av1 - 2 = excess/sigma1 against each edge's residual average s0/sigma0
-        excess = s1 - 2 * sigma1
-        if not (any(s0 * sigma1 <= excess * sigma0 for sigma0, s0 in residuals)
-                and any(s0 * sigma1 >= excess * sigma0 for sigma0, s0 in residuals)):
-            per_edge = [2 + Fraction(s0, sigma0) for sigma0, s0 in residuals]
-            bracket.append(Violation(
-                g6, "per-edge conditional averages bracket the average",
-                observed=f"av {format_rational(s1, sigma1)} outside "
-                         f"[{format_rational(min(per_edge))}, {format_rational(max(per_edge))}]",
-                expected="min edge average <= av <= max edge average",
-            ))
-        for (u, v), size, (sigma0, _) in zip(edges, sizes, residuals):
-            # the residual ratio sigma0/sigma_g lies between 1/lower_den, where
-            # lower_den = 2^(l-2) + 2^(l-|N[u]|) + 2^(l-|N[v]|) + 1, and 1 - s0(G - w)/sigma_g
-            # for each endpoint w; l >= |N[u]|, |N[v]| >= 2 keeps every exponent >= 0
-            closed = (2, graph.degree(u) + 1, graph.degree(v) + 1)
-            lower_den = sum(1 << (size - c) for c in closed) + 1
-            minus = max(counts[universe ^ 1 << u], counts[universe ^ 1 << v])
-            if not sigma_g <= sigma0 * lower_den or sigma0 + minus > sigma_g:
-                residual.append(Violation(
-                    g6, "per-edge residual independent-set count sandwich",
-                    observed=f"edge ({u},{v}) ratio {format_rational(sigma0, sigma_g)}",
-                    expected="within the closed-neighbourhood bounds",
-                ))
-    for g6 in sorted(mismatched):
-        lower.append(Violation(
-            g6, "average equals 2 exactly for graphs whose every edge covers all vertices",
-            observed="mismatch between equality class and covering-edge predicate",
-            expected="equal sets",
-        ))
-    sides = _extremes(av1_entries)
+
+def _graph_checks(records: _GraphRecords) -> dict:
+    """The graph claims' (sides, violations) over records of graphs of one
+    order n >= 2, each with an edge, keyed by claim id, in whole-array
+    passes: one av1 fold serves four claims, and the (sigma0, S0) of each
+    edge's residual, of G and of each G - w are table entries.  Every
+    comparison is made in integers.  A Violation is built only for a
+    flagged graph, or graph and edge, in graph-then-edge order; the graphs
+    where "every edge's union covers all n vertices" disagrees with av1 = 2
+    close graph-average-lower's, in graph6 order."""
+    adj, count, _, edge, union, residual0, residual1, sigma1, s1 = records
+    n, sigma_g, excess = adj.shape[1], count[:, -1].astype(np.int64), s1 - 2 * sigma1
+    d1, d2 = np.where(edge, union, n).min(axis=1), np.where(edge, union, 0).max(axis=1)
+    # union-size sandwich: lower bound low_num/low_den (low_den >= 1), upper bound up2/2
+    low_num, low_den, up2 = 3 * n + 2 - 3 * d2, n + 1 - d2, n + 4 - d1
+    # av1 - 2 = excess/sigma1 against each edge's residual average s0/sigma0
+    left, right = residual1 * sigma1[:, None], excess[:, None] * residual0
+    keys = np.arange(len(adj))
+
+    def named(flags, claim, observed, expected, owners=keys):
+        """A Violation for each flag, naming the graph ``owners`` gives it."""
+        return [Violation(_named(adj, owners[i]), claim, observed(i), expected)
+                for i in np.flatnonzero(flags).tolist()]
+
+    def av1(i):
+        return format_rational(int(s1[i]), int(sigma1[i]))
+
+    def outside(i):
+        per_edge = [2 + Fraction(s0, sigma0) for sigma0, s0 in
+                    zip(residual0[i, edge[i]].tolist(), residual1[i, edge[i]].tolist())]
+        return (f"av {av1(i)} outside "
+                f"[{format_rational(min(per_edge))}, {format_rational(max(per_edge))}]")
+
+    lower = named(excess < 0, "average size of one-edge subsets is at least 2", av1, ">= 2")
+    lower += sorted(named(
+        (d1 == n) != (excess == 0),
+        "average equals 2 exactly for graphs whose every edge covers all vertices",
+        lambda i: "mismatch between equality class and covering-edge predicate", "equal sets",
+    ), key=lambda v: v.graph6)
+    union_violations = named(
+        ~((2 * low_den <= low_num) & (low_num * sigma1 <= s1 * low_den)
+          & (2 * s1 <= up2 * sigma1) & (up2 <= n + 2)),
+        "neighbourhood-union size sandwich around the average",
+        lambda i: (f"lower {format_rational(int(low_num[i]), int(low_den[i]))}, av {av1(i)}, "
+                   f"upper {format_rational(int(up2[i]), 2)}"),
+        "2 <= lower <= av <= upper <= (n+2)/2")
+    bracket = named(
+        ~((edge & (left <= right)).any(axis=1) & (edge & (left >= right)).any(axis=1)),
+        "per-edge conditional averages bracket the average", outside,
+        "min edge average <= av <= max edge average")
+    # each edge uv's residual ratio sigma0/sigma_g lies between 1/lower_den, where
+    # lower_den = 2^(l-2) + 2^(l-|N[u]|) + 2^(l-|N[v]|) + 1, and 1 - s0(G - w)/sigma_g
+    # for each endpoint w; l >= |N[u]|, |N[v]| >= 2 keeps every exponent >= 0
+    graph, pair = np.nonzero(edge)
+    us, vs = (ends[pair] for ends in np.triu_indices(n, 1))
+    size, sigma0, whole = union[graph, pair], residual0[graph, pair], sigma_g[graph]
+    closed = np.bitwise_count(adj).astype(np.int64) + 1
+    lower_den = ((1 << size - 2) + (1 << size - closed[graph, us])
+                 + (1 << size - closed[graph, vs]) + 1)
+    full = (1 << n) - 1
+    minus = np.maximum(count[graph, full ^ 1 << us], count[graph, full ^ 1 << vs])
+    residual = named(
+        (whole > sigma0 * lower_den) | (sigma0 + minus > whole),
+        "per-edge residual independent-set count sandwich",
+        lambda e: f"edge ({us[e]},{vs[e]}) ratio {format_rational(int(sigma0[e]), int(whole[e]))}",
+        "within the closed-neighbourhood bounds", graph)
+    sides = _graph_sides(adj, s1, sigma1, keys)
     checks = {
         "graph-average-lower": (sides, lower),
-        "union-size-sandwich": (sides, union),
+        "union-size-sandwich": (sides, union_violations),
         "edge-average-bracket": (sides, bracket),
-        "residual-count-sandwich": (_extremes(ratio_entries), residual),
+        "residual-count-sandwich": (_graph_sides(adj, sigma1, sigma_g, keys), residual),
     }
     if _stated("graph-average-upper", n):
         high = sides[1]

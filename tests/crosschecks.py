@@ -12,8 +12,10 @@ of whole and rooted trees by bincounts (the references for the rooted
 tables' join of rows and the sweeps' join of tables), the known ratio
 table of small paths and cycles, a plain loop over the subsets for one
 level of the subset oracle, the oracle's table of one graph at a time
-(the reference for its batched kernel), and graph6 coded bit by bit (the
-reference for ``formats``' pair-mask coder)."""
+(the reference for its batched kernel), graph6 coded bit by bit (the
+reference for ``formats``' pair-mask coder), and the graph walk's records
+and claims class by class in Python integers (the reference for the
+scanner's array passes)."""
 
 import heapq
 from bisect import bisect_left
@@ -23,11 +25,19 @@ from math import factorial
 
 import numpy as np
 
-from nisets.engine import Engine, _join_child
+from nisets.engine import Engine, _join_child, format_rational
 from nisets.families import FamilySpec, build
-from nisets.formats import GRAPH6_ORDER_LIMIT
-from nisets.graphs import Graph, all_pairs, build_graph, graph_from_pair_mask, iter_bits
+from nisets.formats import GRAPH6_ORDER_LIMIT, to_graph6
+from nisets.graphs import (
+    Graph,
+    all_pairs,
+    build_graph,
+    graph_from_pair_mask,
+    iter_bits,
+    structural_predicates,
+)
 from nisets.oracle import OracleProfile
+from nisets.scanner import Violation, _extremes, _stated, labeled_graph_classes
 from nisets.trees import (
     TREE_ORDER_LIMIT,
     RootedTables,
@@ -568,3 +578,124 @@ def reference_from_graph6(s: str) -> Graph:
                 edges.append((i, j))
             pos += 1
     return build_graph(n, edges)
+
+
+def reference_filtered_classes(n: int, graph_filter: str) -> list[Graph]:
+    """The order-n class representatives a scan filter keeps, in walk order,
+    each tested as a Graph."""
+    kept = []
+    for graph, _ in labeled_graph_classes(n):
+        if graph_filter == "non-edgeless" and not graph.edge_count:
+            continue
+        if graph_filter == "connected" and not structural_predicates(graph).is_connected:
+            continue
+        if graph_filter == "no-isolated-max-deg-2":
+            s = structural_predicates(graph)
+            if s.has_isolated_vertex or s.max_degree > 2:
+                continue
+        kept.append(graph)
+    return kept
+
+
+def reference_class_records(graphs, count, size):
+    """(graph, graph6, counts, totals, sigma1, S1) of each graph, from its
+    rows of the subset tables ``count`` and ``size``: an edge uv's one-edge
+    sets are uv joined to each independent set of V - (N(u) | N(v)), so
+    sigma1 sums that residual's sigma0 over the edges, and S1 its
+    2 sigma0 + S0."""
+    for graph, count_row, size_row in zip(graphs, count, size):
+        counts, totals = count_row.tolist(), size_row.tolist()
+        adj, universe = graph.adj, graph.universe
+        rests = [universe & ~(adj[u] | adj[v]) for u, v in graph.edges()]
+        sigma1 = sum(counts[m] for m in rests)
+        s1 = 2 * sigma1 + sum(totals[m] for m in rests)
+        yield graph, to_graph6(graph), counts, totals, sigma1, s1
+
+
+def reference_graph_claims(n: int, records) -> dict:
+    """The graph claims' (sides, violations) at order n >= 2, keyed by claim
+    id, by one loop over ``reference_class_records`` of graphs with an
+    edge, each record's table row serving every claim, every comparison
+    made in Python integers; the reference for ``scanner._graph_checks``."""
+    av1_entries, ratio_entries = [], []
+    mismatched = []
+    lower, union, bracket, residual = [], [], [], []
+    for graph, g6, counts, totals, sigma1, s1 in records:
+        adj, universe = graph.adj, graph.universe
+        sigma_g = counts[universe]
+        av1_entries.append((s1, sigma1, g6))
+        ratio_entries.append((sigma1, sigma_g, g6))
+        edges = graph.edges()
+        unions = [adj[u] | adj[v] for u, v in edges]
+        sizes = [mask.bit_count() for mask in unions]
+        residuals = [(counts[universe & ~mask], totals[universe & ~mask]) for mask in unions]
+        d1, d2 = min(sizes), max(sizes)
+        if (d1 == n) != (s1 == 2 * sigma1):
+            mismatched.append(g6)
+        if s1 < 2 * sigma1:
+            lower.append(Violation(
+                g6, "average size of one-edge subsets is at least 2",
+                observed=format_rational(s1, sigma1), expected=">= 2",
+            ))
+        # union-size sandwich: lower bound low_num/low_den (low_den >= 1), upper bound up2/2
+        low_num, low_den, up2 = 3 * n + 2 - 3 * d2, n + 1 - d2, n + 4 - d1
+        if not (2 * low_den <= low_num and low_num * sigma1 <= s1 * low_den
+                and 2 * s1 <= up2 * sigma1 and up2 <= n + 2):
+            union.append(Violation(
+                g6, "neighbourhood-union size sandwich around the average",
+                observed=f"lower {format_rational(low_num, low_den)}, "
+                         f"av {format_rational(s1, sigma1)}, "
+                         f"upper {format_rational(up2, 2)}",
+                expected="2 <= lower <= av <= upper <= (n+2)/2",
+            ))
+        # av1 - 2 = excess/sigma1 against each edge's residual average s0/sigma0
+        excess = s1 - 2 * sigma1
+        if not (any(s0 * sigma1 <= excess * sigma0 for sigma0, s0 in residuals)
+                and any(s0 * sigma1 >= excess * sigma0 for sigma0, s0 in residuals)):
+            per_edge = [2 + Fraction(s0, sigma0) for sigma0, s0 in residuals]
+            bracket.append(Violation(
+                g6, "per-edge conditional averages bracket the average",
+                observed=f"av {format_rational(s1, sigma1)} outside "
+                         f"[{format_rational(min(per_edge))}, {format_rational(max(per_edge))}]",
+                expected="min edge average <= av <= max edge average",
+            ))
+        for (u, v), size, (sigma0, _) in zip(edges, sizes, residuals):
+            # the residual ratio sigma0/sigma_g lies between 1/lower_den, where
+            # lower_den = 2^(l-2) + 2^(l-|N[u]|) + 2^(l-|N[v]|) + 1, and 1 - s0(G - w)/sigma_g
+            # for each endpoint w; l >= |N[u]|, |N[v]| >= 2 keeps every exponent >= 0
+            closed = (2, graph.degree(u) + 1, graph.degree(v) + 1)
+            lower_den = sum(1 << (size - c) for c in closed) + 1
+            minus = max(counts[universe ^ 1 << u], counts[universe ^ 1 << v])
+            if not sigma_g <= sigma0 * lower_den or sigma0 + minus > sigma_g:
+                residual.append(Violation(
+                    g6, "per-edge residual independent-set count sandwich",
+                    observed=f"edge ({u},{v}) ratio {format_rational(sigma0, sigma_g)}",
+                    expected="within the closed-neighbourhood bounds",
+                ))
+    for g6 in sorted(mismatched):
+        lower.append(Violation(
+            g6, "average equals 2 exactly for graphs whose every edge covers all vertices",
+            observed="mismatch between equality class and covering-edge predicate",
+            expected="equal sets",
+        ))
+    sides = _extremes(av1_entries)
+    checks = {
+        "graph-average-lower": (sides, lower),
+        "union-size-sandwich": (sides, union),
+        "edge-average-bracket": (sides, bracket),
+        "residual-count-sandwich": (_extremes(ratio_entries), residual),
+    }
+    if _stated("graph-average-upper", n):
+        high = sides[1]
+        bound = Fraction(n, 2) + 1
+        single_edge = to_graph6(build(FamilySpec("G_special", n)))
+        upper = []
+        if not (high.value == bound and high.codes == [single_edge]):
+            upper.append(Violation(
+                single_edge,
+                "the single edge plus isolated vertices uniquely maximizes the average",
+                observed=f"max {format_rational(high.value)} on {len(high.codes)} classes",
+                expected=f"max {format_rational(bound)} on exactly this class",
+            ))
+        checks["graph-average-upper"] = (sides, upper)
+    return checks

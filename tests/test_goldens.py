@@ -19,6 +19,10 @@ SPOT_CHECKED_SCAN = "117d43faeb965b0e291f92c3741a78f9d6ce596adcdadf97a4aa9d0ad01
 # every graph claim to order 7 with full witness lists, so a change in tie
 # order past the default cap of 100 witnesses shows
 GRAPH_CLAIMS = "449e91bdfa5e4bf00b749b0e658604e576da3e39aa30e26defc1212eb26af2aa"
+FILTER_CONNECTED = ("scan", "--population", "graphs", "--order", "7", "--filter", "connected",
+                    "--objective", "sigma-ratio", "--witness-cap", "-1")
+FILTER_DEGREE_TWO = ("scan", "--population", "graphs", "--order", "7", "--filter",
+                     "no-isolated-max-deg-2", "--witness-cap", "-1")
 GOLDENS = [
     (("verify",), "474ebb740581bb186cb5fe99b6d376b93ad9601047fb775b10ee893a02f97f01"),
     (("conjecture", "--orders", "4:17"), TREE_SWEEP),
@@ -50,6 +54,9 @@ GOLDENS = [
     (("verify", "--claims", "graph-average-lower,graph-average-upper,union-size-sandwich,"
       "edge-average-bracket,residual-count-sandwich", "--max-graph-order", "7",
       "--witness-cap", "-1"), GRAPH_CLAIMS),
+    # the two structural filters, which test each class as a Graph
+    (FILTER_CONNECTED, "4344de236e416afd70b3f5443ce2dbb4adff847da5d02c3f5e1510cc9bc58f8c"),
+    (FILTER_DEGREE_TWO, "60d7b50e8fa575c795a423e271dd96edf7728b84324f679c219552782b3ccc3e"),
 ]
 
 # the SHA-256 of the graph6 file ``trees --order n`` writes, one free tree a line

@@ -25,6 +25,9 @@ from crosschecks import (
     gather_sum_graph_classes,
     level_parents,
     pair_mask,
+    reference_class_records,
+    reference_filtered_classes,
+    reference_graph_claims,
     relabel,
     rest_start,
     root_states_batch,
@@ -45,12 +48,13 @@ from nisets.engine import (
 from nisets.families import FamilySpec, build, closed_form_summary
 from nisets.formats import from_graph6, to_graph6
 from nisets.graphs import (
+    Graph,
     all_pairs,
     graph_from_pair_mask,
     is_good_graph,
     structural_predicates,
 )
-from nisets.oracle import OracleProfile, oracle_profiles_of
+from nisets.oracle import oracle_levels_of
 from nisets.scanner import (
     GRAPH_FILTERS,
     GRAPH_SCAN_LIMIT,
@@ -1339,27 +1343,31 @@ GRAPH_CLAIMS = ["graph-average-lower", "graph-average-upper", "union-size-sandwi
                 "edge-average-bracket", "residual-count-sandwich"]
 
 
-def tamper(monkeypatch, replaced):
-    """Plant whole-graph scalars in the graph walk for chosen graphs:
+def record_graphs(records):
+    """The graph of each row of a batch of graph records."""
+    n = records.adj.shape[1]
+    return [Graph(n, tuple(row)) for row in records.adj.tolist()]
+
+
+def plant(records, replaced):
+    """Plant whole-graph scalars in graph records for chosen graphs:
     ``replaced[(level, graph6)]`` is the (count, size-sum) that the
     graph's table row holds at its full vertex mask (level 0), or that its
-    record carries as (sigma1, S1) (level 1).  Every proper vertex subset
-    keeps its true values."""
-    subset_scalars, class_records = scanner_module._subset_scalars, scanner_module._class_records
+    record carries as (sigma1, S1) (level 1).  Every proper vertex subset,
+    and so every edge's residual, keeps its true values."""
+    for row, graph in enumerate(record_graphs(records)):
+        if (0, to_graph6(graph)) in replaced:
+            records.count[row, -1], records.size[row, -1] = replaced[0, to_graph6(graph)]
+        if (1, to_graph6(graph)) in replaced:
+            records.sigma1[row], records.s1[row] = replaced[1, to_graph6(graph)]
+    return records
 
-    def planted_tables(graphs, n):
-        count, size = subset_scalars(graphs, n)
-        for row, graph in enumerate(graphs):
-            if (0, to_graph6(graph)) in replaced:
-                count[row, -1], size[row, -1] = replaced[0, to_graph6(graph)]
-        return count, size
 
-    def planted_records(n, graph_filter):
-        for graph, g6, counts, totals, sigma1, s1 in class_records(n, graph_filter):
-            yield (graph, g6, counts, totals, *replaced.get((1, g6), (sigma1, s1)))
-
-    monkeypatch.setattr(scanner_module, "_subset_scalars", planted_tables)
-    monkeypatch.setattr(scanner_module, "_class_records", planted_records)
+def tamper(monkeypatch, replaced):
+    """``plant`` into the records of every walk of the graph classes."""
+    class_records = scanner_module._class_records
+    monkeypatch.setattr(scanner_module, "_class_records",
+                        lambda n, graph_filter: plant(class_records(n, graph_filter), replaced))
 
 
 @pytest.fixture
@@ -1382,9 +1390,9 @@ def built_tables(monkeypatch):
     built = []
     subset_scalars = scanner_module._subset_scalars
 
-    def counting_tables(graphs, n):
-        built.append(list(graphs))
-        return subset_scalars(graphs, n)
+    def counting_tables(adj, n):
+        built.append([Graph(n, tuple(row)) for row in np.asarray(adj).tolist()])
+        return subset_scalars(adj, n)
 
     monkeypatch.setattr(scanner_module, "_subset_scalars", counting_tables)
     return built
@@ -1399,9 +1407,13 @@ def engine_subset_scalars(graph):
 class TestSubsetScalars:
     @pytest.mark.parametrize("n", range(1, GRAPH_SCAN_LIMIT + 1))
     def test_every_mask_of_every_class_matches_the_engine(self, n):
-        records = list(scanner_module._class_records(n, "all"))
-        assert [r[0] for r in records] == [g for g, _ in labeled_graph_classes(n)]
-        for graph, g6, counts, totals, sigma1, s1 in records:
+        records = scanner_module._class_records(n, "all")
+        graphs = record_graphs(records)
+        assert graphs == [g for g, _ in labeled_graph_classes(n)]
+        for graph, counts, totals, sigma1, s1 in zip(
+                graphs, records.count.tolist(), records.size.tolist(), records.sigma1.tolist(),
+                records.s1.tolist()):
+            g6 = to_graph6(graph)
             assert list(zip(counts, totals)) == engine_subset_scalars(graph), g6
             eng = Engine(graph)
             by_edges = eng.i1_by_edges()
@@ -1415,7 +1427,7 @@ class TestSubsetScalars:
     def test_matches_the_engine_on_random_graphs(self, drawn):
         n, masks = drawn
         graphs = [graph_from_pair_mask(n, mask) for mask in masks]
-        count, size = _subset_scalars(graphs, n)
+        count, size = _subset_scalars([graph.adj for graph in graphs], n)
         for graph, count_row, size_row in zip(graphs, count.tolist(), size.tolist()):
             assert list(zip(count_row, size_row)) == engine_subset_scalars(graph)
 
@@ -1423,7 +1435,7 @@ class TestSubsetScalars:
         # an order-n table holds sigma0 <= 2^n and S0 <= n * 2^(n-1), both
         # reached by the edgeless graph, so its dtype must hold the limit's
         # S0 bound
-        (count,), (size,) = _subset_scalars([graph_from_pair_mask(5, 0)], 5)
+        (count,), (size,) = _subset_scalars([graph_from_pair_mask(5, 0).adj], 5)
         assert count.dtype == size.dtype
         assert (count.max(), size.max()) == (2 ** 5, 5 * 2 ** 4)
         n = GRAPH_SCAN_LIMIT
@@ -1449,10 +1461,9 @@ class TestGraphClaimPass:
         sigma_g, s_g = Engine(graph).scalars0()
         assert low <= sigma_g <= high
         for sigma0 in (low - 1, low, high, high + 1):
-            tamper(monkeypatch, {(0, g6): (sigma0, s_g)})
-            # Bg is not its class's representative, so the suite walks this graph alone
-            monkeypatch.setattr(scanner_module, "labeled_graph_classes", lambda n: [(graph, 1)])
-            _, violations = _graph_claim_reports(graph.n)["residual-count-sandwich"]
+            # Bg is not its class's representative, so the checks take this graph alone
+            records = plant(scanner_module._graph_records([graph.adj]), {(0, g6): (sigma0, s_g)})
+            _, violations = scanner_module._graph_checks(records)["residual-count-sandwich"]
             expected = [] if low <= sigma0 <= high else [
                 f"edge ({u},{v}) ratio 1/{sigma0}" for u, v in graph.edges()]
             assert [v.observed for v in violations] == expected
@@ -1585,6 +1596,110 @@ class TestGraphClaimPass:
         (_, hi), upper = _graph_claim_reports(n)["graph-average-upper"]
         assert (hi.value, hi.codes) == (Fraction(n, 2) + 1, [two_edges])
         assert [v.graph6 for v in upper] == [single]
+
+
+def assert_checks_match(got, want, n):
+    """Two claim dicts agree claim by claim: each side's value and codes in
+    stream order, each violation list element for element, and the
+    reports they give."""
+    assert list(got) == list(want)
+    for claim_id, (sides, violations) in want.items():
+        got_sides, got_violations = got[claim_id]
+        assert [(side.value, side.codes) for side in got_sides] == [
+            (side.value, side.codes) for side in sides], claim_id
+        assert got_violations == violations, claim_id
+        assert (scanner_module._report(claim_id, "graphs", n, "av1", got_sides, None,
+                                       got_violations)
+                == scanner_module._report(claim_id, "graphs", n, "av1", sides, None, violations))
+
+
+def planted_checks(n, plants):
+    """The graph claims of the array route and of the reference over one
+    batch of order-n graphs, each plant (pair mask, vertex mask, whether the
+    size table, value, S1 or None) giving a graph and the one entry of its
+    tables replaced before either route reads them: a count by one in
+    1..2^n, a size sum by one in 0..n 2^n; a given S1 replaces the
+    graph's in both routes' records, reduced to 0..n 2^n."""
+    graphs = [graph_from_pair_mask(n, mask) for mask, *_ in plants]
+    count, size = _subset_scalars([graph.adj for graph in graphs], n)
+    for row, (_, at, in_size, value, _) in enumerate(plants):
+        if in_size:
+            size[row, at] = value % (n * 2 ** n + 1)
+        else:
+            count[row, at] = 1 + value % 2 ** n
+    averages = [None if s1 is None else s1 % (n * 2 ** n + 1) for *_, s1 in plants]
+    records = [(*record[:5], record[5] if s1 is None else s1) for record, s1 in
+               zip(reference_class_records(graphs, count, size), averages)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scanner_module, "_subset_scalars", lambda adj, n: (count, size))
+        batch = scanner_module._graph_records([graph.adj for graph in graphs])
+    for row, s1 in enumerate(averages):
+        if s1 is not None:
+            batch.s1[row] = s1
+    return scanner_module._graph_checks(batch), reference_graph_claims(n, records)
+
+
+class TestArrayChecksMatchTheReference:
+    @pytest.mark.parametrize("n", range(2, GRAPH_SCAN_LIMIT + 1))
+    def test_claims_on_every_class(self, n):
+        graphs = reference_filtered_classes(n, "non-edgeless")
+        tables = _subset_scalars([graph.adj for graph in graphs], n)
+        want = reference_graph_claims(n, reference_class_records(graphs, *tables))
+        assert_checks_match(_graph_claim_reports(n), want, n)
+
+    @pytest.mark.parametrize("n", range(1, GRAPH_SCAN_LIMIT + 1))
+    def test_scans_of_every_filter_and_objective(self, n):
+        for graph_filter in GRAPH_FILTERS:
+            graphs = reference_filtered_classes(n, graph_filter)
+            tables = _subset_scalars([graph.adj for graph in graphs], n)
+            records = list(reference_class_records(graphs, *tables))
+            entries = {
+                "av1": [(s1, sigma1, g6) for _, g6, _, _, sigma1, s1 in records if sigma1],
+                "sigma-ratio": [(sigma1, counts[graph.universe], g6)
+                                for graph, g6, counts, _, sigma1, _ in records],
+            }
+            for objective in OBJECTIVES:
+                want = scanner_module._report(f"scan-{objective}", f"graphs/{graph_filter}", n,
+                                              objective, _extremes(entries[objective]), None)
+                got = scan_graphs(n, graph_filter, objective, witness_cap=None)
+                assert got == want, (graph_filter, objective)
+
+    @given(st.integers(2, 12).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.tuples(
+        st.integers(1, (1 << n * (n - 1) // 2) - 1), st.integers(0, (1 << n) - 1),
+        st.booleans(), st.integers(0, 1 << 40), st.none() | st.integers(0, 1 << 40)),
+        min_size=1, max_size=4))))
+    @settings(max_examples=80, deadline=None)
+    def test_claims_on_random_graphs_with_a_planted_table_entry(self, drawn):
+        n, plants = drawn
+        assert_checks_match(*planted_checks(n, plants), n)
+
+    def test_planted_batch_flags_every_claim(self):
+        # one plant per graph of an order-6 batch, found by a seeded search,
+        # flags every claim, so the random batches above meet every route
+        # to a violation; the first two plants are table entries only
+        plants = [(4403, 8, True, 253, None), (30775, 63, False, 45, None),
+                  (30360, 2, True, 284, None), (32503, 0, True, 3, None),
+                  (7, 5, False, 1, 0)]
+        got, want = planted_checks(6, plants)
+        assert {claim_id for claim_id, (_, violations) in want.items() if violations} == set(
+            GRAPH_CLAIMS)
+        assert_checks_match(got, want, 6)
+
+    def test_claim_products_at_the_table_limit_stay_below_the_bound(self):
+        # a count is at most 2^n and a size sum at most n 2^n, as every
+        # class of the limit order shows; so each claim product and each
+        # fold's cross-multiplication is at most n 4^n, which int64 holds at
+        # the tables' int32 limit of 27 and up to 29, and wraps at 30
+        n = GRAPH_SCAN_LIMIT
+        records = scanner_module._class_records(n, "all")
+        assert int(records.count.max()) == 2 ** n and int(records.size.max()) == n << (n - 1)
+        assert int(records.s1.max()) <= n * 2 ** n and int(records.sigma1.max()) <= 2 ** n
+        limit = 27
+        assert limit << (limit - 1) < 2 ** 31 <= (limit + 1) << limit
+        for order, exact in ((limit, True), (29, True), (30, False)):
+            largest = np.array([order << order], np.int64) * np.array([1 << order], np.int64)
+            assert (int(largest[0]) == order << 2 * order) == exact, order
+            assert (order << 2 * order < 2 ** 63) == exact, order
 
 
 class TestConjecture:
@@ -1720,13 +1835,14 @@ def test_spot_check_builds_one_oracle_table_per_tree(monkeypatch):
 
 
 def test_spot_check_catches_oracle_disagreement(monkeypatch):
-    def lying_oracle_profiles_of(graphs):
+    def lying_oracle_levels_of(graphs):
         lies = []
-        for profiles in oracle_profiles_of(graphs):
-            shifted = OracleProfile(1, (0,) + profiles[1].by_size[:-1])
-            lies.append((profiles[0], shifted) + profiles[2:])
+        for levels in oracle_levels_of(graphs):
+            shifted = levels.copy()
+            shifted[1] = np.concatenate(([0], levels[1][:-1]))
+            lies.append(shifted)
         return lies
 
-    monkeypatch.setattr(scanner_module, "oracle_profiles_of", lying_oracle_profiles_of)
+    monkeypatch.setattr(scanner_module, "oracle_levels_of", lying_oracle_levels_of)
     with pytest.raises(RouteDisagreement, match=r"vs subset oracle \(\d+, \d+\) at level 1"):
         spot_check_trees(5, 1.0)
