@@ -1355,11 +1355,11 @@ def plant(records, replaced):
     graph's table row holds at its full vertex mask (level 0), or that its
     record carries as (sigma1, S1) (level 1).  Every proper vertex subset,
     and so every edge's residual, keeps its true values."""
-    for row, graph in enumerate(record_graphs(records)):
-        if (0, to_graph6(graph)) in replaced:
-            records.count[row, -1], records.size[row, -1] = replaced[0, to_graph6(graph)]
-        if (1, to_graph6(graph)) in replaced:
-            records.sigma1[row], records.s1[row] = replaced[1, to_graph6(graph)]
+    for row, g6 in enumerate(map(to_graph6, record_graphs(records))):
+        if (0, g6) in replaced:
+            records.count[row, -1], records.size[row, -1] = replaced[0, g6]
+        if (1, g6) in replaced:
+            records.sigma1[row], records.s1[row] = replaced[1, g6]
     return records
 
 
@@ -1452,7 +1452,7 @@ class TestGraphClaimPass:
             "f663322a021a451c722e7fcb51287cd7d319e7f515aed421c15d246a050d1728")
 
     @pytest.mark.parametrize("g6, low, high", [("A_", 3, 4), ("Bg", 5, 6)])
-    def test_residual_count_bounds_are_inclusive(self, monkeypatch, g6, low, high):
+    def test_residual_count_bounds_are_inclusive(self, g6, low, high):
         # K2: the edge's residual count is 1 and deleting an endpoint leaves
         # 2 independent sets, so the sandwich holds for 3 <= sigma0 <= 4.
         # P3: the binding upper bound of each edge deletes the middle vertex,
